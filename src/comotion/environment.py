@@ -130,7 +130,8 @@ def sdf_query(grid: SdfGrid, point) -> tuple[float, np.ndarray]:
 
 
 def sdf_query_graph(tape: Tape, grid: SdfGrid, point: Ref) -> Ref:
-    """Differentiable SDF lookup of a 2-vector position ref."""
+    """Differentiable SDF lookup of a (2,) position ref (scalar result) or of
+    (N, 2) positions in one node ((N,) result)."""
     return tape.grid_interp(point, grid.values, np.asarray(grid.origin), grid.resolution)
 
 

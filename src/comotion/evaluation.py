@@ -84,15 +84,28 @@ def zerovel_predict(observed: np.ndarray, horizon: int) -> np.ndarray:
 class SampleConfig:
     num_samples: int = 100
     noise_variance: float | None = None  # None: 0.05 * mean |hidden| per layer
-    ranking: str = "distance_to_goal"  # or "handover_loss"
+    # "distance_to_goal", "handover_loss", or None: from the problem's
+    # constraints (see default_ranking)
+    ranking: str | None = None
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise EvaluationError("need at least one sample")
         if self.noise_variance is not None and self.noise_variance <= 0:
             raise EvaluationError("noise variance must be positive")
-        if self.ranking not in ("distance_to_goal", "handover_loss"):
+        if self.ranking not in (None, "distance_to_goal", "handover_loss"):
             raise EvaluationError(f"unknown ranking {self.ranking!r}")
+
+
+def default_ranking(problem: ProblemSpec) -> str:
+    """The sample ranking a problem supports: ``handover_loss`` when it has a
+    handover constraint, else ``distance_to_goal`` when it has a human goal."""
+    if _find(problem, "handover") is not None:
+        return "handover_loss"
+    if _human_goal(problem) is not None:
+        return "distance_to_goal"
+    raise EvaluationError("no sample ranking applies: the problem has neither a "
+                          "handover constraint nor a human goal constraint")
 
 
 def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int):
@@ -141,7 +154,8 @@ def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
                      robot=DEFAULT_ROBOT):
     """Order sample indices by the configured heuristic, best first."""
     scores = []
-    if config.ranking == "distance_to_goal":
+    ranking = config.ranking if config.ranking is not None else default_ranking(problem)
+    if ranking == "distance_to_goal":
         goal = _human_goal(problem)
         if goal is None:
             raise EvaluationError("distance_to_goal ranking needs a human goal constraint")

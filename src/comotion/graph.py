@@ -14,6 +14,36 @@ Subgradient conventions at non-smooth points:
   * min/max reductions send the full gradient to the first attaining index
     (row-major order).
   * clamp passes the gradient through on the closed interval [lo, hi].
+
+Fused primitives keep planning tapes short; each has a hand-written adjoint.
+
+``gru_step`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
+W = [Wz; Wr; Wn] (3d, in), U = [Uz; Ur; Un] (3d, d) and b = [bz; br; bn]
+(3d,), with optional dropout masks mx, mh on the input and the hidden state::
+
+    xd = x * mx,  hd = h * mh
+    [z; r] = sigmoid(W[:2d] xd + U[:2d] hd + b[:2d])
+    n = tanh(W[2d:] xd + U[2d:] (r * hd) + b[2d:])
+    h' = (1 - z) * h + z * n
+
+Inputs are vectors or column-batched (in, B) / (d, B) matrices.  Recording
+and replay keep the gates (xd, hd, [z; r], r * hd, n) of every step, and the
+backward pass reuses them instead of recomputing.  :func:`gru_cell` is the
+kernel; the plain-numpy predictor calls the same function.
+
+``rollout`` integrates the unicycle-plus-joints dynamics over H steps from a
+constant initial state by sequential cumulative sums
+(:func:`unicycle_rollout`).  With the heading before step k written
+b_k = theta_{k-1} and the suffix sums R_k = sum_{t >= k} G_t of the output
+gradient G (columns x, y, theta, q), the adjoint is::
+
+    dv_k = cos(b_k) Rx_k + sin(b_k) Ry_k
+    dw_k = Rtheta_k + sum_{j > k} v_j (cos(b_j) Ry_j - sin(b_j) Rx_j)
+    dq_k = Rq_k
+
+``grid_interp`` takes one (2,) point or a batch of (N, 2) points, and
+``gather`` stacks one column range of many states into an (N, k) array, so
+per-timestep constraint terms are a few (H,) vector nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +61,8 @@ __all__ = [
     "record",
     "backward",
     "gradient_check",
+    "gru_cell",
+    "unicycle_rollout",
 ]
 
 
@@ -125,15 +157,26 @@ def _f_matmul(vals, a, p):
     return np.asarray(vals[a[0]] @ vals[a[1]])
 
 
-def _b_matmul(g, vals, a, p, out):
+def _b_matmul(g, vals, a, p, out, needed):
     x, y = vals[a[0]], vals[a[1]]
-    if x.ndim == 2 and y.ndim == 2:
-        return (g @ y.T, x.T @ g)
-    if x.ndim == 2 and y.ndim == 1:
-        return (np.outer(g, y), x.T @ g)
-    if x.ndim == 1 and y.ndim == 2:
-        return (y @ g, np.outer(x, g))
-    return (g * y, g * x)  # 1-D dot, g is 0-d
+    gx = gy = None  # skip costly outer products nobody wants
+    if needed[a[0]]:
+        if x.ndim == 2 and y.ndim == 2:
+            gx = g @ y.T
+        elif x.ndim == 2:
+            gx = np.outer(g, y)
+        elif y.ndim == 2:
+            gx = y @ g
+        else:
+            gx = g * y  # 1-D dot, g is 0-d
+    if needed[a[1]]:
+        if x.ndim == 2:
+            gy = x.T @ g
+        elif y.ndim == 2:
+            gy = np.outer(x, g)
+        else:
+            gy = g * x
+    return (gx, gy)
 
 
 def _f_concat(vals, a, p):
@@ -169,17 +212,52 @@ def _b_reshape(g, vals, a, p, out):
 
 
 def _f_sum(vals, a, p):
-    return np.asarray(np.sum(vals[a[0]]))
+    return np.asarray(np.sum(vals[a[0]], axis=p))
 
 
 def _b_sum(g, vals, a, p, out):
-    return (np.full_like(vals[a[0]], float(g)),)
+    x = vals[a[0]]
+    if p is None:
+        return (np.full_like(x, float(g)),)
+    return (np.broadcast_to(np.expand_dims(g, p), x.shape).copy(),)
+
+
+def _f_row(vals, a, p):
+    return vals[a[0]][p]
+
+
+def _b_row(g, vals, a, p, out):
+    full = np.zeros_like(vals[a[0]])
+    full[p] = g
+    return (full,)
+
+
+def _f_gather(vals, a, p):
+    lo, hi = p
+    return np.vstack([vals[i][..., lo:hi] for i in a])
+
+
+def _b_gather(g, vals, a, p, out):
+    lo, hi = p
+    grads = []
+    pos = 0
+    for i in a:
+        x = vals[i]
+        full = np.zeros_like(x)
+        if x.ndim == 1:
+            full[lo:hi] = g[pos]
+            pos += 1
+        else:
+            full[:, lo:hi] = g[pos : pos + x.shape[0]]
+            pos += x.shape[0]
+        grads.append(full)
+    return tuple(grads)
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic; shared by the tape op and plain-numpy paths."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _f_sigmoid(vals, a, p):
@@ -292,58 +370,156 @@ def _b_clamp(g, vals, a, p, out):
     return (g * ((x >= p[0]) & (x <= p[1])),)
 
 
-def _interp2_setup(point, param):
-    values, origin, res = param
+def _interp2(points, values, origin, res, with_gradient):
+    """Bilinear interpolation of a dense grid at (N, 2) points (clamped).
+
+    Returns the (N,) values and, when asked, their (N, 2) analytic
+    gradients, which are zero along clamped axes.
+    """
     nx, ny = values.shape
-    s = (point - origin) / res
-    sx = min(max(float(s[0]), 0.0), nx - 1.0)
-    sy = min(max(float(s[1]), 0.0), ny - 1.0)
-    cx = float(s[0]) == sx
-    cy = float(s[1]) == sy
-    ix = min(int(sx), nx - 2)
-    iy = min(int(sy), ny - 2)
-    fx = sx - ix
-    fy = sy - iy
-    return values, res, ix, iy, fx, fy, cx, cy
+    s = (points - origin) / res
+    sc = np.minimum(np.maximum(s, 0.0), (nx - 1.0, ny - 1.0))
+    cell = np.minimum(sc.astype(np.intp), (nx - 2, ny - 2))
+    ix, iy = cell[:, 0], cell[:, 1]
+    f = sc - cell
+    fx, fy = f[:, 0], f[:, 1]
+    v00 = values[ix, iy]
+    v10 = values[ix + 1, iy]
+    v01 = values[ix, iy + 1]
+    v11 = values[ix + 1, iy + 1]
+    out = (v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy)
+           + v01 * (1 - fx) * fy + v11 * fx * fy)
+    if not with_gradient:
+        return out, None
+    grad = np.empty_like(sc)
+    grad[:, 0] = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / res
+    grad[:, 1] = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / res
+    return out, np.where(s == sc, grad, 0.0)
 
 
 def interp2_value(point, values, origin, resolution) -> float:
     """Bilinear interpolation of a dense grid at a planar point (clamped)."""
-    _, _, ix, iy, fx, fy, _, _ = _interp2_setup(
-        np.asarray(point, dtype=np.float64), (values, np.asarray(origin), resolution)
-    )
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    return float(
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+    point = np.asarray(point, dtype=np.float64).reshape(1, 2)
+    return float(_interp2(point, values, np.asarray(origin), resolution, False)[0][0])
 
 
 def interp2_gradient(point, values, origin, resolution) -> np.ndarray:
     """Analytic gradient of the bilinear patch; zero along clamped axes."""
-    _, res, ix, iy, fx, fy, cx, cy = _interp2_setup(
-        np.asarray(point, dtype=np.float64), (values, np.asarray(origin), resolution)
-    )
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    dx = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / res if cx else 0.0
-    dy = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / res if cy else 0.0
-    return np.array([dx, dy])
+    point = np.asarray(point, dtype=np.float64).reshape(1, 2)
+    return _interp2(point, values, np.asarray(origin), resolution, True)[1][0]
 
 
 def _f_interp2(vals, a, p):
-    return np.asarray(interp2_value(vals[a[0]], p[0], p[1], p[2]))
+    point = vals[a[0]]
+    out, _ = _interp2(point.reshape(-1, 2), *p, False)
+    return out.reshape(point.shape[:-1])
 
 
 def _b_interp2(g, vals, a, p, out):
-    return (float(g) * interp2_gradient(vals[a[0]], p[0], p[1], p[2]),)
+    point = vals[a[0]]
+    _, grad = _interp2(point.reshape(-1, 2), *p, True)
+    return ((g.reshape(-1, 1) * grad).reshape(point.shape),)
+
+
+# ---------------------------------------------------------------------------
+# Fused primitives (see the module docstring for the math)
+# ---------------------------------------------------------------------------
+
+
+def gru_cell(x, h, W, U, b, mask_x=None, mask_h=None):
+    """One GRU layer step on stacked gate weights; returns ``(h', gates)``.
+
+    ``gates`` is ``(xd, hd, [z; r], r * hd, n)``, what the backward pass of
+    ``gru_step`` needs.  Vectors or column-batched matrices.
+    """
+    d = h.shape[0]
+    xd = x if mask_x is None else x * mask_x
+    hd = h if mask_h is None else h * mask_h
+    if x.ndim == 2:
+        b = b[:, None]
+    wx = W @ xd
+    zr = sigmoid_array(wx[: 2 * d] + U[: 2 * d] @ hd + b[: 2 * d])
+    z, r = zr[:d], zr[d:]
+    rh = r * hd
+    n = np.tanh(wx[2 * d :] + U[2 * d :] @ rh + b[2 * d :])
+    return (1.0 - z) * h + z * n, (xd, hd, zr, rh, n)
+
+
+def _outer(a, b):
+    """a b^T for vectors, a @ b.T summed over the batch for matrices."""
+    return a @ b.T if a.ndim == 2 else np.outer(a, b)
+
+
+def _f_gru(vals, a, p):
+    x, h, W, U, b = (vals[i] for i in a)
+    return gru_cell(x, h, W, U, b, *p)
+
+
+def _b_gru(g, vals, a, p, gates, needed):
+    h, W, U = vals[a[1]], vals[a[2]], vals[a[3]]
+    mask_x, mask_h = p
+    xd, hd, zr, rh, n = gates
+    d = h.shape[0]
+    z, r = zr[:d], zr[d:]
+    g_n = g * z * (1.0 - n * n)
+    g_rh = U[2 * d :].T @ g_n
+    g_zr = np.concatenate([g * (n - h), g_rh * hd]) * zr * (1.0 - zr)
+    g_pre = np.concatenate([g_zr, g_n])
+    gx = gh = gW = gU = gb = None
+    if needed[a[0]]:
+        gx = W.T @ g_pre
+        if mask_x is not None:
+            gx = gx * mask_x
+    if needed[a[1]]:
+        g_hd = U[: 2 * d].T @ g_zr + g_rh * r
+        gh = g * (1.0 - z) + (g_hd if mask_h is None else g_hd * mask_h)
+    if needed[a[2]]:
+        gW = _outer(g_pre, xd)
+    if needed[a[3]]:
+        gU = np.concatenate([_outer(g_zr, hd), _outer(g_n, rh)])
+    if needed[a[4]]:
+        gb = g_pre if g_pre.ndim == 1 else g_pre.sum(axis=1)
+    return (gx, gh, gW, gU, gb)
+
+
+def unicycle_rollout(initial, controls) -> np.ndarray:
+    """Post-step states (H, n) of the unicycle-plus-joints dynamics.
+
+    ``initial`` is ``[x, y, heading, q...]`` and each control row
+    ``[forward, turn, dq...]``.  Step t moves the base along the heading it
+    had before the step, then turns and moves the joints.  Every coordinate
+    is a sequential cumulative sum, so the result repeats the per-step
+    recursion bit for bit.
+    """
+    initial = np.asarray(initial, dtype=np.float64)
+    controls = np.asarray(controls, dtype=np.float64)
+    heading = np.cumsum(np.concatenate([initial[2:3], controls[:, 1]]))
+    before = heading[:-1]
+    states = np.empty((controls.shape[0], initial.shape[0]))
+    states[:, 0] = np.cumsum(np.concatenate([initial[0:1], np.cos(before) * controls[:, 0]]))[1:]
+    states[:, 1] = np.cumsum(np.concatenate([initial[1:2], np.sin(before) * controls[:, 0]]))[1:]
+    states[:, 2] = heading[1:]
+    states[:, 3:] = np.cumsum(np.vstack([initial[None, 3:], controls[:, 2:]]), axis=0)[1:]
+    return states
+
+
+def _f_rollout(vals, a, p):
+    return unicycle_rollout(p, vals[a[0]].reshape(-1, p.shape[0] - 1))
+
+
+def _b_rollout(g, vals, a, p, out):
+    forward = vals[a[0]].reshape(-1, p.shape[0] - 1)[:, 0]
+    before = np.concatenate([p[2:3], out[:-1, 2]])
+    c, s = np.cos(before), np.sin(before)
+    R = np.cumsum(g[::-1], axis=0)[::-1]  # R[k] = sum over t >= k of g[t]
+    d_before = forward * (c * R[:, 1] - s * R[:, 0])
+    later = np.cumsum(d_before[::-1])[::-1]  # sum over j >= k
+    gu = np.empty((g.shape[0], g.shape[1] - 1))
+    gu[:, 0] = c * R[:, 0] + s * R[:, 1]
+    gu[:-1, 1] = R[:-1, 2] + later[1:]
+    gu[-1, 1] = R[-1, 2]
+    gu[:, 2:] = R[:, 3:]
+    return (gu.reshape(-1),)
 
 
 OP_LEAF = 0
@@ -352,13 +528,21 @@ OP_CONST = 1
 _FWD = {}
 _BWD = {}
 _OP_NAMES = {OP_LEAF: "leaf", OP_CONST: "const"}
+# ops whose backward also takes the needed mask and skips unwanted inputs
+_MASKED: set[int] = set()
+# ops whose forward returns (value, cache); backward gets the cache as `out`
+_CACHED: set[int] = set()
 
 
-def _register(name, fwd, bwd):
+def _register(name, fwd, bwd, masked=False, cached=False):
     code = len(_OP_NAMES)
     _OP_NAMES[code] = name
     _FWD[code] = fwd
     _BWD[code] = bwd
+    if masked:
+        _MASKED.add(code)
+    if cached:
+        _CACHED.add(code)
     return code
 
 
@@ -366,7 +550,7 @@ OP_ADD = _register("add", _f_add, _b_add)
 OP_SUB = _register("subtract", _f_sub, _b_sub)
 OP_MUL = _register("multiply", _f_mul, _b_mul)
 OP_DIV = _register("divide", _f_div, _b_div)
-OP_MATMUL = _register("matmul", _f_matmul, _b_matmul)
+OP_MATMUL = _register("matmul", _f_matmul, _b_matmul, masked=True)
 OP_CONCAT = _register("concat", _f_concat, _b_concat)
 OP_SLICE = _register("slice", _f_slice, _b_slice)
 OP_RESHAPE = _register("reshape", _f_reshape, _b_reshape)
@@ -384,6 +568,10 @@ OP_MAXR = _register("max_reduce", _f_maxr, _b_maxr)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
 OP_CLAMP = _register("clamp", _f_clamp, _b_clamp)
 OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
+OP_ROW = _register("row", _f_row, _b_row)
+OP_GATHER = _register("gather", _f_gather, _b_gather)
+OP_GRU = _register("gru_step", _f_gru, _b_gru, masked=True, cached=True)
+OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
 
 
 class Ref:
@@ -446,13 +634,18 @@ class Ref:
 
 
 class Evaluation:
-    """Result of one forward replay: per-node values, read-only afterwards."""
+    """Result of one forward replay: per-node values, read-only afterwards.
 
-    __slots__ = ("tape", "values")
+    ``caches`` holds what fused nodes keep for their backward pass (the GRU
+    gates), keyed by node index.
+    """
 
-    def __init__(self, tape: "Tape", values: list):
+    __slots__ = ("tape", "values", "caches")
+
+    def __init__(self, tape: "Tape", values: list, caches: dict):
         self.tape = tape
         self.values = values
+        self.caches = caches
 
     @property
     def output(self) -> np.ndarray:
@@ -476,10 +669,14 @@ class Tape:
         self.params: list = []
         self.vals: list[np.ndarray] = []
         self.shapes: list[tuple[int, ...]] = []
+        self.caches: dict[int, tuple] = {}
         self.leaves: dict[str, int] = {}
         self.output_index: int | None = None
         self.check_finite = check_finite
-        self._const_cache: dict = {}
+        # node indices, not Refs: a Ref points back at its tape, and a cycle
+        # would keep every tape alive until a full garbage collection
+        self._const_cache: dict[float, int] = {}
+        self._backward_plans: dict = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -510,9 +707,9 @@ class Tape:
             key = float(arr)
             hit = self._const_cache.get(key)
             if hit is not None:
-                return hit
+                return Ref(self, hit, ())
             ref = self._push(OP_CONST, (), None, arr)
-            self._const_cache[key] = ref
+            self._const_cache[key] = ref.idx
             return ref
         return self._push(OP_CONST, (), None, arr)
 
@@ -523,6 +720,8 @@ class Tape:
         args = tuple(r.idx for r in refs)
         with np.errstate(all="ignore"):
             value = _FWD[op](self.vals, args, param)
+        if op in _CACHED:
+            value, self.caches[len(self.ops)] = value
         return self._push(op, args, param, np.asarray(value))
 
     # -- primitives ----------------------------------------------------------
@@ -559,8 +758,9 @@ class Tape:
             raise GraphError(f"cannot reshape {x.shape} to {shape}")
         return self._apply(OP_RESHAPE, (x,), tuple(shape))
 
-    def sum(self, x: Ref) -> Ref:
-        return self._apply(OP_SUM, (x,))
+    def sum(self, x: Ref, axis: int | None = None) -> Ref:
+        """Sum of all entries, or along one axis."""
+        return self._apply(OP_SUM, (x,), axis)
 
     def sigmoid(self, x: Ref) -> Ref:
         return self._apply(OP_SIGMOID, (x,))
@@ -603,20 +803,66 @@ class Tape:
         return self._apply(OP_CLAMP, (x,), (float(lo), float(hi)))
 
     def grid_interp(self, point: Ref, values: np.ndarray, origin, resolution: float) -> Ref:
-        """Bilinear lookup of a dense 2-D grid at a planar point.
+        """Bilinear lookup of a dense 2-D grid at a planar point or points.
 
-        The grid itself is a constant; only the query point is differentiated.
+        A (2,) point gives a scalar, (N, 2) points an (N,) vector.  The grid
+        itself is a constant; only the query points are differentiated.
         Queries outside the node hull are clamped (zero gradient in the
         clamped axis).
         """
-        if point.shape != (2,):
-            raise GraphError("grid_interp expects a 2-vector point")
+        if point.shape[-1:] != (2,) or len(point.shape) > 2:
+            raise GraphError("grid_interp expects a (2,) point or (N, 2) points")
         param = (
             np.ascontiguousarray(values, dtype=np.float64),
             _as_array(origin),
             float(resolution),
         )
         return self._apply(OP_INTERP2, (point,), param)
+
+    def row(self, x: Ref, index: int) -> Ref:
+        """Row ``index`` of an array (negative counts from the end)."""
+        n = x.shape[0] if x.shape else 0
+        if not -n <= index < n:
+            raise GraphError(f"row {index} out of range for {x.shape}")
+        return self._apply(OP_ROW, (x,), index % n)
+
+    def gather(self, parts: list[Ref], lo: int, hi: int) -> Ref:
+        """Entries ``lo:hi`` of many states stacked into one (N, hi - lo) array.
+
+        A 1-D part gives one row; a 2-D part gives one row per row.
+        """
+        if not parts:
+            raise GraphError("gather of no tensors")
+        for r in parts:
+            if len(r.shape) not in (1, 2) or not (0 <= lo < hi <= r.shape[-1]):
+                raise GraphError(f"cannot gather [{lo}:{hi}] from {r.shape}")
+        return self._apply(OP_GATHER, tuple(parts), (lo, hi))
+
+    def gru_step(self, x: Ref, h: Ref, W: Ref, U: Ref, b: Ref,
+                 mask_x: np.ndarray | None = None,
+                 mask_h: np.ndarray | None = None) -> Ref:
+        """One GRU layer step on stacked [z; r; n] gate weights.
+
+        ``mask_x``/``mask_h`` are constant dropout masks (input, hidden).
+        """
+        d = h.shape[0]
+        if W.shape != (3 * d, x.shape[0]) or U.shape != (3 * d, d) or b.shape != (3 * d,):
+            raise GraphError(
+                f"gru_step shapes x {x.shape}, h {h.shape}, W {W.shape}, U {U.shape}, "
+                f"b {b.shape} do not match"
+            )
+        return self._apply(OP_GRU, (x, h, W, U, b), (mask_x, mask_h))
+
+    def rollout(self, controls: Ref, initial) -> Ref:
+        """Unicycle-plus-joints states (H, n) for flat (H * (n - 1),) controls."""
+        initial = _as_array(initial)
+        if (initial.ndim != 1 or initial.shape[0] < 3 or len(controls.shape) != 1
+                or not controls.shape[0] or controls.shape[0] % (initial.shape[0] - 1)):
+            raise GraphError(
+                f"rollout of initial state {initial.shape} needs flat controls in rows "
+                f"of one less, got {controls.shape}"
+            )
+        return self._apply(OP_ROLLOUT, (controls,), initial)
 
     # -- convenience composites (no new primitives) ---------------------------
 
@@ -660,17 +906,45 @@ class Tape:
                 overrides[idx] = arr
         n = len(self.ops)
         vals: list = [None] * n
+        caches: dict = {}
         ops, args, params, rec = self.ops, self.args, self.params, self.vals
-        fwd = _FWD
+        fwd, cached = _FWD, _CACHED
         with np.errstate(all="ignore"):
             for i in range(n):
                 op = ops[i]
                 if op <= OP_CONST:
                     v = overrides.get(i, rec[i]) if op == OP_LEAF else rec[i]
+                elif op in cached:
+                    v, caches[i] = fwd[op](vals, args[i], params[i])
                 else:
                     v = np.asarray(fwd[op](vals, args[i], params[i]))
                 vals[i] = v
-        return Evaluation(self, vals)
+        return Evaluation(self, vals, caches)
+
+    def backward_plan(self, out_idx: int, wanted: dict[str, int]):
+        """The needed mask and the reverse visiting order for one output and
+        leaf set, computed once per tape.
+
+        A node needs a gradient iff it transitively depends on a wanted leaf;
+        only needed non-leaf nodes are visited.
+        """
+        key = (out_idx, tuple(wanted))
+        plan = self._backward_plans.get(key)
+        if plan is None:
+            ops, args = self.ops, self.args
+            needed = bytearray(out_idx + 1)
+            for idx in wanted.values():
+                if idx <= out_idx:
+                    needed[idx] = 1
+            for i in range(out_idx + 1):
+                if ops[i] > OP_CONST and not needed[i]:
+                    for j in args[i]:
+                        if needed[j]:
+                            needed[i] = 1
+                            break
+            order = [i for i in range(out_idx, -1, -1) if needed[i] and ops[i] > OP_CONST]
+            plan = self._backward_plans[key] = (needed, order)
+        return plan
 
 
 def record(fn, leaves: dict[str, np.ndarray], check_finite: bool = True):
@@ -715,30 +989,22 @@ def backward(
         wanted = tape.leaves
     else:
         wanted = {name: tape.leaves[name] for name in wrt}
-    # a node needs a gradient iff it transitively depends on a wanted leaf
-    needed = bytearray(out_idx + 1)
-    for idx in wanted.values():
-        if idx <= out_idx:
-            needed[idx] = 1
-    for i in range(out_idx + 1):
-        if ops[i] > OP_CONST and not needed[i]:
-            for j in args[i]:
-                if needed[j]:
-                    needed[i] = 1
-                    break
+    needed, order = tape.backward_plan(out_idx, wanted)
+    caches = at.caches if at is not None else tape.caches
     grads: list = [None] * (out_idx + 1)
     grads[out_idx] = seed
-    bwd = _BWD
+    bwd, masked, cached = _BWD, _MASKED, _CACHED
     with np.errstate(all="ignore"):
-        for i in range(out_idx, -1, -1):
+        for i in order:
             g = grads[i]
-            if g is None or ops[i] <= OP_CONST or not needed[i]:
+            if g is None:
                 continue
-            a = args[i]
-            if ops[i] == OP_MATMUL:  # skip costly outer products nobody wants
-                contribs = _b_matmul_pruned(g, vals, a, vals[i], needed)
+            op, a = ops[i], args[i]
+            out = caches[i] if op in cached else vals[i]
+            if op in masked:
+                contribs = bwd[op](g, vals, a, params[i], out, needed)
             else:
-                contribs = bwd[ops[i]](g, vals, a, params[i], vals[i])
+                contribs = bwd[op](g, vals, a, params[i], out)
             for j, c in zip(a, contribs):
                 if c is None or not needed[j]:
                     continue
@@ -751,30 +1017,6 @@ def backward(
             g = np.zeros(tape.shapes[idx])
         result[name] = Tensor(np.asarray(g, dtype=np.float64))
     return result
-
-
-def _b_matmul_pruned(g, vals, a, out, needed):
-    x, y = vals[a[0]], vals[a[1]]
-    gx = gy = None
-    if needed[a[0]]:
-        if x.ndim == 2 and y.ndim == 2:
-            gx = g @ y.T
-        elif x.ndim == 2 and y.ndim == 1:
-            gx = np.outer(g, y)
-        elif x.ndim == 1 and y.ndim == 2:
-            gx = y @ g
-        else:
-            gx = g * y
-    if needed[a[1]]:
-        if y.ndim == 2 and x.ndim == 2:
-            gy = x.T @ g
-        elif y.ndim == 1 and x.ndim == 2:
-            gy = x.T @ g
-        elif y.ndim == 2 and x.ndim == 1:
-            gy = np.outer(x, g)
-        else:
-            gy = g * x
-    return (gx, gy)
 
 
 def gradient_check(

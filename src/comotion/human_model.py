@@ -15,7 +15,11 @@ bit-exactly, which is what warm-starts the optimizer.
 The step arithmetic is written once against a tiny backend protocol and runs
 either on plain numpy arrays (vectors or column-batched matrices) or on a
 :class:`~comotion.graph.Tape`, guaranteeing that the two paths produce
-bit-identical results.
+bit-identical results.  Each GRU layer step is one call of
+:func:`comotion.graph.gru_cell` on the layer's stacked [z; r; n] gate
+weights: the numpy backend calls it directly (``predict``,
+``unroll_decoder``, ``encode`` and the test-set evaluation), and the tape
+backend records it as one ``gru_step`` node whose forward is that function.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, Ref, Tape, backward, sigmoid_array
+from .graph import GraphError, Ref, Tape, backward, gru_cell
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
 
 INPUT_DIM = ROT_BLOCK_DIM + STATE_DIM  # rotation block + velocity block
@@ -90,10 +94,19 @@ def _weight_shape(config: ModelConfig, name: str) -> tuple[int, ...]:
 
 @dataclass
 class ModelParams:
-    """Named weight arrays plus the architecture they belong to."""
+    """Named weight arrays plus the architecture they belong to.
+
+    ``arrays`` has one entry per gate (``gru{i}.Wz`` ...), as in the weight
+    file.  Its GRU entries are views into ``stacked``, whose ``gru{i}.W``,
+    ``.U`` and ``.b`` hold each layer's z, r and n blocks in that order, the
+    layout :func:`comotion.graph.gru_cell` takes; ``out.W`` and ``out.b`` are
+    the same arrays in both.  Change weights in place: rebinding an entry of
+    either dict detaches it from the other.
+    """
 
     config: ModelConfig
     arrays: dict[str, np.ndarray]
+    stacked: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _weight_names(self.config):
@@ -107,6 +120,18 @@ class ModelParams:
                 )
             if not np.all(np.isfinite(a)):
                 raise ModelError(f"weight {name!r} contains non-finite values")
+        d = self.config.hidden_size
+        arrays = dict(self.arrays)
+        self.stacked = {}
+        for li in range(self.config.num_layers):
+            for kind in "WUb":
+                names = [f"gru{li}.{kind}{gate}" for gate in "zrn"]
+                block = self.stacked[f"gru{li}.{kind}"] = np.concatenate([arrays[n] for n in names])
+                for k, n in enumerate(names):
+                    arrays[n] = block[k * d : (k + 1) * d]
+        self.stacked["out.W"] = arrays["out.W"]
+        self.stacked["out.b"] = arrays["out.b"]
+        self.arrays = arrays
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
@@ -132,9 +157,6 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 class _NumpyBackend:
-    def __init__(self, batched: bool = False):
-        self.batched = batched
-
     def matmul(self, A, B):
         return A @ B
 
@@ -144,29 +166,19 @@ class _NumpyBackend:
     def sub(self, a, b):
         return a - b
 
-    def mul(self, a, b):
-        return a * b
-
-    def sigmoid(self, x):
-        return sigmoid_array(x)
-
-    def tanh(self, x):
-        return np.tanh(x)
-
     def concat(self, parts):
         return np.concatenate(parts, axis=0)
 
     def rows(self, x, lo, hi):
         return x[lo:hi]
 
-    def scalar(self, v):
-        return v
+    def gru_step(self, x, h, W, U, b, mask_x=None, mask_h=None):
+        return gru_cell(x, h, W, U, b, mask_x, mask_h)[0]
 
 
 class _TapeBackend:
-    def __init__(self, tape: Tape, batched: bool = False):
+    def __init__(self, tape: Tape):
         self.tape = tape
-        self.batched = batched
 
     def matmul(self, A, B):
         return self.tape.matmul(A, B)
@@ -177,95 +189,60 @@ class _TapeBackend:
     def sub(self, a, b):
         return self.tape.sub(a, b)
 
-    def mul(self, a, b):
-        return self.tape.mul(a, b)
-
-    def sigmoid(self, x):
-        return self.tape.sigmoid(x)
-
-    def tanh(self, x):
-        return self.tape.tanh(x)
-
     def concat(self, parts):
         return self.tape.concat(parts)
 
     def rows(self, x, lo, hi):
         return self.tape.slice(x, lo, hi)
 
-    def scalar(self, v):
-        return self.tape.const(v)
+    def gru_step(self, x, h, W, U, b, mask_x=None, mask_h=None):
+        return self.tape.gru_step(x, h, W, U, b, mask_x, mask_h)
 
 
-class _WeightSet:
-    """Resolves weight names to backend values, lazily and with caching.
+class _Weights:
+    """The model's weights as backend values: per GRU layer the stacked
+    ``(W, U, b)``, then the output layer.
 
-    Biases are made column vectors when the math is column-batched.  On a
-    tape, weights become leaves when ``trainable`` (gradients wanted) and
-    constants otherwise.
+    The output bias is a column when the math is column-batched.  On a tape,
+    weights are leaves named as in ``ModelParams.stacked`` when ``trainable``
+    (gradients wanted) and constants otherwise.
     """
 
-    def __init__(self, backend, params: ModelParams, trainable: bool = False):
-        self.backend = backend
-        self.params = params
-        self.trainable = trainable
-        self._cache: dict[str, object] = {}
-
-    def __getitem__(self, name: str):
-        hit = self._cache.get(name)
-        if hit is not None:
-            return hit
-        arr = self.params.arrays[name]
-        is_bias = arr.ndim == 1
-        if isinstance(self.backend, _TapeBackend):
-            tape = self.backend.tape
-            ref = tape.leaf(name, arr) if self.trainable else tape.const(arr)
-            if is_bias and self.backend.batched:
-                ref = tape.reshape(ref, (arr.shape[0], 1))
-            value = ref
+    def __init__(self, backend, params: ModelParams, trainable: bool = False,
+                 batched: bool = False):
+        if isinstance(backend, _TapeBackend):
+            tape = backend.tape
+            vals = {n: tape.leaf(n, a) if trainable else tape.const(a)
+                    for n, a in params.stacked.items()}
+            if batched:
+                vals["out.b"] = tape.reshape(vals["out.b"], (STATE_DIM, 1))
         else:
-            value = arr[:, None] if (is_bias and self.backend.batched) else arr
-        self._cache[name] = value
-        return value
+            vals = dict(params.stacked)
+            if batched:
+                vals["out.b"] = vals["out.b"][:, None]
+        self.layers = [tuple(vals[f"gru{li}.{k}"] for k in "WUb")
+                       for li in range(params.config.num_layers)]
+        self.out_W = vals["out.W"]
+        self.out_b = vals["out.b"]
 
 
-def _gru_stack(be, w, config: ModelConfig, x, hiddens, masks=None):
+def _gru_stack(be, w: _Weights, x, hiddens, masks=None):
     """One step of the GRU stack; returns (top output, new hidden list).
 
     Gating follows the original formulation: h' = (1-z) h + z tanh(...), with
-    the candidate reset applied to the recurrent input.
+    the candidate reset applied to the recurrent input.  ``masks`` holds one
+    (input, hidden) dropout mask pair per layer.
     """
-    one = be.scalar(1.0)
     new_hiddens = []
     inp = x
-    for li in range(config.num_layers):
-        h = hiddens[li]
-        if masks is not None:
-            xd = be.mul(inp, masks[f"x{li}"])
-            hd = be.mul(h, masks[f"h{li}"])
-        else:
-            xd, hd = inp, h
-        z = be.sigmoid(
-            be.add(be.add(be.matmul(w[f"gru{li}.Wz"], xd), be.matmul(w[f"gru{li}.Uz"], hd)),
-                   w[f"gru{li}.bz"])
-        )
-        r = be.sigmoid(
-            be.add(be.add(be.matmul(w[f"gru{li}.Wr"], xd), be.matmul(w[f"gru{li}.Ur"], hd)),
-                   w[f"gru{li}.br"])
-        )
-        n = be.tanh(
-            be.add(
-                be.add(be.matmul(w[f"gru{li}.Wn"], xd),
-                       be.matmul(w[f"gru{li}.Un"], be.mul(r, hd))),
-                w[f"gru{li}.bn"],
-            )
-        )
-        h_new = be.add(be.mul(be.sub(one, z), h), be.mul(z, n))
-        new_hiddens.append(h_new)
-        inp = h_new
+    for li, (W, U, b) in enumerate(w.layers):
+        mask_x, mask_h = masks[li] if masks is not None else (None, None)
+        inp = be.gru_step(inp, hiddens[li], W, U, b, mask_x, mask_h)
+        new_hiddens.append(inp)
     return inp, new_hiddens
 
 
-def _cell_core(be, w, config, state, velocity, hiddens, u_t=None, u_next=None, masks=None):
+def _cell_core(be, w, state, velocity, hiddens, u_t=None, u_next=None, masks=None):
     """Shared step: returns (next_state, predicted_velocity, new_hiddens)."""
     if u_t is None:
         rot_in = be.rows(state, 3, STATE_DIM)
@@ -274,8 +251,8 @@ def _cell_core(be, w, config, state, velocity, hiddens, u_t=None, u_next=None, m
         rot_in = be.add(be.rows(state, 3, STATE_DIM), be.rows(u_t, 3, STATE_DIM))
         vel_in = be.add(velocity, be.sub(u_next, u_t))
     x = be.concat([rot_in, vel_in])
-    top, new_hiddens = _gru_stack(be, w, config, x, hiddens, masks)
-    vhat = be.add(be.matmul(w["out.W"], top), w["out.b"])
+    top, new_hiddens = _gru_stack(be, w, x, hiddens, masks)
+    vhat = be.add(be.matmul(w.out_W, top), w.out_b)
     if u_t is None:
         next_state = be.add(state, vhat)
     else:
@@ -293,12 +270,12 @@ def _zero_hiddens(be, config: ModelConfig, batch: int | None = None):
     return [zeros.copy() for _ in range(config.num_layers)]
 
 
-def _encode_steps(be, w, config, frames, hiddens, masks=None):
+def _encode_steps(be, w, frames, hiddens, masks=None):
     """Feed consecutive-frame inputs; frames is a list of per-step values."""
     for i in range(1, len(frames)):
         vel = be.sub(frames[i], frames[i - 1])
         x = be.concat([be.rows(frames[i], 3, STATE_DIM), vel])
-        _, hiddens = _gru_stack(be, w, config, x, hiddens, masks)
+        _, hiddens = _gru_stack(be, w, x, hiddens, masks)
     return hiddens
 
 
@@ -315,16 +292,16 @@ def encode(params: ModelParams, observed: np.ndarray) -> list[np.ndarray]:
     if observed.shape[0] < 2:
         raise ModelError("need at least 2 observed frames to form a velocity")
     be = _NumpyBackend()
-    w = _WeightSet(be, params)
+    w = _Weights(be, params)
     hiddens = _zero_hiddens(be, params.config)
-    return _encode_steps(be, w, params.config, list(observed), hiddens)
+    return _encode_steps(be, w, list(observed), hiddens)
 
 
 def cell_step(params: ModelParams, state, velocity, hidden):
     """Uncontrolled dynamics step: (state, velocity, hidden) -> next triple."""
     be = _NumpyBackend()
-    w = _WeightSet(be, params)
-    return _cell_core(be, w, params.config, np.asarray(state, dtype=np.float64),
+    w = _Weights(be, params)
+    return _cell_core(be, w, np.asarray(state, dtype=np.float64),
                       np.asarray(velocity, dtype=np.float64), list(hidden))
 
 
@@ -335,8 +312,8 @@ def cell_step_controlled(params: ModelParams, state, velocity, hidden, u_t, u_ne
     if u_t.shape != (MODIFIER_DIM,) or u_next.shape != (MODIFIER_DIM,):
         raise ModelError(f"modifiers must have {MODIFIER_DIM} entries")
     be = _NumpyBackend()
-    w = _WeightSet(be, params)
-    return _cell_core(be, w, params.config, np.asarray(state, dtype=np.float64),
+    w = _Weights(be, params)
+    return _cell_core(be, w, np.asarray(state, dtype=np.float64),
                       np.asarray(velocity, dtype=np.float64), list(hidden),
                       u_t=u_t, u_next=u_next)
 
@@ -354,7 +331,7 @@ def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
     if modifiers.shape != (horizon, MODIFIER_DIM):
         raise ModelError(f"modifiers must be ({horizon}, {MODIFIER_DIM})")
     be = _NumpyBackend()
-    w = _WeightSet(be, params)
+    w = _Weights(be, params)
     state = np.asarray(initial_state, dtype=np.float64)
     velocity = np.asarray(initial_velocity, dtype=np.float64)
     hiddens = list(hidden)
@@ -363,7 +340,7 @@ def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
         u_t = modifiers[t]
         u_next = modifiers[t + 1] if t + 1 < horizon else modifiers[t]
         state, velocity, hiddens = _cell_core(
-            be, w, params.config, state, velocity, hiddens, u_t=u_t, u_next=u_next
+            be, w, state, velocity, hiddens, u_t=u_t, u_next=u_next
         )
         states[t] = state
     return states
@@ -400,7 +377,7 @@ def unroll_graph(tape: Tape, params: ModelParams, observed: np.ndarray,
         )
     hiddens_np = encode(params, observed)
     be = _TapeBackend(tape)
-    w = _WeightSet(be, params, trainable=False)
+    w = _Weights(be, params)
     hiddens = [tape.const(h) for h in hiddens_np]
     state = tape.const(observed[-1])
     velocity = tape.const(observed[-1] - observed[-2])
@@ -412,7 +389,7 @@ def unroll_graph(tape: Tape, params: ModelParams, observed: np.ndarray,
         u_t = u_rows[t]
         u_next = u_rows[t + 1] if t + 1 < horizon else u_rows[t]
         state, velocity, hiddens = _cell_core(
-            be, w, params.config, state, velocity, hiddens, u_t=u_t, u_next=u_next
+            be, w, state, velocity, hiddens, u_t=u_t, u_next=u_next
         )
         states.append(state)
     return states
@@ -458,13 +435,12 @@ def _rollout_batch(be, w, config, enc_frames, horizon, masks=None):
     """Encode per-step frames then roll the decoder; returns state list."""
     batch = enc_frames[0].shape[1]
     hiddens = _zero_hiddens(be, config, batch=batch)
-    hiddens = _encode_steps(be, w, config, enc_frames, hiddens, masks)
+    hiddens = _encode_steps(be, w, enc_frames, hiddens, masks)
     state = enc_frames[-1]
     velocity = be.sub(enc_frames[-1], enc_frames[-2])
     states = []
     for _ in range(horizon):
-        state, velocity, hiddens = _cell_core(be, w, config, state, velocity, hiddens,
-                                              masks=masks)
+        state, velocity, hiddens = _cell_core(be, w, state, velocity, hiddens, masks=masks)
         states.append(state)
     return states
 
@@ -491,6 +467,24 @@ def _batch_loss_numpy(states, targets):
     base = sum(float(np.sum((s[:3] - t[:3]) ** 2)) for s, t in zip(states, targets))
     rot = sum(float(np.sum(np.abs(s[3:] - t[3:]))) for s, t in zip(states, targets))
     return (base + rot) / (horizon * batch)
+
+
+def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
+    """Loss of one (span, 129, B) batch of windows and the gradients of the
+    ``ModelParams.stacked`` weights (None when the loss is not finite)."""
+    config = params.config
+    k, horizon = config.input_frames, config.output_frames
+    tape = Tape()
+    be = _TapeBackend(tape)
+    w = _Weights(be, params, trainable=True, batched=True)
+    enc = [tape.const(cols[i]) for i in range(k)]
+    states = _rollout_batch(be, w, config, enc, horizon, masks)
+    tape.set_output(_batch_loss_graph(tape, states, [cols[k + t] for t in range(horizon)]))
+    loss = float(tape.output_value)
+    if not np.isfinite(loss):
+        return loss, None
+    grads = backward(tape, np.asarray(1.0), wrt=list(tape.leaves))
+    return loss, {name: g.data for name, g in grads.items()}
 
 
 class _Adam:
@@ -526,8 +520,8 @@ def _evaluate(params, config, windows_arr):
     if windows_arr.shape[0] == 0:
         return float("nan"), float("nan")
     k, horizon = config.input_frames, config.output_frames
-    be = _NumpyBackend(batched=True)
-    w = _WeightSet(be, params)
+    be = _NumpyBackend()
+    w = _Weights(be, params, batched=True)
     cols = windows_arr.transpose(1, 2, 0)  # (k+T, 129, N)
     enc = [cols[i] for i in range(k)]
     states = _rollout_batch(be, w, config, enc, horizon)
@@ -577,8 +571,7 @@ def train(
         test_windows = np.stack([test_records[ri][s : s + span] for ri, s in test_idx])
 
     params = init_params(config, seed)
-    names = _weight_names(config)
-    adam = _Adam(params.arrays, learning_rate)
+    adam = _Adam(params.stacked, learning_rate)
     history: list[EpochMetrics] = []
     snapshots: list[ModelParams] = []
     best: ModelParams | None = None
@@ -599,32 +592,21 @@ def train(
                 wins = np.stack([rotate_frames(win, yaw) for win, yaw in zip(wins, yaws)])
             cols = np.ascontiguousarray(wins.transpose(1, 2, 0))  # (span, 129, B)
             bsz = cols.shape[2]
-
-            tape = Tape()
-            be = _TapeBackend(tape, batched=True)
-            w = _WeightSet(be, params, trainable=True)
-            masks = {}
+            masks = None
             if keep < 1.0 or keep_rec < 1.0:
+                masks = []
                 for li in range(config.num_layers):
                     in_dim = INPUT_DIM if li == 0 else config.hidden_size
                     mx = rng.binomial(1, keep, size=(in_dim, bsz)) / keep
                     mh = rng.binomial(1, keep_rec, size=(config.hidden_size, bsz)) / keep_rec
-                    masks[f"x{li}"] = tape.const(mx)
-                    masks[f"h{li}"] = tape.const(mh)
-            else:
-                masks = None
-            enc = [tape.const(cols[i]) for i in range(k)]
+                    masks.append((mx, mh))
             try:
-                states = _rollout_batch(be, w, config, enc, horizon, masks)
-                loss_ref = _batch_loss_graph(tape, states, [cols[k + t] for t in range(horizon)])
+                loss, grads = _batch_gradients(params, cols, masks)
             except GraphError as exc:
                 raise TrainingDiverged(epoch) from exc
-            tape.set_output(loss_ref)
-            loss = float(tape.output_value)
-            if not np.isfinite(loss):
+            if grads is None:
                 raise TrainingDiverged(epoch)
-            grads = backward(tape, np.asarray(1.0), wrt=names)
-            adam.update(params.arrays, {n: grads[n].data for n in names})
+            adam.update(params.stacked, grads)
             epoch_loss += loss
             nb += 1
 

@@ -160,15 +160,22 @@ class ProblemSpec:
 
 
 class GraphContext:
-    """Caches per-timestep kinematic subgraphs over unrolled state refs."""
+    """Caches per-timestep kinematic subgraphs over unrolled state refs.
 
-    def __init__(self, tape, skeleton, robot_config, human_states, robot_states, sdf):
+    ``human_traj``/``robot_traj`` are optional whole-trajectory (H, dim) refs
+    of the same states; time-batched terms read those in one node when
+    present.
+    """
+
+    def __init__(self, tape, skeleton, robot_config, human_states, robot_states, sdf,
+                 human_traj=None, robot_traj=None):
         self.tape = tape
         self.skeleton = skeleton
         self.robot_config = robot_config
         self.human_states = human_states  # list of (129,) refs or None
         self.robot_states = robot_states  # list of (state_dim,) refs or None
         self.sdf = sdf
+        self._traj = {"human": human_traj, "robot": robot_traj}
         self._cache: dict = {}
 
     def _memo(self, key, builder):
@@ -201,17 +208,17 @@ class GraphContext:
     def link_pos(self, agent: str, link: str, t: int) -> Ref:
         return (self.human_fk(link, t) if agent == "human" else self.robot_fk(link, t))[0]
 
-    def base_xy(self, agent: str, t: int) -> Ref:
-        def build():
-            if agent == "human":
-                if self.human_states is None:
-                    raise ProblemError("no human in this problem")
-                return self.tape.slice(self.human_states[t], 0, 2)
-            if self.robot_states is None:
-                raise ProblemError("no robot in this problem")
-            return self.tape.slice(self.robot_states[t], 0, 2)
+    def base_positions(self, agent: str, dims: int = 2) -> Ref:
+        """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
 
-        return self._memo(("xy", agent, t), build)
+        def build():
+            states = self.human_states if agent == "human" else self.robot_states
+            if states is None:
+                raise ProblemError(f"no {agent} in this problem")
+            traj = self._traj[agent]
+            return self.tape.gather([traj] if traj is not None else states, 0, dims)
+
+        return self._memo(("base", agent, dims), build)
 
     def hand_point(self, agent: str, t: int, palm_offset) -> Ref:
         """Palm point: hand-link FK position plus a hand-frame offset."""
@@ -280,10 +287,10 @@ def control_objective_graph(tape, weights: ObjectiveWeights, modifiers: Ref | No
 def human_base_penalty_graph(tape, ctx: GraphContext, observed_last: np.ndarray,
                              weight: float) -> Ref:
     """Penalizes human base displacement over the plan (pickup-agent studies)."""
-    positions = [tape.const(observed_last[:3])]
-    positions += [tape.slice(s, 0, 3) for s in ctx.human_states]
-    flat = tape.concat(positions)
-    return _difference_cost(tape, flat, 3, len(positions), weight)
+    steps = ctx.steps()
+    bases = tape.reshape(ctx.base_positions("human", 3), (steps * 3,))
+    flat = tape.concat([tape.const(observed_last[:3]), bases])
+    return _difference_cost(tape, flat, 3, steps + 1, weight)
 
 
 def _resolve_timestep(timestep, steps: int) -> int:
@@ -303,14 +310,14 @@ def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     return tape.sum_squares(tape.sub(pos, tape.const(np.asarray(spec.target, dtype=np.float64))))
 
 
-def _aggregate(tape, values: list[Ref], spec: ConstraintSpec):
-    """Timestep aggregation: list of scalars, one hard max, or one smooth max."""
+def _aggregate(tape, values: Ref, spec: ConstraintSpec) -> list[Ref]:
+    """Timestep aggregation of an (H,) vector: H (1,) slices, one hard max,
+    or one smooth max."""
     if spec.aggregation == "per_timestep":
-        return values
-    stacked = tape.concat([tape.reshape(v, (1,)) for v in values])
+        return [tape.slice(values, t, t + 1) for t in range(values.shape[0])]
     if spec.aggregation == "hard_max":
-        return [tape.max_reduce(stacked)]
-    return [tape.logsumexp(stacked, spec.default_temperature())]
+        return [tape.max_reduce(values)]
+    return [tape.logsumexp(values, spec.default_temperature())]
 
 
 def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec):
@@ -318,21 +325,16 @@ def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec):
     if ctx.sdf is None:
         raise ProblemError("collision constraint needs a scene")
     tape = ctx.tape
-    values = []
-    for t in range(ctx.steps()):
-        d = sdf_query_graph(tape, ctx.sdf, ctx.base_xy(spec.agent, t))
-        values.append(tape.sub(tape.const(spec.margin), d))
-    return _aggregate(tape, values, spec)
+    d = sdf_query_graph(tape, ctx.sdf, ctx.base_positions(spec.agent))
+    return _aggregate(tape, tape.sub(tape.const(spec.margin), d), spec)
 
 
 def joint_clearance_constraint_graph(ctx: GraphContext, spec: ConstraintSpec):
     """d^2 - |planar base offset|^2 per timestep, aggregated; feasible <= 0."""
     tape = ctx.tape
-    d2 = tape.const(float(spec.clearance) ** 2)
-    values = []
-    for t in range(ctx.steps()):
-        delta = tape.sub(ctx.base_xy("human", t), ctx.base_xy("robot", t))
-        values.append(tape.sub(d2, tape.sum_squares(delta)))
+    delta = tape.sub(ctx.base_positions("human"), ctx.base_positions("robot"))
+    values = tape.sub(tape.const(float(spec.clearance) ** 2),
+                      tape.sum(tape.square(delta), axis=1))
     return _aggregate(tape, values, spec)
 
 
@@ -456,7 +458,7 @@ def compile_problem(
     lower_parts = []
     upper_parts = []
 
-    human_states = None
+    human_states = human_traj = None
     modifiers = None
     if problem.optimize_human:
         if problem.observed_human is None:
@@ -475,10 +477,10 @@ def compile_problem(
         # a leaf (not a decision variable) so the same tape replays against
         # other frozen trajectories, e.g. across prediction samples
         flat = tape.leaf("fixed_h", problem.fixed_human.reshape(-1))
-        human_states = [tape.slice(flat, t * STATE_DIM, (t + 1) * STATE_DIM)
-                        for t in range(steps)]
+        human_traj = tape.reshape(flat, (steps, STATE_DIM))
+        human_states = [tape.row(human_traj, t) for t in range(steps)]
 
-    robot_states = None
+    robot_states = robot_traj = None
     controls = None
     if problem.optimize_robot and problem.robot_initial is not None:
         cdim = robot.control_dim
@@ -490,19 +492,21 @@ def compile_problem(
         bounds = np.tile(robot.control_bounds(), steps)
         lower_parts.append(-bounds)
         upper_parts.append(bounds)
-        robot_states = robot_unroll_graph(tape, problem.robot_initial, controls, steps,
-                                          robot.state_dim)
+        robot_traj = robot_unroll_graph(tape, problem.robot_initial, controls, steps,
+                                        robot.state_dim)
     elif problem.fixed_robot is not None:
         if len(problem.fixed_robot) != steps:
             raise ProblemError("frozen robot trajectory length must match the horizon")
-        sdim = problem.fixed_robot.shape[1]
         flat = tape.leaf("fixed_r", problem.fixed_robot.reshape(-1))
-        robot_states = [tape.slice(flat, t * sdim, (t + 1) * sdim) for t in range(steps)]
+        robot_traj = tape.reshape(flat, problem.fixed_robot.shape)
+    if robot_traj is not None:
+        robot_states = [tape.row(robot_traj, t) for t in range(steps)]
 
     if not leaf_dims:
         raise ProblemError("nothing to optimize: no free agent")
 
-    ctx = GraphContext(tape, skeleton, robot, human_states, robot_states, sdf)
+    ctx = GraphContext(tape, skeleton, robot, human_states, robot_states, sdf,
+                       human_traj, robot_traj)
 
     objective = control_objective_graph(
         tape, problem.weights, modifiers, controls, steps, robot.control_dim
@@ -535,8 +539,7 @@ def compile_problem(
             eq.append((tag, handover_constraint_graph(ctx, spec)))
 
     scalars = [tape.reshape(objective, (1,))]
-    scalars += [tape.reshape(v, (1,)) for _, v in ineq]
-    scalars += [tape.reshape(v, (1,)) for _, v in eq]
+    scalars += [v if v.shape == (1,) else tape.reshape(v, (1,)) for _, v in ineq + eq]
     tape.set_output(tape.concat(scalars) if len(scalars) > 1 else scalars[0])
 
     return CompiledProblem(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ref, Tape
+from .graph import Ref, Tape, unicycle_rollout
 from .kinematics import axis_angle_matrix, yaw_matrix
 
 
@@ -142,38 +142,22 @@ def robot_unroll(initial: np.ndarray, controls: np.ndarray) -> np.ndarray:
     controls = np.asarray(controls, dtype=np.float64)
     if controls.ndim != 2 or controls.shape[0] < 1:
         raise RobotError("controls must be (horizon >= 1, control_dim)")
-    state = np.asarray(initial, dtype=np.float64)
-    states = np.empty((controls.shape[0], state.shape[0]))
-    for t, u in enumerate(controls):
-        state = robot_step(state, u)
-        states[t] = state
-    return states
+    initial = np.asarray(initial, dtype=np.float64)
+    if controls.shape[1] != initial.shape[0] - 1:
+        raise RobotError(f"control dim {controls.shape[1]} does not match state {initial.shape[0]}")
+    return unicycle_rollout(initial, controls)
 
 
 def robot_unroll_graph(tape: Tape, initial: np.ndarray, controls: Ref,
-                       horizon: int, state_dim: int) -> list[Ref]:
-    """Record the unrolled dynamics; ``controls`` is flat (horizon * (dim-1),)."""
+                       horizon: int, state_dim: int) -> Ref:
+    """Record the unrolled dynamics as one ``rollout`` node of shape
+    (horizon, state_dim); ``controls`` is flat (horizon * (dim-1),)."""
     control_dim = state_dim - 1
     if controls.shape != (horizon * control_dim,):
         raise RobotError(
             f"controls ref must have shape ({horizon * control_dim},), got {controls.shape}"
         )
-    state = tape.const(np.asarray(initial, dtype=np.float64))
-    states = []
-    for t in range(horizon):
-        u = tape.slice(controls, t * control_dim, (t + 1) * control_dim)
-        u0 = u[0:1]
-        u1 = u[1:2]
-        th = state[2:3]
-        nx = tape.add(state[0:1], tape.mul(tape.cos(th), u0))
-        ny = tape.add(state[1:2], tape.mul(tape.sin(th), u0))
-        nth = tape.add(th, u1)
-        parts = [nx, ny, nth]
-        if control_dim > 2:
-            parts.append(tape.add(state[3:state_dim], u[2:control_dim]))
-        state = tape.concat(parts)
-        states.append(state)
-    return states
+    return tape.rollout(controls, np.asarray(initial, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

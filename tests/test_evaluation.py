@@ -80,6 +80,27 @@ def test_sample_ranking_by_goal_distance(model, observed):
     assert dists[order[0]] <= dists[order[-1]]
 
 
+def test_sample_ranking_default_follows_the_constraints(model):
+    """Without an explicit ranking, a handover problem ranks by handover loss."""
+    from dataclasses import replace
+
+    from comotion.scenarios import make_handover_problems
+
+    problem = make_handover_problems(1, 1)[0].problem
+    cfg = ev.SampleConfig(num_samples=6, noise_variance=0.05)
+    samples = ev.sample_predictions(model, problem.observed_human, 5, cfg, seed=2)
+    order = ev.rank_predictions(samples, cfg, problem)
+    spec = next(c for c in problem.constraints if c.kind == "handover")
+    losses = [ev.handover_loss(s[-1], problem.robot_initial, spec) for s in samples]
+    assert order == list(np.argsort(losses, kind="stable"))
+    assert order == ev.rank_predictions(samples, replace(cfg, ranking="handover_loss"), problem)
+
+    bare = obj.ProblemSpec(horizon=problem.horizon, observed_human=problem.observed_human,
+                           optimize_robot=False)
+    with pytest.raises(ev.EvaluationError, match="no sample ranking applies"):
+        ev.rank_predictions(samples, cfg, bare)
+
+
 def test_sample_prediction_determinism(model, observed):
     cfg = ev.SampleConfig(num_samples=4, noise_variance=0.02)
     a = ev.sample_predictions(model, observed, 5, cfg, seed=7)

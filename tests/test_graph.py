@@ -299,3 +299,176 @@ def test_cross_tape_operands_rejected():
     b = t2.leaf("b", np.ones(2))
     with pytest.raises(GraphError, match="different tapes"):
         t1.add(a, b)
+
+
+def test_recorded_tape_is_freed_by_reference_counting():
+    """No reference cycle: a tape dies with its last reference, without gc."""
+    import gc
+    import weakref
+
+    def f(t, r):
+        y = r["x"] * 2.0  # a shared scalar constant
+        y = y + 2.0  # a cache hit on it
+        return t.sum(t.mul(y, t.const(np.ones(3))))
+
+    gc.disable()
+    try:
+        tape, _ = record(f, {"x": np.ones(3)})
+        backward(tape, np.asarray(1.0))
+        alive = weakref.ref(tape)
+        del tape
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_backward_plan_is_computed_once_per_output_and_leaf_set():
+    def f(t, r):
+        return t.sum(t.mul(t.sin(r["x"]), r["y"]))
+
+    x, y = np.array([0.3, -0.2]), np.array([1.5, 2.0])
+    tape, _ = record(f, {"x": x, "y": y})
+    gx = backward(tape, np.asarray(1.0), wrt=["x"])
+    plan = tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]})
+    both = backward(tape, np.asarray(1.0))
+    assert backward(tape, np.asarray(1.0), wrt=["x"])["x"].data.tolist() == gx["x"].data.tolist()
+    assert tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]}) is plan
+    assert np.allclose(gx["x"].data, np.cos(x) * y, atol=1e-15)
+    assert np.allclose(both["y"].data, np.sin(x), atol=1e-15)
+
+
+def _gru_oracle(x, h, W, U, b, mx, mh):
+    """Per-gate GRU step written from the gate equations."""
+    d = h.shape[0]
+    Wz, Wr, Wn = W[:d], W[d : 2 * d], W[2 * d :]
+    Uz, Ur, Un = U[:d], U[d : 2 * d], U[2 * d :]
+    bz, br, bn = (v[:, None] for v in (b[:d], b[d : 2 * d], b[2 * d :]))
+    xd, hd = x * mx, h * mh
+    z = 1.0 / (1.0 + np.exp(-(Wz @ xd + Uz @ hd + bz)))
+    r = 1.0 / (1.0 + np.exp(-(Wr @ xd + Ur @ hd + br)))
+    n = np.tanh(Wn @ xd + Un @ (r * hd) + bn)
+    return (1.0 - z) * h + z * n
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_gru_step_gradients_match_finite_differences(batched):
+    """Input, hidden, weight and bias gradients; batched with dropout masks."""
+    from comotion.graph import gru_cell
+
+    rng = np.random.default_rng(20 + batched)
+    d, k, B = 3, 4, 2
+    cols = (B,) if batched else ()
+    point = {
+        "x": rng.normal(size=(k, *cols)),
+        "h": rng.normal(size=(d, *cols)),
+        "W": rng.normal(size=(3 * d, k)),
+        "U": rng.normal(size=(3 * d, d)),
+        "b": rng.normal(size=3 * d),
+    }
+    mx = mh = None
+    if batched:
+        mx = rng.binomial(1, 0.7, size=(k, B)) / 0.7
+        mh = rng.binomial(1, 0.7, size=(d, B)) / 0.7
+        mx[0, 0], mh[0, 1] = 0.0, 0.0  # at least one dropped entry each
+    weights = rng.normal(size=(d, *cols))
+
+    def f(t, r):
+        out = t.gru_step(r["x"], r["h"], r["W"], r["U"], r["b"], mx, mh)
+        return t.sum(t.mul(out, t.const(weights)))
+
+    assert gradient_check(f, point, step=1e-6) < 1e-7
+
+    if batched:
+        h_new, _ = gru_cell(*(point[n] for n in "xhWUb"), mx, mh)
+        oracle = _gru_oracle(*(point[n] for n in "xhWUb"), mx, mh)
+        assert np.allclose(h_new, oracle, rtol=0, atol=1e-14)
+
+
+def test_gru_step_rejects_mismatched_weights():
+    tape = Tape()
+    x, h = tape.leaf("x", np.ones(4)), tape.leaf("h", np.ones(3))
+    with pytest.raises(GraphError, match="gru_step shapes"):
+        tape.gru_step(x, h, tape.const(np.ones((9, 3))), tape.const(np.ones((9, 3))),
+                      tape.const(np.ones(9)))
+
+
+def test_rollout_gradient_matches_finite_differences_horizon_40():
+    """Every state of a 40-step rollout with large, varied headings."""
+    rng = np.random.default_rng(21)
+    H, n = 40, 5
+    initial = np.array([0.4, -1.2, 1.1, 0.3, -0.5])
+    controls = np.column_stack([rng.uniform(-0.15, 0.15, H), rng.uniform(-0.3, 0.3, H),
+                                0.2 * rng.normal(size=(H, n - 3))])
+    weights = rng.normal(size=(H, n))
+
+    def f(t, r):
+        return t.sum(t.mul(t.rollout(r["u"], initial), t.const(weights)))
+
+    _, states = record(lambda t, r: t.rollout(r["u"], initial), {"u": controls.reshape(-1)})
+    assert np.ptp(states.data[:, 2]) > 1.0  # the heading really turns
+    s = initial.copy()
+    for t, u in enumerate(controls):  # the per-step recursion, written out
+        s[0] += np.cos(s[2]) * u[0]
+        s[1] += np.sin(s[2]) * u[0]
+        s[2] += u[1]
+        s[3:] += u[2:]
+        assert np.array_equal(states.data[t], s)
+    assert gradient_check(f, {"u": controls.reshape(-1)}, step=1e-6) < 1e-7
+
+
+def test_batched_grid_interp_matches_points_and_finite_differences():
+    """(N, 2) queries, some clamped outside the grid, in one node."""
+    from comotion.graph import interp2_gradient, interp2_value
+
+    rng = np.random.default_rng(22)
+    values = rng.normal(size=(7, 6))
+    origin = np.array([-1.0, -0.5])
+    res = 0.25
+    inside = origin + res * rng.uniform(0.1, 4.9, size=(6, 2))
+    clamped = np.array([[-3.0, 0.1], [0.2, 5.0], [4.0, -2.0]])  # x, y, both clamped
+    points = np.vstack([inside, clamped])
+    weights = rng.normal(size=len(points))
+
+    def f(t, r):
+        d = t.grid_interp(r["p"], values, origin, res)
+        return t.sum(t.mul(d, t.const(weights)))
+
+    tape, _ = record(lambda t, r: t.grid_interp(r["p"], values, origin, res), {"p": points})
+    batched = tape.output_value
+    assert batched.shape == (len(points),)
+    for p, v in zip(points, batched):
+        assert v == interp2_value(p, values, origin, res)
+    grads = backward(tape, np.ones(len(points)))["p"].data
+    for p, g in zip(points, grads):
+        assert np.array_equal(g, interp2_gradient(p, values, origin, res))
+    assert np.array_equal(grads[6], [0.0, grads[6, 1]])
+    assert np.array_equal(grads[7], [grads[7, 0], 0.0])
+    assert np.array_equal(grads[8], [0.0, 0.0])
+    assert gradient_check(f, {"p": points}, step=1e-6 * res) < 1e-6
+
+
+def test_gather_gradient_matches_finite_differences():
+    rng = np.random.default_rng(23)
+    point = {"a": rng.normal(size=5), "b": rng.normal(size=5), "m": rng.normal(size=(3, 5))}
+    weights = rng.normal(size=(5, 2))
+
+    def f(t, r):
+        stacked = t.gather([r["a"], r["m"], r["b"]], 1, 3)
+        return t.sum(t.mul(t.square(stacked), t.const(weights)))
+
+    _, out = record(lambda t, r: t.gather([r["a"], r["m"], r["b"]], 1, 3), point)
+    assert np.array_equal(out.data, np.vstack([point["a"], point["m"], point["b"]])[:, 1:3])
+    assert gradient_check(f, point) < 1e-8
+
+
+def test_row_and_axis_sum_gradients():
+    rng = np.random.default_rng(24)
+    m = rng.normal(size=(4, 3))
+
+    def f(t, r):
+        rows = t.sum(t.square(r["m"]), axis=1)
+        return t.add(t.dot(rows, t.const(np.arange(4.0))), t.sum(t.sin(t.row(r["m"], -1))))
+
+    _, out = record(lambda t, r: t.sum(r["m"], axis=1), {"m": m})
+    assert np.array_equal(out.data, m.sum(axis=1))
+    assert gradient_check(f, {"m": m}) < 1e-8

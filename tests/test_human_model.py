@@ -275,6 +275,49 @@ def test_train_fixed_seed_bit_reproducible():
     assert [m.train_loss for m in a.history] == [m.train_loss for m in b.history]
 
 
+def test_training_gradients_match_finite_differences_of_the_numpy_loss():
+    """Stacked weight gradients of the batched training tape, one entry per
+    gate block, against central differences of the plain-numpy test loss,
+    which shares the GRU kernel."""
+    config = tiny_config(num_layers=2, input_frames=3, output_frames=3)
+    params = random_params(config, seed=15)
+    rng = np.random.default_rng(16)
+    windows = np.stack([random_observed(rng, k=6, step=0.05) for _ in range(3)])
+    cols = np.ascontiguousarray(windows.transpose(1, 2, 0))
+    loss, grads = hm._batch_gradients(params, cols)
+    assert loss == pytest.approx(hm._evaluate(params, config, windows)[0], rel=1e-14)
+    assert set(grads) == set(params.stacked)
+    eps = 1e-6
+    for name, arr in params.stacked.items():
+        assert grads[name].shape == arr.shape
+        blocks = 3 if name.startswith("gru") else 1  # [z; r; n] rows
+        rows = arr.shape[0] // blocks
+        for k in range(blocks):
+            idx = (k * rows + rng.integers(rows), *(rng.integers(n) for n in arr.shape[1:]))
+            saved = arr[idx]
+            arr[idx] = saved + eps
+            hi = hm._evaluate(params, config, windows)[0]
+            arr[idx] = saved - eps
+            lo = hm._evaluate(params, config, windows)[0]
+            arr[idx] = saved
+            assert grads[name][idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5, abs=1e-8)
+
+
+def test_per_gate_arrays_are_views_of_the_stacked_weights():
+    config = tiny_config(num_layers=2)
+    params = random_params(config, seed=17)
+    d = config.hidden_size
+    params.arrays["gru1.Un"][:] = 0.3
+    assert np.all(params.stacked["gru1.U"][2 * d :] == 0.3)
+    params.stacked["gru0.b"][d : 2 * d] = 0.7
+    assert np.all(params.arrays["gru0.br"] == 0.7)
+    assert params.stacked["out.W"] is params.arrays["out.W"]
+    copy = params.copy()
+    copy.arrays["gru0.Wz"][:] = 5.0
+    assert np.all(copy.stacked["gru0.W"][:d] == 5.0)
+    assert not np.any(params.stacked["gru0.W"][:d] == 5.0)
+
+
 def test_train_empty_dataset_rejected():
     with pytest.raises(hm.ModelError, match="empty"):
         hm.train([], tiny_config(), seed=0)
