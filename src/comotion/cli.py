@@ -5,6 +5,10 @@ writes a manifest (command line, configs, seed, version, timestamps) into its
 output directory before any computation, and all file writes go through a
 temp-file-plus-rename so partial outputs never clobber good ones.
 
+``plan`` and ``evaluate`` solve through the same ``evaluation.evaluate_problem``
+call: ``plan``'s ``result.json`` is the row ``evaluate`` writes to
+``records.jsonl``, plus ``kind``, ``partial`` and ``controls``.
+
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure, 4 internal
 bug.  The only environment override is COMOTION_OUT for the default output
 directory.
@@ -13,13 +17,14 @@ directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
 import sys
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,9 +33,9 @@ from . import data as dat
 from . import evaluation as ev
 from . import human_model as hm
 from . import objectives as obj
-from .environment import build_sdf, save_sdf
-from .robot_model import DEFAULT_ROBOT, load_robot
-from .solver import SolverConfig, solve_compiled
+from .environment import SceneError, build_sdf, save_sdf
+from .robot_model import DEFAULT_ROBOT, RobotError, load_robot
+from .solver import SolverConfig
 
 
 class UsageError(Exception):
@@ -41,11 +46,18 @@ class NumericFailure(Exception):
     pass
 
 
-def _atomic_write(path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic(path):
+    """Yields a temporary path beside ``path`` and renames it onto ``path``
+    when the block completes, so a failed write never clobbers a good file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    yield tmp
     os.replace(tmp, path)
+
+
+def _atomic_write(path, text: str) -> None:
+    with _atomic(path) as tmp, open(tmp, "w") as fh:
+        fh.write(text)
 
 
 def _write_json(path, doc) -> None:
@@ -93,10 +105,27 @@ def _load_model(args):
     return hm.load_params(path)
 
 
-def _robot_config(args):
-    if getattr(args, "robot", None):
-        return load_robot(_require(args.robot, "robot config"))
-    return DEFAULT_ROBOT
+_MODEL_CACHE: dict = {}
+
+
+def _model_for(problem: obj.ProblemSpec, method: str, weights):
+    """The predictor ``method`` needs on ``problem``, or None when it needs
+    none: ``initial`` and ``sample`` forecast with it, and every method but
+    ``zerovel`` unrolls it when the problem optimizes the human.  ``weights``
+    falls back to the problem file's ``model_path``."""
+    if method == "zerovel" or not (problem.optimize_human or method in ("initial", "sample")):
+        return None
+    path = weights or problem.model_path
+    if path is None:
+        raise UsageError(f"method {method!r} needs model weights (--weights or the "
+                         "problem's model_path)")
+    if path not in _MODEL_CACHE:
+        _MODEL_CACHE[path] = hm.load_params(_require(path, "weight file"))
+    return _MODEL_CACHE[path]
+
+
+def _robot_config(path):
+    return load_robot(_require(path, "robot config")) if path else DEFAULT_ROBOT
 
 
 def _solver_config(args) -> SolverConfig:
@@ -120,9 +149,8 @@ def cmd_synth(args) -> int:
     cfg = dat.SynthConfig(num_trajectories=args.count, duration_frames=args.frames)
     records = dat.synth_generate(cfg, seed=args.seed)
     path = os.path.join(out, "synthetic.traj")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    dat.save_trajectories(records, tmp)
-    os.replace(tmp, path)
+    with _atomic(path) as tmp:
+        dat.save_trajectories(records, tmp)
     print(f"wrote {len(records)} trajectories to {path}")
     return 0
 
@@ -196,9 +224,8 @@ def cmd_predict(args) -> int:
     out_rec = dat.TrajectoryRecord(subject=rec.subject, fps=rec.fps, frames=pred,
                                    annotations={"predicted_from": args.start})
     path = os.path.join(out, "prediction.traj")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    dat.save_trajectories([out_rec], tmp)
-    os.replace(tmp, path)
+    with _atomic(path) as tmp:
+        dat.save_trajectories([out_rec], tmp)
     print(f"wrote {path}")
     return 0
 
@@ -206,12 +233,6 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
-
-
-def _save_trajectories_atomic(records, path):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    dat.save_trajectories(records, tmp)
-    os.replace(tmp, path)
 
 
 def _infer_kind(problem: obj.ProblemSpec) -> str:
@@ -225,18 +246,20 @@ def _infer_kind(problem: obj.ProblemSpec) -> str:
     return "goal"
 
 
-def _write_plan_outputs(out, result, record, fps):
-    if result.human_traj is not None:
-        _save_trajectories_atomic(
-            [dat.TrajectoryRecord("plan", fps, result.human_traj)],
-            os.path.join(out, "human_traj.traj"),
-        )
-    if result.robot_traj is not None:
-        header = json.dumps({"format": "comotion-robot-trajectory", "version": 1,
-                             "dims": list(result.robot_traj.shape)})
-        rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in result.robot_traj)
-        _atomic_write(os.path.join(out, "robot_traj.txt"), header + "\n" + rows + "\n")
-    _write_json(os.path.join(out, "result.json"), record)
+def _evaluate(problem, problem_id, method, weights, robot_path, kind, seed,
+              solver_config, samples) -> ev.ExperimentRecord:
+    """The one solve path of ``plan``, ``evaluate`` and the alpha sweep."""
+    return ev.evaluate_problem(
+        problem,
+        method,
+        _model_for(problem, method, weights),
+        problem_id=problem_id,
+        kind=kind or _infer_kind(problem),
+        robot=_robot_config(robot_path),
+        solver_config=solver_config,
+        sample_config=ev.SampleConfig(num_samples=samples),
+        seed=seed,
+    )
 
 
 def cmd_plan(args) -> int:
@@ -245,71 +268,34 @@ def cmd_plan(args) -> int:
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
-    obj.save_problem(problem, os.path.join(out, "problem.json"))
-
+    with _atomic(os.path.join(out, "problem.json")) as tmp:
+        obj.save_problem(problem, tmp)
     if args.method not in ev.METHODS:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
-    model = None
-    if problem.optimize_human or args.method in ("initial", "zerovel", "sample"):
-        weights = args.weights or problem.model_path
-        if weights is None:
-            raise UsageError("this method needs model weights (--weights)")
-        model = hm.load_params(_require(weights, "weight file"))
-    robot = _robot_config(args)
+
     kind = args.kind or _infer_kind(problem)
-    criteria = ev.SuccessCriteria()
-    fps = 1.0 / problem.weights.frame_time
-    solver_config = _solver_config(args)
-
-    t0 = time.perf_counter()
-    if args.method in ("ours", "human_prio", "robot_prio"):
-        solved = problem
-        if args.method in ev.WEIGHT_PRESETS:
-            from dataclasses import replace as _replace
-
-            wh, wr = ev.WEIGHT_PRESETS[args.method]
-            solved = ev.replace_problem(
-                problem, weights=_replace(problem.weights, weight_human=wh, weight_robot=wr)
-            )
-        compiled = obj.compile_problem(solved, model=model, robot=robot)
-        res = solve_compiled(compiled, solver_config)
-        result = ev.MethodResult(args.method, res.human_traj, res.robot_traj,
-                                 res.modifiers, res.controls, res.objective, res.status,
-                                 details={"iterations": res.iterations})
-        _atomic_write(os.path.join(out, "iterations.jsonl"),
-                      "\n".join(r.to_line() for r in res.log) + "\n")
-    else:
-        result = ev.run_method(
-            problem, args.method, model, robot=robot,
-            solver_config=solver_config,
-            sample_config=ev.SampleConfig(num_samples=args.samples),
-            criteria=criteria, kind=kind, seed=args.seed,
-        )
-    wall = time.perf_counter() - t0
-    ok, reasons = ev.check_success(problem, result, criteria, kind, robot=robot)
-    metrics = ev.compute_metrics(
-        result.human_traj, result.robot_traj,
-        dt=problem.weights.frame_time,
-        robot_initial=problem.robot_initial,
-        human_start=problem.observed_human[-1] if problem.observed_human is not None else None,
-        strict_smoothness=False,
-    )
-    doc = {
-        "problem": os.path.basename(problem_path),
-        "method": args.method,
-        "kind": kind,
-        "success": ok,
-        "reasons": reasons,
-        "objective": result.objective,
-        "status": result.solver_status,
-        "wall_time": wall,
-        "partial": result.solver_status == "numeric-failure",
-    }
-    doc.update(metrics.row())
+    record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
+                       args.robot, kind, args.seed, _solver_config(args), args.samples)
+    result = record.result
+    doc = record.row()
+    doc["kind"] = kind
+    doc["partial"] = result.solver_status == "numeric-failure"
     if result.controls is not None:
         doc["controls"] = [[float(v) for v in row] for row in result.controls]
-    _write_plan_outputs(out, result, doc, fps)
-    print(f"{doc['problem']}: method={args.method} success={ok} "
+    if result.log is not None:
+        _atomic_write(os.path.join(out, "iterations.jsonl"),
+                      "\n".join(r.to_line() for r in result.log) + "\n")
+    if result.human_traj is not None:
+        fps = 1.0 / problem.weights.frame_time
+        with _atomic(os.path.join(out, "human_traj.traj")) as tmp:
+            dat.save_trajectories([dat.TrajectoryRecord("plan", fps, result.human_traj)], tmp)
+    if result.robot_traj is not None:
+        header = json.dumps({"format": "comotion-robot-trajectory", "version": 1,
+                             "dims": list(result.robot_traj.shape)})
+        rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in result.robot_traj)
+        _atomic_write(os.path.join(out, "robot_traj.txt"), header + "\n" + rows + "\n")
+    _write_json(os.path.join(out, "result.json"), doc)
+    print(f"{doc['problem']}: method={args.method} success={record.success} "
           f"status={result.solver_status} objective={result.objective:.4g}")
     if result.solver_status == "numeric-failure":
         raise NumericFailure("solver reported a numeric failure (partial outputs kept)")
@@ -322,42 +308,9 @@ def cmd_plan(args) -> int:
 
 
 def _evaluate_one(task):
-    (problem_path, method, weights_path, robot_path, kind, seed,
-     max_rounds, max_inner, samples) = task
-    problem = obj.load_problem(problem_path)
-    model = None
-    needs_model = problem.optimize_human or method in ("initial", "zerovel", "sample")
-    if needs_model:
-        model = _cached_model(weights_path)
-    robot = load_robot(robot_path) if robot_path else DEFAULT_ROBOT
-    kw = {}
-    if max_rounds is not None:
-        kw["max_rounds"] = max_rounds
-    if max_inner is not None:
-        kw["max_inner"] = max_inner
-    record = ev.evaluate_problem(
-        problem,
-        method,
-        model,
-        problem_id=os.path.basename(problem_path),
-        kind=kind or _infer_kind(problem),
-        robot=robot,
-        solver_config=SolverConfig(**kw),
-        sample_config=ev.SampleConfig(num_samples=samples),
-        seed=seed,
-    )
-    return record.row()
-
-
-_MODEL_CACHE: dict = {}
-
-
-def _cached_model(path):
-    if path not in _MODEL_CACHE:
-        if path is None:
-            raise UsageError("these methods need model weights (--weights)")
-        _MODEL_CACHE[path] = hm.load_params(_require(path, "weight file"))
-    return _MODEL_CACHE[path]
+    problem_path, *rest = task
+    return _evaluate(obj.load_problem(problem_path), os.path.basename(problem_path),
+                     *rest).row()
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -396,9 +349,9 @@ def cmd_evaluate(args) -> int:
     if args.alpha_sweep:
         return _alpha_sweep(args, paths, out)
 
+    solver_config = _solver_config(args)
     tasks = [
-        (p, m, args.weights, args.robot, args.kind, args.seed,
-         args.max_rounds, args.max_inner, args.samples)
+        (p, m, args.weights, args.robot, args.kind, args.seed, solver_config, args.samples)
         for p in paths
         for m in methods
     ]
@@ -426,7 +379,7 @@ def cmd_evaluate(args) -> int:
     if failures:
         _write_json(os.path.join(out, "failures.json"), failures)
 
-    summary = _summarize_rows(rows, aggregate=args.aggregate)
+    summary = ev.summarize(rows, aggregate=args.aggregate)
     _write_json(os.path.join(out, "summary.json"), summary)
     table = _format_table(summary)
     _atomic_write(os.path.join(out, "summary.txt"), table)
@@ -436,50 +389,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _summarize_rows(rows: list[dict], aggregate="median") -> list[dict]:
-    agg = np.median if aggregate == "median" else np.mean
-    methods = sorted({r["method"] for r in rows})
-    out = []
-    skip = {"problem", "method", "reasons", "status", "success", "controls"}
-    for m in methods:
-        own = [r for r in rows if r["method"] == m]
-        doc = {"method": m, "count": len(own),
-               "success_rate": 100.0 * float(np.mean([r["success"] for r in own]))}
-        keys = sorted({k for r in own for k, v in r.items()
-                       if k not in skip and isinstance(v, (int, float))})
-        for k in keys:
-            vals = [r[k] for r in own if isinstance(r.get(k), (int, float))
-                    and np.isfinite(r[k])]
-            if vals:
-                doc[k] = float(agg(vals))
-        out.append(doc)
-    return out
-
-
 def _alpha_sweep(args, paths, out) -> int:
     alphas = [float(a) for a in args.alpha_sweep.split(",")]
+    solver_config = _solver_config(args)
     lines = []
     for alpha in alphas:
         rows = []
         for p in paths:
             problem = obj.load_problem(p)
-            from dataclasses import replace as _replace
-
-            problem = ev.replace_problem(
-                problem, weights=_replace(problem.weights, weight_robot=alpha)
-            )
-            model = _cached_model(args.weights) if problem.optimize_human else None
-            kw = {}
-            if args.max_rounds is not None:
-                kw["max_rounds"] = args.max_rounds
-            if args.max_inner is not None:
-                kw["max_inner"] = args.max_inner
-            record = ev.evaluate_problem(
-                problem, "ours", model, problem_id=os.path.basename(p),
-                kind=args.kind or _infer_kind(problem),
-                solver_config=SolverConfig(**kw), seed=args.seed,
-            )
-            rows.append(record.row())
+            problem = replace(problem, weights=replace(problem.weights, weight_robot=alpha))
+            rows.append(_evaluate(problem, os.path.basename(p), "ours", args.weights,
+                                  args.robot, args.kind, args.seed, solver_config,
+                                  args.samples).row())
         doc = {
             "weight_robot": alpha,
             "median_travel_human": float(np.median([r["travel_human"] for r in rows])),
@@ -553,9 +474,8 @@ def cmd_export(args) -> int:
 
     if problem.scene is not None:
         grid = build_sdf(problem.scene, resolution=args.resolution)
-        tmp = os.path.join(out, "scene.sdf.tmp")
-        save_sdf(grid, tmp)
-        os.replace(tmp, os.path.join(out, "scene.sdf"))
+        with _atomic(os.path.join(out, "scene.sdf")) as tmp:
+            save_sdf(grid, tmp)
 
     human_path = os.path.join(plan_dir, "human_traj.traj")
     if os.path.exists(human_path):
@@ -709,7 +629,8 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (obj.ProblemError, dat.DataError, hm.ModelError, ev.EvaluationError) as exc:
+    except (obj.ProblemError, dat.DataError, hm.ModelError, ev.EvaluationError, SceneError,
+            RobotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -140,10 +140,9 @@ def sdf_query_graph(tape: Tape, grid: SdfGrid, point: Ref) -> Ref:
 # ---------------------------------------------------------------------------
 
 
-def save_scene(scene: Scene, path) -> None:
-    doc = {
-        "format": "comotion-scene",
-        "version": 1,
+def scene_to_doc(scene: Scene) -> dict:
+    """The JSON document of a scene: its bounds and its obstacles."""
+    return {
         "bounds": {"center": list(scene.bounds.center),
                    "half_extents": list(scene.bounds.half_extents)},
         "obstacles": [
@@ -154,15 +153,10 @@ def save_scene(scene: Scene, path) -> None:
             for ob in scene.obstacles
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
 
 
-def load_scene(path) -> Scene:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "comotion-scene":
-        raise SceneError(f"{path}: not a scene file")
+def scene_from_doc(doc: dict) -> Scene:
+    """Inverse of ``scene_to_doc``; an unknown obstacle kind is a ``SceneError``."""
     obstacles = []
     for ob in doc["obstacles"]:
         if ob["kind"] == "disc":
@@ -173,6 +167,20 @@ def load_scene(path) -> Scene:
             raise SceneError(f"unknown obstacle kind {ob['kind']!r}")
     b = doc["bounds"]
     return Scene(tuple(obstacles), Rect(tuple(b["center"]), tuple(b["half_extents"])))
+
+
+def save_scene(scene: Scene, path) -> None:
+    doc = {"format": "comotion-scene", "version": 1, **scene_to_doc(scene)}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def load_scene(path) -> Scene:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("format") != "comotion-scene":
+        raise SceneError(f"{path}: not a scene file")
+    return scene_from_doc(doc)
 
 
 def save_sdf(grid: SdfGrid, path) -> None:

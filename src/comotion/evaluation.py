@@ -30,15 +30,9 @@ from .kinematics import (
     quat_from_rot6d,
     relative_angle,
 )
-from .objectives import (
-    ConstraintSpec,
-    ObjectiveWeights,
-    ProblemSpec,
-    compile_problem,
-    control_objective,
-)
+from .objectives import ConstraintSpec, ProblemSpec, compile_problem
 from .robot_model import DEFAULT_ROBOT, robot_fk
-from .solver import SolveResult, SolverConfig, solve_compiled
+from .solver import IterationRecord, SolveResult, SolverConfig, solve_compiled
 
 METHODS = (
     "ours",
@@ -102,7 +96,7 @@ def default_ranking(problem: ProblemSpec) -> str:
     handover constraint, else ``distance_to_goal`` when it has a human goal."""
     if _find(problem, "handover") is not None:
         return "handover_loss"
-    if _human_goal(problem) is not None:
+    if _find(problem, "goal", "human") is not None:
         return "distance_to_goal"
     raise EvaluationError("no sample ranking applies: the problem has neither a "
                           "handover constraint nor a human goal constraint")
@@ -156,13 +150,12 @@ def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
     scores = []
     ranking = config.ranking if config.ranking is not None else default_ranking(problem)
     if ranking == "distance_to_goal":
-        goal = _human_goal(problem)
+        goal = _find(problem, "goal", "human")
         if goal is None:
             raise EvaluationError("distance_to_goal ranking needs a human goal constraint")
-        link = _human_goal_link(problem)
         for s in samples:
-            pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, s[-1], link)
-            scores.append(float(np.linalg.norm(pos - goal)))
+            pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, s[-1], goal.link)
+            scores.append(float(np.linalg.norm(pos - np.asarray(goal.target))))
     else:
         spec = _find(problem, "handover")
         if spec is None:
@@ -173,31 +166,11 @@ def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
     return list(np.argsort(scores, kind="stable"))
 
 
-def _find(problem: ProblemSpec, kind: str) -> ConstraintSpec | None:
+def _find(problem: ProblemSpec, kind: str, agent: str | None = None) -> ConstraintSpec | None:
+    """The first constraint of ``kind`` (acting on ``agent``, when given)."""
     for c in problem.constraints:
-        if c.kind == kind:
+        if c.kind == kind and (agent is None or c.agent == agent):
             return c
-    return None
-
-
-def _human_goal(problem) -> np.ndarray | None:
-    for c in problem.constraints:
-        if c.kind == "goal" and c.agent == "human":
-            return np.asarray(c.target)
-    return None
-
-
-def _human_goal_link(problem) -> str:
-    for c in problem.constraints:
-        if c.kind == "goal" and c.agent == "human":
-            return c.link
-    return "rWrist"
-
-
-def _robot_goal(problem) -> np.ndarray | None:
-    for c in problem.constraints:
-        if c.kind == "goal" and c.agent == "robot":
-            return np.asarray(c.target)
     return None
 
 
@@ -216,78 +189,52 @@ class MethodResult:
     objective: float
     solver_status: str
     details: dict = field(default_factory=dict)
+    # the iteration log of the method's solve; None unless it runs exactly one
+    log: list[IterationRecord] | None = None
 
 
-def _robot_only_problem(problem: ProblemSpec, human_traj: np.ndarray | None,
-                        drop_joint: bool = False) -> ProblemSpec:
-    constraints = []
-    for c in problem.constraints:
-        if c.kind in ("goal", "collision") and c.agent == "human":
-            continue
-        if drop_joint and c.kind in ("joint_clearance", "joint_goal", "handover"):
-            continue
-        if human_traj is None and c.kind in ("joint_clearance", "joint_goal", "handover"):
-            continue
-        constraints.append(c)
-    return replace_problem(
-        problem,
-        constraints=constraints,
-        optimize_human=False,
-        fixed_human=human_traj,
-    )
+_OTHER = {"human": "robot", "robot": "human"}
+_JOINT_KINDS = ("joint_clearance", "joint_goal", "handover")
 
 
-def _human_only_problem(problem: ProblemSpec, robot_traj: np.ndarray | None,
-                        drop_joint: bool = False) -> ProblemSpec:
-    constraints = []
-    for c in problem.constraints:
-        if c.kind in ("goal", "collision") and c.agent == "robot":
-            continue
-        if drop_joint and c.kind in ("joint_clearance", "joint_goal", "handover"):
-            continue
-        if robot_traj is None and c.kind in ("joint_clearance", "joint_goal", "handover"):
-            continue
-        constraints.append(c)
-    return replace_problem(
-        problem,
-        constraints=constraints,
-        optimize_robot=False,
-        robot_initial=None,
-        fixed_robot=robot_traj,
-    )
+def _single_agent_problem(problem: ProblemSpec, agent: str,
+                          other_traj: np.ndarray | None) -> ProblemSpec:
+    """``problem`` with only ``agent`` optimized and the other agent frozen on
+    ``other_traj``.  The other agent's goal and collision constraints go, and
+    so do the joint constraints when there is no ``other_traj`` to freeze."""
+    other = _OTHER[agent]
+    constraints = [
+        c for c in problem.constraints
+        if not (c.kind in ("goal", "collision") and c.agent == other)
+        and not (other_traj is None and c.kind in _JOINT_KINDS)
+    ]
+    if agent == "robot":
+        return replace(problem, constraints=constraints, optimize_human=False,
+                       fixed_human=other_traj)
+    return replace(problem, constraints=constraints, optimize_robot=False,
+                   robot_initial=None, fixed_robot=other_traj)
 
 
-def replace_problem(problem: ProblemSpec, **changes) -> ProblemSpec:
-    fields = dict(
-        horizon=problem.horizon,
-        weights=problem.weights,
-        constraints=list(problem.constraints),
-        observed_human=problem.observed_human,
-        robot_initial=problem.robot_initial,
-        scene=problem.scene,
-        optimize_human=problem.optimize_human,
-        optimize_robot=problem.optimize_robot,
-        fixed_human=problem.fixed_human,
-        fixed_robot=problem.fixed_robot,
-        model_path=problem.model_path,
-    )
-    fields.update(changes)
-    return ProblemSpec(**fields)
-
-
-def _solve_robot_against(problem, human_traj, model, robot, sdf, solver_config,
-                         compiled_cache=None):
+def _solve_robot_against(problem, human_traj, robot, sdf, solver_config,
+                         compiled_cache=None) -> SolveResult:
     """Robot-only solve with the human frozen; caches the compiled tape."""
-    sub = _robot_only_problem(problem, human_traj)
     if compiled_cache is not None and "compiled" in compiled_cache:
-        compiled = compiled_cache["compiled"]
-        return compiled, solve_compiled(
-            compiled, solver_config, extra_leaves={"fixed_h": human_traj.reshape(-1)}
-        )
-    compiled = compile_problem(sub, model=None, robot=robot, sdf=sdf)
+        return solve_compiled(compiled_cache["compiled"], solver_config,
+                              extra_leaves={"fixed_h": human_traj.reshape(-1)})
+    compiled = compile_problem(_single_agent_problem(problem, "robot", human_traj),
+                               model=None, robot=robot, sdf=sdf)
     if compiled_cache is not None:
         compiled_cache["compiled"] = compiled
-    return compiled, solve_compiled(compiled, solver_config)
+    return solve_compiled(compiled, solver_config)
+
+
+# method -> (the agent solved first, whether the second solve keeps clear of
+# the first agent's frozen result, details)
+_SEQUENTIAL = {
+    "with_coll": ("human", False, {}),
+    "human_avoids": ("robot", True, {"frozen": "robot"}),
+    "robot_avoids": ("human", True, {"frozen": "human"}),
+}
 
 
 def run_method(
@@ -308,9 +255,8 @@ def run_method(
         raise EvaluationError(f"unknown method {method!r}")
     if method in WEIGHT_PRESETS:
         wh, wr = WEIGHT_PRESETS[method]
-        problem = replace_problem(
-            problem, weights=replace(problem.weights, weight_human=wh, weight_robot=wr)
-        )
+        problem = replace(problem,
+                          weights=replace(problem.weights, weight_human=wh, weight_robot=wr))
 
     steps = problem.steps
     if method in ("ours", "human_prio", "robot_prio"):
@@ -318,7 +264,7 @@ def run_method(
         res = solve_compiled(compiled, solver_config)
         return MethodResult(method, res.human_traj, res.robot_traj, res.modifiers,
                             res.controls, res.objective, res.status,
-                            details={"iterations": res.iterations})
+                            details={"iterations": res.iterations}, log=res.log)
 
     if method in ("initial", "zerovel"):
         human = (
@@ -328,10 +274,10 @@ def run_method(
         )
         if not problem.has_robot():
             return MethodResult(method, human, None, None, None, 0.0, "converged")
-        _, res = _solve_robot_against(problem, human, model, robot, sdf, solver_config)
+        res = _solve_robot_against(problem, human, robot, sdf, solver_config)
         return MethodResult(method, human, res.robot_traj, None, res.controls,
                             res.objective, res.status,
-                            details={"iterations": res.iterations})
+                            details={"iterations": res.iterations}, log=res.log)
 
     if method == "sample":
         samples = sample_predictions(model, problem.observed_human, steps,
@@ -347,8 +293,8 @@ def run_method(
         best_result = None
         for attempt, idx in enumerate(order):
             human = samples[idx]
-            _, res = _solve_robot_against(problem, human, model, robot, sdf,
-                                          solver_config, compiled_cache=cache)
+            res = _solve_robot_against(problem, human, robot, sdf, solver_config,
+                                       compiled_cache=cache)
             candidate = MethodResult(method, human, res.robot_traj, None, res.controls,
                                      res.objective, res.status,
                                      details={"attempts": attempt + 1, "picked": int(idx)})
@@ -359,52 +305,23 @@ def run_method(
                 best_result = candidate
         return best_result
 
-    # sequential pipelines
-    if method == "with_coll":
-        hres = solve_compiled(
-            compile_problem(_human_only_problem(problem, None, drop_joint=True),
-                            model=model, robot=robot, sdf=sdf),
+    first, avoids, details = _SEQUENTIAL[method]
+    solved = {}
+    frozen = None
+    for agent in (first, _OTHER[first]):
+        sub = _single_agent_problem(problem, agent, frozen)
+        res = solve_compiled(
+            compile_problem(sub, model=model if agent == "human" else None,
+                            robot=robot, sdf=sdf),
             solver_config,
         )
-        rres = solve_compiled(
-            compile_problem(_robot_only_problem(problem, None, drop_joint=True),
-                            model=None, robot=robot, sdf=sdf),
-            solver_config,
-        )
-        return MethodResult(method, hres.human_traj, rres.robot_traj, hres.modifiers,
-                            rres.controls, hres.objective + rres.objective,
-                            _combine_status(hres, rres))
-    if method == "human_avoids":
-        rres = solve_compiled(
-            compile_problem(_robot_only_problem(problem, None, drop_joint=True),
-                            model=None, robot=robot, sdf=sdf),
-            solver_config,
-        )
-        hres = solve_compiled(
-            compile_problem(_human_only_problem(problem, rres.robot_traj),
-                            model=model, robot=robot, sdf=sdf),
-            solver_config,
-        )
-        return MethodResult(method, hres.human_traj, rres.robot_traj, hres.modifiers,
-                            rres.controls, hres.objective + rres.objective,
-                            _combine_status(hres, rres),
-                            details={"frozen": "robot"})
-    if method == "robot_avoids":
-        hres = solve_compiled(
-            compile_problem(_human_only_problem(problem, None, drop_joint=True),
-                            model=model, robot=robot, sdf=sdf),
-            solver_config,
-        )
-        rres = solve_compiled(
-            compile_problem(_robot_only_problem(problem, hres.human_traj),
-                            model=None, robot=robot, sdf=sdf),
-            solver_config,
-        )
-        return MethodResult(method, hres.human_traj, rres.robot_traj, hres.modifiers,
-                            rres.controls, hres.objective + rres.objective,
-                            _combine_status(hres, rres),
-                            details={"frozen": "human"})
-    raise EvaluationError(f"unhandled method {method!r}")
+        solved[agent] = res
+        if avoids:
+            frozen = res.human_traj if agent == "human" else res.robot_traj
+    hres, rres = solved["human"], solved["robot"]
+    return MethodResult(method, hres.human_traj, rres.robot_traj, hres.modifiers,
+                        rres.controls, hres.objective + rres.objective,
+                        _combine_status(hres, rres), details=dict(details))
 
 
 def _combine_status(a: SolveResult, b: SolveResult) -> str:
@@ -427,7 +344,6 @@ class MetricsReport:
     ms_jerk: float | None
     ld_jerk: float | None
     sparc: float | None
-    success: bool | None = None
 
     def row(self) -> dict:
         doc = {
@@ -436,7 +352,6 @@ class MetricsReport:
             "ms_jerk": self.ms_jerk,
             "ld_jerk": self.ld_jerk,
             "sparc": self.sparc,
-            "success": self.success,
         }
         if self.base_pos_error:
             for s, v in self.base_pos_error.items():
@@ -650,16 +565,16 @@ def check_success(problem: ProblemSpec, result: MethodResult,
             reasons.append(f"{who}-scene-collision")
 
     if kind in ("goal", "collision"):
-        goal = _human_goal(problem)
+        goal = _find(problem, "goal", "human")
         if goal is not None and human is not None:
-            pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[-1],
-                                        _human_goal_link(problem))
-            if np.linalg.norm(pos - goal) > criteria.hand_goal_max:
+            pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[-1], goal.link)
+            if np.linalg.norm(pos - np.asarray(goal.target)) > criteria.hand_goal_max:
                 reasons.append("hand-goal")
     if kind == "collision":
-        rgoal = _robot_goal(problem)
+        rgoal = _find(problem, "goal", "robot")
         if rgoal is not None and rob is not None:
-            if np.linalg.norm(rob[-1][:2] - rgoal[:2]) > criteria.robot_base_goal_max:
+            d = np.linalg.norm(rob[-1][:2] - np.asarray(rgoal.target)[:2])
+            if d > criteria.robot_base_goal_max:
                 reasons.append("robot-base-goal")
         if human is not None:
             scene_clear(human[:, :2], "human")
@@ -706,6 +621,7 @@ class ExperimentRecord:
     solver_status: str
     wall_time: float
     details: dict = field(default_factory=dict)
+    result: MethodResult | None = None  # the scored method output
 
     def row(self) -> dict:
         doc = {
@@ -752,7 +668,6 @@ def evaluate_problem(
         human_start=problem.observed_human[-1] if problem.observed_human is not None else None,
         strict_smoothness=False,
     )
-    metrics.success = ok
     return ExperimentRecord(
         problem_id=problem_id,
         method=method,
@@ -763,27 +678,26 @@ def evaluate_problem(
         solver_status=result.solver_status,
         wall_time=wall,
         details=result.details,
+        result=result,
     )
 
 
-def summarize(records: list[ExperimentRecord], aggregate: str = "median") -> list[dict]:
-    """Per-method aggregate rows: success rate plus metric medians (or means)."""
+def summarize(rows: list[dict], aggregate: str = "median") -> list[dict]:
+    """Per-method aggregates of ``ExperimentRecord.row()`` dicts: the count, the
+    success rate in percent, and the median (or mean) of every other numeric
+    field over its finite values."""
     agg = np.median if aggregate == "median" else np.mean
-    methods = sorted({r.method for r in records})
-    rows = []
-    for method in methods:
-        own = [r for r in records if r.method == method]
-        row = {"method": method, "count": len(own),
-               "success_rate": 100.0 * np.mean([r.success for r in own])}
-        keys = set()
-        for r in own:
-            keys.update(k for k, v in r.metrics.row().items()
-                        if isinstance(v, (int, float)) and v is not None)
-        keys.discard("success")
-        for key in sorted(keys):
-            vals = [r.metrics.row().get(key) for r in own]
-            vals = [v for v in vals if v is not None and np.isfinite(v)]
+    out = []
+    for method in sorted({r["method"] for r in rows}):
+        own = [r for r in rows if r["method"] == method]
+        doc = {"method": method, "count": len(own),
+               "success_rate": 100.0 * float(np.mean([r["success"] for r in own]))}
+        keys = sorted({k for r in own for k, v in r.items()
+                       if k != "success" and isinstance(v, (int, float))})
+        for k in keys:
+            vals = [r[k] for r in own if isinstance(r.get(k), (int, float))
+                    and np.isfinite(r[k])]
             if vals:
-                row[key] = float(agg(vals))
-        rows.append(row)
-    return rows
+                doc[k] = float(agg(vals))
+        out.append(doc)
+    return out

@@ -348,11 +348,6 @@ def rot6d_to_mat_t_graph(t: Tape, r: Ref) -> Ref:
     return t.reshape(t.concat([b1, b2, b3]), (3, 3))
 
 
-def rotate_graph(t: Tape, mat_t: Ref, v: Ref) -> Ref:
-    """Apply the rotation whose transpose is ``mat_t`` to a 3-vector."""
-    return t.matmul(v, mat_t)
-
-
 def fk_graph(t: Tape, skeleton: Skeleton, state: Ref, link: str):
     """Differentiable chain FK.  Returns (position ref, transposed-matrix ref).
 

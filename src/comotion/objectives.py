@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import DEFAULT_RESOLUTION, Scene, SdfGrid, build_sdf, sdf_query_graph
+from .environment import (
+    DEFAULT_RESOLUTION,
+    Scene,
+    SdfGrid,
+    build_sdf,
+    scene_from_doc,
+    scene_to_doc,
+    sdf_query_graph,
+)
 from .graph import Evaluation, Ref, Tape, backward
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
 from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM, Skeleton, fk_graph, rot6d_to_mat_t_graph
@@ -639,27 +647,11 @@ def save_problem(problem: ProblemSpec, path) -> None:
         "optimize_robot": problem.optimize_robot,
         "fixed_human": _array_to_doc(problem.fixed_human),
         "fixed_robot": _array_to_doc(problem.fixed_robot),
-        "scene": None if problem.scene is None else _scene_to_doc(problem.scene),
+        "scene": None if problem.scene is None else scene_to_doc(problem.scene),
         "model_path": problem.model_path,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def _scene_to_doc(scene: Scene) -> dict:
-    from .environment import Disc
-
-    return {
-        "bounds": {"center": list(scene.bounds.center),
-                   "half_extents": list(scene.bounds.half_extents)},
-        "obstacles": [
-            {"kind": "disc", "center": list(ob.center), "radius": ob.radius}
-            if isinstance(ob, Disc)
-            else {"kind": "rect", "center": list(ob.center),
-                  "half_extents": list(ob.half_extents)}
-            for ob in scene.obstacles
-        ],
-    }
 
 
 def load_problem(path) -> ProblemSpec:
@@ -667,19 +659,6 @@ def load_problem(path) -> ProblemSpec:
         doc = json.load(fh)
     if doc.get("format") != "comotion-problem":
         raise ProblemError(f"{path}: not a problem file")
-    scene = None
-    if doc.get("scene") is not None:
-        from .environment import Disc, Rect
-
-        sdoc = doc["scene"]
-        obstacles = []
-        for ob in sdoc["obstacles"]:
-            if ob["kind"] == "disc":
-                obstacles.append(Disc(tuple(ob["center"]), float(ob["radius"])))
-            else:
-                obstacles.append(Rect(tuple(ob["center"]), tuple(ob["half_extents"])))
-        scene = Scene(tuple(obstacles),
-                      Rect(tuple(sdoc["bounds"]["center"]), tuple(sdoc["bounds"]["half_extents"])))
     w = doc["weights"]
     return ProblemSpec(
         horizon=int(doc["horizon"]),
@@ -692,7 +671,7 @@ def load_problem(path) -> ProblemSpec:
         constraints=[_spec_from_doc(c) for c in doc["constraints"]],
         observed_human=None if doc["observed_human"] is None else np.array(doc["observed_human"]),
         robot_initial=None if doc["robot_initial"] is None else np.array(doc["robot_initial"]),
-        scene=scene,
+        scene=None if doc.get("scene") is None else scene_from_doc(doc["scene"]),
         optimize_human=bool(doc.get("optimize_human", True)),
         optimize_robot=bool(doc.get("optimize_robot", True)),
         fixed_human=None if doc.get("fixed_human") is None else np.array(doc["fixed_human"]),

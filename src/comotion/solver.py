@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import CompiledProblem, ProblemSpec, compile_problem
+from .objectives import CompiledProblem
 
 
 @dataclass(frozen=True)
@@ -370,12 +370,3 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
         log=log,
     )
 
-
-def solve(problem: ProblemSpec, config: SolverConfig = SolverConfig(), *,
-          model=None, robot=None, skeleton=None, sdf=None) -> SolveResult:
-    """Compile a planning problem and solve it from the zero warm start."""
-    kwargs = {}
-    if skeleton is not None:
-        kwargs["skeleton"] = skeleton
-    compiled = compile_problem(problem, model=model, robot=robot, sdf=sdf, **kwargs)
-    return solve_compiled(compiled, config)

@@ -119,6 +119,7 @@ def test_plan_toy_problem_matches_analytic_solution(tmp_path):
     assert controls.shape == (2, 6)
     assert np.allclose(controls[:, 0], 0.1, atol=1e-4)
     assert doc["status"] == "converged"
+    assert doc["success"] is True
     assert (tmp_path / "plan" / "iterations.jsonl").exists()
     assert (tmp_path / "plan" / "robot_traj.txt").exists()
 
@@ -128,6 +129,99 @@ def test_plan_unknown_method_exits_2(tmp_path, capsys):
     rc = main(["plan", "--problem", path, "--method", "sorcery", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "sorcery" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obstacle, named", [
+    ({"kind": "triangle", "center": [0.5, 0.5], "half_extents": [0.1, 0.1]}, "'triangle'"),
+    ({"kind": "rect", "center": [0.5, 0.5], "half_extents": [-0.1, 0.1]},
+     "rectangle half-extents"),
+])
+def test_plan_bad_scene_exits_2(tmp_path, capsys, obstacle, named):
+    path = toy_robot_problem(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["scene"] = {"bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
+                    "obstacles": [obstacle]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["plan", "--problem", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_plan_bad_robot_file_exits_2(tmp_path, capsys):
+    path = toy_robot_problem(tmp_path)
+    robot = tmp_path / "robot.json"
+    robot.write_text(json.dumps({"format": "comotion-scene"}))
+    rc = main(["plan", "--problem", path, "--robot", str(robot), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert str(robot) in capsys.readouterr().err
+
+
+def human_robot_problem(tmp_path, model_path=None):
+    """Both agents optimized: the human needs the predictor for every method
+    but zerovel."""
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=16,
+                                            reach_frames=4), seed=0)
+    observed = recs[0].frames[:4]
+    rinit = np.zeros(7)
+    rinit[:2] = observed[-1, :2] + np.array([1.0, 0.3])
+    rinit[2] = np.pi
+    problem = obj.ProblemSpec(
+        horizon=4 + 4,
+        observed_human=observed,
+        robot_initial=rinit,
+        constraints=[
+            obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
+                               target=tuple(observed[-1, :2]) + (0.9,)),
+            obj.ConstraintSpec(kind="goal", agent="robot", link="base",
+                               target=(rinit[0] - 0.3, rinit[1], 0.0)),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.3),
+        ],
+        model_path=model_path,
+    )
+    path = tmp_path / "human_robot.json"
+    obj.save_problem(problem, path)
+    return str(path)
+
+
+CAPPED = ["--samples", "3", "--max-rounds", "2", "--max-inner", "6", "--seed", "1"]
+
+
+def test_evaluate_takes_weights_from_the_problem_file(tiny_weights, tmp_path):
+    path = human_robot_problem(tmp_path, model_path=tiny_weights)
+    rc = main(["evaluate", "--problems", path, "--methods", "initial", "--jobs", "1",
+               *CAPPED, "--out", str(tmp_path / "eval")])
+    assert rc == 0
+    rows = (tmp_path / "eval" / "records.jsonl").read_text().splitlines()
+    assert len(rows) == 1
+    assert not (tmp_path / "eval" / "failures.json").exists()
+
+
+def test_plan_zerovel_needs_no_weights(tmp_path):
+    path = human_robot_problem(tmp_path)
+    rc = main(["plan", "--problem", path, "--method", "zerovel", *CAPPED,
+               "--out", str(tmp_path / "plan")])
+    assert rc == 0
+    rc = main(["plan", "--problem", path, "--method", "initial", *CAPPED,
+               "--out", str(tmp_path / "plan_initial")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("method", ["ours", "sample", "robot_avoids"])
+def test_plan_result_matches_evaluate_row(tiny_weights, tmp_path, method):
+    path = human_robot_problem(tmp_path, model_path=tiny_weights)
+    assert main(["plan", "--problem", path, "--method", method, *CAPPED,
+                 "--out", str(tmp_path / "plan")]) == 0
+    assert main(["evaluate", "--problems", path, "--methods", method, "--jobs", "1",
+                 *CAPPED, "--out", str(tmp_path / "eval")]) == 0
+    doc = json.loads((tmp_path / "plan" / "result.json").read_text())
+    (line,) = (tmp_path / "eval" / "records.jsonl").read_text().splitlines()
+    row = json.loads(line)
+    del doc["wall_time"], row["wall_time"]
+    assert set(row) <= set(doc)
+    assert {k: doc[k] for k in row} == row
+    assert isinstance(doc["success"], bool)
 
 
 def test_evaluate_empty_batch_exits_2(tmp_path, capsys):

@@ -132,10 +132,62 @@ def test_sequential_frozen_agent_unchanged(model, observed):
     from comotion.solver import solve_compiled
 
     first = solve_compiled(
-        compile_problem(ev._robot_only_problem(problem, None, drop_joint=True),
+        compile_problem(ev._single_agent_problem(problem, "robot", None),
                         model=None), cfgs
     )
     assert np.array_equal(res.robot_traj, first.robot_traj)
+
+
+def _avoid_problem(observed):
+    """Both agents with goals, a scene and a joint clearance, on the tiny model."""
+    return obj.ProblemSpec(
+        horizon=4 + 5,
+        observed_human=observed,
+        robot_initial=np.array([1.5, 0.4, np.pi, 0.0, 0.0, 0.0, 0.0]),
+        scene=Scene((Disc((0.6, 0.8), 0.25),), Rect((0, 0), (6, 6))),
+        constraints=[
+            obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
+                               target=(0.5, 0.0, 0.9)),
+            obj.ConstraintSpec(kind="goal", agent="robot", link="base",
+                               target=(0.6, -0.6, 0.0)),
+            obj.ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.4,
+                               aggregation="soft_max"),
+        ],
+    )
+
+
+def test_robot_avoids_freezes_the_human(model, observed):
+    problem = _avoid_problem(observed)
+    cfgs = SolverConfig(max_rounds=3, max_inner=12)
+    res = ev.run_method(problem, "robot_avoids", model, solver_config=cfgs)
+    from comotion.objectives import compile_problem
+    from comotion.solver import solve_compiled
+
+    # the human was optimized first and frozen: re-running the first stage
+    # reproduces it bit-exactly, and the robot stage keeps clear of it
+    first = solve_compiled(
+        compile_problem(ev._single_agent_problem(problem, "human", None), model=model), cfgs
+    )
+    frozen = ev._single_agent_problem(problem, "robot", first.human_traj)
+    assert "joint_clearance" in {c.kind for c in frozen.constraints}
+    second = solve_compiled(compile_problem(frozen, model=None), cfgs)
+    assert np.array_equal(res.human_traj, first.human_traj)
+    assert np.array_equal(res.modifiers, first.modifiers)
+    assert np.array_equal(res.robot_traj, second.robot_traj)
+    assert res.details["frozen"] == "human"
+
+
+@pytest.mark.parametrize("method", ev.METHODS)
+def test_method_log_is_the_single_solve(model, observed, method):
+    res = ev.run_method(_avoid_problem(observed), method, model,
+                        solver_config=SolverConfig(max_rounds=2, max_inner=6),
+                        sample_config=ev.SampleConfig(num_samples=3))
+    if method in ("ours", "human_prio", "robot_prio", "initial", "zerovel"):
+        assert len(res.log) == res.details["iterations"] > 0
+        assert [r.iteration for r in res.log] == list(range(1, len(res.log) + 1))
+    else:  # several solves (sequential, sample): no single log
+        assert res.log is None
 
 
 def test_with_coll_ignores_other_agent(model, observed):
@@ -361,7 +413,7 @@ def test_summarize_groups_by_method():
         result.human_traj, result.robot_traj, dt=0.05), 0.01, "converged", 0.1)
     rec2 = ev.ExperimentRecord("p1", "ours", False, ["objective"], ev.compute_metrics(
         result.human_traj, result.robot_traj, dt=0.05), 0.2, "converged", 0.1)
-    rows = ev.summarize([rec, rec2])
+    rows = ev.summarize([rec.row(), rec2.row()])
     assert len(rows) == 1
     assert rows[0]["method"] == "ours"
     assert rows[0]["success_rate"] == 50.0
