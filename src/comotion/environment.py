@@ -156,17 +156,21 @@ def scene_to_doc(scene: Scene) -> dict:
 
 
 def scene_from_doc(doc: dict) -> Scene:
-    """Inverse of ``scene_to_doc``; an unknown obstacle kind is a ``SceneError``."""
-    obstacles = []
-    for ob in doc["obstacles"]:
-        if ob["kind"] == "disc":
-            obstacles.append(Disc(tuple(ob["center"]), float(ob["radius"])))
-        elif ob["kind"] == "rect":
-            obstacles.append(Rect(tuple(ob["center"]), tuple(ob["half_extents"])))
-        else:
-            raise SceneError(f"unknown obstacle kind {ob['kind']!r}")
-    b = doc["bounds"]
-    return Scene(tuple(obstacles), Rect(tuple(b["center"]), tuple(b["half_extents"])))
+    """Inverse of ``scene_to_doc``; an unknown obstacle kind or a missing key
+    is a ``SceneError``."""
+    try:
+        obstacles = []
+        for ob in doc["obstacles"]:
+            if ob["kind"] == "disc":
+                obstacles.append(Disc(tuple(ob["center"]), float(ob["radius"])))
+            elif ob["kind"] == "rect":
+                obstacles.append(Rect(tuple(ob["center"]), tuple(ob["half_extents"])))
+            else:
+                raise SceneError(f"unknown obstacle kind {ob['kind']!r}")
+        b = doc["bounds"]
+        return Scene(tuple(obstacles), Rect(tuple(b["center"]), tuple(b["half_extents"])))
+    except KeyError as exc:
+        raise SceneError(f"scene is missing the key {exc.args[0]!r}") from None
 
 
 def save_scene(scene: Scene, path) -> None:

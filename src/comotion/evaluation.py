@@ -290,20 +290,23 @@ def run_method(
         if criteria is None:
             criteria = SuccessCriteria()
         cache: dict = {}
-        best_result = None
-        for attempt, idx in enumerate(order):
+        top_ranked = None
+        for attempt, idx in enumerate(order, 1):
             human = samples[idx]
             res = _solve_robot_against(problem, human, robot, sdf, solver_config,
                                        compiled_cache=cache)
             candidate = MethodResult(method, human, res.robot_traj, None, res.controls,
                                      res.objective, res.status,
-                                     details={"attempts": attempt + 1, "picked": int(idx)})
+                                     details={"attempts": attempt, "picked": int(idx),
+                                              "succeeded": True})
             ok, _ = check_success(problem, candidate, criteria, kind, robot=robot)
             if ok:
                 return candidate
-            if best_result is None:
-                best_result = candidate
-        return best_result
+            if top_ranked is None:
+                top_ranked = candidate
+        # no sample succeeded: the top-ranked one, after one solve per sample
+        top_ranked.details.update(attempts=len(order), succeeded=False)
+        return top_ranked
 
     first, avoids, details = _SEQUENTIAL[method]
     solved = {}

@@ -17,7 +17,7 @@ Subgradient conventions at non-smooth points:
 
 Fused primitives keep planning tapes short; each has a hand-written adjoint.
 
-``gru_step`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
+``gru_cell`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
 W = [Wz; Wr; Wn] (3d, in), U = [Uz; Ur; Un] (3d, d) and b = [bz; br; bn]
 (3d,), with optional dropout masks mx, mh on the input and the hidden state::
 
@@ -26,10 +26,52 @@ W = [Wz; Wr; Wn] (3d, in), U = [Uz; Ur; Un] (3d, d) and b = [bz; br; bn]
     n = tanh(W[2d:] xd + U[2d:] (r * hd) + b[2d:])
     h' = (1 - z) * h + z * n
 
-Inputs are vectors or column-batched (in, B) / (d, B) matrices.  Recording
-and replay keep the gates (xd, hd, [z; r], r * hd, n) of every step, and the
-backward pass reuses them instead of recomputing.  :func:`gru_cell` is the
-kernel; the plain-numpy predictor calls the same function.
+Inputs are vectors or column-batched (in, B) / (d, B) matrices.  With g the
+gradient of h', its adjoint is::
+
+    g_n = g * z * (1 - n^2),  g_rh = U[2d:]^T g_n
+    g_zr = [g * (n - h); g_rh * hd] * [z; r] * (1 - [z; r])
+    g_pre = [g_zr; g_n]
+    g_x = (W^T g_pre) * mx,  g_h = g * (1 - z) + (U[:2d]^T g_zr + g_rh * r) * mh
+    dW += g_pre xd^T,  dU += [g_zr hd^T; g_n (r * hd)^T],  db += g_pre
+
+``gru_scan`` records a whole unroll of a GRU stack with a residual output
+layer (Martinez et al. 2017, arXiv:1705.02445) as one node; its forward
+:func:`gru_unroll` is what the plain-numpy predictor runs too.  Of the state
+s (sd entries), the first l = 2 sd - in are not network inputs (the base
+position of the human model).  E encoder steps read constant inputs x_t.
+Then H decoder steps start from the constant s_0, v_0 and feed back their
+own output, shifted by the optional modifier rows u_j, with u_H = u_{H-1}::
+
+    x_j = [s_j[l:] + u_j[l:];  v_j + (u_{j+1} - u_j)]
+    o_j = top-layer hidden after every layer's cell step on x_j
+    v_{j+1} = W_o o_j + b_o
+    s_{j+1} = [s_j[:l]; s_j[l:] + u_j[l:]] + v_{j+1}
+
+The output is the (H, sd[, B]) states s_1..s_H.  Recording and replay keep,
+in preallocated (dim, T, B) buffers over all T = E + H steps, the layer-0
+inputs x and each layer's hidden states (T + 1 of them) and gates [z; r; n];
+the backward pass reuses them instead of recomputing.  The adjoint is
+backpropagation through time (Werbos 1990).  With G_j the output gradient
+of s_{j+1}, the reverse loop carries S (the gradient of s_{j+1}), V (of
+v_{j+1}) and one hidden-state gradient per layer, and at decoder step j::
+
+    S <- G_j + S,  gv_j = S + V,  g_top += W_o^T gv_j
+    per layer, top down: the cell adjoint; g_x adds to the layer below's
+        hidden gradient, or is the step's input gradient at layer 0
+    r_j = S[l:] + g_x[:sd-l],  V_j = V <- g_x[sd-l:],  S <- [S[:l]; r_j]
+    du_j = [0; r_j] - V_j + V_{j-1}   (V_{H-1} drops out: u_H = u_{H-1})
+
+Encoder steps run only the cell adjoints, and only when a weight wants a
+gradient.  The weight gradients then sum over time in one GEMM per gate
+block after the loop, on (dim, T B) views of the buffers and of the g_pre
+stored per step::
+
+    dW = G_pre Xd^T,  dU = [G_zr Hd^T; G_n (R * Hd)^T],  db = G_pre 1
+    dW_o = GV O^T,  db_o = GV 1
+
+where Xd and Hd are the masked inputs and hidden states, R the reset gates,
+O the top-layer outputs of the decoder steps and GV their gv_j.
 
 ``rollout`` integrates the unicycle-plus-joints dynamics over H steps from a
 constant initial state by sequential cumulative sums
@@ -62,6 +104,7 @@ __all__ = [
     "backward",
     "gradient_check",
     "gru_cell",
+    "gru_unroll",
     "unicycle_rollout",
 ]
 
@@ -429,8 +472,8 @@ def _b_interp2(g, vals, a, p, out):
 def gru_cell(x, h, W, U, b, mask_x=None, mask_h=None):
     """One GRU layer step on stacked gate weights; returns ``(h', gates)``.
 
-    ``gates`` is ``(xd, hd, [z; r], r * hd, n)``, what the backward pass of
-    ``gru_step`` needs.  Vectors or column-batched matrices.
+    ``gates`` is ``(xd, hd, [z; r], r * hd, n)``.  Vectors or column-batched
+    matrices.
     """
     d = h.shape[0]
     xd = x if mask_x is None else x * mask_x
@@ -445,41 +488,187 @@ def gru_cell(x, h, W, U, b, mask_x=None, mask_h=None):
     return (1.0 - z) * h + z * n, (xd, hd, zr, rh, n)
 
 
-def _outer(a, b):
-    """a b^T for vectors, a @ b.T summed over the batch for matrices."""
-    return a @ b.T if a.ndim == 2 else np.outer(a, b)
+def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifiers=None,
+               masks=None, keep=False):
+    """Unroll a GRU stack with a residual output layer (see the module docstring).
+
+    ``weights`` is ``(W, U, b)`` per layer, stacked as :func:`gru_cell` takes
+    them, then the output layer ``(W_o, b_o)``; ``hiddens`` holds each layer's
+    initial hidden state and ``masks`` one (input, hidden) dropout mask pair
+    per layer.  The first ``len(inputs)`` steps read ``inputs``; the next
+    ``horizon`` steps start from ``state`` and ``velocity`` and feed back their
+    own outputs.  Row j of ``modifiers`` shifts decoder step j, and row j + 1
+    (row j itself when there is none) its velocity input.  Vectors or
+    column-batched matrices.
+
+    Returns the (horizon, sd[, B]) decoder states, the last velocity, the
+    final hidden states and, when ``keep``, the cache that the ``gru_scan``
+    backward pass reads.
+    """
+    *cells, out_W, out_b = weights
+    layers = [cells[i : i + 3] for i in range(0, len(cells), 3)]
+    hiddens = list(hiddens)
+    if masks is None:
+        masks = [(None, None)] * len(layers)
+    batch = hiddens[0].shape[1:]
+    if batch:
+        out_b = out_b[:, None]
+    sd = out_W.shape[0]
+    lead = 2 * sd - layers[0][0].shape[1]  # state entries that are not inputs
+    enc = 0 if inputs is None else len(inputs)
+    steps = enc + horizon
+    states = np.empty((horizon, sd, *batch))
+    cache = None
+    if keep:
+        xs = np.empty((layers[0][0].shape[1], steps, *batch))
+        hs = [np.empty((h.shape[0], steps + 1, *batch)) for h in hiddens]
+        gates = [np.empty((3 * h.shape[0], steps, *batch)) for h in hiddens]
+        for h, buf in zip(hiddens, hs):
+            buf[:, 0] = h
+        cache = (xs, hs, gates)
+    for t in range(steps):
+        j = t - enc
+        if j < 0:
+            x = inputs[t]
+        else:
+            if modifiers is None:
+                rot_in, vel_in = state[lead:], velocity
+            else:
+                u = modifiers[j]
+                u_next = modifiers[j + 1] if j + 1 < len(modifiers) else u
+                rot_in = state[lead:] + u[lead:]
+                vel_in = velocity + (u_next - u)
+            x = np.concatenate([rot_in, vel_in])
+        inp = x
+        for li, ((W, U, b), (mask_x, mask_h)) in enumerate(zip(layers, masks)):
+            inp, (_, _, zr, _, n) = gru_cell(inp, hiddens[li], W, U, b, mask_x, mask_h)
+            hiddens[li] = inp
+            if keep:
+                d2 = zr.shape[0]
+                hs[li][:, t + 1] = inp
+                gates[li][:d2, t] = zr
+                gates[li][d2:, t] = n
+        if keep:
+            xs[:, t] = x
+        if j >= 0:
+            velocity = out_W @ inp + out_b
+            # the residual integrates onto the shifted input state; the lead
+            # entries have no modifier slot and integrate their velocity only
+            base = state if modifiers is None else np.concatenate([state[:lead], rot_in])
+            state = states[j] = base + velocity
+    return states, velocity, hiddens, cache
 
 
-def _f_gru(vals, a, p):
-    x, h, W, U, b = (vals[i] for i in a)
-    return gru_cell(x, h, W, U, b, *p)
+def _f_scan(vals, a, p):
+    hiddens, state, velocity, horizon, inputs, masks = p
+    nw = 3 * len(hiddens) + 2
+    modifiers = vals[a[nw]] if len(a) > nw else None
+    states, _, _, cache = gru_unroll([vals[i] for i in a[:nw]], hiddens, state, velocity,
+                                     horizon, inputs, modifiers, masks, keep=True)
+    return states, cache
 
 
-def _b_gru(g, vals, a, p, gates, needed):
-    h, W, U = vals[a[1]], vals[a[2]], vals[a[3]]
-    mask_x, mask_h = p
-    xd, hd, zr, rh, n = gates
-    d = h.shape[0]
-    z, r = zr[:d], zr[d:]
-    g_n = g * z * (1.0 - n * n)
-    g_rh = U[2 * d :].T @ g_n
-    g_zr = np.concatenate([g * (n - h), g_rh * hd]) * zr * (1.0 - zr)
-    g_pre = np.concatenate([g_zr, g_n])
-    gx = gh = gW = gU = gb = None
-    if needed[a[0]]:
-        gx = W.T @ g_pre
-        if mask_x is not None:
-            gx = gx * mask_x
-    if needed[a[1]]:
-        g_hd = U[: 2 * d].T @ g_zr + g_rh * r
-        gh = g * (1.0 - z) + (g_hd if mask_h is None else g_hd * mask_h)
-    if needed[a[2]]:
-        gW = _outer(g_pre, xd)
-    if needed[a[3]]:
-        gU = np.concatenate([_outer(g_zr, hd), _outer(g_n, rh)])
-    if needed[a[4]]:
-        gb = g_pre if g_pre.ndim == 1 else g_pre.sum(axis=1)
-    return (gx, gh, gW, gU, gb)
+def _flat(a):
+    """(dim, T[, B]) buffer as a (dim, T * B) matrix (a view)."""
+    return a.reshape(a.shape[0], -1)
+
+
+def _b_scan(g, vals, a, p, cache, needed):
+    hiddens, _, _, horizon, _, masks = p
+    nl = len(hiddens)
+    nw = 3 * nl + 2
+    layers = [tuple(vals[i] for i in a[k : k + 3]) for k in range(0, 3 * nl, 3)]
+    out_W = vals[a[nw - 2]]
+    if masks is None:
+        masks = [(None, None)] * nl
+    xs, hs, gates = cache
+    steps = xs.shape[1]
+    enc = steps - horizon
+    sd = out_W.shape[0]
+    lead = 2 * sd - xs.shape[0]
+    batch = g.shape[2:]
+    want_w = any(needed[i] for i in a[:nw])
+    want_u = len(a) > nw and needed[a[nw]]
+    if want_w:
+        g_pre_buf = [np.empty_like(q) for q in gates]
+        g_vel_buf = np.empty((sd, horizon, *batch))
+    if want_u:
+        g_rot = np.empty((horizon, sd - lead, *batch))
+        g_vin = np.empty((horizon, sd, *batch))
+    gh = [np.zeros_like(h) for h in hiddens]  # gradient of each layer's hidden
+    g_s = g_v = g_x = None  # gradients of the decoder state, velocity and input
+    # encoder steps only matter for the weight gradients
+    for t in range(steps - 1, -1 if want_w else enc - 1, -1):
+        j = t - enc
+        if j >= 0:
+            g_s = g[j] if g_s is None else g[j] + g_s
+            g_vel = g_s if g_v is None else g_s + g_v
+            if want_w:
+                g_vel_buf[:, j] = g_vel
+            gh[-1] = gh[-1] + out_W.T @ g_vel
+        for li in range(nl - 1, -1, -1):
+            W, U, _ = layers[li]
+            mask_x, mask_h = masks[li]
+            d = U.shape[1]
+            gt = gh[li]
+            zr = gates[li][: 2 * d, t]
+            n = gates[li][2 * d :, t]
+            h = hs[li][:, t]
+            hd = h if mask_h is None else h * mask_h
+            g_pre = g_pre_buf[li][:, t] if want_w else np.empty((3 * d, *batch))
+            g_zr, g_n = g_pre[: 2 * d], g_pre[2 * d :]
+            np.multiply(gt * zr[:d], 1.0 - n * n, out=g_n)
+            g_rh = U[2 * d :].T @ g_n
+            np.multiply(gt, n - h, out=g_zr[:d])
+            np.multiply(g_rh, hd, out=g_zr[d:])
+            g_zr *= zr
+            g_zr *= 1.0 - zr
+            g_hd = U[: 2 * d].T @ g_zr + g_rh * zr[d:]
+            gh[li] = gt * (1.0 - zr[:d]) + (g_hd if mask_h is None else g_hd * mask_h)
+            if li or j >= 0:
+                g_in = W.T @ g_pre
+                if mask_x is not None:
+                    g_in = g_in * mask_x
+                if li:
+                    gh[li - 1] = gh[li - 1] + g_in
+                else:
+                    g_x = g_in
+        if j >= 0:
+            rot = g_s[lead:] + g_x[: sd - lead]
+            g_v = g_x[sd - lead :]
+            g_s = np.concatenate([g_s[:lead], rot])
+            if want_u:
+                g_rot[j] = rot
+                g_vin[j] = g_v
+    grads = [None] * nw
+    if want_w:
+        grads = []
+        for li, ((W, U, _), (mask_x, mask_h)) in enumerate(zip(layers, masks)):
+            d = U.shape[1]
+            g_pre = _flat(g_pre_buf[li])
+            x_in = xs if li == 0 else hs[li - 1][:, 1:]
+            h_in = hs[li][:, :-1]
+            xd = _flat(x_in if mask_x is None else x_in * mask_x[:, None])
+            hd = h_in if mask_h is None else h_in * mask_h[:, None]
+            rh = _flat(gates[li][d : 2 * d] * hd)
+            gU = np.empty_like(U)
+            gU[: 2 * d] = g_pre[: 2 * d] @ _flat(hd).T
+            gU[2 * d :] = g_pre[2 * d :] @ rh.T
+            grads += [g_pre @ xd.T, gU, g_pre.sum(axis=1)]
+        g_vel = _flat(g_vel_buf)
+        grads += [g_vel @ _flat(hs[-1][:, enc + 1 :]).T, g_vel.sum(axis=1)]
+    if len(a) > nw:
+        gu = None
+        if want_u:
+            # u_j shifts the rotation input and enters the velocity inputs of
+            # steps j (minus) and j - 1 (plus); the last row is its own next
+            # row, so its velocity terms cancel
+            gu = np.zeros_like(g_vin)
+            gu[:, lead:] = g_rot
+            gu[:-1] -= g_vin[:-1]
+            gu[1:] += g_vin[:-1]
+        grads.append(gu)
+    return tuple(grads)
 
 
 def unicycle_rollout(initial, controls) -> np.ndarray:
@@ -570,7 +759,7 @@ OP_CLAMP = _register("clamp", _f_clamp, _b_clamp)
 OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
 OP_ROW = _register("row", _f_row, _b_row)
 OP_GATHER = _register("gather", _f_gather, _b_gather)
-OP_GRU = _register("gru_step", _f_gru, _b_gru, masked=True, cached=True)
+OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
 
 
@@ -838,20 +1027,48 @@ class Tape:
                 raise GraphError(f"cannot gather [{lo}:{hi}] from {r.shape}")
         return self._apply(OP_GATHER, tuple(parts), (lo, hi))
 
-    def gru_step(self, x: Ref, h: Ref, W: Ref, U: Ref, b: Ref,
-                 mask_x: np.ndarray | None = None,
-                 mask_h: np.ndarray | None = None) -> Ref:
-        """One GRU layer step on stacked [z; r; n] gate weights.
+    def gru_scan(self, weights: list[Ref], hiddens, state, velocity, horizon: int,
+                 inputs=None, modifiers: Ref | None = None, masks=None) -> Ref:
+        """A whole GRU-stack unroll (:func:`gru_unroll`) as one node.
 
-        ``mask_x``/``mask_h`` are constant dropout masks (input, hidden).
+        ``weights`` are refs to ``(W, U, b)`` per layer then ``(W_o, b_o)``;
+        the initial ``hiddens``, the decoder's initial ``state`` and
+        ``velocity``, the encoder ``inputs`` (E, in[, B]) and the dropout
+        ``masks`` are constants.  ``modifiers`` is an optional
+        (horizon, sd[, B]) ref.  The output is the (horizon, sd[, B]) states.
         """
-        d = h.shape[0]
-        if W.shape != (3 * d, x.shape[0]) or U.shape != (3 * d, d) or b.shape != (3 * d,):
+        hiddens = [_as_array(h) for h in hiddens]
+        state, velocity = _as_array(state), _as_array(velocity)
+        inputs = None if inputs is None else _as_array(inputs)
+        shapes = [w.shape for w in weights]
+        nl = len(hiddens)
+        ok = (nl >= 1 and len(weights) == 3 * nl + 2 and horizon >= 1
+              and len(shapes[0]) == 2 and all(h.ndim in (1, 2) for h in hiddens))
+        if ok:
+            batch = hiddens[0].shape[1:]
+            in_dim = shapes[0][-1]
+            for li, h in enumerate(hiddens):
+                d = h.shape[0]
+                ok &= (h.shape == (d, *batch)
+                       and shapes[3 * li : 3 * li + 3] == [(3 * d, in_dim), (3 * d, d), (3 * d,)])
+                in_dim = d
+            sd = shapes[-1][0] if shapes[-1] else 0
+            ok &= (shapes[-2:] == [(sd, in_dim), (sd,)] and 0 <= 2 * sd - shapes[0][-1] <= sd
+                   and state.shape == velocity.shape == (sd, *batch))
+            if inputs is not None:
+                ok &= inputs.shape[1:] == (shapes[0][-1], *batch)
+            if modifiers is not None:
+                ok &= modifiers.shape == (horizon, sd, *batch)
+        if not ok:
             raise GraphError(
-                f"gru_step shapes x {x.shape}, h {h.shape}, W {W.shape}, U {U.shape}, "
-                f"b {b.shape} do not match"
+                f"gru_scan shapes do not match: weights {shapes}, hiddens "
+                f"{[h.shape for h in hiddens]}, state {state.shape}, velocity "
+                f"{velocity.shape}, horizon {horizon}, inputs "
+                f"{None if inputs is None else inputs.shape}, modifiers "
+                f"{None if modifiers is None else modifiers.shape}"
             )
-        return self._apply(OP_GRU, (x, h, W, U, b), (mask_x, mask_h))
+        refs = (*weights, modifiers) if modifiers is not None else tuple(weights)
+        return self._apply(OP_SCAN, refs, (hiddens, state, velocity, horizon, inputs, masks))
 
     def rollout(self, controls: Ref, initial) -> Ref:
         """Unicycle-plus-joints states (H, n) for flat (H * (n - 1),) controls."""

@@ -12,14 +12,14 @@ rotation block is shifted by the modifier and the velocity input by the
 modifier's finite difference.  Zero modifiers reproduce the plain prediction
 bit-exactly, which is what warm-starts the optimizer.
 
-The step arithmetic is written once against a tiny backend protocol and runs
-either on plain numpy arrays (vectors or column-batched matrices) or on a
-:class:`~comotion.graph.Tape`, guaranteeing that the two paths produce
-bit-identical results.  Each GRU layer step is one call of
-:func:`comotion.graph.gru_cell` on the layer's stacked [z; r; n] gate
-weights: the numpy backend calls it directly (``predict``,
-``unroll_decoder``, ``encode`` and the test-set evaluation), and the tape
-backend records it as one ``gru_step`` node whose forward is that function.
+The unroll is written once, as :func:`comotion.graph.gru_unroll` on each
+layer's stacked [z; r; n] gate weights.  ``predict``, ``encode``,
+``unroll_decoder`` and the test-set evaluation call it on numpy arrays
+(vectors or column-batched matrices).  Planning and training record it on a
+:class:`~comotion.graph.Tape` as one ``gru_scan`` node, whose forward is that
+function and whose hand-written adjoint is backpropagation through time:
+planning differentiates the decoder states with respect to the modifiers,
+training a batch's loss with respect to the weights.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, Ref, Tape, backward, gru_cell
+from .graph import GraphError, Ref, Tape, backward, gru_unroll
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
 
 INPUT_DIM = ROT_BLOCK_DIM + STATE_DIM  # rotation block + velocity block
@@ -152,131 +152,37 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Backends: the same step arithmetic over numpy arrays or tape refs
+# Arguments of the shared unroll
 # ---------------------------------------------------------------------------
 
 
-class _NumpyBackend:
-    def matmul(self, A, B):
-        return A @ B
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def concat(self, parts):
-        return np.concatenate(parts, axis=0)
-
-    def rows(self, x, lo, hi):
-        return x[lo:hi]
-
-    def gru_step(self, x, h, W, U, b, mask_x=None, mask_h=None):
-        return gru_cell(x, h, W, U, b, mask_x, mask_h)[0]
+def _stacked_names(config: ModelConfig) -> list[str]:
+    """``ModelParams.stacked`` names in ``gru_unroll`` order."""
+    return [f"gru{li}.{kind}" for li in range(config.num_layers) for kind in "WUb"] + [
+        "out.W", "out.b"]
 
 
-class _TapeBackend:
-    def __init__(self, tape: Tape):
-        self.tape = tape
-
-    def matmul(self, A, B):
-        return self.tape.matmul(A, B)
-
-    def add(self, a, b):
-        return self.tape.add(a, b)
-
-    def sub(self, a, b):
-        return self.tape.sub(a, b)
-
-    def concat(self, parts):
-        return self.tape.concat(parts)
-
-    def rows(self, x, lo, hi):
-        return self.tape.slice(x, lo, hi)
-
-    def gru_step(self, x, h, W, U, b, mask_x=None, mask_h=None):
-        return self.tape.gru_step(x, h, W, U, b, mask_x, mask_h)
+def _weights(params: ModelParams) -> list[np.ndarray]:
+    return [params.stacked[name] for name in _stacked_names(params.config)]
 
 
-class _Weights:
-    """The model's weights as backend values: per GRU layer the stacked
-    ``(W, U, b)``, then the output layer.
-
-    The output bias is a column when the math is column-batched.  On a tape,
-    weights are leaves named as in ``ModelParams.stacked`` when ``trainable``
-    (gradients wanted) and constants otherwise.
-    """
-
-    def __init__(self, backend, params: ModelParams, trainable: bool = False,
-                 batched: bool = False):
-        if isinstance(backend, _TapeBackend):
-            tape = backend.tape
-            vals = {n: tape.leaf(n, a) if trainable else tape.const(a)
-                    for n, a in params.stacked.items()}
-            if batched:
-                vals["out.b"] = tape.reshape(vals["out.b"], (STATE_DIM, 1))
-        else:
-            vals = dict(params.stacked)
-            if batched:
-                vals["out.b"] = vals["out.b"][:, None]
-        self.layers = [tuple(vals[f"gru{li}.{k}"] for k in "WUb")
-                       for li in range(params.config.num_layers)]
-        self.out_W = vals["out.W"]
-        self.out_b = vals["out.b"]
+def _zero_hiddens(config: ModelConfig, batch: tuple[int, ...] = ()) -> list[np.ndarray]:
+    return [np.zeros((config.hidden_size, *batch)) for _ in range(config.num_layers)]
 
 
-def _gru_stack(be, w: _Weights, x, hiddens, masks=None):
-    """One step of the GRU stack; returns (top output, new hidden list).
-
-    Gating follows the original formulation: h' = (1-z) h + z tanh(...), with
-    the candidate reset applied to the recurrent input.  ``masks`` holds one
-    (input, hidden) dropout mask pair per layer.
-    """
-    new_hiddens = []
-    inp = x
-    for li, (W, U, b) in enumerate(w.layers):
-        mask_x, mask_h = masks[li] if masks is not None else (None, None)
-        inp = be.gru_step(inp, hiddens[li], W, U, b, mask_x, mask_h)
-        new_hiddens.append(inp)
-    return inp, new_hiddens
+def _encoder_inputs(frames: np.ndarray) -> np.ndarray:
+    """Inputs of the consecutive-frame steps over (k, 129[, B]) frames: each
+    later frame's rotation block and its finite-difference velocity."""
+    return np.concatenate([frames[1:, 3:], frames[1:] - frames[:-1]], axis=1)
 
 
-def _cell_core(be, w, state, velocity, hiddens, u_t=None, u_next=None, masks=None):
-    """Shared step: returns (next_state, predicted_velocity, new_hiddens)."""
-    if u_t is None:
-        rot_in = be.rows(state, 3, STATE_DIM)
-        vel_in = velocity
-    else:
-        rot_in = be.add(be.rows(state, 3, STATE_DIM), be.rows(u_t, 3, STATE_DIM))
-        vel_in = be.add(velocity, be.sub(u_next, u_t))
-    x = be.concat([rot_in, vel_in])
-    top, new_hiddens = _gru_stack(be, w, x, hiddens, masks)
-    vhat = be.add(be.matmul(w.out_W, top), w.out_b)
-    if u_t is None:
-        next_state = be.add(state, vhat)
-    else:
-        # the residual integrates onto the perturbed input state; base
-        # position has no modifier slot and integrates its velocity only
-        next_state = be.add(be.concat([be.rows(state, 0, 3), rot_in]), vhat)
-    return next_state, vhat, new_hiddens
-
-
-def _zero_hiddens(be, config: ModelConfig, batch: int | None = None):
-    shape = (config.hidden_size,) if batch is None else (config.hidden_size, batch)
-    zeros = np.zeros(shape)
-    if isinstance(be, _TapeBackend):
-        return [be.tape.const(zeros) for _ in range(config.num_layers)]
-    return [zeros.copy() for _ in range(config.num_layers)]
-
-
-def _encode_steps(be, w, frames, hiddens, masks=None):
-    """Feed consecutive-frame inputs; frames is a list of per-step values."""
-    for i in range(1, len(frames)):
-        vel = be.sub(frames[i], frames[i - 1])
-        x = be.concat([be.rows(frames[i], 3, STATE_DIM), vel])
-        _, hiddens = _gru_stack(be, w, x, hiddens, masks)
-    return hiddens
+def _window_start(config: ModelConfig, cols: np.ndarray) -> tuple:
+    """``gru_unroll`` arguments for (k + T, 129, B) training windows: zero
+    hiddens, the decoder start at frame k - 1, T steps and the teacher-forced
+    encoder inputs of frames 0..k-1."""
+    k = config.input_frames
+    return (_zero_hiddens(config, cols.shape[2:]), cols[k - 1], cols[k - 1] - cols[k - 2],
+            config.output_frames, _encoder_inputs(cols[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +197,16 @@ def encode(params: ModelParams, observed: np.ndarray) -> list[np.ndarray]:
         raise ModelError(f"observed must be (k, {STATE_DIM})")
     if observed.shape[0] < 2:
         raise ModelError("need at least 2 observed frames to form a velocity")
-    be = _NumpyBackend()
-    w = _Weights(be, params)
-    hiddens = _zero_hiddens(be, params.config)
-    return _encode_steps(be, w, list(observed), hiddens)
+    return gru_unroll(_weights(params), _zero_hiddens(params.config), None, None, 0,
+                      _encoder_inputs(observed))[2]
 
 
 def cell_step(params: ModelParams, state, velocity, hidden):
     """Uncontrolled dynamics step: (state, velocity, hidden) -> next triple."""
-    be = _NumpyBackend()
-    w = _Weights(be, params)
-    return _cell_core(be, w, np.asarray(state, dtype=np.float64),
-                      np.asarray(velocity, dtype=np.float64), list(hidden))
+    states, velocity, hidden, _ = gru_unroll(
+        _weights(params), hidden, np.asarray(state, dtype=np.float64),
+        np.asarray(velocity, dtype=np.float64), 1)
+    return states[0], velocity, hidden
 
 
 def cell_step_controlled(params: ModelParams, state, velocity, hidden, u_t, u_next):
@@ -311,11 +215,10 @@ def cell_step_controlled(params: ModelParams, state, velocity, hidden, u_t, u_ne
     u_next = np.asarray(u_next, dtype=np.float64)
     if u_t.shape != (MODIFIER_DIM,) or u_next.shape != (MODIFIER_DIM,):
         raise ModelError(f"modifiers must have {MODIFIER_DIM} entries")
-    be = _NumpyBackend()
-    w = _Weights(be, params)
-    return _cell_core(be, w, np.asarray(state, dtype=np.float64),
-                      np.asarray(velocity, dtype=np.float64), list(hidden),
-                      u_t=u_t, u_next=u_next)
+    states, velocity, hidden, _ = gru_unroll(
+        _weights(params), hidden, np.asarray(state, dtype=np.float64),
+        np.asarray(velocity, dtype=np.float64), 1, modifiers=np.stack([u_t, u_next]))
+    return states[0], velocity, hidden
 
 
 def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
@@ -330,20 +233,9 @@ def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
     modifiers = np.asarray(modifiers, dtype=np.float64)
     if modifiers.shape != (horizon, MODIFIER_DIM):
         raise ModelError(f"modifiers must be ({horizon}, {MODIFIER_DIM})")
-    be = _NumpyBackend()
-    w = _Weights(be, params)
-    state = np.asarray(initial_state, dtype=np.float64)
-    velocity = np.asarray(initial_velocity, dtype=np.float64)
-    hiddens = list(hidden)
-    states = np.empty((horizon, STATE_DIM))
-    for t in range(horizon):
-        u_t = modifiers[t]
-        u_next = modifiers[t + 1] if t + 1 < horizon else modifiers[t]
-        state, velocity, hiddens = _cell_core(
-            be, w, state, velocity, hiddens, u_t=u_t, u_next=u_next
-        )
-        states[t] = state
-    return states
+    return gru_unroll(_weights(params), hidden, np.asarray(initial_state, dtype=np.float64),
+                      np.asarray(initial_velocity, dtype=np.float64), horizon,
+                      modifiers=modifiers)[0]
 
 
 def predict(params: ModelParams, observed: np.ndarray, horizon: int | None = None) -> np.ndarray:
@@ -363,8 +255,9 @@ def predict(params: ModelParams, observed: np.ndarray, horizon: int | None = Non
 
 
 def unroll_graph(tape: Tape, params: ModelParams, observed: np.ndarray,
-                 modifiers: Ref, horizon: int) -> list[Ref]:
-    """Record the controlled decoder on ``tape``; returns per-step state refs.
+                 modifiers: Ref, horizon: int) -> Ref:
+    """Record the controlled decoder on ``tape`` as one ``gru_scan`` node;
+    returns the (horizon, 129) state trajectory ref.
 
     The observed history is encoded outside the tape (it is not a decision
     variable); weights enter as constants.  ``modifiers`` is a flat
@@ -375,24 +268,9 @@ def unroll_graph(tape: Tape, params: ModelParams, observed: np.ndarray,
         raise ModelError(
             f"modifiers ref must have shape ({horizon * MODIFIER_DIM},), got {modifiers.shape}"
         )
-    hiddens_np = encode(params, observed)
-    be = _TapeBackend(tape)
-    w = _Weights(be, params)
-    hiddens = [tape.const(h) for h in hiddens_np]
-    state = tape.const(observed[-1])
-    velocity = tape.const(observed[-1] - observed[-2])
-    states = []
-    u_rows = [
-        tape.slice(modifiers, t * MODIFIER_DIM, (t + 1) * MODIFIER_DIM) for t in range(horizon)
-    ]
-    for t in range(horizon):
-        u_t = u_rows[t]
-        u_next = u_rows[t + 1] if t + 1 < horizon else u_rows[t]
-        state, velocity, hiddens = _cell_core(
-            be, w, state, velocity, hiddens, u_t=u_t, u_next=u_next
-        )
-        states.append(state)
-    return states
+    return tape.gru_scan([tape.const(w) for w in _weights(params)], encode(params, observed),
+                         observed[-1], observed[-1] - observed[-2], horizon,
+                         modifiers=tape.reshape(modifiers, (horizon, MODIFIER_DIM)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,59 +309,32 @@ class TrainResult:
     snapshots: list[ModelParams] = field(default_factory=list)
 
 
-def _rollout_batch(be, w, config, enc_frames, horizon, masks=None):
-    """Encode per-step frames then roll the decoder; returns state list."""
-    batch = enc_frames[0].shape[1]
-    hiddens = _zero_hiddens(be, config, batch=batch)
-    hiddens = _encode_steps(be, w, enc_frames, hiddens, masks)
-    state = enc_frames[-1]
-    velocity = be.sub(enc_frames[-1], enc_frames[-2])
-    states = []
-    for _ in range(horizon):
-        state, velocity, hiddens = _cell_core(be, w, state, velocity, hiddens, masks=masks)
-        states.append(state)
-    return states
-
-
-def _batch_loss_graph(tape, states, targets):
-    """Scalar loss node for per-step (129, B) predictions vs target arrays."""
-    horizon = len(states)
-    batch = targets[0].shape[1]
-    base_acc = None
-    rot_acc = None
-    for t in range(horizon):
-        diff = tape.sub(states[t], tape.const(targets[t]))
-        b = tape.sum(tape.square(tape.slice(diff, 0, 3)))
-        r = tape.sum(tape.abs(tape.slice(diff, 3, STATE_DIM)))
-        base_acc = b if base_acc is None else tape.add(base_acc, b)
-        rot_acc = r if rot_acc is None else tape.add(rot_acc, r)
-    scale = tape.const(1.0 / (horizon * batch))
-    return tape.add(tape.mul(base_acc, scale), tape.mul(rot_acc, scale))
-
-
-def _batch_loss_numpy(states, targets):
-    horizon = len(states)
-    batch = targets[0].shape[1]
-    base = sum(float(np.sum((s[:3] - t[:3]) ** 2)) for s, t in zip(states, targets))
-    rot = sum(float(np.sum(np.abs(s[3:] - t[3:]))) for s, t in zip(states, targets))
-    return (base + rot) / (horizon * batch)
+def _batch_loss(diff: np.ndarray) -> float:
+    """:func:`training_loss` averaged over a batch of (T, 129, B) errors."""
+    base = sum(float(np.sum(d[:3] ** 2)) for d in diff)
+    rot = sum(float(np.sum(np.abs(d[3:]))) for d in diff)
+    return (base + rot) / (diff.shape[0] * diff.shape[2])
 
 
 def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
     """Loss of one (span, 129, B) batch of windows and the gradients of the
-    ``ModelParams.stacked`` weights (None when the loss is not finite)."""
+    ``ModelParams.stacked`` weights (None when the loss is not finite).
+
+    The tape holds the weight leaves and one ``gru_scan`` node; the loss
+    gradient of its states seeds the backward pass.
+    """
     config = params.config
-    k, horizon = config.input_frames, config.output_frames
     tape = Tape()
-    be = _TapeBackend(tape)
-    w = _Weights(be, params, trainable=True, batched=True)
-    enc = [tape.const(cols[i]) for i in range(k)]
-    states = _rollout_batch(be, w, config, enc, horizon, masks)
-    tape.set_output(_batch_loss_graph(tape, states, [cols[k + t] for t in range(horizon)]))
-    loss = float(tape.output_value)
+    weights = [tape.leaf(name, params.stacked[name]) for name in _stacked_names(config)]
+    out = tape.gru_scan(weights, *_window_start(config, cols), masks=masks)
+    tape.set_output(out)
+    diff = out.value - cols[config.input_frames :]
+    loss = _batch_loss(diff)
     if not np.isfinite(loss):
         return loss, None
-    grads = backward(tape, np.asarray(1.0), wrt=list(tape.leaves))
+    scale = 1.0 / (diff.shape[0] * diff.shape[2])
+    seed = np.concatenate([(2.0 * scale) * diff[:, :3], scale * np.sign(diff[:, 3:])], axis=1)
+    grads = backward(tape, seed, wrt=list(tape.leaves))
     return loss, {name: g.data for name, g in grads.items()}
 
 
@@ -519,16 +370,10 @@ def _evaluate(params, config, windows_arr):
     """Test loss and final-frame base error over a (N, k+T, 129) array."""
     if windows_arr.shape[0] == 0:
         return float("nan"), float("nan")
-    k, horizon = config.input_frames, config.output_frames
-    be = _NumpyBackend()
-    w = _Weights(be, params, batched=True)
     cols = windows_arr.transpose(1, 2, 0)  # (k+T, 129, N)
-    enc = [cols[i] for i in range(k)]
-    states = _rollout_batch(be, w, config, enc, horizon)
-    targets = [cols[k + t] for t in range(horizon)]
-    loss = _batch_loss_numpy(states, targets)
-    err = float(np.mean(np.linalg.norm(states[-1][:3] - targets[-1][:3], axis=0)))
-    return loss, err
+    states = gru_unroll(_weights(params), *_window_start(config, cols))[0]
+    diff = states - cols[config.input_frames :]
+    return _batch_loss(diff), float(np.mean(np.linalg.norm(diff[-1, :3], axis=0)))
 
 
 def train(

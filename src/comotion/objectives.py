@@ -168,20 +168,18 @@ class ProblemSpec:
 
 
 class GraphContext:
-    """Caches per-timestep kinematic subgraphs over unrolled state refs.
+    """Caches per-timestep kinematic subgraphs over the agents' trajectories.
 
-    ``human_traj``/``robot_traj`` are optional whole-trajectory (H, dim) refs
-    of the same states; time-batched terms read those in one node when
-    present.
+    ``human_traj``/``robot_traj`` are (H, dim) state trajectory refs, or None
+    for an absent agent.  A per-step state is a row of its trajectory,
+    recorded on first use; time-batched terms read the whole trajectory in
+    one node.
     """
 
-    def __init__(self, tape, skeleton, robot_config, human_states, robot_states, sdf,
-                 human_traj=None, robot_traj=None):
+    def __init__(self, tape, skeleton, robot_config, human_traj, robot_traj, sdf):
         self.tape = tape
         self.skeleton = skeleton
         self.robot_config = robot_config
-        self.human_states = human_states  # list of (129,) refs or None
-        self.robot_states = robot_states  # list of (state_dim,) refs or None
         self.sdf = sdf
         self._traj = {"human": human_traj, "robot": robot_traj}
         self._cache: dict = {}
@@ -194,23 +192,28 @@ class GraphContext:
         return hit
 
     def steps(self) -> int:
-        seq = self.human_states if self.human_states is not None else self.robot_states
-        return len(seq)
+        traj = self._traj["human"] if self._traj["human"] is not None else self._traj["robot"]
+        return traj.shape[0]
+
+    def trajectory(self, agent: str) -> Ref:
+        traj = self._traj[agent]
+        if traj is None:
+            raise ProblemError(f"constraint references the {agent}, but no {agent} is present")
+        return traj
+
+    def state(self, agent: str, t: int) -> Ref:
+        return self._memo(("state", agent, t), lambda: self.tape.row(self.trajectory(agent), t))
 
     def human_fk(self, link: str, t: int):
-        if self.human_states is None:
-            raise ProblemError("constraint references the human, but no human is present")
         return self._memo(
             ("hfk", link, t),
-            lambda: fk_graph(self.tape, self.skeleton, self.human_states[t], link),
+            lambda: fk_graph(self.tape, self.skeleton, self.state("human", t), link),
         )
 
     def robot_fk(self, link: str, t: int):
-        if self.robot_states is None:
-            raise ProblemError("constraint references the robot, but no robot is present")
         return self._memo(
             ("rfk", link, t),
-            lambda: robot_fk_graph(self.tape, self.robot_config, self.robot_states[t], link),
+            lambda: robot_fk_graph(self.tape, self.robot_config, self.state("robot", t), link),
         )
 
     def link_pos(self, agent: str, link: str, t: int) -> Ref:
@@ -220,11 +223,7 @@ class GraphContext:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
 
         def build():
-            states = self.human_states if agent == "human" else self.robot_states
-            if states is None:
-                raise ProblemError(f"no {agent} in this problem")
-            traj = self._traj[agent]
-            return self.tape.gather([traj] if traj is not None else states, 0, dims)
+            return self.tape.gather([self.trajectory(agent)], 0, dims)
 
         return self._memo(("base", agent, dims), build)
 
@@ -247,10 +246,10 @@ class GraphContext:
         def build():
             tape = self.tape
             if agent == "robot":
-                return heading_graph(tape, self.robot_states[t])
+                return heading_graph(tape, self.state("robot", t))
             mat_t = self._memo(
                 ("hbase", t),
-                lambda: rot6d_to_mat_t_graph(tape, tape.slice(self.human_states[t], 3, 9)),
+                lambda: rot6d_to_mat_t_graph(tape, tape.slice(self.state("human", t), 3, 9)),
             )
             row = tape.slice(tape.reshape(mat_t, (9,)), 0, 3)  # world x-axis of the base
             xy = tape.slice(row, 0, 2)
@@ -400,8 +399,8 @@ class CompiledProblem:
     eq_names: list[str]
     lower: np.ndarray  # box bounds on theta (-inf where free)
     upper: np.ndarray
-    human_state_refs: list | None
-    robot_state_refs: list | None
+    human_traj: Ref | None  # (H, 129) state trajectory
+    robot_traj: Ref | None  # (H, state_dim)
 
     @property
     def n(self) -> int:
@@ -436,12 +435,8 @@ class CompiledProblem:
 
     def trajectories(self, at: Evaluation):
         """Human and robot state sequences at an evaluation (None if absent)."""
-        human = robot = None
-        if self.human_state_refs is not None:
-            human = np.stack([at.value_of(r) for r in self.human_state_refs])
-        if self.robot_state_refs is not None:
-            robot = np.stack([at.value_of(r) for r in self.robot_state_refs])
-        return human, robot
+        return tuple(None if traj is None else at.value_of(traj).copy()
+                     for traj in (self.human_traj, self.robot_traj))
 
 
 def compile_problem(
@@ -466,7 +461,7 @@ def compile_problem(
     lower_parts = []
     upper_parts = []
 
-    human_states = human_traj = None
+    human_traj = None
     modifiers = None
     if problem.optimize_human:
         if problem.observed_human is None:
@@ -478,7 +473,7 @@ def compile_problem(
         leaf_dims["u_h"] = dim
         lower_parts.append(np.full(dim, -np.inf))
         upper_parts.append(np.full(dim, np.inf))
-        human_states = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
+        human_traj = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
     elif problem.fixed_human is not None:
         if len(problem.fixed_human) != steps:
             raise ProblemError("frozen human trajectory length must match the horizon")
@@ -486,9 +481,8 @@ def compile_problem(
         # other frozen trajectories, e.g. across prediction samples
         flat = tape.leaf("fixed_h", problem.fixed_human.reshape(-1))
         human_traj = tape.reshape(flat, (steps, STATE_DIM))
-        human_states = [tape.row(human_traj, t) for t in range(steps)]
 
-    robot_states = robot_traj = None
+    robot_traj = None
     controls = None
     if problem.optimize_robot and problem.robot_initial is not None:
         cdim = robot.control_dim
@@ -507,19 +501,16 @@ def compile_problem(
             raise ProblemError("frozen robot trajectory length must match the horizon")
         flat = tape.leaf("fixed_r", problem.fixed_robot.reshape(-1))
         robot_traj = tape.reshape(flat, problem.fixed_robot.shape)
-    if robot_traj is not None:
-        robot_states = [tape.row(robot_traj, t) for t in range(steps)]
 
     if not leaf_dims:
         raise ProblemError("nothing to optimize: no free agent")
 
-    ctx = GraphContext(tape, skeleton, robot, human_states, robot_states, sdf,
-                       human_traj, robot_traj)
+    ctx = GraphContext(tape, skeleton, robot, human_traj, robot_traj, sdf)
 
     objective = control_objective_graph(
         tape, problem.weights, modifiers, controls, steps, robot.control_dim
     )
-    if problem.weights.human_base_penalty > 0 and human_states is not None:
+    if problem.weights.human_base_penalty > 0 and human_traj is not None:
         pen = human_base_penalty_graph(
             tape, ctx, problem.observed_human[-1]
             if problem.observed_human is not None
@@ -560,8 +551,8 @@ def compile_problem(
         eq_names=[name for name, _ in eq],
         lower=np.concatenate(lower_parts),
         upper=np.concatenate(upper_parts),
-        human_state_refs=human_states,
-        robot_state_refs=robot_states,
+        human_traj=human_traj,
+        robot_traj=robot_traj,
     )
 
 
@@ -659,6 +650,13 @@ def load_problem(path) -> ProblemSpec:
         doc = json.load(fh)
     if doc.get("format") != "comotion-problem":
         raise ProblemError(f"{path}: not a problem file")
+    try:
+        return _problem_from_doc(doc)
+    except KeyError as exc:
+        raise ProblemError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
+def _problem_from_doc(doc: dict) -> ProblemSpec:
     w = doc["weights"]
     return ProblemSpec(
         horizon=int(doc["horizon"]),

@@ -102,11 +102,14 @@ def load_robot(path) -> RobotConfig:
         doc = json.load(fh)
     if doc.get("format") != "comotion-robot":
         raise RobotError(f"{path}: not a robot config file")
-    chain = tuple(
-        ChainLink(l["name"], tuple(l["offset"]),
-                  None if l["axis"] is None else tuple(l["axis"]))
-        for l in doc["chain"]
-    )
+    try:
+        chain = tuple(
+            ChainLink(l["name"], tuple(l["offset"]),
+                      None if l["axis"] is None else tuple(l["axis"]))
+            for l in doc["chain"]
+        )
+    except KeyError as exc:
+        raise RobotError(f"{path}: missing key {exc.args[0]!r}") from None
     b = doc.get("control_bounds", {})
     return RobotConfig(
         chain=chain,

@@ -351,7 +351,6 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
 
     human, robot = compiled.trajectories(ev)
     parts = compiled.split(theta_best)
-    steps = len(compiled.human_state_refs or compiled.robot_state_refs or [])
     modifiers = parts.get("u_h")
     controls = parts.get("u_r")
     return SolveResult(
@@ -364,8 +363,8 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
         eq_names=compiled.eq_names,
         human_traj=human,
         robot_traj=robot,
-        modifiers=None if modifiers is None else modifiers.reshape(steps, -1),
-        controls=None if controls is None else controls.reshape(steps, -1),
+        modifiers=None if modifiers is None else modifiers.reshape(len(human), -1),
+        controls=None if controls is None else controls.reshape(len(robot), -1),
         iterations=iteration,
         log=log,
     )

@@ -9,6 +9,7 @@ import pytest
 from comotion import data as cd
 from comotion import human_model as hm
 from comotion import objectives as obj
+from comotion import robot_model as rm
 from comotion.cli import main
 
 
@@ -156,6 +157,32 @@ def test_plan_bad_robot_file_exits_2(tmp_path, capsys):
     rc = main(["plan", "--problem", path, "--robot", str(robot), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert str(robot) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["problem weights", "rect half_extents", "robot offset"])
+def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
+    path = toy_robot_problem(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
+    if broken == "problem weights":
+        del doc["weights"]
+    elif broken == "rect half_extents":
+        doc["scene"] = {"bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
+                        "obstacles": [{"kind": "rect", "center": [0.5, 0.5]}]}
+    else:
+        robot = tmp_path / "robot.json"
+        rm.save_robot(rm.DEFAULT_ROBOT, robot)
+        rdoc = json.loads(robot.read_text())
+        del rdoc["chain"][0]["offset"]
+        robot.write_text(json.dumps(rdoc))
+        args += ["--robot", str(robot)]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"'{broken.split()[1]}'" in err
+    assert "Traceback" not in err
 
 
 def human_robot_problem(tmp_path, model_path=None):

@@ -7,6 +7,7 @@ from comotion import data as cd
 from comotion import evaluation as ev
 from comotion import human_model as hm
 from comotion import objectives as obj
+from comotion import scenarios
 from comotion.environment import Disc, Rect, Scene
 from comotion.kinematics import identity_state
 from comotion.solver import SolverConfig
@@ -107,6 +108,25 @@ def test_sample_prediction_determinism(model, observed):
     b = ev.sample_predictions(model, observed, 5, cfg, seed=7)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("success_at", [None, 2])
+def test_sample_method_counts_every_robot_solve(model, monkeypatch, success_at):
+    """``attempts`` is the number of robot solves run, and ``succeeded`` says
+    whether one of the samples passed the success check."""
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    solves, checks = [], []
+    solve = ev._solve_robot_against
+    monkeypatch.setattr(ev, "_solve_robot_against",
+                        lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    if success_at is not None:  # the real check fails every capped crossing solve
+        monkeypatch.setattr(ev, "check_success",
+                            lambda *a, **kw: (checks.append(1) or len(checks) == success_at, []))
+    res = ev.run_method(problem, "sample", model, sample_config=ev.SampleConfig(num_samples=4),
+                        solver_config=SolverConfig(max_rounds=1, max_inner=3))
+    expected = 4 if success_at is None else success_at
+    assert len(solves) == res.details["attempts"] == expected
+    assert res.details["succeeded"] is (success_at is not None)
 
 
 def test_sequential_frozen_agent_unchanged(model, observed):

@@ -8,6 +8,8 @@ from comotion.graph import (
     Tape,
     backward,
     gradient_check,
+    gru_cell,
+    gru_unroll,
     record,
 )
 
@@ -351,45 +353,111 @@ def _gru_oracle(x, h, W, U, b, mx, mh):
 
 
 @pytest.mark.parametrize("batched", [False, True])
-def test_gru_step_gradients_match_finite_differences(batched):
-    """Input, hidden, weight and bias gradients; batched with dropout masks."""
-    from comotion.graph import gru_cell
-
+def test_gru_cell_matches_per_gate_oracle(batched):
+    """The stacked kernel against the gate equations; batched with dropout masks."""
     rng = np.random.default_rng(20 + batched)
     d, k, B = 3, 4, 2
     cols = (B,) if batched else ()
-    point = {
-        "x": rng.normal(size=(k, *cols)),
-        "h": rng.normal(size=(d, *cols)),
-        "W": rng.normal(size=(3 * d, k)),
-        "U": rng.normal(size=(3 * d, d)),
-        "b": rng.normal(size=3 * d),
-    }
+    x, h = rng.normal(size=(k, *cols)), rng.normal(size=(d, *cols))
+    W, U, b = rng.normal(size=(3 * d, k)), rng.normal(size=(3 * d, d)), rng.normal(size=3 * d)
     mx = mh = None
     if batched:
         mx = rng.binomial(1, 0.7, size=(k, B)) / 0.7
         mh = rng.binomial(1, 0.7, size=(d, B)) / 0.7
         mx[0, 0], mh[0, 1] = 0.0, 0.0  # at least one dropped entry each
-    weights = rng.normal(size=(d, *cols))
+    h_new, _ = gru_cell(x, h, W, U, b, mx, mh)
+    oracle = _gru_oracle(x.reshape(k, -1), h.reshape(d, -1), W, U, b,
+                         1.0 if mx is None else mx, 1.0 if mh is None else mh)
+    assert np.allclose(h_new, oracle.reshape(h_new.shape), rtol=0, atol=1e-14)
+
+
+def _scan_point(rng, layers=2, d=3, sd=5, lead=2):
+    """Weights of a small GRU stack (input 2 sd - lead) with a residual output."""
+    point, in_dim = {}, 2 * sd - lead
+    for li in range(layers):
+        point[f"gru{li}.W"] = 0.6 * rng.normal(size=(3 * d, in_dim))
+        point[f"gru{li}.U"] = 0.6 * rng.normal(size=(3 * d, d))
+        point[f"gru{li}.b"] = 0.3 * rng.normal(size=3 * d)
+        in_dim = d
+    point["out.W"] = 0.3 * rng.normal(size=(sd, d))
+    point["out.b"] = 0.1 * rng.normal(size=sd)
+    return point
+
+
+def test_gru_scan_modifier_gradients_match_finite_differences_horizon_40():
+    """Every modifier entry of a 40-step decoder, the last row included,
+    whose velocity input uses the row itself as the next row."""
+    rng = np.random.default_rng(23)
+    H, d, sd = 40, 3, 5
+    weights = _scan_point(rng, d=d, sd=sd)
+    hiddens = [0.5 * rng.normal(size=d) for _ in range(2)]
+    state, velocity = rng.normal(size=sd), 0.1 * rng.normal(size=sd)
+    probe = rng.normal(size=(H, sd))
 
     def f(t, r):
-        out = t.gru_step(r["x"], r["h"], r["W"], r["U"], r["b"], mx, mh)
-        return t.sum(t.mul(out, t.const(weights)))
+        consts = [t.const(w) for w in weights.values()]
+        out = t.gru_scan(consts, hiddens, state, velocity, H,
+                         modifiers=t.reshape(r["u"], (H, sd)))
+        return t.sum(t.mul(out, t.const(probe)))
 
+    u = 0.2 * rng.normal(size=H * sd)
+    assert gradient_check(f, {"u": u}, step=1e-6) < 1e-7
+
+
+def test_gru_scan_weight_gradients_match_finite_differences():
+    """All eight weight leaves of a two-layer stack on a column batch with
+    dropout masks, through encoder and decoder steps."""
+    rng = np.random.default_rng(24)
+    H, E, d, sd, lead, B = 4, 3, 3, 5, 2, 2
+    point = _scan_point(rng, d=d, sd=sd, lead=lead)
+    in_dim = 2 * sd - lead
+    hiddens = [np.zeros((d, B)) for _ in range(2)]
+    inputs = rng.normal(size=(E, in_dim, B))
+    state, velocity = rng.normal(size=(sd, B)), 0.1 * rng.normal(size=(sd, B))
+    masks = [(rng.binomial(1, 0.7, size=(n, B)) / 0.7, rng.binomial(1, 0.7, size=(d, B)) / 0.7)
+             for n in (in_dim, d)]
+    masks[0][0][0, 0] = masks[1][1][0, 1] = 0.0  # at least one dropped entry each
+    probe = rng.normal(size=(H, sd, B))
+
+    def f(t, r):
+        out = t.gru_scan([r[name] for name in point], hiddens, state, velocity, H,
+                         inputs=inputs, masks=masks)
+        return t.sum(t.mul(out, t.const(probe)))
+
+    assert len(point) == 8
     assert gradient_check(f, point, step=1e-6) < 1e-7
 
-    if batched:
-        h_new, _ = gru_cell(*(point[n] for n in "xhWUb"), mx, mh)
-        oracle = _gru_oracle(*(point[n] for n in "xhWUb"), mx, mh)
-        assert np.allclose(h_new, oracle, rtol=0, atol=1e-14)
 
-
-def test_gru_step_rejects_mismatched_weights():
+def test_gru_scan_replay_matches_gru_unroll_bit_exact():
+    rng = np.random.default_rng(25)
+    H, sd = 6, 5
+    weights = _scan_point(rng, sd=sd)
+    hiddens = [rng.normal(size=3) for _ in range(2)]
+    state, velocity = rng.normal(size=sd), rng.normal(size=sd)
     tape = Tape()
-    x, h = tape.leaf("x", np.ones(4)), tape.leaf("h", np.ones(3))
-    with pytest.raises(GraphError, match="gru_step shapes"):
-        tape.gru_step(x, h, tape.const(np.ones((9, 3))), tape.const(np.ones((9, 3))),
-                      tape.const(np.ones(9)))
+    u = tape.leaf("u", np.zeros((H, sd)))
+    out = tape.gru_scan([tape.const(w) for w in weights.values()], hiddens, state, velocity, H,
+                        modifiers=u)
+    mods = rng.normal(size=(H, sd))
+    replay = tape.forward({"u": mods}).value_of(out)
+    expected = gru_unroll(list(weights.values()), hiddens, state, velocity, H, modifiers=mods)[0]
+    assert replay.tobytes() == expected.tobytes()
+
+
+def test_gru_scan_rejects_mismatched_shapes():
+    rng = np.random.default_rng(26)
+    weights = list(_scan_point(rng, layers=1).values())
+    tape = Tape()
+    consts = [tape.const(w) for w in weights]
+    hiddens, state = [np.zeros(3)], np.zeros(5)
+    with pytest.raises(GraphError, match="gru_scan shapes"):
+        tape.gru_scan(consts[:-1], hiddens, state, state, 4)
+    with pytest.raises(GraphError, match="gru_scan shapes"):
+        tape.gru_scan(consts, [np.zeros(4)], state, state, 4)
+    with pytest.raises(GraphError, match="gru_scan shapes"):
+        tape.gru_scan(consts, hiddens, state, state, 4, modifiers=tape.const(np.zeros((3, 5))))
+    with pytest.raises(GraphError, match="gru_scan shapes"):
+        tape.gru_scan(consts, hiddens, state, state, 4, inputs=np.zeros((2, 7)))
 
 
 def test_rollout_gradient_matches_finite_differences_horizon_40():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from comotion import human_model as hm
-from comotion.graph import Tape, backward, gradient_check
+from comotion.graph import OP_SCAN, OP_SLICE, Tape, backward, gradient_check
 from comotion.kinematics import STATE_DIM, identity_state, rot6d_to_matrix
 
 
@@ -171,7 +171,7 @@ def test_controlled_gradient_matches_finite_differences():
 
     def f(t, r):
         states = hm.unroll_graph(t, params, obs, r["u"], H)
-        return t.sum_squares(states[-1])
+        return t.sum_squares(t.row(states, -1))
 
     u0 = 0.02 * rng.normal(size=H * hm.MODIFIER_DIM)
     err = gradient_check(f, {"u": u0}, step=1e-6)
@@ -189,8 +189,22 @@ def test_unroll_zero_modifiers_equals_prediction_bit_exact():
     tape = Tape()
     u = tape.leaf("u", np.zeros(H * hm.MODIFIER_DIM))
     states = hm.unroll_graph(tape, params, obs, u, H)
-    stacked = np.stack([s.value for s in states])
-    assert np.array_equal(stacked, pred)
+    assert states.value.tobytes() == pred.tobytes()
+    assert [tape.ops.count(op) for op in (OP_SCAN, OP_SLICE)] == [1, 0]
+
+
+def test_unroll_graph_replay_equals_unroll_decoder_bit_exact():
+    rng = np.random.default_rng(18)
+    params = random_params(tiny_config(num_layers=2), seed=19)
+    obs = random_observed(rng, k=5)
+    H = 6
+    tape = Tape()
+    states = hm.unroll_graph(tape, params, obs, tape.leaf("u", np.zeros(H * hm.MODIFIER_DIM)), H)
+    mods = 0.05 * rng.normal(size=(H, hm.MODIFIER_DIM))
+    replay = tape.forward({"u": mods.reshape(-1)}).value_of(states)
+    expected = hm.unroll_decoder(params, obs[-1], obs[-1] - obs[-2], hm.encode(params, obs),
+                                 mods, H)
+    assert replay.tobytes() == expected.tobytes()
 
 
 def test_unroll_horizon_one_is_single_controlled_step():

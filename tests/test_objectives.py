@@ -7,7 +7,8 @@ from comotion import data as cd
 from comotion import environment as env
 from comotion import human_model as hm
 from comotion import objectives as obj
-from comotion.graph import backward
+from comotion import scenarios
+from comotion.graph import _OP_NAMES, backward
 from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
 from comotion.robot_model import DEFAULT_ROBOT, robot_fk, robot_unroll
 
@@ -470,3 +471,14 @@ def test_problem_missing_agent_errors(observed):
     with pytest.raises(obj.ProblemError, match="no robot"):
         obj.compile_problem(problem, model=hm.init_params(
             hm.ModelConfig(num_layers=1, hidden_size=8, input_frames=4, output_frames=4), 0))
+
+
+def test_crossing_tape_records_the_human_unroll_as_one_scan_node():
+    """Tape-size regression: the joint crossing problem (seed 1) once took
+    947 nodes, 572 of them for the per-step GRU unroll."""
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    tape = obj.compile_problem(problem, model=hm.init_params(hm.ModelConfig(), 0)).tape
+    names = [_OP_NAMES[op] for op in tape.ops]
+    assert names.count("gru_scan") == 1
+    assert "gru_step" not in names
+    assert len(tape) <= 420

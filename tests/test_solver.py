@@ -33,8 +33,8 @@ def toy_problem(build, n, num_ineq=0, num_eq=0, lower=None, upper=None):
         eq_names=[f"h{i}" for i in range(len(hs))],
         lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float),
-        human_state_refs=None,
-        robot_state_refs=None,
+        human_traj=None,
+        robot_traj=None,
     )
 
 
