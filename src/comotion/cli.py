@@ -34,6 +34,7 @@ from . import evaluation as ev
 from . import human_model as hm
 from . import objectives as obj
 from .environment import SceneError, build_sdf, save_sdf
+from .kinematics import KinematicsError
 from .robot_model import DEFAULT_ROBOT, RobotError, load_robot
 from .solver import SolverConfig
 
@@ -630,7 +631,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (obj.ProblemError, dat.DataError, hm.ModelError, ev.EvaluationError, SceneError,
-            RobotError) as exc:
+            RobotError, KinematicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

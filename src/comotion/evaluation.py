@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import human_model as hm
+from .chains import NORM_EPS
 from .environment import scene_sdf
 from .kinematics import (
     DEFAULT_HUMAN_SKELETON,
@@ -30,7 +31,7 @@ from .kinematics import (
     quat_from_rot6d,
     relative_angle,
 )
-from .objectives import ConstraintSpec, ProblemSpec, compile_problem
+from .objectives import HUMAN_HAND_LINK, ConstraintSpec, ProblemSpec, compile_problem
 from .robot_model import DEFAULT_ROBOT, robot_fk
 from .solver import IterationRecord, SolveResult, SolverConfig, solve_compiled
 
@@ -121,48 +122,49 @@ def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int
     return samples
 
 
-def _human_palm(state, spec_offset):
-    pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, "rWrist")
-    return pos + R @ np.asarray(spec_offset)
+def _palms(agent: str, states, offset, robot=DEFAULT_ROBOT) -> np.ndarray:
+    """Palm points, (3,) for one state or (N, 3) for a batch."""
+    if agent == "human":
+        pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, states, HUMAN_HAND_LINK)
+    else:
+        pos, R = robot_fk(robot, states, robot.hand_link)
+    return pos + R @ np.asarray(offset, dtype=np.float64)
 
 
-def _robot_palm(state, robot, spec_offset):
-    pos, R = robot_fk(robot, state, robot.hand_link)
-    return pos + R @ np.asarray(spec_offset)
+def handover_loss(human_states, robot_state, spec: ConstraintSpec,
+                  robot=DEFAULT_ROBOT):
+    """Hard handover residual: palm distance squared plus the facing term.
 
-
-def handover_loss(human_state, robot_state, spec: ConstraintSpec,
-                  robot=DEFAULT_ROBOT) -> float:
-    """Hard handover residual: palm distance squared plus the facing term."""
-    ph = _human_palm(human_state, spec.palm_offset_human)
-    pr = _robot_palm(robot_state, robot, spec.palm_offset_robot)
-    Rh = forward_kinematics(DEFAULT_HUMAN_SKELETON, human_state, "base")[1]
-    hh = Rh[:2, 0]
-    hh = hh / max(np.linalg.norm(hh), 1e-12)
+    A float for one human state, an (N,) array for a batch of them.  The
+    human faces along the normalized xy of its base 6-D rotation's first
+    column, the robot along its heading, as on the tape.
+    """
+    human_states = np.asarray(human_states, dtype=np.float64)
+    ph = _palms("human", human_states, spec.palm_offset_human)
+    pr = _palms("robot", robot_state, spec.palm_offset_robot, robot)
+    xy = human_states[..., 3:5]
+    hh = xy / np.sqrt(np.sum(xy * xy, axis=-1, keepdims=True) + NORM_EPS)
     th = robot_state[2]
-    hr = np.array([np.cos(th), np.sin(th)])
-    return float(np.sum((ph - pr) ** 2) + 1.0 + hh @ hr)
+    loss = np.sum((ph - pr) ** 2, axis=-1) + (1.0 + hh @ np.array([np.cos(th), np.sin(th)]))
+    return float(loss) if human_states.ndim == 1 else loss
 
 
 def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
                      robot=DEFAULT_ROBOT):
     """Order sample indices by the configured heuristic, best first."""
-    scores = []
     ranking = config.ranking if config.ranking is not None else default_ranking(problem)
+    finals = np.stack([s[-1] for s in samples])
     if ranking == "distance_to_goal":
         goal = _find(problem, "goal", "human")
         if goal is None:
             raise EvaluationError("distance_to_goal ranking needs a human goal constraint")
-        for s in samples:
-            pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, s[-1], goal.link)
-            scores.append(float(np.linalg.norm(pos - np.asarray(goal.target))))
+        pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, finals, goal.link)
+        scores = np.linalg.norm(pos - np.asarray(goal.target), axis=1)
     else:
         spec = _find(problem, "handover")
         if spec is None:
             raise EvaluationError("handover_loss ranking needs a handover constraint")
-        rstate = np.asarray(problem.robot_initial)
-        for s in samples:
-            scores.append(handover_loss(s[-1], rstate, spec, robot))
+        scores = handover_loss(finals, np.asarray(problem.robot_initial), spec, robot)
     return list(np.argsort(scores, kind="stable"))
 
 
@@ -538,14 +540,12 @@ def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj,
         raise EvaluationError("problem has no joint goal constraint")
     target = np.asarray(spec.target)
     best = None
-    for t, state in enumerate(human_traj):
-        d = float(np.sum((_human_palm(state, spec.palm_offset_human) - target) ** 2))
-        if best is None or d < best[2]:
-            best = ("human", t, d)
-    for t, state in enumerate(robot_traj):
-        d = float(np.sum((_robot_palm(state, robot, spec.palm_offset_robot) - target) ** 2))
-        if d < best[2]:
-            best = ("robot", t, d)
+    for agent, traj, offset in (("human", human_traj, spec.palm_offset_human),
+                                ("robot", robot_traj, spec.palm_offset_robot)):
+        d = np.sum((_palms(agent, traj, offset, robot) - target) ** 2, axis=1)
+        t = int(np.argmin(d))
+        if best is None or d[t] < best[2]:
+            best = (agent, t, float(d[t]))
     return best
 
 

@@ -10,10 +10,8 @@ propagates a seed gradient to every leaf.
 
 All values are 64-bit float arrays.  Scalars are 0-d arrays.
 
-Subgradient conventions at non-smooth points:
-  * min/max reductions send the full gradient to the first attaining index
-    (row-major order).
-  * clamp passes the gradient through on the closed interval [lo, hi].
+Subgradient convention at non-smooth points: a max reduction sends the full
+gradient to the first attaining index (row-major order).
 
 Fused primitives keep planning tapes short; each has a hand-written adjoint.
 
@@ -83,6 +81,30 @@ gradient G (columns x, y, theta, q), the adjoint is::
     dw_k = Rtheta_k + sum_{j > k} v_j (cos(b_j) Ry_j - sin(b_j) Rx_j)
     dq_k = Rq_k
 
+``link_point`` is serial-chain forward kinematics (:func:`chains.chain_fk`,
+which the numpy FK runs too) over a (D,) state or an (H, D) trajectory: a
+base translation p_0 read from state columns, links k = 1..K with fixed
+offsets o_k and local rotations L_k read from state columns (L_k = I for a
+rigid link), and a tip offset o_{K+1}::
+
+    R_0 = I,  R_k = R_{k-1} L_k,  point = p_0 + sum_{k=1..K+1} R_{k-1} o_k
+
+A human L_k is the 6-D Gram-Schmidt map (Zhou et al. 2019) of a state block
+[a1; a2] with regularized norms |x| = sqrt(x . x + 1e-12), so a replay never
+divides by zero: b1 = a1 / |a1|, v2 = a2 - (b1 . a2) b1, b2 = v2 / |v2|,
+L = [b1, b2, b1 x b2].  A robot L_k turns a joint angle q about a unit axis
+with cross-product matrix K (the base yaw about z first):
+L = I + sin(q) K + (1 - cos(q)) K^2.  The adjoint carries the tip back,
+u_K = o_{K+1}, u_{k-1} = o_k + L_k u_k, and gives L_k the gradient
+c_k u_k^T with c_k = R_{k-1}^T g; the base columns get g.  Per block::
+
+    gb1 = g1 + b2 x g3,  gb2 = g2 + g3 x b1   (g_i: columns of c_k u_k^T)
+    gv2 = (gb2 - (b2 . gb2) b2) / |v2|,  ga2 = gv2 - (b1 . gv2) b1
+    gb1' = gb1 - (b1 . gv2) a2 - (b1 . a2) gv2,  ga1 = (gb1' - (b1 . gb1') b1) / |a1|
+    dq = cos(q) c_k . K u_k + sin(q) c_k . K^2 u_k
+
+and columns off the chain get exactly 0.
+
 ``grid_interp`` takes one (2,) point or a batch of (N, 2) points, and
 ``gather`` stacks one column range of many states into an (N, k) array, so
 per-timestep constraint terms are a few (H,) vector nodes.
@@ -90,13 +112,12 @@ per-timestep constraint terms are a few (H,) vector nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .chains import NORM_EPS, Chain, chain_fk, chain_fk_adjoint
 
 __all__ = [
     "GraphError",
-    "Tensor",
     "Ref",
     "Tape",
     "Evaluation",
@@ -113,26 +134,6 @@ class GraphError(RuntimeError):
     """Raised on malformed graph construction or numeric overflow."""
 
 
-@dataclass(frozen=True)
-class Tensor:
-    """Immutable value container: a shape and flat row-major float64 data."""
-
-    data: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the data."""
-        return self.data.reshape(-1)
-
-    @staticmethod
-    def of(value) -> "Tensor":
-        return Tensor(np.ascontiguousarray(value, dtype=np.float64))
-
-
 def _as_array(value) -> np.ndarray:
     a = np.asarray(value, dtype=np.float64)
     if a.ndim and not a.flags["C_CONTIGUOUS"]:
@@ -145,8 +146,6 @@ def _as_array(value) -> np.ndarray:
 # a backward (grad_out, vals, arg_ids, param, out_val) -> tuple of input grads
 # aligned with arg_ids (None for no gradient).
 # ---------------------------------------------------------------------------
-
-_NORM_EPS = 1e-12  # keeps sqrt differentiable at the origin
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -362,22 +361,11 @@ def _b_abs(g, vals, a, p, out):
 
 def _f_norm(vals, a, p):
     x = vals[a[0]]
-    return np.asarray(np.sqrt(np.dot(x.reshape(-1), x.reshape(-1)) + _NORM_EPS))
+    return np.asarray(np.sqrt(np.dot(x.reshape(-1), x.reshape(-1)) + NORM_EPS))
 
 
 def _b_norm(g, vals, a, p, out):
     return (float(g) * vals[a[0]] / float(out),)
-
-
-def _f_minr(vals, a, p):
-    return np.asarray(np.min(vals[a[0]]))
-
-
-def _b_minr(g, vals, a, p, out):
-    x = vals[a[0]]
-    full = np.zeros_like(x)
-    full.reshape(-1)[int(np.argmin(x))] = float(g)
-    return (full,)
 
 
 def _f_maxr(vals, a, p):
@@ -402,15 +390,6 @@ def _b_lse(g, vals, a, p, out):
     x = vals[a[0]]
     w = np.exp((x - float(out)) / p)
     return (float(g) * w,)
-
-
-def _f_clamp(vals, a, p):
-    return np.clip(vals[a[0]], p[0], p[1])
-
-
-def _b_clamp(g, vals, a, p, out):
-    x = vals[a[0]]
-    return (g * ((x >= p[0]) & (x <= p[1])),)
 
 
 def _interp2(points, values, origin, res, with_gradient):
@@ -711,6 +690,16 @@ def _b_rollout(g, vals, a, p, out):
     return (gu.reshape(-1),)
 
 
+def _f_link_point(vals, a, p):
+    x = vals[a[0]]
+    point, _, cache = chain_fk(p, x.reshape(-1, x.shape[-1]), keep=True)
+    return point.reshape(x.shape[:-1] + (3,)), cache
+
+
+def _b_link_point(g, vals, a, p, cache):
+    return (chain_fk_adjoint(p, cache, g.reshape(-1, 3)).reshape(vals[a[0]].shape),)
+
+
 OP_LEAF = 0
 OP_CONST = 1
 
@@ -752,19 +741,18 @@ OP_SQRT = _register("sqrt", _f_sqrt, _b_sqrt)
 OP_SQUARE = _register("square", _f_square, _b_square)
 OP_ABS = _register("abs", _f_abs, _b_abs)
 OP_NORM = _register("l2_norm", _f_norm, _b_norm)
-OP_MINR = _register("min_reduce", _f_minr, _b_minr)
 OP_MAXR = _register("max_reduce", _f_maxr, _b_maxr)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
-OP_CLAMP = _register("clamp", _f_clamp, _b_clamp)
 OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
 OP_ROW = _register("row", _f_row, _b_row)
 OP_GATHER = _register("gather", _f_gather, _b_gather)
 OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
+OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point, cached=True)
 
 
 class Ref:
-    """Handle to one node of a tape.  Supports arithmetic sugar."""
+    """Handle to one node of a tape.  ``+`` and ``*`` record add and mul."""
 
     __slots__ = ("tape", "idx", "shape")
 
@@ -783,39 +771,8 @@ class Ref:
     def __add__(self, other):
         return self.tape.add(self, self._coerce(other))
 
-    def __radd__(self, other):
-        return self.tape.add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return self.tape.sub(self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return self.tape.sub(self._coerce(other), self)
-
     def __mul__(self, other):
         return self.tape.mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.tape.mul(self._coerce(other), self)
-
-    def __truediv__(self, other):
-        return self.tape.div(self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self.tape.div(self._coerce(other), self)
-
-    def __matmul__(self, other):
-        return self.tape.matmul(self, self._coerce(other))
-
-    def __neg__(self):
-        return self.tape.mul(self, self.tape.const(-1.0))
-
-    def __getitem__(self, key):
-        if not isinstance(key, slice) or key.step not in (None, 1):
-            raise GraphError("only contiguous slices are supported")
-        start = 0 if key.start is None else key.start
-        stop = self.shape[0] if key.stop is None else key.stop
-        return self.tape.slice(self, start, stop)
 
     @property
     def value(self) -> np.ndarray:
@@ -976,9 +933,6 @@ class Tape:
         """Euclidean norm, regularized: sqrt(sum(x*x) + 1e-12)."""
         return self._apply(OP_NORM, (x,))
 
-    def min_reduce(self, x: Ref) -> Ref:
-        return self._apply(OP_MINR, (x,))
-
     def max_reduce(self, x: Ref) -> Ref:
         return self._apply(OP_MAXR, (x,))
 
@@ -987,9 +941,6 @@ class Tape:
         if temperature <= 0:
             raise GraphError("logsumexp temperature must be positive")
         return self._apply(OP_LSE, (x,), float(temperature))
-
-    def clamp(self, x: Ref, lo: float, hi: float) -> Ref:
-        return self._apply(OP_CLAMP, (x,), (float(lo), float(hi)))
 
     def grid_interp(self, point: Ref, values: np.ndarray, origin, resolution: float) -> Ref:
         """Bilinear lookup of a dense 2-D grid at a planar point or points.
@@ -1081,6 +1032,15 @@ class Tape:
             )
         return self._apply(OP_ROLLOUT, (controls,), initial)
 
+    def link_point(self, states: Ref, chain: Chain) -> Ref:
+        """World tip point of a kinematic chain (:func:`chains.chain_fk`):
+        (3,) for a (D,) state, (H, 3) for an (H, D) trajectory."""
+        if len(states.shape) not in (1, 2) or states.shape[-1] < chain.width:
+            raise GraphError(
+                f"link_point reads {chain.width} state columns, got states {states.shape}"
+            )
+        return self._apply(OP_LINK_POINT, (states,), chain)
+
     # -- convenience composites (no new primitives) ---------------------------
 
     def dot(self, a: Ref, b: Ref) -> Ref:
@@ -1168,13 +1128,13 @@ def record(fn, leaves: dict[str, np.ndarray], check_finite: bool = True):
     """Record ``fn`` applied to named leaf values.
 
     ``fn(tape, refs)`` receives the fresh tape and a dict of leaf refs and
-    returns the output ref.  Returns the tape and its output tensor.
+    returns the output ref.  Returns the tape and a copy of its output value.
     """
     tape = Tape(check_finite=check_finite)
     refs = {name: tape.leaf(name, value) for name, value in leaves.items()}
     out = fn(tape, refs)
     tape.set_output(out)
-    return tape, Tensor(tape.output_value.copy())
+    return tape, tape.output_value.copy()
 
 
 def backward(
@@ -1183,11 +1143,11 @@ def backward(
     at: Evaluation | None = None,
     output: Ref | None = None,
     wrt: list[str] | None = None,
-) -> dict[str, Tensor]:
+) -> dict[str, np.ndarray]:
     """Propagate ``seed`` from the output back to every leaf.
 
     Returns the gradient of ``seed . output`` for each named leaf; leaves with
-    no path to the output get zero tensors.  ``at`` selects a replayed
+    no path to the output get zero arrays.  ``at`` selects a replayed
     evaluation (defaults to the values captured while recording).  ``wrt``
     restricts the result to the named leaves; subgraphs feeding none of them
     are skipped entirely.
@@ -1232,7 +1192,7 @@ def backward(
         g = grads[idx] if idx <= out_idx else None
         if g is None:
             g = np.zeros(tape.shapes[idx])
-        result[name] = Tensor(np.asarray(g, dtype=np.float64))
+        result[name] = np.asarray(g, dtype=np.float64)
     return result
 
 
@@ -1254,7 +1214,7 @@ def gradient_check(
         raise ValueError("step must be in (0, 1e-3]")
     point = {k: _as_array(v).copy() for k, v in point.items()}
     tape, out = record(fn, point)
-    if out.data.shape != ():
+    if out.shape != ():
         raise GraphError("gradient_check requires a scalar-valued function")
     grads = backward(tape, np.asarray(1.0))
     worst = 0.0
@@ -1266,7 +1226,7 @@ def gradient_check(
             coords = gen.choice(n, size=coords_per_leaf, replace=False)
         else:
             coords = range(n)
-        analytic = grads[name].values
+        analytic = grads[name].reshape(-1)
         for i in coords:
             saved = flat[i]
             flat[i] = saved + step

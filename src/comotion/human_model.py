@@ -334,8 +334,7 @@ def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
         return loss, None
     scale = 1.0 / (diff.shape[0] * diff.shape[2])
     seed = np.concatenate([(2.0 * scale) * diff[:, :3], scale * np.sign(diff[:, 3:])], axis=1)
-    grads = backward(tape, seed, wrt=list(tape.leaves))
-    return loss, {name: g.data for name, g in grads.items()}
+    return loss, backward(tape, seed, wrt=list(tape.leaves))
 
 
 class _Adam:

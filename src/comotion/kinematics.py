@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ref, Tape
+from .chains import Chain, chain_fk
 
 STATE_DIM = 129  # 3 base position + 21 * 6 rotation entries
 ROT_BLOCK_DIM = 126
@@ -37,27 +37,35 @@ class KinematicsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_rot6d(r) -> None:
+    """Raise on 6-D rotations (..., 6) with |a1| < 1e-9, or with the part of
+    a2 orthogonal to a1 at most 1e-6 |a2| (near-parallel columns)."""
+    a1, a2 = r[..., :3], r[..., 3:]
+    s11 = np.sum(a1 * a1, axis=-1)
+    s22 = np.sum(a2 * a2, axis=-1)
+    s12 = np.sum(a1 * a2, axis=-1)
+    if np.any(s11 < 1e-18) or np.any(
+        s11 * s22 - s12 * s12 <= 1e-12 * s11 * np.maximum(s22, 1e-60)
+    ):
+        raise KinematicsError("degenerate 6D rotation")
+
+
 def rot6d_to_matrix(r) -> np.ndarray:
     """Orthonormalize a 6-D rotation into a proper rotation matrix.
 
     Column 1 is normalized, column 2 is Gram-Schmidt projected, column 3 is
-    their cross product.  Raises on (near-)parallel columns.
+    their cross product.  Raises on (near-)parallel columns.  Exact norms:
+    the chain kernel regularizes them (``chains.NORM_EPS``).
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (6,):
         raise KinematicsError(f"expected 6 values, got shape {r.shape}")
+    _check_rot6d(r)
     a1, a2 = r[:3], r[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 < 1e-9:
-        raise KinematicsError("degenerate 6D rotation")
-    b1 = a1 / n1
+    b1 = a1 / np.linalg.norm(a1)
     v2 = a2 - (b1 @ a2) * b1
-    n2 = np.linalg.norm(v2)
-    if n2 <= 1e-6 * max(np.linalg.norm(a2), 1e-30):
-        raise KinematicsError("degenerate 6D rotation")
-    b2 = v2 / n2
-    b3 = np.cross(b1, b2)
-    return np.column_stack([b1, b2, b3])
+    b2 = v2 / np.linalg.norm(v2)
+    return np.column_stack([b1, b2, np.cross(b1, b2)])
 
 
 def matrix_to_rot6d(R) -> np.ndarray:
@@ -183,6 +191,13 @@ class Skeleton:
             i = self.joints[i].parent
         return path[::-1]
 
+    def kinematic_chain(self, link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
+        """The chain from the base to ``link`` in a state vector, ending at
+        ``tip`` in the link frame.  The root's own offset is not used."""
+        path = self.chain(link)
+        offsets = [(0.0, 0.0, 0.0)] + [self.joints[i].offset for i in path[1:]]
+        return Chain(range(3), offsets, [3 + 6 * i for i in path], tip=tip)
+
     def scaled(self, factor: float) -> "Skeleton":
         """Uniformly scale all bone offsets (per-subject body size)."""
         return Skeleton(
@@ -280,17 +295,6 @@ def load_skeleton(path) -> Skeleton:
 # ---------------------------------------------------------------------------
 
 
-def base_position(state: np.ndarray) -> np.ndarray:
-    return state[..., :3]
-
-def rotation_block(state: np.ndarray) -> np.ndarray:
-    return state[..., 3:]
-
-def joint_rotation(state: np.ndarray, joint_index: int) -> np.ndarray:
-    lo = 3 + 6 * joint_index
-    return state[..., lo : lo + 6]
-
-
 def identity_state(base_pos=(0.0, 0.0, 0.0)) -> np.ndarray:
     state = np.zeros(STATE_DIM)
     state[:3] = base_pos
@@ -300,67 +304,25 @@ def identity_state(base_pos=(0.0, 0.0, 0.0)) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward kinematics (plain numpy)
-# ---------------------------------------------------------------------------
-
-
-def forward_kinematics(skeleton: Skeleton, state: np.ndarray, link: str):
-    """World position and orientation of ``link`` for a 129-dim configuration.
-
-    Returns ``(position, rotation_matrix)``.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (STATE_DIM,):
-        raise KinematicsError(f"expected state of {STATE_DIM} values, got {state.shape}")
-    chain = skeleton.chain(link)
-    pos = state[:3].copy()
-    R = rot6d_to_matrix(state[3:9])
-    for idx in chain[1:]:
-        joint = skeleton.joints[idx]
-        pos = pos + R @ np.asarray(joint.offset)
-        R = R @ rot6d_to_matrix(joint_rotation(state, idx))
-    return pos, R
-
-
-# ---------------------------------------------------------------------------
-# Forward kinematics on a tape
+# Forward kinematics
 # ---------------------------------------------------------------------------
 #
-# Rotations on the tape are stored transposed (M = R^T): composition becomes
-# M_child = M_local @ M_parent and rotating a vector is the 1-D @ 2-D product
-# v @ M, which keeps matrix assembly down to one concat + reshape.
+# The chain itself is chains.chain_fk, which the tape's link_point node also
+# records; this numpy entry point validates its input first.
 
 
-def _cross_graph(t: Tape, a: Ref, b: Ref) -> Ref:
-    c0 = t.sub(t.mul(a[1:2], b[2:3]), t.mul(a[2:3], b[1:2]))
-    c1 = t.sub(t.mul(a[2:3], b[0:1]), t.mul(a[0:1], b[2:3]))
-    c2 = t.sub(t.mul(a[0:1], b[1:2]), t.mul(a[1:2], b[0:1]))
-    return t.concat([c0, c1, c2])
+def forward_kinematics(skeleton: Skeleton, states: np.ndarray, link: str):
+    """World position and orientation of ``link`` for one 129-dim
+    configuration or an (N, 129) batch.
 
-
-def rot6d_to_mat_t_graph(t: Tape, r: Ref) -> Ref:
-    """Transposed rotation matrix (rows b1,b2,b3) of a 6-D rotation ref."""
-    a1, a2 = r[0:3], r[3:6]
-    b1 = t.div(a1, t.norm(a1))
-    v2 = t.sub(a2, t.mul(t.dot(b1, a2), b1))
-    b2 = t.div(v2, t.norm(v2))
-    b3 = _cross_graph(t, b1, b2)
-    return t.reshape(t.concat([b1, b2, b3]), (3, 3))
-
-
-def fk_graph(t: Tape, skeleton: Skeleton, state: Ref, link: str):
-    """Differentiable chain FK.  Returns (position ref, transposed-matrix ref).
-
-    ``state`` is a 129-vector ref with the standard layout.
+    Returns ``(position, rotation_matrix)``: (3,) and (3, 3), or (N, 3) and
+    (N, 3, 3).  Raises on a degenerate 6-D rotation along the chain.
     """
-    chain = skeleton.chain(link)
-    pos = state[0:3]
-    mat_t = rot6d_to_mat_t_graph(t, state[3:9])
-    for idx in chain[1:]:
-        joint = skeleton.joints[idx]
-        off = t.const(np.asarray(joint.offset, dtype=np.float64))
-        pos = t.add(pos, t.matmul(off, mat_t))
-        lo = 3 + 6 * idx
-        local = rot6d_to_mat_t_graph(t, state[lo : lo + 6])
-        mat_t = t.matmul(local, mat_t)
-    return pos, mat_t
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim not in (1, 2) or states.shape[-1] != STATE_DIM:
+        raise KinematicsError(f"expected states of {STATE_DIM} values, got {states.shape}")
+    chain = skeleton.kinematic_chain(link)
+    batch = states.reshape(-1, STATE_DIM)
+    _check_rot6d(batch[:, chain.rot_cols])
+    pos, rot, _ = chain_fk(chain, batch)
+    return (pos[0], rot[0]) if states.ndim == 1 else (pos, rot)

@@ -35,8 +35,8 @@ from .environment import (
 )
 from .graph import Evaluation, Ref, Tape, backward
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
-from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM, Skeleton, fk_graph, rot6d_to_mat_t_graph
-from .robot_model import DEFAULT_ROBOT, RobotConfig, heading_graph, robot_fk_graph, robot_unroll_graph
+from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM
+from .robot_model import DEFAULT_ROBOT, RobotConfig, robot_unroll_graph
 
 DEFAULT_SOFT_MAX_TEMPERATURE = 0.01  # m^2, aggregation over timesteps
 DEFAULT_JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
@@ -163,33 +163,27 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Graph context: cached FK and base accessors over the unrolled states
+# Graph context: kinematic reads of the agents' trajectories
 # ---------------------------------------------------------------------------
+
+HUMAN_HAND_LINK = "rWrist"
 
 
 class GraphContext:
-    """Caches per-timestep kinematic subgraphs over the agents' trajectories.
+    """What constraint builders read from the agents' trajectories.
 
     ``human_traj``/``robot_traj`` are (H, dim) state trajectory refs, or None
-    for an absent agent.  A per-step state is a row of its trajectory,
-    recorded on first use; time-batched terms read the whole trajectory in
-    one node.
+    for an absent agent.  A point on a link is one ``link_point`` node, over
+    one step's row or over the whole trajectory; base positions and headings
+    read state columns directly.  The human chain is
+    ``DEFAULT_HUMAN_SKELETON``'s.
     """
 
-    def __init__(self, tape, skeleton, robot_config, human_traj, robot_traj, sdf):
+    def __init__(self, tape, robot_config, human_traj, robot_traj, sdf):
         self.tape = tape
-        self.skeleton = skeleton
         self.robot_config = robot_config
         self.sdf = sdf
         self._traj = {"human": human_traj, "robot": robot_traj}
-        self._cache: dict = {}
-
-    def _memo(self, key, builder):
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = builder()
-            self._cache[key] = hit
-        return hit
 
     def steps(self) -> int:
         traj = self._traj["human"] if self._traj["human"] is not None else self._traj["robot"]
@@ -201,61 +195,39 @@ class GraphContext:
             raise ProblemError(f"constraint references the {agent}, but no {agent} is present")
         return traj
 
-    def state(self, agent: str, t: int) -> Ref:
-        return self._memo(("state", agent, t), lambda: self.tape.row(self.trajectory(agent), t))
+    def _states(self, agent: str, t: int | None) -> Ref:
+        traj = self.trajectory(agent)
+        return traj if t is None else self.tape.row(traj, t)
 
-    def human_fk(self, link: str, t: int):
-        return self._memo(
-            ("hfk", link, t),
-            lambda: fk_graph(self.tape, self.skeleton, self.state("human", t), link),
-        )
+    def point(self, agent: str, link: str, offset=(0.0, 0.0, 0.0), t: int | None = None) -> Ref:
+        """World point of a link-frame ``offset`` on ``link``: (3,) at step
+        ``t``, or (H, 3) over every step when ``t`` is None."""
+        if agent == "human":
+            chain = DEFAULT_HUMAN_SKELETON.kinematic_chain(link, offset)
+        else:
+            chain = self.robot_config.kinematic_chain(link, offset)
+        return self.tape.link_point(self._states(agent, t), chain)
 
-    def robot_fk(self, link: str, t: int):
-        return self._memo(
-            ("rfk", link, t),
-            lambda: robot_fk_graph(self.tape, self.robot_config, self.state("robot", t), link),
-        )
-
-    def link_pos(self, agent: str, link: str, t: int) -> Ref:
-        return (self.human_fk(link, t) if agent == "human" else self.robot_fk(link, t))[0]
+    def hand_point(self, agent: str, palm_offset, t: int | None = None) -> Ref:
+        """Palm point: a hand-frame offset on the agent's hand link."""
+        link = HUMAN_HAND_LINK if agent == "human" else self.robot_config.hand_link
+        return self.point(agent, link, palm_offset, t)
 
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
-
-        def build():
-            return self.tape.gather([self.trajectory(agent)], 0, dims)
-
-        return self._memo(("base", agent, dims), build)
-
-    def hand_point(self, agent: str, t: int, palm_offset) -> Ref:
-        """Palm point: hand-link FK position plus a hand-frame offset."""
-
-        def build():
-            if agent == "human":
-                pos, mat_t = self.human_fk("rWrist", t)
-            else:
-                pos, mat_t = self.robot_fk(self.robot_config.hand_link, t)
-            off = self.tape.const(np.asarray(palm_offset, dtype=np.float64))
-            return self.tape.add(pos, self.tape.matmul(off, mat_t))
-
-        return self._memo(("palm", agent, t, tuple(palm_offset)), build)
+        return self.tape.gather([self.trajectory(agent)], 0, dims)
 
     def heading(self, agent: str, t: int) -> Ref:
-        """Planar facing unit vector of the agent's base."""
-
-        def build():
-            tape = self.tape
-            if agent == "robot":
-                return heading_graph(tape, self.state("robot", t))
-            mat_t = self._memo(
-                ("hbase", t),
-                lambda: rot6d_to_mat_t_graph(tape, tape.slice(self.state("human", t), 3, 9)),
-            )
-            row = tape.slice(tape.reshape(mat_t, (9,)), 0, 3)  # world x-axis of the base
-            xy = tape.slice(row, 0, 2)
-            return tape.div(xy, tape.norm(xy))
-
-        return self._memo(("heading", agent, t), build)
+        """Planar facing unit vector of the agent's base: (cos, sin) of the
+        robot's heading, or the normalized xy of the first column of the
+        human's base 6-D rotation (the base frame's world x-axis)."""
+        tape = self.tape
+        state = self._states(agent, t)
+        if agent == "robot":
+            th = tape.slice(state, 2, 3)
+            return tape.concat([tape.cos(th), tape.sin(th)])
+        xy = tape.slice(state, 3, 5)
+        return tape.div(xy, tape.norm(xy))
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +285,21 @@ def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """Squared distance between a link position and the goal point."""
     t = _resolve_timestep(spec.timestep, ctx.steps())
     tape = ctx.tape
-    pos = ctx.link_pos(spec.agent, spec.link, t)
+    pos = ctx.point(spec.agent, spec.link, t=t)
     return tape.sum_squares(tape.sub(pos, tape.const(np.asarray(spec.target, dtype=np.float64))))
 
 
-def _aggregate(tape, values: Ref, spec: ConstraintSpec) -> list[Ref]:
-    """Timestep aggregation of an (H,) vector: H (1,) slices, one hard max,
-    or one smooth max."""
+def _aggregate(tape, values: Ref, spec: ConstraintSpec) -> Ref:
+    """Timestep aggregation of an (H,) vector: the vector itself, its hard
+    max or its smooth max."""
     if spec.aggregation == "per_timestep":
-        return [tape.slice(values, t, t + 1) for t in range(values.shape[0])]
+        return values
     if spec.aggregation == "hard_max":
-        return [tape.max_reduce(values)]
-    return [tape.logsumexp(values, spec.default_temperature())]
+        return tape.max_reduce(values)
+    return tape.logsumexp(values, spec.default_temperature())
 
 
-def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec):
+def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """margin - SDF(base) per timestep, aggregated; feasible <= 0."""
     if ctx.sdf is None:
         raise ProblemError("collision constraint needs a scene")
@@ -336,7 +308,7 @@ def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec):
     return _aggregate(tape, tape.sub(tape.const(spec.margin), d), spec)
 
 
-def joint_clearance_constraint_graph(ctx: GraphContext, spec: ConstraintSpec):
+def joint_clearance_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """d^2 - |planar base offset|^2 per timestep, aggregated; feasible <= 0."""
     tape = ctx.tape
     delta = tape.sub(ctx.base_positions("human"), ctx.base_positions("robot"))
@@ -355,9 +327,8 @@ def joint_goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     target = tape.const(np.asarray(spec.target, dtype=np.float64))
     dists = []
     for agent, offset in (("human", spec.palm_offset_human), ("robot", spec.palm_offset_robot)):
-        for t in range(ctx.steps()):
-            hand = ctx.hand_point(agent, t, offset)
-            dists.append(tape.reshape(tape.sum_squares(tape.sub(hand, target)), (1,)))
+        hands = ctx.hand_point(agent, offset)
+        dists.append(tape.sum(tape.square(tape.sub(hands, target)), axis=1))
     return tape.smooth_min(tape.concat(dists), spec.default_temperature())
 
 
@@ -369,11 +340,21 @@ def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """
     tape = ctx.tape
     t = _resolve_timestep(spec.timestep, ctx.steps())
-    hand_h = ctx.hand_point("human", t, spec.palm_offset_human)
-    hand_r = ctx.hand_point("robot", t, spec.palm_offset_robot)
+    hand_h = ctx.hand_point("human", spec.palm_offset_human, t)
+    hand_r = ctx.hand_point("robot", spec.palm_offset_robot, t)
     dist = tape.sum_squares(tape.sub(hand_h, hand_r))
     facing = tape.add(tape.const(1.0), tape.dot(ctx.heading("human", t), ctx.heading("robot", t)))
     return tape.add(dist, facing)
+
+
+# the graph builder of each constraint kind
+_BUILDERS = {
+    "collision": collision_constraint_graph,
+    "joint_clearance": joint_clearance_constraint_graph,
+    "goal": goal_constraint_graph,
+    "joint_goal": joint_goal_constraint_graph,
+    "handover": handover_constraint_graph,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +412,7 @@ class CompiledProblem:
     def gradient(self, seed: np.ndarray, at: Evaluation) -> np.ndarray:
         """Gradient of seed . [objective, g, h] w.r.t. the packed variables."""
         grads = backward(self.tape, seed, at=at, wrt=list(self.leaf_dims))
-        return np.concatenate([grads[name].values for name in self.leaf_dims])
+        return np.concatenate([grads[name] for name in self.leaf_dims])
 
     def trajectories(self, at: Evaluation):
         """Human and robot state sequences at an evaluation (None if absent)."""
@@ -443,7 +424,6 @@ def compile_problem(
     problem: ProblemSpec,
     model: ModelParams | None = None,
     robot: RobotConfig | None = None,
-    skeleton: Skeleton = DEFAULT_HUMAN_SKELETON,
     sdf: SdfGrid | None = None,
 ) -> CompiledProblem:
     """Record the whole planning problem on a fresh tape at zero controls."""
@@ -505,7 +485,7 @@ def compile_problem(
     if not leaf_dims:
         raise ProblemError("nothing to optimize: no free agent")
 
-    ctx = GraphContext(tape, skeleton, robot, human_traj, robot_traj, sdf)
+    ctx = GraphContext(tape, robot, human_traj, robot_traj, sdf)
 
     objective = control_objective_graph(
         tape, problem.weights, modifiers, controls, steps, robot.control_dim
@@ -520,35 +500,30 @@ def compile_problem(
         if pen is not None:
             objective = tape.add(objective, pen)
 
-    ineq: list[tuple[str, Ref]] = []
-    eq: list[tuple[str, Ref]] = []
+    # (names, value) pairs: a per_timestep constraint is one (H,) value
+    # named kind[i].0 .. kind[i].H-1, any other one scalar named kind[i]
+    ineq: list[tuple[list[str], Ref]] = []
+    eq: list[tuple[list[str], Ref]] = []
     for i, spec in enumerate(problem.constraints):
         tag = f"{spec.kind}[{i}]"
-        if spec.kind == "goal":
-            eq.append((tag, goal_constraint_graph(ctx, spec)))
-        elif spec.kind == "collision":
-            for j, v in enumerate(collision_constraint_graph(ctx, spec)):
-                ineq.append((f"{tag}.{j}" if spec.aggregation == "per_timestep" else tag, v))
-        elif spec.kind == "joint_clearance":
-            for j, v in enumerate(joint_clearance_constraint_graph(ctx, spec)):
-                ineq.append((f"{tag}.{j}" if spec.aggregation == "per_timestep" else tag, v))
-        elif spec.kind == "joint_goal":
-            eq.append((tag, joint_goal_constraint_graph(ctx, spec)))
-        elif spec.kind == "handover":
-            eq.append((tag, handover_constraint_graph(ctx, spec)))
+        v = _BUILDERS[spec.kind](ctx, spec)
+        names = [f"{tag}.{j}" for j in range(v.shape[0])] if v.shape else [tag]
+        (ineq if spec.kind in ("collision", "joint_clearance") else eq).append((names, v))
 
-    scalars = [tape.reshape(objective, (1,))]
-    scalars += [v if v.shape == (1,) else tape.reshape(v, (1,)) for _, v in ineq + eq]
-    tape.set_output(tape.concat(scalars) if len(scalars) > 1 else scalars[0])
+    parts = [tape.reshape(objective, (1,))]
+    parts += [v if v.shape else tape.reshape(v, (1,)) for _, v in ineq + eq]
+    tape.set_output(tape.concat(parts) if len(parts) > 1 else parts[0])
+    ineq_names = [name for names, _ in ineq for name in names]
+    eq_names = [name for names, _ in eq for name in names]
 
     return CompiledProblem(
         problem=problem,
         tape=tape,
         leaf_dims=leaf_dims,
-        num_ineq=len(ineq),
-        num_eq=len(eq),
-        ineq_names=[name for name, _ in ineq],
-        eq_names=[name for name, _ in eq],
+        num_ineq=len(ineq_names),
+        num_eq=len(eq_names),
+        ineq_names=ineq_names,
+        eq_names=eq_names,
         lower=np.concatenate(lower_parts),
         upper=np.concatenate(upper_parts),
         human_traj=human_traj,

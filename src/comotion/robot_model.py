@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import Chain, chain_fk
 from .graph import Ref, Tape, unicycle_rollout
-from .kinematics import axis_angle_matrix, yaw_matrix
 
 
 class RobotError(ValueError):
@@ -57,6 +57,25 @@ class RobotConfig:
 
     def link_names(self) -> list[str]:
         return ["base"] + [l.name for l in self.chain]
+
+    def kinematic_chain(self, link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
+        """The chain from the base to ``link`` in a state vector, ending at
+        ``tip`` in the link frame.  The base link sits on the ground plane at
+        ``(x, y, 0)`` and turns by the heading about z."""
+        offsets, columns, axes = [(0.0, 0.0, 0.0)], [2], [(0.0, 0.0, 1.0)]
+        if link != "base":
+            qi = 3
+            for l in self.chain:
+                offsets.append(l.offset)
+                columns.append(None if l.axis is None else qi)
+                if l.axis is not None:
+                    axes.append(l.axis)
+                    qi += 1
+                if l.name == link:
+                    break
+            else:
+                raise RobotError(f"unknown link {link!r}")
+        return Chain((0, 1), offsets, columns, axes, tip)
 
     def control_bounds(self) -> np.ndarray:
         """Per-control symmetric bound magnitudes, shape (control_dim,)."""
@@ -168,66 +187,16 @@ def robot_unroll_graph(tape: Tape, initial: np.ndarray, controls: Ref,
 # ---------------------------------------------------------------------------
 
 
-def robot_fk(config: RobotConfig, state: np.ndarray, link: str):
-    """World position and orientation of a robot link.
+def robot_fk(config: RobotConfig, states: np.ndarray, link: str):
+    """World position and orientation of a robot link for one state or an
+    (N, state_dim) batch.
 
-    The base link sits on the ground plane at ``(x, y, 0)`` with the base yaw.
+    Returns ``(position, rotation_matrix)``: (3,) and (3, 3), or (N, 3) and
+    (N, 3, 3).  The base link sits on the ground plane at ``(x, y, 0)`` with
+    the base yaw.
     """
-    state = np.asarray(state, dtype=np.float64)
-    pos = np.array([state[0], state[1], 0.0])
-    R = yaw_matrix(state[2])
-    if link == "base":
-        return pos, R
-    qi = 3
-    for l in config.chain:
-        pos = pos + R @ np.asarray(l.offset)
-        if l.axis is not None:
-            R = R @ axis_angle_matrix(l.axis, state[qi])
-            qi += 1
-        if l.name == link:
-            return pos, R
-    raise RobotError(f"unknown link {link!r}")
-
-
-def _axis_consts(axis) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(axis, dtype=np.float64)
-    a = a / np.linalg.norm(a)
-    K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return K, K @ K
-
-
-def _axis_mat_t_graph(tape: Tape, axis, angle: Ref) -> Ref:
-    """Transposed Rodrigues matrix: R(a, q)^T = I - sin(q) K + (1 - cos(q)) K^2."""
-    K, K2 = _axis_consts(axis)
-    s = tape.mul(tape.sin(angle), tape.const(-1.0))
-    c1m = tape.sub(tape.const(1.0), tape.cos(angle))
-    return tape.add(
-        tape.const(np.eye(3)),
-        tape.add(tape.mul(s, tape.const(K)), tape.mul(c1m, tape.const(K2))),
-    )
-
-
-def robot_fk_graph(tape: Tape, config: RobotConfig, state: Ref, link: str):
-    """Differentiable FK; returns (position ref, transposed-rotation ref)."""
-    xy = state[0:2]
-    pos = tape.concat([xy, tape.const(np.zeros(1))])
-    mat_t = _axis_mat_t_graph(tape, (0.0, 0.0, 1.0), state[2:3])
-    if link == "base":
-        return pos, mat_t
-    qi = 3
-    for l in config.chain:
-        off = tape.const(np.asarray(l.offset, dtype=np.float64))
-        pos = tape.add(pos, tape.matmul(off, mat_t))
-        if l.axis is not None:
-            local = _axis_mat_t_graph(tape, l.axis, state[qi : qi + 1])
-            mat_t = tape.matmul(local, mat_t)
-            qi += 1
-        if l.name == link:
-            return pos, mat_t
-    raise RobotError(f"unknown link {link!r}")
-
-
-def heading_graph(tape: Tape, state: Ref) -> Ref:
-    """Planar heading unit vector (cos, sin) of the base."""
-    th = state[2:3]
-    return tape.concat([tape.cos(th), tape.sin(th)])
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim not in (1, 2) or states.shape[-1] != config.state_dim:
+        raise RobotError(f"expected states of {config.state_dim} values, got {states.shape}")
+    pos, rot, _ = chain_fk(config.kinematic_chain(link), states.reshape(-1, config.state_dim))
+    return (pos[0], rot[0]) if states.ndim == 1 else (pos, rot)

@@ -215,6 +215,21 @@ def human_robot_problem(tmp_path, model_path=None):
 CAPPED = ["--samples", "3", "--max-rounds", "2", "--max-inner", "6", "--seed", "1"]
 
 
+def test_plan_unknown_human_link_exits_2_naming_it(tmp_path, capsys):
+    path = human_robot_problem(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["constraints"][0]["link"] = "rwrist"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["plan", "--problem", path, "--method", "zerovel", *CAPPED,
+               "--out", str(tmp_path / "plan")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'rwrist'" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_takes_weights_from_the_problem_file(tiny_weights, tmp_path):
     path = human_robot_problem(tmp_path, model_path=tiny_weights)
     rc = main(["evaluate", "--problems", path, "--methods", "initial", "--jobs", "1",

@@ -131,7 +131,7 @@ def test_numpy_query_equals_graph_query():
 
         _, out = record(f, {"p": p})
         v, _ = env.sdf_query(grid, p)
-        assert float(out.data) == v
+        assert float(out) == v
 
 
 def test_interpolation_continuous_across_cell_boundaries():

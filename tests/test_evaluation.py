@@ -407,6 +407,34 @@ def test_handover_loss_threshold_edge():
     assert not ok and reasons == ["handover-loss"]
 
 
+def test_handover_loss_matches_the_compiled_constraint():
+    """The numpy residual and the tape's, at random frozen human states and a
+    random robot plan; a batch of human states scores row by row."""
+    from comotion.kinematics import axis_angle_matrix, matrix_to_rot6d
+
+    rng = np.random.default_rng(11)
+    H = 3
+    human = np.empty((H, 129))
+    for t in range(H):
+        human[t, :3] = rng.uniform(-1, 1, size=3)
+        for j in range(21):
+            axis = rng.normal(size=3)
+            human[t, 3 + 6 * j : 9 + 6 * j] = matrix_to_rot6d(
+                axis_angle_matrix(axis, rng.uniform(-np.pi, np.pi)))
+    spec = obj.ConstraintSpec(kind="handover")
+    problem = obj.ProblemSpec(horizon=H, constraints=[spec], optimize_human=False,
+                              fixed_human=human, robot_initial=rng.normal(size=7))
+    compiled = obj.compile_problem(problem)
+    _, _, h, evaluation = compiled.evaluate(0.1 * rng.normal(size=compiled.n))
+    robot = compiled.trajectories(evaluation)[1]
+    loss = ev.handover_loss(human[-1], robot[-1], spec)
+    assert isinstance(loss, float)
+    assert loss == pytest.approx(h[0], rel=0, abs=1e-10)
+    batch = ev.handover_loss(human, robot[-1], spec)
+    assert batch.shape == (H,)
+    assert batch[-1] == pytest.approx(loss, rel=0, abs=1e-12)
+
+
 def test_joint_goal_diagnostic_picks_nearest_agent():
     human = np.tile(identity_state((0.0, 0.0, 0.93)), (5, 1))
     robot = np.zeros((5, 7))

@@ -16,7 +16,7 @@ from comotion.graph import (
 
 def test_identity_record():
     tape, out = record(lambda t, r: r["x"], {"x": np.array([1.0, 2.0])})
-    assert np.array_equal(out.data, [1.0, 2.0])
+    assert np.array_equal(out, [1.0, 2.0])
     assert len(tape) == 1
 
 
@@ -25,14 +25,14 @@ def test_sum_of_squares_forward_and_grad():
         return t.sum(t.mul(r["x"], r["x"]))
 
     tape, out = record(f, {"x": np.array([3.0, 4.0])})
-    assert float(out.data) == 25.0
+    assert float(out) == 25.0
     grads = backward(tape, np.asarray(1.0))
-    assert np.allclose(grads["x"].data, [6.0, 8.0])
+    assert np.allclose(grads["x"], [6.0, 8.0])
 
 
 def test_sum_gradient_all_ones():
     tape, _ = record(lambda t, r: t.sum(r["x"]), {"x": np.arange(5.0)})
-    g = backward(tape, np.asarray(1.0))["x"].data
+    g = backward(tape, np.asarray(1.0))["x"]
     assert np.array_equal(g, np.ones(5))
 
 
@@ -42,7 +42,7 @@ def test_unconnected_leaf_gets_zero_gradient():
 
     tape, _ = record(f, {"x": np.ones(3), "y": np.ones(4)})
     grads = backward(tape, np.asarray(1.0))
-    assert np.array_equal(grads["y"].data, np.zeros(4))
+    assert np.array_equal(grads["y"], np.zeros(4))
 
 
 def test_seed_linearity():
@@ -50,8 +50,8 @@ def test_seed_linearity():
         return t.sum(t.sin(r["x"]))
 
     tape, _ = record(f, {"x": np.array([0.3, -0.7, 1.1])})
-    g1 = backward(tape, np.asarray(1.0))["x"].data
-    g3 = backward(tape, np.asarray(3.0))["x"].data
+    g1 = backward(tape, np.asarray(1.0))["x"]
+    g3 = backward(tape, np.asarray(3.0))["x"]
     assert np.allclose(g3, 3.0 * g1, rtol=0, atol=1e-15)
 
 
@@ -65,7 +65,7 @@ def test_replay_bit_exact():
 
     tape, out = record(f, {"x": x})
     replay = tape.forward({"x": x.copy()})
-    assert float(replay.output) == float(out.data)
+    assert float(replay.output) == float(out)
 
 
 def test_replay_new_leaves_match_fresh_record():
@@ -79,7 +79,7 @@ def test_replay_new_leaves_match_fresh_record():
     x1, y1 = rng.normal(size=4), rng.normal(size=4)
     replay = tape.forward({"x": x1, "y": y1})
     _, fresh = record(f, {"x": x1, "y": y1})
-    assert float(replay.output) == float(fresh.data)
+    assert float(replay.output) == float(fresh)
 
 
 def test_record_rejects_overflow():
@@ -99,16 +99,11 @@ def test_backward_seed_shape_mismatch():
         backward(tape, np.ones(2))
 
 
-def test_min_max_first_index_tie_break():
+def test_max_first_index_tie_break():
     x = np.array([2.0, 1.0, 1.0, 5.0, 5.0])
-    tape, out = record(lambda t, r: t.min_reduce(r["x"]), {"x": x})
-    assert float(out.data) == 1.0
-    g = backward(tape, np.asarray(1.0))["x"].data
-    assert np.array_equal(g, [0, 1, 0, 0, 0])
-
     tape, out = record(lambda t, r: t.max_reduce(r["x"]), {"x": x})
-    assert float(out.data) == 5.0
-    g = backward(tape, np.asarray(1.0))["x"].data
+    assert float(out) == 5.0
+    g = backward(tape, np.asarray(1.0))["x"]
     assert np.array_equal(g, [0, 0, 0, 1, 0])
 
 
@@ -118,7 +113,7 @@ def test_logsumexp_bounds_max():
         x = rng.normal(size=9)
         tau = 10 ** rng.uniform(-3, 0)
         tape, out = record(lambda t, r: t.logsumexp(r["x"], tau), {"x": x})
-        smooth = float(out.data)
+        smooth = float(out)
         hard = float(np.max(x))
         assert smooth >= hard - 1e-12
         assert smooth <= hard + tau * np.log(x.size) + 1e-12
@@ -128,18 +123,10 @@ def test_smooth_min_bounds_min():
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 4, size=11)
     tape, out = record(lambda t, r: t.smooth_min(r["x"], 0.05), {"x": x})
-    smooth = float(out.data)
+    smooth = float(out)
     hard = float(np.min(x))
     assert smooth <= hard + 1e-12
     assert smooth >= hard - 0.05 * np.log(x.size) - 1e-12
-
-
-def test_clamp_subgradient():
-    x = np.array([-2.0, 0.5, 3.0])
-    tape, out = record(lambda t, r: t.sum(t.clamp(r["x"], 0.0, 1.0)), {"x": x})
-    assert np.allclose(tape.vals[1], [0.0, 0.5, 1.0])
-    g = backward(tape, np.asarray(1.0))["x"].data
-    assert np.array_equal(g, [0.0, 1.0, 0.0])
 
 
 def test_matmul_all_rank_combinations():
@@ -184,17 +171,13 @@ def test_primitive_gradients_match_finite_differences(trial):
     assert err < 1e-6
 
 
-def test_min_max_gradients_at_interior_points():
+def test_max_gradient_at_interior_points():
     rng = np.random.default_rng(5)
     x = rng.normal(size=8)  # distinct values, away from ties
-
-    def fmin(t, r):
-        return t.min_reduce(t.mul(r["x"], r["x"]))
 
     def fmax(t, r):
         return t.max_reduce(t.mul(r["x"], r["x"]))
 
-    assert gradient_check(fmin, {"x": x}) < 1e-7
     assert gradient_check(fmax, {"x": x}) < 1e-7
 
 
@@ -260,7 +243,7 @@ def test_two_step_recurrent_composition_matches_manual():
             "Un": Un,
         },
     )
-    assert np.allclose(out.data, h_ref, rtol=0, atol=1e-12)
+    assert np.allclose(out, h_ref, rtol=0, atol=1e-12)
 
 
 def test_grid_interp_matches_bilinear_and_gradient():
@@ -275,12 +258,12 @@ def test_grid_interp_matches_bilinear_and_gradient():
 
     p_node = origin + res * np.array([2.0, 3.0])
     _, out = record(f, {"p": p_node})
-    assert float(out.data) == pytest.approx(values[2, 3], abs=1e-15)
+    assert float(out) == pytest.approx(values[2, 3], abs=1e-15)
 
     # midpoint between two nodes is their mean
     p_mid = origin + res * np.array([2.5, 3.0])
     _, out = record(f, {"p": p_mid})
-    assert float(out.data) == pytest.approx(0.5 * (values[2, 3] + values[3, 3]), abs=1e-14)
+    assert float(out) == pytest.approx(0.5 * (values[2, 3] + values[3, 3]), abs=1e-14)
 
     # interior gradient vs finite differences
     for _ in range(50):
@@ -333,10 +316,10 @@ def test_backward_plan_is_computed_once_per_output_and_leaf_set():
     gx = backward(tape, np.asarray(1.0), wrt=["x"])
     plan = tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]})
     both = backward(tape, np.asarray(1.0))
-    assert backward(tape, np.asarray(1.0), wrt=["x"])["x"].data.tolist() == gx["x"].data.tolist()
+    assert backward(tape, np.asarray(1.0), wrt=["x"])["x"].tolist() == gx["x"].tolist()
     assert tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]}) is plan
-    assert np.allclose(gx["x"].data, np.cos(x) * y, atol=1e-15)
-    assert np.allclose(both["y"].data, np.sin(x), atol=1e-15)
+    assert np.allclose(gx["x"], np.cos(x) * y, atol=1e-15)
+    assert np.allclose(both["y"], np.sin(x), atol=1e-15)
 
 
 def _gru_oracle(x, h, W, U, b, mx, mh):
@@ -473,14 +456,14 @@ def test_rollout_gradient_matches_finite_differences_horizon_40():
         return t.sum(t.mul(t.rollout(r["u"], initial), t.const(weights)))
 
     _, states = record(lambda t, r: t.rollout(r["u"], initial), {"u": controls.reshape(-1)})
-    assert np.ptp(states.data[:, 2]) > 1.0  # the heading really turns
+    assert np.ptp(states[:, 2]) > 1.0  # the heading really turns
     s = initial.copy()
     for t, u in enumerate(controls):  # the per-step recursion, written out
         s[0] += np.cos(s[2]) * u[0]
         s[1] += np.sin(s[2]) * u[0]
         s[2] += u[1]
         s[3:] += u[2:]
-        assert np.array_equal(states.data[t], s)
+        assert np.array_equal(states[t], s)
     assert gradient_check(f, {"u": controls.reshape(-1)}, step=1e-6) < 1e-7
 
 
@@ -506,7 +489,7 @@ def test_batched_grid_interp_matches_points_and_finite_differences():
     assert batched.shape == (len(points),)
     for p, v in zip(points, batched):
         assert v == interp2_value(p, values, origin, res)
-    grads = backward(tape, np.ones(len(points)))["p"].data
+    grads = backward(tape, np.ones(len(points)))["p"]
     for p, g in zip(points, grads):
         assert np.array_equal(g, interp2_gradient(p, values, origin, res))
     assert np.array_equal(grads[6], [0.0, grads[6, 1]])
@@ -525,7 +508,7 @@ def test_gather_gradient_matches_finite_differences():
         return t.sum(t.mul(t.square(stacked), t.const(weights)))
 
     _, out = record(lambda t, r: t.gather([r["a"], r["m"], r["b"]], 1, 3), point)
-    assert np.array_equal(out.data, np.vstack([point["a"], point["m"], point["b"]])[:, 1:3])
+    assert np.array_equal(out, np.vstack([point["a"], point["m"], point["b"]])[:, 1:3])
     assert gradient_check(f, point) < 1e-8
 
 
@@ -538,5 +521,5 @@ def test_row_and_axis_sum_gradients():
         return t.add(t.dot(rows, t.const(np.arange(4.0))), t.sum(t.sin(t.row(r["m"], -1))))
 
     _, out = record(lambda t, r: t.sum(r["m"], axis=1), {"m": m})
-    assert np.array_equal(out.data, m.sum(axis=1))
+    assert np.array_equal(out, m.sum(axis=1))
     assert gradient_check(f, {"m": m}) < 1e-8

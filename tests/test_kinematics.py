@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from comotion.chains import gram_schmidt
 from comotion.graph import backward, gradient_check, record
 from comotion.kinematics import (
     DEFAULT_HUMAN_SKELETON,
@@ -10,17 +11,14 @@ from comotion.kinematics import (
     KinematicsError,
     Skeleton,
     axis_angle_matrix,
-    fk_graph,
     forward_kinematics,
     identity_state,
-    joint_rotation,
     load_skeleton,
     matrix_to_rot6d,
     quat_from_matrix,
     quat_to_matrix,
     relative_angle,
     rot6d_to_matrix,
-    rot6d_to_mat_t_graph,
     save_skeleton,
     yaw_matrix,
 )
@@ -116,7 +114,7 @@ def fk_oracle(skeleton, state, link):
     for idx in chain[1:]:
         L = np.eye(4)
         L[:3, 3] = skeleton.joints[idx].offset
-        L[:3, :3] = rot6d_to_matrix(joint_rotation(state, idx))
+        L[:3, :3] = rot6d_to_matrix(state[3 + 6 * idx : 9 + 6 * idx])
         T = T @ L
     return T[:3, 3], T[:3, :3]
 
@@ -165,59 +163,85 @@ def test_fk_unknown_link():
         forward_kinematics(DEFAULT_HUMAN_SKELETON, identity_state(), "tail")
 
 
+def test_fk_batch_rows_equal_single_state_calls():
+    rng = np.random.default_rng(10)
+    states = np.stack([random_state(rng) for _ in range(6)])
+    pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, states, "rWrist")
+    assert pos.shape == (6, 3) and R.shape == (6, 3, 3)
+    for i, state in enumerate(states):
+        p1, R1 = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, "rWrist")
+        assert np.array_equal(pos[i], p1) and np.array_equal(R[i], R1)
+
+
+def test_fk_rejects_degenerate_rotation_and_bad_shape():
+    states = np.stack([identity_state()] * 3)
+    states[1, 3 + 6 * 11 : 9 + 6 * 11] = [1, 0, 0, 2, 0, 0]  # rElbow, on the rWrist chain
+    with pytest.raises(KinematicsError, match="degenerate"):
+        forward_kinematics(DEFAULT_HUMAN_SKELETON, states, "rWrist")
+    forward_kinematics(DEFAULT_HUMAN_SKELETON, states, "lWrist")  # off that chain
+    with pytest.raises(KinematicsError, match="129"):
+        forward_kinematics(DEFAULT_HUMAN_SKELETON, np.zeros(128), "rWrist")
+
+
+def point_graph(link, tip=(0.0, 0.0, 0.0)):
+    chain = DEFAULT_HUMAN_SKELETON.kinematic_chain(link, tip)
+    return lambda t, r: t.link_point(r["state"], chain)
+
+
 def test_fk_graph_matches_numpy():
+    """The tape node's forward is the numpy kernel: equal bit for bit."""
     rng = np.random.default_rng(6)
-    sk = DEFAULT_HUMAN_SKELETON
     for link in ["rWrist", "head", "lToe", "base"]:
         state = random_state(rng)
-
-        def f(t, r):
-            pos, _ = fk_graph(t, sk, r["state"], link)
-            return pos
-
-        _, out = record(f, {"state": state})
-        pos_ref, _ = forward_kinematics(sk, state, link)
-        assert np.allclose(out.data, pos_ref, atol=1e-12)
+        _, out = record(point_graph(link), {"state": state})
+        pos_ref, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, link)
+        assert np.array_equal(out, pos_ref)
+        states = np.stack([state, random_state(rng)])
+        _, out = record(point_graph(link), {"state": states})
+        assert np.array_equal(out, forward_kinematics(DEFAULT_HUMAN_SKELETON, states, link)[0])
 
 
-def test_fk_graph_orientation_is_transpose():
+def test_fk_graph_orientation_matches_numpy():
+    """A unit tip offset e_k moves the point by the link's k-th axis."""
     rng = np.random.default_rng(7)
     state = random_state(rng)
-
-    def f(t, r):
-        _, mat_t = fk_graph(t, DEFAULT_HUMAN_SKELETON, r["state"], "rWrist")
-        return mat_t
-
-    _, out = record(f, {"state": state})
-    _, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, "rWrist")
-    assert np.allclose(out.data, R.T, atol=1e-12)
+    pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, "rWrist")
+    for k in range(3):
+        _, out = record(point_graph("rWrist", np.eye(3)[k]), {"state": state})
+        assert np.allclose(out - pos, R[:, k], atol=1e-12)
 
 
 def test_fk_gradient_matches_finite_differences():
+    """Every state column of a (D,) row and of an (H, D) trajectory; columns
+    off the chain get exactly 0."""
     rng = np.random.default_rng(8)
-    sk = DEFAULT_HUMAN_SKELETON
-    for trial in range(5):
-        state = random_state(rng)
-        direction = rng.normal(size=3)
+    chain = DEFAULT_HUMAN_SKELETON.kinematic_chain("rWrist", (0.0, -0.1, 0.0))
+    on_chain = np.zeros(STATE_DIM, dtype=bool)
+    on_chain[:3] = True
+    for i in DEFAULT_HUMAN_SKELETON.chain("rWrist"):
+        on_chain[3 + 6 * i : 9 + 6 * i] = True
+    for state in (random_state(rng), np.stack([random_state(rng) for _ in range(4)])):
+        state = state + 0.1 * rng.normal(size=state.shape)  # non-orthonormal 6-D blocks too
+        weights = rng.normal(size=state.shape[:-1] + (3,))
 
         def f(t, r):
-            pos, _ = fk_graph(t, sk, r["state"], "rWrist")
-            return t.dot(pos, t.const(direction))
+            return t.sum(t.mul(t.link_point(r["state"], chain), t.const(weights)))
 
-        err = gradient_check(f, {"state": state}, step=1e-6)
-        assert err < 1e-5
+        assert gradient_check(f, {"state": state}, step=1e-6) < 1e-7
+        tape, _ = record(f, {"state": state})
+        grad = backward(tape, np.asarray(1.0))["state"]
+        assert np.all(grad[..., ~on_chain] == 0.0)
+        assert np.all(grad[..., on_chain] != 0.0)
 
 
 def test_rot6d_graph_matches_numpy_path():
+    """The kernel's Gram-Schmidt map, regularized norms and all, agrees with
+    the numpy validator on noisy 6-D rotations."""
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        r6 = rng.normal(size=6)
-
-        def f(t, refs):
-            return rot6d_to_mat_t_graph(t, refs["r"])
-
-        _, out = record(f, {"r": r6})
-        assert np.allclose(out.data, rot6d_to_matrix(r6).T, atol=1e-9)
+    r6 = rng.normal(size=(20, 6))
+    R, _ = gram_schmidt(r6)
+    for r, mat in zip(r6, R):
+        assert np.allclose(mat, rot6d_to_matrix(r), atol=1e-11)
 
 
 def test_skeleton_file_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comotion import data as cd
 from comotion import environment as env
@@ -9,7 +11,7 @@ from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
 from comotion.graph import _OP_NAMES, backward
-from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
+from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics, identity_state
 from comotion.robot_model import DEFAULT_ROBOT, robot_fk, robot_unroll
 
 
@@ -205,8 +207,6 @@ def test_clearance_agents_two_d_apart():
     H = 4
     human = np.zeros((H, 129))
     human[:, 1] = 2 * d  # human base at y = 2d
-    from comotion.kinematics import identity_state
-
     for t in range(H):
         human[t] = identity_state((0.0, 2 * d, 0.9))
     robot = np.zeros((H, 7))
@@ -218,6 +218,40 @@ def test_clearance_agents_two_d_apart():
     compiled = obj.compile_problem(problem)
     _, g, _, _ = compiled.evaluate(np.zeros(compiled.n))
     assert np.allclose(g, -3 * d * d, atol=1e-12)
+
+
+def test_per_timestep_constraints_enter_the_output_as_vectors():
+    """No per-step slices: each per_timestep constraint is its (H,) vector,
+    named kind[i].0 .. kind[i].H-1."""
+    H = 4
+    scene = small_scene()
+    grid = env.build_sdf(scene)
+    human = np.stack([identity_state((0.3 * t, 0.5, 0.9)) for t in range(H)])
+    problem = obj.ProblemSpec(
+        horizon=H,
+        # no robot control cost, whose finite differences are slices
+        weights=obj.ObjectiveWeights(weight_human=1.0, weight_robot=0.0),
+        constraints=[
+            obj.ConstraintSpec(kind="collision", agent="robot", aggregation="per_timestep",
+                               margin=0.1),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5,
+                               aggregation="per_timestep"),
+        ],
+        optimize_human=False, fixed_human=human,
+        robot_initial=np.array([1.0, -1.8, 1.8, 0.0, 0.0, 0.0, 0.0]),
+    )
+    compiled = obj.compile_problem(problem, sdf=grid)
+    assert "slice" not in [_OP_NAMES[op] for op in compiled.tape.ops]
+    assert compiled.ineq_names == ([f"collision[0].{t}" for t in range(H)]
+                                   + [f"joint_clearance[1].{t}" for t in range(H)])
+    assert compiled.num_ineq == 2 * H
+    rng = np.random.default_rng(12)
+    _, g, _, ev = compiled.evaluate(0.1 * rng.normal(size=compiled.n))
+    robot = compiled.trajectories(ev)[1]
+    for t in range(H):
+        assert g[t] == pytest.approx(0.1 - env.sdf_query(grid, robot[t, :2])[0], rel=1e-12)
+        dist2 = float(np.sum((human[t, :2] - robot[t, :2]) ** 2))
+        assert g[H + t] == pytest.approx(0.25 - dist2, rel=1e-12)
 
 
 # -- joint goal --------------------------------------------------------------
@@ -267,7 +301,7 @@ def test_joint_goal_small_when_hand_on_target(model, observed):
 
 
 def frozen_pair_problem(face_to_face=True):
-    from comotion.kinematics import identity_state, matrix_to_rot6d, yaw_matrix
+    from comotion.kinematics import matrix_to_rot6d, yaw_matrix
 
     H = 3
     human = np.stack([identity_state((0.0, 0.0, 0.93))] * H)
@@ -381,6 +415,54 @@ def test_constraints_invariant_under_rigid_translation(model, observed):
     assert np.allclose(h1, h0, atol=1e-9)
 
 
+def _planar_motion(psi, shift):
+    c, s = np.cos(psi), np.sin(psi)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return lambda p: rot @ p + np.array([shift[0], shift[1], 0.0]), rot
+
+
+_FROZEN_HUMAN = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=12,
+                                                 reach_frames=4), seed=7)[0].frames[-4:]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(psi=st.floats(-np.pi, np.pi), tx=st.floats(-3.0, 3.0), ty=st.floats(-3.0, 3.0))
+def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
+    """Moving both agents' bases, and every target with them, by one planar
+    rigid motion changes no goal, clearance, joint-goal or handover value."""
+    move, rot = _planar_motion(psi, (tx, ty))
+    human = _FROZEN_HUMAN
+    rinit = np.array([0.9, -0.6, 2.0, 0.3, -0.2, 0.4, 0.1])
+    theta = 0.05 * np.random.default_rng(13).normal(size=len(human) * 6)
+    targets = {"hand": np.array([0.7, -0.4, 0.9]), "wrist": np.array([0.2, -0.3, 1.0]),
+               "pick": np.array([0.5, 0.1, 0.85])}
+    values = []
+    for moved in (False, True):
+        h, r, tg = human.copy(), rinit.copy(), dict(targets)
+        if moved:
+            h[:, :3] = h[:, :3] @ rot.T + np.array([tx, ty, 0.0])
+            h[:, 3:6] = h[:, 3:6] @ rot.T
+            h[:, 6:9] = h[:, 6:9] @ rot.T
+            r[:2] = move(np.array([r[0], r[1], 0.0]))[:2]
+            r[2] += psi
+            tg = {k: move(v) for k, v in targets.items()}
+        constraints = [
+            obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
+                               target=tuple(tg["wrist"])),
+            obj.ConstraintSpec(kind="goal", agent="robot", link="hand",
+                               target=tuple(tg["hand"])),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5,
+                               aggregation="per_timestep"),
+            obj.ConstraintSpec(kind="joint_goal", target=tuple(tg["pick"])),
+            obj.ConstraintSpec(kind="handover"),
+        ]
+        problem = obj.ProblemSpec(horizon=len(h), constraints=constraints,
+                                  optimize_human=False, fixed_human=h, robot_initial=r)
+        _, g, eq, _ = obj.compile_problem(problem).evaluate(theta)
+        values.append(np.concatenate([g, eq]))
+    assert np.allclose(values[1], values[0], rtol=0, atol=1e-9)
+
+
 # -- gradients through everything ---------------------------------------------
 
 
@@ -422,6 +504,34 @@ def test_all_constraint_gradients_match_finite_differences(model, observed):
         fd = (hi - lo) / (2 * step)
         worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i])))
     assert worst < 1e-4
+
+
+def test_pickup_handover_reads_each_palm_in_one_node_and_its_gradient_holds():
+    """Tape size: the paper's pickup-handover problem (seed 1) took 14,811
+    nodes with per-step FK subgraphs; its palms are now four link_point
+    nodes.  Planning gradients still match central differences."""
+    problem = scenarios.make_pickup_handover_problem(1).problem
+    compiled = obj.compile_problem(problem, model=hm.init_params(hm.ModelConfig(), 0))
+    names = [_OP_NAMES[op] for op in compiled.tape.ops]
+    assert len(compiled.tape) <= 120
+    assert names.count("link_point") == 4
+    rng = np.random.default_rng(14)
+    theta = 0.02 * rng.normal(size=compiled.n)
+    f, g, h, ev = compiled.evaluate(theta)
+    seed = rng.normal(size=1 + g.size + h.size)
+    grad = compiled.gradient(seed, ev)
+    step = 1e-6
+    worst = 0.0
+    for i in rng.choice(compiled.n, size=30, replace=False):
+        shifted = []
+        for sign in (1.0, -1.0):
+            th = theta.copy()
+            th[i] += sign * step
+            f2, g2, h2, _ = compiled.evaluate(th)
+            shifted.append(float(seed @ np.concatenate([[f2], g2, h2])))
+        fd = (shifted[0] - shifted[1]) / (2 * step)
+        worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i])))
+    assert worst < 1e-5
 
 
 # -- problem files -------------------------------------------------------------
@@ -475,10 +585,11 @@ def test_problem_missing_agent_errors(observed):
 
 def test_crossing_tape_records_the_human_unroll_as_one_scan_node():
     """Tape-size regression: the joint crossing problem (seed 1) once took
-    947 nodes, 572 of them for the per-step GRU unroll."""
+    947 nodes, 572 of them for the per-step GRU unroll, then 347 with
+    per-step FK subgraphs."""
     problem = scenarios.make_crossing_problems(1, 1)[0].problem
     tape = obj.compile_problem(problem, model=hm.init_params(hm.ModelConfig(), 0)).tape
     names = [_OP_NAMES[op] for op in tape.ops]
     assert names.count("gru_scan") == 1
     assert "gru_step" not in names
-    assert len(tape) <= 420
+    assert len(tape) <= 120

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from comotion import robot_model as rm
-from comotion.graph import Tape, gradient_check, record
-from comotion.kinematics import yaw_matrix
+from comotion import objectives as obj
+from comotion.graph import Tape, backward, gradient_check, record
+from comotion.kinematics import axis_angle_matrix, yaw_matrix
 
 
 def zero_state(config=rm.DEFAULT_ROBOT):
@@ -118,38 +119,89 @@ def test_fk_unknown_link():
         rm.robot_fk(rm.DEFAULT_ROBOT, zero_state(), "tentacle")
 
 
+def fk_oracle(config, state, link):
+    """Independent FK: homogeneous 4x4 products, one per link."""
+    T = np.eye(4)
+    T[:2, 3] = state[:2]
+    T[:3, :3] = axis_angle_matrix((0.0, 0.0, 1.0), state[2])
+    if link == "base":
+        return T[:3, 3], T[:3, :3]
+    qi = 3
+    for l in config.chain:
+        L = np.eye(4)
+        L[:3, 3] = l.offset
+        if l.axis is not None:
+            L[:3, :3] = axis_angle_matrix(l.axis, state[qi])
+            qi += 1
+        T = T @ L
+        if l.name == link:
+            return T[:3, 3], T[:3, :3]
+    raise AssertionError(link)
+
+
+def test_fk_matches_homogeneous_oracle():
+    rng = np.random.default_rng(6)
+    config = rm.DEFAULT_ROBOT
+    for link in config.link_names():
+        for _ in range(5):
+            s = rng.normal(size=7)
+            pos, R = rm.robot_fk(config, s, link)
+            pos_ref, R_ref = fk_oracle(config, s, link)
+            assert np.allclose(pos, pos_ref, atol=1e-12)
+            assert np.allclose(R, R_ref, atol=1e-12)
+
+
+def test_fk_batch_rows_equal_single_state_calls():
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(6, 7))
+    pos, R = rm.robot_fk(rm.DEFAULT_ROBOT, states, "hand")
+    assert pos.shape == (6, 3) and R.shape == (6, 3, 3)
+    for i, s in enumerate(states):
+        p1, R1 = rm.robot_fk(rm.DEFAULT_ROBOT, s, "hand")
+        assert np.array_equal(pos[i], p1) and np.array_equal(R[i], R1)
+    with pytest.raises(rm.RobotError, match="7 values"):
+        rm.robot_fk(rm.DEFAULT_ROBOT, np.zeros(6), "hand")
+
+
 def test_fk_graph_matches_numpy():
+    """The tape node's forward is the numpy kernel: equal bit for bit."""
     rng = np.random.default_rng(4)
+    chain = rm.DEFAULT_ROBOT.kinematic_chain("hand")
     for _ in range(10):
         s = rng.normal(size=7)
-
-        def f(t, r):
-            pos, _ = rm.robot_fk_graph(t, rm.DEFAULT_ROBOT, r["s"], "hand")
-            return pos
-
-        _, out = record(f, {"s": s})
+        _, out = record(lambda t, r: t.link_point(r["s"], chain), {"s": s})
         ref, _ = rm.robot_fk(rm.DEFAULT_ROBOT, s, "hand")
-        assert np.allclose(out.data, ref, atol=1e-12)
+        assert np.array_equal(out, ref)
 
 
 def test_fk_graph_gradient():
+    """Every state column of a (D,) row and of an (H, D) trajectory; the
+    elbow chain never reads the wrist joint."""
     rng = np.random.default_rng(5)
-    s = rng.normal(size=7)
-    d = rng.normal(size=3)
+    for s in (rng.normal(size=7), rng.normal(size=(4, 7))):
+        d = rng.normal(size=s.shape[:-1] + (3,))
+        for link, tip in (("hand", obj.DEFAULT_ROBOT_PALM_OFFSET), ("elbow", (0.0, 0.0, 0.0))):
+            chain = rm.DEFAULT_ROBOT.kinematic_chain(link, tip)
 
-    def f(t, r):
-        pos, _ = rm.robot_fk_graph(t, rm.DEFAULT_ROBOT, r["s"], "hand")
-        return t.dot(pos, t.const(d))
+            def f(t, r):
+                return t.sum(t.mul(t.link_point(r["s"], chain), t.const(d)))
 
-    assert gradient_check(f, {"s": s}, step=1e-6) < 1e-6
+            assert gradient_check(f, {"s": s}, step=1e-6) < 1e-8
+        tape, _ = record(f, {"s": s})
+        assert np.all(backward(tape, np.asarray(1.0))["s"][..., 6] == 0.0)
 
 
 def test_heading_graph():
-    def f(t, r):
-        return rm.heading_graph(t, r["s"])
-
-    _, out = record(f, {"s": np.array([0, 0, np.pi / 3, 0, 0, 0, 0.0])})
-    assert np.allclose(out.data, [np.cos(np.pi / 3), np.sin(np.pi / 3)], atol=1e-15)
+    """Planar headings read state columns: the robot's angle, the human's
+    base 6-D first column."""
+    tape = Tape()
+    robot = tape.leaf("r", np.array([[0, 0, np.pi / 3, 0, 0, 0, 0.0]]))
+    human = np.zeros((1, 129))
+    human[0, 3:9] = [0.0, 2.0, 0.5, -1.0, 0.0, 0.0]
+    ctx = obj.GraphContext(tape, rm.DEFAULT_ROBOT, tape.leaf("h", human), robot, None)
+    assert np.allclose(ctx.heading("robot", 0).value, [np.cos(np.pi / 3), np.sin(np.pi / 3)],
+                       atol=1e-15)
+    assert np.allclose(ctx.heading("human", 0).value, [0.0, 1.0], atol=1e-12)
 
 
 def test_robot_config_round_trip(tmp_path):
