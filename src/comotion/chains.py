@@ -48,15 +48,19 @@ class Chain:
         self.width = 1 + max(self.base + [int(np.max(self.rot_cols, initial=-1))])
 
 
-def gram_schmidt(r):
+def gram_schmidt(r, eps=NORM_EPS):
     """Rotation matrices [b1 b2 b3] (..., 3, 3) of 6-D rotations (..., 6),
-    and the intermediates the adjoint reads."""
+    and the intermediates the adjoint reads.
+
+    The tape keeps the regularizer ``eps`` in its norms; ``eps=0`` gives the
+    exact map ``kinematics.rot6d_to_matrix`` uses on checked input.
+    """
     a1, a2 = r[..., :3], r[..., 3:]
-    n1 = np.sqrt(_dot(a1, a1) + NORM_EPS)
+    n1 = np.sqrt(_dot(a1, a1) + eps)
     b1 = a1 / n1
     d = _dot(b1, a2)
     v2 = a2 - d * b1
-    n2 = np.sqrt(_dot(v2, v2) + NORM_EPS)
+    n2 = np.sqrt(_dot(v2, v2) + eps)
     b2 = v2 / n2
     return np.stack((b1, b2, _cross(b1, b2)), axis=-1), (a2, n1, b1, d, n2, b2)
 

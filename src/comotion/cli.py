@@ -94,6 +94,15 @@ def _require(path, what) -> str:
     return path
 
 
+def _numbers(text: str, flag: str, kind) -> tuple:
+    """A comma-separated list of ``kind`` values given to ``flag``."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag}: expected comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("COMOTION_OUT")
     if out is None:
@@ -391,7 +400,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _alpha_sweep(args, paths, out) -> int:
-    alphas = [float(a) for a in args.alpha_sweep.split(",")]
+    alphas = _numbers(args.alpha_sweep, "--alpha-sweep", float)
     solver_config = _solver_config(args)
     lines = []
     for alpha in alphas:
@@ -421,6 +430,12 @@ def _alpha_sweep(args, paths, out) -> int:
 
 def cmd_sweep(args) -> int:
     data_path = _require(args.data, "dataset")
+    grid = dat.SweepGrid(
+        batch_sizes=_numbers(args.batch_sizes, "--batch-sizes", int),
+        layer_counts=_numbers(args.layer_counts, "--layer-counts", int),
+        hidden_sizes=_numbers(args.hidden_sizes, "--hidden-sizes", int),
+        seeds=_numbers(args.seeds, "--seeds", int),
+    )
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
@@ -429,12 +444,6 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"dataset is empty: {data_path}")
     split = dat.split_dataset(records, held_out_subject=args.held_out,
                               test_fraction=args.test_fraction, seed=args.seed)
-    grid = dat.SweepGrid(
-        batch_sizes=tuple(int(v) for v in args.batch_sizes.split(",")),
-        layer_counts=tuple(int(v) for v in args.layer_counts.split(",")),
-        hidden_sizes=tuple(int(v) for v in args.hidden_sizes.split(",")),
-        seeds=tuple(int(v) for v in args.seeds.split(",")),
-    )
     base = hm.ModelConfig(input_frames=args.input_frames, output_frames=args.output_frames)
     board, best = dat.run_sweep(grid, split, budget_seconds=args.budget, epochs=args.epochs,
                                 base_config=base)

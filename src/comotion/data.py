@@ -4,7 +4,11 @@ Canonical trajectory files are line-delimited text: a JSON header line opens
 each record (subject, frame rate, joint order, annotations), followed by one
 line per frame holding 87 numbers: base position (3) then 21 quaternions
 (w x y z) in the canonical joint order.  Rotations are stored as quaternions
-on disk and converted to the 6-D representation at load time.
+on disk and converted to the 6-D representation at load time.  Both
+directions make one batched ``kinematics`` conversion per record (``(n, 21,
+k)`` arrays); the 6-D to quaternion direction runs the exact-norm
+Gram-Schmidt map, and ``synth_generate`` likewise converts a record's local
+rotation matrices in one ``matrix_to_rot6d`` call.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .kinematics import (
     forward_kinematics,
     matrix_to_rot6d,
     quat_from_rot6d,
+    rot6d_from_quat,
     yaw_matrix,
 )
 
@@ -47,21 +52,13 @@ class TrajectoryRecord:
             raise DataError(f"frames must be (n, {STATE_DIM}), got {self.frames.shape}")
         if self.frames.shape[0] < 2:
             raise DataError("a record needs at least 2 frames")
-        if self.fps <= 0:
-            raise DataError("frame rate must be positive")
+        if not 0.0 < self.fps < np.inf:
+            raise DataError(f"frame rate must be positive and finite, got {self.fps!r}")
 
 
 # ---------------------------------------------------------------------------
 # Canonical file format
 # ---------------------------------------------------------------------------
-
-
-def _quats_to_rot6d(quats: np.ndarray) -> np.ndarray:
-    """Vectorized (…, 4) unit quaternions -> (…, 6) first-two-column form."""
-    w, x, y, z = quats[..., 0], quats[..., 1], quats[..., 2], quats[..., 3]
-    c1 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=-1)
-    c2 = np.stack([2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)], axis=-1)
-    return np.concatenate([c1, c2], axis=-1)
 
 
 def load_trajectories(path) -> list[TrajectoryRecord]:
@@ -77,15 +74,12 @@ def load_trajectories(path) -> list[TrajectoryRecord]:
         if len(rows) < 2:
             raise DataError(f"line {line_no}: record {header.get('subject')!r} has fewer than 2 frames")
         raw = np.stack(rows)
-        quats = raw[:, 3:].reshape(len(rows), NUM_JOINTS, 4)
-        norms = np.linalg.norm(quats, axis=-1, keepdims=True)
-        frames = np.concatenate(
-            [raw[:, :3], _quats_to_rot6d(quats / norms).reshape(len(rows), -1)], axis=1
-        )
+        rot6d = rot6d_from_quat(raw[:, 3:].reshape(len(rows), NUM_JOINTS, 4))
+        frames = np.concatenate([raw[:, :3], rot6d.reshape(len(rows), -1)], axis=1)
         records.append(
             TrajectoryRecord(
                 subject=str(header["subject"]),
-                fps=float(header["fps"]),
+                fps=header["fps"],
                 frames=frames,
                 annotations=header.get("annotations", {}),
             )
@@ -107,6 +101,14 @@ def load_trajectories(path) -> list[TrajectoryRecord]:
                     raise DataError(f"line {line_no}: not a trajectory header")
                 if doc.get("joints") != HUMAN_JOINT_NAMES:
                     raise DataError(f"line {line_no}: joint order differs from the canonical schema")
+                for key in ("subject", "fps"):
+                    if key not in doc:
+                        raise DataError(f"line {line_no}: record header lacks {key!r}")
+                try:
+                    doc["fps"] = float(doc["fps"])
+                except (TypeError, ValueError):
+                    raise DataError(f"line {line_no}: record header 'fps' is not a number: "
+                                    f"{doc['fps']!r}") from None
                 header = doc
                 continue
             if header is None:
@@ -142,10 +144,10 @@ def save_trajectories(records: list[TrajectoryRecord], path) -> None:
                 "annotations": rec.annotations,
             }
             fh.write(json.dumps(header) + "\n")
-            for frame in rec.frames:
-                quats = [quat_from_rot6d(frame[3 + 6 * j : 9 + 6 * j]) for j in range(NUM_JOINTS)]
-                nums = list(frame[:3]) + [v for q in quats for v in q]
-                fh.write(" ".join(repr(float(v)) for v in nums) + "\n")
+            n = len(rec.frames)
+            quats = quat_from_rot6d(rec.frames[:, 3:].reshape(n, NUM_JOINTS, 6))
+            for row in np.concatenate([rec.frames[:, :3], quats.reshape(n, -1)], axis=1):
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,7 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
         )
         reach_start = n - config.reach_frames
         frames = np.empty((n, STATE_DIM))
+        local = np.tile(np.eye(3), (n, NUM_JOINTS, 1, 1))  # base, then joint rotations
         phase = rng.uniform(0, 2 * np.pi)
         for i in range(n):
             ramp = _smoothstep(i / 10.0)
@@ -335,17 +338,15 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
             swing = min(speed / 0.6, 1.0)
             blend = _smoothstep((i - reach_start) / max(config.reach_frames, 1))
             z = config.base_height + 0.015 * swing * np.cos(2.0 * phase)
-            base_rot = yaw_matrix(heading)
             frames[i, 0:2] = pos
             frames[i, 2] = z
-            frames[i, 3:9] = matrix_to_rot6d(base_rot)
-            rots = _gait_rotations(phase, swing, blend)
-            for j, name in enumerate(HUMAN_JOINT_NAMES[1:], start=1):
-                R = rots.get(name, np.eye(3))
-                frames[i, 3 + 6 * j : 9 + 6 * j] = matrix_to_rot6d(R)
+            local[i, 0] = yaw_matrix(heading)
+            for name, R in _gait_rotations(phase, swing, blend).items():
+                local[i, HUMAN_JOINT_NAMES.index(name)] = R
             pos = pos + speed * dt * np.array([np.cos(heading), np.sin(heading)])
             heading += turn * dt
             phase += 2.0 * np.pi * speed * dt / 0.6  # 0.6 m stride length
+        frames[:, 3:] = matrix_to_rot6d(local).reshape(n, -1)
         goal, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, frames[-1], "rWrist")
         records.append(
             TrajectoryRecord(

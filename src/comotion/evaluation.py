@@ -25,6 +25,7 @@ from . import human_model as hm
 from .chains import NORM_EPS
 from .environment import scene_sdf
 from .kinematics import (
+    ARM_JOINT_NAMES,
     DEFAULT_HUMAN_SKELETON,
     NUM_JOINTS,
     forward_kinematics,
@@ -370,13 +371,6 @@ class MetricsReport:
         return doc
 
 
-ARM_JOINTS = ("rElbow", "rShoulder")
-
-
-def _joint_quats(state):
-    return [quat_from_rot6d(state[3 + 6 * j : 9 + 6 * j]) for j in range(NUM_JOINTS)]
-
-
 def path_length(xy: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(np.diff(xy, axis=0), axis=1)))
 
@@ -453,18 +447,15 @@ def compute_metrics(
     base_err = angle_err = arm_err = None
     if human_traj is not None and ground_truth is not None:
         n = min(len(human_traj), len(ground_truth))
-        base_err, angle_err, arm_err = {}, {}, {}
-        arm_idx = [DEFAULT_HUMAN_SKELETON.index(nm) for nm in ARM_JOINTS]
-        for s in sample_seconds:
-            f = int(round(s / dt)) - 1
-            if f < 0 or f >= n:
-                continue
-            pred, truth = human_traj[f], ground_truth[f]
-            base_err[s] = float(np.linalg.norm(pred[:3] - truth[:3]))
-            qp, qt = _joint_quats(pred), _joint_quats(truth)
-            angles = [relative_angle(a, b) for a, b in zip(qp, qt)]
-            angle_err[s] = float(np.mean(angles))
-            arm_err[s] = float(np.mean([angles[j] for j in arm_idx]))
+        seconds = [s for s in sample_seconds if 0 <= int(round(s / dt)) - 1 < n]
+        frames = [int(round(s / dt)) - 1 for s in seconds]
+        pred, truth = human_traj[frames], ground_truth[frames]
+        rot6d = np.stack([pred, truth])[..., 3:].reshape(2, len(frames), NUM_JOINTS, 6)
+        angles = relative_angle(*quat_from_rot6d(rot6d))  # (frames, joints)
+        arm_idx = [DEFAULT_HUMAN_SKELETON.index(nm) for nm in ARM_JOINT_NAMES]
+        base_err = dict(zip(seconds, np.linalg.norm(pred[:, :3] - truth[:, :3], axis=1).tolist()))
+        angle_err = dict(zip(seconds, np.mean(angles, axis=1).tolist()))
+        arm_err = dict(zip(seconds, np.mean(angles[:, arm_idx], axis=1).tolist()))
 
     travel_h = travel_r = None
     if human_traj is not None:

@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+import time
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -299,6 +300,7 @@ class EpochMetrics:
     train_loss: float
     test_loss: float
     base_pos_error: float  # mean base distance at the final predicted frame
+    seconds: float  # wall time of the epoch, its test evaluation included
 
 
 @dataclass
@@ -424,6 +426,7 @@ def train(
     keep_rec = 1.0 - config.recurrent_dropout
 
     for epoch in range(epochs):
+        t0 = time.perf_counter()
         rng = np.random.default_rng([seed, epoch])
         order = rng.permutation(len(index))
         epoch_loss = 0.0
@@ -456,7 +459,8 @@ def train(
 
         adam.lr *= learning_rate_decay
         test_loss, base_err = _evaluate(params, config, test_windows)
-        metrics = EpochMetrics(epoch, epoch_loss / max(nb, 1), test_loss, base_err)
+        metrics = EpochMetrics(epoch, epoch_loss / max(nb, 1), test_loss, base_err,
+                               time.perf_counter() - t0)
         history.append(metrics)
         if keep_snapshots:
             snapshots.append(params.copy())
@@ -500,15 +504,30 @@ def load_params(path) -> ModelParams:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ModelError(f"{path}: not a weight file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(4)
+        if len(prefix) != 4:
+            raise ModelError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", prefix)
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ModelError(f"{path}: bad weight header: {exc}") from None
+        for key in ("config", "arrays"):
+            if not isinstance(header, dict) or key not in header:
+                raise ModelError(f"{path}: weight header lacks {key!r}")
+        unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise ModelError(f"{path}: unknown config keys {unknown}")
         config = ModelConfig(**header["config"])
         arrays = {}
         for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
+            try:
+                name, shape = spec["name"], tuple(int(v) for v in spec["shape"])
+            except (KeyError, TypeError, ValueError):
+                raise ModelError(f"{path}: bad array entry {spec!r}") from None
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ModelError(f"{path}: truncated weight payload")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return ModelParams(config, arrays)

@@ -4,6 +4,15 @@ Rotations are carried through optimization as 6-D vectors (the first two
 columns of a rotation matrix, column-major), which stay continuous under
 addition; quaternions appear only in error metrics and file import/export.
 
+Every conversion (``rot6d_to_matrix``, ``matrix_to_rot6d``,
+``quat_from_matrix``, ``quat_to_matrix``, ``quat_from_rot6d``,
+``rot6d_from_quat`` and ``relative_angle``) takes one rotation or a batch of
+shape ``(..., k)``, ``k`` being 6, (3, 3) or 4, and checks the whole batch
+before converting it.  The 6-D to matrix map is ``chains.gram_schmidt``, the
+tape's own kernel: here, on checked input, with exact norms (``eps=0``);
+in ``chains.chain_fk`` and so on the tape, with the ``NORM_EPS`` regularizer
+that keeps norms differentiable.
+
 A human configuration is a flat 129-vector::
 
     [ base position (3) | base rotation (6) | 20 joint rotations (6 each) ]
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, chain_fk
+from .chains import Chain, chain_fk, gram_schmidt
 
 STATE_DIM = 129  # 3 base position + 21 * 6 rotation entries
 ROT_BLOCK_DIM = 126
@@ -33,8 +42,17 @@ class KinematicsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# 6-D rotation representation
+# Rotation conversions, each over a batch (..., k) of rotations
 # ---------------------------------------------------------------------------
+
+
+def _rotations(x, tail: tuple, what: str) -> np.ndarray:
+    """``x`` as float64, raising unless its trailing dimensions are ``tail``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[max(x.ndim - len(tail), 0):] != tail:
+        raise KinematicsError(f"expected {what} of shape (..., {', '.join(map(str, tail))}), "
+                              f"got {x.shape}")
+    return x
 
 
 def _check_rot6d(r) -> None:
@@ -51,31 +69,25 @@ def _check_rot6d(r) -> None:
 
 
 def rot6d_to_matrix(r) -> np.ndarray:
-    """Orthonormalize a 6-D rotation into a proper rotation matrix.
+    """Proper rotation matrices (..., 3, 3) of 6-D rotations (..., 6).
 
     Column 1 is normalized, column 2 is Gram-Schmidt projected, column 3 is
-    their cross product.  Raises on (near-)parallel columns.  Exact norms:
-    the chain kernel regularizes them (``chains.NORM_EPS``).
+    their cross product: ``chains.gram_schmidt`` with exact norms.  Raises on
+    (near-)parallel columns anywhere in the batch.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (6,):
-        raise KinematicsError(f"expected 6 values, got shape {r.shape}")
+    r = _rotations(r, (6,), "6-D rotations")
     _check_rot6d(r)
-    a1, a2 = r[:3], r[3:]
-    b1 = a1 / np.linalg.norm(a1)
-    v2 = a2 - (b1 @ a2) * b1
-    b2 = v2 / np.linalg.norm(v2)
-    return np.column_stack([b1, b2, np.cross(b1, b2)])
+    return gram_schmidt(r, eps=0.0)[0]
 
 
 def matrix_to_rot6d(R) -> np.ndarray:
-    """First two columns of an orthonormal rotation matrix."""
-    R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3):
-        raise KinematicsError(f"expected 3x3 matrix, got {R.shape}")
-    if not np.allclose(R.T @ R, np.eye(3), atol=1e-6) or np.linalg.det(R) < 0:
+    """First two columns (..., 6) of rotation matrices (..., 3, 3).  Raises
+    unless every matrix is orthonormal within 1e-6 with a positive determinant."""
+    R = _rotations(R, (3, 3), "rotation matrices")
+    if (not np.allclose(np.swapaxes(R, -1, -2) @ R, np.eye(3), atol=1e-6)
+            or np.any(np.linalg.det(R) < 0)):
         raise KinematicsError("matrix is not a rotation (orthonormality > 1e-6 off)")
-    return np.concatenate([R[:, 0], R[:, 1]])
+    return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
 def axis_angle_matrix(axis, angle: float) -> np.ndarray:
@@ -97,45 +109,49 @@ def yaw_matrix(yaw: float) -> np.ndarray:
 
 
 def quat_from_matrix(R) -> np.ndarray:
-    """Unit quaternion of a rotation matrix (Shepperd's method)."""
-    R = np.asarray(R, dtype=np.float64)
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(R[i, i] - R[j, j] - R[k, k] + 1.0, 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    return q / np.linalg.norm(q)
+    """Unit quaternions (..., 4) of rotation matrices (..., 3, 3), by
+    Shepperd's method.
+
+    K = 4 q q^T is linear in R, so row b of K, normalized, is q with q[b] > 0.
+    Row 0 serves when the trace is positive (w > 0), else row 1 + i for the
+    largest diagonal entry i; either way K[b, b] >= 1.
+    """
+    R = _rotations(R, (3, 3), "rotation matrices")
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.moveaxis(R, (-2, -1), (0, 1))
+    t = r00 + r11 + r22
+    K = np.stack([
+        np.stack([1.0 + t, r21 - r12, r02 - r20, r10 - r01], axis=-1),
+        np.stack([r21 - r12, 1.0 + r00 - r11 - r22, r01 + r10, r02 + r20], axis=-1),
+        np.stack([r02 - r20, r01 + r10, 1.0 - r00 + r11 - r22, r12 + r21], axis=-1),
+        np.stack([r10 - r01, r02 + r20, r12 + r21, 1.0 - r00 - r11 + r22], axis=-1),
+    ], axis=-2)
+    b = np.where(t > 0, 0, 1 + np.argmax(np.diagonal(R, axis1=-2, axis2=-1), axis=-1))
+    q = np.take_along_axis(K, b[..., None, None], axis=-2)[..., 0, :]
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-    return np.array(
+    """Rotation matrices (..., 3, 3) of quaternions (..., 4), normalized first."""
+    q = _rotations(q, (4,), "quaternions")
+    w, x, y, z = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+            np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+        ],
+        axis=-2,
     )
 
 
-def relative_angle(q1, q2) -> float:
-    """Rotation angle between two unit quaternions, in [0, pi].
+def relative_angle(q1, q2):
+    """Rotation angles (...) between unit quaternions (..., 4), in [0, pi].
 
     The absolute value of the dot product makes the measure insensitive to the
     quaternion double cover.
     """
-    d = abs(float(np.dot(q1, q2)))
-    return 2.0 * float(np.arccos(min(max(d, 0.0), 1.0)))
+    d = np.abs(np.sum(np.asarray(q1, dtype=np.float64) * q2, axis=-1))
+    return 2.0 * np.arccos(np.clip(d, 0.0, 1.0))
 
 
 def quat_from_rot6d(r) -> np.ndarray:
@@ -298,8 +314,7 @@ def load_skeleton(path) -> Skeleton:
 def identity_state(base_pos=(0.0, 0.0, 0.0)) -> np.ndarray:
     state = np.zeros(STATE_DIM)
     state[:3] = base_pos
-    for j in range(NUM_JOINTS):
-        state[3 + 6 * j : 9 + 6 * j] = ROT6D_IDENTITY
+    state[3:] = np.tile(ROT6D_IDENTITY, NUM_JOINTS)
     return state
 
 

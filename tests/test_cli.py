@@ -92,6 +92,67 @@ def test_predict_roundtrip(tiny_dataset, tiny_weights, tmp_path):
     assert recs[0].frames.shape[0] == 5
 
 
+@pytest.mark.parametrize("broken, named", [
+    ("no fps", "lacks 'fps'"), ("no subject", "lacks 'subject'"), ("fps fast", "'fast'"),
+])
+def test_bad_trajectory_header_exits_2_naming_line_and_key(tiny_dataset, tmp_path, capsys,
+                                                           broken, named):
+    lines = open(tiny_dataset).read().splitlines()
+    header = json.loads(lines[0])
+    if broken == "fps fast":
+        header["fps"] = "fast"
+    else:
+        del header[broken.split()[1]]
+    lines[0] = json.dumps(header)
+    path = tmp_path / "bad.traj"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(train_args(str(path), str(tmp_path / "run"))) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and named in err and "Traceback" not in err
+
+
+def test_train_logs_epoch_wall_time(tiny_dataset, tmp_path):
+    assert main(train_args(tiny_dataset, str(tmp_path / "run"))) == 0
+    epoch = json.loads((tmp_path / "run" / "epochs.jsonl").read_text().splitlines()[0])
+    assert epoch["seconds"] > 0.0 and np.isfinite(epoch["train_loss"])
+
+
+def _rewrite_weight_header(src, dst, edit):
+    raw = open(src, "rb").read()
+    magic = len(b"COMOTION-WEIGHTS v1\n")
+    hlen = int.from_bytes(raw[magic : magic + 4], "little")
+    header = json.loads(raw[magic + 4 : magic + 4 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:magic] + len(blob).to_bytes(4, "little") + blob
+                    + raw[magic + 4 + hlen :])
+
+
+@pytest.mark.parametrize("broken, named", [
+    ("length prefix", "truncated header length"),
+    ("no config", "'config'"),
+    ("no arrays", "'arrays'"),
+    ("unknown config key", "'depth'"),
+    ("array without shape", "bad array entry"),
+])
+def test_predict_bad_weight_file_exits_2(tiny_dataset, tiny_weights, tmp_path, capsys,
+                                         broken, named):
+    path = tmp_path / "bad.weights"
+    if broken == "length prefix":
+        path.write_bytes(open(tiny_weights, "rb").read()[: len(b"COMOTION-WEIGHTS v1\n") + 2])
+    elif broken == "unknown config key":
+        _rewrite_weight_header(tiny_weights, path, lambda h: h["config"].update(depth=3))
+    elif broken == "array without shape":
+        _rewrite_weight_header(tiny_weights, path, lambda h: h["arrays"][0].pop("shape"))
+    else:
+        _rewrite_weight_header(tiny_weights, path, lambda h: h.pop(broken.split()[1]))
+    rc = main(["predict", "--weights", str(path), "--data", tiny_dataset,
+               "--record", "0", "--start", "0", "--frames", "5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def toy_robot_problem(tmp_path, steps=2, target=(0.4, 0.0, 0.0)):
     """Robot-only line drive: difference objective makes u0 = d/steps unique."""
     problem = obj.ProblemSpec(
@@ -319,6 +380,24 @@ def test_sweep_writes_leaderboard(tiny_dataset, tmp_path):
     board = [json.loads(l) for l in (tmp_path / "sweep" / "leaderboard.jsonl").read_text().splitlines()]
     assert board[0]["status"] == "ok"
     assert (tmp_path / "sweep" / "model.weights").exists()
+
+
+@pytest.mark.parametrize("flag", ["--batch-sizes", "--layer-counts", "--hidden-sizes", "--seeds"])
+def test_sweep_bad_number_list_exits_2_naming_the_flag(tiny_dataset, tmp_path, capsys, flag):
+    rc = main(["sweep", "--data", tiny_dataset, "--out", str(tmp_path / "sweep"),
+               "--epochs", "1", flag, "8,x"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
+def test_evaluate_bad_alpha_sweep_exits_2_naming_the_flag(tmp_path, capsys):
+    path = toy_robot_problem(tmp_path)
+    rc = main(["evaluate", "--problems", path, "--alpha-sweep", "1,x",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--alpha-sweep" in err and "Traceback" not in err
 
 
 def test_export_round_trips_and_arclength(tmp_path):

@@ -1,16 +1,24 @@
 """Trajectory IO, preprocessing, synthetic generation and sweep tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comotion import data as cd
 from comotion.human_model import ModelConfig
 from comotion.kinematics import (
     DEFAULT_HUMAN_SKELETON,
+    NUM_JOINTS,
     STATE_DIM,
     forward_kinematics,
     identity_state,
+    rot6d_from_quat,
 )
+from test_kinematics import NONPOSITIVE_TRACE, quaternion_lists
 
 
 def make_record(n=10, subject="s0", fps=20.0, seed=0):
@@ -24,8 +32,9 @@ def make_record(n=10, subject="s0", fps=20.0, seed=0):
 def test_record_validation():
     with pytest.raises(cd.DataError):
         cd.TrajectoryRecord("s", 20.0, np.zeros((1, STATE_DIM)))
-    with pytest.raises(cd.DataError):
-        cd.TrajectoryRecord("s", 0.0, np.zeros((5, STATE_DIM)))
+    for fps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(cd.DataError, match="frame rate"):
+            cd.TrajectoryRecord("s", fps, np.zeros((5, STATE_DIM)))
     with pytest.raises(cd.DataError):
         cd.TrajectoryRecord("s", 20.0, np.zeros((5, 7)))
 
@@ -51,6 +60,28 @@ def test_round_trip_preserves_structure(tmp_path):
         assert np.array_equal(back.frames[:, :3], orig.frames[:, :3])
         # rotations pass through a quaternion, which orthonormalizes
         assert np.allclose(back.frames[:, 3:], orig.frames[:, 3:], atol=1e-12)
+
+
+finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(drawn=quaternion_lists,
+       bases=st.lists(st.tuples(finite, finite, finite), min_size=2, max_size=4))
+def test_file_round_trip_keeps_bases_exact_and_rotations_close(drawn, bases):
+    """Saving then loading keeps base positions bit-exact and rotations
+    within 1e-12, with rotations from both Shepperd branches in every record."""
+    n = len(bases)
+    quats = np.resize(np.vstack([np.array(drawn), NONPOSITIVE_TRACE]), (n, NUM_JOINTS, 4))
+    frames = np.concatenate([np.array(bases), rot6d_from_quat(quats).reshape(n, -1)], axis=1)
+    record = cd.TrajectoryRecord("s1", 12.5, frames, {"note": "x"})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.traj")
+        cd.save_trajectories([record], path)
+        (back,) = cd.load_trajectories(path)
+    assert (back.subject, back.fps, back.annotations) == ("s1", 12.5, {"note": "x"})
+    assert np.array_equal(back.frames[:, :3], frames[:, :3])
+    np.testing.assert_allclose(back.frames[:, 3:], frames[:, 3:], rtol=0, atol=1e-12)
 
 
 def test_truncated_frame_reports_line_number(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comotion.chains import gram_schmidt
 from comotion.graph import backward, gradient_check, record
@@ -16,8 +18,10 @@ from comotion.kinematics import (
     load_skeleton,
     matrix_to_rot6d,
     quat_from_matrix,
+    quat_from_rot6d,
     quat_to_matrix,
     relative_angle,
+    rot6d_from_quat,
     rot6d_to_matrix,
     save_skeleton,
     yaw_matrix,
@@ -95,6 +99,67 @@ def test_relative_angle_symmetry():
         qa = quat_from_matrix(random_rotation(rng))
         qb = quat_from_matrix(random_rotation(rng))
         assert relative_angle(qa, qb) == pytest.approx(relative_angle(qb, qa), abs=1e-14)
+
+
+# Quaternions whose rotations have trace <= 0: half turns about x, y, z and a
+# skew axis (trace -1) and a third of a turn about (1, 1, 1) (trace 0, equal
+# diagonal), so every batch below meets each Shepperd branch.
+NONPOSITIVE_TRACE = np.array([[0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0.6, 0.8, 0],
+                              [0.5, 0.5, 0.5, 0.5]])
+quaternion_lists = st.lists(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.dot(q, q) > 1e-2),
+    min_size=1, max_size=12)
+
+
+def test_batched_conversions_keep_their_input_checks():
+    bad6 = np.tile([1.0, 0, 0, 0, 1, 0], (4, 1))
+    bad6[2] = [1, 0, 0, 2, 0, 0]
+    for fn, arg in ((rot6d_to_matrix, bad6), (quat_from_rot6d, bad6.reshape(2, 2, 6))):
+        with pytest.raises(KinematicsError, match="degenerate"):
+            fn(arg)
+    for wrong in (1.5 * np.eye(3), np.diag([1.0, 1.0, -1.0])):
+        mats = np.tile(np.eye(3), (3, 1, 1))
+        mats[1] = wrong
+        with pytest.raises(KinematicsError, match="not a rotation"):
+            matrix_to_rot6d(mats)
+    for fn, arg in ((rot6d_to_matrix, np.zeros((4, 5))), (rot6d_to_matrix, 1.0),
+                    (matrix_to_rot6d, np.zeros((2, 3, 4))), (quat_from_matrix, np.zeros(9)),
+                    (quat_to_matrix, np.zeros((3, 3))), (rot6d_from_quat, np.zeros(3))):
+        with pytest.raises(KinematicsError, match="expected"):
+            fn(arg)
+    q = quat_from_matrix(yaw_matrix(0.3))
+    assert rot6d_to_matrix(matrix_to_rot6d(np.eye(3))).shape == (3, 3)
+    assert q.shape == (4,) and quat_to_matrix(q).shape == (3, 3)
+    assert rot6d_from_quat(q).shape == (6,) and quat_from_rot6d(rot6d_from_quat(q)).shape == (4,)
+    assert isinstance(relative_angle(q, q), float)
+    assert rot6d_to_matrix(np.zeros((0, 6))).shape == (0, 3, 3)
+    assert quat_from_matrix(np.zeros((0, 3, 3))).shape == (0, 4)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(drawn=quaternion_lists, noise=st.floats(0.0, 0.3))
+def test_batched_conversions_match_row_by_row(drawn, noise):
+    """Every conversion over an (n, k) batch equals its n single-row calls
+    within 1e-15, and Shepperd's sign convention holds on both branches."""
+    q = np.vstack([np.array(drawn), NONPOSITIVE_TRACE])
+    R = quat_to_matrix(q)
+    r6 = matrix_to_rot6d(R) + noise * np.cos(np.arange(q.shape[0] * 6)).reshape(-1, 6)
+    unit = q / np.linalg.norm(q, axis=1, keepdims=True)
+    cases = ((rot6d_to_matrix, (r6,)), (matrix_to_rot6d, (R,)), (quat_from_matrix, (R,)),
+             (quat_to_matrix, (q,)), (quat_from_rot6d, (r6,)), (rot6d_from_quat, (q,)),
+             (relative_angle, (unit, unit[::-1])))
+    for fn, args in cases:
+        batch = fn(*args)
+        rows = np.stack([fn(*(a[i] for a in args)) for i in range(len(q))])
+        assert batch.shape == rows.shape
+        np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fn(*(a[None] for a in args))[0], batch, rtol=0, atol=1e-15)
+    quats = quat_from_matrix(R)
+    trace = np.trace(R, axis1=1, axis2=2)
+    lead = np.argmax(np.diagonal(R, axis1=1, axis2=2), axis=1) + 1
+    assert np.any(trace <= 0)
+    assert np.all(np.where(trace > 0, quats[:, 0], quats[np.arange(len(q)), lead]) > 0)
+    np.testing.assert_allclose(quat_to_matrix(quats), R, rtol=0, atol=1e-12)
 
 
 def random_state(rng) -> np.ndarray:
