@@ -50,9 +50,15 @@ class NumericFailure(Exception):
 @contextlib.contextmanager
 def _atomic(path):
     """Yields a temporary path beside ``path`` and renames it onto ``path``
-    when the block completes, so a failed write never clobbers a good file."""
+    when the block completes, so a failed write never clobbers a good file.
+    When the block raises, the temporary file is removed."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    yield tmp
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -63,6 +69,11 @@ def _atomic_write(path, text: str) -> None:
 
 def _write_json(path, doc) -> None:
     _atomic_write(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _save_weights(params, path) -> None:
+    with _atomic(path) as tmp:
+        hm.save_params(params, tmp)
 
 
 def _write_manifest(outdir, args, extra=None) -> None:
@@ -139,12 +150,15 @@ def _robot_config(path):
 
 
 def _solver_config(args) -> SolverConfig:
-    kw = {}
-    if args.max_rounds is not None:
-        kw["max_rounds"] = args.max_rounds
-    if args.max_inner is not None:
-        kw["max_inner"] = args.max_inner
-    return SolverConfig(**kw)
+    config = SolverConfig()
+    for name in ("max_rounds", "max_inner"):
+        value = getattr(args, name)
+        if value is not None:
+            try:
+                config = replace(config, **{name: value})
+            except ValueError as exc:
+                raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +217,8 @@ def cmd_train(args) -> int:
         test_records=[r.frames for r in split.test],
         progress=progress,
     )
-    hm.save_params(result.best, os.path.join(out, "model.weights"))
-    hm.save_params(result.params, os.path.join(out, "model-final.weights"))
+    _save_weights(result.best, os.path.join(out, "model.weights"))
+    _save_weights(result.params, os.path.join(out, "model-final.weights"))
     _atomic_write(os.path.join(out, "epochs.jsonl"), "\n".join(lines) + "\n")
     print(f"wrote {os.path.join(out, 'model.weights')}")
     return 0
@@ -275,6 +289,7 @@ def _evaluate(problem, problem_id, method, weights, robot_path, kind, seed,
 def cmd_plan(args) -> int:
     problem_path = _require(args.problem, "problem file")
     problem = obj.load_problem(problem_path)
+    solver_config = _solver_config(args)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
@@ -285,7 +300,7 @@ def cmd_plan(args) -> int:
 
     kind = args.kind or _infer_kind(problem)
     record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
-                       args.robot, kind, args.seed, _solver_config(args), args.samples)
+                       args.robot, kind, args.seed, solver_config, args.samples)
     result = record.result
     doc = record.row()
     doc["kind"] = kind
@@ -348,6 +363,7 @@ def cmd_evaluate(args) -> int:
     paths = sorted(p for pattern in args.problems for p in glob.glob(pattern))
     if not paths:
         raise UsageError("empty problem batch")
+    solver_config = _solver_config(args)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     _write_manifest(out, args, extra={"problems": paths})
@@ -357,9 +373,8 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"unknown method {m!r}")
 
     if args.alpha_sweep:
-        return _alpha_sweep(args, paths, out)
+        return _alpha_sweep(args, paths, out, solver_config)
 
-    solver_config = _solver_config(args)
     tasks = [
         (p, m, args.weights, args.robot, args.kind, args.seed, solver_config, args.samples)
         for p in paths
@@ -399,9 +414,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _alpha_sweep(args, paths, out) -> int:
+def _alpha_sweep(args, paths, out, solver_config) -> int:
     alphas = _numbers(args.alpha_sweep, "--alpha-sweep", float)
-    solver_config = _solver_config(args)
     lines = []
     for alpha in alphas:
         rows = []
@@ -451,7 +465,7 @@ def cmd_sweep(args) -> int:
                   "\n".join(json.dumps(e) for e in board) + "\n")
     _atomic_write(os.path.join(out, "leaderboard.txt"), _format_table(board))
     if best is not None:
-        hm.save_params(best, os.path.join(out, "model.weights"))
+        _save_weights(best, os.path.join(out, "model.weights"))
     print(_format_table(board), end="")
     return 0
 
@@ -506,7 +520,8 @@ def cmd_export(args) -> int:
 
     iters = os.path.join(plan_dir, "iterations.jsonl")
     if os.path.exists(iters):
-        rows = [json.loads(l) for l in open(iters) if l.strip()]
+        with open(iters) as fh:
+            rows = [json.loads(l) for l in fh if l.strip()]
         csv = "iteration,mu,rho,objective,max_violation,step_size\n" + "\n".join(
             f'{r["iteration"]},{r["mu"]},{r["rho"]},{r["objective"]},'
             f'{r["max_violation"]},{r["step_size"]}'

@@ -169,19 +169,6 @@ def downsample(record: TrajectoryRecord, target_fps: float) -> TrajectoryRecord:
     return TrajectoryRecord(record.subject, target_fps, record.frames[::step].copy(), ann)
 
 
-def windows(record: TrajectoryRecord, in_frames: int, out_frames: int, stride: int = 1):
-    """All contiguous (input, target) pairs; count is n - in - out + 1 at stride 1."""
-    n = record.frames.shape[0]
-    span = in_frames + out_frames
-    pairs = []
-    for s in range(0, n - span + 1, stride):
-        pairs.append(
-            (record.frames[s : s + in_frames].copy(),
-             record.frames[s + in_frames : s + span].copy())
-        )
-    return pairs
-
-
 def rotate_frames(frames: np.ndarray, yaw: float) -> np.ndarray:
     """Rigidly rotate a motion about the world z axis.
 
@@ -194,14 +181,6 @@ def rotate_frames(frames: np.ndarray, yaw: float) -> np.ndarray:
     out[..., 3:6] = frames[..., 3:6] @ R.T
     out[..., 6:9] = frames[..., 6:9] @ R.T
     return out
-
-
-def augment_rotation(pair, seed: int):
-    """Apply one uniform random yaw to both halves of a training pair."""
-    rng = np.random.default_rng(seed)
-    yaw = rng.uniform(0.0, 2.0 * np.pi)
-    inp, tgt = pair
-    return rotate_frames(inp, yaw), rotate_frames(tgt, yaw)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +248,14 @@ def _smoothstep(x: float) -> float:
     return x * x * (3.0 - 2.0 * x)
 
 
+# the gait's fixed rotations: the left elbow bend, and the right arm's reach
+# pose and the elbow ends it blends between
+_L_ELBOW = axis_angle_matrix([0, 0, 1], 0.25)
+_SH_REACH = axis_angle_matrix([0, 0, 1], 1.05) @ axis_angle_matrix([0, 1, 0], -0.25)
+_EL_GAIT = axis_angle_matrix([0, 0, 1], -0.25)
+_EL_REACH = axis_angle_matrix([0, 0, 1], -0.05)
+
+
 def _gait_rotations(phase: float, swing: float, reach_blend: float) -> dict[str, np.ndarray]:
     """Local joint rotation matrices for one frame of the gait cycle."""
     s = np.sin(phase)
@@ -279,16 +266,12 @@ def _gait_rotations(phase: float, swing: float, reach_blend: float) -> dict[str,
         "rKnee": axis_angle_matrix([0, 1, 0], swing * 0.4 * (0.5 + 0.5 * np.cos(phase))),
         "lShoulder": axis_angle_matrix([0, 1, 0], -swing * 0.35 * s),
         "torso": axis_angle_matrix([0, 1, 0], 0.04 + 0.05 * swing),
-        "lElbow": axis_angle_matrix([0, 0, 1], 0.25),
+        "lElbow": _L_ELBOW,
     }
     # the right arm blends from its gait swing into a forward reach
     sh_gait = axis_angle_matrix([0, 1, 0], swing * 0.35 * s)
-    sh_reach = axis_angle_matrix([0, 0, 1], 1.05) @ axis_angle_matrix([0, 1, 0], -0.25)
-    el_gait = axis_angle_matrix([0, 0, 1], -0.25)
-    el_reach = axis_angle_matrix([0, 0, 1], -0.05)
-    b = reach_blend
-    rots["rShoulder"] = _blend_rotation(sh_gait, sh_reach, b)
-    rots["rElbow"] = _blend_rotation(el_gait, el_reach, b)
+    rots["rShoulder"] = _blend_rotation(sh_gait, _SH_REACH, reach_blend)
+    rots["rElbow"] = _blend_rotation(_EL_GAIT, _EL_REACH, reach_blend)
     return rots
 
 

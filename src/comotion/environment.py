@@ -2,9 +2,9 @@
 
 A scene is a set of axis-aligned rectangles and discs inside a workspace
 rectangle.  ``build_sdf`` samples exact per-primitive distances onto a
-regular grid (positive in free space, negative inside obstacles); queries
-interpolate bilinearly with an analytic gradient and are available as a
-differentiable node on a tape.  Points outside the grid hull clamp to it.
+regular grid (positive in free space, negative inside obstacles); a query
+is one tape node (``sdf_query_graph``) that interpolates bilinearly, with an
+analytic gradient.  Points outside the grid hull clamp to it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ref, Tape, interp2_gradient, interp2_value
+from .graph import Ref, Tape
 
 DEFAULT_RESOLUTION = 0.05  # meters per cell
 
@@ -119,16 +119,6 @@ def build_sdf(scene: Scene, resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
     return SdfGrid(origin=origin, resolution=resolution, values=values)
 
 
-def sdf_query(grid: SdfGrid, point) -> tuple[float, np.ndarray]:
-    """Interpolated distance and its analytic gradient at a planar point."""
-    point = np.asarray(point, dtype=np.float64)
-    origin = np.asarray(grid.origin)
-    return (
-        interp2_value(point, grid.values, origin, grid.resolution),
-        interp2_gradient(point, grid.values, origin, grid.resolution),
-    )
-
-
 def sdf_query_graph(tape: Tape, grid: SdfGrid, point: Ref) -> Ref:
     """Differentiable SDF lookup of a (2,) position ref (scalar result) or of
     (N, 2) positions in one node ((N,) result)."""
@@ -141,7 +131,8 @@ def sdf_query_graph(tape: Tape, grid: SdfGrid, point: Ref) -> Ref:
 
 
 def scene_to_doc(scene: Scene) -> dict:
-    """The JSON document of a scene: its bounds and its obstacles."""
+    """The JSON document of a scene, as problem files embed it: its bounds and
+    its obstacles."""
     return {
         "bounds": {"center": list(scene.bounds.center),
                    "half_extents": list(scene.bounds.half_extents)},
@@ -171,20 +162,6 @@ def scene_from_doc(doc: dict) -> Scene:
         return Scene(tuple(obstacles), Rect(tuple(b["center"]), tuple(b["half_extents"])))
     except KeyError as exc:
         raise SceneError(f"scene is missing the key {exc.args[0]!r}") from None
-
-
-def save_scene(scene: Scene, path) -> None:
-    doc = {"format": "comotion-scene", "version": 1, **scene_to_doc(scene)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def load_scene(path) -> Scene:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "comotion-scene":
-        raise SceneError(f"{path}: not a scene file")
-    return scene_from_doc(doc)
 
 
 def save_sdf(grid: SdfGrid, path) -> None:

@@ -63,11 +63,6 @@ class EvaluationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def predict_initial(model: hm.ModelParams, observed: np.ndarray, horizon: int) -> np.ndarray:
-    """The plain forecast: encode the history and unroll zero modifiers."""
-    return hm.predict(model, observed, horizon=horizon)
-
-
 def zerovel_predict(observed: np.ndarray, horizon: int) -> np.ndarray:
     """No-movement baseline: repeats the last observed frame."""
     observed = np.asarray(observed, dtype=np.float64)
@@ -249,7 +244,6 @@ def run_method(
     sdf=None,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
-    criteria: "SuccessCriteria | None" = None,
     kind: str = "collision",
     seed: int = 0,
 ) -> MethodResult:
@@ -271,7 +265,7 @@ def run_method(
 
     if method in ("initial", "zerovel"):
         human = (
-            predict_initial(model, problem.observed_human, steps)
+            hm.predict(model, problem.observed_human, horizon=steps)
             if method == "initial"
             else zerovel_predict(problem.observed_human, steps)
         )
@@ -290,8 +284,6 @@ def run_method(
             best = samples[order[0]]
             return MethodResult(method, best, None, None, None, 0.0, "converged",
                                 details={"attempts": 0, "picked": int(order[0])})
-        if criteria is None:
-            criteria = SuccessCriteria()
         cache: dict = {}
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
@@ -302,7 +294,7 @@ def run_method(
                                      res.objective, res.status,
                                      details={"attempts": attempt, "picked": int(idx),
                                               "succeeded": True})
-            ok, _ = check_success(problem, candidate, criteria, kind, robot=robot)
+            ok, _ = check_success(problem, candidate, kind, robot=robot)
             if ok:
                 return candidate
             if top_ranked is None:
@@ -404,19 +396,22 @@ def log_dimensionless_jerk(xy: np.ndarray, dt: float) -> float:
     return min(0.0, -float(np.log(dj)))
 
 
-def spectral_arc_length(speed: np.ndarray, fs: float, pad_level: int = 4,
-                        cutoff_hz: float = 10.0, amp_threshold: float = 0.05) -> float:
-    """Spectral arc length of a speed profile (closer to 0 is smoother)."""
+def spectral_arc_length(speed: np.ndarray, fs: float) -> float:
+    """Spectral arc length of a speed profile (closer to 0 is smoother).
+
+    The spectrum is zero-padded 16-fold past the next power of two and cut at
+    10 Hz, then trimmed to the band where it reaches 5% of its peak.
+    """
     speed = np.asarray(speed, dtype=np.float64)
     if speed.size < 2 or float(np.max(speed)) < 1e-9:
         return 0.0
-    nfft = int(2 ** (np.ceil(np.log2(speed.size)) + pad_level))
+    nfft = int(2 ** (np.ceil(np.log2(speed.size)) + 4))
     freqs = np.arange(nfft) * (fs / nfft)
     mag = np.abs(np.fft.fft(speed, nfft))
     mag = mag / np.max(mag)
-    sel = freqs <= cutoff_hz
+    sel = freqs <= 10.0
     f_sel, m_sel = freqs[sel], mag[sel]
-    above = np.nonzero(m_sel >= amp_threshold)[0]
+    above = np.nonzero(m_sel >= 0.05)[0]
     f_sel = f_sel[above[0] : above[-1] + 1]
     m_sel = m_sel[above[0] : above[-1] + 1]
     if f_sel.size < 2:
@@ -434,15 +429,13 @@ def compute_metrics(
     sample_seconds=(0.4, 0.8, 1.2, 1.6, 2.0),
     robot_initial: np.ndarray | None = None,
     human_start: np.ndarray | None = None,
-    strict_smoothness: bool = True,
 ) -> MetricsReport:
     """Errors against ground truth plus travel and robot smoothness metrics.
 
     Error metrics sample the exact frames closest to the requested horizon
     seconds.  Smoothness is computed on the robot base path (the planned
     agent); travel distances are planar path lengths of each base.  Jerk
-    metrics are undefined below 4 frames: an error when strict, otherwise
-    they stay unset.
+    metrics are undefined below 4 frames and stay unset there.
     """
     base_err = angle_err = arm_err = None
     if human_traj is not None and ground_truth is not None:
@@ -465,8 +458,6 @@ def compute_metrics(
         travel_h = path_length(xy)
     ms = ld = sal = None
     if robot_traj is not None:
-        if len(robot_traj) < 4 and strict_smoothness:
-            raise EvaluationError("jerk metrics need at least 4 frames")
         xy = robot_traj[:, :2]
         if robot_initial is not None:
             xy = np.vstack([robot_initial[None, :2], xy])
@@ -484,22 +475,15 @@ def compute_metrics(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuccessCriteria:
-    hand_goal_max: float = 0.1  # m
-    robot_base_goal_max: float = 0.2  # m
-    objective_max: float = 0.1
-    handover_loss_max: float = 0.1
-    clearance: float = 0.5  # m
-    clearance_slack: float = 0.01  # m, tolerance on the dense check
-    collision_margin: float = 0.0
-    resample_factor: int = 10
-
-    def __post_init__(self):
-        for v in (self.hand_goal_max, self.robot_base_goal_max, self.objective_max,
-                  self.handover_loss_max, self.clearance):
-            if v <= 0:
-                raise EvaluationError("success thresholds must be positive")
+# Success thresholds
+HAND_GOAL_MAX = 0.1  # m, also the pickup distance
+ROBOT_BASE_GOAL_MAX = 0.2  # m
+OBJECTIVE_MAX = 0.1
+HANDOVER_LOSS_MAX = 0.1
+CLEARANCE = 0.5  # m
+CLEARANCE_SLACK = 0.01  # m, tolerance on the dense check
+COLLISION_MARGIN = 0.0  # m
+RESAMPLE_FACTOR = 10  # dense-check points per step
 
 
 def _resample(xy: np.ndarray, factor: int) -> np.ndarray:
@@ -540,13 +524,21 @@ def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj,
     return best
 
 
-def check_success(problem: ProblemSpec, result: MethodResult,
-                  criteria: SuccessCriteria, kind: str,
+def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
                   robot=DEFAULT_ROBOT) -> tuple[bool, list[str]]:
     """Threshold conjunction for one experiment kind; reasons name failures.
 
+    * ``goal``: the human hand ends within 0.1 m of its goal.
+    * ``collision``: that, the robot base ends within 0.2 m of its goal,
+      neither base path enters an obstacle, the bases keep 0.5 m apart
+      (less a 0.01 m slack) and the objective is at most 0.1.
+    * ``handover``: no scene collision, a final handover loss and an
+      objective of at most 0.1 each.
+    * ``pickup_handover``: that, and one palm passes within 0.1 m of the
+      pickup target.
+
     Collision and clearance clauses evaluate the hard constraint values on a
-    densely resampled base path.
+    base path resampled 10 times per step.
     """
     reasons = []
     human, rob = result.human_traj, result.robot_traj
@@ -554,31 +546,31 @@ def check_success(problem: ProblemSpec, result: MethodResult,
     def scene_clear(xy, who):
         if problem.scene is None:
             return
-        d = min_scene_distance(problem.scene, xy, criteria.resample_factor)
-        if d < criteria.collision_margin:
+        d = min_scene_distance(problem.scene, xy, RESAMPLE_FACTOR)
+        if d < COLLISION_MARGIN:
             reasons.append(f"{who}-scene-collision")
 
     if kind in ("goal", "collision"):
         goal = _find(problem, "goal", "human")
         if goal is not None and human is not None:
             pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[-1], goal.link)
-            if np.linalg.norm(pos - np.asarray(goal.target)) > criteria.hand_goal_max:
+            if np.linalg.norm(pos - np.asarray(goal.target)) > HAND_GOAL_MAX:
                 reasons.append("hand-goal")
     if kind == "collision":
         rgoal = _find(problem, "goal", "robot")
         if rgoal is not None and rob is not None:
             d = np.linalg.norm(rob[-1][:2] - np.asarray(rgoal.target)[:2])
-            if d > criteria.robot_base_goal_max:
+            if d > ROBOT_BASE_GOAL_MAX:
                 reasons.append("robot-base-goal")
         if human is not None:
             scene_clear(human[:, :2], "human")
         if rob is not None:
             scene_clear(rob[:, :2], "robot")
         if human is not None and rob is not None:
-            c = min_clearance(human[:, :2], rob[:, :2], criteria.resample_factor)
-            if c < criteria.clearance - criteria.clearance_slack:
+            c = min_clearance(human[:, :2], rob[:, :2], RESAMPLE_FACTOR)
+            if c < CLEARANCE - CLEARANCE_SLACK:
                 reasons.append("agent-clearance")
-        if result.objective > criteria.objective_max:
+        if result.objective > OBJECTIVE_MAX:
             reasons.append("objective")
     if kind in ("handover", "pickup_handover"):
         if human is not None:
@@ -588,13 +580,13 @@ def check_success(problem: ProblemSpec, result: MethodResult,
         spec = _find(problem, "handover")
         if spec is not None and human is not None and rob is not None:
             loss = handover_loss(human[-1], rob[-1], spec, robot)
-            if loss > criteria.handover_loss_max:
+            if loss > HANDOVER_LOSS_MAX:
                 reasons.append("handover-loss")
-        if result.objective > criteria.objective_max:
+        if result.objective > OBJECTIVE_MAX:
             reasons.append("objective")
     if kind == "pickup_handover":
         diag = joint_goal_diagnostic(problem, human, rob, robot)
-        if diag[2] > criteria.hand_goal_max ** 2:
+        if diag[2] > HAND_GOAL_MAX ** 2:
             reasons.append("pickup-goal")
     return (not reasons, reasons)
 
@@ -642,7 +634,6 @@ def evaluate_problem(
     ground_truth: np.ndarray | None = None,
     robot=DEFAULT_ROBOT,
     sdf=None,
-    criteria: SuccessCriteria = SuccessCriteria(),
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
     seed: int = 0,
@@ -650,9 +641,9 @@ def evaluate_problem(
     t0 = time.perf_counter()
     result = run_method(problem, method, model, robot=robot, sdf=sdf,
                         solver_config=solver_config, sample_config=sample_config,
-                        criteria=criteria, kind=kind, seed=seed)
+                        kind=kind, seed=seed)
     wall = time.perf_counter() - t0
-    ok, reasons = check_success(problem, result, criteria, kind, robot=robot)
+    ok, reasons = check_success(problem, result, kind, robot=robot)
     metrics = compute_metrics(
         result.human_traj,
         result.robot_traj,
@@ -660,7 +651,6 @@ def evaluate_problem(
         dt=problem.weights.frame_time,
         robot_initial=problem.robot_initial,
         human_start=problem.observed_human[-1] if problem.observed_human is not None else None,
-        strict_smoothness=False,
     )
     return ExperimentRecord(
         problem_id=problem_id,

@@ -334,14 +334,6 @@ def _b_cos(g, vals, a, p, out):
     return (-g * np.sin(vals[a[0]]),)
 
 
-def _f_sqrt(vals, a, p):
-    return np.sqrt(vals[a[0]])
-
-
-def _b_sqrt(g, vals, a, p, out):
-    return (g / (2.0 * out),)
-
-
 def _f_square(vals, a, p):
     x = vals[a[0]]
     return x * x
@@ -349,14 +341,6 @@ def _f_square(vals, a, p):
 
 def _b_square(g, vals, a, p, out):
     return (2.0 * g * vals[a[0]],)
-
-
-def _f_abs(vals, a, p):
-    return np.abs(vals[a[0]])
-
-
-def _b_abs(g, vals, a, p, out):
-    return (g * np.sign(vals[a[0]]),)  # subgradient 0 at the kink
 
 
 def _f_norm(vals, a, p):
@@ -417,18 +401,6 @@ def _interp2(points, values, origin, res, with_gradient):
     grad[:, 0] = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / res
     grad[:, 1] = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / res
     return out, np.where(s == sc, grad, 0.0)
-
-
-def interp2_value(point, values, origin, resolution) -> float:
-    """Bilinear interpolation of a dense grid at a planar point (clamped)."""
-    point = np.asarray(point, dtype=np.float64).reshape(1, 2)
-    return float(_interp2(point, values, np.asarray(origin), resolution, False)[0][0])
-
-
-def interp2_gradient(point, values, origin, resolution) -> np.ndarray:
-    """Analytic gradient of the bilinear patch; zero along clamped axes."""
-    point = np.asarray(point, dtype=np.float64).reshape(1, 2)
-    return _interp2(point, values, np.asarray(origin), resolution, True)[1][0]
 
 
 def _f_interp2(vals, a, p):
@@ -737,9 +709,7 @@ OP_SIGMOID = _register("sigmoid", _f_sigmoid, _b_sigmoid)
 OP_TANH = _register("tanh", _f_tanh, _b_tanh)
 OP_SIN = _register("sin", _f_sin, _b_sin)
 OP_COS = _register("cos", _f_cos, _b_cos)
-OP_SQRT = _register("sqrt", _f_sqrt, _b_sqrt)
 OP_SQUARE = _register("square", _f_square, _b_square)
-OP_ABS = _register("abs", _f_abs, _b_abs)
 OP_NORM = _register("l2_norm", _f_norm, _b_norm)
 OP_MAXR = _register("max_reduce", _f_maxr, _b_maxr)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
@@ -752,7 +722,7 @@ OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point, cached=Tru
 
 
 class Ref:
-    """Handle to one node of a tape.  ``+`` and ``*`` record add and mul."""
+    """Handle to one node of a tape."""
 
     __slots__ = ("tape", "idx", "shape")
 
@@ -760,19 +730,6 @@ class Ref:
         self.tape = tape
         self.idx = idx
         self.shape = shape
-
-    def _coerce(self, other) -> "Ref":
-        if isinstance(other, Ref):
-            if other.tape is not self.tape:
-                raise GraphError("operands recorded on different tapes")
-            return other
-        return self.tape.const(other)
-
-    def __add__(self, other):
-        return self.tape.add(self, self._coerce(other))
-
-    def __mul__(self, other):
-        return self.tape.mul(self, self._coerce(other))
 
     @property
     def value(self) -> np.ndarray:
@@ -809,7 +766,7 @@ class Tape:
     concurrently.
     """
 
-    def __init__(self, check_finite: bool = True):
+    def __init__(self):
         self.ops: list[int] = []
         self.args: list[tuple[int, ...]] = []
         self.params: list = []
@@ -818,7 +775,6 @@ class Tape:
         self.caches: dict[int, tuple] = {}
         self.leaves: dict[str, int] = {}
         self.output_index: int | None = None
-        self.check_finite = check_finite
         # node indices, not Refs: a Ref points back at its tape, and a cycle
         # would keep every tape alive until a full garbage collection
         self._const_cache: dict[float, int] = {}
@@ -831,7 +787,7 @@ class Tape:
 
     def _push(self, op: int, args: tuple[int, ...], param, value: np.ndarray) -> Ref:
         idx = len(self.ops)
-        if self.check_finite and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(value)):
             raise GraphError(f"numeric overflow at node {idx} ({_OP_NAMES[op]})")
         self.ops.append(op)
         self.args.append(args)
@@ -920,14 +876,8 @@ class Tape:
     def cos(self, x: Ref) -> Ref:
         return self._apply(OP_COS, (x,))
 
-    def sqrt(self, x: Ref) -> Ref:
-        return self._apply(OP_SQRT, (x,))
-
     def square(self, x: Ref) -> Ref:
         return self._apply(OP_SQUARE, (x,))
-
-    def abs(self, x: Ref) -> Ref:
-        return self._apply(OP_ABS, (x,))
 
     def norm(self, x: Ref) -> Ref:
         """Euclidean norm, regularized: sqrt(sum(x*x) + 1e-12)."""
@@ -1124,13 +1074,13 @@ class Tape:
         return plan
 
 
-def record(fn, leaves: dict[str, np.ndarray], check_finite: bool = True):
+def record(fn, leaves: dict[str, np.ndarray]):
     """Record ``fn`` applied to named leaf values.
 
     ``fn(tape, refs)`` receives the fresh tape and a dict of leaf refs and
     returns the output ref.  Returns the tape and a copy of its output value.
     """
-    tape = Tape(check_finite=check_finite)
+    tape = Tape()
     refs = {name: tape.leaf(name, value) for name, value in leaves.items()}
     out = fn(tape, refs)
     tape.set_output(out)

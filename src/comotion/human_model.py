@@ -25,7 +25,6 @@ training a batch's loss with respect to the weights.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -202,26 +201,6 @@ def encode(params: ModelParams, observed: np.ndarray) -> list[np.ndarray]:
                       _encoder_inputs(observed))[2]
 
 
-def cell_step(params: ModelParams, state, velocity, hidden):
-    """Uncontrolled dynamics step: (state, velocity, hidden) -> next triple."""
-    states, velocity, hidden, _ = gru_unroll(
-        _weights(params), hidden, np.asarray(state, dtype=np.float64),
-        np.asarray(velocity, dtype=np.float64), 1)
-    return states[0], velocity, hidden
-
-
-def cell_step_controlled(params: ModelParams, state, velocity, hidden, u_t, u_next):
-    """Dynamics step with decoder-input modifiers applied."""
-    u_t = np.asarray(u_t, dtype=np.float64)
-    u_next = np.asarray(u_next, dtype=np.float64)
-    if u_t.shape != (MODIFIER_DIM,) or u_next.shape != (MODIFIER_DIM,):
-        raise ModelError(f"modifiers must have {MODIFIER_DIM} entries")
-    states, velocity, hidden, _ = gru_unroll(
-        _weights(params), hidden, np.asarray(state, dtype=np.float64),
-        np.asarray(velocity, dtype=np.float64), 1, modifiers=np.stack([u_t, u_next]))
-    return states[0], velocity, hidden
-
-
 def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
                    modifiers: np.ndarray, horizon: int) -> np.ndarray:
     """Roll the controlled decoder out ``horizon`` steps; returns (H, 129).
@@ -308,7 +287,6 @@ class TrainResult:
     params: ModelParams  # after the last epoch
     best: ModelParams  # lowest test loss (falls back to train loss)
     history: list[EpochMetrics]
-    snapshots: list[ModelParams] = field(default_factory=list)
 
 
 def _batch_loss(diff: np.ndarray) -> float:
@@ -388,7 +366,6 @@ def train(
     learning_rate_decay: float = 1.0,
     test_records: list[np.ndarray] | None = None,
     augment: bool = True,
-    keep_snapshots: bool = False,
     progress=None,
 ) -> TrainResult:
     """Train the uncontrolled predictor on sliding windows of the records.
@@ -419,7 +396,6 @@ def train(
     params = init_params(config, seed)
     adam = _Adam(params.stacked, learning_rate)
     history: list[EpochMetrics] = []
-    snapshots: list[ModelParams] = []
     best: ModelParams | None = None
     best_key = np.inf
     keep = 1.0 - config.dropout
@@ -462,8 +438,6 @@ def train(
         metrics = EpochMetrics(epoch, epoch_loss / max(nb, 1), test_loss, base_err,
                                time.perf_counter() - t0)
         history.append(metrics)
-        if keep_snapshots:
-            snapshots.append(params.copy())
         key = test_loss if np.isfinite(test_loss) else metrics.train_loss
         if key < best_key:
             best_key = key
@@ -472,7 +446,7 @@ def train(
             progress(metrics)
 
     return TrainResult(params=params, best=best if best is not None else params.copy(),
-                       history=history, snapshots=snapshots)
+                       history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +463,12 @@ def save_params(params: ModelParams, path) -> None:
         "arrays": [{"name": n, "shape": list(params.arrays[n].shape)} for n in names],
     }
     blob = json.dumps(header).encode("utf-8")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for n in names:
             fh.write(np.ascontiguousarray(params.arrays[n], dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_params(path) -> ModelParams:

@@ -23,7 +23,6 @@ Joint rotations are local (parent-relative) and ordered as in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +146,16 @@ def quat_to_matrix(q) -> np.ndarray:
 def relative_angle(q1, q2):
     """Rotation angles (...) between unit quaternions (..., 4), in [0, pi].
 
-    The absolute value of the dot product makes the measure insensitive to the
-    quaternion double cover.
+    theta = 4 atan2(|q1 - s q2|, |q1 + s q2|) with s the sign of q1 . q2:
+    flipping q2 onto q1's hemisphere makes the measure insensitive to the
+    quaternion double cover, and unlike 2 arccos|q1 . q2| it keeps full
+    relative precision near zero angle.
     """
-    d = np.abs(np.sum(np.asarray(q1, dtype=np.float64) * q2, axis=-1))
-    return 2.0 * np.arccos(np.clip(d, 0.0, 1.0))
+    q1 = np.asarray(q1, dtype=np.float64)
+    q2 = np.asarray(q2, dtype=np.float64)
+    s = np.where(np.sum(q1 * q2, axis=-1, keepdims=True) < 0.0, -1.0, 1.0)
+    return 4.0 * np.arctan2(np.linalg.norm(q1 - s * q2, axis=-1),
+                            np.linalg.norm(q1 + s * q2, axis=-1))
 
 
 def quat_from_rot6d(r) -> np.ndarray:
@@ -214,12 +218,6 @@ class Skeleton:
         offsets = [(0.0, 0.0, 0.0)] + [self.joints[i].offset for i in path[1:]]
         return Chain(range(3), offsets, [3 + 6 * i for i in path], tip=tip)
 
-    def scaled(self, factor: float) -> "Skeleton":
-        """Uniformly scale all bone offsets (per-subject body size)."""
-        return Skeleton(
-            tuple(Joint(j.name, j.parent, tuple(factor * o for o in j.offset)) for j in self.joints)
-        )
-
 
 # Canonical joint order.  The upstream capture lists the same 21 joints in an
 # arbitrary table order; here parents always precede children and the index
@@ -275,35 +273,6 @@ _HUMAN_JOINTS = (
 DEFAULT_HUMAN_SKELETON = Skeleton(_HUMAN_JOINTS)
 
 ARM_JOINT_NAMES = ["rElbow", "rShoulder"]  # joints entering the arm angle metric
-
-
-def save_skeleton(skeleton: Skeleton, path) -> None:
-    doc = {
-        "format": "comotion-skeleton",
-        "version": 1,
-        "units": "meters",
-        "joints": [
-            {"name": j.name, "parent": None if j.parent < 0 else skeleton.joints[j.parent].name,
-             "offset": list(j.offset)}
-            for j in skeleton.joints
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def load_skeleton(path) -> Skeleton:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "comotion-skeleton":
-        raise KinematicsError(f"{path}: not a skeleton file")
-    names = {}
-    joints = []
-    for i, spec in enumerate(doc["joints"]):
-        parent = -1 if spec["parent"] is None else names[spec["parent"]]
-        joints.append(Joint(spec["name"], parent, tuple(float(v) for v in spec["offset"])))
-        names[spec["name"]] = i
-    return Skeleton(tuple(joints))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ The decision variables are the flattened decoder modifiers and robot controls
 standing robot).  Inequalities enter through a shifted logarithmic barrier
 whose weight shrinks over outer rounds; equalities through multipliers plus a
 growing quadratic penalty.  Each round minimizes the resulting merit with
-BFGS (dense below ``dense_limit`` variables, limited-memory above) and an
-Armijo backtracking line search.
+BFGS (dense up to 2,000 variables, limited-memory above) and an Armijo
+backtracking line search.  The schedule, tolerances and line-search factors
+are the module constants below; only the iteration budget is a setting.
 
 States are never decision variables: trajectories returned in the result are
 re-unrolled from the returned controls, so dynamics hold by construction.
@@ -14,39 +15,43 @@ re-unrolled from the returned controls, so dynamics hold by construction.
 
 from __future__ import annotations
 
+import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .objectives import CompiledProblem
 
 
+BARRIER_INIT = 1.0
+BARRIER_DECREASE = 0.2  # barrier weight factor per round
+BARRIER_MIN = 1e-6
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 5.0
+PENALTY_MAX = 1e6
+GRAD_TOL = 1e-4  # max-norm of the merit gradient
+CONSTRAINT_TOL = 1e-3  # largest violation of a feasible iterate
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5  # step factor per rejected trial
+MAX_BACKTRACKS = 40
+LBFGS_HISTORY = 20
+DENSE_LIMIT = 2000  # variables; dense BFGS up to this many, L-BFGS above
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    barrier_init: float = 1.0
-    barrier_decrease: float = 0.2
-    barrier_min: float = 1e-6
-    penalty_init: float = 10.0
-    penalty_growth: float = 5.0
-    penalty_max: float = 1e6
+    """The iteration budget: at most ``max_rounds`` barrier/multiplier rounds,
+    each of at most ``max_inner`` quasi-Newton iterations."""
+
     max_rounds: int = 8
     max_inner: int = 50
-    grad_tol: float = 1e-4
-    constraint_tol: float = 1e-3
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    lbfgs_history: int = 20
-    dense_limit: int = 2000
 
     def __post_init__(self):
-        if not (0 < self.barrier_decrease < 1 and 0 < self.backtrack < 1):
-            raise ValueError("decrease factors must lie in (0, 1)")
-        for v in (self.barrier_init, self.barrier_min, self.penalty_init,
-                  self.penalty_growth, self.grad_tol, self.constraint_tol, self.armijo_c):
-            if v <= 0:
-                raise ValueError("solver parameters must be positive")
+        for name in ("max_rounds", "max_inner"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -61,12 +66,7 @@ class IterationRecord:
     merit: float
 
     def to_line(self) -> str:
-        return (
-            f'{{"iteration": {self.iteration}, "round": {self.round}, "mu": {self.mu!r}, '
-            f'"rho": {self.rho!r}, "objective": {self.objective!r}, '
-            f'"max_violation": {self.max_violation!r}, "step_size": {self.step_size!r}, '
-            f'"merit": {self.merit!r}}}'
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -85,29 +85,10 @@ class SolveResult:
     iterations: int
     log: list[IterationRecord] = field(default_factory=list)
 
-    @property
-    def max_violation(self) -> float:
-        parts = [0.0]
-        if self.ineq.size:
-            parts.append(float(np.max(self.ineq)))
-        if self.eq.size:
-            parts.append(float(np.max(np.abs(self.eq))))
-        return max(parts)
-
-    def succeeded(self) -> bool:
-        return self.status == "converged"
-
-
-def merit(compiled: CompiledProblem, theta: np.ndarray, mu: float, rho: float,
-          multipliers: np.ndarray, shift: float = 0.0,
-          extra_leaves: dict | None = None) -> float:
-    """Barrier/multiplier merit value; +inf when a barrier argument is invalid
-    (the caller backtracks)."""
-    f, g, h, _ = compiled.evaluate(theta, extra_leaves)
-    return _merit_value(compiled, theta, f, g, h, mu, rho, multipliers, shift)
-
 
 def _merit_value(compiled, theta, f, g, h, mu, rho, lam, shift) -> float:
+    """Barrier/multiplier merit value; +inf when a barrier argument is invalid
+    (the caller backtracks)."""
     if not np.isfinite(f):
         return np.inf
     total = f
@@ -166,8 +147,8 @@ def bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _LbfgsMemory:
     """Two-loop recursion with a bounded (s, y) history."""
 
-    def __init__(self, history: int):
-        self.pairs = deque(maxlen=history)
+    def __init__(self):
+        self.pairs = deque(maxlen=LBFGS_HISTORY)
 
     def clear(self):
         self.pairs.clear()
@@ -213,8 +194,8 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
     n = compiled.n
     theta = np.zeros(n)
     lam = np.zeros(compiled.num_eq)
-    mu = config.barrier_init
-    rho = config.penalty_init
+    mu = BARRIER_INIT
+    rho = PENALTY_INIT
 
     f0, g0, h0, _ = compiled.evaluate(theta, extra_leaves)
     shift0 = 0.0
@@ -222,8 +203,8 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
         shift0 = max(0.0, float(np.max(g0))) + 0.1
     shift = shift0
 
-    dense = n <= config.dense_limit
-    lbfgs = _LbfgsMemory(config.lbfgs_history)
+    dense = n <= DENSE_LIMIT
+    lbfgs = _LbfgsMemory()
 
     log: list[IterationRecord] = []
     iteration = 0
@@ -245,9 +226,9 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
         # so the final barrier-polished point wins over near-equal early ones
         nonlocal best
         v = violation(g, h)
-        feasible = v <= config.constraint_tol
+        feasible = v <= CONSTRAINT_TOL
         flag = not feasible
-        val = v if not feasible else f + config.penalty_init * v
+        val = v if not feasible else f + PENALTY_INIT * v
         if best is None:
             best = ((flag, val), theta_now.copy())
             return
@@ -279,7 +260,7 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
             # round subproblems are minimized on the raw merit gradient; the
             # projected-gradient KKT measure is only the final status check
             grad_norm = float(np.max(np.abs(grad)))
-            if grad_norm < config.grad_tol:
+            if grad_norm < GRAD_TOL:
                 break
             d = (h_inv @ -grad) if dense else lbfgs.direction(grad)
             slope = float(d @ grad)
@@ -294,14 +275,14 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
             if alpha <= 0:
                 break
             accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial = theta + alpha * d
                 f2, g2, h2, ev2 = compiled.evaluate(trial, extra_leaves)
                 m2 = _merit_value(compiled, trial, f2, g2, h2, mu, rho, lam, shift)
-                if np.isfinite(m2) and m2 <= m_val + config.armijo_c * alpha * slope:
+                if np.isfinite(m2) and m2 <= m_val + ARMIJO_C * alpha * slope:
                     accepted = True
                     break
-                alpha *= config.backtrack
+                alpha *= BACKTRACK
             if not accepted:
                 break
             grad2 = _merit_gradient(compiled, trial, g2, h2, mu, rho, lam, shift, ev2)
@@ -320,17 +301,17 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
         eq_norm = float(np.max(np.abs(h))) if h.size else 0.0
         if h.size:
             lam = lam + rho * h
-        finished_schedule = mu <= config.barrier_min and eq_norm <= config.constraint_tol
-        if finished_schedule and grad_norm < config.grad_tol:
+        finished_schedule = mu <= BARRIER_MIN and eq_norm <= CONSTRAINT_TOL
+        if finished_schedule and grad_norm < GRAD_TOL:
             break
-        mu = max(mu * config.barrier_decrease, config.barrier_min)
+        mu = max(mu * BARRIER_DECREASE, BARRIER_MIN)
         # grow the penalty only while the multiplier updates alone are not
         # closing the equalities fast enough; unconditional growth makes the
         # late subproblems too stiff to polish
-        if h.size and eq_norm > max(0.25 * prev_eq_norm, 0.1 * config.constraint_tol):
-            rho = min(rho * config.penalty_growth, config.penalty_max)
+        if h.size and eq_norm > max(0.25 * prev_eq_norm, 0.1 * CONSTRAINT_TOL):
+            rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
         prev_eq_norm = eq_norm
-        shift = shift0 * (mu / config.barrier_init)
+        shift = shift0 * (mu / BARRIER_INIT)
         if g.size and shift <= float(np.max(g)):
             shift = float(np.max(g)) + 1e-3
 
@@ -342,9 +323,9 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
     # KKT multiplier estimates) and the returned iterate is feasible
     if numeric_failure:
         status = "numeric-failure"
-    elif v > config.constraint_tol:
+    elif v > CONSTRAINT_TOL:
         status = "infeasible"
-    elif grad_norm < config.grad_tol:
+    elif grad_norm < GRAD_TOL:
         status = "converged"
     else:
         status = "max-iter"

@@ -97,7 +97,8 @@ def test_predict_roundtrip(tiny_dataset, tiny_weights, tmp_path):
 ])
 def test_bad_trajectory_header_exits_2_naming_line_and_key(tiny_dataset, tmp_path, capsys,
                                                            broken, named):
-    lines = open(tiny_dataset).read().splitlines()
+    with open(tiny_dataset) as fh:
+        lines = fh.read().splitlines()
     header = json.loads(lines[0])
     if broken == "fps fast":
         header["fps"] = "fast"
@@ -118,7 +119,8 @@ def test_train_logs_epoch_wall_time(tiny_dataset, tmp_path):
 
 
 def _rewrite_weight_header(src, dst, edit):
-    raw = open(src, "rb").read()
+    with open(src, "rb") as fh:
+        raw = fh.read()
     magic = len(b"COMOTION-WEIGHTS v1\n")
     hlen = int.from_bytes(raw[magic : magic + 4], "little")
     header = json.loads(raw[magic + 4 : magic + 4 + hlen])
@@ -139,7 +141,8 @@ def test_predict_bad_weight_file_exits_2(tiny_dataset, tiny_weights, tmp_path, c
                                          broken, named):
     path = tmp_path / "bad.weights"
     if broken == "length prefix":
-        path.write_bytes(open(tiny_weights, "rb").read()[: len(b"COMOTION-WEIGHTS v1\n") + 2])
+        with open(tiny_weights, "rb") as fh:
+            path.write_bytes(fh.read()[: len(b"COMOTION-WEIGHTS v1\n") + 2])
     elif broken == "unknown config key":
         _rewrite_weight_header(tiny_weights, path, lambda h: h["config"].update(depth=3))
     elif broken == "array without shape":
@@ -398,6 +401,33 @@ def test_evaluate_bad_alpha_sweep_exits_2_naming_the_flag(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--alpha-sweep" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+@pytest.mark.parametrize("flag, value", [("--max-rounds", "0"), ("--max-inner", "0"),
+                                         ("--max-rounds", "-3")])
+def test_solver_budget_below_1_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value):
+    path = toy_robot_problem(tmp_path)
+    where = ["--problem", path] if command == "plan" else ["--problems", path, "--jobs", "1"]
+    rc = main([command, *where, flag, value, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and "at least 1" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # rejected before any output is written
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    from comotion.cli import _atomic
+
+    path = tmp_path / "model.weights"
+    path.write_bytes(b"old weights")
+    with pytest.raises(RuntimeError, match="disk full"):
+        with _atomic(path) as tmp:
+            with open(tmp, "wb") as fh:
+                fh.write(b"half of the new")
+            raise RuntimeError("disk full")
+    assert path.read_bytes() == b"old weights"
+    assert os.listdir(tmp_path) == ["model.weights"]
 
 
 def test_export_round_trips_and_arclength(tmp_path):

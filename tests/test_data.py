@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comotion import data as cd
+from comotion import human_model as hm
 from comotion.human_model import ModelConfig
 from comotion.kinematics import (
     DEFAULT_HUMAN_SKELETON,
@@ -146,18 +147,15 @@ def test_downsample_identity_and_errors():
 
 
 def test_windows_counts():
-    assert len(cd.windows(make_record(41), 20, 20)) == 2
-    assert len(cd.windows(make_record(40), 20, 20)) == 1
-    assert len(cd.windows(make_record(39), 20, 20)) == 0
+    """Training draws every contiguous window of input + output frames."""
+    for n, count in ((41, 2), (40, 1), (39, 0)):
+        assert len(hm._window_index([make_record(n).frames], 40)) == count
 
 
 def test_windows_match_direct_slicing():
-    rec = make_record(30, seed=4)
-    pairs = cd.windows(rec, 5, 3)
-    assert len(pairs) == 23
-    for s, (inp, tgt) in enumerate(pairs):
-        assert np.array_equal(inp, rec.frames[s : s + 5])
-        assert np.array_equal(tgt, rec.frames[s + 5 : s + 8])
+    """Window (r, s) is frames s..s + span - 1 of record r, for every start."""
+    records = [make_record(30, seed=4).frames, make_record(10, seed=5).frames]
+    assert hm._window_index(records, 8) == [(0, s) for s in range(23)] + [(1, s) for s in range(3)]
 
 
 def test_rotate_frames_zero_yaw_is_identity():
@@ -174,27 +172,29 @@ def test_rotate_frames_half_turn_negates_planar_velocities():
 
 
 def test_augment_preserves_pairwise_distances_and_local_joints():
+    """Training's augmentation: one uniform yaw rotates a whole window."""
     rec = make_record(12, seed=7)
-    pair = (rec.frames[:6], rec.frames[6:])
-    out_in, out_tgt = cd.augment_rotation(pair, seed=123)
-    allo = np.vstack([rec.frames[:6], rec.frames[6:]])[:, :3]
-    alln = np.vstack([out_in, out_tgt])[:, :3]
+    out = cd.rotate_frames(rec.frames, np.random.default_rng(123).uniform(0.0, 2.0 * np.pi))
+    allo, alln = rec.frames[:, :3], out[:, :3]
     for i in range(len(allo)):
         for j in range(i + 1, len(allo)):
             assert np.linalg.norm(allo[i] - allo[j]) == pytest.approx(
                 np.linalg.norm(alln[i] - alln[j]), abs=1e-12
             )
     # joint-local rotations (beyond the base) are untouched
-    assert np.array_equal(out_in[:, 9:], pair[0][:, 9:])
-    assert np.array_equal(out_tgt[:, 9:], pair[1][:, 9:])
+    assert np.array_equal(out[:, 9:], rec.frames[:, 9:])
 
 
 def test_augment_deterministic_per_seed():
-    rec = make_record(10, seed=8)
-    pair = (rec.frames[:5], rec.frames[5:])
-    a = cd.augment_rotation(pair, seed=9)
-    b = cd.augment_rotation(pair, seed=9)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    """Training draws its yaws from its seed: equal seeds give equal weights,
+    and the yaws do change them."""
+    records = [make_record(10, seed=8).frames, make_record(10, seed=9).frames]
+    config = ModelConfig(num_layers=1, hidden_size=4, input_frames=3, output_frames=3,
+                         dropout=0.0, recurrent_dropout=0.0)
+    a, b = (hm.train(records, config, 9, epochs=1, batch_size=4).params for _ in range(2))
+    plain = hm.train(records, config, 9, epochs=1, batch_size=4, augment=False).params
+    assert all(np.array_equal(a.arrays[n], b.arrays[n]) for n in a.arrays)
+    assert not all(np.array_equal(a.arrays[n], plain.arrays[n]) for n in a.arrays)
 
 
 def test_synth_standing_when_speed_zero():

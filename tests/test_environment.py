@@ -1,10 +1,12 @@
 """Scene and signed-distance-field tests, including the brute-force oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
 from comotion import environment as env
-from comotion.graph import gradient_check, record
+from comotion.graph import backward, gradient_check, record
 
 
 def single_disc_scene(radius=1.0):
@@ -12,6 +14,14 @@ def single_disc_scene(radius=1.0):
         obstacles=(env.Disc((0.0, 0.0), radius),),
         bounds=env.Rect((0.0, 0.0), (3.0, 3.0)),
     )
+
+
+def sdf_query(grid, points):
+    """Distances at (N, 2) points or one (2,) point, and their gradients, from
+    the one tape node planning records."""
+    tape, values = record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]),
+                          {"p": np.asarray(points, dtype=np.float64)})
+    return values, backward(tape, np.ones_like(values))["p"]
 
 
 def random_scene(rng, n_obstacles=3, bound=3.0):
@@ -88,14 +98,14 @@ def test_grid_matches_brute_force_boundary_sampling():
 def test_query_at_node_returns_stored_value():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
     xs, ys = grid.node_positions()
-    v, _ = env.sdf_query(grid, (xs[10], ys[20]))
+    v, _ = sdf_query(grid, (xs[10], ys[20]))
     assert v == pytest.approx(grid.values[10, 20], abs=1e-14)
 
 
 def test_query_midway_is_mean_of_neighbors():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
     xs, ys = grid.node_positions()
-    v, _ = env.sdf_query(grid, (0.5 * (xs[10] + xs[11]), ys[20]))
+    v, _ = sdf_query(grid, (0.5 * (xs[10] + xs[11]), ys[20]))
     assert v == pytest.approx(0.5 * (grid.values[10, 20] + grid.values[11, 20]), abs=1e-14)
 
 
@@ -120,18 +130,22 @@ def test_query_gradient_matches_finite_differences():
 
 
 def test_numpy_query_equals_graph_query():
+    """The tape node against bilinear interpolation written out in numpy."""
     rng = np.random.default_rng(2)
     scene = random_scene(rng)
     grid = env.build_sdf(scene, resolution=0.07)
-    for _ in range(50):
-        p = rng.uniform(-3, 3, size=2)
-
-        def f(t, r):
-            return env.sdf_query_graph(t, grid, r["p"])
-
-        _, out = record(f, {"p": p})
-        v, _ = env.sdf_query(grid, p)
-        assert float(out) == v
+    points = rng.uniform(-3, 3, size=(50, 2))
+    nx, ny = grid.values.shape
+    s = np.clip((points - grid.origin) / grid.resolution, 0.0, [nx - 1, ny - 1])
+    i, j = np.minimum(s.astype(int), [nx - 2, ny - 2]).T
+    fx, fy = (s - np.stack([i, j], axis=1)).T
+    v = grid.values
+    expected = (v[i, j] * (1 - fx) * (1 - fy) + v[i + 1, j] * fx * (1 - fy)
+                + v[i, j + 1] * (1 - fx) * fy + v[i + 1, j + 1] * fx * fy)
+    values, _ = sdf_query(grid, points)
+    assert np.allclose(values, expected, rtol=0, atol=1e-12)
+    for p, value in zip(points, values):
+        assert float(sdf_query(grid, p)[0]) == value
 
 
 def test_interpolation_continuous_across_cell_boundaries():
@@ -141,8 +155,8 @@ def test_interpolation_continuous_across_cell_boundaries():
     for i in range(5, 20, 3):
         x_edge = xs[i]
         for y in np.linspace(-2, 2, 7):
-            lo, _ = env.sdf_query(grid, (x_edge - eps, y))
-            hi, _ = env.sdf_query(grid, (x_edge + eps, y))
+            lo, _ = sdf_query(grid, (x_edge - eps, y))
+            hi, _ = sdf_query(grid, (x_edge + eps, y))
             assert abs(hi - lo) < 1e-6
 
 
@@ -151,14 +165,14 @@ def test_outward_ray_monotone_from_isolated_disc():
     for ang in np.linspace(0, 2 * np.pi, 12, endpoint=False):
         d = np.array([np.cos(ang), np.sin(ang)])
         rs = np.linspace(0.0, 2.6, 80)
-        vals = [env.sdf_query(grid, r * d)[0] for r in rs]
+        vals, _ = sdf_query(grid, rs[:, None] * d)
         assert np.all(np.diff(vals) > -1e-9)
 
 
 def test_query_outside_clamps():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    v_edge, _ = env.sdf_query(grid, (3.0, 0.0))
-    v_out, g_out = env.sdf_query(grid, (5.0, 0.0))
+    v_edge, _ = sdf_query(grid, (3.0, 0.0))
+    v_out, g_out = sdf_query(grid, (5.0, 0.0))
     assert v_out == pytest.approx(v_edge, abs=1e-12)
     assert g_out[0] == 0.0
 
@@ -175,11 +189,12 @@ def test_scene_validation():
 
 
 def test_scene_file_round_trip(tmp_path):
+    """Scenes are stored inside problem files, as ``scene_to_doc`` documents."""
     rng = np.random.default_rng(3)
     scene = random_scene(rng)
     path = tmp_path / "scene.json"
-    env.save_scene(scene, path)
-    assert env.load_scene(path) == scene
+    path.write_text(json.dumps(env.scene_to_doc(scene)))
+    assert env.scene_from_doc(json.loads(path.read_text())) == scene
 
 
 def test_sdf_file_round_trip(tmp_path):

@@ -44,7 +44,8 @@ def test_zerovel_error_equals_distance_walked(observed):
 
 
 def test_predict_initial_is_zero_modifier_unroll(model, observed):
-    a = ev.predict_initial(model, observed, 5)
+    """The ``initial`` method's forecast."""
+    a = hm.predict(model, observed, horizon=5)
     hiddens = hm.encode(model, observed)
     b = hm.unroll_decoder(model, observed[-1], observed[-1] - observed[-2], hiddens,
                           np.zeros((5, hm.MODIFIER_DIM)), 5)
@@ -54,7 +55,7 @@ def test_predict_initial_is_zero_modifier_unroll(model, observed):
 def test_sample_zero_noise_limit_equals_initial(model, observed):
     cfg = ev.SampleConfig(num_samples=3, noise_variance=1e-30)
     samples = ev.sample_predictions(model, observed, 5, cfg, seed=0)
-    initial = ev.predict_initial(model, observed, 5)
+    initial = hm.predict(model, observed, horizon=5)
     for s in samples:
         assert np.allclose(s, initial, atol=1e-9)
 
@@ -255,8 +256,13 @@ def test_metrics_straight_constant_speed_zero_jerk():
 
 def test_metrics_need_four_frames_for_jerk():
     traj = np.zeros((3, 7))
-    with pytest.raises(ev.EvaluationError, match="4 frames"):
-        ev.compute_metrics(None, traj, dt=0.05)
+    for jerk in (ev.mean_squared_jerk, ev.log_dimensionless_jerk):
+        with pytest.raises(ev.EvaluationError, match="4 frames"):
+            jerk(traj[:, :2], 0.05)
+    # the batch driver's metrics leave them unset instead
+    rep = ev.compute_metrics(None, traj, dt=0.05)
+    assert rep.ms_jerk is None and rep.ld_jerk is None and rep.sparc is None
+    assert rep.travel_robot == 0.0
 
 
 def minjerk_profile(n):
@@ -301,7 +307,7 @@ def test_smoothness_values_nonpositive():
 def test_metrics_translation_invariance(model, observed):
     truth = np.tile(observed[-1], (8, 1))
     truth[:, 0] += np.linspace(0.1, 0.8, 8)
-    pred = ev.predict_initial(model, observed, 8)
+    pred = hm.predict(model, observed, horizon=8)
     rep1 = ev.compute_metrics(pred, None, ground_truth=truth, dt=0.05,
                               sample_seconds=(0.2, 0.4))
     shift = np.array([3.0, -2.0, 0.5])
@@ -352,7 +358,7 @@ def success_fixture():
 
 def test_check_success_all_clear():
     problem, result = success_fixture()
-    ok, reasons = ev.check_success(problem, result, ev.SuccessCriteria(), "collision")
+    ok, reasons = ev.check_success(problem, result, "collision")
     assert ok and reasons == []
 
 
@@ -361,27 +367,27 @@ def test_check_success_reports_each_failure():
     # push the robot goal away: only that clause fails
     result.robot_traj = result.robot_traj.copy()
     result.robot_traj[-1, 0] = 2.0
-    ok, reasons = ev.check_success(problem, result, ev.SuccessCriteria(), "collision")
+    ok, reasons = ev.check_success(problem, result, "collision")
     assert not ok and reasons == ["robot-base-goal"]
 
     problem, result = success_fixture()
     result.objective = 0.2
-    ok, reasons = ev.check_success(problem, result, ev.SuccessCriteria(), "collision")
+    ok, reasons = ev.check_success(problem, result, "collision")
     assert not ok and reasons == ["objective"]
 
     problem, result = success_fixture()
     result.human_traj = result.human_traj.copy()
     result.human_traj[:, 1] = -0.8  # within 0.2 m of the robot path
-    ok, reasons = ev.check_success(problem, result, ev.SuccessCriteria(), "collision")
+    ok, reasons = ev.check_success(problem, result, "collision")
     assert not ok and "agent-clearance" in reasons
 
 
 def test_check_success_monotone():
     problem, result = success_fixture()
     result.objective = 0.099
-    ok1, _ = ev.check_success(problem, result, ev.SuccessCriteria(), "collision")
+    ok1, _ = ev.check_success(problem, result, "collision")
     result.objective = 0.05  # decreasing a violation never flips success off
-    ok2, _ = ev.check_success(problem, result, ev.SuccessCriteria(), "collision")
+    ok2, _ = ev.check_success(problem, result, "collision")
     assert ok2 >= ok1
 
 
@@ -402,7 +408,7 @@ def test_handover_loss_threshold_edge():
         robot_initial=robot[0],
     )
     result = ev.MethodResult("ours", human, robot, None, None, 0.0, "converged")
-    ok, reasons = ev.check_success(problem, result, ev.SuccessCriteria(), "handover")
+    ok, reasons = ev.check_success(problem, result, "handover")
     # agents face each other but hands are meters apart
     assert not ok and reasons == ["handover-loss"]
 

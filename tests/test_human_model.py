@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from comotion import human_model as hm
-from comotion.graph import OP_SCAN, OP_SLICE, Tape, backward, gradient_check
+from comotion.graph import OP_SCAN, OP_SLICE, Tape, backward, gradient_check, gru_unroll
 from comotion.kinematics import STATE_DIM, identity_state, rot6d_to_matrix
 
 
@@ -17,6 +17,15 @@ def tiny_config(**kw):
 
 def random_params(config, seed=0):
     return hm.init_params(config, seed)
+
+
+def decoder_step(params, state, velocity, hidden, u_t=None, u_next=None):
+    """One decoder step, the shared unroll at horizon 1: (state, velocity,
+    hidden) -> the next triple, with modifiers ``u_t`` and ``u_next`` if given."""
+    mods = None if u_t is None else np.stack([u_t, u_next])
+    states, velocity, hidden, _ = gru_unroll(hm._weights(params), hidden, state, velocity, 1,
+                                             modifiers=mods)
+    return states[0], velocity, hidden
 
 
 def random_observed(rng, k=6, step=0.01):
@@ -48,9 +57,8 @@ def test_encode_k2_is_single_cell_application():
     obs = random_observed(rng, k=2)
     hiddens = hm.encode(params, obs)
 
-    # manual single step through the public cell
-    _, _, manual = hm.cell_step(params, obs[1], obs[1] - obs[0],
-                                [np.zeros(8)])
+    # one decoder step from the same frame and velocity
+    _, _, manual = decoder_step(params, obs[1], obs[1] - obs[0], [np.zeros(8)])
     assert np.array_equal(hiddens[0], manual[0])
 
 
@@ -61,7 +69,7 @@ def test_encode_constant_pose_equals_zero_velocity_inputs():
     hiddens = hm.encode(params, obs)
     h = [np.zeros(8)]
     for _ in range(4):
-        _, _, h = hm.cell_step(params, pose, np.zeros(STATE_DIM), h)
+        _, _, h = decoder_step(params, pose, np.zeros(STATE_DIM), h)
     assert np.array_equal(hiddens[0], h[0])
 
 
@@ -98,12 +106,12 @@ def test_cell_step_zero_output_layer_is_identity():
     rng = np.random.default_rng(2)
     state = random_observed(rng, k=2)[1]
     vel = 0.01 * rng.normal(size=STATE_DIM)
-    ns, nv, _ = hm.cell_step(params, state, vel, [np.zeros(8)])
+    ns, nv, _ = decoder_step(params, state, vel, [np.zeros(8)])
     assert np.array_equal(ns, state)
     assert np.array_equal(nv, np.zeros(STATE_DIM))
 
     params.arrays["out.b"][:] = 0.25
-    ns, nv, _ = hm.cell_step(params, state, vel, [np.zeros(8)])
+    ns, nv, _ = decoder_step(params, state, vel, [np.zeros(8)])
     assert np.allclose(nv, 0.25)
     assert np.allclose(ns, state + 0.25)
 
@@ -113,7 +121,7 @@ def test_cell_step_residual_structure():
     params = random_params(tiny_config())
     state = random_observed(rng, k=2)[1]
     vel = 0.01 * rng.normal(size=STATE_DIM)
-    ns, nv, _ = hm.cell_step(params, state, vel, [rng.normal(size=8)])
+    ns, nv, _ = decoder_step(params, state, vel, [rng.normal(size=8)])
     assert np.array_equal(ns, state + nv)
 
 
@@ -121,7 +129,7 @@ def test_cell_step_outputs_valid_rotations():
     rng = np.random.default_rng(4)
     params = random_params(tiny_config(), seed=5)
     state = identity_state((0.2, 0.1, 0.9))
-    ns, _, _ = hm.cell_step(params, state, 0.01 * rng.normal(size=STATE_DIM), [np.zeros(8)])
+    ns, _, _ = decoder_step(params, state, 0.01 * rng.normal(size=STATE_DIM), [np.zeros(8)])
     for j in range(21):
         R = rot6d_to_matrix(ns[3 + 6 * j : 9 + 6 * j])
         assert np.allclose(R.T @ R, np.eye(3), atol=1e-9)
@@ -133,9 +141,9 @@ def test_controlled_zero_modifiers_bit_identical():
     state = random_observed(rng, k=2)[1]
     vel = 0.01 * rng.normal(size=STATE_DIM)
     h = [rng.normal(size=8)]
-    plain = hm.cell_step(params, state, vel, h)
+    plain = decoder_step(params, state, vel, h)
     zeros = np.zeros(hm.MODIFIER_DIM)
-    ctrl = hm.cell_step_controlled(params, state, vel, h, zeros, zeros)
+    ctrl = decoder_step(params, state, vel, h, zeros, zeros)
     assert np.array_equal(plain[0], ctrl[0])
     assert np.array_equal(plain[1], ctrl[1])
     assert np.array_equal(plain[2][0], ctrl[2][0])
@@ -152,8 +160,8 @@ def test_controlled_constant_modifier_shifts_state_only():
 
     shifted = state.copy()
     shifted[3:] += u[3:]
-    ref = hm.cell_step(params, shifted, vel, h)
-    out = hm.cell_step_controlled(params, state, vel, h, u, u)
+    ref = decoder_step(params, shifted, vel, h)
+    out = decoder_step(params, state, vel, h, u, u)
     # same network inputs, so identical emitted velocity and hidden
     assert np.array_equal(ref[1], out[1])
     assert np.array_equal(ref[2][0], out[2][0])
@@ -214,8 +222,8 @@ def test_unroll_horizon_one_is_single_controlled_step():
     u = 0.03 * rng.normal(size=(1, hm.MODIFIER_DIM))
     hiddens = hm.encode(params, obs)
     states = hm.unroll_decoder(params, obs[-1], obs[-1] - obs[-2], hiddens, u, 1)
-    ref, _, _ = hm.cell_step_controlled(params, obs[-1], obs[-1] - obs[-2],
-                                        hm.encode(params, obs), u[0], u[0])
+    ref, _, _ = decoder_step(params, obs[-1], obs[-1] - obs[-2], hm.encode(params, obs),
+                             u[0], u[0])
     assert np.array_equal(states[0], ref)
 
 
@@ -232,7 +240,7 @@ def test_unroll_matches_sequential_manual_application():
     hid = hm.encode(params, obs)
     for t in range(H):
         u_next = mods[t + 1] if t + 1 < H else mods[t]
-        state, vel, hid = hm.cell_step_controlled(params, state, vel, hid, mods[t], u_next)
+        state, vel, hid = decoder_step(params, state, vel, hid, mods[t], u_next)
         assert np.array_equal(states[t], state)
 
 

@@ -15,7 +15,6 @@ from comotion.kinematics import (
     axis_angle_matrix,
     forward_kinematics,
     identity_state,
-    load_skeleton,
     matrix_to_rot6d,
     quat_from_matrix,
     quat_from_rot6d,
@@ -23,7 +22,6 @@ from comotion.kinematics import (
     relative_angle,
     rot6d_from_quat,
     rot6d_to_matrix,
-    save_skeleton,
     yaw_matrix,
 )
 
@@ -99,6 +97,17 @@ def test_relative_angle_symmetry():
         qa = quat_from_matrix(random_rotation(rng))
         qb = quat_from_matrix(random_rotation(rng))
         assert relative_angle(qa, qb) == pytest.approx(relative_angle(qb, qa), abs=1e-14)
+
+
+def test_relative_angle_keeps_relative_precision_from_1e_12_to_3_rad():
+    """Near-identical rotations report their angle, not rounding noise, and
+    either sign of a quaternion gives the same angle."""
+    rng = np.random.default_rng(12)
+    for angle in np.geomspace(1e-12, 3.0, 60):
+        q1 = quat_from_matrix(random_rotation(rng))
+        q2 = quat_from_matrix(quat_to_matrix(q1) @ axis_angle_matrix(rng.normal(size=3), angle))
+        for sign in (1.0, -1.0):
+            assert relative_angle(q1, sign * q2) == pytest.approx(angle, rel=1e-3)
 
 
 # Quaternions whose rotations have trace <= 0: half turns about x, y, z and a
@@ -307,20 +316,6 @@ def test_rot6d_graph_matches_numpy_path():
     R, _ = gram_schmidt(r6)
     for r, mat in zip(r6, R):
         assert np.allclose(mat, rot6d_to_matrix(r), atol=1e-11)
-
-
-def test_skeleton_file_round_trip(tmp_path):
-    path = tmp_path / "human.json"
-    save_skeleton(DEFAULT_HUMAN_SKELETON, path)
-    loaded = load_skeleton(path)
-    assert loaded == DEFAULT_HUMAN_SKELETON
-
-
-def test_skeleton_scaling():
-    scaled = DEFAULT_HUMAN_SKELETON.scaled(1.1)
-    pos, _ = forward_kinematics(scaled, identity_state(), "head")
-    ref, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, identity_state(), "head")
-    assert np.allclose(pos, 1.1 * ref, atol=1e-12)
 
 
 def test_skeleton_rejects_bad_topology():

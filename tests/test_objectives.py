@@ -10,9 +10,15 @@ from comotion import environment as env
 from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
-from comotion.graph import _OP_NAMES, backward
+from comotion.graph import _OP_NAMES, backward, record
 from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics, identity_state
 from comotion.robot_model import DEFAULT_ROBOT, robot_fk, robot_unroll
+
+
+def grid_distances(grid, points):
+    """SDF grid values at (N, 2) points, each looked up on its own."""
+    return [float(record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]), {"p": p})[1])
+            for p in points]
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +151,7 @@ def test_collision_sign_and_hard_max(observed):
     _, g, _, ev = compiled.evaluate(np.zeros(compiled.n))
     assert g[0] <= 0.0
     robot_traj = compiled.trajectories(ev)[1]
-    dists = [env.sdf_query(grid, s[:2])[0] for s in robot_traj]
-    assert g[0] == pytest.approx(-min(dists), rel=1e-12)
+    assert g[0] == pytest.approx(-min(grid_distances(grid, robot_traj[:, :2])), rel=1e-12)
 
 
 def test_collision_soft_max_upper_bounds_hard_max(observed):
@@ -248,8 +253,9 @@ def test_per_timestep_constraints_enter_the_output_as_vectors():
     rng = np.random.default_rng(12)
     _, g, _, ev = compiled.evaluate(0.1 * rng.normal(size=compiled.n))
     robot = compiled.trajectories(ev)[1]
+    dists = grid_distances(grid, robot[:, :2])
     for t in range(H):
-        assert g[t] == pytest.approx(0.1 - env.sdf_query(grid, robot[t, :2])[0], rel=1e-12)
+        assert g[t] == pytest.approx(0.1 - dists[t], rel=1e-12)
         dist2 = float(np.sum((human[t, :2] - robot[t, :2]) ** 2))
         assert g[H + t] == pytest.approx(0.25 - dist2, rel=1e-12)
 

@@ -87,6 +87,12 @@ def test_inequality_toy_max_style():
     assert np.allclose(result.theta, 0.0, atol=1e-4)
 
 
+def merit(compiled, theta, mu, rho, multipliers, shift=0.0):
+    """The merit value the solver's line search compares, at ``theta``."""
+    f, g, h, _ = compiled.evaluate(theta)
+    return sv._merit_value(compiled, theta, f, g, h, mu, rho, multipliers, shift)
+
+
 def test_merit_examples():
     def build(t, x):
         g = t.sub(t.sum(x), t.const(1.0))  # g = sum(x) - 1 <= 0
@@ -96,13 +102,13 @@ def test_merit_examples():
     compiled = toy_problem(build, n=2)
     theta = np.zeros(2)
     # g(0) = -1, ln(shift - g) with shift 0 = ln(1) = 0; h = 0
-    assert sv.merit(compiled, theta, mu=1.0, rho=10.0, multipliers=np.zeros(1),
-                    shift=0.0) == pytest.approx(0.0, abs=1e-15)
+    assert merit(compiled, theta, mu=1.0, rho=10.0, multipliers=np.zeros(1),
+                 shift=0.0) == pytest.approx(0.0, abs=1e-15)
     # feasible point, mu -> 0, h = 0: merit -> objective
     theta = np.array([0.2, -0.2])
     f = float(np.sum(theta ** 2))
-    assert sv.merit(compiled, theta, mu=1e-12, rho=10.0, multipliers=np.zeros(1),
-                    shift=0.0) == pytest.approx(f, abs=1e-9)
+    assert merit(compiled, theta, mu=1e-12, rho=10.0, multipliers=np.zeros(1),
+                 shift=0.0) == pytest.approx(f, abs=1e-9)
 
 
 def test_merit_matches_hand_evaluation():
@@ -121,7 +127,7 @@ def test_merit_matches_hand_evaluation():
     g = f - 4.0
     h = float(np.sum(theta)) - 0.5
     expected = f - mu * np.log(shift - g) + lam[0] * h + 0.5 * rho * h * h
-    assert sv.merit(compiled, theta, mu, rho, lam, shift) == pytest.approx(expected, rel=1e-12)
+    assert merit(compiled, theta, mu, rho, lam, shift) == pytest.approx(expected, rel=1e-12)
 
 
 def test_merit_infeasible_barrier_is_infinite():
@@ -129,7 +135,7 @@ def test_merit_infeasible_barrier_is_infinite():
         return t.sum_squares(x), [t.sum(x)], []
 
     compiled = toy_problem(build, n=1)
-    assert sv.merit(compiled, np.array([2.0]), 1.0, 10.0, np.zeros(0), shift=0.0) == np.inf
+    assert merit(compiled, np.array([2.0]), 1.0, 10.0, np.zeros(0), shift=0.0) == np.inf
 
 
 def test_bfgs_quadratic_termination():
@@ -193,6 +199,15 @@ def test_iteration_log_lines_parse():
     rec = json.loads(result.log[0].to_line())
     assert set(rec) == {"iteration", "round", "mu", "rho", "objective",
                         "max_violation", "step_size", "merit"}
+
+
+def test_iteration_log_line_is_json_for_non_finite_values():
+    import json
+
+    rec = sv.IterationRecord(1, 0, 1.0, 10.0, float("inf"), float("nan"), 0.5, float("-inf"))
+    doc = json.loads(rec.to_line())
+    assert doc["objective"] == float("inf") and doc["merit"] == float("-inf")
+    assert np.isnan(doc["max_violation"]) and doc["step_size"] == 0.5
 
 
 def test_solver_determinism():
