@@ -35,7 +35,8 @@ from . import human_model as hm
 from . import objectives as obj
 from .environment import SceneError, build_sdf, save_sdf
 from .kinematics import KinematicsError
-from .robot_model import DEFAULT_ROBOT, RobotError, load_robot
+from .robot_model import (DEFAULT_ROBOT, RobotError, load_robot, load_robot_trajectory,
+                          save_robot_trajectory)
 from .solver import SolverConfig
 
 
@@ -290,13 +291,13 @@ def cmd_plan(args) -> int:
     problem_path = _require(args.problem, "problem file")
     problem = obj.load_problem(problem_path)
     solver_config = _solver_config(args)
+    if args.method not in ev.METHODS:
+        raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:
         obj.save_problem(problem, tmp)
-    if args.method not in ev.METHODS:
-        raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
 
     kind = args.kind or _infer_kind(problem)
     record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
@@ -315,10 +316,8 @@ def cmd_plan(args) -> int:
         with _atomic(os.path.join(out, "human_traj.traj")) as tmp:
             dat.save_trajectories([dat.TrajectoryRecord("plan", fps, result.human_traj)], tmp)
     if result.robot_traj is not None:
-        header = json.dumps({"format": "comotion-robot-trajectory", "version": 1,
-                             "dims": list(result.robot_traj.shape)})
-        rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in result.robot_traj)
-        _atomic_write(os.path.join(out, "robot_traj.txt"), header + "\n" + rows + "\n")
+        with _atomic(os.path.join(out, "robot_traj.txt")) as tmp:
+            save_robot_trajectory(result.robot_traj, tmp)
     _write_json(os.path.join(out, "result.json"), doc)
     print(f"{doc['problem']}: method={args.method} success={record.success} "
           f"status={result.solver_status} objective={result.objective:.4g}")
@@ -364,13 +363,13 @@ def cmd_evaluate(args) -> int:
     if not paths:
         raise UsageError("empty problem batch")
     solver_config = _solver_config(args)
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    _write_manifest(out, args, extra={"problems": paths})
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
+    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
+    _write_manifest(out, args, extra={"problems": paths})
 
     if args.alpha_sweep:
         return _alpha_sweep(args, paths, out, solver_config)
@@ -510,24 +509,26 @@ def cmd_export(args) -> int:
         _atomic_write(os.path.join(out, "human_path.txt"), _polyline(pts))
     robot_path = os.path.join(plan_dir, "robot_traj.txt")
     if os.path.exists(robot_path):
-        with open(robot_path) as fh:
-            fh.readline()
-            rows = np.array([[float(v) for v in line.split()] for line in fh if line.strip()])
-        pts = rows[:, :2]
+        pts = load_robot_trajectory(robot_path)[:, :2]
         if problem.robot_initial is not None:
             pts = np.vstack([problem.robot_initial[:2], pts])
         _atomic_write(os.path.join(out, "robot_path.txt"), _polyline(pts))
 
     iters = os.path.join(plan_dir, "iterations.jsonl")
     if os.path.exists(iters):
+        fields = ("iteration", "mu", "rho", "objective", "max_violation", "step_size")
+        rows = []
         with open(iters) as fh:
-            rows = [json.loads(l) for l in fh if l.strip()]
-        csv = "iteration,mu,rho,objective,max_violation,step_size\n" + "\n".join(
-            f'{r["iteration"]},{r["mu"]},{r["rho"]},{r["objective"]},'
-            f'{r["max_violation"]},{r["step_size"]}'
-            for r in rows
-        )
-        _atomic_write(os.path.join(out, "iterations.csv"), csv + "\n")
+            for n, line in enumerate(fh, 1):
+                try:
+                    if line.strip():
+                        r = json.loads(line)
+                        rows.append(",".join(str(r[k]) for k in fields))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise UsageError(f"{iters}: line {n} is not an iteration record "
+                                     f"({exc!r})") from None
+        _atomic_write(os.path.join(out, "iterations.csv"),
+                      ",".join(fields) + "\n" + "\n".join(rows) + "\n")
     print(f"exported plot data to {out}")
     return 0
 
@@ -581,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--robot", default=None)
     p.add_argument("--method", default="ours")
-    p.add_argument("--kind", default=None,
-                   choices=[None, "goal", "collision", "handover", "pickup_handover"])
+    p.add_argument("--kind", default=None, choices=[None, *ev.KINDS])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="ours")
     p.add_argument("--weights", default=None)
     p.add_argument("--robot", default=None)
-    p.add_argument("--kind", default=None)
+    p.add_argument("--kind", default=None, choices=[None, *ev.KINDS])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--aggregate", default="median", choices=["median", "mean"])
     p.add_argument("--alpha-sweep", default=None,

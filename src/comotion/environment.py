@@ -90,16 +90,6 @@ class SdfGrid:
     resolution: float
     values: np.ndarray  # (nx, ny), positive in free space
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def node_positions(self):
-        nx, ny = self.values.shape
-        xs = self.origin[0] + self.resolution * np.arange(nx)
-        ys = self.origin[1] + self.resolution * np.arange(ny)
-        return xs, ys
-
 
 def build_sdf(scene: Scene, resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
     """Sample the exact scene distance onto a regular grid over the bounds."""
@@ -119,10 +109,9 @@ def build_sdf(scene: Scene, resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
     return SdfGrid(origin=origin, resolution=resolution, values=values)
 
 
-def sdf_query_graph(tape: Tape, grid: SdfGrid, point: Ref) -> Ref:
-    """Differentiable SDF lookup of a (2,) position ref (scalar result) or of
-    (N, 2) positions in one node ((N,) result)."""
-    return tape.grid_interp(point, grid.values, np.asarray(grid.origin), grid.resolution)
+def sdf_query_graph(tape: Tape, grid: SdfGrid, points: Ref) -> Ref:
+    """Differentiable SDF lookup of (N, 2) positions in one node, (N,)."""
+    return tape.grid_interp(points, grid.values, np.asarray(grid.origin), grid.resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -304,9 +304,10 @@ def run_method(
         return top_ranked
 
     first, avoids, details = _SEQUENTIAL[method]
+    agents = (first, _OTHER[first]) if problem.has_robot() else ("human",)
     solved = {}
     frozen = None
-    for agent in (first, _OTHER[first]):
+    for agent in agents:
         sub = _single_agent_problem(problem, agent, frozen)
         res = solve_compiled(
             compile_problem(sub, model=model if agent == "human" else None,
@@ -316,7 +317,10 @@ def run_method(
         solved[agent] = res
         if avoids:
             frozen = res.human_traj if agent == "human" else res.robot_traj
-    hres, rres = solved["human"], solved["robot"]
+    hres, rres = solved["human"], solved.get("robot")
+    if rres is None:  # a human-only problem: one solve, nothing to sequence
+        return MethodResult(method, hres.human_traj, None, hres.modifiers, None, hres.objective,
+                            hres.status, details={"iterations": hres.iterations}, log=hres.log)
     return MethodResult(method, hres.human_traj, rres.robot_traj, hres.modifiers,
                         rres.controls, hres.objective + rres.objective,
                         _combine_status(hres, rres), details=dict(details))
@@ -484,6 +488,7 @@ CLEARANCE = 0.5  # m
 CLEARANCE_SLACK = 0.01  # m, tolerance on the dense check
 COLLISION_MARGIN = 0.0  # m
 RESAMPLE_FACTOR = 10  # dense-check points per step
+KINDS = ("goal", "collision", "handover", "pickup_handover")  # what check_success scores
 
 
 def _resample(xy: np.ndarray, factor: int) -> np.ndarray:
@@ -538,8 +543,10 @@ def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
       pickup target.
 
     Collision and clearance clauses evaluate the hard constraint values on a
-    base path resampled 10 times per step.
+    base path resampled 10 times per step.  Any other kind raises.
     """
+    if kind not in KINDS:
+        raise EvaluationError(f"unknown experiment kind {kind!r}")
     reasons = []
     human, rob = result.human_traj, result.robot_traj
 

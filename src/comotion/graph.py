@@ -105,9 +105,9 @@ c_k u_k^T with c_k = R_{k-1}^T g; the base columns get g.  Per block::
 
 and columns off the chain get exactly 0.
 
-``grid_interp`` takes one (2,) point or a batch of (N, 2) points, and
-``gather`` stacks one column range of many states into an (N, k) array, so
-per-timestep constraint terms are a few (H,) vector nodes.
+``grid_interp`` looks up (N, 2) points and ``columns`` takes one column
+range of an (N, D) trajectory, so per-timestep constraint terms are a few
+(H,) vector nodes.
 """
 
 from __future__ import annotations
@@ -195,32 +195,6 @@ def _b_div(g, vals, a, p, out):
     return (_unbroadcast(g / y, x.shape), _unbroadcast(-g * x / (y * y), y.shape))
 
 
-def _f_matmul(vals, a, p):
-    return np.asarray(vals[a[0]] @ vals[a[1]])
-
-
-def _b_matmul(g, vals, a, p, out, needed):
-    x, y = vals[a[0]], vals[a[1]]
-    gx = gy = None  # skip costly outer products nobody wants
-    if needed[a[0]]:
-        if x.ndim == 2 and y.ndim == 2:
-            gx = g @ y.T
-        elif x.ndim == 2:
-            gx = np.outer(g, y)
-        elif y.ndim == 2:
-            gx = y @ g
-        else:
-            gx = g * y  # 1-D dot, g is 0-d
-    if needed[a[1]]:
-        if x.ndim == 2:
-            gy = x.T @ g
-        elif y.ndim == 2:
-            gy = np.outer(x, g)
-        else:
-            gy = g * x
-    return (gx, gy)
-
-
 def _f_concat(vals, a, p):
     return np.concatenate([vals[i] for i in a], axis=0)
 
@@ -274,48 +248,20 @@ def _b_row(g, vals, a, p, out):
     return (full,)
 
 
-def _f_gather(vals, a, p):
-    lo, hi = p
-    return np.vstack([vals[i][..., lo:hi] for i in a])
+def _f_columns(vals, a, p):
+    return np.ascontiguousarray(vals[a[0]][:, p[0] : p[1]])
 
 
-def _b_gather(g, vals, a, p, out):
-    lo, hi = p
-    grads = []
-    pos = 0
-    for i in a:
-        x = vals[i]
-        full = np.zeros_like(x)
-        if x.ndim == 1:
-            full[lo:hi] = g[pos]
-            pos += 1
-        else:
-            full[:, lo:hi] = g[pos : pos + x.shape[0]]
-            pos += x.shape[0]
-        grads.append(full)
-    return tuple(grads)
+def _b_columns(g, vals, a, p, out):
+    full = np.zeros_like(vals[a[0]])
+    full[:, p[0] : p[1]] = g
+    return (full,)
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic; shared by the tape op and plain-numpy paths."""
+    """Overflow-safe logistic of the GRU gates."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _f_sigmoid(vals, a, p):
-    return sigmoid_array(vals[a[0]])
-
-
-def _b_sigmoid(g, vals, a, p, out):
-    return (g * out * (1.0 - out),)
-
-
-def _f_tanh(vals, a, p):
-    return np.tanh(vals[a[0]])
-
-
-def _b_tanh(g, vals, a, p, out):
-    return (g * (1.0 - out * out),)
 
 
 def _f_sin(vals, a, p):
@@ -404,15 +350,11 @@ def _interp2(points, values, origin, res, with_gradient):
 
 
 def _f_interp2(vals, a, p):
-    point = vals[a[0]]
-    out, _ = _interp2(point.reshape(-1, 2), *p, False)
-    return out.reshape(point.shape[:-1])
+    return _interp2(vals[a[0]], *p, False)[0]
 
 
 def _b_interp2(g, vals, a, p, out):
-    point = vals[a[0]]
-    _, grad = _interp2(point.reshape(-1, 2), *p, True)
-    return ((g.reshape(-1, 1) * grad).reshape(point.shape),)
+    return (g[:, None] * _interp2(vals[a[0]], *p, True)[1],)
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +642,10 @@ OP_ADD = _register("add", _f_add, _b_add)
 OP_SUB = _register("subtract", _f_sub, _b_sub)
 OP_MUL = _register("multiply", _f_mul, _b_mul)
 OP_DIV = _register("divide", _f_div, _b_div)
-OP_MATMUL = _register("matmul", _f_matmul, _b_matmul, masked=True)
 OP_CONCAT = _register("concat", _f_concat, _b_concat)
 OP_SLICE = _register("slice", _f_slice, _b_slice)
 OP_RESHAPE = _register("reshape", _f_reshape, _b_reshape)
 OP_SUM = _register("sum", _f_sum, _b_sum)
-OP_SIGMOID = _register("sigmoid", _f_sigmoid, _b_sigmoid)
-OP_TANH = _register("tanh", _f_tanh, _b_tanh)
 OP_SIN = _register("sin", _f_sin, _b_sin)
 OP_COS = _register("cos", _f_cos, _b_cos)
 OP_SQUARE = _register("square", _f_square, _b_square)
@@ -715,10 +654,12 @@ OP_MAXR = _register("max_reduce", _f_maxr, _b_maxr)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
 OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
 OP_ROW = _register("row", _f_row, _b_row)
-OP_GATHER = _register("gather", _f_gather, _b_gather)
+OP_COLUMNS = _register("columns", _f_columns, _b_columns)
 OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
 OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point, cached=True)
+# no primitive records these; the benchmark's per-type node counts still name them
+OP_MATMUL, OP_SIGMOID, OP_TANH = -1, -2, -3
 
 
 class Ref:
@@ -840,11 +781,6 @@ class Tape:
     def div(self, a: Ref, b: Ref) -> Ref:
         return self._apply(OP_DIV, (a, b))
 
-    def matmul(self, a: Ref, b: Ref) -> Ref:
-        if a.shape[-1] != b.shape[0]:
-            raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-        return self._apply(OP_MATMUL, (a, b))
-
     def concat(self, parts: list[Ref]) -> Ref:
         if not parts:
             raise GraphError("concat of no tensors")
@@ -863,12 +799,6 @@ class Tape:
     def sum(self, x: Ref, axis: int | None = None) -> Ref:
         """Sum of all entries, or along one axis."""
         return self._apply(OP_SUM, (x,), axis)
-
-    def sigmoid(self, x: Ref) -> Ref:
-        return self._apply(OP_SIGMOID, (x,))
-
-    def tanh(self, x: Ref) -> Ref:
-        return self._apply(OP_TANH, (x,))
 
     def sin(self, x: Ref) -> Ref:
         return self._apply(OP_SIN, (x,))
@@ -892,22 +822,21 @@ class Tape:
             raise GraphError("logsumexp temperature must be positive")
         return self._apply(OP_LSE, (x,), float(temperature))
 
-    def grid_interp(self, point: Ref, values: np.ndarray, origin, resolution: float) -> Ref:
-        """Bilinear lookup of a dense 2-D grid at a planar point or points.
+    def grid_interp(self, points: Ref, values: np.ndarray, origin, resolution: float) -> Ref:
+        """Bilinear lookup of a dense 2-D grid at (N, 2) planar points, (N,).
 
-        A (2,) point gives a scalar, (N, 2) points an (N,) vector.  The grid
-        itself is a constant; only the query points are differentiated.
-        Queries outside the node hull are clamped (zero gradient in the
-        clamped axis).
+        The grid itself is a constant; only the query points are
+        differentiated.  Queries outside the node hull are clamped (zero
+        gradient in the clamped axis).
         """
-        if point.shape[-1:] != (2,) or len(point.shape) > 2:
-            raise GraphError("grid_interp expects a (2,) point or (N, 2) points")
+        if len(points.shape) != 2 or points.shape[1] != 2:
+            raise GraphError(f"grid_interp expects (N, 2) points, got {points.shape}")
         param = (
             np.ascontiguousarray(values, dtype=np.float64),
             _as_array(origin),
             float(resolution),
         )
-        return self._apply(OP_INTERP2, (point,), param)
+        return self._apply(OP_INTERP2, (points,), param)
 
     def row(self, x: Ref, index: int) -> Ref:
         """Row ``index`` of an array (negative counts from the end)."""
@@ -916,17 +845,11 @@ class Tape:
             raise GraphError(f"row {index} out of range for {x.shape}")
         return self._apply(OP_ROW, (x,), index % n)
 
-    def gather(self, parts: list[Ref], lo: int, hi: int) -> Ref:
-        """Entries ``lo:hi`` of many states stacked into one (N, hi - lo) array.
-
-        A 1-D part gives one row; a 2-D part gives one row per row.
-        """
-        if not parts:
-            raise GraphError("gather of no tensors")
-        for r in parts:
-            if len(r.shape) not in (1, 2) or not (0 <= lo < hi <= r.shape[-1]):
-                raise GraphError(f"cannot gather [{lo}:{hi}] from {r.shape}")
-        return self._apply(OP_GATHER, tuple(parts), (lo, hi))
+    def columns(self, x: Ref, lo: int, hi: int) -> Ref:
+        """Columns ``lo:hi`` of an (N, D) array, (N, hi - lo)."""
+        if len(x.shape) != 2 or not (0 <= lo < hi <= x.shape[1]):
+            raise GraphError(f"cannot take columns [{lo}:{hi}] of {x.shape}")
+        return self._apply(OP_COLUMNS, (x,), (lo, hi))
 
     def gru_scan(self, weights: list[Ref], hiddens, state, velocity, horizon: int,
                  inputs=None, modifiers: Ref | None = None, masks=None) -> Ref:
@@ -1091,7 +1014,6 @@ def backward(
     tape: Tape,
     seed,
     at: Evaluation | None = None,
-    output: Ref | None = None,
     wrt: list[str] | None = None,
 ) -> dict[str, np.ndarray]:
     """Propagate ``seed`` from the output back to every leaf.
@@ -1102,7 +1024,7 @@ def backward(
     restricts the result to the named leaves; subgraphs feeding none of them
     are skipped entirely.
     """
-    out_idx = output.idx if output is not None else tape.output_index
+    out_idx = tape.output_index
     if out_idx is None:
         raise GraphError("tape has no recorded output")
     vals = at.values if at is not None else tape.vals

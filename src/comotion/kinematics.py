@@ -33,8 +33,6 @@ STATE_DIM = 129  # 3 base position + 21 * 6 rotation entries
 ROT_BLOCK_DIM = 126
 NUM_JOINTS = 21
 
-ROT6D_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
 
 class KinematicsError(ValueError):
     pass
@@ -198,10 +196,6 @@ class Skeleton:
                 return i
         raise KinematicsError(f"unknown link {name!r}")
 
-    @property
-    def names(self) -> list[str]:
-        return [j.name for j in self.joints]
-
     def chain(self, name: str) -> list[int]:
         """Indices from the root down to ``name`` inclusive."""
         path = []
@@ -273,18 +267,6 @@ _HUMAN_JOINTS = (
 DEFAULT_HUMAN_SKELETON = Skeleton(_HUMAN_JOINTS)
 
 ARM_JOINT_NAMES = ["rElbow", "rShoulder"]  # joints entering the arm angle metric
-
-
-# ---------------------------------------------------------------------------
-# Human state vector layout
-# ---------------------------------------------------------------------------
-
-
-def identity_state(base_pos=(0.0, 0.0, 0.0)) -> np.ndarray:
-    state = np.zeros(STATE_DIM)
-    state[:3] = base_pos
-    state[3:] = np.tile(ROT6D_IDENTITY, NUM_JOINTS)
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ class GraphContext:
 
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
-        return self.tape.gather([self.trajectory(agent)], 0, dims)
+        return self.tape.columns(self.trajectory(agent), 0, dims)
 
     def heading(self, agent: str, t: int) -> Ref:
         """Planar facing unit vector of the agent's base: (cos, sin) of the

@@ -55,9 +55,6 @@ class RobotConfig:
     def control_dim(self) -> int:
         return 2 + self.num_joints
 
-    def link_names(self) -> list[str]:
-        return ["base"] + [l.name for l in self.chain]
-
     def kinematic_chain(self, link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
         """The chain from the base to ``link`` in a state vector, ending at
         ``tip`` in the link frame.  The base link sits on the ground plane at
@@ -137,6 +134,34 @@ def load_robot(path) -> RobotConfig:
         max_turn_step=float(b.get("turn", 0.3)),
         max_joint_step=float(b.get("joint", 0.2)),
     )
+
+
+def save_robot_trajectory(states: np.ndarray, path) -> None:
+    """Robot states: one JSON header line, then one row of values per line."""
+    header = {"format": "comotion-robot-trajectory", "version": 1, "dims": list(states.shape)}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for row in states:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def load_robot_trajectory(path) -> np.ndarray:
+    """Inverse of ``save_robot_trajectory``; a foreign header, a non-numeric
+    entry or rows that do not match the header's dims are a ``RobotError``."""
+    with open(path) as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != "comotion-robot-trajectory":
+            raise RobotError(f"{path}: not a robot trajectory file")
+        try:
+            rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+        except ValueError as exc:
+            raise RobotError(f"{path}: {exc}") from None
+    if len({len(r) for r in rows}) != 1 or [len(rows), len(rows[0])] != header.get("dims"):
+        raise RobotError(f"{path}: rows do not match dims {header.get('dims')}")
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,18 @@ def test_plan_unknown_method_exits_2(tmp_path, capsys):
     rc = main(["plan", "--problem", path, "--method", "sorcery", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "sorcery" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any output is written
+
+
+@pytest.mark.parametrize("flag, value", [("--methods", "sorcery"), ("--kind", "colision")])
+def test_evaluate_unknown_method_or_kind_exits_2_before_any_output(tmp_path, capsys, flag,
+                                                                   value):
+    path = toy_robot_problem(tmp_path)
+    rc = main(["evaluate", "--problems", path, "--methods", "zerovel", flag, value,
+               "--jobs", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("obstacle, named", [
@@ -456,6 +468,25 @@ def test_export_standing_trajectory_single_point(tmp_path):
     assert len(lines) == 1
 
 
+@pytest.mark.parametrize("name, old, new", [
+    pytest.param("robot_traj.txt", " 0.0 ", " 0.0x ", id="non-numeric-entry"),
+    pytest.param("robot_traj.txt", "[3, 7]", "[4, 7]", id="rows-not-dims"),
+    pytest.param("robot_traj.txt", "-robot-trajectory", "-sdf", id="foreign-format"),
+    pytest.param("iterations.jsonl", "}\n", "\n", id="broken-iteration-line"),
+])
+def test_export_corrupt_plan_file_exits_2_naming_it(tmp_path, capsys, name, old, new):
+    path = toy_robot_problem(tmp_path, steps=3, target=(0.2, 0.0, 0.0))
+    plan_out = tmp_path / "plan"
+    assert main(["plan", "--problem", path, "--method", "ours", "--out", str(plan_out)]) == 0
+    text = (plan_out / name).read_text()
+    assert old in text
+    (plan_out / name).write_text(text.replace(old, new, 1))
+    rc = main(["export", "--plan-dir", str(plan_out), "--out", str(tmp_path / "export")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_export_sdf_header_round_trip(tmp_path):
     from comotion.environment import Rect, Scene, load_sdf
 
@@ -475,7 +506,7 @@ def test_export_sdf_header_round_trip(tmp_path):
     assert main(["export", "--plan-dir", plan_out, "--resolution", "0.25", "--out", out]) == 0
     grid = load_sdf(os.path.join(out, "scene.sdf"))
     assert grid.resolution == 0.25
-    assert grid.dims[0] >= 2
+    assert grid.values.shape[0] >= 2
 
 
 def test_version_flag():

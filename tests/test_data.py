@@ -16,9 +16,9 @@ from comotion.kinematics import (
     NUM_JOINTS,
     STATE_DIM,
     forward_kinematics,
-    identity_state,
     rot6d_from_quat,
 )
+from helpers import identity_state
 from test_kinematics import NONPOSITIVE_TRACE, quaternion_lists
 
 

@@ -19,9 +19,18 @@ def single_disc_scene(radius=1.0):
 def sdf_query(grid, points):
     """Distances at (N, 2) points or one (2,) point, and their gradients, from
     the one tape node planning records."""
+    points = np.asarray(points, dtype=np.float64)
     tape, values = record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]),
-                          {"p": np.asarray(points, dtype=np.float64)})
-    return values, backward(tape, np.ones_like(values))["p"]
+                          {"p": points.reshape(-1, 2)})
+    grads = backward(tape, np.ones_like(values))["p"]
+    return values.reshape(points.shape[:-1]), grads.reshape(points.shape)
+
+
+def node_positions(grid):
+    """World x and y coordinates of the grid nodes."""
+    nx, ny = grid.values.shape
+    return (grid.origin[0] + grid.resolution * np.arange(nx),
+            grid.origin[1] + grid.resolution * np.arange(ny))
 
 
 def random_scene(rng, n_obstacles=3, bound=3.0):
@@ -67,7 +76,7 @@ def contains(ob, p):
 
 def test_disc_distances():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = grid.node_positions()
+    xs, ys = node_positions(grid)
     ix = int(np.argmin(np.abs(xs - 2.0)))
     iy = int(np.argmin(np.abs(ys - 0.0)))
     assert grid.values[ix, iy] == pytest.approx(1.0, abs=0.05)
@@ -83,7 +92,7 @@ def test_grid_matches_brute_force_boundary_sampling():
         res = 0.1
         grid = env.build_sdf(scene, resolution=res)
         samples = np.vstack([boundary_points(ob, 4000) for ob in scene.obstacles])
-        xs, ys = grid.node_positions()
+        xs, ys = node_positions(grid)
         sub_x = rng.choice(len(xs), size=15, replace=False)
         sub_y = rng.choice(len(ys), size=15, replace=False)
         for i in sub_x:
@@ -97,14 +106,14 @@ def test_grid_matches_brute_force_boundary_sampling():
 
 def test_query_at_node_returns_stored_value():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = grid.node_positions()
+    xs, ys = node_positions(grid)
     v, _ = sdf_query(grid, (xs[10], ys[20]))
     assert v == pytest.approx(grid.values[10, 20], abs=1e-14)
 
 
 def test_query_midway_is_mean_of_neighbors():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = grid.node_positions()
+    xs, ys = node_positions(grid)
     v, _ = sdf_query(grid, (0.5 * (xs[10] + xs[11]), ys[20]))
     assert v == pytest.approx(0.5 * (grid.values[10, 20] + grid.values[11, 20]), abs=1e-14)
 
@@ -113,10 +122,10 @@ def test_query_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     scene = random_scene(rng)
     grid = env.build_sdf(scene, resolution=0.05)
-    xs, ys = grid.node_positions()
+    xs, ys = node_positions(grid)
 
     def f(t, r):
-        return env.sdf_query_graph(t, grid, r["p"])
+        return t.sum(env.sdf_query_graph(t, grid, r["p"]))
 
     checked = 0
     while checked < 200:
@@ -124,7 +133,7 @@ def test_query_gradient_matches_finite_differences():
         i = rng.integers(0, len(xs) - 1)
         j = rng.integers(0, len(ys) - 1)
         frac = rng.uniform(0.2, 0.8, size=2)
-        p = np.array([xs[i] + frac[0] * 0.05, ys[j] + frac[1] * 0.05])
+        p = np.array([[xs[i] + frac[0] * 0.05, ys[j] + frac[1] * 0.05]])
         assert gradient_check(f, {"p": p}, step=1e-6 * 0.05) < 1e-6
         checked += 1
 
@@ -150,7 +159,7 @@ def test_numpy_query_equals_graph_query():
 
 def test_interpolation_continuous_across_cell_boundaries():
     grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = grid.node_positions()
+    xs, ys = node_positions(grid)
     eps = 1e-9
     for i in range(5, 20, 3):
         x_edge = xs[i]

@@ -9,8 +9,8 @@ from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
 from comotion.environment import Disc, Rect, Scene
-from comotion.kinematics import identity_state
 from comotion.solver import SolverConfig
+from helpers import identity_state
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,20 @@ def test_method_log_is_the_single_solve(model, observed, method):
         assert res.log is None
 
 
+@pytest.mark.parametrize("method", ["with_coll", "human_avoids", "robot_avoids"])
+def test_sequential_baseline_on_a_human_only_problem_is_the_human_solve(method):
+    """With no robot, the sequential baselines solve the human alone: the
+    reduced problem is the problem itself, so the result is ``ours``'s."""
+    problem = scenarios.make_reach_problems(1, 1)[0].problem
+    model = hm.init_params(hm.ModelConfig(num_layers=1, hidden_size=8), 0)
+    config = SolverConfig(max_rounds=2, max_inner=6)
+    res = ev.run_method(problem, method, model, solver_config=config)
+    ours = ev.run_method(problem, "ours", model, solver_config=config)
+    assert res.robot_traj is None and res.controls is None
+    assert np.array_equal(res.human_traj, ours.human_traj)
+    assert res.objective == ours.objective and res.solver_status == ours.solver_status
+
+
 def test_with_coll_ignores_other_agent(model, observed):
     rinit = np.zeros(7)
     rinit[:2] = observed[-1, :2]  # robot parked right on the human
@@ -380,6 +394,12 @@ def test_check_success_reports_each_failure():
     result.human_traj[:, 1] = -0.8  # within 0.2 m of the robot path
     ok, reasons = ev.check_success(problem, result, "collision")
     assert not ok and "agent-clearance" in reasons
+
+
+def test_check_success_rejects_an_unknown_kind():
+    problem, result = success_fixture()
+    with pytest.raises(ev.EvaluationError, match="'colision'"):
+        ev.check_success(problem, result, "colision")
 
 
 def test_check_success_monotone():

@@ -5,7 +5,8 @@ import pytest
 
 from comotion import human_model as hm
 from comotion.graph import OP_SCAN, OP_SLICE, Tape, backward, gradient_check, gru_unroll
-from comotion.kinematics import STATE_DIM, identity_state, rot6d_to_matrix
+from comotion.kinematics import STATE_DIM, rot6d_to_matrix
+from helpers import identity_state
 
 
 def tiny_config(**kw):

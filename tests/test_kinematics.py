@@ -14,7 +14,6 @@ from comotion.kinematics import (
     Skeleton,
     axis_angle_matrix,
     forward_kinematics,
-    identity_state,
     matrix_to_rot6d,
     quat_from_matrix,
     quat_from_rot6d,
@@ -24,6 +23,7 @@ from comotion.kinematics import (
     rot6d_to_matrix,
     yaw_matrix,
 )
+from helpers import identity_state
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -225,7 +225,7 @@ def test_fk_matches_homogeneous_oracle():
     sk = DEFAULT_HUMAN_SKELETON
     for _ in range(25):
         state = random_state(rng)
-        link = sk.names[rng.integers(0, 21)]
+        link = sk.joints[rng.integers(0, 21)].name
         pos, R = forward_kinematics(sk, state, link)
         pos_ref, R_ref = fk_oracle(sk, state, link)
         assert np.allclose(pos, pos_ref, atol=1e-9)

@@ -1,5 +1,7 @@
 """Objective/constraint value and gradient tests against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,15 @@ from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
 from comotion.graph import _OP_NAMES, backward, record
-from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics, identity_state
+from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
 from comotion.robot_model import DEFAULT_ROBOT, robot_fk, robot_unroll
+from helpers import identity_state
 
 
 def grid_distances(grid, points):
     """SDF grid values at (N, 2) points, each looked up on its own."""
-    return [float(record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]), {"p": p})[1])
+    return [float(record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]),
+                         {"p": p[None]})[1][0])
             for p in points]
 
 
@@ -599,3 +603,34 @@ def test_crossing_tape_records_the_human_unroll_as_one_scan_node():
     assert names.count("gru_scan") == 1
     assert "gru_step" not in names
     assert len(tape) <= 120
+
+
+def test_planning_and_training_tapes_record_every_registered_op(monkeypatch):
+    """Every registered primitive has a recording site: the op codes on the
+    planning tapes of each problem family and on one training tape cover the
+    registered set."""
+    model = hm.init_params(hm.ModelConfig(num_layers=1, hidden_size=8), 0)
+    crossing = scenarios.make_crossing_problems(1, 1)[0].problem
+    hard_max = [replace(c, aggregation="hard_max") if c.kind == "collision" else c
+                for c in crossing.constraints]
+    frozen = hm.predict(model, crossing.observed_human, horizon=crossing.steps)
+    problems = [
+        crossing,
+        scenarios.make_handover_problems(1, 1)[0].problem,
+        scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem,
+        scenarios.make_reach_problems(1, 1)[0].problem,
+        replace(crossing, constraints=hard_max),
+        replace(crossing, optimize_human=False, fixed_human=frozen),
+    ]
+    tapes = [obj.compile_problem(p, model=model).tape for p in problems]
+
+    def differentiated(tape, *args, **kwargs):
+        tapes.append(tape)
+        return backward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(hm, "backward", differentiated)
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=2, duration_frames=45), seed=0)
+    hm.train([r.frames for r in recs], model.config, 0, epochs=1)
+    assert len(tapes) > len(problems)
+    recorded = {_OP_NAMES[op] for t in tapes for op in t.ops}
+    assert recorded == set(_OP_NAMES.values())

@@ -142,7 +142,7 @@ def fk_oracle(config, state, link):
 def test_fk_matches_homogeneous_oracle():
     rng = np.random.default_rng(6)
     config = rm.DEFAULT_ROBOT
-    for link in config.link_names():
+    for link in ["base"] + [l.name for l in config.chain]:
         for _ in range(5):
             s = rng.normal(size=7)
             pos, R = rm.robot_fk(config, s, link)
