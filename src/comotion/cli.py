@@ -2,7 +2,7 @@
 
 Subcommands: synth, train, predict, plan, evaluate, sweep, export.  Every run
 writes a manifest (command line, configs, seed, version, timestamps) into its
-output directory before any computation, and all file writes go through a
+output directory before its main work, and all file writes go through a
 temp-file-plus-rename so partial outputs never clobber good ones.
 
 ``plan`` and ``evaluate`` solve through the same ``evaluation.evaluate_problem``
@@ -122,11 +122,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load_model(args):
-    path = _require(args.weights, "weight file")
-    return hm.load_params(path)
-
-
 _MODEL_CACHE: dict = {}
 
 
@@ -169,7 +164,6 @@ def _solver_config(args) -> SolverConfig:
 
 def cmd_synth(args) -> int:
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
     cfg = dat.SynthConfig(num_trajectories=args.count, duration_frames=args.frames)
     records = dat.synth_generate(cfg, seed=args.seed)
@@ -188,7 +182,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     data_path = _require(args.data, "dataset")
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
     records = dat.load_trajectories(data_path)
     if not records:
@@ -231,10 +224,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = _load_model(args)
+    model = hm.load_params(_require(args.weights, "weight file"))
     data_path = _require(args.data, "trajectory file")
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
     records = dat.load_trajectories(data_path)
     if not (0 <= args.record < len(records)):
@@ -260,17 +252,6 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _infer_kind(problem: obj.ProblemSpec) -> str:
-    kinds = {c.kind for c in problem.constraints}
-    if "joint_goal" in kinds and "handover" in kinds:
-        return "pickup_handover"
-    if "handover" in kinds:
-        return "handover"
-    if "joint_clearance" in kinds or "collision" in kinds:
-        return "collision"
-    return "goal"
-
-
 def _evaluate(problem, problem_id, method, weights, robot_path, kind, seed,
               solver_config, samples) -> ev.ExperimentRecord:
     """The one solve path of ``plan``, ``evaluate`` and the alpha sweep."""
@@ -279,7 +260,7 @@ def _evaluate(problem, problem_id, method, weights, robot_path, kind, seed,
         method,
         _model_for(problem, method, weights),
         problem_id=problem_id,
-        kind=kind or _infer_kind(problem),
+        kind=kind,
         robot=_robot_config(robot_path),
         solver_config=solver_config,
         sample_config=ev.SampleConfig(num_samples=samples),
@@ -294,12 +275,11 @@ def cmd_plan(args) -> int:
     if args.method not in ev.METHODS:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:
         obj.save_problem(problem, tmp)
 
-    kind = args.kind or _infer_kind(problem)
+    kind = args.kind or ev.default_kind(problem)
     record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
                        args.robot, kind, args.seed, solver_config, args.samples)
     result = record.result
@@ -368,7 +348,6 @@ def cmd_evaluate(args) -> int:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_manifest(out, args, extra={"problems": paths})
 
     if args.alpha_sweep:
@@ -450,7 +429,6 @@ def cmd_sweep(args) -> int:
         seeds=_numbers(args.seeds, "--seeds", int),
     )
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     _write_manifest(out, args)
     records = dat.load_trajectories(data_path)
     if not records:
@@ -488,31 +466,29 @@ def _polyline(points: np.ndarray) -> str:
 def cmd_export(args) -> int:
     plan_dir = _require(args.plan_dir, "plan output directory")
     out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    _write_manifest(out, args)
     problem_path = os.path.join(plan_dir, "problem.json")
     if not os.path.exists(problem_path):
         raise UsageError(f"no problem.json in {plan_dir}")
     problem = obj.load_problem(problem_path)
 
-    if problem.scene is not None:
-        grid = build_sdf(problem.scene, resolution=args.resolution)
-        with _atomic(os.path.join(out, "scene.sdf")) as tmp:
-            save_sdf(grid, tmp)
-
+    # every input is read and checked before the first write, so a corrupt
+    # plan file leaves no partial export behind
+    texts = {}
     human_path = os.path.join(plan_dir, "human_traj.traj")
     if os.path.exists(human_path):
-        rec = dat.load_trajectories(human_path)[0]
-        pts = rec.frames[:, :2]
+        records = dat.load_trajectories(human_path)
+        if not records:
+            raise UsageError(f"trajectory file is empty: {human_path}")
+        pts = records[0].frames[:, :2]
         if problem.observed_human is not None:
             pts = np.vstack([problem.observed_human[-1, :2], pts])
-        _atomic_write(os.path.join(out, "human_path.txt"), _polyline(pts))
+        texts["human_path.txt"] = _polyline(pts)
     robot_path = os.path.join(plan_dir, "robot_traj.txt")
     if os.path.exists(robot_path):
         pts = load_robot_trajectory(robot_path)[:, :2]
         if problem.robot_initial is not None:
             pts = np.vstack([problem.robot_initial[:2], pts])
-        _atomic_write(os.path.join(out, "robot_path.txt"), _polyline(pts))
+        texts["robot_path.txt"] = _polyline(pts)
 
     iters = os.path.join(plan_dir, "iterations.jsonl")
     if os.path.exists(iters):
@@ -527,8 +503,16 @@ def cmd_export(args) -> int:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise UsageError(f"{iters}: line {n} is not an iteration record "
                                      f"({exc!r})") from None
-        _atomic_write(os.path.join(out, "iterations.csv"),
-                      ",".join(fields) + "\n" + "\n".join(rows) + "\n")
+        texts["iterations.csv"] = ",".join(fields) + "\n" + "\n".join(rows) + "\n"
+    grid = (None if problem.scene is None
+            else build_sdf(problem.scene, resolution=args.resolution))
+
+    _write_manifest(out, args)
+    if grid is not None:
+        with _atomic(os.path.join(out, "scene.sdf")) as tmp:
+            save_sdf(grid, tmp)
+    for name, text in texts.items():
+        _atomic_write(os.path.join(out, name), text)
     print(f"exported plot data to {out}")
     return 0
 

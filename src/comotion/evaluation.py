@@ -213,14 +213,14 @@ def _single_agent_problem(problem: ProblemSpec, agent: str,
                    robot_initial=None, fixed_robot=other_traj)
 
 
-def _solve_robot_against(problem, human_traj, robot, sdf, solver_config,
+def _solve_robot_against(problem, human_traj, robot, solver_config,
                          compiled_cache=None) -> SolveResult:
     """Robot-only solve with the human frozen; caches the compiled tape."""
     if compiled_cache is not None and "compiled" in compiled_cache:
         return solve_compiled(compiled_cache["compiled"], solver_config,
                               extra_leaves={"fixed_h": human_traj.reshape(-1)})
     compiled = compile_problem(_single_agent_problem(problem, "robot", human_traj),
-                               model=None, robot=robot, sdf=sdf)
+                               model=None, robot=robot)
     if compiled_cache is not None:
         compiled_cache["compiled"] = compiled
     return solve_compiled(compiled, solver_config)
@@ -241,13 +241,12 @@ def run_method(
     model: hm.ModelParams | None,
     *,
     robot=DEFAULT_ROBOT,
-    sdf=None,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
-    kind: str = "collision",
+    kind: str | None = None,
     seed: int = 0,
 ) -> MethodResult:
-    """Run one planning method on one problem."""
+    """Run one planning method on one problem; ``kind`` defaults to ``default_kind``."""
     if method not in METHODS:
         raise EvaluationError(f"unknown method {method!r}")
     if method in WEIGHT_PRESETS:
@@ -256,8 +255,12 @@ def run_method(
                           weights=replace(problem.weights, weight_human=wh, weight_robot=wr))
 
     steps = problem.steps
-    if method in ("ours", "human_prio", "robot_prio"):
-        compiled = compile_problem(problem, model=model, robot=robot, sdf=sdf)
+    both_free = (problem.optimize_human and problem.optimize_robot
+                 and problem.robot_initial is not None)
+    # with one free agent a sequential baseline has nothing to sequence: its
+    # one solve is the joint solve
+    if method in ("ours", "human_prio", "robot_prio") or (method in _SEQUENTIAL and not both_free):
+        compiled = compile_problem(problem, model=model, robot=robot)
         res = solve_compiled(compiled, solver_config)
         return MethodResult(method, res.human_traj, res.robot_traj, res.modifiers,
                             res.controls, res.objective, res.status,
@@ -271,7 +274,7 @@ def run_method(
         )
         if not problem.has_robot():
             return MethodResult(method, human, None, None, None, 0.0, "converged")
-        res = _solve_robot_against(problem, human, robot, sdf, solver_config)
+        res = _solve_robot_against(problem, human, robot, solver_config)
         return MethodResult(method, human, res.robot_traj, None, res.controls,
                             res.objective, res.status,
                             details={"iterations": res.iterations}, log=res.log)
@@ -284,11 +287,12 @@ def run_method(
             best = samples[order[0]]
             return MethodResult(method, best, None, None, None, 0.0, "converged",
                                 details={"attempts": 0, "picked": int(order[0])})
+        kind = kind or default_kind(problem)
         cache: dict = {}
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
             human = samples[idx]
-            res = _solve_robot_against(problem, human, robot, sdf, solver_config,
+            res = _solve_robot_against(problem, human, robot, solver_config,
                                        compiled_cache=cache)
             candidate = MethodResult(method, human, res.robot_traj, None, res.controls,
                                      res.objective, res.status,
@@ -304,23 +308,18 @@ def run_method(
         return top_ranked
 
     first, avoids, details = _SEQUENTIAL[method]
-    agents = (first, _OTHER[first]) if problem.has_robot() else ("human",)
     solved = {}
     frozen = None
-    for agent in agents:
+    for agent in (first, _OTHER[first]):
         sub = _single_agent_problem(problem, agent, frozen)
         res = solve_compiled(
-            compile_problem(sub, model=model if agent == "human" else None,
-                            robot=robot, sdf=sdf),
+            compile_problem(sub, model=model if agent == "human" else None, robot=robot),
             solver_config,
         )
         solved[agent] = res
         if avoids:
             frozen = res.human_traj if agent == "human" else res.robot_traj
-    hres, rres = solved["human"], solved.get("robot")
-    if rres is None:  # a human-only problem: one solve, nothing to sequence
-        return MethodResult(method, hres.human_traj, None, hres.modifiers, None, hres.objective,
-                            hres.status, details={"iterations": hres.iterations}, log=hres.log)
+    hres, rres = solved["human"], solved["robot"]
     return MethodResult(method, hres.human_traj, rres.robot_traj, hres.modifiers,
                         rres.controls, hres.objective + rres.objective,
                         _combine_status(hres, rres), details=dict(details))
@@ -491,6 +490,18 @@ RESAMPLE_FACTOR = 10  # dense-check points per step
 KINDS = ("goal", "collision", "handover", "pickup_handover")  # what check_success scores
 
 
+def default_kind(problem: ProblemSpec) -> str:
+    """The experiment kind a problem's constraints describe."""
+    kinds = {c.kind for c in problem.constraints}
+    if "joint_goal" in kinds and "handover" in kinds:
+        return "pickup_handover"
+    if "handover" in kinds:
+        return "handover"
+    if "joint_clearance" in kinds or "collision" in kinds:
+        return "collision"
+    return "goal"
+
+
 def _resample(xy: np.ndarray, factor: int) -> np.ndarray:
     if len(xy) < 2 or factor <= 1:
         return xy
@@ -637,16 +648,17 @@ def evaluate_problem(
     model,
     *,
     problem_id: str = "p0",
-    kind: str = "collision",
+    kind: str | None = None,
     ground_truth: np.ndarray | None = None,
     robot=DEFAULT_ROBOT,
-    sdf=None,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
     seed: int = 0,
 ) -> ExperimentRecord:
+    """Run ``method`` and score it as an experiment of ``kind`` (``default_kind``)."""
+    kind = kind or default_kind(problem)
     t0 = time.perf_counter()
-    result = run_method(problem, method, model, robot=robot, sdf=sdf,
+    result = run_method(problem, method, model, robot=robot,
                         solver_config=solver_config, sample_config=sample_config,
                         kind=kind, seed=seed)
     wall = time.perf_counter() - t0

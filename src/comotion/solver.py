@@ -5,9 +5,11 @@ The decision variables are the flattened decoder modifiers and robot controls
 standing robot).  Inequalities enter through a shifted logarithmic barrier
 whose weight shrinks over outer rounds; equalities through multipliers plus a
 growing quadratic penalty.  Each round minimizes the resulting merit with
-BFGS (dense up to 2,000 variables, limited-memory above) and an Armijo
-backtracking line search.  The schedule, tolerances and line-search factors
-are the module constants below; only the iteration budget is a setting.
+L-BFGS, its initial matrix rescaled by ``s'y / y'y`` of the newest pair every
+iteration (Nocedal & Wright, ch. 7.2), and an Armijo backtracking line search;
+every problem, whatever its size, takes this one path.  The schedule,
+tolerances and line-search factors are the module constants below; only the
+iteration budget is a setting.
 
 States are never decision variables: trajectories returned in the result are
 re-unrolled from the returned controls, so dynamics hold by construction.
@@ -36,7 +38,6 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5  # step factor per rejected trial
 MAX_BACKTRACKS = 40
 LBFGS_HISTORY = 20
-DENSE_LIMIT = 2000  # variables; dense BFGS up to this many, L-BFGS above
 
 
 @dataclass(frozen=True)
@@ -131,19 +132,6 @@ def _merit_gradient(compiled, theta, g, h, mu, rho, lam, shift, ev) -> np.ndarra
     return grad
 
 
-def bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inverse BFGS update; returns the input unchanged on a curvature fail."""
-    sy = float(s @ y)
-    if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-        return h_inv
-    rho = 1.0 / sy
-    hy = h_inv @ y
-    # (I - rho s y') H (I - rho y s') + rho s s'
-    out = h_inv - rho * (np.outer(s, hy) + np.outer(hy, s))
-    out += rho * rho * float(y @ hy) * np.outer(s, s) + rho * np.outer(s, s)
-    return out
-
-
 class _LbfgsMemory:
     """Two-loop recursion with a bounded (s, y) history."""
 
@@ -191,8 +179,7 @@ def _fraction_to_boundary(theta, d, lo, hi, margin=0.995) -> float:
 def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfig(),
                    extra_leaves: dict | None = None) -> SolveResult:
     """Run the outer barrier/multiplier rounds on an already-compiled problem."""
-    n = compiled.n
-    theta = np.zeros(n)
+    theta = np.zeros(compiled.n)
     lam = np.zeros(compiled.num_eq)
     mu = BARRIER_INIT
     rho = PENALTY_INIT
@@ -203,7 +190,6 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
         shift0 = max(0.0, float(np.max(g0))) + 0.1
     shift = shift0
 
-    dense = n <= DENSE_LIMIT
     lbfgs = _LbfgsMemory()
 
     log: list[IterationRecord] = []
@@ -243,7 +229,6 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
     grad_norm = np.inf
     prev_eq_norm = np.inf
     for rnd in range(config.max_rounds):
-        h_inv = np.eye(n) if dense else None
         lbfgs.clear()
         f, g, h, ev = compiled.evaluate(theta, extra_leaves)
         m_val = _merit_value(compiled, theta, f, g, h, mu, rho, lam, shift)
@@ -262,13 +247,10 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
             grad_norm = float(np.max(np.abs(grad)))
             if grad_norm < GRAD_TOL:
                 break
-            d = (h_inv @ -grad) if dense else lbfgs.direction(grad)
+            d = lbfgs.direction(grad)
             slope = float(d @ grad)
             if not np.isfinite(slope) or slope >= 0:
-                if dense:
-                    h_inv = np.eye(n)
-                else:
-                    lbfgs.clear()
+                lbfgs.clear()
                 d = -grad
                 slope = float(d @ grad)
             alpha = _fraction_to_boundary(theta, d, compiled.lower, compiled.upper)
@@ -288,10 +270,7 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
             grad2 = _merit_gradient(compiled, trial, g2, h2, mu, rho, lam, shift, ev2)
             s = trial - theta
             y = grad2 - grad
-            if dense:
-                h_inv = bfgs_update(h_inv, s, y)
-            else:
-                lbfgs.push(s, y)
+            lbfgs.push(s, y)
             theta, f, g, h, ev, m_val, grad = trial, f2, g2, h2, ev2, m2, grad2
             iteration += 1
             consider(theta, f, g, h)

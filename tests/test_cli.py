@@ -485,6 +485,23 @@ def test_export_corrupt_plan_file_exits_2_naming_it(tmp_path, capsys, name, old,
     assert rc == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+    assert not (tmp_path / "export").exists()  # nothing written before the inputs check out
+
+
+def test_export_empty_human_trajectory_exits_2_writing_nothing(tmp_path, capsys):
+    from comotion import scenarios
+
+    path = tmp_path / "handover.json"
+    obj.save_problem(scenarios.make_handover_problems(1, 1)[0].problem, path)
+    plan_out = tmp_path / "plan"
+    assert main(["plan", "--problem", str(path), "--method", "zerovel", "--max-rounds", "1",
+                 "--max-inner", "2", "--out", str(plan_out)]) == 0
+    (plan_out / "human_traj.traj").write_text("")
+    rc = main(["export", "--plan-dir", str(plan_out), "--out", str(tmp_path / "export")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "human_traj.traj" in err and "Traceback" not in err
+    assert not (tmp_path / "export").exists()
 
 
 def test_export_sdf_header_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Baseline, metric and success-check tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,21 @@ def test_sequential_baseline_on_a_human_only_problem_is_the_human_solve(method):
     assert res.objective == ours.objective and res.solver_status == ours.solver_status
 
 
+@pytest.mark.parametrize("method", ["with_coll", "human_avoids", "robot_avoids"])
+def test_sequential_baseline_on_a_frozen_human_problem_is_the_robot_solve(method):
+    """With the human frozen on a forecast, the sequential baselines solve the
+    robot alone: the problem has one free agent, so the result is ``ours``'s."""
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    forecast = ev.zerovel_predict(problem.observed_human, problem.steps)
+    frozen = replace(problem, optimize_human=False, fixed_human=forecast)
+    config = SolverConfig(max_rounds=2, max_inner=10)
+    res = ev.run_method(frozen, method, None, solver_config=config)
+    ours = ev.run_method(frozen, "ours", None, solver_config=config)
+    assert np.array_equal(res.robot_traj, ours.robot_traj)
+    assert np.array_equal(res.controls, ours.controls)
+    assert res.objective == ours.objective and res.solver_status == ours.solver_status
+
+
 def test_with_coll_ignores_other_agent(model, observed):
     rinit = np.zeros(7)
     rinit[:2] = observed[-1, :2]  # robot parked right on the human
@@ -347,6 +364,38 @@ def test_base_pos_error_frames(model, observed):
 
 
 # -- success -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scenarios.make_reach_problems(1, 1)[0],
+    lambda: scenarios.make_crossing_problems(1, 1)[0],
+    lambda: scenarios.make_handover_problems(1, 1)[0],
+    lambda: scenarios.make_pickup_handover_problem(1),
+], ids=["reach", "crossing", "handover", "pickup-handover"])
+def test_default_kind_is_the_generators_kind(make):
+    inst = make()
+    assert ev.default_kind(inst.problem) == inst.kind
+
+
+def test_evaluate_scores_the_problems_own_kind_by_default(model, monkeypatch):
+    """A handover problem is scored as a handover by default, by
+    ``evaluate_problem`` and by ``sample``'s per-candidate check alike."""
+    problem = scenarios.make_handover_problems(1, 1)[0].problem
+    config = SolverConfig(max_rounds=1, max_inner=3)
+    default = ev.evaluate_problem(problem, "zerovel", None, solver_config=config)
+    explicit = ev.evaluate_problem(problem, "zerovel", None, solver_config=config,
+                                   kind="handover")
+    assert default.reasons == explicit.reasons
+    assert "agent-clearance" not in default.reasons
+
+    kinds = []
+    check = ev.check_success
+    monkeypatch.setattr(ev, "check_success",
+                        lambda p, r, kind, **kw: kinds.append(kind) or check(p, r, kind, **kw))
+    small = hm.init_params(hm.ModelConfig(num_layers=1, hidden_size=8), 0)
+    ev.run_method(problem, "sample", small, solver_config=config,
+                  sample_config=ev.SampleConfig(num_samples=2))
+    assert kinds and set(kinds) == {"handover"}
 
 
 def success_fixture():

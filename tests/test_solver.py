@@ -1,10 +1,12 @@
-"""Solver tests: analytic toy problems, BFGS behavior, contracts."""
+"""Solver tests: analytic toy problems, L-BFGS behavior, contracts."""
 
 import numpy as np
 import pytest
 
+from comotion import evaluation as ev
 from comotion import human_model as hm
 from comotion import objectives as obj
+from comotion import scenarios
 from comotion import solver as sv
 from comotion.data import SynthConfig, synth_generate
 from comotion.graph import Tape
@@ -138,40 +140,44 @@ def test_merit_infeasible_barrier_is_infinite():
     assert merit(compiled, np.array([2.0]), 1.0, 10.0, np.zeros(0), shift=0.0) == np.inf
 
 
-def test_bfgs_quadratic_termination():
-    """BFGS from identity solves a 5-dim quadratic in at most n + 2 iterations."""
+def test_lbfgs_direction_is_the_scaled_inverse_bfgs_step():
+    """With every pair stored, the two-loop direction is -H g, where H is the
+    inverse-BFGS update of gamma I (gamma = s'y / y'y of the newest pair) over
+    the same pairs; a negative-curvature pair is not stored."""
     rng = np.random.default_rng(1)
-    A = rng.normal(size=(5, 5))
-    A = A @ A.T + 5 * np.eye(5)
-    b = rng.normal(size=5)
+    n = 6
+    A = rng.normal(size=(n, n))
+    A = A @ A.T + n * np.eye(n)
+    memory = sv._LbfgsMemory()
+    pairs = [(s, A @ s) for s in rng.normal(size=(4, n))]
+    for s, y in pairs:
+        memory.push(s, y)
+    s = rng.normal(size=n)
+    memory.push(s, -s)
+    assert len(memory.pairs) == len(pairs)
 
-    x = np.zeros(5)
-    h_inv = np.eye(5)
-    grad = A @ x - b
-    for it in range(7):
-        if np.linalg.norm(grad) < 1e-8:
-            break
-        d = -h_inv @ grad
-        denom = float(d @ A @ d)
-        alpha = -float(grad @ d) / denom  # exact line search on the quadratic
-        s = alpha * d
-        x = x + s
-        grad_new = A @ x - b
-        h_inv = sv.bfgs_update(h_inv, s, grad_new - grad)
-        grad = grad_new
-    assert it <= 7
-    assert np.linalg.norm(A @ x - b) < 1e-6
+    s, y = pairs[-1]
+    H = float(s @ y) / float(y @ y) * np.eye(n)
+    for s, y in pairs:
+        rho = 1.0 / float(s @ y)
+        V = np.eye(n) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    g = rng.normal(size=n)
+    assert np.allclose(memory.direction(g), -H @ g, rtol=1e-12, atol=1e-12)
 
 
-def test_bfgs_update_guards_and_symmetry():
-    rng = np.random.default_rng(2)
-    h_inv = np.eye(4)
-    s = rng.normal(size=4)
-    y = -s  # negative curvature: update must be skipped
-    assert np.array_equal(sv.bfgs_update(h_inv, s, y), h_inv)
-    y = s + 0.1 * rng.normal(size=4)
-    out = sv.bfgs_update(h_inv, s, y)
-    assert np.allclose(out, out.T, atol=1e-12)
+def test_robot_only_solve_makes_under_two_replays_per_iteration(monkeypatch):
+    """A 240-variable frozen-human solve takes the scaled L-BFGS steps, whose
+    unit trial step is mostly accepted, instead of backtracking from an
+    unscaled identity."""
+    replays = []
+    evaluate = obj.CompiledProblem.evaluate
+    monkeypatch.setattr(obj.CompiledProblem, "evaluate",
+                        lambda *a, **kw: replays.append(1) or evaluate(*a, **kw))
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    res = ev.run_method(problem, "zerovel", None)
+    assert res.details["iterations"] > 0
+    assert len(replays) < 2 * res.details["iterations"]
 
 
 def test_monotone_merit_within_rounds():
