@@ -4,8 +4,8 @@ Methods compared throughout the experiments:
 
 * ``ours``: joint optimization of the human prediction and the robot plan
   (``human_prio``/``robot_prio`` are the same with shifted agent weights).
-* ``initial``: the plain prediction; the robot, when present, is optimized
-  against it as a fixed trajectory.
+* ``initial``: the plain prediction; the robot, when free, is optimized
+  against it as a fixed trajectory, and a frozen robot keeps its trajectory.
 * ``zerovel``: the no-movement prediction, treated like ``initial``.
 * ``sample``: noisy-hidden-state prediction samples, ranked by a heuristic,
   with robot-only optimization attempted against each until one succeeds.
@@ -100,7 +100,13 @@ def default_ranking(problem: ProblemSpec) -> str:
 
 
 def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int):
-    """Decode ``num_samples`` futures from Gaussian-perturbed hidden states."""
+    """Decode ``num_samples`` futures from Gaussian-perturbed hidden states;
+    returns them as an (S, horizon, 129) array.
+
+    The seeded noise is drawn sample by sample, layer by layer, and the S
+    perturbed states decode at once, as the columns of one uncontrolled
+    unroll.  The result is a view of that unroll's (horizon, 129, S) output.
+    """
     rng = np.random.default_rng(seed)
     hiddens = hm.encode(model, observed)
     var = config.noise_variance
@@ -108,14 +114,13 @@ def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int
         mean_mag = float(np.mean([np.mean(np.abs(h)) for h in hiddens]))
         var = max(0.05 * mean_mag, 1e-12)
     sigma = np.sqrt(var)
-    zeros = np.zeros((horizon, hm.MODIFIER_DIM))
-    init_state = observed[-1]
-    init_vel = observed[-1] - observed[-2]
-    samples = []
-    for _ in range(config.num_samples):
-        noisy = [h + sigma * rng.standard_normal(h.shape) for h in hiddens]
-        samples.append(hm.unroll_decoder(model, init_state, init_vel, noisy, zeros, horizon))
-    return samples
+    sizes = [h.shape[0] for h in hiddens]
+    noise = rng.standard_normal((config.num_samples, sum(sizes)))
+    noisy = [h[:, None] + sigma * z.T
+             for h, z in zip(hiddens, np.split(noise, np.cumsum(sizes)[:-1], axis=1))]
+    states = hm.unroll_decoder(model, observed[-1], observed[-1] - observed[-2], noisy, None,
+                               horizon)
+    return np.moveaxis(states, 2, 0)
 
 
 def _palms(agent: str, states, offset, robot=DEFAULT_ROBOT) -> np.ndarray:
@@ -255,8 +260,8 @@ def run_method(
                           weights=replace(problem.weights, weight_human=wh, weight_robot=wr))
 
     steps = problem.steps
-    both_free = (problem.optimize_human and problem.optimize_robot
-                 and problem.robot_initial is not None)
+    free_robot = problem.optimize_robot and problem.robot_initial is not None
+    both_free = problem.optimize_human and free_robot
     # with one free agent a sequential baseline has nothing to sequence: its
     # one solve is the joint solve
     if method in ("ours", "human_prio", "robot_prio") or (method in _SEQUENTIAL and not both_free):
@@ -272,8 +277,8 @@ def run_method(
             if method == "initial"
             else zerovel_predict(problem.observed_human, steps)
         )
-        if not problem.has_robot():
-            return MethodResult(method, human, None, None, None, 0.0, "converged")
+        if not free_robot:  # no robot, or a frozen one: nothing to solve
+            return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, "converged")
         res = _solve_robot_against(problem, human, robot, solver_config)
         return MethodResult(method, human, res.robot_traj, None, res.controls,
                             res.objective, res.status,
@@ -283,10 +288,9 @@ def run_method(
         samples = sample_predictions(model, problem.observed_human, steps,
                                      sample_config, seed)
         order = rank_predictions(samples, sample_config, problem, robot)
-        if not problem.has_robot():
-            best = samples[order[0]]
-            return MethodResult(method, best, None, None, None, 0.0, "converged",
-                                details={"attempts": 0, "picked": int(order[0])})
+        if not free_robot:
+            return MethodResult(method, samples[order[0]], problem.fixed_robot, None, None, 0.0,
+                                "converged", details={"attempts": 0, "picked": int(order[0])})
         kind = kind or default_kind(problem)
         cache: dict = {}
         top_ranked = None

@@ -46,13 +46,16 @@ own output, shifted by the optional modifier rows u_j, with u_H = u_{H-1}::
     v_{j+1} = W_o o_j + b_o
     s_{j+1} = [s_j[:l]; s_j[l:] + u_j[l:]] + v_{j+1}
 
-The output is the (H, sd[, B]) states s_1..s_H.  Recording and replay keep,
-in preallocated (dim, T, B) buffers over all T = E + H steps, the layer-0
-inputs x and each layer's hidden states (T + 1 of them) and gates [z; r; n];
-the backward pass reuses them instead of recomputing.  The adjoint is
-backpropagation through time (Werbos 1990).  With G_j the output gradient
-of s_{j+1}, the reverse loop carries S (the gradient of s_{j+1}), V (of
-v_{j+1}) and one hidden-state gradient per layer, and at decoder step j::
+The output is the (H, sd[, B]) states s_1..s_H.  Recording and replay keep
+a time-major cache over all T = E + H steps, which each cell step writes in
+place: the layer-0 inputs xs[t], each layer's hidden states hs[l][t] (T + 1
+of them) and gates gates[l][t] = [z; r; n].  The backward pass reuses them
+instead of recomputing.  An unroll that keeps no cache (prediction, encoding,
+the test loss, the sampled forecast) runs every step in one-step workspaces.
+The adjoint is backpropagation through time (Werbos 1990).  With G_j the
+output gradient of s_{j+1}, the reverse loop carries S (the gradient of
+s_{j+1}), V (of v_{j+1}) and one hidden-state gradient per layer, and at
+decoder step j::
 
     S <- G_j + S,  gv_j = S + V,  g_top += W_o^T gv_j
     per layer, top down: the cell adjoint; g_x adds to the layer below's
@@ -60,10 +63,12 @@ v_{j+1}) and one hidden-state gradient per layer, and at decoder step j::
     r_j = S[l:] + g_x[:sd-l],  V_j = V <- g_x[sd-l:],  S <- [S[:l]; r_j]
     du_j = [0; r_j] - V_j + V_{j-1}   (V_{H-1} drops out: u_H = u_{H-1})
 
-Encoder steps run only the cell adjoints, and only when a weight wants a
-gradient.  The weight gradients then sum over time in one GEMM per gate
-block after the loop, on (dim, T B) views of the buffers and of the g_pre
-stored per step::
+The cell adjoint's forward-only factors (1 - [z; r], 1 - n^2, n - h and hd)
+are computed for all steps before the loop; every product keeps the
+association order written above.  Encoder steps run only the cell adjoints,
+and only when a weight wants a gradient.  The weight gradients then sum over
+time in one GEMM per gate block after the loop, on (dim, T B) copies of the
+cache and the g_pre stored per step::
 
     dW = G_pre Xd^T,  dU = [G_zr Hd^T; G_n (R * Hd)^T],  db = G_pre 1
     dW_o = GV O^T,  db_o = GV 1
@@ -124,6 +129,7 @@ __all__ = [
     "record",
     "backward",
     "gradient_check",
+    "GRULayer",
     "gru_cell",
     "gru_unroll",
     "unicycle_rollout",
@@ -258,12 +264,6 @@ def _b_columns(g, vals, a, p, out):
     return (full,)
 
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic of the GRU gates."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def _f_sin(vals, a, p):
     return np.sin(vals[a[0]])
 
@@ -362,94 +362,139 @@ def _b_interp2(g, vals, a, p, out):
 # ---------------------------------------------------------------------------
 
 
-def gru_cell(x, h, W, U, b, mask_x=None, mask_h=None):
-    """One GRU layer step on stacked gate weights; returns ``(h', gates)``.
+class GRULayer:
+    """One GRU layer as a pass uses it: the stacked weights (W, U, b) split
+    into the blocks :func:`gru_cell` multiplies by, the (input, hidden)
+    dropout masks and the workspaces of one step, all made once per pass."""
 
-    ``gates`` is ``(xd, hd, [z; r], r * hd, n)``.  Vectors or column-batched
-    matrices.
+    def __init__(self, W, U, b, mask_x=None, mask_h=None, batch=()):
+        d = U.shape[1]
+        if batch:
+            b = b[:, None]
+        self.W, self.U_zr, self.U_n = W, U[: 2 * d], U[2 * d :]
+        self.b_zr, self.b_n = b[: 2 * d], b[2 * d :]
+        self.mask_x, self.mask_h = mask_x, mask_h
+        self.xd = None if mask_x is None else np.empty((W.shape[1], *batch))
+        self.hd = None if mask_h is None else np.empty((d, *batch))
+        self.wx = np.empty((3 * d, *batch))
+        self.wx_zr, self.wx_n = self.wx[: 2 * d], self.wx[2 * d :]
+        self.e, self.rh = np.empty((2 * d, *batch)), np.empty((d, *batch))
+        self.keep = self.e[:d]  # free once the logistic is done
+
+
+def gru_cell(x, h, layer: GRULayer, gates, out):
+    """One GRU layer step (see the module docstring) into output slots.
+
+    Writes [z; r; n] into ``gates`` (3d[, B]) and h' into ``out``, which may
+    be ``h`` itself, and returns ``out``.  Vectors or column-batched matrices.
     """
     d = h.shape[0]
-    xd = x if mask_x is None else x * mask_x
-    hd = h if mask_h is None else h * mask_h
-    if x.ndim == 2:
-        b = b[:, None]
-    wx = W @ xd
-    zr = sigmoid_array(wx[: 2 * d] + U[: 2 * d] @ hd + b[: 2 * d])
+    xd = x if layer.mask_x is None else np.multiply(x, layer.mask_x, out=layer.xd)
+    hd = h if layer.mask_h is None else np.multiply(h, layer.mask_h, out=layer.hd)
+    np.matmul(layer.W, xd, out=layer.wx)
+    zr, n = gates[: 2 * d], gates[2 * d :]
     z, r = zr[:d], zr[d:]
-    rh = r * hd
-    n = np.tanh(wx[2 * d :] + U[2 * d :] @ rh + b[2 * d :])
-    return (1.0 - z) * h + z * n, (xd, hd, zr, rh, n)
+    np.matmul(layer.U_zr, hd, out=zr)
+    np.add(layer.wx_zr, zr, out=zr)
+    np.add(zr, layer.b_zr, out=zr)
+    # overflow-safe logistic exp(min(a, 0)) / (1 + exp(-|a|)); the numerator
+    # is 1 where a >= 0 and exp(-|a|) elsewhere
+    e = np.abs(zr, out=layer.e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.exp(np.minimum(zr, 0.0, out=zr), out=zr)
+    np.add(e, 1.0, out=e)
+    np.divide(zr, e, out=zr)
+    rh = np.multiply(r, hd, out=layer.rh)
+    np.matmul(layer.U_n, rh, out=n)
+    np.add(layer.wx_n, n, out=n)
+    np.add(n, layer.b_n, out=n)
+    np.tanh(n, out=n)
+    keep = np.subtract(1.0, z, out=layer.keep)
+    np.multiply(keep, h, out=keep)
+    return np.add(keep, np.multiply(z, n, out=rh), out=out)
 
 
 def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifiers=None,
                masks=None, keep=False):
     """Unroll a GRU stack with a residual output layer (see the module docstring).
 
-    ``weights`` is ``(W, U, b)`` per layer, stacked as :func:`gru_cell` takes
+    ``weights`` is ``(W, U, b)`` per layer, stacked as :class:`GRULayer` takes
     them, then the output layer ``(W_o, b_o)``; ``hiddens`` holds each layer's
     initial hidden state and ``masks`` one (input, hidden) dropout mask pair
     per layer.  The first ``len(inputs)`` steps read ``inputs``; the next
     ``horizon`` steps start from ``state`` and ``velocity`` and feed back their
     own outputs.  Row j of ``modifiers`` shifts decoder step j, and row j + 1
     (row j itself when there is none) its velocity input.  Vectors or
-    column-batched matrices.
+    column-batched matrices; ``state`` and ``velocity`` may be read-only
+    broadcast views.
 
     Returns the (horizon, sd[, B]) decoder states, the last velocity, the
-    final hidden states and, when ``keep``, the cache that the ``gru_scan``
-    backward pass reads.
+    final hidden states and, when ``keep``, the time-major cache that the
+    ``gru_scan`` backward pass reads: the layer-0 inputs ``xs[t]``, each
+    layer's hidden states ``hs[l][t]`` (T + 1 of them) and gates
+    ``gates[l][t]``.  Without ``keep`` every step writes into the same
+    one-step workspaces, so memory does not grow with the step count.
     """
     *cells, out_W, out_b = weights
-    layers = [cells[i : i + 3] for i in range(0, len(cells), 3)]
-    hiddens = list(hiddens)
-    if masks is None:
-        masks = [(None, None)] * len(layers)
     batch = hiddens[0].shape[1:]
+    if masks is None:
+        masks = [(None, None)] * len(hiddens)
+    layers = [GRULayer(*cells[3 * li : 3 * li + 3], *masks[li], batch)
+              for li in range(len(hiddens))]
     if batch:
         out_b = out_b[:, None]
     sd = out_W.shape[0]
-    lead = 2 * sd - layers[0][0].shape[1]  # state entries that are not inputs
+    in_dim = cells[0].shape[1]
+    lead = 2 * sd - in_dim  # state entries that are not inputs
+    rot = sd - lead  # input entries the shifted state fills; the velocity fills the rest
     enc = 0 if inputs is None else len(inputs)
     steps = enc + horizon
     states = np.empty((horizon, sd, *batch))
     cache = None
     if keep:
-        xs = np.empty((layers[0][0].shape[1], steps, *batch))
-        hs = [np.empty((h.shape[0], steps + 1, *batch)) for h in hiddens]
-        gates = [np.empty((3 * h.shape[0], steps, *batch)) for h in hiddens]
-        for h, buf in zip(hiddens, hs):
-            buf[:, 0] = h
+        # step t reads xs[t] and hs[l][t], writes gates[l][t] and hs[l][t + 1]
+        xs = np.empty((steps, in_dim, *batch))
+        if enc:
+            xs[:enc] = inputs
+        hs = [np.empty((steps + 1, *h.shape)) for h in hiddens]
+        for buf, h in zip(hs, hiddens):
+            buf[0] = h
+        gates = [np.empty((steps, 3 * h.shape[0], *batch)) for h in hiddens]
         cache = (xs, hs, gates)
+    else:
+        # the same slots, each step's being one workspace: hidden states update in place
+        xs = [*([] if inputs is None else inputs), *[np.empty((in_dim, *batch))] * horizon]
+        hs = [[h.copy()] * (steps + 1) for h in hiddens]
+        gates = [[np.empty((3 * h.shape[0], *batch))] * steps for h in hiddens]
+    if modifiers is not None:
+        # u_{j+1} - u_j of every step at once; the last row is its own next row
+        shift = np.diff(modifiers, axis=0, append=modifiers[-1:])
+        mod_rot = modifiers[:, lead:]
+    vel = np.empty((sd, *batch))
+    s, v = state, velocity  # s_j and v_j
     for t in range(steps):
+        x = xs[t]
         j = t - enc
-        if j < 0:
-            x = inputs[t]
-        else:
-            if modifiers is None:
-                rot_in, vel_in = state[lead:], velocity
-            else:
-                u = modifiers[j]
-                u_next = modifiers[j + 1] if j + 1 < len(modifiers) else u
-                rot_in = state[lead:] + u[lead:]
-                vel_in = velocity + (u_next - u)
-            x = np.concatenate([rot_in, vel_in])
-        inp = x
-        for li, ((W, U, b), (mask_x, mask_h)) in enumerate(zip(layers, masks)):
-            inp, (_, _, zr, _, n) = gru_cell(inp, hiddens[li], W, U, b, mask_x, mask_h)
-            hiddens[li] = inp
-            if keep:
-                d2 = zr.shape[0]
-                hs[li][:, t + 1] = inp
-                gates[li][:d2, t] = zr
-                gates[li][d2:, t] = n
-        if keep:
-            xs[:, t] = x
         if j >= 0:
-            velocity = out_W @ inp + out_b
+            x_rot, x_vel = x[:rot], x[rot:]
+            if modifiers is None:
+                np.copyto(x_rot, s[lead:])
+                np.copyto(x_vel, v)
+            else:
+                np.add(s[lead:], mod_rot[j], out=x_rot)
+                np.add(v, shift[j], out=x_vel)
+        for layer, h, g in zip(layers, hs, gates):
+            x = gru_cell(x, h[t], layer, g[t], h[t + 1])
+        if j >= 0:
+            v = np.matmul(out_W, x, out=vel)
+            np.add(v, out_b, out=v)
             # the residual integrates onto the shifted input state; the lead
             # entries have no modifier slot and integrate their velocity only
-            base = state if modifiers is None else np.concatenate([state[:lead], rot_in])
-            state = states[j] = base + velocity
-    return states, velocity, hiddens, cache
+            np.add(s[:lead], v[:lead], out=states[j, :lead])
+            np.add(x_rot, v[lead:], out=states[j, lead:])
+            s = states[j]
+    return states, v, [h[steps] for h in hs], cache
 
 
 def _f_scan(vals, a, p):
@@ -466,98 +511,133 @@ def _flat(a):
     return a.reshape(a.shape[0], -1)
 
 
+def _dim_major(a, mask=None):
+    """A time-major (T, dim[, B]) buffer, times a (dim[, B]) mask when given,
+    as a contiguous (dim, T[, B]) copy: the layout of the weight GEMMs."""
+    out = np.empty((a.shape[1], a.shape[0], *a.shape[2:]))
+    if mask is None:
+        np.copyto(out, np.moveaxis(a, 0, 1))
+    else:
+        np.multiply(np.moveaxis(a, 0, 1), mask[:, None], out=out)
+    return out
+
+
 def _b_scan(g, vals, a, p, cache, needed):
     hiddens, _, _, horizon, _, masks = p
     nl = len(hiddens)
     nw = 3 * nl + 2
-    layers = [tuple(vals[i] for i in a[k : k + 3]) for k in range(0, 3 * nl, 3)]
-    out_W = vals[a[nw - 2]]
+    out_WT = vals[a[nw - 2]].T
     if masks is None:
         masks = [(None, None)] * nl
     xs, hs, gates = cache
-    steps = xs.shape[1]
+    steps = len(xs)
     enc = steps - horizon
-    sd = out_W.shape[0]
-    lead = 2 * sd - xs.shape[0]
+    sd = out_WT.shape[1]
+    rot = xs.shape[1] - sd
+    lead = sd - rot
     batch = g.shape[2:]
     want_w = any(needed[i] for i in a[:nw])
     want_u = len(a) > nw and needed[a[nw]]
-    if want_w:
-        g_pre_buf = [np.empty_like(q) for q in gates]
-        g_vel_buf = np.empty((sd, horizon, *batch))
-    if want_u:
-        g_rot = np.empty((horizon, sd - lead, *batch))
-        g_vin = np.empty((horizon, sd, *batch))
-    gh = [np.zeros_like(h) for h in hiddens]  # gradient of each layer's hidden
-    g_s = g_v = g_x = None  # gradients of the decoder state, velocity and input
+    # The forward-only factors of the cell adjoints, for all steps at once.
+    # Step t's g_pre slot starts out holding the factors its rows multiply by
+    # last, [1 - z; 1 - r; 1 - n^2].  The slots and the masked hidden states
+    # hd are time-major, or (dim, T, B) when the weight GEMMs read them.
+    layers, g_pres, hds, n_hs = [], [], [], []
+    for li, (mask_x, mask_h) in enumerate(masks):
+        W, U = vals[a[3 * li]], vals[a[3 * li + 1]]
+        d = U.shape[1]
+        zr, n, h = gates[li][:, : 2 * d], gates[li][:, 2 * d :], hs[li][:-1]
+        if want_w:
+            g_pre, hd = np.empty((3 * d, steps, *batch)), _dim_major(h, mask_h)
+            slots, hd_steps = np.moveaxis(g_pre, 1, 0), np.moveaxis(hd, 1, 0)
+            g_pres.append(g_pre)
+            hds.append(hd)
+        else:
+            slots = np.empty((steps, 3 * d, *batch))
+            hd_steps = h if mask_h is None else h * mask_h
+        np.subtract(1.0, zr, out=slots[:, : 2 * d])
+        one_n2 = np.multiply(n, n, out=slots[:, 2 * d :])
+        np.subtract(1.0, one_n2, out=one_n2)
+        n_hs.append(n - h)
+        w_zr = np.empty((2 * d, *batch))
+        layers.append((W.T, U[: 2 * d].T, U[2 * d :].T, mask_x, mask_h, d, zr, slots, hd_steps,
+                       w_zr, w_zr[:d], w_zr[d:], np.empty((d, *batch)), np.empty((d, *batch)),
+                       np.empty((W.shape[1], *batch)) if li else None))
+    # the velocity gradients stay (sd, H, B) for the output-layer GEMM; the
+    # input gradients of every step are kept only for the modifier gradient
+    g_vel = np.empty((sd, horizon, *batch)) if want_w else None
+    g_vels = np.moveaxis(g_vel, 1, 0) if want_w else [np.empty((sd, *batch))] * horizon
+    g_xs = (np.empty((horizon, sd + rot, *batch)) if want_u
+            else [np.empty((sd + rot, *batch))] * horizon)
+    gu = np.zeros((horizon, sd, *batch)) if want_u else None
+    gh = [np.zeros_like(h) for h in hiddens]  # gradient of each layer's hidden state
+    top = np.empty_like(gh[-1])
+    g_s = np.empty((sd, *batch))  # S, the gradient of the decoder state
+    g_v = None  # V, of the velocity
     # encoder steps only matter for the weight gradients
     for t in range(steps - 1, -1 if want_w else enc - 1, -1):
         j = t - enc
         if j >= 0:
-            g_s = g[j] if g_s is None else g[j] + g_s
-            g_vel = g_s if g_v is None else g_s + g_v
-            if want_w:
-                g_vel_buf[:, j] = g_vel
-            gh[-1] = gh[-1] + out_W.T @ g_vel
+            gv = g_vels[j]
+            if g_v is None:
+                np.copyto(g_s, g[j])
+                np.copyto(gv, g_s)
+            else:
+                np.add(g[j], g_s, out=g_s)
+                np.add(g_s, g_v, out=gv)
+            np.add(gh[-1], np.matmul(out_WT, gv, out=top), out=gh[-1])
         for li in range(nl - 1, -1, -1):
-            W, U, _ = layers[li]
-            mask_x, mask_h = masks[li]
-            d = U.shape[1]
+            (WT, U_zrT, U_nT, mask_x, mask_h, d, zr, slots, hd, w_zr, w_z, w_r, w_rh, w_hd,
+             w_in) = layers[li]
             gt = gh[li]
-            zr = gates[li][: 2 * d, t]
-            n = gates[li][2 * d :, t]
-            h = hs[li][:, t]
-            hd = h if mask_h is None else h * mask_h
-            g_pre = g_pre_buf[li][:, t] if want_w else np.empty((3 * d, *batch))
+            zr_t, g_pre = zr[t], slots[t]
             g_zr, g_n = g_pre[: 2 * d], g_pre[2 * d :]
-            np.multiply(gt * zr[:d], 1.0 - n * n, out=g_n)
-            g_rh = U[2 * d :].T @ g_n
-            np.multiply(gt, n - h, out=g_zr[:d])
-            np.multiply(g_rh, hd, out=g_zr[d:])
-            g_zr *= zr
-            g_zr *= 1.0 - zr
-            g_hd = U[: 2 * d].T @ g_zr + g_rh * zr[d:]
-            gh[li] = gt * (1.0 - zr[:d]) + (g_hd if mask_h is None else g_hd * mask_h)
+            np.multiply(gt, zr_t[:d], out=w_rh)
+            np.multiply(w_rh, g_n, out=g_n)  # (g z) (1 - n^2)
+            g_rh = np.matmul(U_nT, g_n, out=w_rh)
+            np.multiply(gt, n_hs[li][t], out=w_z)
+            np.multiply(g_rh, hd[t], out=w_r)
+            np.multiply(w_zr, zr_t, out=w_zr)
+            np.multiply(gt, g_zr[:d], out=gt)  # g (1 - z), before g_zr is overwritten
+            np.multiply(w_zr, g_zr, out=g_zr)  # ([.] [z; r]) (1 - [z; r])
+            g_hd = np.matmul(U_zrT, g_zr, out=w_hd)
+            np.add(g_hd, np.multiply(g_rh, zr_t[d:], out=w_rh), out=g_hd)
+            if mask_h is not None:
+                np.multiply(g_hd, mask_h, out=g_hd)
+            np.add(gt, g_hd, out=gt)
             if li or j >= 0:
-                g_in = W.T @ g_pre
+                g_in = np.matmul(WT, g_pre, out=w_in if li else g_xs[j])
                 if mask_x is not None:
-                    g_in = g_in * mask_x
+                    np.multiply(g_in, mask_x, out=g_in)
                 if li:
-                    gh[li - 1] = gh[li - 1] + g_in
-                else:
-                    g_x = g_in
+                    np.add(gh[li - 1], g_in, out=gh[li - 1])
         if j >= 0:
-            rot = g_s[lead:] + g_x[: sd - lead]
-            g_v = g_x[sd - lead :]
-            g_s = np.concatenate([g_s[:lead], rot])
+            g_x = g_xs[j]
+            np.add(g_s[lead:], g_x[:rot], out=g_s[lead:])
             if want_u:
-                g_rot[j] = rot
-                g_vin[j] = g_v
+                gu[j, lead:] = g_s[lead:]
+            g_v = g_x[rot:]
+    del n_hs  # before the weight GEMMs allocate
     grads = [None] * nw
     if want_w:
         grads = []
-        for li, ((W, U, _), (mask_x, mask_h)) in enumerate(zip(layers, masks)):
-            d = U.shape[1]
-            g_pre = _flat(g_pre_buf[li])
-            x_in = xs if li == 0 else hs[li - 1][:, 1:]
-            h_in = hs[li][:, :-1]
-            xd = _flat(x_in if mask_x is None else x_in * mask_x[:, None])
-            hd = h_in if mask_h is None else h_in * mask_h[:, None]
-            rh = _flat(gates[li][d : 2 * d] * hd)
-            gU = np.empty_like(U)
+        for li, ((mask_x, _), g_pre, hd) in enumerate(zip(masks, g_pres, hds)):
+            d = hd.shape[0]
+            g_pre = _flat(g_pre)
+            xd = _flat(_dim_major(xs if li == 0 else hs[li - 1][1:], mask_x))
+            gU = np.empty((3 * d, d))
             gU[: 2 * d] = g_pre[: 2 * d] @ _flat(hd).T
-            gU[2 * d :] = g_pre[2 * d :] @ rh.T
+            rh = np.multiply(hd, np.moveaxis(gates[li][:, d : 2 * d], 0, 1), out=hd)
+            gU[2 * d :] = g_pre[2 * d :] @ _flat(rh).T
             grads += [g_pre @ xd.T, gU, g_pre.sum(axis=1)]
-        g_vel = _flat(g_vel_buf)
-        grads += [g_vel @ _flat(hs[-1][:, enc + 1 :]).T, g_vel.sum(axis=1)]
+        g_vel = _flat(g_vel)
+        grads += [g_vel @ _flat(_dim_major(hs[-1][enc + 1 :])).T, g_vel.sum(axis=1)]
     if len(a) > nw:
-        gu = None
         if want_u:
             # u_j shifts the rotation input and enters the velocity inputs of
             # steps j (minus) and j - 1 (plus); the last row is its own next
             # row, so its velocity terms cancel
-            gu = np.zeros_like(g_vin)
-            gu[:, lead:] = g_rot
+            g_vin = g_xs[:, rot:]
             gu[:-1] -= g_vin[:-1]
             gu[1:] += g_vin[:-1]
         grads.append(gu)

@@ -99,7 +99,7 @@ class ModelParams:
     ``arrays`` has one entry per gate (``gru{i}.Wz`` ...), as in the weight
     file.  Its GRU entries are views into ``stacked``, whose ``gru{i}.W``,
     ``.U`` and ``.b`` hold each layer's z, r and n blocks in that order, the
-    layout :func:`comotion.graph.gru_cell` takes; ``out.W`` and ``out.b`` are
+    layout :class:`comotion.graph.GRULayer` takes; ``out.W`` and ``out.b`` are
     the same arrays in both.  Change weights in place: rebinding an entry of
     either dict detaches it from the other.
     """
@@ -202,20 +202,28 @@ def encode(params: ModelParams, observed: np.ndarray) -> list[np.ndarray]:
 
 
 def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
-                   modifiers: np.ndarray, horizon: int) -> np.ndarray:
+                   modifiers: np.ndarray | None, horizon: int) -> np.ndarray:
     """Roll the controlled decoder out ``horizon`` steps; returns (H, 129).
 
     ``modifiers`` holds one row per step; the step after the horizon reuses
-    the final row, so its velocity contribution vanishes there.
+    the final row, so its velocity contribution vanishes there.  Without
+    modifiers the decoder runs uncontrolled, and hidden states of S columns,
+    (d, S) per layer, decode S futures from the one start at once:
+    (H, 129, S).
     """
     if horizon < 1:
         raise ModelError("horizon must be at least 1")
-    modifiers = np.asarray(modifiers, dtype=np.float64)
-    if modifiers.shape != (horizon, MODIFIER_DIM):
-        raise ModelError(f"modifiers must be ({horizon}, {MODIFIER_DIM})")
-    return gru_unroll(_weights(params), hidden, np.asarray(initial_state, dtype=np.float64),
-                      np.asarray(initial_velocity, dtype=np.float64), horizon,
-                      modifiers=modifiers)[0]
+    state = np.asarray(initial_state, dtype=np.float64)
+    velocity = np.asarray(initial_velocity, dtype=np.float64)
+    cols = hidden[0].shape[1:]
+    if modifiers is not None:
+        modifiers = np.asarray(modifiers, dtype=np.float64)
+        if cols or modifiers.shape != (horizon, MODIFIER_DIM):
+            raise ModelError(f"modifiers must be ({horizon}, {MODIFIER_DIM}), "
+                             "for hidden states of one column")
+    if cols:  # every column starts from the one state
+        state, velocity = (np.broadcast_to(v[:, None], v.shape + cols) for v in (state, velocity))
+    return gru_unroll(_weights(params), hidden, state, velocity, horizon, modifiers=modifiers)[0]
 
 
 def predict(params: ModelParams, observed: np.ndarray, horizon: int | None = None) -> np.ndarray:
@@ -224,6 +232,8 @@ def predict(params: ModelParams, observed: np.ndarray, horizon: int | None = Non
     if horizon is None:
         horizon = params.config.output_frames
     hiddens = encode(params, observed)
+    # zero modifiers, not None: the planner's zero-modifier warm start
+    # reproduces this forecast bit for bit
     zeros = np.zeros((horizon, MODIFIER_DIM))
     return unroll_decoder(params, observed[-1], observed[-1] - observed[-2], hiddens,
                           zeros, horizon)

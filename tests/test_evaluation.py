@@ -113,6 +113,53 @@ def test_sample_prediction_determinism(model, observed):
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("num_samples", [1, 5])
+def test_batched_samples_are_the_per_sample_decodes(monkeypatch, observed, num_samples):
+    """Every sample's noisy hidden state is the per-sample draw, sample by
+    sample and layer by layer, and its decode the per-sample one up to the
+    rounding of a batched product."""
+    model = hm.init_params(hm.ModelConfig(num_layers=2, hidden_size=8, input_frames=4,
+                                          output_frames=4), 0)
+    seen = []
+    decode = hm.unroll_decoder
+    monkeypatch.setattr(hm, "unroll_decoder", lambda *a: seen.append(a[3]) or decode(*a))
+    cfg = ev.SampleConfig(num_samples=num_samples, noise_variance=0.02)
+    samples = ev.sample_predictions(model, observed, 5, cfg, seed=3)
+    assert samples.shape == (num_samples, 5, 129) and len(seen) == 1
+    rng, hiddens = np.random.default_rng(3), hm.encode(model, observed)
+    for k, sample in enumerate(samples):
+        noisy = [h + np.sqrt(0.02) * rng.standard_normal(h.shape) for h in hiddens]
+        assert all(np.array_equal(cols[:, k], h) for cols, h in zip(seen[0], noisy))
+        alone = decode(model, observed[-1], observed[-1] - observed[-2], noisy,
+                       np.zeros((5, hm.MODIFIER_DIM)), 5)
+        assert np.allclose(sample, alone, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["initial", "zerovel", "sample"])
+def test_forecast_methods_keep_a_frozen_robot(model, monkeypatch, method):
+    """With the robot frozen there is nothing to solve: the forecast, or the
+    top-ranked sample, comes back beside the frozen robot trajectory."""
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    frozen = replace(problem, optimize_robot=False,
+                     fixed_robot=np.tile(problem.robot_initial, (problem.steps, 1)))
+    monkeypatch.setattr(ev, "solve_compiled", lambda *a, **kw: pytest.fail("solved"))
+    cfg = ev.SampleConfig(num_samples=3)
+    res = ev.run_method(frozen, method, model, sample_config=cfg)
+    obs, steps = frozen.observed_human, frozen.steps
+    if method == "initial":
+        human = hm.predict(model, obs, horizon=steps)
+    elif method == "zerovel":
+        human = ev.zerovel_predict(obs, steps)
+    else:
+        samples = ev.sample_predictions(model, obs, steps, cfg, 0)
+        picked = ev.rank_predictions(samples, cfg, frozen)[0]
+        assert res.details == {"attempts": 0, "picked": picked}
+        human = samples[picked]
+    assert np.array_equal(res.human_traj, human)
+    assert np.array_equal(res.robot_traj, frozen.fixed_robot)
+    assert res.solver_status == "converged" and res.controls is None
+
+
 @pytest.mark.parametrize("success_at", [None, 2])
 def test_sample_method_counts_every_robot_solve(model, monkeypatch, success_at):
     """``attempts`` is the number of robot solves run, and ``succeeded`` says

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from comotion.graph import (
+    GRULayer,
     GraphError,
     Tape,
     backward,
@@ -268,12 +269,14 @@ def _gru_oracle(x, h, W, U, b, mx, mh):
     z = 1.0 / (1.0 + np.exp(-(Wz @ xd + Uz @ hd + bz)))
     r = 1.0 / (1.0 + np.exp(-(Wr @ xd + Ur @ hd + br)))
     n = np.tanh(Wn @ xd + Un @ (r * hd) + bn)
-    return (1.0 - z) * h + z * n
+    return (1.0 - z) * h + z * n, np.concatenate([z, r, n])
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_gru_cell_matches_per_gate_oracle(batched):
-    """The stacked kernel against the gate equations; batched with dropout masks."""
+    """The stacked kernel against the gate equations; batched with dropout
+    masks.  The gate slot receives [z; r; n], and a step may write its new
+    hidden state over its input."""
     rng = np.random.default_rng(20 + batched)
     d, k, B = 3, 4, 2
     cols = (B,) if batched else ()
@@ -284,10 +287,16 @@ def test_gru_cell_matches_per_gate_oracle(batched):
         mx = rng.binomial(1, 0.7, size=(k, B)) / 0.7
         mh = rng.binomial(1, 0.7, size=(d, B)) / 0.7
         mx[0, 0], mh[0, 1] = 0.0, 0.0  # at least one dropped entry each
-    h_new, _ = gru_cell(x, h, W, U, b, mx, mh)
-    oracle = _gru_oracle(x.reshape(k, -1), h.reshape(d, -1), W, U, b,
-                         1.0 if mx is None else mx, 1.0 if mh is None else mh)
+    layer = GRULayer(W, U, b, mx, mh, cols)
+    gates = np.empty((3 * d, *cols))
+    h_new = gru_cell(x, h, layer, gates, np.empty_like(h))
+    oracle, oracle_gates = _gru_oracle(x.reshape(k, -1), h.reshape(d, -1), W, U, b,
+                                       1.0 if mx is None else mx, 1.0 if mh is None else mh)
     assert np.allclose(h_new, oracle.reshape(h_new.shape), rtol=0, atol=1e-14)
+    assert np.allclose(gates, oracle_gates.reshape(gates.shape), rtol=0, atol=1e-14)
+    in_place = h.copy()
+    assert gru_cell(x, in_place, layer, np.empty_like(gates), in_place) is in_place
+    assert in_place.tobytes() == h_new.tobytes()
 
 
 def _scan_point(rng, layers=2, d=3, sd=5, lead=2):
@@ -347,6 +356,147 @@ def test_gru_scan_weight_gradients_match_finite_differences():
     assert gradient_check(f, point, step=1e-6) < 1e-7
 
 
+def _bptt_oracle(weights, hiddens, state, velocity, H, seed, inputs=None, modifiers=None,
+                 masks=None):
+    """``gru_scan``'s forward and adjoint written step by step from the module
+    docstring's formulas, each product in its documented association order.
+
+    Returns the weight gradients (W, U, b per layer, then W_o, b_o) and the
+    modifier gradient.  An absent mask is 1.0, and x * 1.0 is x bit for bit.
+    """
+    *cells, W_o, b_o = weights
+    layers = [cells[i : i + 3] for i in range(0, len(cells), 3)]
+    masks = [(1.0, 1.0)] * len(layers) if masks is None else masks
+    col = (lambda v: v[:, None]) if hiddens[0].ndim == 2 else (lambda v: v)
+    sd = W_o.shape[0]
+    lead = 2 * sd - layers[0][0].shape[1]
+    E = 0 if inputs is None else len(inputs)
+
+    def sigmoid(a):
+        e = np.exp(-np.abs(a))
+        return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+    h, s, v = list(hiddens), state, velocity
+    steps, outs = [], []  # per step and layer: (xd, hd, h, [z; r], n); decoder outputs
+    for t in range(E + H):
+        j = t - E
+        if j < 0:
+            x = inputs[t]
+        elif modifiers is None:
+            x = np.concatenate([s[lead:], v])
+        else:
+            u = modifiers[j]
+            u_next = modifiers[j + 1] if j + 1 < H else u
+            rot_in = s[lead:] + u[lead:]
+            x = np.concatenate([rot_in, v + (u_next - u)])
+        cache = []
+        for li, ((W, U, b), (mx, mh)) in enumerate(zip(layers, masks)):
+            d = U.shape[1]
+            xd, hd = x * mx, h[li] * mh
+            wx = W @ xd
+            zr = sigmoid(wx[: 2 * d] + U[: 2 * d] @ hd + col(b[: 2 * d]))
+            n = np.tanh(wx[2 * d :] + U[2 * d :] @ (zr[d:] * hd) + col(b[2 * d :]))
+            cache.append((xd, hd, h[li], zr, n))
+            h[li] = x = (1.0 - zr[:d]) * h[li] + zr[:d] * n
+        steps.append(cache)
+        if j >= 0:
+            v = W_o @ x + col(b_o)
+            s = (s if modifiers is None else np.concatenate([s[:lead], rot_in])) + v
+            outs.append(x)
+
+    gh = [np.zeros_like(hh) for hh in hiddens]
+    S = V = None
+    g_pres = [[None] * (E + H) for _ in layers]
+    GV, R, Vs = [None] * H, [None] * H, [None] * H
+    for t in range(E + H - 1, -1, -1):
+        j = t - E
+        if j >= 0:
+            S = seed[j] if S is None else seed[j] + S
+            GV[j] = gv = S if V is None else S + V
+            gh[-1] = gh[-1] + W_o.T @ gv
+        for li in range(len(layers) - 1, -1, -1):
+            (W, U, _), (mx, mh) = layers[li], masks[li]
+            d = U.shape[1]
+            xd, hd, hp, zr, n = steps[t][li]
+            g = gh[li]
+            g_n = g * zr[:d] * (1.0 - n * n)
+            g_rh = U[2 * d :].T @ g_n
+            g_zr = np.concatenate([g * (n - hp), g_rh * hd]) * zr * (1.0 - zr)
+            g_pres[li][t] = g_pre = np.concatenate([g_zr, g_n])
+            g_x = (W.T @ g_pre) * mx
+            gh[li] = g * (1.0 - zr[:d]) + (U[: 2 * d].T @ g_zr + g_rh * zr[d:]) * mh
+            if li:
+                gh[li - 1] = gh[li - 1] + g_x
+        if j >= 0:
+            R[j] = S[lead:] + g_x[: sd - lead]
+            Vs[j] = V = g_x[sd - lead :]
+            S = np.concatenate([S[:lead], R[j]])
+
+    def over_time(arrays):  # (dim, T[, B]) stacked as one (dim, T B) matrix
+        stacked = np.stack(arrays, axis=1)
+        return stacked.reshape(stacked.shape[0], -1)
+
+    grads = []
+    for li, (W, U, _) in enumerate(layers):
+        d = U.shape[1]
+        G = over_time(g_pres[li])
+        Xd, Hd = over_time([c[li][0] for c in steps]), over_time([c[li][1] for c in steps])
+        RHd = over_time([c[li][3][d:] * c[li][1] for c in steps])
+        grads += [G @ Xd.T, np.concatenate([G[: 2 * d] @ Hd.T, G[2 * d :] @ RHd.T]),
+                  G.sum(axis=1)]
+    GVm = over_time(GV)
+    grads += [GVm @ over_time(outs).T, GVm.sum(axis=1)]
+    du = np.zeros_like(seed)
+    for j in range(H):
+        du[j, lead:] = R[j]
+        if j < H - 1:
+            du[j] = du[j] - Vs[j]
+        if j:
+            du[j] = du[j] + Vs[j - 1]
+    return grads, du
+
+
+def test_gru_scan_modifier_gradient_is_the_bptt_oracle_bit_for_bit():
+    """The planning path: a two-layer, 40-step vector decoder differentiated
+    with respect to its modifiers only."""
+    rng = np.random.default_rng(28)
+    H, d, sd, lead = 40, 20, 9, 3
+    weights = list(_scan_point(rng, d=d, sd=sd, lead=lead).values())
+    hiddens = [0.5 * rng.normal(size=d) for _ in range(2)]
+    state, velocity = rng.normal(size=sd), 0.1 * rng.normal(size=sd)
+    mods, seed = 0.2 * rng.normal(size=(H, sd)), rng.normal(size=(H, sd))
+    tape = Tape()
+    u = tape.leaf("u", mods.reshape(-1))
+    tape.set_output(tape.gru_scan([tape.const(w) for w in weights], hiddens, state, velocity,
+                                  H, modifiers=tape.reshape(u, (H, sd))))
+    _, du = _bptt_oracle(weights, hiddens, state, velocity, H, seed, modifiers=mods)
+    assert backward(tape, seed, wrt=["u"])["u"].tobytes() == du.tobytes()
+
+
+def test_gru_scan_weight_gradients_are_the_bptt_oracle_bit_for_bit():
+    """The training path: all eight weight leaves of a two-layer stack on a
+    column batch with dropout masks, through encoder and decoder steps."""
+    rng = np.random.default_rng(29)
+    H, E, d, sd, lead, B = 6, 4, 20, 9, 3, 5
+    point = _scan_point(rng, d=d, sd=sd, lead=lead)
+    in_dim = 2 * sd - lead
+    hiddens = [np.zeros((d, B)) for _ in range(2)]
+    inputs = rng.normal(size=(E, in_dim, B))
+    state, velocity = rng.normal(size=(sd, B)), 0.1 * rng.normal(size=(sd, B))
+    masks = [(rng.binomial(1, 0.7, size=(n, B)) / 0.7, rng.binomial(1, 0.7, size=(d, B)) / 0.7)
+             for n in (in_dim, d)]
+    seed = rng.normal(size=(H, sd, B))
+    tape = Tape()
+    refs = [tape.leaf(name, w) for name, w in point.items()]
+    tape.set_output(tape.gru_scan(refs, hiddens, state, velocity, H, inputs=inputs,
+                                  masks=masks))
+    grads = backward(tape, seed)
+    expected, _ = _bptt_oracle(list(point.values()), hiddens, state, velocity, H, seed,
+                               inputs=inputs, masks=masks)
+    for name, want in zip(point, expected):
+        assert grads[name].tobytes() == want.tobytes(), name
+
+
 def test_gru_scan_replay_matches_gru_unroll_bit_exact():
     rng = np.random.default_rng(25)
     H, sd = 6, 5
@@ -361,6 +511,26 @@ def test_gru_scan_replay_matches_gru_unroll_bit_exact():
     replay = tape.forward({"u": mods}).value_of(out)
     expected = gru_unroll(list(weights.values()), hiddens, state, velocity, H, modifiers=mods)[0]
     assert replay.tobytes() == expected.tobytes()
+
+
+def test_gru_unroll_without_keep_holds_one_step_of_workspace():
+    """A forecast-sized unroll (40 steps, 205 columns, the default 2x100
+    stack) that keeps no cache allocates no per-step buffers: its peak stays
+    within twice its output, where a cache would hold about eight outputs."""
+    import tracemalloc
+
+    rng = np.random.default_rng(30)
+    H, d, sd, lead, B = 40, 100, 129, 3, 205
+    weights = list(_scan_point(rng, d=d, sd=sd, lead=lead).values())
+    hiddens = [np.zeros((d, B)) for _ in range(2)]
+    state, velocity = rng.normal(size=(sd, B)), 0.01 * rng.normal(size=(sd, B))
+    tracemalloc.start()
+    try:
+        states = gru_unroll(weights, hiddens, state, velocity, H)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * states.nbytes
 
 
 def test_gru_scan_rejects_mismatched_shapes():
