@@ -12,12 +12,15 @@ import numpy as np
 NORM_EPS = 1e-12  # norms are sqrt(x . x + eps): never zero, always differentiable
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a, b):
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1, keepdims=True)
+    return (a * b).sum(axis=-1, keepdims=True)
 
 
 class Chain:
@@ -125,6 +128,6 @@ def chain_fk_adjoint(chain: Chain, cache, g) -> np.ndarray:
         q = aux[..., 0, 0]
         k1u = np.einsum("mij,nmj->nmi", chain.k1, tips)
         k2u = np.einsum("mij,nmj->nmi", chain.k2, tips)
-        grad[:, chain.rot_cols] = (np.cos(q) * np.sum(back * k1u, axis=-1)
-                                   + np.sin(q) * np.sum(back * k2u, axis=-1))
+        grad[:, chain.rot_cols] = (np.cos(q) * (back * k1u).sum(axis=-1)
+                                   + np.sin(q) * (back * k2u).sum(axis=-1))
     return grad

@@ -74,7 +74,9 @@ def zerovel_predict(observed: np.ndarray, horizon: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SampleConfig:
     num_samples: int = 100
-    noise_variance: float | None = None  # None: 0.05 * mean |hidden| per layer
+    # None: one variance for every layer, 0.05 times the mean over the layers
+    # of each layer's mean |hidden|
+    noise_variance: float | None = None
     # "distance_to_goal", "handover_loss", or None: from the problem's
     # constraints (see default_ranking)
     ranking: str | None = None

@@ -110,9 +110,9 @@ c_k u_k^T with c_k = R_{k-1}^T g; the base columns get g.  Per block::
 
 and columns off the chain get exactly 0.
 
-``grid_interp`` looks up (N, 2) points and ``columns`` takes one column
-range of an (N, D) trajectory, so per-timestep constraint terms are a few
-(H,) vector nodes.
+``grid_interp`` looks up (N, 2) points, keeping the bilinear weights for
+its adjoint, and ``columns`` takes one column range of an (N, D) trajectory,
+so per-timestep constraint terms are a few (H,) vector nodes.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _f_slice(vals, a, p):
 
 
 def _b_slice(g, vals, a, p, out):
-    full = np.zeros_like(vals[a[0]])
+    full = np.zeros(vals[a[0]].shape)
     full[p[0] : p[1]] = g
     return (full,)
 
@@ -234,13 +234,13 @@ def _b_reshape(g, vals, a, p, out):
 
 
 def _f_sum(vals, a, p):
-    return np.asarray(np.sum(vals[a[0]], axis=p))
+    return np.asarray(vals[a[0]].sum(axis=p))
 
 
 def _b_sum(g, vals, a, p, out):
     x = vals[a[0]]
     if p is None:
-        return (np.full_like(x, float(g)),)
+        return (np.full(x.shape, float(g)),)
     return (np.broadcast_to(np.expand_dims(g, p), x.shape).copy(),)
 
 
@@ -249,7 +249,7 @@ def _f_row(vals, a, p):
 
 
 def _b_row(g, vals, a, p, out):
-    full = np.zeros_like(vals[a[0]])
+    full = np.zeros(vals[a[0]].shape)
     full[p] = g
     return (full,)
 
@@ -259,7 +259,7 @@ def _f_columns(vals, a, p):
 
 
 def _b_columns(g, vals, a, p, out):
-    full = np.zeros_like(vals[a[0]])
+    full = np.zeros(vals[a[0]].shape)
     full[:, p[0] : p[1]] = g
     return (full,)
 
@@ -299,21 +299,21 @@ def _b_norm(g, vals, a, p, out):
 
 
 def _f_maxr(vals, a, p):
-    return np.asarray(np.max(vals[a[0]]))
+    return np.asarray(vals[a[0]].max())
 
 
 def _b_maxr(g, vals, a, p, out):
     x = vals[a[0]]
-    full = np.zeros_like(x)
-    full.reshape(-1)[int(np.argmax(x))] = float(g)
+    full = np.zeros(x.shape)
+    full.reshape(-1)[int(x.argmax())] = float(g)
     return (full,)
 
 
 def _f_lse(vals, a, p):
     x = vals[a[0]]
     tau = p
-    m = np.max(x)
-    return np.asarray(m + tau * np.log(np.sum(np.exp((x - m) / tau))))
+    m = x.max()
+    return np.asarray(m + tau * np.log(np.exp((x - m) / tau).sum()))
 
 
 def _b_lse(g, vals, a, p, out):
@@ -322,39 +322,37 @@ def _b_lse(g, vals, a, p, out):
     return (float(g) * w,)
 
 
-def _interp2(points, values, origin, res, with_gradient):
+def _f_interp2(vals, a, p):
     """Bilinear interpolation of a dense grid at (N, 2) points (clamped).
 
-    Returns the (N,) values and, when asked, their (N, 2) analytic
-    gradients, which are zero along clamped axes.
+    Returns the (N,) values and, as the backward pass's cache, the bilinear
+    weights: the corner values, the cell fractions and their complements,
+    and which coordinates were not clamped (their gradient is zero).
     """
+    values, origin, res = p
     nx, ny = values.shape
-    s = (points - origin) / res
+    s = (vals[a[0]] - origin) / res
     sc = np.minimum(np.maximum(s, 0.0), (nx - 1.0, ny - 1.0))
     cell = np.minimum(sc.astype(np.intp), (nx - 2, ny - 2))
     ix, iy = cell[:, 0], cell[:, 1]
     f = sc - cell
     fx, fy = f[:, 0], f[:, 1]
+    gx, gy = 1 - fx, 1 - fy
     v00 = values[ix, iy]
     v10 = values[ix + 1, iy]
     v01 = values[ix, iy + 1]
     v11 = values[ix + 1, iy + 1]
-    out = (v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy)
-           + v01 * (1 - fx) * fy + v11 * fx * fy)
-    if not with_gradient:
-        return out, None
-    grad = np.empty_like(sc)
-    grad[:, 0] = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / res
-    grad[:, 1] = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / res
-    return out, np.where(s == sc, grad, 0.0)
+    out = v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy
+    return out, (v00, v10, v01, v11, fx, fy, gx, gy, s == sc)
 
 
-def _f_interp2(vals, a, p):
-    return _interp2(vals[a[0]], *p, False)[0]
-
-
-def _b_interp2(g, vals, a, p, out):
-    return (g[:, None] * _interp2(vals[a[0]], *p, True)[1],)
+def _b_interp2(g, vals, a, p, cache):
+    v00, v10, v01, v11, fx, fy, gx, gy, free = cache
+    res = p[2]
+    grad = np.empty(free.shape)
+    grad[:, 0] = ((v10 - v00) * gy + (v11 - v01) * fy) / res
+    grad[:, 1] = ((v01 - v00) * gx + (v11 - v10) * fx) / res
+    return (g[:, None] * np.where(free, grad, 0.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -362,57 +360,85 @@ def _b_interp2(g, vals, a, p, out):
 # ---------------------------------------------------------------------------
 
 
+def _product(batch):
+    """The matrix product a step calls: np.dot for vectors, whose gemv call
+    dispatches faster than np.matmul's, and np.matmul for column batches,
+    whose gemm call runs faster than np.dot's.  Both round alike."""
+    return np.matmul if batch else np.dot
+
+
+def _workspace(shape, count):
+    """``count`` slots that are all one (shape) workspace: a (count, *shape)
+    view with a zero leading stride, for a pass that keeps no cache."""
+    ws = np.empty(shape)
+    return np.lib.stride_tricks.as_strided(ws, (count, *shape), (0, *ws.strides))
+
+
 class GRULayer:
     """One GRU layer as a pass uses it: the stacked weights (W, U, b) split
     into the blocks :func:`gru_cell` multiplies by, the (input, hidden)
-    dropout masks and the workspaces of one step, all made once per pass."""
+    dropout masks, the workspaces of one step and the per-step views of the
+    pass's buffers, all made once per pass.
 
-    def __init__(self, W, U, b, mask_x=None, mask_h=None, batch=()):
+    ``hidden`` is the (T + 1, d[, B]) buffer of hidden states, ``hidden[0]``
+    the initial one, and ``gates`` the (T, 3d[, B]) gate slots; step t reads
+    ``hidden[t]`` and writes ``gates[t]`` and ``hidden[t + 1]``.
+    """
+
+    def __init__(self, W, U, b, hidden, gates, mask_x=None, mask_h=None):
         d = U.shape[1]
+        batch = hidden.shape[2:]
         if batch:
             b = b[:, None]
         self.W, self.U_zr, self.U_n = W, U[: 2 * d], U[2 * d :]
         self.b_zr, self.b_n = b[: 2 * d], b[2 * d :]
         self.mask_x, self.mask_h = mask_x, mask_h
+        self.product = _product(batch)
         self.xd = None if mask_x is None else np.empty((W.shape[1], *batch))
         self.hd = None if mask_h is None else np.empty((d, *batch))
         self.wx = np.empty((3 * d, *batch))
         self.wx_zr, self.wx_n = self.wx[: 2 * d], self.wx[2 * d :]
-        self.e, self.rh = np.empty((2 * d, *batch)), np.empty((d, *batch))
-        self.keep = self.e[:d]  # free once the logistic is done
+        # the logistic's exp(-|a|) and exp(min(a, 0)), one np.exp for both
+        self.e = np.empty((2, 2 * d, *batch))
+        self.e_abs, self.e_min = self.e
+        self.rh = np.empty((d, *batch))
+        self.keep = self.e_abs[:d]  # free once the logistic is done
+        self.h = list(hidden)
+        self.zr, self.n = list(gates[:, : 2 * d]), list(gates[:, 2 * d :])
+        self.z, self.r = list(gates[:, :d]), list(gates[:, d : 2 * d])
 
 
-def gru_cell(x, h, layer: GRULayer, gates, out):
-    """One GRU layer step (see the module docstring) into output slots.
+def gru_cell(x, layer: GRULayer, t):
+    """Step ``t`` of one GRU layer (see the module docstring) on input ``x``.
 
-    Writes [z; r; n] into ``gates`` (3d[, B]) and h' into ``out``, which may
-    be ``h`` itself, and returns ``out``.  Vectors or column-batched matrices.
+    Reads the layer's hidden state ``t``, writes [z; r; n] into its gate slot
+    ``t`` and h' into its hidden state ``t + 1``, which may be the same
+    memory, and returns h'.  Vectors or column-batched matrices.
     """
-    d = h.shape[0]
+    h, zr, z, r, n = layer.h[t], layer.zr[t], layer.z[t], layer.r[t], layer.n[t]
     xd = x if layer.mask_x is None else np.multiply(x, layer.mask_x, out=layer.xd)
     hd = h if layer.mask_h is None else np.multiply(h, layer.mask_h, out=layer.hd)
-    np.matmul(layer.W, xd, out=layer.wx)
-    zr, n = gates[: 2 * d], gates[2 * d :]
-    z, r = zr[:d], zr[d:]
-    np.matmul(layer.U_zr, hd, out=zr)
-    np.add(layer.wx_zr, zr, out=zr)
-    np.add(zr, layer.b_zr, out=zr)
+    product = layer.product
+    product(layer.W, xd, out=layer.wx)
+    product(layer.U_zr, hd, out=zr)
+    zr += layer.wx_zr
+    zr += layer.b_zr
     # overflow-safe logistic exp(min(a, 0)) / (1 + exp(-|a|)); the numerator
     # is 1 where a >= 0 and exp(-|a|) elsewhere
-    e = np.abs(zr, out=layer.e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.exp(np.minimum(zr, 0.0, out=zr), out=zr)
-    np.add(e, 1.0, out=e)
-    np.divide(zr, e, out=zr)
+    e_abs = np.abs(zr, out=layer.e_abs)
+    np.negative(e_abs, out=e_abs)
+    np.minimum(zr, 0.0, out=layer.e_min)
+    np.exp(layer.e, out=layer.e)
+    e_abs += 1.0
+    np.divide(layer.e_min, e_abs, out=zr)
     rh = np.multiply(r, hd, out=layer.rh)
-    np.matmul(layer.U_n, rh, out=n)
-    np.add(layer.wx_n, n, out=n)
-    np.add(n, layer.b_n, out=n)
+    product(layer.U_n, rh, out=n)
+    n += layer.wx_n
+    n += layer.b_n
     np.tanh(n, out=n)
     keep = np.subtract(1.0, z, out=layer.keep)
-    np.multiply(keep, h, out=keep)
-    return np.add(keep, np.multiply(z, n, out=rh), out=out)
+    keep *= h
+    return np.add(keep, np.multiply(z, n, out=rh), out=layer.h[t + 1])
 
 
 def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifiers=None,
@@ -440,8 +466,6 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifier
     batch = hiddens[0].shape[1:]
     if masks is None:
         masks = [(None, None)] * len(hiddens)
-    layers = [GRULayer(*cells[3 * li : 3 * li + 3], *masks[li], batch)
-              for li in range(len(hiddens))]
     if batch:
         out_b = out_b[:, None]
     sd = out_W.shape[0]
@@ -458,42 +482,50 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifier
         if enc:
             xs[:enc] = inputs
         hs = [np.empty((steps + 1, *h.shape)) for h in hiddens]
-        for buf, h in zip(hs, hiddens):
-            buf[0] = h
         gates = [np.empty((steps, 3 * h.shape[0], *batch)) for h in hiddens]
         cache = (xs, hs, gates)
+        step_in, dec_in = list(xs), xs[enc:]
     else:
-        # the same slots, each step's being one workspace: hidden states update in place
-        xs = [*([] if inputs is None else inputs), *[np.empty((in_dim, *batch))] * horizon]
-        hs = [[h.copy()] * (steps + 1) for h in hiddens]
-        gates = [[np.empty((3 * h.shape[0], *batch))] * steps for h in hiddens]
+        # the same slots, every step's being one workspace: hidden states update in place
+        dec_in = _workspace((in_dim, *batch), horizon)
+        hs = [_workspace(h.shape, steps + 1) for h in hiddens]
+        gates = [_workspace((3 * h.shape[0], *batch), steps) for h in hiddens]
+        step_in = [*(inputs if enc else ()), *dec_in]
+    for buf, h in zip(hs, hiddens):
+        buf[0] = h
+    layers = [GRULayer(*cells[3 * li : 3 * li + 3], hs[li], gates[li], *masks[li])
+              for li in range(len(hiddens))]
+    x_rot, x_vel = list(dec_in[:, :rot]), list(dec_in[:, rot:])
+    out_lead, out_rot = list(states[:, :lead]), list(states[:, lead:])
     if modifiers is not None:
         # u_{j+1} - u_j of every step at once; the last row is its own next row
-        shift = np.diff(modifiers, axis=0, append=modifiers[-1:])
-        mod_rot = modifiers[:, lead:]
+        shift = list(np.diff(modifiers, axis=0, append=modifiers[-1:]))
+        mod_rot = list(modifiers[:, lead:])
     vel = np.empty((sd, *batch))
-    s, v = state, velocity  # s_j and v_j
+    product = _product(batch)
+    vel_lead, vel_rot = vel[:lead], vel[lead:]
+    v = velocity  # v_j, and s_j in two parts
+    if horizon:
+        s_lead, s_rot = state[:lead], state[lead:]
     for t in range(steps):
-        x = xs[t]
         j = t - enc
         if j >= 0:
-            x_rot, x_vel = x[:rot], x[rot:]
             if modifiers is None:
-                np.copyto(x_rot, s[lead:])
-                np.copyto(x_vel, v)
+                np.copyto(x_rot[j], s_rot)
+                np.copyto(x_vel[j], v)
             else:
-                np.add(s[lead:], mod_rot[j], out=x_rot)
-                np.add(v, shift[j], out=x_vel)
-        for layer, h, g in zip(layers, hs, gates):
-            x = gru_cell(x, h[t], layer, g[t], h[t + 1])
+                np.add(s_rot, mod_rot[j], out=x_rot[j])
+                np.add(v, shift[j], out=x_vel[j])
+        x = step_in[t]
+        for layer in layers:
+            x = gru_cell(x, layer, t)
         if j >= 0:
-            v = np.matmul(out_W, x, out=vel)
-            np.add(v, out_b, out=v)
+            v = product(out_W, x, out=vel)
+            v += out_b
             # the residual integrates onto the shifted input state; the lead
             # entries have no modifier slot and integrate their velocity only
-            np.add(s[:lead], v[:lead], out=states[j, :lead])
-            np.add(x_rot, v[lead:], out=states[j, lead:])
-            s = states[j]
+            s_lead = np.add(s_lead, vel_lead, out=out_lead[j])
+            s_rot = np.add(x_rot[j], vel_rot, out=out_rot[j])
     return states, v, [h[steps] for h in hs], cache
 
 
@@ -536,6 +568,7 @@ def _b_scan(g, vals, a, p, cache, needed):
     rot = xs.shape[1] - sd
     lead = sd - rot
     batch = g.shape[2:]
+    product = _product(batch)
     want_w = any(needed[i] for i in a[:nw])
     want_u = len(a) > nw and needed[a[nw]]
     # The forward-only factors of the cell adjoints, for all steps at once.
@@ -566,13 +599,16 @@ def _b_scan(g, vals, a, p, cache, needed):
     # the velocity gradients stay (sd, H, B) for the output-layer GEMM; the
     # input gradients of every step are kept only for the modifier gradient
     g_vel = np.empty((sd, horizon, *batch)) if want_w else None
-    g_vels = np.moveaxis(g_vel, 1, 0) if want_w else [np.empty((sd, *batch))] * horizon
+    g_vels = np.moveaxis(g_vel, 1, 0) if want_w else _workspace((sd, *batch), horizon)
     g_xs = (np.empty((horizon, sd + rot, *batch)) if want_u
-            else [np.empty((sd + rot, *batch))] * horizon)
+            else _workspace((sd + rot, *batch), horizon))
     gu = np.zeros((horizon, sd, *batch)) if want_u else None
-    gh = [np.zeros_like(h) for h in hiddens]  # gradient of each layer's hidden state
+    gh = [np.zeros(h.shape) for h in hiddens]  # gradient of each layer's hidden state
     top = np.empty_like(gh[-1])
     g_s = np.empty((sd, *batch))  # S, the gradient of the decoder state
+    g_s_rot, g_top = g_s[lead:], gh[-1]
+    g_x_rot, g_x_vel = list(g_xs[:, :rot]), list(g_xs[:, rot:])
+    gu_rot = list(gu[:, lead:]) if want_u else None
     g_v = None  # V, of the velocity
     # encoder steps only matter for the weight gradients
     for t in range(steps - 1, -1 if want_w else enc - 1, -1):
@@ -583,40 +619,38 @@ def _b_scan(g, vals, a, p, cache, needed):
                 np.copyto(g_s, g[j])
                 np.copyto(gv, g_s)
             else:
-                np.add(g[j], g_s, out=g_s)
+                g_s += g[j]
                 np.add(g_s, g_v, out=gv)
-            np.add(gh[-1], np.matmul(out_WT, gv, out=top), out=gh[-1])
+            g_top += product(out_WT, gv, out=top)
         for li in range(nl - 1, -1, -1):
             (WT, U_zrT, U_nT, mask_x, mask_h, d, zr, slots, hd, w_zr, w_z, w_r, w_rh, w_hd,
              w_in) = layers[li]
             gt = gh[li]
             zr_t, g_pre = zr[t], slots[t]
             g_zr, g_n = g_pre[: 2 * d], g_pre[2 * d :]
-            np.multiply(gt, zr_t[:d], out=w_rh)
-            np.multiply(w_rh, g_n, out=g_n)  # (g z) (1 - n^2)
-            g_rh = np.matmul(U_nT, g_n, out=w_rh)
+            g_n *= np.multiply(gt, zr_t[:d], out=w_rh)  # (g z) (1 - n^2)
+            g_rh = product(U_nT, g_n, out=w_rh)
             np.multiply(gt, n_hs[li][t], out=w_z)
             np.multiply(g_rh, hd[t], out=w_r)
-            np.multiply(w_zr, zr_t, out=w_zr)
-            np.multiply(gt, g_zr[:d], out=gt)  # g (1 - z), before g_zr is overwritten
-            np.multiply(w_zr, g_zr, out=g_zr)  # ([.] [z; r]) (1 - [z; r])
-            g_hd = np.matmul(U_zrT, g_zr, out=w_hd)
-            np.add(g_hd, np.multiply(g_rh, zr_t[d:], out=w_rh), out=g_hd)
+            w_zr *= zr_t
+            gt *= g_zr[:d]  # g (1 - z), before g_zr is overwritten
+            g_zr *= w_zr  # ([.] [z; r]) (1 - [z; r])
+            g_hd = product(U_zrT, g_zr, out=w_hd)
+            g_hd += np.multiply(g_rh, zr_t[d:], out=w_rh)
             if mask_h is not None:
-                np.multiply(g_hd, mask_h, out=g_hd)
-            np.add(gt, g_hd, out=gt)
+                g_hd *= mask_h
+            gt += g_hd
             if li or j >= 0:
-                g_in = np.matmul(WT, g_pre, out=w_in if li else g_xs[j])
+                g_in = product(WT, g_pre, out=w_in if li else g_xs[j])
                 if mask_x is not None:
-                    np.multiply(g_in, mask_x, out=g_in)
+                    g_in *= mask_x
                 if li:
-                    np.add(gh[li - 1], g_in, out=gh[li - 1])
+                    gh[li - 1] += g_in
         if j >= 0:
-            g_x = g_xs[j]
-            np.add(g_s[lead:], g_x[:rot], out=g_s[lead:])
+            g_s_rot += g_x_rot[j]
             if want_u:
-                gu[j, lead:] = g_s[lead:]
-            g_v = g_x[rot:]
+                np.copyto(gu_rot[j], g_s_rot)
+            g_v = g_x_vel[j]
     del n_hs  # before the weight GEMMs allocate
     grads = [None] * nw
     if want_w:
@@ -655,14 +689,15 @@ def unicycle_rollout(initial, controls) -> np.ndarray:
     """
     initial = np.asarray(initial, dtype=np.float64)
     controls = np.asarray(controls, dtype=np.float64)
-    heading = np.cumsum(np.concatenate([initial[2:3], controls[:, 1]]))
-    before = heading[:-1]
-    states = np.empty((controls.shape[0], initial.shape[0]))
-    states[:, 0] = np.cumsum(np.concatenate([initial[0:1], np.cos(before) * controls[:, 0]]))[1:]
-    states[:, 1] = np.cumsum(np.concatenate([initial[1:2], np.sin(before) * controls[:, 0]]))[1:]
-    states[:, 2] = heading[1:]
-    states[:, 3:] = np.cumsum(np.vstack([initial[None, 3:], controls[:, 2:]]), axis=0)[1:]
-    return states
+    # row 0 the initial state, row t + 1 the increments of step t
+    steps = np.empty((controls.shape[0] + 1, initial.shape[0]))
+    steps[0] = initial
+    steps[1:, 2] = controls[:, 1]
+    before = np.cumsum(steps[:-1, 2])  # the heading before each step
+    steps[1:, 0] = np.cos(before) * controls[:, 0]
+    steps[1:, 1] = np.sin(before) * controls[:, 0]
+    steps[1:, 3:] = controls[:, 2:]
+    return np.cumsum(steps, axis=0)[1:]
 
 
 def _f_rollout(vals, a, p):
@@ -732,7 +767,7 @@ OP_SQUARE = _register("square", _f_square, _b_square)
 OP_NORM = _register("l2_norm", _f_norm, _b_norm)
 OP_MAXR = _register("max_reduce", _f_maxr, _b_maxr)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
-OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
+OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2, cached=True)
 OP_ROW = _register("row", _f_row, _b_row)
 OP_COLUMNS = _register("columns", _f_columns, _b_columns)
 OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
@@ -761,7 +796,7 @@ class Evaluation:
     """Result of one forward replay: per-node values, read-only afterwards.
 
     ``caches`` holds what fused nodes keep for their backward pass (the GRU
-    gates), keyed by node index.
+    gates, the chain rotations, the bilinear weights), keyed by node index.
     """
 
     __slots__ = ("tape", "values", "caches")

@@ -65,6 +65,8 @@ class IterationRecord:
     max_violation: float
     step_size: float
     merit: float
+    trials: int  # line-search replays, the accepted one included
+    grad_norm: float  # max-norm of the merit gradient at the new iterate
 
     def to_line(self) -> str:
         return json.dumps(asdict(self))
@@ -87,7 +89,17 @@ class SolveResult:
     log: list[IterationRecord] = field(default_factory=list)
 
 
-def _merit_value(compiled, theta, f, g, h, mu, rho, lam, shift) -> float:
+class _Box:
+    """The finite box bounds on theta, found once per solve: the indices
+    ``lo_idx`` and ``hi_idx`` of the bounded coordinates and their bounds."""
+
+    def __init__(self, lower, upper):
+        self.lo_idx = np.flatnonzero(np.isfinite(lower))
+        self.hi_idx = np.flatnonzero(np.isfinite(upper))
+        self.lo, self.hi = lower[self.lo_idx], upper[self.hi_idx]
+
+
+def _merit_value(box, theta, f, g, h, mu, rho, lam, shift) -> float:
     """Barrier/multiplier merit value; +inf when a barrier argument is invalid
     (the caller backtracks)."""
     if not np.isfinite(f):
@@ -95,26 +107,23 @@ def _merit_value(compiled, theta, f, g, h, mu, rho, lam, shift) -> float:
     total = f
     if g.size:
         args = shift - g
-        if np.any(args <= 0) or not np.all(np.isfinite(args)):
+        if (args <= 0).any() or not np.isfinite(args).all():
             return np.inf
-        total -= mu * float(np.sum(np.log(args)))
+        total -= mu * float(np.log(args).sum())
     if h.size:
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             return np.inf
         total += float(lam @ h) + 0.5 * rho * float(h @ h)
-    lo, hi = compiled.lower, compiled.upper
-    finite_lo = np.isfinite(lo)
-    finite_hi = np.isfinite(hi)
-    if np.any(finite_lo) or np.any(finite_hi):
-        dlo = theta[finite_lo] - lo[finite_lo]
-        dhi = hi[finite_hi] - theta[finite_hi]
-        if np.any(dlo <= 0) or np.any(dhi <= 0):
+    if box.lo_idx.size or box.hi_idx.size:
+        dlo = theta[box.lo_idx] - box.lo
+        dhi = box.hi - theta[box.hi_idx]
+        if (dlo <= 0).any() or (dhi <= 0).any():
             return np.inf
-        total -= mu * (float(np.sum(np.log(dlo))) + float(np.sum(np.log(dhi))))
+        total -= mu * (float(np.log(dlo).sum()) + float(np.log(dhi).sum()))
     return total if np.isfinite(total) else np.inf
 
 
-def _merit_gradient(compiled, theta, g, h, mu, rho, lam, shift, ev) -> np.ndarray:
+def _merit_gradient(compiled, box, theta, g, h, mu, rho, lam, shift, ev) -> np.ndarray:
     seed = np.empty(1 + g.size + h.size)
     seed[0] = 1.0
     if g.size:
@@ -122,18 +131,16 @@ def _merit_gradient(compiled, theta, g, h, mu, rho, lam, shift, ev) -> np.ndarra
     if h.size:
         seed[1 + g.size :] = lam + rho * h
     grad = compiled.gradient(seed, ev)
-    lo, hi = compiled.lower, compiled.upper
-    finite_lo = np.isfinite(lo)
-    finite_hi = np.isfinite(hi)
-    if np.any(finite_lo):
-        grad[finite_lo] -= mu / (theta[finite_lo] - lo[finite_lo])
-    if np.any(finite_hi):
-        grad[finite_hi] += mu / (hi[finite_hi] - theta[finite_hi])
+    if box.lo_idx.size:
+        grad[box.lo_idx] -= mu / (theta[box.lo_idx] - box.lo)
+    if box.hi_idx.size:
+        grad[box.hi_idx] += mu / (box.hi - theta[box.hi_idx])
     return grad
 
 
 class _LbfgsMemory:
-    """Two-loop recursion with a bounded (s, y) history."""
+    """Two-loop recursion with a bounded history of pairs (s, y, 1 / s'y,
+    s'y / y'y), their products taken once, when the pair is pushed."""
 
     def __init__(self):
         self.pairs = deque(maxlen=LBFGS_HISTORY)
@@ -144,107 +151,107 @@ class _LbfgsMemory:
     def push(self, s, y):
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            self.pairs.append((s, y, 1.0 / sy))
+            self.pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
 
     def direction(self, grad):
-        q = grad.copy()
+        q, work = grad.copy(), np.empty_like(grad)
         alphas = []
-        for s, y, rho in reversed(self.pairs):
+        for s, y, rho, _ in reversed(self.pairs):
             a = rho * float(s @ q)
             alphas.append(a)
-            q -= a * y
+            np.subtract(q, np.multiply(a, y, out=work), out=q)
         if self.pairs:
-            s, y, _ = self.pairs[-1]
-            q *= float(s @ y) / float(y @ y)
-        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
+            q *= self.pairs[-1][3]
+        for (s, y, rho, _), a in zip(self.pairs, reversed(alphas)):
             b = rho * float(y @ q)
-            q += (a - b) * s
+            np.add(q, np.multiply(a - b, s, out=work), out=q)
         return -q
 
 
-def _fraction_to_boundary(theta, d, lo, hi, margin=0.995) -> float:
+def _fraction_to_boundary(theta, d, box, margin=0.995) -> float:
     """Largest step keeping box-bounded coordinates strictly interior."""
     alpha = 1.0
-    neg = d < 0
-    pos = d > 0
-    fl = neg & np.isfinite(lo)
-    fh = pos & np.isfinite(hi)
-    if np.any(fl):
-        alpha = min(alpha, margin * float(np.min((lo[fl] - theta[fl]) / d[fl])))
-    if np.any(fh):
-        alpha = min(alpha, margin * float(np.min((hi[fh] - theta[fh]) / d[fh])))
+    d_lo, d_hi = d[box.lo_idx], d[box.hi_idx]
+    fl, fh = d_lo < 0, d_hi > 0
+    if fl.any():
+        alpha = min(alpha, margin * float(((box.lo[fl] - theta[box.lo_idx][fl]) / d_lo[fl]).min()))
+    if fh.any():
+        alpha = min(alpha, margin * float(((box.hi[fh] - theta[box.hi_idx][fh]) / d_hi[fh]).min()))
     return max(alpha, 0.0)
 
 
 def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfig(),
                    extra_leaves: dict | None = None) -> SolveResult:
-    """Run the outer barrier/multiplier rounds on an already-compiled problem."""
+    """Run the outer barrier/multiplier rounds on an already-compiled problem.
+
+    Every point is replayed once: a round starts from the evaluation the
+    last one ended on, and the best iterate keeps its own.
+    """
     theta = np.zeros(compiled.n)
     lam = np.zeros(compiled.num_eq)
     mu = BARRIER_INIT
     rho = PENALTY_INIT
+    box = _Box(compiled.lower, compiled.upper)
 
-    f0, g0, h0, _ = compiled.evaluate(theta, extra_leaves)
+    f, g, h, ev = compiled.evaluate(theta, extra_leaves)
     shift0 = 0.0
-    if g0.size:
-        shift0 = max(0.0, float(np.max(g0))) + 0.1
+    if g.size:
+        shift0 = max(0.0, float(g.max())) + 0.1
     shift = shift0
 
     lbfgs = _LbfgsMemory()
 
     log: list[IterationRecord] = []
     iteration = 0
-    best = None  # (feasible, violation, objective, theta)
-    status = "max-iter"
+    best = None  # ((infeasible, rank value), theta, (f, g, h, ev))
     numeric_failure = False
 
     def violation(g, h):
         parts = [0.0]
         if g.size:
-            parts.append(float(np.max(g)))
+            parts.append(float(g.max()))
         if h.size:
-            parts.append(float(np.max(np.abs(h))))
+            parts.append(float(np.abs(h).max()))
         return max(parts)
 
-    def consider(theta_now, f, g, h):
+    def consider(theta_now, f, g, h, ev, v):
         # rank feasible-enough iterates by objective plus a violation penalty
         # (infeasible ones by violation alone); ties go to the newer iterate,
         # so the final barrier-polished point wins over near-equal early ones
         nonlocal best
-        v = violation(g, h)
         feasible = v <= CONSTRAINT_TOL
         flag = not feasible
         val = v if not feasible else f + PENALTY_INIT * v
         if best is None:
-            best = ((flag, val), theta_now.copy())
+            best = ((flag, val), theta_now, (f, g, h, ev))
             return
         bflag, bval = best[0]
         if flag < bflag:  # first feasible iterate starts a fresh ranking
-            best = ((flag, val), theta_now.copy())
+            best = ((flag, val), theta_now, (f, g, h, ev))
         elif flag == bflag and val <= bval + 1e-9 * (1.0 + abs(bval)):
-            best = ((flag, min(val, bval)), theta_now.copy())
+            best = ((flag, min(val, bval)), theta_now, (f, g, h, ev))
 
-    consider(theta, f0, g0, h0)
+    consider(theta, f, g, h, ev, violation(g, h))
 
     grad_norm = np.inf
     prev_eq_norm = np.inf
     for rnd in range(config.max_rounds):
         lbfgs.clear()
-        f, g, h, ev = compiled.evaluate(theta, extra_leaves)
-        m_val = _merit_value(compiled, theta, f, g, h, mu, rho, lam, shift)
+        m_val = _merit_value(box, theta, f, g, h, mu, rho, lam, shift)
         if not np.isfinite(m_val):
             # barrier violated at entry (shift annealed too far): re-shift
-            shift = max(shift, float(np.max(g)) + 0.1 if g.size else 0.0)
-            m_val = _merit_value(compiled, theta, f, g, h, mu, rho, lam, shift)
+            shift = max(shift, float(g.max()) + 0.1 if g.size else 0.0)
+            m_val = _merit_value(box, theta, f, g, h, mu, rho, lam, shift)
             if not np.isfinite(m_val):
                 numeric_failure = True
                 break
-        grad = _merit_gradient(compiled, theta, g, h, mu, rho, lam, shift, ev)
+        grad = _merit_gradient(compiled, box, theta, g, h, mu, rho, lam, shift, ev)
+        norm = float(np.abs(grad).max())
 
         for _ in range(config.max_inner):
             # round subproblems are minimized on the raw merit gradient; the
             # projected-gradient KKT measure is only the final status check
-            grad_norm = float(np.max(np.abs(grad)))
+            grad_norm = norm
             if grad_norm < GRAD_TOL:
                 break
             d = lbfgs.direction(grad)
@@ -253,31 +260,33 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
                 lbfgs.clear()
                 d = -grad
                 slope = float(d @ grad)
-            alpha = _fraction_to_boundary(theta, d, compiled.lower, compiled.upper)
+            alpha = _fraction_to_boundary(theta, d, box)
             if alpha <= 0:
                 break
             accepted = False
-            for _ in range(MAX_BACKTRACKS):
+            for trials in range(1, MAX_BACKTRACKS + 1):
                 trial = theta + alpha * d
                 f2, g2, h2, ev2 = compiled.evaluate(trial, extra_leaves)
-                m2 = _merit_value(compiled, trial, f2, g2, h2, mu, rho, lam, shift)
+                m2 = _merit_value(box, trial, f2, g2, h2, mu, rho, lam, shift)
                 if np.isfinite(m2) and m2 <= m_val + ARMIJO_C * alpha * slope:
                     accepted = True
                     break
                 alpha *= BACKTRACK
             if not accepted:
                 break
-            grad2 = _merit_gradient(compiled, trial, g2, h2, mu, rho, lam, shift, ev2)
+            grad2 = _merit_gradient(compiled, box, trial, g2, h2, mu, rho, lam, shift, ev2)
             s = trial - theta
             y = grad2 - grad
             lbfgs.push(s, y)
             theta, f, g, h, ev, m_val, grad = trial, f2, g2, h2, ev2, m2, grad2
+            norm = float(np.abs(grad).max())
             iteration += 1
-            consider(theta, f, g, h)
-            log.append(IterationRecord(iteration, rnd, mu, rho, f, violation(g, h),
-                                       alpha, m_val))
+            v = violation(g, h)
+            consider(theta, f, g, h, ev, v)
+            log.append(IterationRecord(iteration, rnd, mu, rho, f, v, alpha, m_val, trials,
+                                       norm))
 
-        eq_norm = float(np.max(np.abs(h))) if h.size else 0.0
+        eq_norm = float(np.abs(h).max()) if h.size else 0.0
         if h.size:
             lam = lam + rho * h
         finished_schedule = mu <= BARRIER_MIN and eq_norm <= CONSTRAINT_TOL
@@ -291,11 +300,10 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
             rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
         prev_eq_norm = eq_norm
         shift = shift0 * (mu / BARRIER_INIT)
-        if g.size and shift <= float(np.max(g)):
-            shift = float(np.max(g)) + 1e-3
+        if g.size and shift <= float(g.max()):
+            shift = float(g.max()) + 1e-3
 
-    theta_best = best[1] if best is not None else theta
-    f, g, h, ev = compiled.evaluate(theta_best, extra_leaves)
+    _, theta_best, (f, g, h, ev) = best
     v = violation(g, h)
     # converged means: the final barrier subproblem was minimized to the
     # gradient tolerance (its barrier/multiplier weights are the converged

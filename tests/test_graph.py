@@ -7,6 +7,7 @@ from comotion.graph import (
     GRULayer,
     GraphError,
     Tape,
+    _workspace,
     backward,
     gradient_check,
     gru_cell,
@@ -287,16 +288,18 @@ def test_gru_cell_matches_per_gate_oracle(batched):
         mx = rng.binomial(1, 0.7, size=(k, B)) / 0.7
         mh = rng.binomial(1, 0.7, size=(d, B)) / 0.7
         mx[0, 0], mh[0, 1] = 0.0, 0.0  # at least one dropped entry each
-    layer = GRULayer(W, U, b, mx, mh, cols)
-    gates = np.empty((3 * d, *cols))
-    h_new = gru_cell(x, h, layer, gates, np.empty_like(h))
+    hidden, gates = np.empty((2, d, *cols)), np.empty((1, 3 * d, *cols))
+    hidden[0] = h
+    h_new = gru_cell(x, GRULayer(W, U, b, hidden, gates, mx, mh), 0)
     oracle, oracle_gates = _gru_oracle(x.reshape(k, -1), h.reshape(d, -1), W, U, b,
                                        1.0 if mx is None else mx, 1.0 if mh is None else mh)
+    assert np.shares_memory(h_new, hidden[1]) and np.array_equal(hidden[0], h)
     assert np.allclose(h_new, oracle.reshape(h_new.shape), rtol=0, atol=1e-14)
-    assert np.allclose(gates, oracle_gates.reshape(gates.shape), rtol=0, atol=1e-14)
-    in_place = h.copy()
-    assert gru_cell(x, in_place, layer, np.empty_like(gates), in_place) is in_place
-    assert in_place.tobytes() == h_new.tobytes()
+    assert np.allclose(gates[0], oracle_gates.reshape(gates[0].shape), rtol=0, atol=1e-14)
+    in_place = _workspace(h.shape, 2)  # both hidden slots are one workspace
+    in_place[0] = h
+    out = gru_cell(x, GRULayer(W, U, b, in_place, np.empty_like(gates), mx, mh), 0)
+    assert np.shares_memory(out, in_place[0]) and out.tobytes() == h_new.tobytes()
 
 
 def _scan_point(rng, layers=2, d=3, sd=5, lead=2):

@@ -516,6 +516,34 @@ def test_all_constraint_gradients_match_finite_differences(model, observed):
     assert worst < 1e-4
 
 
+def test_an_evaluation_survives_later_replays(model, observed):
+    """The line search holds one evaluation while it replays trials, and the
+    solver's best iterate keeps its own: values and the backward pass
+    through an evaluation made before another replay are the bytes of a
+    fresh replay at the same point."""
+    rng = np.random.default_rng(7)
+    target = (0.6, -0.9, 0.85)
+    constraints = [
+        obj.ConstraintSpec(kind="goal", agent="human", link="rWrist", target=target),
+        obj.ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
+        obj.ConstraintSpec(kind="collision", agent="human", aggregation="soft_max"),
+        obj.ConstraintSpec(kind="joint_goal", target=target),
+        obj.ConstraintSpec(kind="handover"),
+    ]
+    problem = base_problem(observed, steps=6, constraints=constraints, scene=small_scene())
+    compiled = obj.compile_problem(problem, model=model)
+    at_a, at_b = (0.02 * rng.normal(size=compiled.n) for _ in range(2))
+    f, g, h, held = compiled.evaluate(at_a)
+    compiled.evaluate(at_b)
+    seed = rng.normal(size=1 + g.size + h.size)
+    grad = compiled.gradient(seed, held)
+    compiled.gradient(seed, compiled.evaluate(at_b)[3])
+    fresh = compiled.evaluate(at_a)[3]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(held.values, fresh.values))
+    assert np.concatenate([[f], g, h]).tobytes() == fresh.output.tobytes()
+    assert grad.tobytes() == compiled.gradient(seed, fresh).tobytes()
+
+
 def test_pickup_handover_reads_each_palm_in_one_node_and_its_gradient_holds():
     """Tape size: the paper's pickup-handover problem (seed 1) took 14,811
     nodes with per-step FK subgraphs; its palms are now four link_point

@@ -92,7 +92,8 @@ def test_inequality_toy_max_style():
 def merit(compiled, theta, mu, rho, multipliers, shift=0.0):
     """The merit value the solver's line search compares, at ``theta``."""
     f, g, h, _ = compiled.evaluate(theta)
-    return sv._merit_value(compiled, theta, f, g, h, mu, rho, multipliers, shift)
+    box = sv._Box(compiled.lower, compiled.upper)
+    return sv._merit_value(box, theta, f, g, h, mu, rho, multipliers, shift)
 
 
 def test_merit_examples():
@@ -180,6 +181,27 @@ def test_robot_only_solve_makes_under_two_replays_per_iteration(monkeypatch):
     assert len(replays) < 2 * res.details["iterations"]
 
 
+def test_capped_joint_solve_replays_each_point_once(monkeypatch):
+    """The joint solve replays the zero warm start and then only line-search
+    trials: a round starts from the evaluation the last one ended on, and the
+    returned iterate keeps its own.  Each accepted iterate and each round
+    start takes one backward pass."""
+    replays, backwards = [], []
+    forward, backward = Tape.forward, obj.backward
+    monkeypatch.setattr(Tape, "forward", lambda *a, **kw: replays.append(1) or forward(*a, **kw))
+    monkeypatch.setattr(obj, "backward",
+                        lambda *a, **kw: backwards.append(1) or backward(*a, **kw))
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    compiled = obj.compile_problem(problem, model=hm.init_params(hm.ModelConfig(), 0))
+    replays.clear()
+    result = sv.solve_compiled(compiled, sv.SolverConfig(max_rounds=2, max_inner=8))
+    # no line search failed and no round stopped early: each ran all 8 iterations
+    assert [r.round for r in result.log] == [0] * 8 + [1] * 8
+    assert all(r.trials >= 1 and np.isfinite(r.grad_norm) for r in result.log)
+    assert len(replays) == 1 + sum(r.trials for r in result.log)
+    assert len(backwards) == result.iterations + 2
+
+
 def test_monotone_merit_within_rounds():
     def build(t, x):
         h = t.sub(t.sum(x), t.const(1.0))
@@ -204,13 +226,14 @@ def test_iteration_log_lines_parse():
     assert result.log
     rec = json.loads(result.log[0].to_line())
     assert set(rec) == {"iteration", "round", "mu", "rho", "objective",
-                        "max_violation", "step_size", "merit"}
+                        "max_violation", "step_size", "merit", "trials", "grad_norm"}
 
 
 def test_iteration_log_line_is_json_for_non_finite_values():
     import json
 
-    rec = sv.IterationRecord(1, 0, 1.0, 10.0, float("inf"), float("nan"), 0.5, float("-inf"))
+    rec = sv.IterationRecord(1, 0, 1.0, 10.0, float("inf"), float("nan"), 0.5, float("-inf"),
+                             1, float("nan"))
     doc = json.loads(rec.to_line())
     assert doc["objective"] == float("inf") and doc["merit"] == float("-inf")
     assert np.isnan(doc["max_violation"]) and doc["step_size"] == 0.5
