@@ -17,6 +17,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures as cf
 import contextlib
 import glob
 import json
@@ -252,16 +253,17 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(problem, problem_id, method, weights, robot_path, kind, seed,
+def _evaluate(problem, problem_id, method, weights, robot, kind, seed,
               solver_config, samples) -> ev.ExperimentRecord:
-    """The one solve path of ``plan``, ``evaluate`` and the alpha sweep."""
+    """The one solve path of ``plan``, ``evaluate`` and the alpha sweep;
+    ``robot`` is the loaded robot config."""
     return ev.evaluate_problem(
         problem,
         method,
         _model_for(problem, method, weights),
         problem_id=problem_id,
         kind=kind,
-        robot=_robot_config(robot_path),
+        robot=robot,
         solver_config=solver_config,
         sample_config=ev.SampleConfig(num_samples=samples),
         seed=seed,
@@ -274,6 +276,8 @@ def cmd_plan(args) -> int:
     solver_config = _solver_config(args)
     if args.method not in ev.METHODS:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
+    _model_for(problem, args.method, args.weights)  # read every input before the first write
+    robot = _robot_config(args.robot)
     out = _out_dir(args)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:
@@ -281,7 +285,7 @@ def cmd_plan(args) -> int:
 
     kind = args.kind or ev.default_kind(problem)
     record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
-                       args.robot, kind, args.seed, solver_config, args.samples)
+                       robot, kind, args.seed, solver_config, args.samples)
     result = record.result
     doc = record.row()
     doc["kind"] = kind
@@ -312,9 +316,13 @@ def cmd_plan(args) -> int:
 
 
 def _evaluate_one(task):
-    problem_path, *rest = task
-    return _evaluate(obj.load_problem(problem_path), os.path.basename(problem_path),
-                     *rest).row()
+    """One ``evaluate`` task: (its row, None), or (None, its failure)."""
+    problem_path, method, *rest = task
+    try:
+        return _evaluate(obj.load_problem(problem_path), os.path.basename(problem_path),
+                         method, *rest).row(), None
+    except Exception as exc:
+        return None, {"task": str((problem_path, method)), "error": str(exc)}
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -347,35 +355,23 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
+    robot = _robot_config(args.robot)
     out = _out_dir(args)
     _write_manifest(out, args, extra={"problems": paths})
 
     if args.alpha_sweep:
-        return _alpha_sweep(args, paths, out, solver_config)
+        return _alpha_sweep(args, paths, out, solver_config, robot)
 
     tasks = [
-        (p, m, args.weights, args.robot, args.kind, args.seed, solver_config, args.samples)
+        (p, m, args.weights, robot, args.kind, args.seed, solver_config, args.samples)
         for p in paths
         for m in methods
     ]
-    rows = []
-    failures = []
-    if args.jobs > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = {pool.submit(_evaluate_one, t): t for t in tasks}
-            for fut in cf.as_completed(futs):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    failures.append({"task": str(futs[fut][:2]), "error": str(exc)})
-    else:
-        for t in tasks:
-            try:
-                rows.append(_evaluate_one(t))
-            except Exception as exc:
-                failures.append({"task": str(t[:2]), "error": str(exc)})
+    pool = cf.ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        results = list((pool.map if pool else map)(_evaluate_one, tasks))
+    rows = [row for row, _ in results if row is not None]
+    failures = [failure for _, failure in results if failure is not None]
     rows.sort(key=lambda r: (r["problem"], r["method"]))
     _atomic_write(os.path.join(out, "records.jsonl"),
                   "\n".join(json.dumps(r) for r in rows) + "\n")
@@ -392,7 +388,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _alpha_sweep(args, paths, out, solver_config) -> int:
+def _alpha_sweep(args, paths, out, solver_config, robot) -> int:
     alphas = _numbers(args.alpha_sweep, "--alpha-sweep", float)
     lines = []
     for alpha in alphas:
@@ -401,7 +397,7 @@ def _alpha_sweep(args, paths, out, solver_config) -> int:
             problem = obj.load_problem(p)
             problem = replace(problem, weights=replace(problem.weights, weight_robot=alpha))
             rows.append(_evaluate(problem, os.path.basename(p), "ours", args.weights,
-                                  args.robot, args.kind, args.seed, solver_config,
+                                  robot, args.kind, args.seed, solver_config,
                                   args.samples).row())
         doc = {
             "weight_robot": alpha,

@@ -20,6 +20,11 @@ layer's stacked [z; r; n] gate weights.  ``predict``, ``encode``,
 function and whose hand-written adjoint is backpropagation through time:
 planning differentiates the decoder states with respect to the modifiers,
 training a batch's loss with respect to the weights.
+
+``ModelParams`` holds only those stacked weights.  The weight file keeps one
+array per gate (``gru0.Wz``, ``gru0.Uz``, ``gru0.bz``, ``gru0.Wr`` ...); its
+codec, :func:`save_params` and :func:`load_params`, is the one place that
+reads or writes that layout, as row blocks of the stacked arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -67,87 +72,66 @@ class ModelConfig:
             raise ModelError("frame rate must be positive")
 
 
-def _weight_names(config: ModelConfig) -> list[str]:
-    names = []
-    for li in range(config.num_layers):
-        for gate in ("z", "r", "n"):
-            names += [f"gru{li}.W{gate}", f"gru{li}.U{gate}", f"gru{li}.b{gate}"]
-    names += ["out.W", "out.b"]
-    return names
-
-
-def _weight_shape(config: ModelConfig, name: str) -> tuple[int, ...]:
+def _weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """``ModelParams.arrays`` names and shapes, in ``gru_unroll`` order."""
     d = config.hidden_size
-    if name == "out.W":
-        return (STATE_DIM, d)
-    if name == "out.b":
-        return (STATE_DIM,)
-    li = int(name[3 : name.index(".")])
-    in_dim = INPUT_DIM if li == 0 else d
-    kind = name.split(".")[1][0]
-    if kind == "W":
-        return (d, in_dim)
-    if kind == "U":
-        return (d, d)
-    return (d,)
+    shapes = {}
+    for li in range(config.num_layers):
+        shapes[f"gru{li}.W"] = (3 * d, INPUT_DIM if li == 0 else d)
+        shapes[f"gru{li}.U"] = (3 * d, d)
+        shapes[f"gru{li}.b"] = (3 * d,)
+    shapes["out.W"] = (STATE_DIM, d)
+    shapes["out.b"] = (STATE_DIM,)
+    return shapes
 
 
 @dataclass
 class ModelParams:
     """Named weight arrays plus the architecture they belong to.
 
-    ``arrays`` has one entry per gate (``gru{i}.Wz`` ...), as in the weight
-    file.  Its GRU entries are views into ``stacked``, whose ``gru{i}.W``,
-    ``.U`` and ``.b`` hold each layer's z, r and n blocks in that order, the
-    layout :class:`comotion.graph.GRULayer` takes; ``out.W`` and ``out.b`` are
-    the same arrays in both.  Change weights in place: rebinding an entry of
-    either dict detaches it from the other.
+    ``arrays`` holds each layer's ``gru{i}.W``, ``.U`` and ``.b`` with the z,
+    r and n gate blocks stacked in that order, the layout
+    :class:`comotion.graph.GRULayer` takes, then ``out.W`` and ``out.b``.  The
+    weight file stores one array per gate instead (``gru{i}.Wz`` ...); only
+    :func:`save_params` and :func:`load_params` know that layout.
     """
 
     config: ModelConfig
     arrays: dict[str, np.ndarray]
-    stacked: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _weight_names(self.config):
+        for name, shape in _weight_shapes(self.config).items():
             a = self.arrays.get(name)
             if a is None:
                 raise ModelError(f"missing weight {name!r}")
-            if a.shape != _weight_shape(self.config, name):
-                raise ModelError(
-                    f"weight {name!r} has shape {a.shape}, expected "
-                    f"{_weight_shape(self.config, name)}"
-                )
+            if a.shape != shape:
+                raise ModelError(f"weight {name!r} has shape {a.shape}, expected {shape}")
             if not np.all(np.isfinite(a)):
                 raise ModelError(f"weight {name!r} contains non-finite values")
-        d = self.config.hidden_size
-        arrays = dict(self.arrays)
-        self.stacked = {}
-        for li in range(self.config.num_layers):
-            for kind in "WUb":
-                names = [f"gru{li}.{kind}{gate}" for gate in "zrn"]
-                block = self.stacked[f"gru{li}.{kind}"] = np.concatenate([arrays[n] for n in names])
-                for k, n in enumerate(names):
-                    arrays[n] = block[k * d : (k + 1) * d]
-        self.stacked["out.W"] = arrays["out.W"]
-        self.stacked["out.b"] = arrays["out.b"]
-        self.arrays = arrays
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
 
 
+def _gate_blocks(config: ModelConfig) -> list[tuple[str, str, slice]]:
+    """The weight file's arrays in file order, each as (file name, the
+    ``ModelParams.arrays`` name it is a row block of, its rows)."""
+    d = config.hidden_size
+    return [(f"gru{li}.{kind}{gate}", f"gru{li}.{kind}", slice(k * d, (k + 1) * d))
+            for li in range(config.num_layers) for k, gate in enumerate("zrn")
+            for kind in "WUb"] + [(n, n, slice(None)) for n in ("out.W", "out.b")]
+
+
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] matrices, zero biases."""
+    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] matrices, zero biases, drawn
+    one gate block at a time in weight-file order."""
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name in _weight_names(config):
-        shape = _weight_shape(config, name)
-        if name.split(".")[1][0] == "b":
-            arrays[name] = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[1])
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
+    arrays = {name: np.zeros(shape) for name, shape in _weight_shapes(config).items()}
+    for _, name, rows in _gate_blocks(config):
+        block = arrays[name][rows]
+        if block.ndim == 2:
+            bound = 1.0 / np.sqrt(block.shape[1])
+            block[:] = rng.uniform(-bound, bound, size=block.shape)
     return ModelParams(config, arrays)
 
 
@@ -156,14 +140,8 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _stacked_names(config: ModelConfig) -> list[str]:
-    """``ModelParams.stacked`` names in ``gru_unroll`` order."""
-    return [f"gru{li}.{kind}" for li in range(config.num_layers) for kind in "WUb"] + [
-        "out.W", "out.b"]
-
-
 def _weights(params: ModelParams) -> list[np.ndarray]:
-    return [params.stacked[name] for name in _stacked_names(params.config)]
+    return [params.arrays[name] for name in _weight_shapes(params.config)]
 
 
 def _zero_hiddens(config: ModelConfig, batch: tuple[int, ...] = ()) -> list[np.ndarray]:
@@ -308,14 +286,14 @@ def _batch_loss(diff: np.ndarray) -> float:
 
 def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
     """Loss of one (span, 129, B) batch of windows and the gradients of the
-    ``ModelParams.stacked`` weights (None when the loss is not finite).
+    ``ModelParams.arrays`` weights (None when the loss is not finite).
 
     The tape holds the weight leaves and one ``gru_scan`` node; the loss
     gradient of its states seeds the backward pass.
     """
     config = params.config
     tape = Tape()
-    weights = [tape.leaf(name, params.stacked[name]) for name in _stacked_names(config)]
+    weights = [tape.leaf(name, params.arrays[name]) for name in _weight_shapes(config)]
     out = tape.gru_scan(weights, *_window_start(config, cols), masks=masks)
     tape.set_output(out)
     diff = out.value - cols[config.input_frames :]
@@ -404,7 +382,7 @@ def train(
         test_windows = np.stack([test_records[ri][s : s + span] for ri, s in test_idx])
 
     params = init_params(config, seed)
-    adam = _Adam(params.stacked, learning_rate)
+    adam = _Adam(params.arrays, learning_rate)
     history: list[EpochMetrics] = []
     best: ModelParams | None = None
     best_key = np.inf
@@ -439,7 +417,7 @@ def train(
                 raise TrainingDiverged(epoch) from exc
             if grads is None:
                 raise TrainingDiverged(epoch)
-            adam.update(params.stacked, grads)
+            adam.update(params.arrays, grads)
             epoch_loss += loss
             nb += 1
 
@@ -467,18 +445,19 @@ _MAGIC = b"COMOTION-WEIGHTS v1\n"
 
 
 def save_params(params: ModelParams, path) -> None:
-    names = _weight_names(params.config)
+    """Write one array per gate, each a row block of the stacked weights."""
+    blocks = [(n, params.arrays[name][rows]) for n, name, rows in _gate_blocks(params.config)]
     header = {
         "config": asdict(params.config),
-        "arrays": [{"name": n, "shape": list(params.arrays[n].shape)} for n in names],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in blocks],
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(params.arrays[n], dtype="<f8").tobytes())
+        for _, a in blocks:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_params(path) -> ModelParams:
@@ -501,7 +480,7 @@ def load_params(path) -> ModelParams:
         if unknown:
             raise ModelError(f"{path}: unknown config keys {unknown}")
         config = ModelConfig(**header["config"])
-        arrays = {}
+        blocks = {}
         for spec in header["arrays"]:
             try:
                 name, shape = spec["name"], tuple(int(v) for v in spec["shape"])
@@ -511,5 +490,14 @@ def load_params(path) -> ModelParams:
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ModelError(f"{path}: truncated weight payload")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    arrays = {name: np.empty(shape) for name, shape in _weight_shapes(config).items()}
+    for n, name, rows in _gate_blocks(config):
+        target = arrays[name][rows]
+        if n not in blocks:
+            raise ModelError(f"{path}: missing weight {n!r}")
+        if blocks[n].shape != target.shape:
+            raise ModelError(f"{path}: weight {n!r} has shape {blocks[n].shape}, "
+                             f"expected {target.shape}")
+        target[:] = blocks[n]
     return ModelParams(config, arrays)

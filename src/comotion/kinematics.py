@@ -216,30 +216,6 @@ class Skeleton:
 # Canonical joint order.  The upstream capture lists the same 21 joints in an
 # arbitrary table order; here parents always precede children and the index
 # doubles as the rotation-slot index in the state vector.
-HUMAN_JOINT_NAMES = [
-    "base",
-    "pelvis",
-    "torso",
-    "neck",
-    "head",
-    "linnerShoulder",
-    "lShoulder",
-    "lElbow",
-    "lWrist",
-    "rinnerShoulder",
-    "rShoulder",
-    "rElbow",
-    "rWrist",
-    "lHip",
-    "lKnee",
-    "lAnkle",
-    "lToe",
-    "rHip",
-    "rKnee",
-    "rAnkle",
-    "rToe",
-]
-
 _HUMAN_JOINTS = (
     Joint("base", -1, (0.0, 0.0, 0.0)),
     Joint("pelvis", 0, (0.0, 0.0, 0.10)),
@@ -264,6 +240,7 @@ _HUMAN_JOINTS = (
     Joint("rToe", 19, (0.15, 0.0, -0.07)),
 )
 
+HUMAN_JOINT_NAMES = [j.name for j in _HUMAN_JOINTS]
 DEFAULT_HUMAN_SKELETON = Skeleton(_HUMAN_JOINTS)
 
 ARM_JOINT_NAMES = ["rElbow", "rShoulder"]  # joints entering the arm angle metric

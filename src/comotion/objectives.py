@@ -27,7 +27,6 @@ import numpy as np
 from .environment import (
     DEFAULT_RESOLUTION,
     Scene,
-    SdfGrid,
     build_sdf,
     scene_from_doc,
     scene_to_doc,
@@ -72,7 +71,7 @@ class ConstraintSpec:
     kind: str
     agent: str | None = None  # "human" | "robot" where applicable
     link: str | None = None
-    timestep: object = "final"  # int, "final", or "all"
+    timestep: object = "final"  # int or "final"
     target: tuple | None = None
     clearance: float | None = None
     aggregation: str = "soft_max"
@@ -86,6 +85,9 @@ class ConstraintSpec:
             raise ProblemError(f"unknown constraint kind {self.kind!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ProblemError(f"unknown aggregation {self.aggregation!r}")
+        ts = self.timestep
+        if isinstance(ts, bool) or not (isinstance(ts, int) or ts == "final"):
+            raise ProblemError(f"timestep must be an int or 'final', got {ts!r}")
         if self.kind == "goal":
             if self.agent not in ("human", "robot"):
                 raise ProblemError("goal constraint needs an agent")
@@ -275,10 +277,9 @@ def human_base_penalty_graph(tape, ctx: GraphContext, observed_last: np.ndarray,
 def _resolve_timestep(timestep, steps: int) -> int:
     if timestep == "final":
         return steps - 1
-    t = int(timestep)
-    if not (0 <= t < steps):
-        raise ProblemError(f"timestep {t} outside 0..{steps - 1}")
-    return t
+    if not (0 <= timestep < steps):
+        raise ProblemError(f"timestep {timestep} outside 0..{steps - 1}")
+    return timestep
 
 
 def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
@@ -424,7 +425,6 @@ def compile_problem(
     problem: ProblemSpec,
     model: ModelParams | None = None,
     robot: RobotConfig | None = None,
-    sdf: SdfGrid | None = None,
 ) -> CompiledProblem:
     """Record the whole planning problem on a fresh tape at zero controls."""
     steps = problem.steps if problem.observed_human is not None else (
@@ -433,8 +433,7 @@ def compile_problem(
     if steps < 1:
         raise ProblemError("no timesteps to plan")
     robot = robot if robot is not None else DEFAULT_ROBOT
-    if sdf is None and problem.scene is not None:
-        sdf = build_sdf(problem.scene, DEFAULT_RESOLUTION)
+    sdf = None if problem.scene is None else build_sdf(problem.scene, DEFAULT_RESOLUTION)
 
     tape = Tape()
     leaf_dims: dict[str, int] = {}
@@ -621,14 +620,21 @@ def save_problem(problem: ProblemSpec, path) -> None:
 
 
 def load_problem(path) -> ProblemSpec:
+    """Read a problem file; a file that is not JSON, lacks a key or holds a
+    value of the wrong type or range is a ``ProblemError`` naming ``path``."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "comotion-problem":
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ProblemError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "comotion-problem":
         raise ProblemError(f"{path}: not a problem file")
     try:
         return _problem_from_doc(doc)
     except KeyError as exc:
         raise ProblemError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"{path}: {exc}") from None
 
 
 def _problem_from_doc(doc: dict) -> ProblemSpec:

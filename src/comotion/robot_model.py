@@ -114,9 +114,14 @@ def save_robot(config: RobotConfig, path) -> None:
 
 
 def load_robot(path) -> RobotConfig:
+    """Read a robot config file; a file that is not JSON, lacks a key or holds
+    a value of the wrong type is a ``RobotError`` naming ``path``."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "comotion-robot":
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise RobotError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "comotion-robot":
         raise RobotError(f"{path}: not a robot config file")
     try:
         chain = tuple(
@@ -124,16 +129,18 @@ def load_robot(path) -> RobotConfig:
                       None if l["axis"] is None else tuple(l["axis"]))
             for l in doc["chain"]
         )
+        b = doc.get("control_bounds", {})
+        return RobotConfig(
+            chain=chain,
+            hand_link=doc.get("hand_link", "hand"),
+            max_forward_step=float(b.get("forward", 0.15)),
+            max_turn_step=float(b.get("turn", 0.3)),
+            max_joint_step=float(b.get("joint", 0.2)),
+        )
     except KeyError as exc:
         raise RobotError(f"{path}: missing key {exc.args[0]!r}") from None
-    b = doc.get("control_bounds", {})
-    return RobotConfig(
-        chain=chain,
-        hand_link=doc.get("hand_link", "hand"),
-        max_forward_step=float(b.get("forward", 0.15)),
-        max_turn_step=float(b.get("turn", 0.3)),
-        max_joint_step=float(b.get("joint", 0.2)),
-    )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise RobotError(f"{path}: {exc}") from None
 
 
 def save_robot_trajectory(states: np.ndarray, path) -> None:

@@ -10,6 +10,7 @@ from comotion import data as cd
 from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import robot_model as rm
+from comotion import scenarios
 from comotion.cli import main
 
 
@@ -261,6 +262,51 @@ def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("timestep", ["all", 3.7, "7", True])
+def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep):
+    path = toy_robot_problem(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["constraints"][0]["timestep"] = timestep
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["plan", "--problem", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "timestep" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("broken", ["problem not JSON", "horizon not a number",
+                                    "robot not JSON", "missing weights", "missing robot"])
+def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broken):
+    path = toy_robot_problem(tmp_path)
+    args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
+    named = path
+    if broken == "problem not JSON":
+        with open(path, "w") as fh:
+            fh.write("{not json")
+    elif broken == "horizon not a number":
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["horizon"] = "sixty"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    elif broken == "robot not JSON":
+        named = str(tmp_path / "robot.json")
+        (tmp_path / "robot.json").write_text("chain: []")
+        args += ["--robot", named]
+    elif broken == "missing weights":
+        named = str(tmp_path / "missing.weights")
+        args += ["--method", "initial", "--weights", named]
+    else:
+        named = str(tmp_path / "missing.json")
+        args += ["--robot", named]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def human_robot_problem(tmp_path, model_path=None):
     """Both agents optimized: the human needs the predictor for every method
     but zerovel."""
@@ -384,6 +430,29 @@ def test_evaluate_parallel_jobs_match_serial(tmp_path):
         for l in text.splitlines()
     ]
     assert strip(rows1) == strip(rows2)
+
+
+def test_evaluate_failures_are_in_task_order_for_every_jobs_value(tmp_path):
+    """Without weights every ``initial`` task fails and every ``zerovel`` task
+    completes; the pool writes the rows and failures the serial loop does."""
+    for i, inst in enumerate(scenarios.make_handover_problems(2, 1)):
+        obj.save_problem(inst.problem, tmp_path / f"h{i}.json")
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["evaluate", "--problems", str(tmp_path / "h*.json"),
+                     "--methods", "initial,zerovel", "--jobs", jobs, "--max-rounds", "2",
+                     "--max-inner", "8", "--out", str(out)]) == 0
+        rows = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+        for row in rows:
+            del row["wall_time"]
+        docs.append((rows, (out / "failures.json").read_text()))
+    assert docs[0] == docs[1]
+    rows, failures = docs[0]
+    assert [(r["problem"], r["method"]) for r in rows] == [("h0.json", "zerovel"),
+                                                           ("h1.json", "zerovel")]
+    assert [f["task"] for f in json.loads(failures)] == [
+        str((str(tmp_path / f"h{i}.json"), "initial")) for i in range(2)]
 
 
 def test_sweep_writes_leaderboard(tiny_dataset, tmp_path):

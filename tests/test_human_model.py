@@ -1,5 +1,9 @@
 """Predictor tests: cell equations, controlled unroll, training, weight IO."""
 
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -84,14 +88,17 @@ def test_encode_matches_manual_per_step_oracle():
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    a = params.arrays
+    def a(name):  # one gate's row block of a stacked [z; r; n] weight
+        kind, gate = name[0], "zrn".index(name[1])
+        return params.arrays[f"gru{li}.{kind}"][8 * gate : 8 * (gate + 1)]
+
     h = [np.zeros(8), np.zeros(8)]
     for i in range(1, 5):
         x = np.concatenate([obs[i][3:], obs[i] - obs[i - 1]])
         for li in range(2):
-            z = sig(a[f"gru{li}.Wz"] @ x + a[f"gru{li}.Uz"] @ h[li] + a[f"gru{li}.bz"])
-            r = sig(a[f"gru{li}.Wr"] @ x + a[f"gru{li}.Ur"] @ h[li] + a[f"gru{li}.br"])
-            n = np.tanh(a[f"gru{li}.Wn"] @ x + a[f"gru{li}.Un"] @ (r * h[li]) + a[f"gru{li}.bn"])
+            z = sig(a("Wz") @ x + a("Uz") @ h[li] + a("bz"))
+            r = sig(a("Wr") @ x + a("Ur") @ h[li] + a("br"))
+            n = np.tanh(a("Wn") @ x + a("Un") @ (r * h[li]) + a("bn"))
             h[li] = (1 - z) * h[li] + z * n
             x = h[li]
     hiddens = hm.encode(params, obs)
@@ -309,9 +316,9 @@ def test_training_gradients_match_finite_differences_of_the_numpy_loss():
     cols = np.ascontiguousarray(windows.transpose(1, 2, 0))
     loss, grads = hm._batch_gradients(params, cols)
     assert loss == pytest.approx(hm._evaluate(params, config, windows)[0], rel=1e-14)
-    assert set(grads) == set(params.stacked)
+    assert set(grads) == set(params.arrays)
     eps = 1e-6
-    for name, arr in params.stacked.items():
+    for name, arr in params.arrays.items():
         assert grads[name].shape == arr.shape
         blocks = 3 if name.startswith("gru") else 1  # [z; r; n] rows
         rows = arr.shape[0] // blocks
@@ -324,21 +331,6 @@ def test_training_gradients_match_finite_differences_of_the_numpy_loss():
             lo = hm._evaluate(params, config, windows)[0]
             arr[idx] = saved
             assert grads[name][idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5, abs=1e-8)
-
-
-def test_per_gate_arrays_are_views_of_the_stacked_weights():
-    config = tiny_config(num_layers=2)
-    params = random_params(config, seed=17)
-    d = config.hidden_size
-    params.arrays["gru1.Un"][:] = 0.3
-    assert np.all(params.stacked["gru1.U"][2 * d :] == 0.3)
-    params.stacked["gru0.b"][d : 2 * d] = 0.7
-    assert np.all(params.arrays["gru0.br"] == 0.7)
-    assert params.stacked["out.W"] is params.arrays["out.W"]
-    copy = params.copy()
-    copy.arrays["gru0.Wz"][:] = 5.0
-    assert np.all(copy.stacked["gru0.W"][:d] == 5.0)
-    assert not np.any(params.stacked["gru0.W"][:d] == 5.0)
 
 
 def test_train_empty_dataset_rejected():
@@ -361,4 +353,67 @@ def test_weight_file_rejects_garbage(tmp_path):
     path = tmp_path / "junk.weights"
     path.write_bytes(b"not a weight file")
     with pytest.raises(hm.ModelError, match="not a weight file"):
+        hm.load_params(path)
+
+
+def _v1_file(path, config, gate_arrays):
+    """A v1 weight file written by hand: magic, JSON header, then one
+    little-endian float64 array per entry of ``gate_arrays``, in its order."""
+    header = {"config": asdict(config),
+              "arrays": [{"name": n, "shape": list(a.shape)} for n, a in gate_arrays.items()]}
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"COMOTION-WEIGHTS v1\n" + struct.pack("<I", len(blob)) + blob)
+        for a in gate_arrays.values():
+            fh.write(a.astype("<f8").tobytes())
+
+
+def _v1_gate_arrays(config, rng):
+    """Random per-gate weights under their v1 names, in v1 order."""
+    d = config.hidden_size
+    arrays = {}
+    for li in range(config.num_layers):
+        for gate in "zrn":
+            arrays[f"gru{li}.W{gate}"] = rng.normal(size=(d, hm.INPUT_DIM if li == 0 else d))
+            arrays[f"gru{li}.U{gate}"] = rng.normal(size=(d, d))
+            arrays[f"gru{li}.b{gate}"] = rng.normal(size=d)
+    arrays["out.W"] = rng.normal(size=(STATE_DIM, d))
+    arrays["out.b"] = rng.normal(size=STATE_DIM)
+    return arrays
+
+
+def test_weight_file_v1_per_gate_layout(tmp_path):
+    """A v1 file holds one array per gate; loading stacks each layer's z, r
+    and n blocks, and saving writes the same bytes back in v1 order."""
+    config = tiny_config(num_layers=2)
+    gates = _v1_gate_arrays(config, np.random.default_rng(21))
+    path = tmp_path / "v1.weights"
+    _v1_file(path, config, gates)
+    params = hm.load_params(path)
+    assert params.config == config
+    for li in range(2):
+        for kind in "WUb":
+            expected = np.concatenate([gates[f"gru{li}.{kind}{g}"] for g in "zrn"])
+            assert np.array_equal(params.arrays[f"gru{li}.{kind}"], expected)
+    for name in ("out.W", "out.b"):
+        assert np.array_equal(params.arrays[name], gates[name])
+    again = tmp_path / "again.weights"
+    hm.save_params(params, again)
+    raw = again.read_bytes()
+    hlen = int.from_bytes(raw[20:24], "little")
+    assert [a["name"] for a in json.loads(raw[24 : 24 + hlen])["arrays"]] == list(gates)
+    assert raw == path.read_bytes()
+
+
+@pytest.mark.parametrize("broken", ["missing", "mis-shaped"])
+def test_weight_file_names_a_bad_gate_block(tmp_path, broken):
+    config = tiny_config(num_layers=2)
+    gates = _v1_gate_arrays(config, np.random.default_rng(22))
+    if broken == "missing":
+        del gates["gru1.Ur"]
+    else:
+        gates["gru1.Ur"] = gates["gru1.Ur"][:, :-1]
+    path = tmp_path / "bad.weights"
+    _v1_file(path, config, gates)
+    with pytest.raises(hm.ModelError, match=r"'gru1\.Ur'"):
         hm.load_params(path)

@@ -150,7 +150,7 @@ def test_collision_sign_and_hard_max(observed):
     grid = env.build_sdf(scene)
     spec = obj.ConstraintSpec(kind="collision", agent="robot", aggregation="hard_max")
     problem = base_problem(observed, steps=6, constraints=[spec], scene=scene, human=False)
-    compiled = obj.compile_problem(problem, sdf=grid)
+    compiled = obj.compile_problem(problem)
     # standing far from all obstacles: feasible, value <= 0
     _, g, _, ev = compiled.evaluate(np.zeros(compiled.n))
     assert g[0] <= 0.0
@@ -170,7 +170,7 @@ def test_collision_soft_max_upper_bounds_hard_max(observed):
                                       temperature=tau)
             problem = base_problem(observed, steps=6, constraints=[spec], scene=scene,
                                    human=False)
-            compiled = obj.compile_problem(problem, sdf=grid)
+            compiled = obj.compile_problem(problem)
             _, g, _, _ = compiled.evaluate(theta)
             results[(agg, tau)] = g[0]
         hard = results[("hard_max", None)]
@@ -189,7 +189,7 @@ def test_collision_margin_shifts_value(observed):
         spec = obj.ConstraintSpec(kind="collision", agent="robot", aggregation="hard_max",
                                   margin=margin)
         problem = base_problem(observed, steps=3, constraints=[spec], scene=scene, human=False)
-        compiled = obj.compile_problem(problem, sdf=grid)
+        compiled = obj.compile_problem(problem)
         _, g, _, _ = compiled.evaluate(np.zeros(compiled.n))
         vals[margin] = g[0]
     assert vals[0.3] == pytest.approx(vals[0.0] + 0.3, rel=1e-12)
@@ -248,8 +248,9 @@ def test_per_timestep_constraints_enter_the_output_as_vectors():
         ],
         optimize_human=False, fixed_human=human,
         robot_initial=np.array([1.0, -1.8, 1.8, 0.0, 0.0, 0.0, 0.0]),
+        scene=scene,
     )
-    compiled = obj.compile_problem(problem, sdf=grid)
+    compiled = obj.compile_problem(problem)
     assert "slice" not in [_OP_NAMES[op] for op in compiled.tape.ops]
     assert compiled.ineq_names == ([f"collision[0].{t}" for t in range(H)]
                                    + [f"joint_clearance[1].{t}" for t in range(H)])
