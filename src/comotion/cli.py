@@ -1,6 +1,6 @@
 """Command-line frontend: reproducible batch runs over the library.
 
-Subcommands: synth, train, predict, plan, evaluate, sweep, export.  Every run
+Subcommands: synth, train, predict, plan, evaluate, export.  Every run
 writes a manifest (command line, configs, seed, version, timestamps) into its
 output directory before its main work, and all file writes go through a
 temp-file-plus-rename so partial outputs never clobber good ones.
@@ -378,7 +378,7 @@ def cmd_evaluate(args) -> int:
     if failures:
         _write_json(os.path.join(out, "failures.json"), failures)
 
-    summary = ev.summarize(rows, aggregate=args.aggregate)
+    summary = ev.summarize(rows)
     _write_json(os.path.join(out, "summary.json"), summary)
     table = _format_table(summary)
     _atomic_write(os.path.join(out, "summary.txt"), table)
@@ -408,38 +408,6 @@ def _alpha_sweep(args, paths, out, solver_config, robot) -> int:
         lines.append(json.dumps(doc))
         print(lines[-1])
     _atomic_write(os.path.join(out, "alpha_sweep.jsonl"), "\n".join(lines) + "\n")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-def cmd_sweep(args) -> int:
-    data_path = _require(args.data, "dataset")
-    grid = dat.SweepGrid(
-        batch_sizes=_numbers(args.batch_sizes, "--batch-sizes", int),
-        layer_counts=_numbers(args.layer_counts, "--layer-counts", int),
-        hidden_sizes=_numbers(args.hidden_sizes, "--hidden-sizes", int),
-        seeds=_numbers(args.seeds, "--seeds", int),
-    )
-    out = _out_dir(args)
-    _write_manifest(out, args)
-    records = dat.load_trajectories(data_path)
-    if not records:
-        raise UsageError(f"dataset is empty: {data_path}")
-    split = dat.split_dataset(records, held_out_subject=args.held_out,
-                              test_fraction=args.test_fraction, seed=args.seed)
-    base = hm.ModelConfig(input_frames=args.input_frames, output_frames=args.output_frames)
-    board, best = dat.run_sweep(grid, split, budget_seconds=args.budget, epochs=args.epochs,
-                                base_config=base)
-    _atomic_write(os.path.join(out, "leaderboard.jsonl"),
-                  "\n".join(json.dumps(e) for e in board) + "\n")
-    _atomic_write(os.path.join(out, "leaderboard.txt"), _format_table(board))
-    if best is not None:
-        _save_weights(best, os.path.join(out, "model.weights"))
-    print(_format_table(board), end="")
     return 0
 
 
@@ -554,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", type=int, default=0)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("plan", help="solve one planning problem")
@@ -576,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robot", default=None)
     p.add_argument("--kind", default=None, choices=[None, *ev.KINDS])
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--aggregate", default="median", choices=["median", "mean"])
     p.add_argument("--alpha-sweep", default=None,
                    help="comma-separated robot weights; runs ours per value")
     p.add_argument("--max-rounds", type=int, default=None)
@@ -585,25 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("sweep", help="hyperparameter sweep over the training grid")
-    p.add_argument("--data", required=False)
-    p.add_argument("--batch-sizes", default="8,32")
-    p.add_argument("--layer-counts", default="1,2")
-    p.add_argument("--hidden-sizes", default="100")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--input-frames", type=int, default=20)
-    p.add_argument("--output-frames", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--held-out", default="synth5")
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-
     p = sub.add_parser("export", help="emit plot-ready grids and polylines")
     p.add_argument("--plan-dir", required=False)
     p.add_argument("--resolution", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     return parser
@@ -615,7 +565,6 @@ _COMMANDS = {
     "predict": cmd_predict,
     "plan": cmd_plan,
     "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
     "export": cmd_export,
 }
 

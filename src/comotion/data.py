@@ -1,4 +1,4 @@
-"""Trajectory ingestion, preprocessing, synthetic motion and sweeps.
+"""Trajectory ingestion, preprocessing, dataset splits and synthetic motion.
 
 Canonical trajectory files are line-delimited text: a JSON header line opens
 each record (subject, frame rate, joint order, annotations), followed by one
@@ -14,8 +14,7 @@ rotation matrices in one ``matrix_to_rot6d`` call.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,20 +154,6 @@ def save_trajectories(records: list[TrajectoryRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def downsample(record: TrajectoryRecord, target_fps: float) -> TrajectoryRecord:
-    """Keep every (source/target)-th frame; the ratio must be integral."""
-    ratio = record.fps / target_fps
-    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-        raise DataError(f"target fps {target_fps} does not divide source fps {record.fps}")
-    step = int(round(ratio))
-    ann = dict(record.annotations)
-    if "actions" in ann:
-        ann["actions"] = [
-            {**a, "start": a["start"] // step, "end": a["end"] // step} for a in ann["actions"]
-        ]
-    return TrajectoryRecord(record.subject, target_fps, record.frames[::step].copy(), ann)
-
-
 def rotate_frames(frames: np.ndarray, yaw: float) -> np.ndarray:
     """Rigidly rotate a motion about the world z axis.
 
@@ -215,13 +200,6 @@ def split_dataset(
         test += [own[i] for i in order[:n_test]]
         train += [own[i] for i in order[n_test:]]
     return DatasetSplit(train=train, test=test, held_out=held)
-
-
-def verify_split(split: DatasetSplit) -> None:
-    held = {r.subject for r in split.held_out}
-    used = {r.subject for r in split.train} | {r.subject for r in split.test}
-    if held & used:
-        raise DataError(f"held-out subjects leak into train/test: {sorted(held & used)}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,95 +319,3 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
             )
         )
     return records
-
-
-# ---------------------------------------------------------------------------
-# Hyperparameter sweep
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    batch_sizes: tuple = (8, 32)
-    layer_counts: tuple = (1, 2)
-    hidden_sizes: tuple = (100,)
-    seeds: tuple = (0,)
-
-    def cells(self):
-        for b in self.batch_sizes:
-            for l in self.layer_counts:
-                for h in self.hidden_sizes:
-                    for s in self.seeds:
-                        yield (b, l, h, s)
-
-
-def run_sweep(
-    grid: SweepGrid,
-    split: DatasetSplit,
-    budget_seconds: float | None = None,
-    *,
-    epochs: int = 30,
-    base_config: "object | None" = None,
-    progress=None,
-):
-    """Train every grid cell, keep per-epoch test losses, pick the best model.
-
-    Returns (leaderboard, best_params).  Cell failures are recorded and the
-    sweep continues; cells past the wall-clock budget are marked skipped.
-    """
-    from . import human_model  # runtime import; human_model.train uses this module
-
-    verify_split(split)
-    train_frames = [r.frames for r in split.train]
-    test_frames = [r.frames for r in split.test]
-    leaderboard = []
-    best_params = None
-    best_loss = np.inf
-    t0 = time.monotonic()
-    for batch_size, layers, hidden, seed in grid.cells():
-        entry = {
-            "batch_size": batch_size,
-            "layers": layers,
-            "hidden": hidden,
-            "seed": seed,
-            "status": "ok",
-            "best_test_loss": float("inf"),
-            "best_epoch": -1,
-            "final_test_loss": float("nan"),
-        }
-        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
-            entry["status"] = "skipped (budget)"
-            leaderboard.append(entry)
-            continue
-        config = replace(
-            base_config if base_config is not None else human_model.ModelConfig(),
-            num_layers=layers,
-            hidden_size=hidden,
-        )
-        try:
-            result = human_model.train(
-                train_frames,
-                config,
-                seed,
-                epochs=epochs,
-                batch_size=batch_size,
-                test_records=test_frames,
-                progress=progress,
-            )
-        except Exception as exc:  # individual cell failures do not stop the sweep
-            entry["status"] = f"failed: {exc}"
-            leaderboard.append(entry)
-            continue
-        losses = [m.test_loss for m in result.history]
-        if not any(np.isfinite(v) for v in losses):  # no test records: rank by train loss
-            losses = [m.train_loss for m in result.history]
-        best_epoch = int(np.nanargmin(losses)) if losses else -1
-        entry["best_epoch"] = best_epoch
-        entry["best_test_loss"] = float(losses[best_epoch]) if best_epoch >= 0 else float("inf")
-        entry["final_test_loss"] = float(losses[-1]) if losses else float("nan")
-        leaderboard.append(entry)
-        if entry["best_test_loss"] < best_loss:
-            best_loss = entry["best_test_loss"]
-            best_params = result.best
-    leaderboard.sort(key=lambda e: e["best_test_loss"])
-    return leaderboard, best_params

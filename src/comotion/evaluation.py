@@ -691,11 +691,10 @@ def evaluate_problem(
     )
 
 
-def summarize(rows: list[dict], aggregate: str = "median") -> list[dict]:
+def summarize(rows: list[dict]) -> list[dict]:
     """Per-method aggregates of ``ExperimentRecord.row()`` dicts: the count, the
-    success rate in percent, and the median (or mean) of every other numeric
-    field over its finite values."""
-    agg = np.median if aggregate == "median" else np.mean
+    success rate in percent, and the median of every other numeric field over
+    its finite values."""
     out = []
     for method in sorted({r["method"] for r in rows}):
         own = [r for r in rows if r["method"] == method]
@@ -707,6 +706,6 @@ def summarize(rows: list[dict], aggregate: str = "median") -> list[dict]:
             vals = [r[k] for r in own if isinstance(r.get(k), (int, float))
                     and np.isfinite(r[k])]
             if vals:
-                doc[k] = float(agg(vals))
+                doc[k] = float(np.median(vals))
         out.append(doc)
     return out

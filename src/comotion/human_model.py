@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .data import rotate_frames
 from .graph import GraphError, Ref, Tape, backward, gru_unroll
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
 
@@ -367,8 +368,6 @@ def train(
     rotation term keeps Adam oscillating at the step-size scale, so exact
     convergence needs a decaying schedule (default keeps it constant).
     """
-    from .data import rotate_frames  # runtime import, data builds on this module
-
     if not records:
         raise ModelError("empty training set")
     k, horizon = config.input_frames, config.output_frames

@@ -143,17 +143,20 @@ class ProblemSpec:
             self.fixed_human = np.asarray(self.fixed_human, dtype=np.float64)
         if self.fixed_robot is not None:
             self.fixed_robot = np.asarray(self.fixed_robot, dtype=np.float64)
-
-    @property
-    def observed_frames(self) -> int:
-        if self.observed_human is not None:
-            return self.observed_human.shape[0]
-        return 0
+        steps = self.steps
+        for c in self.constraints:
+            if c.timestep != "final" and not 0 <= c.timestep < steps:
+                raise ProblemError(f"timestep {c.timestep} outside 0..{steps - 1}")
 
     @property
     def steps(self) -> int:
-        """Number of predicted/planned timesteps H."""
-        return self.horizon - self.observed_frames
+        """Number of predicted/planned timesteps H: the horizon past the
+        observed history, else the frozen human's length, else the horizon."""
+        if self.observed_human is not None:
+            return self.horizon - self.observed_human.shape[0]
+        if self.fixed_human is not None:
+            return len(self.fixed_human)
+        return self.horizon
 
     def has_human(self) -> bool:
         return self.optimize_human or self.fixed_human is not None
@@ -275,11 +278,8 @@ def human_base_penalty_graph(tape, ctx: GraphContext, observed_last: np.ndarray,
 
 
 def _resolve_timestep(timestep, steps: int) -> int:
-    if timestep == "final":
-        return steps - 1
-    if not (0 <= timestep < steps):
-        raise ProblemError(f"timestep {timestep} outside 0..{steps - 1}")
-    return timestep
+    """``ProblemSpec`` has checked an integer timestep against ``steps``."""
+    return steps - 1 if timestep == "final" else timestep
 
 
 def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
@@ -427,9 +427,7 @@ def compile_problem(
     robot: RobotConfig | None = None,
 ) -> CompiledProblem:
     """Record the whole planning problem on a fresh tape at zero controls."""
-    steps = problem.steps if problem.observed_human is not None else (
-        len(problem.fixed_human) if problem.fixed_human is not None else problem.horizon
-    )
+    steps = problem.steps
     if steps < 1:
         raise ProblemError("no timesteps to plan")
     robot = robot if robot is not None else DEFAULT_ROBOT
@@ -639,8 +637,11 @@ def load_problem(path) -> ProblemSpec:
 
 def _problem_from_doc(doc: dict) -> ProblemSpec:
     w = doc["weights"]
+    horizon = doc["horizon"]
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ProblemError(f"horizon must be an integer, got {horizon!r}")
     return ProblemSpec(
-        horizon=int(doc["horizon"]),
+        horizon=horizon,
         weights=ObjectiveWeights(
             weight_human=w["weight_human"],
             weight_robot=w["weight_robot"],

@@ -262,7 +262,7 @@ def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("timestep", ["all", 3.7, "7", True])
+@pytest.mark.parametrize("timestep", ["all", 3.7, "7", True, 999])
 def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep):
     path = toy_robot_problem(tmp_path)
     with open(path) as fh:
@@ -277,7 +277,8 @@ def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep)
 
 
 @pytest.mark.parametrize("broken", ["problem not JSON", "horizon not a number",
-                                    "robot not JSON", "missing weights", "missing robot"])
+                                    "horizon not an integer", "robot not JSON",
+                                    "missing weights", "missing robot"])
 def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broken):
     path = toy_robot_problem(tmp_path)
     args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
@@ -285,10 +286,10 @@ def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broke
     if broken == "problem not JSON":
         with open(path, "w") as fh:
             fh.write("{not json")
-    elif broken == "horizon not a number":
+    elif broken.startswith("horizon"):
         with open(path) as fh:
             doc = json.load(fh)
-        doc["horizon"] = "sixty"
+        doc["horizon"] = "sixty" if broken.endswith("number") else doc["horizon"] + 0.7
         with open(path, "w") as fh:
             json.dump(doc, fh)
     elif broken == "robot not JSON":
@@ -455,24 +456,29 @@ def test_evaluate_failures_are_in_task_order_for_every_jobs_value(tmp_path):
         str((str(tmp_path / f"h{i}.json"), "initial")) for i in range(2)]
 
 
-def test_sweep_writes_leaderboard(tiny_dataset, tmp_path):
-    out = str(tmp_path / "sweep")
-    rc = main(["sweep", "--data", tiny_dataset, "--out", out,
-               "--batch-sizes", "8", "--layer-counts", "1", "--hidden-sizes", "8",
-               "--seeds", "0", "--epochs", "1", "--input-frames", "4", "--output-frames", "4", "--held-out", "synth5"])
-    assert rc == 0
-    board = [json.loads(l) for l in (tmp_path / "sweep" / "leaderboard.jsonl").read_text().splitlines()]
-    assert board[0]["status"] == "ok"
-    assert (tmp_path / "sweep" / "model.weights").exists()
-
-
-@pytest.mark.parametrize("flag", ["--batch-sizes", "--layer-counts", "--hidden-sizes", "--seeds"])
-def test_sweep_bad_number_list_exits_2_naming_the_flag(tiny_dataset, tmp_path, capsys, flag):
-    rc = main(["sweep", "--data", tiny_dataset, "--out", str(tmp_path / "sweep"),
-               "--epochs", "1", flag, "8,x"])
-    assert rc == 2
+@pytest.mark.parametrize("removed", ["sweep", "evaluate --aggregate", "predict --seed",
+                                     "export --seed"])
+def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_weights,
+                                                           tmp_path, capsys, removed):
+    """Each call is complete but for its removed command or flag, which alone
+    makes it a usage error."""
+    plan_dir = tmp_path / "plan"
+    plan_dir.mkdir()
+    os.replace(toy_robot_problem(plan_dir), plan_dir / "problem.json")
+    args = {
+        "sweep": ["sweep", "--data", tiny_dataset, "--epochs", "1", "--batch-sizes", "8",
+                  "--layer-counts", "1", "--hidden-sizes", "8", "--input-frames", "4",
+                  "--output-frames", "4"],
+        "evaluate --aggregate": ["evaluate", "--problems", str(plan_dir / "problem.json"),
+                                 "--aggregate", "mean", "--max-rounds", "1", "--max-inner", "2"],
+        "predict --seed": ["predict", "--weights", tiny_weights, "--data", tiny_dataset,
+                           "--seed", "1"],
+        "export --seed": ["export", "--plan-dir", str(plan_dir), "--seed", "1"],
+    }[removed]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert flag in err and "Traceback" not in err
+    assert removed.split()[-1] in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_bad_alpha_sweep_exits_2_naming_the_flag(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Trajectory IO, preprocessing, synthetic generation and sweep tests."""
+"""Trajectory IO, preprocessing, dataset split and synthetic generation tests."""
 
 import os
 import tempfile
@@ -129,23 +129,6 @@ def test_fuzzed_truncation_never_partially_loads(tmp_path):
             assert np.all(np.isfinite(rec.frames))
 
 
-def test_downsample_keeps_every_sixth_frame():
-    rec = make_record(100, fps=120.0)
-    down = cd.downsample(rec, 20.0)
-    assert down.fps == 20.0
-    assert down.frames.shape[0] == int(np.ceil(100 / 6))
-    assert np.array_equal(down.frames[0], rec.frames[0])
-    assert np.array_equal(down.frames[1], rec.frames[6])
-
-
-def test_downsample_identity_and_errors():
-    rec = make_record(10, fps=20.0)
-    same = cd.downsample(rec, 20.0)
-    assert np.array_equal(same.frames, rec.frames)
-    with pytest.raises(cd.DataError):
-        cd.downsample(rec, 15.0)
-
-
 def test_windows_counts():
     """Training draws every contiguous window of input + output frames."""
     for n, count in ((41, 2), (40, 1), (39, 0)):
@@ -234,43 +217,7 @@ def test_split_held_out_subject_disjoint():
     recs = cd.synth_generate(cd.SynthConfig(num_trajectories=24, duration_frames=20,
                                             reach_frames=5), seed=4)
     split = cd.split_dataset(recs, held_out_subject="synth2", test_fraction=0.25, seed=0)
-    cd.verify_split(split)
     assert all(r.subject == "synth2" for r in split.held_out)
+    assert not any(r.subject == "synth2" for r in split.train + split.test)
     assert len(split.held_out) == sum(1 for r in recs if r.subject == "synth2")
     assert len(split.train) + len(split.test) + len(split.held_out) == len(recs)
-    bad = cd.DatasetSplit(train=split.train + split.held_out[:1], test=split.test,
-                          held_out=split.held_out)
-    with pytest.raises(cd.DataError, match="leak"):
-        cd.verify_split(bad)
-
-
-def test_sweep_single_cell_equals_plain_training():
-    from comotion import human_model as hm
-
-    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=8, duration_frames=24,
-                                            reach_frames=5), seed=5)
-    split = cd.split_dataset(recs, held_out_subject="synth0", test_fraction=0.3, seed=0)
-    base = ModelConfig(num_layers=1, hidden_size=8, input_frames=4, output_frames=4,
-                       dropout=0.0, recurrent_dropout=0.0)
-    grid = cd.SweepGrid(batch_sizes=(8,), layer_counts=(1,), hidden_sizes=(8,), seeds=(7,))
-    board, best = cd.run_sweep(grid, split, epochs=2, base_config=base)
-    assert len(board) == 1 and board[0]["status"] == "ok"
-
-    direct = hm.train([r.frames for r in split.train], base, 7, epochs=2, batch_size=8,
-                      test_records=[r.frames for r in split.test])
-    assert board[0]["final_test_loss"] == pytest.approx(direct.history[-1].test_loss, rel=1e-12)
-    for name, arr in direct.best.arrays.items():
-        assert np.array_equal(best.arrays[name], arr)
-
-
-def test_sweep_leaderboard_sorted_and_failures_logged():
-    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=6, duration_frames=24,
-                                            reach_frames=5), seed=6)
-    split = cd.split_dataset(recs, held_out_subject="synth0", test_fraction=0.3, seed=0)
-    base = ModelConfig(num_layers=1, hidden_size=8, input_frames=4, output_frames=4,
-                       dropout=0.0, recurrent_dropout=0.0)
-    grid = cd.SweepGrid(batch_sizes=(4,), layer_counts=(1, 2), hidden_sizes=(8,), seeds=(0,))
-    board, best = cd.run_sweep(grid, split, epochs=1, base_config=base)
-    losses = [e["best_test_loss"] for e in board]
-    assert losses == sorted(losses)
-    assert best is not None
