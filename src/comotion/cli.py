@@ -225,17 +225,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.start < 0:
+        raise UsageError(f"--start must be at least 0, got {args.start}")
+    if args.frames is not None and args.frames < 1:
+        raise UsageError(f"--frames must be at least 1, got {args.frames}")
     model = hm.load_params(_require(args.weights, "weight file"))
-    data_path = _require(args.data, "trajectory file")
-    out = _out_dir(args)
-    _write_manifest(out, args)
-    records = dat.load_trajectories(data_path)
+    records = dat.load_trajectories(_require(args.data, "trajectory file"))
     if not (0 <= args.record < len(records)):
         raise UsageError(f"record index {args.record} out of range (file has {len(records)})")
     rec = records[args.record]
     k = model.config.input_frames
     if args.start + k > len(rec.frames):
         raise UsageError("observation window runs past the record end")
+    out = _out_dir(args)
+    _write_manifest(out, args)
     observed = rec.frames[args.start : args.start + k]
     horizon = args.frames or model.config.output_frames
     pred = hm.predict(model, observed, horizon=horizon)

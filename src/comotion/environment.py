@@ -10,11 +10,12 @@ analytic gradient.  Points outside the grid hull clamp to it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .graph import Ref, Tape
+from .schema import from_doc
 
 DEFAULT_RESOLUTION = 0.05  # meters per cell
 
@@ -121,36 +122,25 @@ def sdf_query_graph(tape: Tape, grid: SdfGrid, points: Ref) -> Ref:
 
 def scene_to_doc(scene: Scene) -> dict:
     """The JSON document of a scene, as problem files embed it: its bounds and
-    its obstacles."""
+    its obstacles, each tagged with its ``kind``."""
     return {
-        "bounds": {"center": list(scene.bounds.center),
-                   "half_extents": list(scene.bounds.half_extents)},
-        "obstacles": [
-            {"kind": "disc", "center": list(ob.center), "radius": ob.radius}
-            if isinstance(ob, Disc)
-            else {"kind": "rect", "center": list(ob.center),
-                  "half_extents": list(ob.half_extents)}
-            for ob in scene.obstacles
-        ],
+        "bounds": asdict(scene.bounds),
+        "obstacles": [{"kind": "disc" if isinstance(ob, Disc) else "rect", **asdict(ob)}
+                      for ob in scene.obstacles],
     }
 
 
 def scene_from_doc(doc: dict) -> Scene:
-    """Inverse of ``scene_to_doc``; an unknown obstacle kind or a missing key
-    is a ``SceneError``."""
-    try:
-        obstacles = []
-        for ob in doc["obstacles"]:
-            if ob["kind"] == "disc":
-                obstacles.append(Disc(tuple(ob["center"]), float(ob["radius"])))
-            elif ob["kind"] == "rect":
-                obstacles.append(Rect(tuple(ob["center"]), tuple(ob["half_extents"])))
-            else:
-                raise SceneError(f"unknown obstacle kind {ob['kind']!r}")
-        b = doc["bounds"]
-        return Scene(tuple(obstacles), Rect(tuple(b["center"]), tuple(b["half_extents"])))
-    except KeyError as exc:
-        raise SceneError(f"scene is missing the key {exc.args[0]!r}") from None
+    """Inverse of ``scene_to_doc``.  An unknown obstacle kind is a
+    ``SceneError``; a missing or unknown key is the ``KeyError`` or
+    ``TypeError`` that names it."""
+    obstacles = []
+    for ob in doc["obstacles"]:
+        cls = {"disc": Disc, "rect": Rect}.get(ob["kind"])
+        if cls is None:
+            raise SceneError(f"unknown obstacle kind {ob['kind']!r}")
+        obstacles.append(from_doc(cls, {k: v for k, v in ob.items() if k != "kind"}))
+    return Scene(tuple(obstacles), from_doc(Rect, doc["bounds"]))
 
 
 def save_sdf(grid: SdfGrid, path) -> None:

@@ -198,6 +198,16 @@ class MethodResult:
     log: list[IterationRecord] | None = None
 
 
+def _solved(method: str, res: SolveResult, **details) -> MethodResult:
+    """``method``'s result from its solve ``res``.  Without ``details`` that
+    solve is the method's only one, and its iteration count and log go with
+    it."""
+    log = None if details else res.log
+    details = details or {"iterations": res.iterations}
+    return MethodResult(method, res.human_traj, res.robot_traj, res.modifiers, res.controls,
+                        res.objective, res.status, details, log)
+
+
 _OTHER = {"human": "robot", "robot": "human"}
 _JOINT_KINDS = ("joint_clearance", "joint_goal", "handover")
 
@@ -268,10 +278,7 @@ def run_method(
     # one solve is the joint solve
     if method in ("ours", "human_prio", "robot_prio") or (method in _SEQUENTIAL and not both_free):
         compiled = compile_problem(problem, model=model, robot=robot)
-        res = solve_compiled(compiled, solver_config)
-        return MethodResult(method, res.human_traj, res.robot_traj, res.modifiers,
-                            res.controls, res.objective, res.status,
-                            details={"iterations": res.iterations}, log=res.log)
+        return _solved(method, solve_compiled(compiled, solver_config))
 
     if method in ("initial", "zerovel"):
         human = (
@@ -281,10 +288,7 @@ def run_method(
         )
         if not free_robot:  # no robot, or a frozen one: nothing to solve
             return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, "converged")
-        res = _solve_robot_against(problem, human, robot, solver_config)
-        return MethodResult(method, human, res.robot_traj, None, res.controls,
-                            res.objective, res.status,
-                            details={"iterations": res.iterations}, log=res.log)
+        return _solved(method, _solve_robot_against(problem, human, robot, solver_config))
 
     if method == "sample":
         samples = sample_predictions(model, problem.observed_human, steps,
@@ -297,13 +301,10 @@ def run_method(
         cache: dict = {}
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
-            human = samples[idx]
-            res = _solve_robot_against(problem, human, robot, solver_config,
+            res = _solve_robot_against(problem, samples[idx], robot, solver_config,
                                        compiled_cache=cache)
-            candidate = MethodResult(method, human, res.robot_traj, None, res.controls,
-                                     res.objective, res.status,
-                                     details={"attempts": attempt, "picked": int(idx),
-                                              "succeeded": True})
+            candidate = _solved(method, res, attempts=attempt, picked=int(idx),
+                                succeeded=True)
             ok, _ = check_success(problem, candidate, kind, robot=robot)
             if ok:
                 return candidate
@@ -339,37 +340,6 @@ def _combine_status(a: SolveResult, b: SolveResult) -> str:
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MetricsReport:
-    base_pos_error: dict[float, float] | None  # seconds -> meters
-    angle_error: dict[float, float] | None  # seconds -> radians, all joints
-    arm_angle_error: dict[float, float] | None  # seconds -> radians, right arm
-    travel_human: float | None
-    travel_robot: float | None
-    ms_jerk: float | None
-    ld_jerk: float | None
-    sparc: float | None
-
-    def row(self) -> dict:
-        doc = {
-            "travel_human": self.travel_human,
-            "travel_robot": self.travel_robot,
-            "ms_jerk": self.ms_jerk,
-            "ld_jerk": self.ld_jerk,
-            "sparc": self.sparc,
-        }
-        if self.base_pos_error:
-            for s, v in self.base_pos_error.items():
-                doc[f"base_pos@{s:g}s"] = v
-        if self.angle_error:
-            for s, v in self.angle_error.items():
-                doc[f"angle@{s:g}s"] = v
-        if self.arm_angle_error:
-            for s, v in self.arm_angle_error.items():
-                doc[f"angle_arm@{s:g}s"] = v
-        return doc
 
 
 def path_length(xy: np.ndarray) -> float:
@@ -438,34 +408,23 @@ def compute_metrics(
     sample_seconds=(0.4, 0.8, 1.2, 1.6, 2.0),
     robot_initial: np.ndarray | None = None,
     human_start: np.ndarray | None = None,
-) -> MetricsReport:
-    """Errors against ground truth plus travel and robot smoothness metrics.
+) -> dict:
+    """Travel and robot smoothness metrics, then errors against ground truth,
+    as one record row.
 
-    Error metrics sample the exact frames closest to the requested horizon
-    seconds.  Smoothness is computed on the robot base path (the planned
-    agent); travel distances are planar path lengths of each base.  Jerk
-    metrics are undefined below 4 frames and stay unset there.
+    Travel distances are planar path lengths of each base.  Smoothness is
+    computed on the robot base path (the planned agent); jerk metrics are
+    undefined below 4 frames and stay None there.  The errors
+    (``base_pos@<s>s`` in meters, ``angle@<s>s`` over all joints and
+    ``angle_arm@<s>s`` over the right arm in radians) sample the exact frames
+    closest to the requested horizon seconds.
     """
-    base_err = angle_err = arm_err = None
-    if human_traj is not None and ground_truth is not None:
-        n = min(len(human_traj), len(ground_truth))
-        seconds = [s for s in sample_seconds if 0 <= int(round(s / dt)) - 1 < n]
-        frames = [int(round(s / dt)) - 1 for s in seconds]
-        pred, truth = human_traj[frames], ground_truth[frames]
-        rot6d = np.stack([pred, truth])[..., 3:].reshape(2, len(frames), NUM_JOINTS, 6)
-        angles = relative_angle(*quat_from_rot6d(rot6d))  # (frames, joints)
-        arm_idx = [DEFAULT_HUMAN_SKELETON.index(nm) for nm in ARM_JOINT_NAMES]
-        base_err = dict(zip(seconds, np.linalg.norm(pred[:, :3] - truth[:, :3], axis=1).tolist()))
-        angle_err = dict(zip(seconds, np.mean(angles, axis=1).tolist()))
-        arm_err = dict(zip(seconds, np.mean(angles[:, arm_idx], axis=1).tolist()))
-
-    travel_h = travel_r = None
+    travel_h = travel_r = ms = ld = sal = None
     if human_traj is not None:
         xy = human_traj[:, :2]
         if human_start is not None:
             xy = np.vstack([human_start[None, :2], xy])
         travel_h = path_length(xy)
-    ms = ld = sal = None
     if robot_traj is not None:
         xy = robot_traj[:, :2]
         if robot_initial is not None:
@@ -476,7 +435,21 @@ def compute_metrics(
             ld = log_dimensionless_jerk(xy, dt)
             speed = np.linalg.norm(np.diff(xy, axis=0), axis=1) / dt
             sal = spectral_arc_length(speed, fs=1.0 / dt)
-    return MetricsReport(base_err, angle_err, arm_err, travel_h, travel_r, ms, ld, sal)
+    row = {"travel_human": travel_h, "travel_robot": travel_r, "ms_jerk": ms, "ld_jerk": ld,
+           "sparc": sal}
+    if human_traj is not None and ground_truth is not None:
+        n = min(len(human_traj), len(ground_truth))
+        seconds = [s for s in sample_seconds if 0 <= int(round(s / dt)) - 1 < n]
+        frames = [int(round(s / dt)) - 1 for s in seconds]
+        pred, truth = human_traj[frames], ground_truth[frames]
+        rot6d = np.stack([pred, truth])[..., 3:].reshape(2, len(frames), NUM_JOINTS, 6)
+        angles = relative_angle(*quat_from_rot6d(rot6d))  # (frames, joints)
+        arm_idx = [DEFAULT_HUMAN_SKELETON.index(nm) for nm in ARM_JOINT_NAMES]
+        for name, values in (("base_pos", np.linalg.norm(pred[:, :3] - truth[:, :3], axis=1)),
+                             ("angle", np.mean(angles, axis=1)),
+                             ("angle_arm", np.mean(angles[:, arm_idx], axis=1))):
+            row.update((f"{name}@{s:g}s", v) for s, v in zip(seconds, values.tolist()))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +599,10 @@ class ExperimentRecord:
     method: str
     success: bool
     reasons: list[str]
-    metrics: MetricsReport
-    objective: float
+    metrics: dict  # compute_metrics' row
     solver_status: str
     wall_time: float
-    details: dict = field(default_factory=dict)
-    result: MethodResult | None = None  # the scored method output
+    result: MethodResult  # the scored method output
 
     def row(self) -> dict:
         doc = {
@@ -639,12 +610,12 @@ class ExperimentRecord:
             "method": self.method,
             "success": self.success,
             "reasons": self.reasons,
-            "objective": self.objective,
+            "objective": self.result.objective,
             "status": self.solver_status,
             "wall_time": self.wall_time,
         }
-        doc.update(self.metrics.row())
-        doc.update(self.details)
+        doc.update(self.metrics)
+        doc.update(self.result.details)
         return doc
 
 
@@ -683,10 +654,8 @@ def evaluate_problem(
         success=ok,
         reasons=reasons,
         metrics=metrics,
-        objective=result.objective,
         solver_status=result.solver_status,
         wall_time=wall,
-        details=result.details,
         result=result,
     )
 

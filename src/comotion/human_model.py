@@ -257,9 +257,7 @@ def training_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ModelError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    base = np.mean(np.sum((pred[:, :3] - truth[:, :3]) ** 2, axis=1))
-    rot = np.mean(np.sum(np.abs(pred[:, 3:] - truth[:, 3:]), axis=1))
-    return float(base + rot)
+    return _batch_loss((pred - truth)[:, :, None])
 
 
 @dataclass

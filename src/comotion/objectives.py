@@ -20,7 +20,8 @@ Conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .graph import Evaluation, Ref, Tape, backward
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
 from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM
 from .robot_model import DEFAULT_ROBOT, RobotConfig, robot_unroll_graph
+from .schema import from_doc
 
 DEFAULT_SOFT_MAX_TEMPERATURE = 0.01  # m^2, aggregation over timesteps
 DEFAULT_JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
@@ -50,6 +52,14 @@ class ProblemError(ValueError):
     pass
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_point(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 3 and all(map(_is_number, v))
+
+
 @dataclass(frozen=True)
 class ObjectiveWeights:
     weight_human: float = 10.0
@@ -58,6 +68,9 @@ class ObjectiveWeights:
     human_base_penalty: float = 0.0  # extra cost on human base displacement
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not _is_number(value):
+                raise ProblemError(f"{name} must be a number, got {value!r}")
         if self.weight_human < 0 or self.weight_robot < 0 or self.human_base_penalty < 0:
             raise ProblemError("weights must be non-negative")
         if self.weight_human == 0 and self.weight_robot == 0:
@@ -88,6 +101,17 @@ class ConstraintSpec:
         ts = self.timestep
         if isinstance(ts, bool) or not (isinstance(ts, int) or ts == "final"):
             raise ProblemError(f"timestep must be an int or 'final', got {ts!r}")
+        if not _is_number(self.margin):
+            raise ProblemError(f"margin must be a number, got {self.margin!r}")
+        if self.clearance is not None and not _is_number(self.clearance):
+            raise ProblemError(f"clearance must be a number, got {self.clearance!r}")
+        t = self.temperature
+        if t is not None and not (_is_number(t) and t > 0):
+            raise ProblemError(f"temperature must be a positive number, got {t!r}")
+        for name in ("target", "palm_offset_human", "palm_offset_robot"):
+            value = getattr(self, name)
+            if not (_is_point(value) or name == "target" and value is None):
+                raise ProblemError(f"{name} must be 3 numbers, got {value!r}")
         if self.kind == "goal":
             if self.agent not in ("human", "robot"):
                 raise ProblemError("goal constraint needs an agent")
@@ -529,7 +553,7 @@ def compile_problem(
 
 
 # ---------------------------------------------------------------------------
-# Plain-numpy control objective (reference implementation for tests/metrics)
+# Plain-numpy control objective (reference implementation for tests)
 # ---------------------------------------------------------------------------
 
 
@@ -552,37 +576,11 @@ def control_objective(modifiers: np.ndarray | None, robot_controls: np.ndarray |
 # Problem files (self-contained except for the model weights)
 # ---------------------------------------------------------------------------
 
-
-def _spec_to_doc(spec: ConstraintSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "agent": spec.agent,
-        "link": spec.link,
-        "timestep": spec.timestep,
-        "target": None if spec.target is None else list(spec.target),
-        "clearance": spec.clearance,
-        "aggregation": spec.aggregation,
-        "temperature": spec.temperature,
-        "margin": spec.margin,
-        "palm_offset_human": list(spec.palm_offset_human),
-        "palm_offset_robot": list(spec.palm_offset_robot),
-    }
-
-
-def _spec_from_doc(doc: dict) -> ConstraintSpec:
-    return ConstraintSpec(
-        kind=doc["kind"],
-        agent=doc.get("agent"),
-        link=doc.get("link"),
-        timestep=doc.get("timestep", "final"),
-        target=None if doc.get("target") is None else tuple(doc["target"]),
-        clearance=doc.get("clearance"),
-        aggregation=doc.get("aggregation", "soft_max"),
-        temperature=doc.get("temperature"),
-        margin=doc.get("margin", 0.0),
-        palm_offset_human=tuple(doc.get("palm_offset_human", DEFAULT_HUMAN_PALM_OFFSET)),
-        palm_offset_robot=tuple(doc.get("palm_offset_robot", DEFAULT_ROBOT_PALM_OFFSET)),
-    )
+# The keys of the weights, each constraint, each obstacle and the scene bounds
+# are the field names of their dataclasses.  Each is written with asdict and
+# read with schema.from_doc, so an unknown key is an error.  An obstacle also
+# holds its "kind", and the weights must hold weight_human, weight_robot and
+# frame_time, although ObjectiveWeights has defaults for them.
 
 
 def _array_to_doc(a: np.ndarray | None):
@@ -596,13 +594,8 @@ def save_problem(problem: ProblemSpec, path) -> None:
         "agents": [a for a, on in (("human", problem.has_human()),
                                    ("robot", problem.has_robot())) if on],
         "horizon": problem.horizon,
-        "weights": {
-            "weight_human": problem.weights.weight_human,
-            "weight_robot": problem.weights.weight_robot,
-            "frame_time": problem.weights.frame_time,
-            "human_base_penalty": problem.weights.human_base_penalty,
-        },
-        "constraints": [_spec_to_doc(c) for c in problem.constraints],
+        "weights": asdict(problem.weights),
+        "constraints": [asdict(c) for c in problem.constraints],
         "observed_human": _array_to_doc(problem.observed_human),
         "robot_initial": None if problem.robot_initial is None
         else [float(v) for v in problem.robot_initial],
@@ -618,8 +611,9 @@ def save_problem(problem: ProblemSpec, path) -> None:
 
 
 def load_problem(path) -> ProblemSpec:
-    """Read a problem file; a file that is not JSON, lacks a key or holds a
-    value of the wrong type or range is a ``ProblemError`` naming ``path``."""
+    """Read a problem file; a file that is not JSON, lacks a key, holds an
+    unknown key or a value of the wrong type or range is a ``ProblemError``
+    naming ``path``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -636,19 +630,14 @@ def load_problem(path) -> ProblemSpec:
 
 
 def _problem_from_doc(doc: dict) -> ProblemSpec:
-    w = doc["weights"]
     horizon = doc["horizon"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise ProblemError(f"horizon must be an integer, got {horizon!r}")
     return ProblemSpec(
         horizon=horizon,
-        weights=ObjectiveWeights(
-            weight_human=w["weight_human"],
-            weight_robot=w["weight_robot"],
-            frame_time=w["frame_time"],
-            human_base_penalty=w.get("human_base_penalty", 0.0),
-        ),
-        constraints=[_spec_from_doc(c) for c in doc["constraints"]],
+        weights=from_doc(ObjectiveWeights, doc["weights"],
+                         required=("weight_human", "weight_robot", "frame_time")),
+        constraints=[from_doc(ConstraintSpec, c) for c in doc["constraints"]],
         observed_human=None if doc["observed_human"] is None else np.array(doc["observed_human"]),
         robot_initial=None if doc["robot_initial"] is None else np.array(doc["robot_initial"]),
         scene=None if doc.get("scene") is None else scene_from_doc(doc["scene"]),

@@ -13,12 +13,13 @@ geometries can be swapped in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .chains import Chain, chain_fk
 from .graph import Ref, Tape, unicycle_rollout
+from .schema import from_doc
 
 
 class RobotError(ValueError):
@@ -97,11 +98,7 @@ def save_robot(config: RobotConfig, path) -> None:
     doc = {
         "format": "comotion-robot",
         "version": 1,
-        "chain": [
-            {"name": l.name, "offset": list(l.offset),
-             "axis": None if l.axis is None else list(l.axis)}
-            for l in config.chain
-        ],
+        "chain": [asdict(l) for l in config.chain],
         "hand_link": config.hand_link,
         "control_bounds": {
             "forward": config.max_forward_step,
@@ -114,8 +111,9 @@ def save_robot(config: RobotConfig, path) -> None:
 
 
 def load_robot(path) -> RobotConfig:
-    """Read a robot config file; a file that is not JSON, lacks a key or holds
-    a value of the wrong type is a ``RobotError`` naming ``path``."""
+    """Read a robot config file; a file that is not JSON, lacks a key, holds an
+    unknown chain-link key or a value of the wrong type is a ``RobotError``
+    naming ``path``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -124,11 +122,7 @@ def load_robot(path) -> RobotConfig:
     if not isinstance(doc, dict) or doc.get("format") != "comotion-robot":
         raise RobotError(f"{path}: not a robot config file")
     try:
-        chain = tuple(
-            ChainLink(l["name"], tuple(l["offset"]),
-                      None if l["axis"] is None else tuple(l["axis"]))
-            for l in doc["chain"]
-        )
+        chain = tuple(from_doc(ChainLink, l, required=("axis",)) for l in doc["chain"])
         b = doc.get("control_bounds", {})
         return RobotConfig(
             chain=chain,

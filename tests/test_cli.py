@@ -213,6 +213,7 @@ def test_evaluate_unknown_method_or_kind_exits_2_before_any_output(tmp_path, cap
     ({"kind": "triangle", "center": [0.5, 0.5], "half_extents": [0.1, 0.1]}, "'triangle'"),
     ({"kind": "rect", "center": [0.5, 0.5], "half_extents": [-0.1, 0.1]},
      "rectangle half-extents"),
+    ({"kind": "disc", "center": [0.5, 0.5], "radius": 0.1, "radious": 0.2}, "'radious'"),
 ])
 def test_plan_bad_scene_exits_2(tmp_path, capsys, obstacle, named):
     path = toy_robot_problem(tmp_path)
@@ -236,7 +237,8 @@ def test_plan_bad_robot_file_exits_2(tmp_path, capsys):
     assert str(robot) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("broken", ["problem weights", "rect half_extents", "robot offset"])
+@pytest.mark.parametrize("broken", ["problem weights", "weights frame_time", "constraint kind",
+                                    "rect half_extents", "robot offset", "robot axis"])
 def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
     path = toy_robot_problem(tmp_path)
     with open(path) as fh:
@@ -244,6 +246,10 @@ def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
     args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
     if broken == "problem weights":
         del doc["weights"]
+    elif broken == "weights frame_time":
+        del doc["weights"]["frame_time"]
+    elif broken == "constraint kind":
+        del doc["constraints"][0]["kind"]
     elif broken == "rect half_extents":
         doc["scene"] = {"bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
                         "obstacles": [{"kind": "rect", "center": [0.5, 0.5]}]}
@@ -251,7 +257,7 @@ def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
         robot = tmp_path / "robot.json"
         rm.save_robot(rm.DEFAULT_ROBOT, robot)
         rdoc = json.loads(robot.read_text())
-        del rdoc["chain"][0]["offset"]
+        del rdoc["chain"][0][broken.split()[1]]
         robot.write_text(json.dumps(rdoc))
         args += ["--robot", str(robot)]
     with open(path, "w") as fh:
@@ -276,35 +282,59 @@ def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("broken", ["problem not JSON", "horizon not a number",
-                                    "horizon not an integer", "robot not JSON",
-                                    "missing weights", "missing robot"])
+# a problem file edit and the key or field the error must name
+_PROBLEM_EDITS = {
+    "horizon not a number": (lambda doc: doc.update(horizon="sixty"), "horizon"),
+    "horizon not an integer": (lambda doc: doc.update(horizon=doc["horizon"] + 0.7), "horizon"),
+    "unknown constraint key": (lambda doc: doc["constraints"][0].update(temprature=0.1),
+                               "'temprature'"),
+    "unknown weights key": (lambda doc: doc["weights"].update(weight_humna=1.0), "'weight_humna'"),
+    "margin not a number": (lambda doc: doc["constraints"][0].update(margin="x"), "margin"),
+    "negative temperature": (lambda doc: doc["constraints"][0].update(temperature=-1.0),
+                             "temperature"),
+    "2-number target": (lambda doc: doc["constraints"][0].update(target=[0.4, 0.0]), "target"),
+}
+
+
+@pytest.mark.parametrize("broken", ["problem not JSON", "robot not JSON",
+                                    "robot unknown chain-link key", "missing weights",
+                                    "missing robot", *_PROBLEM_EDITS])
 def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broken):
     path = toy_robot_problem(tmp_path)
     args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
-    named = path
+    named = [path]
     if broken == "problem not JSON":
         with open(path, "w") as fh:
             fh.write("{not json")
-    elif broken.startswith("horizon"):
+    elif broken in _PROBLEM_EDITS:
+        edit, field = _PROBLEM_EDITS[broken]
+        named.append(field)
         with open(path) as fh:
             doc = json.load(fh)
-        doc["horizon"] = "sixty" if broken.endswith("number") else doc["horizon"] + 0.7
+        edit(doc)
         with open(path, "w") as fh:
             json.dump(doc, fh)
-    elif broken == "robot not JSON":
-        named = str(tmp_path / "robot.json")
-        (tmp_path / "robot.json").write_text("chain: []")
-        args += ["--robot", named]
+    elif broken.startswith("robot"):
+        robot = tmp_path / "robot.json"
+        named = [str(robot)]
+        if broken == "robot not JSON":
+            robot.write_text("chain: []")
+        else:
+            rm.save_robot(rm.DEFAULT_ROBOT, robot)
+            rdoc = json.loads(robot.read_text())
+            rdoc["chain"][0]["axes"] = [0.0, 0.0, 1.0]
+            robot.write_text(json.dumps(rdoc))
+            named.append("'axes'")
+        args += ["--robot", str(robot)]
     elif broken == "missing weights":
-        named = str(tmp_path / "missing.weights")
-        args += ["--method", "initial", "--weights", named]
+        named = [str(tmp_path / "missing.weights")]
+        args += ["--method", "initial", "--weights", named[0]]
     else:
-        named = str(tmp_path / "missing.json")
-        args += ["--robot", named]
+        named = [str(tmp_path / "missing.json")]
+        args += ["--robot", named[0]]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    assert all(name in err for name in named) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -478,6 +508,22 @@ def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_we
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert removed.split()[-1] in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--start", "-1", "--start must be at least 0"),
+    ("--frames", "0", "--frames must be at least 1"),
+    ("--record", "99", "record index 99"),
+    ("--start", "13", "past the record end"),
+])
+def test_predict_bad_window_exits_2_before_any_output(tiny_dataset, tiny_weights, tmp_path,
+                                                      capsys, flag, value, named):
+    rc = main(["predict", "--weights", tiny_weights, "--data", tiny_dataset, flag, value,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

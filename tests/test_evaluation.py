@@ -316,10 +316,10 @@ def test_with_coll_ignores_other_agent(model, observed):
 def test_metrics_constant_trajectory():
     traj = np.tile(np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]), (10, 1))
     rep = ev.compute_metrics(None, traj, dt=0.05)
-    assert rep.travel_robot == 0.0
-    assert rep.ms_jerk == 0.0
-    assert rep.ld_jerk == 0.0
-    assert rep.sparc == 0.0
+    assert rep["travel_robot"] == 0.0
+    assert rep["ms_jerk"] == 0.0
+    assert rep["ld_jerk"] == 0.0
+    assert rep["sparc"] == 0.0
 
 
 def test_metrics_straight_constant_speed_zero_jerk():
@@ -327,9 +327,9 @@ def test_metrics_straight_constant_speed_zero_jerk():
     traj = np.zeros((n, 7))
     traj[:, 0] = 0.1 * np.arange(n)
     rep = ev.compute_metrics(None, traj, dt=0.05, robot_initial=traj[0] - [0.1, 0, 0, 0, 0, 0, 0])
-    assert rep.ms_jerk == pytest.approx(0.0, abs=1e-18)
-    assert rep.ld_jerk == 0.0
-    assert rep.travel_robot == pytest.approx(0.1 * n, abs=1e-12)
+    assert rep["ms_jerk"] == pytest.approx(0.0, abs=1e-18)
+    assert rep["ld_jerk"] == 0.0
+    assert rep["travel_robot"] == pytest.approx(0.1 * n, abs=1e-12)
 
 
 def test_metrics_need_four_frames_for_jerk():
@@ -339,8 +339,8 @@ def test_metrics_need_four_frames_for_jerk():
             jerk(traj[:, :2], 0.05)
     # the batch driver's metrics leave them unset instead
     rep = ev.compute_metrics(None, traj, dt=0.05)
-    assert rep.ms_jerk is None and rep.ld_jerk is None and rep.sparc is None
-    assert rep.travel_robot == 0.0
+    assert rep["ms_jerk"] is None and rep["ld_jerk"] is None and rep["sparc"] is None
+    assert rep["travel_robot"] == 0.0
 
 
 def minjerk_profile(n):
@@ -377,9 +377,9 @@ def test_smoothness_values_nonpositive():
         traj = np.zeros((25, 7))
         traj[:, :2] = np.cumsum(0.05 * rng.normal(size=(25, 2)), axis=0)
         rep = ev.compute_metrics(None, traj, dt=0.05)
-        assert rep.ms_jerk <= 0.0
-        assert rep.ld_jerk <= 0.0
-        assert rep.sparc <= 0.0
+        assert rep["ms_jerk"] <= 0.0
+        assert rep["ld_jerk"] <= 0.0
+        assert rep["sparc"] <= 0.0
 
 
 def test_metrics_translation_invariance(model, observed):
@@ -395,9 +395,8 @@ def test_metrics_translation_invariance(model, observed):
     truth2[:, :3] += shift
     rep2 = ev.compute_metrics(pred2, None, ground_truth=truth2, dt=0.05,
                               sample_seconds=(0.2, 0.4))
-    for s in (0.2, 0.4):
-        assert rep1.base_pos_error[s] == pytest.approx(rep2.base_pos_error[s], abs=1e-12)
-        assert rep1.angle_error[s] == pytest.approx(rep2.angle_error[s], abs=1e-12)
+    for key in ("base_pos@0.2s", "base_pos@0.4s", "angle@0.2s", "angle@0.4s"):
+        assert rep1[key] == pytest.approx(rep2[key], abs=1e-12)
 
 
 def test_base_pos_error_frames(model, observed):
@@ -407,7 +406,7 @@ def test_base_pos_error_frames(model, observed):
     rep = ev.compute_metrics(pred, None, ground_truth=truth, dt=0.05)
     # frames 8/16/24/32/40 correspond to 0.4..2.0 s
     for s, f in zip((0.4, 0.8, 1.2, 1.6, 2.0), (8, 16, 24, 32, 40)):
-        assert rep.base_pos_error[s] == pytest.approx(0.01 * f, abs=1e-12)
+        assert rep[f"base_pos@{s:g}s"] == pytest.approx(0.01 * f, abs=1e-12)
 
 
 # -- success -------------------------------------------------------------------
@@ -579,10 +578,10 @@ def test_joint_goal_diagnostic_picks_nearest_agent():
 
 def test_summarize_groups_by_method():
     problem, result = success_fixture()
-    rec = ev.ExperimentRecord("p0", "ours", True, [], ev.compute_metrics(
-        result.human_traj, result.robot_traj, dt=0.05), 0.01, "converged", 0.1)
-    rec2 = ev.ExperimentRecord("p1", "ours", False, ["objective"], ev.compute_metrics(
-        result.human_traj, result.robot_traj, dt=0.05), 0.2, "converged", 0.1)
+    metrics = ev.compute_metrics(result.human_traj, result.robot_traj, dt=0.05)
+    rec = ev.ExperimentRecord("p0", "ours", True, [], metrics, "converged", 0.1, result)
+    rec2 = ev.ExperimentRecord("p1", "ours", False, ["objective"], metrics, "converged", 0.1,
+                               replace(result, objective=0.2))
     rows = ev.summarize([rec.row(), rec2.row()])
     assert len(rows) == 1
     assert rows[0]["method"] == "ours"

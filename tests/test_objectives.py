@@ -597,10 +597,18 @@ def test_problem_file_round_trip(tmp_path, observed):
     assert loaded.model_path == "model.weights"
     assert np.array_equal(loaded.observed_human, problem.observed_human)
     assert np.array_equal(loaded.robot_initial, problem.robot_initial)
-    # exact round trip: saving again yields an identical file
+    # exact round trip: saving again yields an identical file, here and on a
+    # problem of every generator family
     path2 = tmp_path / "problem2.json"
     obj.save_problem(loaded, path2)
     assert path.read_text() == path2.read_text()
+    for problem in (scenarios.make_reach_problems(1, 1)[0].problem,
+                    scenarios.make_crossing_problems(1, 1)[0].problem,
+                    scenarios.make_handover_problems(1, 1)[0].problem,
+                    scenarios.make_pickup_handover_problem(1).problem):
+        obj.save_problem(problem, path)
+        obj.save_problem(obj.load_problem(path), path2)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_constraint_spec_validation():
@@ -612,6 +620,12 @@ def test_constraint_spec_validation():
         obj.ConstraintSpec(kind="joint_clearance", clearance=-0.5)
     with pytest.raises(obj.ProblemError):
         obj.ObjectiveWeights(weight_human=0.0, weight_robot=0.0)
+    with pytest.raises(obj.ProblemError, match="weight_robot"):
+        obj.ObjectiveWeights(weight_robot="10")
+    for name, bad in (("margin", True), ("clearance", "0.5"), ("temperature", 0.0),
+                      ("palm_offset_robot", (0.1, 0.0))):
+        with pytest.raises(obj.ProblemError, match=name):
+            obj.ConstraintSpec(kind="collision", agent="robot", **{name: bad})
 
 
 def test_problem_missing_agent_errors(observed):
