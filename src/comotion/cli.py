@@ -281,6 +281,10 @@ def cmd_plan(args) -> int:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
     _model_for(problem, args.method, args.weights)  # read every input before the first write
     robot = _robot_config(args.robot)
+    try:
+        obj.check_robot_initial(problem, robot)
+    except obj.ProblemError as exc:
+        raise obj.ProblemError(f"{problem_path}: {exc}") from None
     out = _out_dir(args)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import Ref, Tape
-from .schema import from_doc
+from .schema import from_doc, is_number, is_numbers
 
 DEFAULT_RESOLUTION = 0.05  # meters per cell
 
@@ -30,6 +30,10 @@ class Rect:
     half_extents: tuple[float, float]
 
     def __post_init__(self):
+        for name in ("center", "half_extents"):
+            value = getattr(self, name)
+            if not is_numbers(value, 2):
+                raise SceneError(f"rectangle {name} must be 2 numbers, got {value!r}")
         if min(self.half_extents) <= 0:
             raise SceneError("rectangle half-extents must be positive")
 
@@ -40,6 +44,10 @@ class Disc:
     radius: float
 
     def __post_init__(self):
+        if not is_numbers(self.center, 2):
+            raise SceneError(f"disc center must be 2 numbers, got {self.center!r}")
+        if not is_number(self.radius):
+            raise SceneError(f"disc radius must be a number, got {self.radius!r}")
         if self.radius <= 0:
             raise SceneError("disc radius must be positive")
 

@@ -10,9 +10,6 @@ propagates a seed gradient to every leaf.
 
 All values are 64-bit float arrays.  Scalars are 0-d arrays.
 
-Subgradient convention at non-smooth points: a max reduction sends the full
-gradient to the first attaining index (row-major order).
-
 Fused primitives keep planning tapes short; each has a hand-written adjoint.
 
 ``gru_cell`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
@@ -296,17 +293,6 @@ def _f_norm(vals, a, p):
 
 def _b_norm(g, vals, a, p, out):
     return (float(g) * vals[a[0]] / float(out),)
-
-
-def _f_maxr(vals, a, p):
-    return np.asarray(vals[a[0]].max())
-
-
-def _b_maxr(g, vals, a, p, out):
-    x = vals[a[0]]
-    full = np.zeros(x.shape)
-    full.reshape(-1)[int(x.argmax())] = float(g)
-    return (full,)
 
 
 def _f_lse(vals, a, p):
@@ -765,7 +751,6 @@ OP_SIN = _register("sin", _f_sin, _b_sin)
 OP_COS = _register("cos", _f_cos, _b_cos)
 OP_SQUARE = _register("square", _f_square, _b_square)
 OP_NORM = _register("l2_norm", _f_norm, _b_norm)
-OP_MAXR = _register("max_reduce", _f_maxr, _b_maxr)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
 OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2, cached=True)
 OP_ROW = _register("row", _f_row, _b_row)
@@ -927,9 +912,6 @@ class Tape:
     def norm(self, x: Ref) -> Ref:
         """Euclidean norm, regularized: sqrt(sum(x*x) + 1e-12)."""
         return self._apply(OP_NORM, (x,))
-
-    def max_reduce(self, x: Ref) -> Ref:
-        return self._apply(OP_MAXR, (x,))
 
     def logsumexp(self, x: Ref, temperature: float) -> Ref:
         """Smooth maximum: temperature * log(sum(exp(x / temperature)))."""

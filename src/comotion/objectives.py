@@ -15,12 +15,13 @@ Conventions:
   * Obstacle clearance uses ``margin - SDF(base)``; inter-agent clearance uses
     ``d^2 - |planar base offset|^2`` (the ground-plane distance, since the
     human base sits at pelvis height while the robot base is on the floor).
+    Each is one row: the soft maximum over the H timesteps,
+    ``tau * log(sum_t exp(v_t / tau))`` at ``tau = default_temperature()``.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -37,27 +38,18 @@ from .graph import Evaluation, Ref, Tape, backward
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
 from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM
 from .robot_model import DEFAULT_ROBOT, RobotConfig, robot_unroll_graph
-from .schema import from_doc
+from .schema import from_doc, is_number, is_numbers
 
-DEFAULT_SOFT_MAX_TEMPERATURE = 0.01  # m^2, aggregation over timesteps
+DEFAULT_SOFT_MAX_TEMPERATURE = 0.01  # m^2, soft maximum over timesteps
 DEFAULT_JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
 DEFAULT_HUMAN_PALM_OFFSET = (0.0, -0.10, 0.0)  # wrist frame, right arm points -y
 DEFAULT_ROBOT_PALM_OFFSET = (0.10, 0.0, 0.0)  # hand frame, arm points +x
 
 CONSTRAINT_KINDS = ("goal", "collision", "joint_clearance", "joint_goal", "handover")
-AGGREGATIONS = ("per_timestep", "hard_max", "soft_max")
 
 
 class ProblemError(ValueError):
     pass
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_point(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 3 and all(map(_is_number, v))
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class ObjectiveWeights:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not _is_number(value):
+            if not is_number(value):
                 raise ProblemError(f"{name} must be a number, got {value!r}")
         if self.weight_human < 0 or self.weight_robot < 0 or self.human_base_penalty < 0:
             raise ProblemError("weights must be non-negative")
@@ -87,7 +79,6 @@ class ConstraintSpec:
     timestep: object = "final"  # int or "final"
     target: tuple | None = None
     clearance: float | None = None
-    aggregation: str = "soft_max"
     temperature: float | None = None
     margin: float = 0.0
     palm_offset_human: tuple = DEFAULT_HUMAN_PALM_OFFSET
@@ -96,21 +87,19 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise ProblemError(f"unknown constraint kind {self.kind!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ProblemError(f"unknown aggregation {self.aggregation!r}")
         ts = self.timestep
         if isinstance(ts, bool) or not (isinstance(ts, int) or ts == "final"):
             raise ProblemError(f"timestep must be an int or 'final', got {ts!r}")
-        if not _is_number(self.margin):
+        if not is_number(self.margin):
             raise ProblemError(f"margin must be a number, got {self.margin!r}")
-        if self.clearance is not None and not _is_number(self.clearance):
+        if self.clearance is not None and not is_number(self.clearance):
             raise ProblemError(f"clearance must be a number, got {self.clearance!r}")
         t = self.temperature
-        if t is not None and not (_is_number(t) and t > 0):
+        if t is not None and not (is_number(t) and t > 0):
             raise ProblemError(f"temperature must be a positive number, got {t!r}")
         for name in ("target", "palm_offset_human", "palm_offset_robot"):
             value = getattr(self, name)
-            if not (_is_point(value) or name == "target" and value is None):
+            if not (is_numbers(value, 3) or name == "target" and value is None):
                 raise ProblemError(f"{name} must be 3 numbers, got {value!r}")
         if self.kind == "goal":
             if self.agent not in ("human", "robot"):
@@ -181,14 +170,6 @@ class ProblemSpec:
         if self.fixed_human is not None:
             return len(self.fixed_human)
         return self.horizon
-
-    def has_human(self) -> bool:
-        return self.optimize_human or self.fixed_human is not None
-
-    def has_robot(self) -> bool:
-        return (self.optimize_robot and self.robot_initial is not None) or (
-            self.fixed_robot is not None
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,32 +295,24 @@ def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     return tape.sum_squares(tape.sub(pos, tape.const(np.asarray(spec.target, dtype=np.float64))))
 
 
-def _aggregate(tape, values: Ref, spec: ConstraintSpec) -> Ref:
-    """Timestep aggregation of an (H,) vector: the vector itself, its hard
-    max or its smooth max."""
-    if spec.aggregation == "per_timestep":
-        return values
-    if spec.aggregation == "hard_max":
-        return tape.max_reduce(values)
-    return tape.logsumexp(values, spec.default_temperature())
-
-
 def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """margin - SDF(base) per timestep, aggregated; feasible <= 0."""
+    """Soft maximum over timesteps of margin - SDF(base), at the spec's
+    ``default_temperature()``; feasible <= 0."""
     if ctx.sdf is None:
         raise ProblemError("collision constraint needs a scene")
     tape = ctx.tape
     d = sdf_query_graph(tape, ctx.sdf, ctx.base_positions(spec.agent))
-    return _aggregate(tape, tape.sub(tape.const(spec.margin), d), spec)
+    return tape.logsumexp(tape.sub(tape.const(spec.margin), d), spec.default_temperature())
 
 
 def joint_clearance_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """d^2 - |planar base offset|^2 per timestep, aggregated; feasible <= 0."""
+    """Soft maximum over timesteps of d^2 - |planar base offset|^2, at the
+    spec's ``default_temperature()``; feasible <= 0."""
     tape = ctx.tape
     delta = tape.sub(ctx.base_positions("human"), ctx.base_positions("robot"))
     values = tape.sub(tape.const(float(spec.clearance) ** 2),
                       tape.sum(tape.square(delta), axis=1))
-    return _aggregate(tape, values, spec)
+    return tape.logsumexp(values, spec.default_temperature())
 
 
 def joint_goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
@@ -445,6 +418,14 @@ class CompiledProblem:
                      for traj in (self.human_traj, self.robot_traj))
 
 
+def check_robot_initial(problem: ProblemSpec, robot: RobotConfig) -> None:
+    """The robot's start state, where the problem has one, fits ``robot``."""
+    start = problem.robot_initial
+    if start is not None and start.shape != (robot.state_dim,):
+        raise ProblemError(f"robot_initial must have {robot.state_dim} values for this robot, "
+                           f"got shape {start.shape}")
+
+
 def compile_problem(
     problem: ProblemSpec,
     model: ModelParams | None = None,
@@ -455,6 +436,7 @@ def compile_problem(
     if steps < 1:
         raise ProblemError("no timesteps to plan")
     robot = robot if robot is not None else DEFAULT_ROBOT
+    check_robot_initial(problem, robot)
     sdf = None if problem.scene is None else build_sdf(problem.scene, DEFAULT_RESOLUTION)
 
     tape = Tape()
@@ -487,8 +469,6 @@ def compile_problem(
     controls = None
     if problem.optimize_robot and problem.robot_initial is not None:
         cdim = robot.control_dim
-        if problem.robot_initial.shape != (robot.state_dim,):
-            raise ProblemError(f"robot initial state must have {robot.state_dim} values")
         dim = steps * cdim
         controls = tape.leaf("u_r", np.zeros(dim))
         leaf_dims["u_r"] = dim
@@ -521,21 +501,17 @@ def compile_problem(
         if pen is not None:
             objective = tape.add(objective, pen)
 
-    # (names, value) pairs: a per_timestep constraint is one (H,) value
-    # named kind[i].0 .. kind[i].H-1, any other one scalar named kind[i]
-    ineq: list[tuple[list[str], Ref]] = []
-    eq: list[tuple[list[str], Ref]] = []
+    # (name, scalar value) pairs, one row per constraint
+    ineq: list[tuple[str, Ref]] = []
+    eq: list[tuple[str, Ref]] = []
     for i, spec in enumerate(problem.constraints):
-        tag = f"{spec.kind}[{i}]"
-        v = _BUILDERS[spec.kind](ctx, spec)
-        names = [f"{tag}.{j}" for j in range(v.shape[0])] if v.shape else [tag]
-        (ineq if spec.kind in ("collision", "joint_clearance") else eq).append((names, v))
+        row = (f"{spec.kind}[{i}]", _BUILDERS[spec.kind](ctx, spec))
+        (ineq if spec.kind in ("collision", "joint_clearance") else eq).append(row)
 
-    parts = [tape.reshape(objective, (1,))]
-    parts += [v if v.shape else tape.reshape(v, (1,)) for _, v in ineq + eq]
+    parts = [tape.reshape(v, (1,)) for v in [objective] + [row for _, row in ineq + eq]]
     tape.set_output(tape.concat(parts) if len(parts) > 1 else parts[0])
-    ineq_names = [name for names, _ in ineq for name in names]
-    eq_names = [name for names, _ in eq for name in names]
+    ineq_names = [name for name, _ in ineq]
+    eq_names = [name for name, _ in eq]
 
     return CompiledProblem(
         problem=problem,
@@ -591,8 +567,6 @@ def save_problem(problem: ProblemSpec, path) -> None:
     doc = {
         "format": "comotion-problem",
         "version": 1,
-        "agents": [a for a, on in (("human", problem.has_human()),
-                                   ("robot", problem.has_robot())) if on],
         "horizon": problem.horizon,
         "weights": asdict(problem.weights),
         "constraints": [asdict(c) for c in problem.constraints],

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chains import Chain, chain_fk
 from .graph import Ref, Tape, unicycle_rollout
-from .schema import from_doc
+from .schema import from_doc, is_numbers
 
 
 class RobotError(ValueError):
@@ -34,6 +34,13 @@ class ChainLink:
     name: str
     offset: tuple[float, float, float]
     axis: tuple[float, float, float] | None = None
+
+    def __post_init__(self):
+        if not is_numbers(self.offset, 3):
+            raise RobotError(f"link {self.name!r}: offset must be 3 numbers, got {self.offset!r}")
+        if self.axis is not None and not (is_numbers(self.axis, 3) and any(self.axis)):
+            raise RobotError(f"link {self.name!r}: axis must be None or 3 numbers, "
+                             f"not all zero, got {self.axis!r}")
 
 
 @dataclass(frozen=True)

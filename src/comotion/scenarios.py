@@ -140,10 +140,9 @@ def make_crossing_problems(count: int, seed: int, observed_frames: int = 20,
                                target=tuple(goal)),
                 ConstraintSpec(kind="goal", agent="robot", link="base",
                                target=robot_goal),
-                ConstraintSpec(kind="collision", agent="human", aggregation="soft_max"),
-                ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
-                ConstraintSpec(kind="joint_clearance", clearance=clearance,
-                               aggregation="soft_max"),
+                ConstraintSpec(kind="collision", agent="human"),
+                ConstraintSpec(kind="collision", agent="robot"),
+                ConstraintSpec(kind="joint_clearance", clearance=clearance),
             ],
         )
         out.append(ScenarioInstance(problem, truth, "collision", f"cross{i:03d}"))
@@ -184,8 +183,8 @@ def make_handover_problems(count: int, seed: int, observed_frames: int = 20,
             robot_initial=robot_initial,
             scene=scene,
             constraints=[
-                ConstraintSpec(kind="collision", agent="human", aggregation="soft_max"),
-                ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
+                ConstraintSpec(kind="collision", agent="human"),
+                ConstraintSpec(kind="collision", agent="robot"),
                 ConstraintSpec(kind="handover"),
             ],
         )

@@ -1,10 +1,23 @@
 """JSON objects whose keys are a dataclass's field names.
 
 Such an object is written with ``dataclasses.asdict`` and read with
-:func:`from_doc`, so the dataclass is its one schema.
+:func:`from_doc`, so the dataclass is its one schema.  Its ``__post_init__``
+checks the values with :func:`is_number` and :func:`is_numbers`.
 """
 
 from __future__ import annotations
+
+import numbers
+
+
+def is_number(v) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_numbers(v, n: int) -> bool:
+    """A tuple of ``n`` numbers, as ``from_doc`` reads a JSON list."""
+    return isinstance(v, tuple) and len(v) == n and all(map(is_number, v))
 
 
 def from_doc(cls, doc, required=()):

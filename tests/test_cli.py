@@ -293,12 +293,29 @@ _PROBLEM_EDITS = {
     "negative temperature": (lambda doc: doc["constraints"][0].update(temperature=-1.0),
                              "temperature"),
     "2-number target": (lambda doc: doc["constraints"][0].update(target=[0.4, 0.0]), "target"),
+    # a constraint has no aggregation key: each is one soft-max row
+    "aggregation key": (lambda doc: doc["constraints"][0].update(aggregation="soft_max"),
+                        "'aggregation'"),
+    "3-number obstacle center": (lambda doc: doc.update(scene={
+        "bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
+        "obstacles": [{"kind": "rect", "center": [0.5, 0.5, 0.0], "half_extents": [0.2, 0.2]}],
+    }), "center"),
+    "5-number robot_initial": (lambda doc: doc.update(robot_initial=[0.0] * 5), "robot_initial"),
+}
+
+# a robot file edit and the key or field the error must name
+_ROBOT_EDITS = {
+    "robot unknown chain-link key": (lambda chain: chain[0].update(axes=[0.0, 0.0, 1.0]),
+                                     "'axes'"),
+    "robot 2-number link offset": (lambda chain: chain[2].update(offset=[0.22, 0.0]),
+                                   "link 'elbow': offset"),
+    "robot zero link axis": (lambda chain: chain[2].update(axis=[0.0, 0.0, 0.0]),
+                             "link 'elbow': axis"),
 }
 
 
-@pytest.mark.parametrize("broken", ["problem not JSON", "robot not JSON",
-                                    "robot unknown chain-link key", "missing weights",
-                                    "missing robot", *_PROBLEM_EDITS])
+@pytest.mark.parametrize("broken", ["problem not JSON", "robot not JSON", *_ROBOT_EDITS,
+                                    "missing weights", "missing robot", *_PROBLEM_EDITS])
 def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broken):
     path = toy_robot_problem(tmp_path)
     args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
@@ -320,11 +337,12 @@ def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broke
         if broken == "robot not JSON":
             robot.write_text("chain: []")
         else:
+            edit, field = _ROBOT_EDITS[broken]
+            named.append(field)
             rm.save_robot(rm.DEFAULT_ROBOT, robot)
             rdoc = json.loads(robot.read_text())
-            rdoc["chain"][0]["axes"] = [0.0, 0.0, 1.0]
+            edit(rdoc["chain"])
             robot.write_text(json.dumps(rdoc))
-            named.append("'axes'")
         args += ["--robot", str(robot)]
     elif broken == "missing weights":
         named = [str(tmp_path / "missing.weights")]

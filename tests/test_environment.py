@@ -193,6 +193,12 @@ def test_scene_validation():
         env.Rect((0, 0), (0.0, 1.0))
     with pytest.raises(env.SceneError):
         env.Disc((0, 0), -1.0)
+    for make, field in ((lambda: env.Rect((0.0, 0.0, 0.0), (1.0, 1.0)), "center"),
+                        (lambda: env.Rect((0.0, 0.0), (1.0,)), "half_extents"),
+                        (lambda: env.Disc((0.0,), 1.0), "center"),
+                        (lambda: env.Disc((0.0, 0.0), "1.0"), "radius")):
+        with pytest.raises(env.SceneError, match=field):
+            make()
     with pytest.raises(env.SceneError, match="too small"):
         env.build_sdf(env.Scene((), env.Rect((0, 0), (0.01, 0.01))), resolution=0.05)
 

@@ -189,9 +189,8 @@ def test_sequential_frozen_agent_unchanged(model, observed):
         constraints=[
             obj.ConstraintSpec(kind="goal", agent="robot", link="base",
                                target=(0.6, -0.6, 0.0)),
-            obj.ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
-            obj.ConstraintSpec(kind="joint_clearance", clearance=0.4,
-                               aggregation="soft_max"),
+            obj.ConstraintSpec(kind="collision", agent="robot"),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.4),
         ],
     )
     cfgs = SolverConfig(max_rounds=3, max_inner=12)
@@ -220,9 +219,8 @@ def _avoid_problem(observed):
                                target=(0.5, 0.0, 0.9)),
             obj.ConstraintSpec(kind="goal", agent="robot", link="base",
                                target=(0.6, -0.6, 0.0)),
-            obj.ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
-            obj.ConstraintSpec(kind="joint_clearance", clearance=0.4,
-                               aggregation="soft_max"),
+            obj.ConstraintSpec(kind="collision", agent="robot"),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.4),
         ],
     )
 
@@ -298,8 +296,7 @@ def test_with_coll_ignores_other_agent(model, observed):
         observed_human=observed,
         robot_initial=rinit,
         constraints=[
-            obj.ConstraintSpec(kind="joint_clearance", clearance=2.0,
-                               aggregation="soft_max"),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=2.0),
         ],
     )
     res = ev.run_method(problem, "with_coll", model,

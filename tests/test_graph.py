@@ -101,14 +101,6 @@ def test_backward_seed_shape_mismatch():
         backward(tape, np.ones(2))
 
 
-def test_max_first_index_tie_break():
-    x = np.array([2.0, 1.0, 1.0, 5.0, 5.0])
-    tape, out = record(lambda t, r: t.max_reduce(r["x"]), {"x": x})
-    assert float(out) == 5.0
-    g = backward(tape, np.asarray(1.0))["x"]
-    assert np.array_equal(g, [0, 0, 0, 1, 0])
-
-
 def test_logsumexp_bounds_max():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -154,16 +146,6 @@ def test_primitive_gradients_match_finite_differences(trial):
 
     err = gradient_check(f, {"x": x, "y": y, "W": W}, step=1e-5)
     assert err < 1e-6
-
-
-def test_max_gradient_at_interior_points():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=8)  # distinct values, away from ties
-
-    def fmax(t, r):
-        return t.max_reduce(t.mul(r["x"], r["x"]))
-
-    assert gradient_check(fmax, {"x": x}) < 1e-7
 
 
 def test_gradient_check_linear_is_exact():

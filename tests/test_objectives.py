@@ -1,5 +1,6 @@
 """Objective/constraint value and gradient tests against independent oracles."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,11 @@ from comotion.graph import _OP_NAMES, backward, record
 from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
 from comotion.robot_model import DEFAULT_ROBOT, robot_fk, robot_unroll
 from helpers import identity_state
+
+
+def soft_max(values, tau):
+    """Reference soft maximum over timesteps: tau * log(sum(exp(values / tau)))."""
+    return tau * np.logaddexp.reduce(np.asarray(values) / tau)
 
 
 def grid_distances(grid, points):
@@ -146,16 +152,21 @@ def test_robot_goal_constraint_value(observed):
 
 
 def test_collision_sign_and_hard_max(observed):
+    """The collision row is the soft maximum over the steps of -SDF: feasible
+    (<= 0) clear of every obstacle, and at most tau ln H above the hard max."""
     scene = small_scene()
     grid = env.build_sdf(scene)
-    spec = obj.ConstraintSpec(kind="collision", agent="robot", aggregation="hard_max")
+    spec = obj.ConstraintSpec(kind="collision", agent="robot")
     problem = base_problem(observed, steps=6, constraints=[spec], scene=scene, human=False)
     compiled = obj.compile_problem(problem)
+    assert compiled.ineq_names == ["collision[0]"]
     # standing far from all obstacles: feasible, value <= 0
     _, g, _, ev = compiled.evaluate(np.zeros(compiled.n))
-    assert g[0] <= 0.0
-    robot_traj = compiled.trajectories(ev)[1]
-    assert g[0] == pytest.approx(-min(grid_distances(grid, robot_traj[:, :2])), rel=1e-12)
+    assert g.shape == (1,) and g[0] <= 0.0
+    values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
+    tau = spec.default_temperature()
+    assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
+    assert values.max() <= g[0] <= values.max() + tau * np.log(6) + 1e-12
 
 
 def test_collision_soft_max_upper_bounds_hard_max(observed):
@@ -165,20 +176,21 @@ def test_collision_soft_max_upper_bounds_hard_max(observed):
     for trial in range(5):
         theta = 0.1 * rng.normal(size=6 * 6)
         results = {}
-        for agg, tau in (("hard_max", None), ("soft_max", 0.01), ("soft_max", 0.001)):
-            spec = obj.ConstraintSpec(kind="collision", agent="robot", aggregation=agg,
-                                      temperature=tau)
+        for tau in (1.0, 0.01, 0.001):
+            spec = obj.ConstraintSpec(kind="collision", agent="robot", temperature=tau)
             problem = base_problem(observed, steps=6, constraints=[spec], scene=scene,
                                    human=False)
             compiled = obj.compile_problem(problem)
-            _, g, _, _ = compiled.evaluate(theta)
-            results[(agg, tau)] = g[0]
-        hard = results[("hard_max", None)]
-        assert results[("soft_max", 0.01)] >= hard
-        assert results[("soft_max", 0.001)] >= hard
+            _, g, _, ev = compiled.evaluate(theta)
+            values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
+            assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
+            results[tau] = g[0]
+        hard = values.max()
+        assert results[0.01] >= hard
+        assert results[0.001] >= hard
         # temperature -> 0 converges to the hard maximum (bound tau*ln(T))
-        assert results[("soft_max", 0.001)] - hard <= 0.001 * np.log(6) + 1e-12
-        assert abs(results[("soft_max", 0.001)] - hard) < abs(results[("soft_max", 0.01)] - hard) + 1e-12
+        assert results[0.001] - hard <= 0.001 * np.log(6) + 1e-12
+        assert abs(results[0.001] - hard) < abs(results[0.01] - hard) + 1e-12
 
 
 def test_collision_margin_shifts_value(observed):
@@ -186,11 +198,13 @@ def test_collision_margin_shifts_value(observed):
     grid = env.build_sdf(scene)
     vals = {}
     for margin in (0.0, 0.3):
-        spec = obj.ConstraintSpec(kind="collision", agent="robot", aggregation="hard_max",
-                                  margin=margin)
+        spec = obj.ConstraintSpec(kind="collision", agent="robot", margin=margin,
+                                  temperature=1.0)
         problem = base_problem(observed, steps=3, constraints=[spec], scene=scene, human=False)
         compiled = obj.compile_problem(problem)
-        _, g, _, _ = compiled.evaluate(np.zeros(compiled.n))
+        _, g, _, ev = compiled.evaluate(0.1 * np.random.default_rng(4).normal(size=compiled.n))
+        dists = np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
+        assert g[0] == pytest.approx(soft_max(margin - dists, 1.0), rel=1e-12)
         vals[margin] = g[0]
     assert vals[0.3] == pytest.approx(vals[0.0] + 0.3, rel=1e-12)
 
@@ -199,15 +213,19 @@ def test_collision_margin_shifts_value(observed):
 
 
 def test_clearance_algebra(model, observed):
+    """The clearance row is the soft maximum over the steps of d^2 minus the
+    squared planar base distance; at tau = 1 every step weighs in."""
     d = 0.5
-    spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d, aggregation="per_timestep")
-    problem = base_problem(observed, steps=3, constraints=[spec])
-    compiled = obj.compile_problem(problem, model=model)
-    _, g, _, ev = compiled.evaluate(np.zeros(compiled.n))
-    human, robot = compiled.trajectories(ev)
-    for t in range(3):
-        dist2 = float(np.sum((human[t, :2] - robot[t, :2]) ** 2))
-        assert g[t] == pytest.approx(d * d - dist2, rel=1e-12)
+    rng = np.random.default_rng(8)
+    for temperature in (None, 1.0):
+        spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d, temperature=temperature)
+        problem = base_problem(observed, steps=3, constraints=[spec])
+        compiled = obj.compile_problem(problem, model=model)
+        _, g, _, ev = compiled.evaluate(0.05 * rng.normal(size=compiled.n))
+        human, robot = compiled.trajectories(ev)
+        values = d * d - np.sum((human[:, :2] - robot[:, :2]) ** 2, axis=1)
+        assert g.shape == (1,)
+        assert g[0] == pytest.approx(soft_max(values, spec.default_temperature()), rel=1e-12)
 
 
 def test_clearance_agents_two_d_apart():
@@ -219,50 +237,16 @@ def test_clearance_agents_two_d_apart():
     for t in range(H):
         human[t] = identity_state((0.0, 2 * d, 0.9))
     robot = np.zeros((H, 7))
-    spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d, aggregation="per_timestep")
+    spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d)
     problem = obj.ProblemSpec(
         horizon=H, constraints=[spec], optimize_human=False, fixed_human=human,
         robot_initial=np.zeros(7), optimize_robot=True,
     )
     compiled = obj.compile_problem(problem)
     _, g, _, _ = compiled.evaluate(np.zeros(compiled.n))
-    assert np.allclose(g, -3 * d * d, atol=1e-12)
-
-
-def test_per_timestep_constraints_enter_the_output_as_vectors():
-    """No per-step slices: each per_timestep constraint is its (H,) vector,
-    named kind[i].0 .. kind[i].H-1."""
-    H = 4
-    scene = small_scene()
-    grid = env.build_sdf(scene)
-    human = np.stack([identity_state((0.3 * t, 0.5, 0.9)) for t in range(H)])
-    problem = obj.ProblemSpec(
-        horizon=H,
-        # no robot control cost, whose finite differences are slices
-        weights=obj.ObjectiveWeights(weight_human=1.0, weight_robot=0.0),
-        constraints=[
-            obj.ConstraintSpec(kind="collision", agent="robot", aggregation="per_timestep",
-                               margin=0.1),
-            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5,
-                               aggregation="per_timestep"),
-        ],
-        optimize_human=False, fixed_human=human,
-        robot_initial=np.array([1.0, -1.8, 1.8, 0.0, 0.0, 0.0, 0.0]),
-        scene=scene,
-    )
-    compiled = obj.compile_problem(problem)
-    assert "slice" not in [_OP_NAMES[op] for op in compiled.tape.ops]
-    assert compiled.ineq_names == ([f"collision[0].{t}" for t in range(H)]
-                                   + [f"joint_clearance[1].{t}" for t in range(H)])
-    assert compiled.num_ineq == 2 * H
-    rng = np.random.default_rng(12)
-    _, g, _, ev = compiled.evaluate(0.1 * rng.normal(size=compiled.n))
-    robot = compiled.trajectories(ev)[1]
-    dists = grid_distances(grid, robot[:, :2])
-    for t in range(H):
-        assert g[t] == pytest.approx(0.1 - dists[t], rel=1e-12)
-        dist2 = float(np.sum((human[t, :2] - robot[t, :2]) ** 2))
-        assert g[H + t] == pytest.approx(0.25 - dist2, rel=1e-12)
+    tau = spec.default_temperature()
+    assert g[0] == pytest.approx(soft_max(np.full(H, -3 * d * d), tau), rel=1e-12)
+    assert g[0] == pytest.approx(-3 * d * d + tau * np.log(H), rel=1e-12)
 
 
 # -- joint goal --------------------------------------------------------------
@@ -407,8 +391,8 @@ def test_constraints_invariant_under_rigid_translation(model, observed):
             sc = shifted_scene(scene)
         constraints = [
             obj.ConstraintSpec(kind="goal", agent="human", link="rWrist", target=tuple(target)),
-            obj.ConstraintSpec(kind="collision", agent="robot", aggregation="hard_max"),
-            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, aggregation="hard_max"),
+            obj.ConstraintSpec(kind="collision", agent="robot"),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5),
             obj.ConstraintSpec(kind="joint_goal", target=tuple(target)),
             obj.ConstraintSpec(kind="handover"),
         ]
@@ -462,8 +446,8 @@ def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
                                target=tuple(tg["wrist"])),
             obj.ConstraintSpec(kind="goal", agent="robot", link="hand",
                                target=tuple(tg["hand"])),
-            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5,
-                               aggregation="per_timestep"),
+            # at tau = 1 every step's clearance weighs in
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, temperature=1.0),
             obj.ConstraintSpec(kind="joint_goal", target=tuple(tg["pick"])),
             obj.ConstraintSpec(kind="handover"),
         ]
@@ -484,9 +468,9 @@ def test_all_constraint_gradients_match_finite_differences(model, observed):
     constraints = [
         obj.ConstraintSpec(kind="goal", agent="human", link="rWrist", target=target),
         obj.ConstraintSpec(kind="goal", agent="robot", link="base", target=(0.0, 0.5, 0.0)),
-        obj.ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
-        obj.ConstraintSpec(kind="collision", agent="human", aggregation="soft_max"),
-        obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, aggregation="soft_max"),
+        obj.ConstraintSpec(kind="collision", agent="robot"),
+        obj.ConstraintSpec(kind="collision", agent="human"),
+        obj.ConstraintSpec(kind="joint_clearance", clearance=0.5),
         obj.ConstraintSpec(kind="joint_goal", target=target),
         obj.ConstraintSpec(kind="handover"),
     ]
@@ -526,8 +510,8 @@ def test_an_evaluation_survives_later_replays(model, observed):
     target = (0.6, -0.9, 0.85)
     constraints = [
         obj.ConstraintSpec(kind="goal", agent="human", link="rWrist", target=target),
-        obj.ConstraintSpec(kind="collision", agent="robot", aggregation="soft_max"),
-        obj.ConstraintSpec(kind="collision", agent="human", aggregation="soft_max"),
+        obj.ConstraintSpec(kind="collision", agent="robot"),
+        obj.ConstraintSpec(kind="collision", agent="human"),
         obj.ConstraintSpec(kind="joint_goal", target=target),
         obj.ConstraintSpec(kind="handover"),
     ]
@@ -581,8 +565,7 @@ def test_problem_file_round_trip(tmp_path, observed):
     constraints = [
         obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                            target=(0.1234567890123, -1.0, 0.85)),
-        obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, aggregation="soft_max",
-                           temperature=0.02),
+        obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, temperature=0.02),
     ]
     problem = base_problem(observed, steps=5, constraints=constraints, scene=scene,
                            weights=obj.ObjectiveWeights(weight_human=100.0, weight_robot=1.0))
@@ -602,6 +585,11 @@ def test_problem_file_round_trip(tmp_path, observed):
     path2 = tmp_path / "problem2.json"
     obj.save_problem(loaded, path2)
     assert path.read_text() == path2.read_text()
+    # older files list their "agents", which nothing reads
+    doc = json.loads(path.read_text())
+    assert "agents" not in doc
+    path2.write_text(json.dumps({**doc, "agents": ["human", "robot"]}))
+    assert obj.load_problem(path2).constraints == problem.constraints
     for problem in (scenarios.make_reach_problems(1, 1)[0].problem,
                     scenarios.make_crossing_problems(1, 1)[0].problem,
                     scenarios.make_handover_problems(1, 1)[0].problem,
@@ -654,15 +642,12 @@ def test_planning_and_training_tapes_record_every_registered_op(monkeypatch):
     registered set."""
     model = hm.init_params(hm.ModelConfig(num_layers=1, hidden_size=8), 0)
     crossing = scenarios.make_crossing_problems(1, 1)[0].problem
-    hard_max = [replace(c, aggregation="hard_max") if c.kind == "collision" else c
-                for c in crossing.constraints]
     frozen = hm.predict(model, crossing.observed_human, horizon=crossing.steps)
     problems = [
         crossing,
         scenarios.make_handover_problems(1, 1)[0].problem,
         scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem,
         scenarios.make_reach_problems(1, 1)[0].problem,
-        replace(crossing, constraints=hard_max),
         replace(crossing, optimize_human=False, fixed_human=frozen),
     ]
     tapes = [obj.compile_problem(p, model=model).tape for p in problems]

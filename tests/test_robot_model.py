@@ -216,3 +216,14 @@ def test_control_dims():
     assert cfg.state_dim == 7
     assert cfg.control_dim == 6
     assert cfg.control_bounds().shape == (6,)
+
+
+def test_chain_link_validation():
+    """A link's offset is 3 numbers and its axis None or 3 numbers, not all
+    zero; an error names the link and the field."""
+    rm.ChainLink("hand", (0.1, 0.0, 0.0), None)
+    for offset, axis, field in (((0.22, 0.0), (0.0, 1.0, 0.0), "offset"),
+                                ((0.22, 0.0, 0.0), (0.0, 0.0, 0.0), "axis"),
+                                ((0.22, 0.0, 0.0), (0.0, True, 0.0), "axis")):
+        with pytest.raises(rm.RobotError, match=f"link 'elbow': {field}"):
+            rm.ChainLink("elbow", offset, axis)
