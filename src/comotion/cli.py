@@ -127,19 +127,17 @@ _MODEL_CACHE: dict = {}
 
 
 def _model_for(problem: obj.ProblemSpec, method: str, weights):
-    """The predictor ``method`` needs on ``problem``, or None when it needs
-    none: ``initial`` and ``sample`` forecast with it, and every method but
-    ``zerovel`` unrolls it when the problem optimizes the human.  ``weights``
-    falls back to the problem file's ``model_path``."""
-    if method == "zerovel" or not (problem.optimize_human or method in ("initial", "sample")):
+    """The predictor ``method`` needs on ``problem``, read from the file
+    ``weights`` (``--weights``), or None when it needs none: ``initial`` and
+    ``sample`` forecast with it, and every method but ``zerovel`` unrolls it
+    when the problem plans the human."""
+    if method == "zerovel" or not (problem.plans_human or method in ("initial", "sample")):
         return None
-    path = weights or problem.model_path
-    if path is None:
-        raise UsageError(f"method {method!r} needs model weights (--weights or the "
-                         "problem's model_path)")
-    if path not in _MODEL_CACHE:
-        _MODEL_CACHE[path] = hm.load_params(_require(path, "weight file"))
-    return _MODEL_CACHE[path]
+    if weights is None:
+        raise UsageError(f"method {method!r} needs model weights (--weights)")
+    if weights not in _MODEL_CACHE:
+        _MODEL_CACHE[weights] = hm.load_params(_require(weights, "weight file"))
+    return _MODEL_CACHE[weights]
 
 
 def _robot_config(path):

@@ -32,7 +32,8 @@ from .kinematics import (
     quat_from_rot6d,
     relative_angle,
 )
-from .objectives import HUMAN_HAND_LINK, ConstraintSpec, ProblemSpec, compile_problem
+from .objectives import (HUMAN_HAND_LINK, HUMAN_PALM_OFFSET, ROBOT_PALM_OFFSET, ConstraintSpec,
+                         ProblemSpec, compile_problem)
 from .robot_model import DEFAULT_ROBOT, robot_fk
 from .solver import IterationRecord, SolveResult, SolverConfig, solve_compiled
 
@@ -125,17 +126,16 @@ def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int
     return np.moveaxis(states, 2, 0)
 
 
-def _palms(agent: str, states, offset, robot=DEFAULT_ROBOT) -> np.ndarray:
+def _palms(agent: str, states, robot=DEFAULT_ROBOT) -> np.ndarray:
     """Palm points, (3,) for one state or (N, 3) for a batch."""
     if agent == "human":
         pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, states, HUMAN_HAND_LINK)
-    else:
-        pos, R = robot_fk(robot, states, robot.hand_link)
-    return pos + R @ np.asarray(offset, dtype=np.float64)
+        return pos + R @ np.asarray(HUMAN_PALM_OFFSET)
+    pos, R = robot_fk(robot, states, robot.hand_link)
+    return pos + R @ np.asarray(ROBOT_PALM_OFFSET)
 
 
-def handover_loss(human_states, robot_state, spec: ConstraintSpec,
-                  robot=DEFAULT_ROBOT):
+def handover_loss(human_states, robot_state, robot=DEFAULT_ROBOT):
     """Hard handover residual: palm distance squared plus the facing term.
 
     A float for one human state, an (N,) array for a batch of them.  The
@@ -143,8 +143,8 @@ def handover_loss(human_states, robot_state, spec: ConstraintSpec,
     column, the robot along its heading, as on the tape.
     """
     human_states = np.asarray(human_states, dtype=np.float64)
-    ph = _palms("human", human_states, spec.palm_offset_human)
-    pr = _palms("robot", robot_state, spec.palm_offset_robot, robot)
+    ph = _palms("human", human_states)
+    pr = _palms("robot", robot_state, robot)
     xy = human_states[..., 3:5]
     hh = xy / np.sqrt(np.sum(xy * xy, axis=-1, keepdims=True) + NORM_EPS)
     th = robot_state[2]
@@ -164,10 +164,9 @@ def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
         pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, finals, goal.link)
         scores = np.linalg.norm(pos - np.asarray(goal.target), axis=1)
     else:
-        spec = _find(problem, "handover")
-        if spec is None:
+        if _find(problem, "handover") is None:
             raise EvaluationError("handover_loss ranking needs a handover constraint")
-        scores = handover_loss(finals, np.asarray(problem.robot_initial), spec, robot)
+        scores = handover_loss(finals, np.asarray(problem.robot_initial), robot)
     return list(np.argsort(scores, kind="stable"))
 
 
@@ -214,20 +213,23 @@ _JOINT_KINDS = ("joint_clearance", "joint_goal", "handover")
 
 def _single_agent_problem(problem: ProblemSpec, agent: str,
                           other_traj: np.ndarray | None) -> ProblemSpec:
-    """``problem`` with only ``agent`` optimized and the other agent frozen on
-    ``other_traj``.  The other agent's goal and collision constraints go, and
-    so do the joint constraints when there is no ``other_traj`` to freeze."""
+    """``problem`` with only ``agent`` planned and the other agent frozen on
+    ``other_traj``, or absent when there is none.  The other agent's goal and
+    collision constraints go, and so do the joint constraints when there is no
+    ``other_traj`` to freeze."""
     other = _OTHER[agent]
     constraints = [
         c for c in problem.constraints
         if not (c.kind in ("goal", "collision") and c.agent == other)
         and not (other_traj is None and c.kind in _JOINT_KINDS)
     ]
-    if agent == "robot":
-        return replace(problem, constraints=constraints, optimize_human=False,
-                       fixed_human=other_traj)
-    return replace(problem, constraints=constraints, optimize_robot=False,
-                   robot_initial=None, fixed_robot=other_traj)
+    if agent == "human":
+        return replace(problem, constraints=constraints, robot_initial=None,
+                       fixed_robot=other_traj)
+    if other_traj is None:
+        return replace(problem, constraints=constraints, observed_human=None,
+                       horizon=problem.steps)
+    return replace(problem, constraints=constraints, fixed_human=other_traj)
 
 
 def _solve_robot_against(problem, human_traj, robot, solver_config,
@@ -272,11 +274,10 @@ def run_method(
                           weights=replace(problem.weights, weight_human=wh, weight_robot=wr))
 
     steps = problem.steps
-    free_robot = problem.optimize_robot and problem.robot_initial is not None
-    both_free = problem.optimize_human and free_robot
-    # with one free agent a sequential baseline has nothing to sequence: its
-    # one solve is the joint solve
-    if method in ("ours", "human_prio", "robot_prio") or (method in _SEQUENTIAL and not both_free):
+    # with one planned agent a sequential baseline has nothing to sequence:
+    # its one solve is the joint solve
+    if method in ("ours", "human_prio", "robot_prio") or (
+            method in _SEQUENTIAL and not (problem.plans_human and problem.plans_robot)):
         compiled = compile_problem(problem, model=model, robot=robot)
         return _solved(method, solve_compiled(compiled, solver_config))
 
@@ -286,7 +287,7 @@ def run_method(
             if method == "initial"
             else zerovel_predict(problem.observed_human, steps)
         )
-        if not free_robot:  # no robot, or a frozen one: nothing to solve
+        if not problem.plans_robot:  # no robot, or a frozen one: nothing to solve
             return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, "converged")
         return _solved(method, _solve_robot_against(problem, human, robot, solver_config))
 
@@ -294,7 +295,7 @@ def run_method(
         samples = sample_predictions(model, problem.observed_human, steps,
                                      sample_config, seed)
         order = rank_predictions(samples, sample_config, problem, robot)
-        if not free_robot:
+        if not problem.plans_robot:
             return MethodResult(method, samples[order[0]], problem.fixed_robot, None, None, 0.0,
                                 "converged", details={"attempts": 0, "picked": int(order[0])})
         kind = kind or default_kind(problem)
@@ -462,9 +463,7 @@ HAND_GOAL_MAX = 0.1  # m, also the pickup distance
 ROBOT_BASE_GOAL_MAX = 0.2  # m
 OBJECTIVE_MAX = 0.1
 HANDOVER_LOSS_MAX = 0.1
-CLEARANCE = 0.5  # m
 CLEARANCE_SLACK = 0.01  # m, tolerance on the dense check
-COLLISION_MARGIN = 0.0  # m
 RESAMPLE_FACTOR = 10  # dense-check points per step
 KINDS = ("goal", "collision", "handover", "pickup_handover")  # what check_success scores
 
@@ -510,9 +509,8 @@ def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj,
         raise EvaluationError("problem has no joint goal constraint")
     target = np.asarray(spec.target)
     best = None
-    for agent, traj, offset in (("human", human_traj, spec.palm_offset_human),
-                                ("robot", robot_traj, spec.palm_offset_robot)):
-        d = np.sum((_palms(agent, traj, offset, robot) - target) ** 2, axis=1)
+    for agent, traj in (("human", human_traj), ("robot", robot_traj)):
+        d = np.sum((_palms(agent, traj, robot) - target) ** 2, axis=1)
         t = int(np.argmin(d))
         if best is None or d[t] < best[2]:
             best = (agent, t, float(d[t]))
@@ -525,8 +523,9 @@ def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
 
     * ``goal``: the human hand ends within 0.1 m of its goal.
     * ``collision``: that, the robot base ends within 0.2 m of its goal,
-      neither base path enters an obstacle, the bases keep 0.5 m apart
-      (less a 0.01 m slack) and the objective is at most 0.1.
+      neither base path enters an obstacle, the bases keep the distance of
+      the problem's joint clearance constraint apart (less a 0.01 m slack),
+      where it has one, and the objective is at most 0.1.
     * ``handover``: no scene collision, a final handover loss and an
       objective of at most 0.1 each.
     * ``pickup_handover``: that, and one palm passes within 0.1 m of the
@@ -544,7 +543,7 @@ def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
         if problem.scene is None:
             return
         d = min_scene_distance(problem.scene, xy, RESAMPLE_FACTOR)
-        if d < COLLISION_MARGIN:
+        if d < 0.0:
             reasons.append(f"{who}-scene-collision")
 
     if kind in ("goal", "collision"):
@@ -563,9 +562,10 @@ def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
             scene_clear(human[:, :2], "human")
         if rob is not None:
             scene_clear(rob[:, :2], "robot")
-        if human is not None and rob is not None:
+        spec = _find(problem, "joint_clearance")
+        if spec is not None and human is not None and rob is not None:
             c = min_clearance(human[:, :2], rob[:, :2], RESAMPLE_FACTOR)
-            if c < CLEARANCE - CLEARANCE_SLACK:
+            if c < spec.clearance - CLEARANCE_SLACK:
                 reasons.append("agent-clearance")
         if result.objective > OBJECTIVE_MAX:
             reasons.append("objective")
@@ -574,9 +574,8 @@ def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
             scene_clear(human[:, :2], "human")
         if rob is not None:
             scene_clear(rob[:, :2], "robot")
-        spec = _find(problem, "handover")
-        if spec is not None and human is not None and rob is not None:
-            loss = handover_loss(human[-1], rob[-1], spec, robot)
+        if _find(problem, "handover") is not None and human is not None and rob is not None:
+            loss = handover_loss(human[-1], rob[-1], robot)
             if loss > HANDOVER_LOSS_MAX:
                 reasons.append("handover-loss")
         if result.objective > OBJECTIVE_MAX:

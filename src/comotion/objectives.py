@@ -7,22 +7,26 @@ weighted combination with respect to all decision variables (human decoder
 modifiers and robot controls).
 
 Conventions:
-  * Predicted timesteps are indexed 0..H-1 with H = horizon - observed frames;
-    ``"final"`` selects H-1.
+  * Predicted timesteps are indexed 0..H-1 with H = horizon - observed frames.
+    Goal and handover constraints act on the final step, H-1.
+  * An agent is planned when the problem has its start (the human's observed
+    history, the robot's initial state) and no frozen trajectory for it.
   * Inequality constraints are feasible at values <= 0.
   * Equality constraints are residuals driven to 0 (squared distances, plus a
     facing term for handovers).
-  * Obstacle clearance uses ``margin - SDF(base)``; inter-agent clearance uses
+  * Obstacle clearance uses ``-SDF(base)``; inter-agent clearance uses
     ``d^2 - |planar base offset|^2`` (the ground-plane distance, since the
     human base sits at pelvis height while the robot base is on the floor).
     Each is one row: the soft maximum over the H timesteps,
-    ``tau * log(sum_t exp(v_t / tau))`` at ``tau = default_temperature()``.
+    ``tau * log(sum_t exp(v_t / tau))`` at ``tau = SOFT_MAX_TEMPERATURE``.
+  * Palm points sit at ``HUMAN_PALM_OFFSET`` in the human's wrist frame and
+    ``ROBOT_PALM_OFFSET`` in the robot's hand frame.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,10 +44,10 @@ from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM
 from .robot_model import DEFAULT_ROBOT, RobotConfig, robot_unroll_graph
 from .schema import from_doc, is_number, is_numbers
 
-DEFAULT_SOFT_MAX_TEMPERATURE = 0.01  # m^2, soft maximum over timesteps
-DEFAULT_JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
-DEFAULT_HUMAN_PALM_OFFSET = (0.0, -0.10, 0.0)  # wrist frame, right arm points -y
-DEFAULT_ROBOT_PALM_OFFSET = (0.10, 0.0, 0.0)  # hand frame, arm points +x
+SOFT_MAX_TEMPERATURE = 0.01  # m^2, soft maximum over timesteps
+JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
+HUMAN_PALM_OFFSET = (0.0, -0.10, 0.0)  # wrist frame, right arm points -y
+ROBOT_PALM_OFFSET = (0.10, 0.0, 0.0)  # hand frame, arm points +x
 
 CONSTRAINT_KINDS = ("goal", "collision", "joint_clearance", "joint_goal", "handover")
 
@@ -76,31 +80,16 @@ class ConstraintSpec:
     kind: str
     agent: str | None = None  # "human" | "robot" where applicable
     link: str | None = None
-    timestep: object = "final"  # int or "final"
     target: tuple | None = None
     clearance: float | None = None
-    temperature: float | None = None
-    margin: float = 0.0
-    palm_offset_human: tuple = DEFAULT_HUMAN_PALM_OFFSET
-    palm_offset_robot: tuple = DEFAULT_ROBOT_PALM_OFFSET
 
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise ProblemError(f"unknown constraint kind {self.kind!r}")
-        ts = self.timestep
-        if isinstance(ts, bool) or not (isinstance(ts, int) or ts == "final"):
-            raise ProblemError(f"timestep must be an int or 'final', got {ts!r}")
-        if not is_number(self.margin):
-            raise ProblemError(f"margin must be a number, got {self.margin!r}")
         if self.clearance is not None and not is_number(self.clearance):
             raise ProblemError(f"clearance must be a number, got {self.clearance!r}")
-        t = self.temperature
-        if t is not None and not (is_number(t) and t > 0):
-            raise ProblemError(f"temperature must be a positive number, got {t!r}")
-        for name in ("target", "palm_offset_human", "palm_offset_robot"):
-            value = getattr(self, name)
-            if not (is_numbers(value, 3) or name == "target" and value is None):
-                raise ProblemError(f"{name} must be 3 numbers, got {value!r}")
+        if self.target is not None and not is_numbers(self.target, 3):
+            raise ProblemError(f"target must be 3 numbers, got {self.target!r}")
         if self.kind == "goal":
             if self.agent not in ("human", "robot"):
                 raise ProblemError("goal constraint needs an agent")
@@ -114,20 +103,13 @@ class ConstraintSpec:
         if self.kind == "joint_goal" and self.target is None:
             raise ProblemError("joint goal needs a target point")
 
-    def default_temperature(self) -> float:
-        if self.temperature is not None:
-            return self.temperature
-        return (
-            DEFAULT_JOINT_GOAL_TEMPERATURE
-            if self.kind == "joint_goal"
-            else DEFAULT_SOFT_MAX_TEMPERATURE
-        )
-
 
 @dataclass
 class ProblemSpec:
     """One planning instance.  ``horizon`` counts total frames including the
-    observed history; constraints act on the H = horizon - k predicted steps."""
+    observed history; constraints act on the H = horizon - k predicted steps.
+    Which arrays are present decides each agent's role: see ``plans_human``
+    and ``plans_robot``."""
 
     horizon: int
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
@@ -135,11 +117,8 @@ class ProblemSpec:
     observed_human: np.ndarray | None = None  # (k, 129)
     robot_initial: np.ndarray | None = None
     scene: Scene | None = None
-    optimize_human: bool = True
-    optimize_robot: bool = True
     fixed_human: np.ndarray | None = None  # (H, 129) when the human is frozen
     fixed_robot: np.ndarray | None = None  # (H, state_dim) when the robot is frozen
-    model_path: str | None = None  # reference only; the weights file is separate
 
     def __post_init__(self):
         if self.observed_human is not None:
@@ -156,10 +135,6 @@ class ProblemSpec:
             self.fixed_human = np.asarray(self.fixed_human, dtype=np.float64)
         if self.fixed_robot is not None:
             self.fixed_robot = np.asarray(self.fixed_robot, dtype=np.float64)
-        steps = self.steps
-        for c in self.constraints:
-            if c.timestep != "final" and not 0 <= c.timestep < steps:
-                raise ProblemError(f"timestep {c.timestep} outside 0..{steps - 1}")
 
     @property
     def steps(self) -> int:
@@ -170,6 +145,16 @@ class ProblemSpec:
         if self.fixed_human is not None:
             return len(self.fixed_human)
         return self.horizon
+
+    @property
+    def plans_human(self) -> bool:
+        """The human is planned: it has an observed history and is not frozen."""
+        return self.observed_human is not None and self.fixed_human is None
+
+    @property
+    def plans_robot(self) -> bool:
+        """The robot is planned: it has a start state and is not frozen."""
+        return self.robot_initial is not None and self.fixed_robot is None
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +203,12 @@ class GraphContext:
             chain = self.robot_config.kinematic_chain(link, offset)
         return self.tape.link_point(self._states(agent, t), chain)
 
-    def hand_point(self, agent: str, palm_offset, t: int | None = None) -> Ref:
-        """Palm point: a hand-frame offset on the agent's hand link."""
-        link = HUMAN_HAND_LINK if agent == "human" else self.robot_config.hand_link
-        return self.point(agent, link, palm_offset, t)
+    def palm_point(self, agent: str, t: int | None = None) -> Ref:
+        """The agent's palm point on its hand link: (3,) at step ``t``, or
+        (H, 3) over every step when ``t`` is None."""
+        if agent == "human":
+            return self.point(agent, HUMAN_HAND_LINK, HUMAN_PALM_OFFSET, t)
+        return self.point(agent, self.robot_config.hand_link, ROBOT_PALM_OFFSET, t)
 
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
@@ -282,41 +269,38 @@ def human_base_penalty_graph(tape, ctx: GraphContext, observed_last: np.ndarray,
     return _difference_cost(tape, flat, 3, steps + 1, weight)
 
 
-def _resolve_timestep(timestep, steps: int) -> int:
-    """``ProblemSpec`` has checked an integer timestep against ``steps``."""
-    return steps - 1 if timestep == "final" else timestep
-
-
 def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """Squared distance between a link position and the goal point."""
-    t = _resolve_timestep(spec.timestep, ctx.steps())
+    """Squared distance between a link position at the final step and the
+    goal point."""
     tape = ctx.tape
-    pos = ctx.point(spec.agent, spec.link, t=t)
+    pos = ctx.point(spec.agent, spec.link, t=ctx.steps() - 1)
     return tape.sum_squares(tape.sub(pos, tape.const(np.asarray(spec.target, dtype=np.float64))))
 
 
 def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """Soft maximum over timesteps of margin - SDF(base), at the spec's
-    ``default_temperature()``; feasible <= 0."""
+    """Soft maximum over timesteps of -SDF(base), at
+    ``SOFT_MAX_TEMPERATURE``; feasible <= 0."""
     if ctx.sdf is None:
         raise ProblemError("collision constraint needs a scene")
     tape = ctx.tape
     d = sdf_query_graph(tape, ctx.sdf, ctx.base_positions(spec.agent))
-    return tape.logsumexp(tape.sub(tape.const(spec.margin), d), spec.default_temperature())
+    # 0 - d as a sub node: the tape's node counts and bit-exact values rely on it
+    return tape.logsumexp(tape.sub(tape.const(0.0), d), SOFT_MAX_TEMPERATURE)
 
 
 def joint_clearance_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """Soft maximum over timesteps of d^2 - |planar base offset|^2, at the
-    spec's ``default_temperature()``; feasible <= 0."""
+    """Soft maximum over timesteps of d^2 - |planar base offset|^2, at
+    ``SOFT_MAX_TEMPERATURE``; feasible <= 0."""
     tape = ctx.tape
     delta = tape.sub(ctx.base_positions("human"), ctx.base_positions("robot"))
     values = tape.sub(tape.const(float(spec.clearance) ** 2),
                       tape.sum(tape.square(delta), axis=1))
-    return tape.logsumexp(values, spec.default_temperature())
+    return tape.logsumexp(values, SOFT_MAX_TEMPERATURE)
 
 
 def joint_goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """Smooth minimum over agents and timesteps of squared hand-goal distance.
+    """Smooth minimum over agents and timesteps of squared palm-goal
+    distance, at ``JOINT_GOAL_TEMPERATURE``.
 
     Lets the optimizer pick which agent reaches the point and when; the hard
     minimum is available separately for evaluation.
@@ -324,10 +308,10 @@ def joint_goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     tape = ctx.tape
     target = tape.const(np.asarray(spec.target, dtype=np.float64))
     dists = []
-    for agent, offset in (("human", spec.palm_offset_human), ("robot", spec.palm_offset_robot)):
-        hands = ctx.hand_point(agent, offset)
+    for agent in ("human", "robot"):
+        hands = ctx.palm_point(agent)
         dists.append(tape.sum(tape.square(tape.sub(hands, target)), axis=1))
-    return tape.smooth_min(tape.concat(dists), spec.default_temperature())
+    return tape.smooth_min(tape.concat(dists), JOINT_GOAL_TEMPERATURE)
 
 
 def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
@@ -337,9 +321,9 @@ def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     agents face each other, 2 when they face the same way.
     """
     tape = ctx.tape
-    t = _resolve_timestep(spec.timestep, ctx.steps())
-    hand_h = ctx.hand_point("human", spec.palm_offset_human, t)
-    hand_r = ctx.hand_point("robot", spec.palm_offset_robot, t)
+    t = ctx.steps() - 1
+    hand_h = ctx.palm_point("human", t)
+    hand_r = ctx.palm_point("robot", t)
     dist = tape.sum_squares(tape.sub(hand_h, hand_r))
     facing = tape.add(tape.const(1.0), tape.dot(ctx.heading("human", t), ctx.heading("robot", t)))
     return tape.add(dist, facing)
@@ -446,11 +430,9 @@ def compile_problem(
 
     human_traj = None
     modifiers = None
-    if problem.optimize_human:
-        if problem.observed_human is None:
-            raise ProblemError("optimizing the human needs an observed history")
+    if problem.plans_human:
         if model is None:
-            raise ProblemError("optimizing the human needs model weights")
+            raise ProblemError("planning the human needs model weights")
         dim = steps * MODIFIER_DIM
         modifiers = tape.leaf("u_h", np.zeros(dim))
         leaf_dims["u_h"] = dim
@@ -467,7 +449,7 @@ def compile_problem(
 
     robot_traj = None
     controls = None
-    if problem.optimize_robot and problem.robot_initial is not None:
+    if problem.plans_robot:
         cdim = robot.control_dim
         dim = steps * cdim
         controls = tape.leaf("u_r", np.zeros(dim))
@@ -552,11 +534,13 @@ def control_objective(modifiers: np.ndarray | None, robot_controls: np.ndarray |
 # Problem files (self-contained except for the model weights)
 # ---------------------------------------------------------------------------
 
-# The keys of the weights, each constraint, each obstacle and the scene bounds
-# are the field names of their dataclasses.  Each is written with asdict and
-# read with schema.from_doc, so an unknown key is an error.  An obstacle also
-# holds its "kind", and the weights must hold weight_human, weight_robot and
-# frame_time, although ObjectiveWeights has defaults for them.
+# The top-level keys are "format", "version" and the field names of
+# ProblemSpec; an unknown one is an error.  The keys of the weights, each
+# constraint, each obstacle and the scene bounds are the field names of their
+# dataclasses.  Each is written with asdict and read with schema.from_doc, so
+# an unknown key is an error there too.  An obstacle also holds its "kind",
+# and the weights must hold weight_human, weight_robot and frame_time,
+# although ObjectiveWeights has defaults for them.
 
 
 def _array_to_doc(a: np.ndarray | None):
@@ -573,12 +557,9 @@ def save_problem(problem: ProblemSpec, path) -> None:
         "observed_human": _array_to_doc(problem.observed_human),
         "robot_initial": None if problem.robot_initial is None
         else [float(v) for v in problem.robot_initial],
-        "optimize_human": problem.optimize_human,
-        "optimize_robot": problem.optimize_robot,
         "fixed_human": _array_to_doc(problem.fixed_human),
         "fixed_robot": _array_to_doc(problem.fixed_robot),
         "scene": None if problem.scene is None else scene_to_doc(problem.scene),
-        "model_path": problem.model_path,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -604,6 +585,9 @@ def load_problem(path) -> ProblemSpec:
 
 
 def _problem_from_doc(doc: dict) -> ProblemSpec:
+    unknown = sorted(set(doc) - {"format", "version"} - {f.name for f in fields(ProblemSpec)})
+    if unknown:
+        raise ProblemError(f"unknown key {unknown[0]!r}")
     horizon = doc["horizon"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise ProblemError(f"horizon must be an integer, got {horizon!r}")
@@ -615,9 +599,6 @@ def _problem_from_doc(doc: dict) -> ProblemSpec:
         observed_human=None if doc["observed_human"] is None else np.array(doc["observed_human"]),
         robot_initial=None if doc["robot_initial"] is None else np.array(doc["robot_initial"]),
         scene=None if doc.get("scene") is None else scene_from_doc(doc["scene"]),
-        optimize_human=bool(doc.get("optimize_human", True)),
-        optimize_robot=bool(doc.get("optimize_robot", True)),
         fixed_human=None if doc.get("fixed_human") is None else np.array(doc["fixed_human"]),
         fixed_robot=None if doc.get("fixed_robot") is None else np.array(doc["fixed_robot"]),
-        model_path=doc.get("model_path"),
     )

@@ -51,6 +51,10 @@ class RobotConfig:
     max_turn_step: float = 0.3  # rad per step
     max_joint_step: float = 0.2  # rad per step
 
+    def __post_init__(self):
+        if self.hand_link not in {l.name for l in self.chain}:
+            raise RobotError(f"hand_link {self.hand_link!r} names no link of the chain")
+
     @property
     def num_joints(self) -> int:
         return sum(1 for l in self.chain if l.axis is not None)

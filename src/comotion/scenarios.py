@@ -84,7 +84,6 @@ def make_reach_problems(count: int, seed: int, observed_frames: int = 20,
                 ConstraintSpec(kind="goal", agent="human", link="rWrist",
                                target=tuple(goal))
             ],
-            optimize_robot=False,
         )
         out.append(ScenarioInstance(problem, truth, "goal", f"reach{i:03d}"))
     return out

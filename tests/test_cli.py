@@ -165,8 +165,6 @@ def toy_robot_problem(tmp_path, steps=2, target=(0.4, 0.0, 0.0)):
         robot_initial=np.zeros(7),
         constraints=[obj.ConstraintSpec(kind="goal", agent="robot", link="base",
                                         target=target)],
-        optimize_human=False,
-        optimize_robot=True,
     )
     path = tmp_path / "toy.json"
     obj.save_problem(problem, path)
@@ -268,8 +266,10 @@ def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("timestep", ["all", 3.7, "7", True, 999])
+@pytest.mark.parametrize("timestep", ["all", 3.7, "7", True, 999, "final"])
 def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep):
+    """A constraint has no timestep: goal and handover rows read the final
+    step, so a timestep key, "final" included, is an unknown key."""
     path = toy_robot_problem(tmp_path)
     with open(path) as fh:
         doc = json.load(fh)
@@ -278,7 +278,7 @@ def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep)
         json.dump(doc, fh)
     assert main(["plan", "--problem", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "timestep" in err and "Traceback" not in err
+    assert "'timestep'" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -289,6 +289,7 @@ _PROBLEM_EDITS = {
     "unknown constraint key": (lambda doc: doc["constraints"][0].update(temprature=0.1),
                                "'temprature'"),
     "unknown weights key": (lambda doc: doc["weights"].update(weight_humna=1.0), "'weight_humna'"),
+    # margin and temperature are no constraint keys: any value is an error
     "margin not a number": (lambda doc: doc["constraints"][0].update(margin="x"), "margin"),
     "negative temperature": (lambda doc: doc["constraints"][0].update(temperature=-1.0),
                              "temperature"),
@@ -296,6 +297,10 @@ _PROBLEM_EDITS = {
     # a constraint has no aggregation key: each is one soft-max row
     "aggregation key": (lambda doc: doc["constraints"][0].update(aggregation="soft_max"),
                         "'aggregation'"),
+    # an agent's role is which of its arrays are present; --weights names the
+    # model
+    "optimize_robot key": (lambda doc: doc.update(optimize_robot=False), "'optimize_robot'"),
+    "model_path key": (lambda doc: doc.update(model_path="model.weights"), "'model_path'"),
     "3-number obstacle center": (lambda doc: doc.update(scene={
         "bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
         "obstacles": [{"kind": "rect", "center": [0.5, 0.5, 0.0], "half_extents": [0.2, 0.2]}],
@@ -305,12 +310,13 @@ _PROBLEM_EDITS = {
 
 # a robot file edit and the key or field the error must name
 _ROBOT_EDITS = {
-    "robot unknown chain-link key": (lambda chain: chain[0].update(axes=[0.0, 0.0, 1.0]),
+    "robot unknown chain-link key": (lambda doc: doc["chain"][0].update(axes=[0.0, 0.0, 1.0]),
                                      "'axes'"),
-    "robot 2-number link offset": (lambda chain: chain[2].update(offset=[0.22, 0.0]),
+    "robot 2-number link offset": (lambda doc: doc["chain"][2].update(offset=[0.22, 0.0]),
                                    "link 'elbow': offset"),
-    "robot zero link axis": (lambda chain: chain[2].update(axis=[0.0, 0.0, 0.0]),
+    "robot zero link axis": (lambda doc: doc["chain"][2].update(axis=[0.0, 0.0, 0.0]),
                              "link 'elbow': axis"),
+    "robot unknown hand link": (lambda doc: doc.update(hand_link="claw"), "'claw'"),
 }
 
 
@@ -341,7 +347,7 @@ def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broke
             named.append(field)
             rm.save_robot(rm.DEFAULT_ROBOT, robot)
             rdoc = json.loads(robot.read_text())
-            edit(rdoc["chain"])
+            edit(rdoc)
             robot.write_text(json.dumps(rdoc))
         args += ["--robot", str(robot)]
     elif broken == "missing weights":
@@ -356,7 +362,7 @@ def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broke
     assert not (tmp_path / "o").exists()
 
 
-def human_robot_problem(tmp_path, model_path=None):
+def human_robot_problem(tmp_path):
     """Both agents optimized: the human needs the predictor for every method
     but zerovel."""
     recs = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=16,
@@ -376,7 +382,6 @@ def human_robot_problem(tmp_path, model_path=None):
                                target=(rinit[0] - 0.3, rinit[1], 0.0)),
             obj.ConstraintSpec(kind="joint_clearance", clearance=0.3),
         ],
-        model_path=model_path,
     )
     path = tmp_path / "human_robot.json"
     obj.save_problem(problem, path)
@@ -401,16 +406,6 @@ def test_plan_unknown_human_link_exits_2_naming_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_evaluate_takes_weights_from_the_problem_file(tiny_weights, tmp_path):
-    path = human_robot_problem(tmp_path, model_path=tiny_weights)
-    rc = main(["evaluate", "--problems", path, "--methods", "initial", "--jobs", "1",
-               *CAPPED, "--out", str(tmp_path / "eval")])
-    assert rc == 0
-    rows = (tmp_path / "eval" / "records.jsonl").read_text().splitlines()
-    assert len(rows) == 1
-    assert not (tmp_path / "eval" / "failures.json").exists()
-
-
 def test_plan_zerovel_needs_no_weights(tmp_path):
     path = human_robot_problem(tmp_path)
     rc = main(["plan", "--problem", path, "--method", "zerovel", *CAPPED,
@@ -423,11 +418,12 @@ def test_plan_zerovel_needs_no_weights(tmp_path):
 
 @pytest.mark.parametrize("method", ["ours", "sample", "robot_avoids"])
 def test_plan_result_matches_evaluate_row(tiny_weights, tmp_path, method):
-    path = human_robot_problem(tmp_path, model_path=tiny_weights)
-    assert main(["plan", "--problem", path, "--method", method, *CAPPED,
+    path = human_robot_problem(tmp_path)
+    weights = ["--weights", tiny_weights]
+    assert main(["plan", "--problem", path, "--method", method, *weights, *CAPPED,
                  "--out", str(tmp_path / "plan")]) == 0
     assert main(["evaluate", "--problems", path, "--methods", method, "--jobs", "1",
-                 *CAPPED, "--out", str(tmp_path / "eval")]) == 0
+                 *weights, *CAPPED, "--out", str(tmp_path / "eval")]) == 0
     doc = json.loads((tmp_path / "plan" / "result.json").read_text())
     (line,) = (tmp_path / "eval" / "records.jsonl").read_text().splitlines()
     row = json.loads(line)
@@ -649,7 +645,6 @@ def test_export_sdf_header_round_trip(tmp_path):
     problem = obj.ProblemSpec(
         horizon=3,
         robot_initial=np.zeros(7),
-        optimize_human=False,
         scene=Scene((), Rect((0.0, 0.0), (1.0, 1.0))),
         constraints=[obj.ConstraintSpec(kind="goal", agent="robot", link="base",
                                         target=(0.2, 0.0, 0.0))],

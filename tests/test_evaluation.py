@@ -68,7 +68,6 @@ def test_sample_ranking_by_goal_distance(model, observed):
         observed_human=observed,
         constraints=[obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                                         target=(0.5, 0.0, 0.9))],
-        optimize_robot=False,
     )
     cfg = ev.SampleConfig(num_samples=8, noise_variance=0.05)
     samples = ev.sample_predictions(model, observed, 5, cfg, seed=1)
@@ -94,13 +93,11 @@ def test_sample_ranking_default_follows_the_constraints(model):
     cfg = ev.SampleConfig(num_samples=6, noise_variance=0.05)
     samples = ev.sample_predictions(model, problem.observed_human, 5, cfg, seed=2)
     order = ev.rank_predictions(samples, cfg, problem)
-    spec = next(c for c in problem.constraints if c.kind == "handover")
-    losses = [ev.handover_loss(s[-1], problem.robot_initial, spec) for s in samples]
+    losses = [ev.handover_loss(s[-1], problem.robot_initial) for s in samples]
     assert order == list(np.argsort(losses, kind="stable"))
     assert order == ev.rank_predictions(samples, replace(cfg, ranking="handover_loss"), problem)
 
-    bare = obj.ProblemSpec(horizon=problem.horizon, observed_human=problem.observed_human,
-                           optimize_robot=False)
+    bare = obj.ProblemSpec(horizon=problem.horizon, observed_human=problem.observed_human)
     with pytest.raises(ev.EvaluationError, match="no sample ranking applies"):
         ev.rank_predictions(samples, cfg, bare)
 
@@ -140,8 +137,7 @@ def test_forecast_methods_keep_a_frozen_robot(model, monkeypatch, method):
     """With the robot frozen there is nothing to solve: the forecast, or the
     top-ranked sample, comes back beside the frozen robot trajectory."""
     problem = scenarios.make_crossing_problems(1, 1)[0].problem
-    frozen = replace(problem, optimize_robot=False,
-                     fixed_robot=np.tile(problem.robot_initial, (problem.steps, 1)))
+    frozen = replace(problem, fixed_robot=np.tile(problem.robot_initial, (problem.steps, 1)))
     monkeypatch.setattr(ev, "solve_compiled", lambda *a, **kw: pytest.fail("solved"))
     cfg = ev.SampleConfig(num_samples=3)
     res = ev.run_method(frozen, method, model, sample_config=cfg)
@@ -278,7 +274,7 @@ def test_sequential_baseline_on_a_frozen_human_problem_is_the_robot_solve(method
     robot alone: the problem has one free agent, so the result is ``ours``'s."""
     problem = scenarios.make_crossing_problems(1, 1)[0].problem
     forecast = ev.zerovel_predict(problem.observed_human, problem.steps)
-    frozen = replace(problem, optimize_human=False, fixed_human=forecast)
+    frozen = replace(problem, fixed_human=forecast)
     config = SolverConfig(max_rounds=2, max_inner=10)
     res = ev.run_method(frozen, method, None, solver_config=config)
     ours = ev.run_method(frozen, "ours", None, solver_config=config)
@@ -453,7 +449,6 @@ def success_fixture():
                                target=(0.5, -1.0, 0.0)),
             obj.ConstraintSpec(kind="joint_clearance", clearance=0.5),
         ],
-        optimize_human=False,
         fixed_human=human,
         robot_initial=robot[0],
         scene=Scene((Disc((3.0, 3.0), 0.3),), Rect((0, 0), (5, 5))),
@@ -488,6 +483,18 @@ def test_check_success_reports_each_failure():
     assert not ok and "agent-clearance" in reasons
 
 
+def test_check_success_holds_the_agents_to_the_stated_clearance():
+    """The agent-clearance clause reads the problem's joint clearance
+    constraint: bases at least 0.45 m apart pass at 0.4 m and fail at 0.5 m."""
+    problem, result = success_fixture()
+    result.human_traj = np.tile(identity_state((0.0, -0.55, 0.93)), (6, 1))
+    for clearance, reasons in ((0.4, []), (0.5, ["agent-clearance"])):
+        stated = replace(problem, constraints=[
+            problem.constraints[0], obj.ConstraintSpec(kind="joint_clearance",
+                                                       clearance=clearance)])
+        assert ev.check_success(stated, result, "collision") == (not reasons, reasons)
+
+
 def test_check_success_rejects_an_unknown_kind():
     problem, result = success_fixture()
     with pytest.raises(ev.EvaluationError, match="'colision'"):
@@ -515,7 +522,6 @@ def test_handover_loss_threshold_edge():
     problem = obj.ProblemSpec(
         horizon=4,
         constraints=[obj.ConstraintSpec(kind="handover")],
-        optimize_human=False,
         fixed_human=human,
         robot_initial=robot[0],
     )
@@ -540,15 +546,15 @@ def test_handover_loss_matches_the_compiled_constraint():
             human[t, 3 + 6 * j : 9 + 6 * j] = matrix_to_rot6d(
                 axis_angle_matrix(axis, rng.uniform(-np.pi, np.pi)))
     spec = obj.ConstraintSpec(kind="handover")
-    problem = obj.ProblemSpec(horizon=H, constraints=[spec], optimize_human=False,
-                              fixed_human=human, robot_initial=rng.normal(size=7))
+    problem = obj.ProblemSpec(horizon=H, constraints=[spec], fixed_human=human,
+                              robot_initial=rng.normal(size=7))
     compiled = obj.compile_problem(problem)
     _, _, h, evaluation = compiled.evaluate(0.1 * rng.normal(size=compiled.n))
     robot = compiled.trajectories(evaluation)[1]
-    loss = ev.handover_loss(human[-1], robot[-1], spec)
+    loss = ev.handover_loss(human[-1], robot[-1])
     assert isinstance(loss, float)
     assert loss == pytest.approx(h[0], rel=0, abs=1e-10)
-    batch = ev.handover_loss(human, robot[-1], spec)
+    batch = ev.handover_loss(human, robot[-1])
     assert batch.shape == (H,)
     assert batch[-1] == pytest.approx(loss, rel=0, abs=1e-12)
 
@@ -560,11 +566,10 @@ def test_joint_goal_diagnostic_picks_nearest_agent():
     from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
 
     wrist, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[2], "rWrist")
-    target = wrist + R @ np.asarray(obj.DEFAULT_HUMAN_PALM_OFFSET)
+    target = wrist + R @ np.asarray(obj.HUMAN_PALM_OFFSET)
     problem = obj.ProblemSpec(
         horizon=5,
         constraints=[obj.ConstraintSpec(kind="joint_goal", target=tuple(target))],
-        optimize_human=False,
         fixed_human=human,
         robot_initial=robot[0],
     )

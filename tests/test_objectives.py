@@ -1,6 +1,7 @@
 """Objective/constraint value and gradient tests against independent oracles."""
 
 import json
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -62,8 +63,6 @@ def base_problem(observed, steps=5, constraints=(), scene=None, weights=None,
         observed_human=observed if human else None,
         robot_initial=np.array([1.0, -1.8, 1.8, 0.0, 0.0, 0.0, 0.0]) if robot else None,
         scene=scene,
-        optimize_human=human,
-        optimize_robot=robot,
     )
 
 
@@ -116,7 +115,7 @@ def test_goal_constraint_zero_when_on_target(model, observed):
     pred = hm.predict(model, observed, horizon=5)
     target, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
     spec = obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
-                              timestep="final", target=tuple(target))
+                              target=tuple(target))
     problem = base_problem(observed, steps=5, constraints=[spec], robot=False)
     compiled = obj.compile_problem(problem, model=model)
     _, _, h, _ = compiled.evaluate(np.zeros(compiled.n))
@@ -127,7 +126,7 @@ def test_goal_constraint_one_meter_away(model, observed):
     pred = hm.predict(model, observed, horizon=5)
     target, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
     spec = obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
-                              timestep="final", target=(target[0] + 1.0, target[1], target[2]))
+                              target=(target[0] + 1.0, target[1], target[2]))
     problem = base_problem(observed, steps=5, constraints=[spec], robot=False)
     compiled = obj.compile_problem(problem, model=model)
     _, _, h, _ = compiled.evaluate(np.zeros(compiled.n))
@@ -137,7 +136,7 @@ def test_goal_constraint_one_meter_away(model, observed):
 
 def test_robot_goal_constraint_value(observed):
     spec = obj.ConstraintSpec(kind="goal", agent="robot", link="base",
-                              timestep="final", target=(0.0, 0.0, 0.0))
+                              target=(0.0, 0.0, 0.0))
     problem = base_problem(observed, steps=4, constraints=[spec], human=False)
     compiled = obj.compile_problem(problem)
     rng = np.random.default_rng(2)
@@ -164,49 +163,27 @@ def test_collision_sign_and_hard_max(observed):
     _, g, _, ev = compiled.evaluate(np.zeros(compiled.n))
     assert g.shape == (1,) and g[0] <= 0.0
     values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
-    tau = spec.default_temperature()
+    tau = obj.SOFT_MAX_TEMPERATURE
     assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
     assert values.max() <= g[0] <= values.max() + tau * np.log(6) + 1e-12
 
 
 def test_collision_soft_max_upper_bounds_hard_max(observed):
+    """At random robot plans the row lies between the hard maximum of -SDF
+    and that plus tau ln H."""
     scene = small_scene()
     grid = env.build_sdf(scene)
     rng = np.random.default_rng(3)
+    tau = obj.SOFT_MAX_TEMPERATURE
+    spec = obj.ConstraintSpec(kind="collision", agent="robot")
+    problem = base_problem(observed, steps=6, constraints=[spec], scene=scene, human=False)
+    compiled = obj.compile_problem(problem)
     for trial in range(5):
-        theta = 0.1 * rng.normal(size=6 * 6)
-        results = {}
-        for tau in (1.0, 0.01, 0.001):
-            spec = obj.ConstraintSpec(kind="collision", agent="robot", temperature=tau)
-            problem = base_problem(observed, steps=6, constraints=[spec], scene=scene,
-                                   human=False)
-            compiled = obj.compile_problem(problem)
-            _, g, _, ev = compiled.evaluate(theta)
-            values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
-            assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
-            results[tau] = g[0]
+        _, g, _, ev = compiled.evaluate(0.1 * rng.normal(size=6 * 6))
+        values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
+        assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
         hard = values.max()
-        assert results[0.01] >= hard
-        assert results[0.001] >= hard
-        # temperature -> 0 converges to the hard maximum (bound tau*ln(T))
-        assert results[0.001] - hard <= 0.001 * np.log(6) + 1e-12
-        assert abs(results[0.001] - hard) < abs(results[0.01] - hard) + 1e-12
-
-
-def test_collision_margin_shifts_value(observed):
-    scene = small_scene()
-    grid = env.build_sdf(scene)
-    vals = {}
-    for margin in (0.0, 0.3):
-        spec = obj.ConstraintSpec(kind="collision", agent="robot", margin=margin,
-                                  temperature=1.0)
-        problem = base_problem(observed, steps=3, constraints=[spec], scene=scene, human=False)
-        compiled = obj.compile_problem(problem)
-        _, g, _, ev = compiled.evaluate(0.1 * np.random.default_rng(4).normal(size=compiled.n))
-        dists = np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
-        assert g[0] == pytest.approx(soft_max(margin - dists, 1.0), rel=1e-12)
-        vals[margin] = g[0]
-    assert vals[0.3] == pytest.approx(vals[0.0] + 0.3, rel=1e-12)
+        assert hard <= g[0] <= hard + tau * np.log(6) + 1e-12
 
 
 # -- joint clearance ---------------------------------------------------------
@@ -214,18 +191,18 @@ def test_collision_margin_shifts_value(observed):
 
 def test_clearance_algebra(model, observed):
     """The clearance row is the soft maximum over the steps of d^2 minus the
-    squared planar base distance; at tau = 1 every step weighs in."""
+    squared planar base distance."""
     d = 0.5
     rng = np.random.default_rng(8)
-    for temperature in (None, 1.0):
-        spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d, temperature=temperature)
-        problem = base_problem(observed, steps=3, constraints=[spec])
-        compiled = obj.compile_problem(problem, model=model)
+    spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d)
+    problem = base_problem(observed, steps=3, constraints=[spec])
+    compiled = obj.compile_problem(problem, model=model)
+    for trial in range(2):
         _, g, _, ev = compiled.evaluate(0.05 * rng.normal(size=compiled.n))
         human, robot = compiled.trajectories(ev)
         values = d * d - np.sum((human[:, :2] - robot[:, :2]) ** 2, axis=1)
         assert g.shape == (1,)
-        assert g[0] == pytest.approx(soft_max(values, spec.default_temperature()), rel=1e-12)
+        assert g[0] == pytest.approx(soft_max(values, obj.SOFT_MAX_TEMPERATURE), rel=1e-12)
 
 
 def test_clearance_agents_two_d_apart():
@@ -239,12 +216,11 @@ def test_clearance_agents_two_d_apart():
     robot = np.zeros((H, 7))
     spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d)
     problem = obj.ProblemSpec(
-        horizon=H, constraints=[spec], optimize_human=False, fixed_human=human,
-        robot_initial=np.zeros(7), optimize_robot=True,
+        horizon=H, constraints=[spec], fixed_human=human, robot_initial=np.zeros(7),
     )
     compiled = obj.compile_problem(problem)
     _, g, _, _ = compiled.evaluate(np.zeros(compiled.n))
-    tau = spec.default_temperature()
+    tau = obj.SOFT_MAX_TEMPERATURE
     assert g[0] == pytest.approx(soft_max(np.full(H, -3 * d * d), tau), rel=1e-12)
     assert g[0] == pytest.approx(-3 * d * d + tau * np.log(H), rel=1e-12)
 
@@ -252,15 +228,15 @@ def test_clearance_agents_two_d_apart():
 # -- joint goal --------------------------------------------------------------
 
 
-def hard_min_hand_distances(human, robot, target, spec):
+def hard_min_hand_distances(human, robot, target):
     dists = []
     for t in range(len(human)):
         pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[t], "rWrist")
-        p = pos + R @ np.asarray(spec.palm_offset_human)
+        p = pos + R @ np.asarray(obj.HUMAN_PALM_OFFSET)
         dists.append(np.sum((p - target) ** 2))
     for t in range(len(robot)):
         pos, R = robot_fk(DEFAULT_ROBOT, robot[t], "hand")
-        p = pos + R @ np.asarray(spec.palm_offset_robot)
+        p = pos + R @ np.asarray(obj.ROBOT_PALM_OFFSET)
         dists.append(np.sum((p - target) ** 2))
     return float(np.min(dists))
 
@@ -268,24 +244,25 @@ def hard_min_hand_distances(human, robot, target, spec):
 def test_joint_goal_approximates_hard_min(model, observed):
     rng = np.random.default_rng(4)
     target = (0.8, -1.0, 0.8)
-    spec = obj.ConstraintSpec(kind="joint_goal", target=target, temperature=0.002)
+    spec = obj.ConstraintSpec(kind="joint_goal", target=target)
     problem = base_problem(observed, steps=4, constraints=[spec])
     compiled = obj.compile_problem(problem, model=model)
+    tau = obj.JOINT_GOAL_TEMPERATURE
     for _ in range(3):
         theta = rng_theta(compiled, rng, scale=0.05)
         _, _, h, ev = compiled.evaluate(theta)
         human, robot = compiled.trajectories(ev)
-        hard = hard_min_hand_distances(human, robot, np.asarray(target), spec)
+        hard = hard_min_hand_distances(human, robot, np.asarray(target))
         assert h[0] <= hard + 1e-12
-        assert h[0] >= hard - 0.002 * np.log(2 * 4) - 1e-12
+        assert h[0] >= hard - tau * np.log(2 * 4) - 1e-12
 
 
 def test_joint_goal_small_when_hand_on_target(model, observed):
     pred = hm.predict(model, observed, horizon=4)
     pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[2], "rWrist")
-    target = tuple(pos + R @ np.asarray(obj.DEFAULT_HUMAN_PALM_OFFSET))
-    tau = 0.05
-    spec = obj.ConstraintSpec(kind="joint_goal", target=target, temperature=tau)
+    target = tuple(pos + R @ np.asarray(obj.HUMAN_PALM_OFFSET))
+    tau = obj.JOINT_GOAL_TEMPERATURE
+    spec = obj.ConstraintSpec(kind="joint_goal", target=target)
     problem = base_problem(observed, steps=4, constraints=[spec])
     compiled = obj.compile_problem(problem, model=model)
     _, _, h, _ = compiled.evaluate(np.zeros(compiled.n))
@@ -311,43 +288,35 @@ def frozen_pair_problem(face_to_face=True):
 def test_handover_same_heading_facing_residual_two():
     human, robot = frozen_pair_problem(face_to_face=False)
     spec = obj.ConstraintSpec(kind="handover")
-    problem = obj.ProblemSpec(horizon=3, constraints=[spec], optimize_human=False,
-                              fixed_human=human, robot_initial=robot[0],
-                              optimize_robot=True)
+    problem = obj.ProblemSpec(horizon=3, constraints=[spec], fixed_human=human,
+                              robot_initial=robot[0])
     compiled = obj.compile_problem(problem)
     _, _, h, ev = compiled.evaluate(np.zeros(compiled.n))
     hu, ro = compiled.trajectories(ev)
     ph, Rh = forward_kinematics(DEFAULT_HUMAN_SKELETON, hu[-1], "rWrist")
-    ph = ph + Rh @ np.asarray(obj.DEFAULT_HUMAN_PALM_OFFSET)
+    ph = ph + Rh @ np.asarray(obj.HUMAN_PALM_OFFSET)
     pr, Rr = robot_fk(DEFAULT_ROBOT, ro[-1], "hand")
-    pr = pr + Rr @ np.asarray(obj.DEFAULT_ROBOT_PALM_OFFSET)
+    pr = pr + Rr @ np.asarray(obj.ROBOT_PALM_OFFSET)
     expected = float(np.sum((ph - pr) ** 2)) + 2.0
     assert h[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_handover_face_to_face_palms_touching_is_zero():
     human, robot = frozen_pair_problem(face_to_face=True)
-    # choose the robot x so the palm points coincide; solve for hand positions
+    # move the robot base in the plane and the human up or down so the palm
+    # points coincide
     ph, Rh = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[-1], "rWrist")
-    palm_h = ph + Rh @ np.asarray(obj.DEFAULT_HUMAN_PALM_OFFSET)
+    palm_h = ph + Rh @ np.asarray(obj.HUMAN_PALM_OFFSET)
     pr, Rr = robot_fk(DEFAULT_ROBOT, np.zeros(7), "hand")
-    palm_r0 = pr + Rr @ np.asarray(obj.DEFAULT_ROBOT_PALM_OFFSET)
+    palm_r0 = pr + Rr @ np.asarray(obj.ROBOT_PALM_OFFSET)
     shift = palm_h - palm_r0
-    spec = obj.ConstraintSpec(
-        kind="handover",
-        palm_offset_human=obj.DEFAULT_HUMAN_PALM_OFFSET,
-        palm_offset_robot=(
-            obj.DEFAULT_ROBOT_PALM_OFFSET[0],
-            obj.DEFAULT_ROBOT_PALM_OFFSET[1],
-            obj.DEFAULT_ROBOT_PALM_OFFSET[2] + shift[2],
-        ),
-    )
+    human[:, 2] -= shift[2]
+    spec = obj.ConstraintSpec(kind="handover")
     robot = np.zeros((3, 7))
     robot[:, 0] = shift[0]
     robot[:, 1] = shift[1]
-    problem = obj.ProblemSpec(horizon=3, constraints=[spec], optimize_human=False,
-                              fixed_human=human, robot_initial=robot[0],
-                              optimize_robot=True)
+    problem = obj.ProblemSpec(horizon=3, constraints=[spec], fixed_human=human,
+                              robot_initial=robot[0])
     compiled = obj.compile_problem(problem)
     _, _, h, _ = compiled.evaluate(np.zeros(compiled.n))
     assert h[0] == pytest.approx(0.0, abs=1e-12)
@@ -446,13 +415,12 @@ def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
                                target=tuple(tg["wrist"])),
             obj.ConstraintSpec(kind="goal", agent="robot", link="hand",
                                target=tuple(tg["hand"])),
-            # at tau = 1 every step's clearance weighs in
-            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, temperature=1.0),
+            obj.ConstraintSpec(kind="joint_clearance", clearance=0.5),
             obj.ConstraintSpec(kind="joint_goal", target=tuple(tg["pick"])),
             obj.ConstraintSpec(kind="handover"),
         ]
-        problem = obj.ProblemSpec(horizon=len(h), constraints=constraints,
-                                  optimize_human=False, fixed_human=h, robot_initial=r)
+        problem = obj.ProblemSpec(horizon=len(h), constraints=constraints, fixed_human=h,
+                                  robot_initial=r)
         _, g, eq, _ = obj.compile_problem(problem).evaluate(theta)
         values.append(np.concatenate([g, eq]))
     assert np.allclose(values[1], values[0], rtol=0, atol=1e-9)
@@ -565,11 +533,10 @@ def test_problem_file_round_trip(tmp_path, observed):
     constraints = [
         obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                            target=(0.1234567890123, -1.0, 0.85)),
-        obj.ConstraintSpec(kind="joint_clearance", clearance=0.5, temperature=0.02),
+        obj.ConstraintSpec(kind="joint_clearance", clearance=0.5),
     ]
     problem = base_problem(observed, steps=5, constraints=constraints, scene=scene,
                            weights=obj.ObjectiveWeights(weight_human=100.0, weight_robot=1.0))
-    problem.model_path = "model.weights"
     path = tmp_path / "problem.json"
     obj.save_problem(problem, path)
     loaded = obj.load_problem(path)
@@ -577,7 +544,6 @@ def test_problem_file_round_trip(tmp_path, observed):
     assert loaded.weights == problem.weights
     assert loaded.constraints == problem.constraints
     assert loaded.scene == problem.scene
-    assert loaded.model_path == "model.weights"
     assert np.array_equal(loaded.observed_human, problem.observed_human)
     assert np.array_equal(loaded.robot_initial, problem.robot_initial)
     # exact round trip: saving again yields an identical file, here and on a
@@ -585,11 +551,13 @@ def test_problem_file_round_trip(tmp_path, observed):
     path2 = tmp_path / "problem2.json"
     obj.save_problem(loaded, path2)
     assert path.read_text() == path2.read_text()
-    # older files list their "agents", which nothing reads
+    # a top-level key that names no ProblemSpec field, such as the "agents"
+    # of older files, is an error
     doc = json.loads(path.read_text())
     assert "agents" not in doc
     path2.write_text(json.dumps({**doc, "agents": ["human", "robot"]}))
-    assert obj.load_problem(path2).constraints == problem.constraints
+    with pytest.raises(obj.ProblemError, match="unknown key 'agents'"):
+        obj.load_problem(path2)
     for problem in (scenarios.make_reach_problems(1, 1)[0].problem,
                     scenarios.make_crossing_problems(1, 1)[0].problem,
                     scenarios.make_handover_problems(1, 1)[0].problem,
@@ -597,6 +565,62 @@ def test_problem_file_round_trip(tmp_path, observed):
         obj.save_problem(problem, path)
         obj.save_problem(obj.load_problem(path), path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+_number = st.floats(-10.0, 10.0, allow_nan=False)
+_point = st.tuples(_number, _number, _number)
+_agent = st.sampled_from(["human", "robot"])
+_constraint = st.one_of(
+    st.builds(obj.ConstraintSpec, kind=st.just("goal"), agent=_agent,
+              link=st.sampled_from(["rWrist", "base", "hand"]), target=_point),
+    st.builds(obj.ConstraintSpec, kind=st.just("collision"), agent=_agent),
+    st.builds(obj.ConstraintSpec, kind=st.just("joint_clearance"),
+              clearance=st.floats(1e-3, 2.0)),
+    st.builds(obj.ConstraintSpec, kind=st.just("joint_goal"), target=_point),
+    st.builds(obj.ConstraintSpec, kind=st.just("handover")),
+)
+# each agent is planned (its start, no frozen trajectory), frozen (a frozen
+# trajectory, with or without a start) or absent (neither)
+_ROLES = ("planned", "frozen", "frozen with start", "absent")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(human=st.sampled_from(_ROLES), robot=st.sampled_from(_ROLES),
+       constraints=st.lists(_constraint, max_size=6), steps=st.integers(1, 4),
+       observed=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       with_scene=st.booleans(),
+       weights=st.builds(obj.ObjectiveWeights, st.floats(1e-3, 100.0),
+                         st.floats(1e-3, 100.0), st.floats(1e-3, 0.1), st.floats(0.0, 10.0)))
+def test_problem_file_round_trip_is_a_byte_fixed_point(human, robot, constraints, steps,
+                                                       observed, seed, with_scene, weights):
+    """save -> load -> save writes the same bytes, for random constraints of
+    every kind and every role of each agent, and the roles come back."""
+    rng = np.random.default_rng(seed)
+    has_start = human in ("planned", "frozen with start")
+    problem = obj.ProblemSpec(
+        horizon=steps + observed if has_start else steps,
+        weights=weights,
+        constraints=constraints,
+        observed_human=rng.normal(size=(observed, 129)) if has_start else None,
+        robot_initial=rng.normal(size=7) if robot in ("planned", "frozen with start") else None,
+        scene=small_scene() if with_scene else None,
+        fixed_human=rng.normal(size=(steps, 129)) if human.startswith("frozen") else None,
+        fixed_robot=rng.normal(size=(steps, 7)) if robot.startswith("frozen") else None,
+    )
+    assert problem.steps == steps
+    assert (problem.plans_human, problem.plans_robot) == (human == "planned", robot == "planned")
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = f"{tmp}/first.json", f"{tmp}/second.json"
+        obj.save_problem(problem, first)
+        loaded = obj.load_problem(first)
+        obj.save_problem(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert (loaded.plans_human, loaded.plans_robot) == (problem.plans_human, problem.plans_robot)
+    assert loaded.steps == steps and loaded.constraints == constraints
+    for name in ("observed_human", "robot_initial", "fixed_human", "fixed_robot"):
+        a, b = getattr(problem, name), getattr(loaded, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_constraint_spec_validation():
@@ -610,8 +634,7 @@ def test_constraint_spec_validation():
         obj.ObjectiveWeights(weight_human=0.0, weight_robot=0.0)
     with pytest.raises(obj.ProblemError, match="weight_robot"):
         obj.ObjectiveWeights(weight_robot="10")
-    for name, bad in (("margin", True), ("clearance", "0.5"), ("temperature", 0.0),
-                      ("palm_offset_robot", (0.1, 0.0))):
+    for name, bad in (("clearance", "0.5"), ("target", (0.1, 0.0))):
         with pytest.raises(obj.ProblemError, match=name):
             obj.ConstraintSpec(kind="collision", agent="robot", **{name: bad})
 
@@ -648,7 +671,7 @@ def test_planning_and_training_tapes_record_every_registered_op(monkeypatch):
         scenarios.make_handover_problems(1, 1)[0].problem,
         scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem,
         scenarios.make_reach_problems(1, 1)[0].problem,
-        replace(crossing, optimize_human=False, fixed_human=frozen),
+        replace(crossing, fixed_human=frozen),
     ]
     tapes = [obj.compile_problem(p, model=model).tape for p in problems]
 

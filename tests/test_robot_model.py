@@ -1,7 +1,11 @@
 """Robot dynamics and kinematics tests."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comotion import robot_model as rm
 from comotion import objectives as obj
@@ -180,7 +184,7 @@ def test_fk_graph_gradient():
     rng = np.random.default_rng(5)
     for s in (rng.normal(size=7), rng.normal(size=(4, 7))):
         d = rng.normal(size=s.shape[:-1] + (3,))
-        for link, tip in (("hand", obj.DEFAULT_ROBOT_PALM_OFFSET), ("elbow", (0.0, 0.0, 0.0))):
+        for link, tip in (("hand", obj.ROBOT_PALM_OFFSET), ("elbow", (0.0, 0.0, 0.0))):
             chain = rm.DEFAULT_ROBOT.kinematic_chain(link, tip)
 
             def f(t, r):
@@ -208,6 +212,35 @@ def test_robot_config_round_trip(tmp_path):
     path = tmp_path / "robot.json"
     rm.save_robot(rm.DEFAULT_ROBOT, path)
     assert rm.load_robot(path) == rm.DEFAULT_ROBOT
+
+
+_number = st.floats(-10.0, 10.0, allow_nan=False)
+_vector = st.tuples(_number, _number, _number)
+_link = st.builds(rm.ChainLink, st.text(min_size=1, max_size=6), _vector,
+                  st.none() | _vector.filter(any))
+
+
+@st.composite
+def robot_configs(draw):
+    chain = draw(st.lists(_link, min_size=1, max_size=5, unique_by=lambda l: l.name))
+    bound = st.floats(1e-3, 1.0, allow_nan=False)
+    return rm.RobotConfig(tuple(chain), draw(st.sampled_from([l.name for l in chain])),
+                          draw(bound), draw(bound), draw(bound))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(config=robot_configs())
+def test_robot_file_round_trip_is_a_byte_fixed_point(config):
+    """save -> load gives the config back, and saving it again writes the
+    same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = f"{tmp}/first.json", f"{tmp}/second.json"
+        rm.save_robot(config, first)
+        loaded = rm.load_robot(first)
+        rm.save_robot(loaded, second)
+        assert loaded == config
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_control_dims():

@@ -13,7 +13,7 @@ def test_reach_problems_goal_is_oracle_wrist():
     instances = sc.make_reach_problems(3, seed=0, observed_frames=10, prediction_frames=20)
     assert len(instances) == 3
     for inst in instances:
-        assert inst.problem.optimize_robot is False
+        assert inst.problem.plans_human and not inst.problem.plans_robot
         assert inst.ground_truth.shape == (20, 129)
         goal = np.asarray(inst.problem.constraints[0].target)
         wrist, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, inst.ground_truth[-1], "rWrist")

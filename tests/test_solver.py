@@ -316,7 +316,6 @@ def test_human_reach_problem_converges(tiny_model_setup):
         observed_human=observed,
         constraints=[obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                                         target=tuple(target))],
-        optimize_robot=False,
     )
     compiled = obj.compile_problem(problem, model=model)
     result = sv.solve_compiled(compiled, sv.SolverConfig(max_rounds=6, max_inner=40))
