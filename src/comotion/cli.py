@@ -7,7 +7,9 @@ temp-file-plus-rename so partial outputs never clobber good ones.
 
 ``plan`` and ``evaluate`` solve through the same ``evaluation.evaluate_problem``
 call: ``plan``'s ``result.json`` is the row ``evaluate`` writes to
-``records.jsonl``, plus ``kind``, ``partial`` and ``controls``.
+``records.jsonl``, plus ``kind``, ``partial`` and ``controls``.  Both plan for
+the one robot, ``robot_model.DEFAULT_ROBOT``, and score each problem as the
+experiment kind its constraints describe (``evaluation.default_kind``).
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure, 4 internal
 bug.  The only environment override is COMOTION_OUT for the default output
@@ -36,8 +38,7 @@ from . import human_model as hm
 from . import objectives as obj
 from .environment import SceneError, build_sdf, save_sdf
 from .kinematics import KinematicsError
-from .robot_model import (DEFAULT_ROBOT, RobotError, load_robot, load_robot_trajectory,
-                          save_robot_trajectory)
+from .robot_model import RobotError, load_robot_trajectory, save_robot_trajectory
 from .solver import SolverConfig
 
 
@@ -140,8 +141,11 @@ def _model_for(problem: obj.ProblemSpec, method: str, weights):
     return _MODEL_CACHE[weights]
 
 
-def _robot_config(path):
-    return load_robot(_require(path, "robot config")) if path else DEFAULT_ROBOT
+def _sample_config(args) -> ev.SampleConfig:
+    try:
+        return ev.SampleConfig(num_samples=args.samples)
+    except ev.EvaluationError as exc:
+        raise UsageError(f"--samples: {exc}") from None
 
 
 def _solver_config(args) -> SolverConfig:
@@ -254,19 +258,17 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(problem, problem_id, method, weights, robot, kind, seed,
-              solver_config, samples) -> ev.ExperimentRecord:
-    """The one solve path of ``plan``, ``evaluate`` and the alpha sweep;
-    ``robot`` is the loaded robot config."""
+def _evaluate(problem, problem_id, method, weights, seed, solver_config,
+              sample_config) -> ev.ExperimentRecord:
+    """The one solve path of ``plan``, ``evaluate`` and the alpha sweep,
+    scored as the problem's ``default_kind``."""
     return ev.evaluate_problem(
         problem,
         method,
         _model_for(problem, method, weights),
         problem_id=problem_id,
-        kind=kind,
-        robot=robot,
         solver_config=solver_config,
-        sample_config=ev.SampleConfig(num_samples=samples),
+        sample_config=sample_config,
         seed=seed,
     )
 
@@ -275,25 +277,20 @@ def cmd_plan(args) -> int:
     problem_path = _require(args.problem, "problem file")
     problem = obj.load_problem(problem_path)
     solver_config = _solver_config(args)
+    sample_config = _sample_config(args)
     if args.method not in ev.METHODS:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
     _model_for(problem, args.method, args.weights)  # read every input before the first write
-    robot = _robot_config(args.robot)
-    try:
-        obj.check_robot_initial(problem, robot)
-    except obj.ProblemError as exc:
-        raise obj.ProblemError(f"{problem_path}: {exc}") from None
     out = _out_dir(args)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:
         obj.save_problem(problem, tmp)
 
-    kind = args.kind or ev.default_kind(problem)
     record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
-                       robot, kind, args.seed, solver_config, args.samples)
+                       args.seed, solver_config, sample_config)
     result = record.result
     doc = record.row()
-    doc["kind"] = kind
+    doc["kind"] = ev.default_kind(problem)
     doc["partial"] = result.solver_status == "numeric-failure"
     if result.controls is not None:
         doc["controls"] = [[float(v) for v in row] for row in result.controls]
@@ -356,19 +353,20 @@ def cmd_evaluate(args) -> int:
     if not paths:
         raise UsageError("empty problem batch")
     solver_config = _solver_config(args)
+    sample_config = _sample_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
-    robot = _robot_config(args.robot)
+    alphas = _alphas(args.alpha_sweep) if args.alpha_sweep else None
     out = _out_dir(args)
     _write_manifest(out, args, extra={"problems": paths})
 
-    if args.alpha_sweep:
-        return _alpha_sweep(args, paths, out, solver_config, robot)
+    if alphas:
+        return _alpha_sweep(args, paths, out, alphas, solver_config, sample_config)
 
     tasks = [
-        (p, m, args.weights, robot, args.kind, args.seed, solver_config, args.samples)
+        (p, m, args.weights, args.seed, solver_config, sample_config)
         for p in paths
         for m in methods
     ]
@@ -393,8 +391,19 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _alpha_sweep(args, paths, out, solver_config, robot) -> int:
-    alphas = _numbers(args.alpha_sweep, "--alpha-sweep", float)
+def _alphas(text: str) -> tuple:
+    """The robot weights given to ``--alpha-sweep``, each one checked as an
+    ``ObjectiveWeights`` field."""
+    alphas = _numbers(text, "--alpha-sweep", float)
+    for alpha in alphas:
+        try:
+            obj.ObjectiveWeights(weight_robot=alpha)
+        except obj.ProblemError as exc:
+            raise UsageError(f"--alpha-sweep: {exc}") from None
+    return alphas
+
+
+def _alpha_sweep(args, paths, out, alphas, solver_config, sample_config) -> int:
     lines = []
     for alpha in alphas:
         rows = []
@@ -402,8 +411,7 @@ def _alpha_sweep(args, paths, out, solver_config, robot) -> int:
             problem = obj.load_problem(p)
             problem = replace(problem, weights=replace(problem.weights, weight_robot=alpha))
             rows.append(_evaluate(problem, os.path.basename(p), "ours", args.weights,
-                                  robot, args.kind, args.seed, solver_config,
-                                  args.samples).row())
+                                  args.seed, solver_config, sample_config).row())
         doc = {
             "weight_robot": alpha,
             "median_travel_human": float(np.median([r["travel_human"] for r in rows])),
@@ -532,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve one planning problem")
     p.add_argument("--problem", required=False)
     p.add_argument("--weights", default=None)
-    p.add_argument("--robot", default=None)
     p.add_argument("--method", default="ours")
-    p.add_argument("--kind", default=None, choices=[None, *ev.KINDS])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
@@ -545,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", nargs="+", required=False, default=[])
     p.add_argument("--methods", default="ours")
     p.add_argument("--weights", default=None)
-    p.add_argument("--robot", default=None)
-    p.add_argument("--kind", default=None, choices=[None, *ev.KINDS])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--alpha-sweep", default=None,
                    help="comma-separated robot weights; runs ours per value")

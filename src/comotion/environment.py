@@ -33,7 +33,7 @@ class Rect:
         for name in ("center", "half_extents"):
             value = getattr(self, name)
             if not is_numbers(value, 2):
-                raise SceneError(f"rectangle {name} must be 2 numbers, got {value!r}")
+                raise SceneError(f"rectangle {name} must be 2 finite numbers, got {value!r}")
         if min(self.half_extents) <= 0:
             raise SceneError("rectangle half-extents must be positive")
 
@@ -45,9 +45,9 @@ class Disc:
 
     def __post_init__(self):
         if not is_numbers(self.center, 2):
-            raise SceneError(f"disc center must be 2 numbers, got {self.center!r}")
+            raise SceneError(f"disc center must be 2 finite numbers, got {self.center!r}")
         if not is_number(self.radius):
-            raise SceneError(f"disc radius must be a number, got {self.radius!r}")
+            raise SceneError(f"disc radius must be a finite number, got {self.radius!r}")
         if self.radius <= 0:
             raise SceneError("disc radius must be positive")
 

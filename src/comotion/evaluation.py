@@ -84,7 +84,7 @@ class SampleConfig:
 
     def __post_init__(self):
         if self.num_samples < 1:
-            raise EvaluationError("need at least one sample")
+            raise EvaluationError(f"num_samples must be at least 1, got {self.num_samples}")
         if self.noise_variance is not None and self.noise_variance <= 0:
             raise EvaluationError("noise variance must be positive")
         if self.ranking not in (None, "distance_to_goal", "handover_loss"):
@@ -126,16 +126,16 @@ def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int
     return np.moveaxis(states, 2, 0)
 
 
-def _palms(agent: str, states, robot=DEFAULT_ROBOT) -> np.ndarray:
+def _palms(agent: str, states) -> np.ndarray:
     """Palm points, (3,) for one state or (N, 3) for a batch."""
     if agent == "human":
         pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, states, HUMAN_HAND_LINK)
         return pos + R @ np.asarray(HUMAN_PALM_OFFSET)
-    pos, R = robot_fk(robot, states, robot.hand_link)
+    pos, R = robot_fk(DEFAULT_ROBOT, states, DEFAULT_ROBOT.hand_link)
     return pos + R @ np.asarray(ROBOT_PALM_OFFSET)
 
 
-def handover_loss(human_states, robot_state, robot=DEFAULT_ROBOT):
+def handover_loss(human_states, robot_state):
     """Hard handover residual: palm distance squared plus the facing term.
 
     A float for one human state, an (N,) array for a batch of them.  The
@@ -144,7 +144,7 @@ def handover_loss(human_states, robot_state, robot=DEFAULT_ROBOT):
     """
     human_states = np.asarray(human_states, dtype=np.float64)
     ph = _palms("human", human_states)
-    pr = _palms("robot", robot_state, robot)
+    pr = _palms("robot", robot_state)
     xy = human_states[..., 3:5]
     hh = xy / np.sqrt(np.sum(xy * xy, axis=-1, keepdims=True) + NORM_EPS)
     th = robot_state[2]
@@ -152,8 +152,7 @@ def handover_loss(human_states, robot_state, robot=DEFAULT_ROBOT):
     return float(loss) if human_states.ndim == 1 else loss
 
 
-def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
-                     robot=DEFAULT_ROBOT):
+def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec):
     """Order sample indices by the configured heuristic, best first."""
     ranking = config.ranking if config.ranking is not None else default_ranking(problem)
     finals = np.stack([s[-1] for s in samples])
@@ -166,7 +165,7 @@ def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec,
     else:
         if _find(problem, "handover") is None:
             raise EvaluationError("handover_loss ranking needs a handover constraint")
-        scores = handover_loss(finals, np.asarray(problem.robot_initial), robot)
+        scores = handover_loss(finals, np.asarray(problem.robot_initial))
     return list(np.argsort(scores, kind="stable"))
 
 
@@ -232,14 +231,13 @@ def _single_agent_problem(problem: ProblemSpec, agent: str,
     return replace(problem, constraints=constraints, fixed_human=other_traj)
 
 
-def _solve_robot_against(problem, human_traj, robot, solver_config,
+def _solve_robot_against(problem, human_traj, solver_config,
                          compiled_cache=None) -> SolveResult:
     """Robot-only solve with the human frozen; caches the compiled tape."""
     if compiled_cache is not None and "compiled" in compiled_cache:
         return solve_compiled(compiled_cache["compiled"], solver_config,
                               extra_leaves={"fixed_h": human_traj.reshape(-1)})
-    compiled = compile_problem(_single_agent_problem(problem, "robot", human_traj),
-                               model=None, robot=robot)
+    compiled = compile_problem(_single_agent_problem(problem, "robot", human_traj))
     if compiled_cache is not None:
         compiled_cache["compiled"] = compiled
     return solve_compiled(compiled, solver_config)
@@ -259,7 +257,6 @@ def run_method(
     method: str,
     model: hm.ModelParams | None,
     *,
-    robot=DEFAULT_ROBOT,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
     kind: str | None = None,
@@ -278,7 +275,7 @@ def run_method(
     # its one solve is the joint solve
     if method in ("ours", "human_prio", "robot_prio") or (
             method in _SEQUENTIAL and not (problem.plans_human and problem.plans_robot)):
-        compiled = compile_problem(problem, model=model, robot=robot)
+        compiled = compile_problem(problem, model=model)
         return _solved(method, solve_compiled(compiled, solver_config))
 
     if method in ("initial", "zerovel"):
@@ -289,12 +286,12 @@ def run_method(
         )
         if not problem.plans_robot:  # no robot, or a frozen one: nothing to solve
             return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, "converged")
-        return _solved(method, _solve_robot_against(problem, human, robot, solver_config))
+        return _solved(method, _solve_robot_against(problem, human, solver_config))
 
     if method == "sample":
         samples = sample_predictions(model, problem.observed_human, steps,
                                      sample_config, seed)
-        order = rank_predictions(samples, sample_config, problem, robot)
+        order = rank_predictions(samples, sample_config, problem)
         if not problem.plans_robot:
             return MethodResult(method, samples[order[0]], problem.fixed_robot, None, None, 0.0,
                                 "converged", details={"attempts": 0, "picked": int(order[0])})
@@ -302,11 +299,11 @@ def run_method(
         cache: dict = {}
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
-            res = _solve_robot_against(problem, samples[idx], robot, solver_config,
+            res = _solve_robot_against(problem, samples[idx], solver_config,
                                        compiled_cache=cache)
             candidate = _solved(method, res, attempts=attempt, picked=int(idx),
                                 succeeded=True)
-            ok, _ = check_success(problem, candidate, kind, robot=robot)
+            ok, _ = check_success(problem, candidate, kind)
             if ok:
                 return candidate
             if top_ranked is None:
@@ -321,7 +318,7 @@ def run_method(
     for agent in (first, _OTHER[first]):
         sub = _single_agent_problem(problem, agent, frozen)
         res = solve_compiled(
-            compile_problem(sub, model=model if agent == "human" else None, robot=robot),
+            compile_problem(sub, model=model if agent == "human" else None),
             solver_config,
         )
         solved[agent] = res
@@ -501,8 +498,7 @@ def min_clearance(human_xy: np.ndarray, robot_xy: np.ndarray, factor: int) -> fl
     return float(np.min(np.linalg.norm(dh - dr, axis=1)))
 
 
-def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj,
-                          robot=DEFAULT_ROBOT):
+def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj):
     """Hard minimum of the pickup distances: which agent, when, how close."""
     spec = _find(problem, "joint_goal")
     if spec is None:
@@ -510,15 +506,15 @@ def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj,
     target = np.asarray(spec.target)
     best = None
     for agent, traj in (("human", human_traj), ("robot", robot_traj)):
-        d = np.sum((_palms(agent, traj, robot) - target) ** 2, axis=1)
+        d = np.sum((_palms(agent, traj) - target) ** 2, axis=1)
         t = int(np.argmin(d))
         if best is None or d[t] < best[2]:
             best = (agent, t, float(d[t]))
     return best
 
 
-def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
-                  robot=DEFAULT_ROBOT) -> tuple[bool, list[str]]:
+def check_success(problem: ProblemSpec, result: MethodResult,
+                  kind: str) -> tuple[bool, list[str]]:
     """Threshold conjunction for one experiment kind; reasons name failures.
 
     * ``goal``: the human hand ends within 0.1 m of its goal.
@@ -575,13 +571,13 @@ def check_success(problem: ProblemSpec, result: MethodResult, kind: str,
         if rob is not None:
             scene_clear(rob[:, :2], "robot")
         if _find(problem, "handover") is not None and human is not None and rob is not None:
-            loss = handover_loss(human[-1], rob[-1], robot)
+            loss = handover_loss(human[-1], rob[-1])
             if loss > HANDOVER_LOSS_MAX:
                 reasons.append("handover-loss")
         if result.objective > OBJECTIVE_MAX:
             reasons.append("objective")
     if kind == "pickup_handover":
-        diag = joint_goal_diagnostic(problem, human, rob, robot)
+        diag = joint_goal_diagnostic(problem, human, rob)
         if diag[2] > HAND_GOAL_MAX ** 2:
             reasons.append("pickup-goal")
     return (not reasons, reasons)
@@ -626,7 +622,6 @@ def evaluate_problem(
     problem_id: str = "p0",
     kind: str | None = None,
     ground_truth: np.ndarray | None = None,
-    robot=DEFAULT_ROBOT,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
     seed: int = 0,
@@ -634,11 +629,10 @@ def evaluate_problem(
     """Run ``method`` and score it as an experiment of ``kind`` (``default_kind``)."""
     kind = kind or default_kind(problem)
     t0 = time.perf_counter()
-    result = run_method(problem, method, model, robot=robot,
-                        solver_config=solver_config, sample_config=sample_config,
-                        kind=kind, seed=seed)
+    result = run_method(problem, method, model, solver_config=solver_config,
+                        sample_config=sample_config, kind=kind, seed=seed)
     wall = time.perf_counter() - t0
-    ok, reasons = check_success(problem, result, kind, robot=robot)
+    ok, reasons = check_success(problem, result, kind)
     metrics = compute_metrics(
         result.human_traj,
         result.robot_traj,

@@ -41,7 +41,7 @@ from .environment import (
 from .graph import Evaluation, Ref, Tape, backward
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
 from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM
-from .robot_model import DEFAULT_ROBOT, RobotConfig, robot_unroll_graph
+from .robot_model import DEFAULT_ROBOT, robot_unroll_graph
 from .schema import from_doc, is_number, is_numbers
 
 SOFT_MAX_TEMPERATURE = 0.01  # m^2, soft maximum over timesteps
@@ -66,7 +66,7 @@ class ObjectiveWeights:
     def __post_init__(self):
         for name, value in vars(self).items():
             if not is_number(value):
-                raise ProblemError(f"{name} must be a number, got {value!r}")
+                raise ProblemError(f"{name} must be a finite number, got {value!r}")
         if self.weight_human < 0 or self.weight_robot < 0 or self.human_base_penalty < 0:
             raise ProblemError("weights must be non-negative")
         if self.weight_human == 0 and self.weight_robot == 0:
@@ -87,9 +87,9 @@ class ConstraintSpec:
         if self.kind not in CONSTRAINT_KINDS:
             raise ProblemError(f"unknown constraint kind {self.kind!r}")
         if self.clearance is not None and not is_number(self.clearance):
-            raise ProblemError(f"clearance must be a number, got {self.clearance!r}")
+            raise ProblemError(f"clearance must be a finite number, got {self.clearance!r}")
         if self.target is not None and not is_numbers(self.target, 3):
-            raise ProblemError(f"target must be 3 numbers, got {self.target!r}")
+            raise ProblemError(f"target must be 3 finite numbers, got {self.target!r}")
         if self.kind == "goal":
             if self.agent not in ("human", "robot"):
                 raise ProblemError("goal constraint needs an agent")
@@ -109,32 +109,50 @@ class ProblemSpec:
     """One planning instance.  ``horizon`` counts total frames including the
     observed history; constraints act on the H = horizon - k predicted steps.
     Which arrays are present decides each agent's role: see ``plans_human``
-    and ``plans_robot``."""
+    and ``plans_robot``.  The robot is ``DEFAULT_ROBOT``.
+
+    Construction checks that at least one step is left to plan, and every
+    array that is present: its shape and that each entry is finite.  This is
+    the one check of a problem's arrays."""
 
     horizon: int
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     constraints: list = field(default_factory=list)
     observed_human: np.ndarray | None = None  # (k, 129)
-    robot_initial: np.ndarray | None = None
+    robot_initial: np.ndarray | None = None  # (state_dim,)
     scene: Scene | None = None
     fixed_human: np.ndarray | None = None  # (H, 129) when the human is frozen
     fixed_robot: np.ndarray | None = None  # (H, state_dim) when the robot is frozen
 
     def __post_init__(self):
-        if self.observed_human is not None:
-            self.observed_human = np.asarray(self.observed_human, dtype=np.float64)
-            if self.observed_human.ndim != 2 or self.observed_human.shape[1] != STATE_DIM:
-                raise ProblemError(f"observed history must be (k, {STATE_DIM})")
-            if self.observed_human.shape[0] < 2:
-                raise ProblemError("need at least 2 observed frames")
-            if self.horizon <= self.observed_human.shape[0]:
+        for name in ("observed_human", "robot_initial", "fixed_human", "fixed_robot"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=np.float64)
+                if not np.isfinite(value).all():
+                    raise ProblemError(f"{name} has an entry that is not a finite number")
+                setattr(self, name, value)
+        observed = self.observed_human
+        if observed is not None:
+            if observed.ndim != 2 or observed.shape[1] != STATE_DIM:
+                raise ProblemError(f"observed_human must have shape (k, {STATE_DIM}), "
+                                   f"got {observed.shape}")
+            if observed.shape[0] < 2:
+                raise ProblemError("observed_human needs at least 2 frames")
+            if self.horizon <= observed.shape[0]:
                 raise ProblemError("horizon must exceed the observed history")
-        if self.robot_initial is not None:
-            self.robot_initial = np.asarray(self.robot_initial, dtype=np.float64)
-        if self.fixed_human is not None:
-            self.fixed_human = np.asarray(self.fixed_human, dtype=np.float64)
-        if self.fixed_robot is not None:
-            self.fixed_robot = np.asarray(self.fixed_robot, dtype=np.float64)
+        if self.fixed_human is not None and self.fixed_human.ndim != 2:
+            raise ProblemError(f"fixed_human must have shape (steps, {STATE_DIM}), "
+                               f"got {self.fixed_human.shape}")
+        if self.steps < 1:
+            raise ProblemError(f"horizon leaves no timesteps to plan (steps = {self.steps})")
+        robot_dim = DEFAULT_ROBOT.state_dim
+        for name, shape in (("robot_initial", (robot_dim,)),
+                            ("fixed_human", (self.steps, STATE_DIM)),
+                            ("fixed_robot", (self.steps, robot_dim))):
+            value = getattr(self, name)
+            if value is not None and value.shape != shape:
+                raise ProblemError(f"{name} must have shape {shape}, got {value.shape}")
 
     @property
     def steps(self) -> int:
@@ -170,13 +188,12 @@ class GraphContext:
     ``human_traj``/``robot_traj`` are (H, dim) state trajectory refs, or None
     for an absent agent.  A point on a link is one ``link_point`` node, over
     one step's row or over the whole trajectory; base positions and headings
-    read state columns directly.  The human chain is
-    ``DEFAULT_HUMAN_SKELETON``'s.
+    read state columns directly.  The chains are ``DEFAULT_HUMAN_SKELETON``'s
+    and ``DEFAULT_ROBOT``'s.
     """
 
-    def __init__(self, tape, robot_config, human_traj, robot_traj, sdf):
+    def __init__(self, tape, human_traj, robot_traj, sdf):
         self.tape = tape
-        self.robot_config = robot_config
         self.sdf = sdf
         self._traj = {"human": human_traj, "robot": robot_traj}
 
@@ -200,7 +217,7 @@ class GraphContext:
         if agent == "human":
             chain = DEFAULT_HUMAN_SKELETON.kinematic_chain(link, offset)
         else:
-            chain = self.robot_config.kinematic_chain(link, offset)
+            chain = DEFAULT_ROBOT.kinematic_chain(link, offset)
         return self.tape.link_point(self._states(agent, t), chain)
 
     def palm_point(self, agent: str, t: int | None = None) -> Ref:
@@ -208,7 +225,7 @@ class GraphContext:
         (H, 3) over every step when ``t`` is None."""
         if agent == "human":
             return self.point(agent, HUMAN_HAND_LINK, HUMAN_PALM_OFFSET, t)
-        return self.point(agent, self.robot_config.hand_link, ROBOT_PALM_OFFSET, t)
+        return self.point(agent, DEFAULT_ROBOT.hand_link, ROBOT_PALM_OFFSET, t)
 
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
@@ -402,25 +419,9 @@ class CompiledProblem:
                      for traj in (self.human_traj, self.robot_traj))
 
 
-def check_robot_initial(problem: ProblemSpec, robot: RobotConfig) -> None:
-    """The robot's start state, where the problem has one, fits ``robot``."""
-    start = problem.robot_initial
-    if start is not None and start.shape != (robot.state_dim,):
-        raise ProblemError(f"robot_initial must have {robot.state_dim} values for this robot, "
-                           f"got shape {start.shape}")
-
-
-def compile_problem(
-    problem: ProblemSpec,
-    model: ModelParams | None = None,
-    robot: RobotConfig | None = None,
-) -> CompiledProblem:
+def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> CompiledProblem:
     """Record the whole planning problem on a fresh tape at zero controls."""
     steps = problem.steps
-    if steps < 1:
-        raise ProblemError("no timesteps to plan")
-    robot = robot if robot is not None else DEFAULT_ROBOT
-    check_robot_initial(problem, robot)
     sdf = None if problem.scene is None else build_sdf(problem.scene, DEFAULT_RESOLUTION)
 
     tape = Tape()
@@ -440,8 +441,6 @@ def compile_problem(
         upper_parts.append(np.full(dim, np.inf))
         human_traj = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
     elif problem.fixed_human is not None:
-        if len(problem.fixed_human) != steps:
-            raise ProblemError("frozen human trajectory length must match the horizon")
         # a leaf (not a decision variable) so the same tape replays against
         # other frozen trajectories, e.g. across prediction samples
         flat = tape.leaf("fixed_h", problem.fixed_human.reshape(-1))
@@ -450,28 +449,26 @@ def compile_problem(
     robot_traj = None
     controls = None
     if problem.plans_robot:
-        cdim = robot.control_dim
+        cdim = DEFAULT_ROBOT.control_dim
         dim = steps * cdim
         controls = tape.leaf("u_r", np.zeros(dim))
         leaf_dims["u_r"] = dim
-        bounds = np.tile(robot.control_bounds(), steps)
+        bounds = np.tile(DEFAULT_ROBOT.control_bounds(), steps)
         lower_parts.append(-bounds)
         upper_parts.append(bounds)
         robot_traj = robot_unroll_graph(tape, problem.robot_initial, controls, steps,
-                                        robot.state_dim)
+                                        DEFAULT_ROBOT.state_dim)
     elif problem.fixed_robot is not None:
-        if len(problem.fixed_robot) != steps:
-            raise ProblemError("frozen robot trajectory length must match the horizon")
         flat = tape.leaf("fixed_r", problem.fixed_robot.reshape(-1))
         robot_traj = tape.reshape(flat, problem.fixed_robot.shape)
 
     if not leaf_dims:
         raise ProblemError("nothing to optimize: no free agent")
 
-    ctx = GraphContext(tape, robot, human_traj, robot_traj, sdf)
+    ctx = GraphContext(tape, human_traj, robot_traj, sdf)
 
     objective = control_objective_graph(
-        tape, problem.weights, modifiers, controls, steps, robot.control_dim
+        tape, problem.weights, modifiers, controls, steps, DEFAULT_ROBOT.control_dim
     )
     if problem.weights.human_base_penalty > 0 and human_traj is not None:
         pen = human_base_penalty_graph(

@@ -5,21 +5,20 @@ arm.  Its state is ``[x, y, heading, q_1..q_J]`` and one control step holds a
 forward displacement, an angular displacement and per-joint displacements
 (displacements per step; the frame time only enters metrics).
 
-The default platform is a stand-in: a 4-joint right arm on a wheeled base,
-with a configurable hand offset.  Chains are loadable from JSON so other
-geometries can be swapped in.
+The platform is a stand-in: a 4-joint right arm on a wheeled base, described
+once by ``DEFAULT_ROBOT``.  Planning and scoring use that one robot; another
+geometry means editing that constant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import Chain, chain_fk
 from .graph import Ref, Tape, unicycle_rollout
-from .schema import from_doc, is_numbers
 
 
 class RobotError(ValueError):
@@ -35,13 +34,6 @@ class ChainLink:
     offset: tuple[float, float, float]
     axis: tuple[float, float, float] | None = None
 
-    def __post_init__(self):
-        if not is_numbers(self.offset, 3):
-            raise RobotError(f"link {self.name!r}: offset must be 3 numbers, got {self.offset!r}")
-        if self.axis is not None and not (is_numbers(self.axis, 3) and any(self.axis)):
-            raise RobotError(f"link {self.name!r}: axis must be None or 3 numbers, "
-                             f"not all zero, got {self.axis!r}")
-
 
 @dataclass(frozen=True)
 class RobotConfig:
@@ -50,10 +42,6 @@ class RobotConfig:
     max_forward_step: float = 0.15  # m per step
     max_turn_step: float = 0.3  # rad per step
     max_joint_step: float = 0.2  # rad per step
-
-    def __post_init__(self):
-        if self.hand_link not in {l.name for l in self.chain}:
-            raise RobotError(f"hand_link {self.hand_link!r} names no link of the chain")
 
     @property
     def num_joints(self) -> int:
@@ -103,49 +91,6 @@ DEFAULT_ROBOT = RobotConfig(
         ChainLink("hand", (0.10, 0.0, 0.0), None),
     )
 )
-
-
-def save_robot(config: RobotConfig, path) -> None:
-    doc = {
-        "format": "comotion-robot",
-        "version": 1,
-        "chain": [asdict(l) for l in config.chain],
-        "hand_link": config.hand_link,
-        "control_bounds": {
-            "forward": config.max_forward_step,
-            "turn": config.max_turn_step,
-            "joint": config.max_joint_step,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def load_robot(path) -> RobotConfig:
-    """Read a robot config file; a file that is not JSON, lacks a key, holds an
-    unknown chain-link key or a value of the wrong type is a ``RobotError``
-    naming ``path``."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise RobotError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "comotion-robot":
-        raise RobotError(f"{path}: not a robot config file")
-    try:
-        chain = tuple(from_doc(ChainLink, l, required=("axis",)) for l in doc["chain"])
-        b = doc.get("control_bounds", {})
-        return RobotConfig(
-            chain=chain,
-            hand_link=doc.get("hand_link", "hand"),
-            max_forward_step=float(b.get("forward", 0.15)),
-            max_turn_step=float(b.get("turn", 0.3)),
-            max_joint_step=float(b.get("joint", 0.2)),
-        )
-    except KeyError as exc:
-        raise RobotError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise RobotError(f"{path}: {exc}") from None
 
 
 def save_robot_trajectory(states: np.ndarray, path) -> None:

@@ -7,12 +7,14 @@ checks the values with :func:`is_number` and :func:`is_numbers`.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
 def is_number(v) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite real number that is not a bool.  Python's ``json`` reads
+    ``NaN``, ``Infinity`` and ``1e400``; none of them is a number here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def is_numbers(v, n: int) -> bool:

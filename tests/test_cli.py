@@ -9,7 +9,6 @@ import pytest
 from comotion import data as cd
 from comotion import human_model as hm
 from comotion import objectives as obj
-from comotion import robot_model as rm
 from comotion import scenarios
 from comotion.cli import main
 
@@ -196,7 +195,7 @@ def test_plan_unknown_method_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # rejected before any output is written
 
 
-@pytest.mark.parametrize("flag, value", [("--methods", "sorcery"), ("--kind", "colision")])
+@pytest.mark.parametrize("flag, value", [("--methods", "sorcery")])
 def test_evaluate_unknown_method_or_kind_exits_2_before_any_output(tmp_path, capsys, flag,
                                                                    value):
     path = toy_robot_problem(tmp_path)
@@ -226,41 +225,24 @@ def test_plan_bad_scene_exits_2(tmp_path, capsys, obstacle, named):
     assert named in capsys.readouterr().err
 
 
-def test_plan_bad_robot_file_exits_2(tmp_path, capsys):
-    path = toy_robot_problem(tmp_path)
-    robot = tmp_path / "robot.json"
-    robot.write_text(json.dumps({"format": "comotion-scene"}))
-    rc = main(["plan", "--problem", path, "--robot", str(robot), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert str(robot) in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("broken", ["problem weights", "weights frame_time", "constraint kind",
-                                    "rect half_extents", "robot offset", "robot axis"])
+                                    "rect half_extents"])
 def test_plan_missing_key_exits_2_naming_it(tmp_path, capsys, broken):
     path = toy_robot_problem(tmp_path)
     with open(path) as fh:
         doc = json.load(fh)
-    args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
     if broken == "problem weights":
         del doc["weights"]
     elif broken == "weights frame_time":
         del doc["weights"]["frame_time"]
     elif broken == "constraint kind":
         del doc["constraints"][0]["kind"]
-    elif broken == "rect half_extents":
+    else:
         doc["scene"] = {"bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
                         "obstacles": [{"kind": "rect", "center": [0.5, 0.5]}]}
-    else:
-        robot = tmp_path / "robot.json"
-        rm.save_robot(rm.DEFAULT_ROBOT, robot)
-        rdoc = json.loads(robot.read_text())
-        del rdoc["chain"][0][broken.split()[1]]
-        robot.write_text(json.dumps(rdoc))
-        args += ["--robot", str(robot)]
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    assert main(args) == 2
+    assert main(["plan", "--problem", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"'{broken.split()[1]}'" in err
     assert "Traceback" not in err
@@ -286,6 +268,7 @@ def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep)
 _PROBLEM_EDITS = {
     "horizon not a number": (lambda doc: doc.update(horizon="sixty"), "horizon"),
     "horizon not an integer": (lambda doc: doc.update(horizon=doc["horizon"] + 0.7), "horizon"),
+    "horizon 0": (lambda doc: doc.update(horizon=0), "horizon"),
     "unknown constraint key": (lambda doc: doc["constraints"][0].update(temprature=0.1),
                                "'temprature'"),
     "unknown weights key": (lambda doc: doc["weights"].update(weight_humna=1.0), "'weight_humna'"),
@@ -306,22 +289,31 @@ _PROBLEM_EDITS = {
         "obstacles": [{"kind": "rect", "center": [0.5, 0.5, 0.0], "half_extents": [0.2, 0.2]}],
     }), "center"),
     "5-number robot_initial": (lambda doc: doc.update(robot_initial=[0.0] * 5), "robot_initial"),
+    # the toy problem plans 2 steps of the 7-column robot
+    "fixed_robot rows of 5": (lambda doc: doc.update(fixed_robot=[[0.0] * 5] * 2), "fixed_robot"),
+    "fixed_human rows of 100": (lambda doc: doc.update(fixed_human=[[0.0] * 100] * 2),
+                                "fixed_human"),
+    "fixed_robot a row short": (lambda doc: doc.update(fixed_robot=[[0.0] * 7]), "fixed_robot"),
+    # json reads NaN, Infinity and 1e400; none of them is a number
+    "NaN weight_robot": (lambda doc: doc["weights"].update(weight_robot=float("nan")),
+                         "weight_robot"),
+    "Infinity frame_time": (lambda doc: doc["weights"].update(frame_time=float("inf")),
+                            "frame_time"),
+    "NaN obstacle radius": (lambda doc: doc.update(scene={
+        "bounds": {"center": [0.0, 0.0], "half_extents": [2.0, 2.0]},
+        "obstacles": [{"kind": "disc", "center": [0.5, 0.5], "radius": float("nan")}],
+    }), "radius"),
+    "Infinity bounds half-extent": (lambda doc: doc.update(scene={
+        "bounds": {"center": [0.0, 0.0], "half_extents": [float("inf"), 2.0]}, "obstacles": [],
+    }), "half_extents"),
+    "NaN observed_human entry": (lambda doc: doc.update(
+        horizon=4, observed_human=[[float("nan")] * 129, [0.0] * 129]), "observed_human"),
+    "NaN robot_initial entry": (lambda doc: doc.update(robot_initial=[float("nan")] + [0.0] * 6),
+                                "robot_initial"),
 }
 
-# a robot file edit and the key or field the error must name
-_ROBOT_EDITS = {
-    "robot unknown chain-link key": (lambda doc: doc["chain"][0].update(axes=[0.0, 0.0, 1.0]),
-                                     "'axes'"),
-    "robot 2-number link offset": (lambda doc: doc["chain"][2].update(offset=[0.22, 0.0]),
-                                   "link 'elbow': offset"),
-    "robot zero link axis": (lambda doc: doc["chain"][2].update(axis=[0.0, 0.0, 0.0]),
-                             "link 'elbow': axis"),
-    "robot unknown hand link": (lambda doc: doc.update(hand_link="claw"), "'claw'"),
-}
 
-
-@pytest.mark.parametrize("broken", ["problem not JSON", "robot not JSON", *_ROBOT_EDITS,
-                                    "missing weights", "missing robot", *_PROBLEM_EDITS])
+@pytest.mark.parametrize("broken", ["problem not JSON", "missing weights", *_PROBLEM_EDITS])
 def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broken):
     path = toy_robot_problem(tmp_path)
     args = ["plan", "--problem", path, "--out", str(tmp_path / "o")]
@@ -337,25 +329,9 @@ def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broke
         edit(doc)
         with open(path, "w") as fh:
             json.dump(doc, fh)
-    elif broken.startswith("robot"):
-        robot = tmp_path / "robot.json"
-        named = [str(robot)]
-        if broken == "robot not JSON":
-            robot.write_text("chain: []")
-        else:
-            edit, field = _ROBOT_EDITS[broken]
-            named.append(field)
-            rm.save_robot(rm.DEFAULT_ROBOT, robot)
-            rdoc = json.loads(robot.read_text())
-            edit(rdoc)
-            robot.write_text(json.dumps(rdoc))
-        args += ["--robot", str(robot)]
-    elif broken == "missing weights":
+    else:
         named = [str(tmp_path / "missing.weights")]
         args += ["--method", "initial", "--weights", named[0]]
-    else:
-        named = [str(tmp_path / "missing.json")]
-        args += ["--robot", named[0]]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in named) and "Traceback" not in err
@@ -445,7 +421,7 @@ def test_evaluate_batch_summary(tmp_path):
         os.rename(toy, tmp_path / f"p{i}.json")
     out = str(tmp_path / "eval")
     rc = main(["evaluate", "--problems", str(tmp_path / "p*.json"),
-               "--methods", "ours", "--kind", "goal", "--jobs", "1", "--out", out])
+               "--methods", "ours", "--jobs", "1", "--out", out])
     assert rc == 0
     rows = [json.loads(l) for l in (tmp_path / "eval" / "records.jsonl").read_text().splitlines()]
     assert len(rows) == 2
@@ -465,9 +441,9 @@ def test_evaluate_parallel_jobs_match_serial(tmp_path):
     out1 = str(tmp_path / "serial")
     out2 = str(tmp_path / "parallel")
     assert main(["evaluate", "--problems", str(tmp_path / "p*.json"), "--methods", "ours",
-                 "--kind", "goal", "--jobs", "1", "--out", out1]) == 0
+                 "--jobs", "1", "--out", out1]) == 0
     assert main(["evaluate", "--problems", str(tmp_path / "p*.json"), "--methods", "ours",
-                 "--kind", "goal", "--jobs", "2", "--out", out2]) == 0
+                 "--jobs", "2", "--out", out2]) == 0
     rows1 = (tmp_path / "serial" / "records.jsonl").read_text()
     rows2 = (tmp_path / "parallel" / "records.jsonl").read_text()
     strip = lambda text: [
@@ -501,7 +477,8 @@ def test_evaluate_failures_are_in_task_order_for_every_jobs_value(tmp_path):
 
 
 @pytest.mark.parametrize("removed", ["sweep", "evaluate --aggregate", "predict --seed",
-                                     "export --seed"])
+                                     "export --seed", "plan --robot", "evaluate --robot",
+                                     "plan --kind", "evaluate --kind"])
 def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_weights,
                                                            tmp_path, capsys, removed):
     """Each call is complete but for its removed command or flag, which alone
@@ -518,6 +495,13 @@ def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_we
         "predict --seed": ["predict", "--weights", tiny_weights, "--data", tiny_dataset,
                            "--seed", "1"],
         "export --seed": ["export", "--plan-dir", str(plan_dir), "--seed", "1"],
+        "plan --robot": ["plan", "--problem", str(plan_dir / "problem.json"),
+                         "--robot", str(plan_dir / "problem.json")],
+        "evaluate --robot": ["evaluate", "--problems", str(plan_dir / "problem.json"),
+                             "--robot", str(plan_dir / "problem.json")],
+        "plan --kind": ["plan", "--problem", str(plan_dir / "problem.json"), "--kind", "goal"],
+        "evaluate --kind": ["evaluate", "--problems", str(plan_dir / "problem.json"),
+                            "--kind", "goal"],
     }[removed]
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -542,17 +526,21 @@ def test_predict_bad_window_exits_2_before_any_output(tiny_dataset, tiny_weights
 
 
 def test_evaluate_bad_alpha_sweep_exits_2_naming_the_flag(tmp_path, capsys):
+    """Each robot weight is checked as a weights field before any output."""
     path = toy_robot_problem(tmp_path)
-    rc = main(["evaluate", "--problems", path, "--alpha-sweep", "1,x",
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--alpha-sweep" in err and "Traceback" not in err
+    for alphas in ("1,x", "-1", "nan"):
+        rc = main(["evaluate", "--problems", path, "--alpha-sweep", alphas,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--alpha-sweep" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "evaluate"])
+# --samples bounds the sample method's robot solves, one per sample
 @pytest.mark.parametrize("flag, value", [("--max-rounds", "0"), ("--max-inner", "0"),
-                                         ("--max-rounds", "-3")])
+                                         ("--max-rounds", "-3"), ("--samples", "0")])
 def test_solver_budget_below_1_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value):
     path = toy_robot_problem(tmp_path)
     where = ["--problem", path] if command == "plan" else ["--problems", path, "--jobs", "1"]

@@ -1,11 +1,7 @@
 """Robot dynamics and kinematics tests."""
 
-import tempfile
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from comotion import robot_model as rm
 from comotion import objectives as obj
@@ -202,45 +198,10 @@ def test_heading_graph():
     robot = tape.leaf("r", np.array([[0, 0, np.pi / 3, 0, 0, 0, 0.0]]))
     human = np.zeros((1, 129))
     human[0, 3:9] = [0.0, 2.0, 0.5, -1.0, 0.0, 0.0]
-    ctx = obj.GraphContext(tape, rm.DEFAULT_ROBOT, tape.leaf("h", human), robot, None)
+    ctx = obj.GraphContext(tape, tape.leaf("h", human), robot, None)
     assert np.allclose(ctx.heading("robot", 0).value, [np.cos(np.pi / 3), np.sin(np.pi / 3)],
                        atol=1e-15)
     assert np.allclose(ctx.heading("human", 0).value, [0.0, 1.0], atol=1e-12)
-
-
-def test_robot_config_round_trip(tmp_path):
-    path = tmp_path / "robot.json"
-    rm.save_robot(rm.DEFAULT_ROBOT, path)
-    assert rm.load_robot(path) == rm.DEFAULT_ROBOT
-
-
-_number = st.floats(-10.0, 10.0, allow_nan=False)
-_vector = st.tuples(_number, _number, _number)
-_link = st.builds(rm.ChainLink, st.text(min_size=1, max_size=6), _vector,
-                  st.none() | _vector.filter(any))
-
-
-@st.composite
-def robot_configs(draw):
-    chain = draw(st.lists(_link, min_size=1, max_size=5, unique_by=lambda l: l.name))
-    bound = st.floats(1e-3, 1.0, allow_nan=False)
-    return rm.RobotConfig(tuple(chain), draw(st.sampled_from([l.name for l in chain])),
-                          draw(bound), draw(bound), draw(bound))
-
-
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(config=robot_configs())
-def test_robot_file_round_trip_is_a_byte_fixed_point(config):
-    """save -> load gives the config back, and saving it again writes the
-    same bytes."""
-    with tempfile.TemporaryDirectory() as tmp:
-        first, second = f"{tmp}/first.json", f"{tmp}/second.json"
-        rm.save_robot(config, first)
-        loaded = rm.load_robot(first)
-        rm.save_robot(loaded, second)
-        assert loaded == config
-        with open(first, "rb") as a, open(second, "rb") as b:
-            assert a.read() == b.read()
 
 
 def test_control_dims():
@@ -249,14 +210,3 @@ def test_control_dims():
     assert cfg.state_dim == 7
     assert cfg.control_dim == 6
     assert cfg.control_bounds().shape == (6,)
-
-
-def test_chain_link_validation():
-    """A link's offset is 3 numbers and its axis None or 3 numbers, not all
-    zero; an error names the link and the field."""
-    rm.ChainLink("hand", (0.1, 0.0, 0.0), None)
-    for offset, axis, field in (((0.22, 0.0), (0.0, 1.0, 0.0), "offset"),
-                                ((0.22, 0.0, 0.0), (0.0, 0.0, 0.0), "axis"),
-                                ((0.22, 0.0, 0.0), (0.0, True, 0.0), "axis")):
-        with pytest.raises(rm.RobotError, match=f"link 'elbow': {field}"):
-            rm.ChainLink("elbow", offset, axis)
