@@ -11,6 +11,14 @@ call: ``plan``'s ``result.json`` is the row ``evaluate`` writes to
 the one robot, ``robot_model.DEFAULT_ROBOT``, and score each problem as the
 experiment kind its constraints describe (``evaluation.default_kind``).
 
+``evaluate`` reads every problem file before its first write, then runs one
+task per problem, method and, with ``--alpha-sweep``, robot weight, through
+one pool of at most ``--jobs`` workers.  It writes each completed task's row
+to ``records.jsonl``, each task that raised to ``failures.json``, and one
+``evaluation.summarize`` entry per method and robot weight to
+``summary.json`` and ``summary.txt``.  A sweep's rows and entries carry their
+``weight_robot``.
+
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure, 4 internal
 bug.  The only environment override is COMOTION_OUT for the default output
 directory.
@@ -260,8 +268,8 @@ def cmd_predict(args) -> int:
 
 def _evaluate(problem, problem_id, method, weights, seed, solver_config,
               sample_config) -> ev.ExperimentRecord:
-    """The one solve path of ``plan``, ``evaluate`` and the alpha sweep,
-    scored as the problem's ``default_kind``."""
+    """The one solve path of ``plan`` and ``evaluate``, scored as the
+    problem's ``default_kind``."""
     return ev.evaluate_problem(
         problem,
         method,
@@ -318,19 +326,25 @@ def cmd_plan(args) -> int:
 
 
 def _evaluate_one(task):
-    """One ``evaluate`` task: (its row, None), or (None, its failure)."""
-    problem_path, method, *rest = task
+    """One ``evaluate`` task: (its row, None), or (None, its failure).  A task
+    of an alpha sweep solves its problem at its robot weight, and its row and
+    failure carry that ``weight_robot``."""
+    path, problem, method, weight_robot, *rest = task
+    tag = {} if weight_robot is None else {"weight_robot": weight_robot}
     try:
-        return _evaluate(obj.load_problem(problem_path), os.path.basename(problem_path),
-                         method, *rest).row(), None
+        if weight_robot is not None:
+            problem = replace(problem, weights=replace(problem.weights,
+                                                       weight_robot=weight_robot))
+        row = _evaluate(problem, os.path.basename(path), method, *rest).row()
+        return {**row, **tag}, None
     except Exception as exc:
-        return None, {"task": str((problem_path, method)), "error": str(exc)}
+        return None, {"task": str((path, method)), **tag, "error": str(exc)}
 
 
 def _format_table(rows: list[dict]) -> str:
     if not rows:
         return "(no rows)\n"
-    keys = ["method", "count", "success_rate"]
+    keys = [k for k in ("method", "weight_robot", "count", "success_rate") if k in rows[0]]
     extra = sorted({k for r in rows for k in r} - set(keys))
     keys += extra
     widths = {k: max(len(k), *(len(_fmt(r.get(k))) for r in rows)) for k in keys}
@@ -352,30 +366,32 @@ def cmd_evaluate(args) -> int:
     paths = sorted(p for pattern in args.problems for p in glob.glob(pattern))
     if not paths:
         raise UsageError("empty problem batch")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     solver_config = _solver_config(args)
     sample_config = _sample_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
-    alphas = _alphas(args.alpha_sweep) if args.alpha_sweep else None
+    alphas = _alphas(args.alpha_sweep) if args.alpha_sweep else (None,)
+    problems = [obj.load_problem(p) for p in paths]  # every file read before the first write
     out = _out_dir(args)
     _write_manifest(out, args, extra={"problems": paths})
 
-    if alphas:
-        return _alpha_sweep(args, paths, out, alphas, solver_config, sample_config)
-
     tasks = [
-        (p, m, args.weights, args.seed, solver_config, sample_config)
-        for p in paths
+        (path, problem, m, alpha, args.weights, args.seed, solver_config, sample_config)
+        for path, problem in zip(paths, problems)
         for m in methods
+        for alpha in alphas
     ]
-    pool = cf.ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    jobs = min(args.jobs, len(tasks))
+    pool = cf.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     with pool or contextlib.nullcontext():
         results = list((pool.map if pool else map)(_evaluate_one, tasks))
     rows = [row for row, _ in results if row is not None]
     failures = [failure for _, failure in results if failure is not None]
-    rows.sort(key=lambda r: (r["problem"], r["method"]))
+    rows.sort(key=lambda r: (r["problem"], r["method"]))  # stable: weights stay in sweep order
     _atomic_write(os.path.join(out, "records.jsonl"),
                   "\n".join(json.dumps(r) for r in rows) + "\n")
     if failures:
@@ -401,27 +417,6 @@ def _alphas(text: str) -> tuple:
         except obj.ProblemError as exc:
             raise UsageError(f"--alpha-sweep: {exc}") from None
     return alphas
-
-
-def _alpha_sweep(args, paths, out, alphas, solver_config, sample_config) -> int:
-    lines = []
-    for alpha in alphas:
-        rows = []
-        for p in paths:
-            problem = obj.load_problem(p)
-            problem = replace(problem, weights=replace(problem.weights, weight_robot=alpha))
-            rows.append(_evaluate(problem, os.path.basename(p), "ours", args.weights,
-                                  args.seed, solver_config, sample_config).row())
-        doc = {
-            "weight_robot": alpha,
-            "median_travel_human": float(np.median([r["travel_human"] for r in rows])),
-            "median_travel_robot": float(np.median([r["travel_robot"] for r in rows])),
-            "success_rate": 100.0 * float(np.mean([r["success"] for r in rows])),
-        }
-        lines.append(json.dumps(doc))
-        print(lines[-1])
-    _atomic_write(os.path.join(out, "alpha_sweep.jsonl"), "\n".join(lines) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--alpha-sweep", default=None,
-                   help="comma-separated robot weights; runs ours per value")
+                   help="comma-separated robot weights; runs every method at each "
+                        "one, rows and summary entries carry their weight_robot")
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)

@@ -654,13 +654,17 @@ def evaluate_problem(
 
 
 def summarize(rows: list[dict]) -> list[dict]:
-    """Per-method aggregates of ``ExperimentRecord.row()`` dicts: the count, the
-    success rate in percent, and the median of every other numeric field over
-    its finite values."""
+    """Aggregates of ``ExperimentRecord.row()`` dicts per method and, where the
+    rows carry one, per ``weight_robot``: the count, the success rate in
+    percent, and the median of every other numeric field over its finite
+    values (so an entry's ``weight_robot`` is its rows' weight)."""
+    def group(r):
+        return r["method"], r.get("weight_robot", -np.inf)
+
     out = []
-    for method in sorted({r["method"] for r in rows}):
-        own = [r for r in rows if r["method"] == method]
-        doc = {"method": method, "count": len(own),
+    for key in sorted({group(r) for r in rows}):
+        own = [r for r in rows if group(r) == key]
+        doc = {"method": key[0], "count": len(own),
                "success_rate": 100.0 * float(np.mean([r["success"] for r in own]))}
         keys = sorted({k for r in own for k, v in r.items()
                        if k != "success" and isinstance(v, (int, float))})

@@ -32,13 +32,14 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import rotate_frames
 from .graph import GraphError, Ref, Tape, backward, gru_unroll
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
+from .schema import from_doc, is_number
 
 INPUT_DIM = ROT_BLOCK_DIM + STATE_DIM  # rotation block + velocity block
 MODIFIER_DIM = STATE_DIM  # 3 base-velocity handles + 126 rotation entries
@@ -65,12 +66,21 @@ class ModelConfig:
     recurrent_dropout: float = 0.2
 
     def __post_init__(self):
+        for name in ("num_layers", "hidden_size", "input_frames", "output_frames"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.num_layers < 1 or self.hidden_size < 1:
             raise ModelError("need at least one layer and one hidden unit")
         if self.input_frames < 2 or self.output_frames < 2:
             raise ModelError("horizons must be at least 2 frames")
-        if self.frame_rate <= 0:
-            raise ModelError("frame rate must be positive")
+        if not (is_number(self.frame_rate) and self.frame_rate > 0):
+            raise ModelError(f"frame_rate must be a positive finite number, "
+                             f"got {self.frame_rate!r}")
+        for name in ("dropout", "recurrent_dropout"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0 <= value < 1):
+                raise ModelError(f"{name} must be a number in [0, 1), got {value!r}")
 
 
 def _weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -473,10 +483,10 @@ def load_params(path) -> ModelParams:
         for key in ("config", "arrays"):
             if not isinstance(header, dict) or key not in header:
                 raise ModelError(f"{path}: weight header lacks {key!r}")
-        unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
-        if unknown:
-            raise ModelError(f"{path}: unknown config keys {unknown}")
-        config = ModelConfig(**header["config"])
+        try:
+            config = from_doc(ModelConfig, header["config"])
+        except (TypeError, ModelError) as exc:  # an unknown key or a bad value
+            raise ModelError(f"{path}: bad model config: {exc}") from None
         blocks = {}
         for spec in header["arrays"]:
             try:

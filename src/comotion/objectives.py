@@ -508,26 +508,6 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
 
 
 # ---------------------------------------------------------------------------
-# Plain-numpy control objective (reference implementation for tests)
-# ---------------------------------------------------------------------------
-
-
-def control_objective(modifiers: np.ndarray | None, robot_controls: np.ndarray | None,
-                      weights: ObjectiveWeights) -> float:
-    """Reference evaluation of the control-rate objective on arrays."""
-    if modifiers is not None and robot_controls is not None:
-        if len(modifiers) != len(robot_controls):
-            raise ProblemError("agent horizons must match")
-    total = 0.0
-    inv_dt2 = 1.0 / weights.frame_time ** 2
-    if modifiers is not None and len(modifiers) >= 2:
-        total += weights.weight_human * inv_dt2 * float(np.sum(np.diff(modifiers, axis=0) ** 2))
-    if robot_controls is not None and len(robot_controls) >= 2:
-        total += weights.weight_robot * inv_dt2 * float(np.sum(np.diff(robot_controls, axis=0) ** 2))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Problem files (self-contained except for the model weights)
 # ---------------------------------------------------------------------------
 

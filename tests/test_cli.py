@@ -1,5 +1,6 @@
 """End-to-end CLI tests on tiny configurations."""
 
+import concurrent.futures as cf
 import json
 import os
 
@@ -154,6 +155,20 @@ def test_predict_bad_weight_file_exits_2(tiny_dataset, tiny_weights, tmp_path, c
     assert rc == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("num_layers", "1"), ("hidden_size", 4.0),
+                                        ("frame_rate", float("nan")), ("dropout", 1.5)])
+def test_plan_bad_weight_config_exits_2_before_any_output(tiny_weights, tmp_path, capsys,
+                                                          key, value):
+    path = tmp_path / "bad.weights"
+    _rewrite_weight_header(tiny_weights, path, lambda h: h["config"].update({key: value}))
+    rc = main(["plan", "--problem", human_robot_problem(tmp_path), "--method", "ours",
+               "--weights", str(path), *CAPPED, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def toy_robot_problem(tmp_path, steps=2, target=(0.4, 0.0, 0.0)):
@@ -338,9 +353,9 @@ def test_plan_unreadable_input_exits_2_before_any_output(tmp_path, capsys, broke
     assert not (tmp_path / "o").exists()
 
 
-def human_robot_problem(tmp_path):
+def human_robot_problem(tmp_path, name="human_robot.json", robot_shift=0.3):
     """Both agents optimized: the human needs the predictor for every method
-    but zerovel."""
+    but zerovel.  The robot's goal lies ``robot_shift`` behind its start."""
     recs = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=16,
                                             reach_frames=4), seed=0)
     observed = recs[0].frames[:4]
@@ -355,11 +370,11 @@ def human_robot_problem(tmp_path):
             obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                                target=tuple(observed[-1, :2]) + (0.9,)),
             obj.ConstraintSpec(kind="goal", agent="robot", link="base",
-                               target=(rinit[0] - 0.3, rinit[1], 0.0)),
+                               target=(rinit[0] - robot_shift, rinit[1], 0.0)),
             obj.ConstraintSpec(kind="joint_clearance", clearance=0.3),
         ],
     )
-    path = tmp_path / "human_robot.json"
+    path = tmp_path / name
     obj.save_problem(problem, path)
     return str(path)
 
@@ -474,6 +489,104 @@ def test_evaluate_failures_are_in_task_order_for_every_jobs_value(tmp_path):
                                                            ("h1.json", "zerovel")]
     assert [f["task"] for f in json.loads(failures)] == [
         str((str(tmp_path / f"h{i}.json"), "initial")) for i in range(2)]
+
+
+def _summary(out):
+    """``summary.json`` without its wall-time medians, which differ run to run."""
+    return [{k: v for k, v in entry.items() if k != "wall_time"}
+            for entry in json.loads((out / "summary.json").read_text())]
+
+
+def test_evaluate_alpha_sweep_summarizes_each_weight_for_every_jobs_value(tiny_weights,
+                                                                          tmp_path):
+    """Every sweep row carries its robot weight, and each summary entry holds
+    the medians and success rate of its weight's rows; the pool writes what
+    the serial loop does."""
+    for i, shift in enumerate((0.3, 0.5)):
+        human_robot_problem(tmp_path, name=f"p{i}.json", robot_shift=shift)
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["evaluate", "--problems", str(tmp_path / "p*.json"), "--alpha-sweep",
+                     "1,100", "--weights", tiny_weights, "--jobs", jobs, *CAPPED,
+                     "--out", str(out)]) == 0
+        rows = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+        docs.append((_summary(out), rows))
+    assert docs[0][0] == docs[1][0]
+    summary, rows = docs[0]
+    assert [(r["problem"], r["weight_robot"]) for r in rows] == [
+        ("p0.json", 1.0), ("p0.json", 100.0), ("p1.json", 1.0), ("p1.json", 100.0)]
+    assert [(e["method"], e["weight_robot"], e["count"]) for e in summary] == [
+        ("ours", 1.0, 2), ("ours", 100.0, 2)]
+    for entry in summary:
+        own = [r for r in rows if r["weight_robot"] == entry["weight_robot"]]
+        for key in ("travel_human", "travel_robot", "objective"):
+            assert entry[key] == float(np.median([r[key] for r in own]))
+        assert entry["success_rate"] == 100.0 * float(np.mean([r["success"] for r in own]))
+
+
+def test_evaluate_alpha_sweep_of_a_robot_only_problem(tmp_path):
+    """A robot-only problem has no human travel, which its entries skip."""
+    path = toy_robot_problem(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["evaluate", "--problems", path, "--alpha-sweep", "1,10", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    summary = _summary(out)
+    assert [(e["weight_robot"], e["count"]) for e in summary] == [(1.0, 1), (10.0, 1)]
+    assert all("travel_human" not in e and "travel_robot" in e for e in summary)
+
+
+@pytest.mark.parametrize("sweep", [[], ["--alpha-sweep", "1"]])
+def test_evaluate_unreadable_problem_exits_2_before_any_output(tmp_path, capsys, sweep):
+    good = toy_robot_problem(tmp_path)
+    bad = tmp_path / "bad.json"
+    with open(good) as fh:
+        doc = json.load(fh)
+    del doc["horizon"]
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["evaluate", "--problems", good, str(bad), *sweep, "--jobs", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'horizon'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_evaluate_jobs_below_1_exits_2_naming_the_flag(tmp_path, capsys, jobs):
+    rc = main(["evaluate", "--problems", toy_robot_problem(tmp_path), "--jobs", jobs,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "at least 1" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    """A pool forks all its workers at the first task, so it gets at most one
+    per task; a one-task batch, like ``--jobs 1``, runs without a pool."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", RecordingPool)
+    for i in range(2):
+        os.rename(toy_robot_problem(tmp_path), tmp_path / f"p{i}.json")
+    for i, (pattern, jobs) in enumerate([("p0.json", "3"), ("p*.json", "3"), ("p*.json", "1")]):
+        assert main(["evaluate", "--problems", str(tmp_path / pattern), "--jobs", jobs,
+                     "--out", str(tmp_path / f"o{i}")]) == 0
+    assert seen == [2]
 
 
 @pytest.mark.parametrize("removed", ["sweep", "evaluate --aggregate", "predict --seed",

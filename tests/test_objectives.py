@@ -73,37 +73,46 @@ def rng_theta(compiled, rng, scale=0.02):
 # -- control objective -------------------------------------------------------
 
 
-def test_control_objective_zero_and_constant():
-    w = obj.ObjectiveWeights()
-    H = 6
-    zeros = np.zeros((H, hm.MODIFIER_DIM))
-    assert obj.control_objective(zeros, np.zeros((H, 6)), w) == 0.0
-    const_mod = np.ones((H, hm.MODIFIER_DIM)) * 0.3
-    const_ctl = np.ones((H, 6)) * -0.1
-    assert obj.control_objective(const_mod, const_ctl, w) == 0.0
+def test_control_objective_zero_and_constant(model, observed):
+    """Equal control rows of either agent cost nothing."""
+    compiled = obj.compile_problem(base_problem(observed), model=model)
+    constant = np.concatenate([np.full(dim, value) for dim, value
+                               in zip(compiled.leaf_dims.values(), (0.3, -0.1))])
+    for theta in (np.zeros(compiled.n), constant):
+        assert compiled.evaluate(theta)[0] == 0.0
 
 
-def test_control_objective_matches_hand_evaluation():
+def test_control_objective_matches_hand_evaluation(model, observed):
+    """The compiled objective of a problem without constraints is the
+    weighted sum of squared control rates, written out step by step."""
     rng = np.random.default_rng(0)
     w = obj.ObjectiveWeights(weight_human=3.0, weight_robot=7.0, frame_time=0.05)
-    mods = rng.normal(size=(5, hm.MODIFIER_DIM))
-    ctls = rng.normal(size=(5, 6))
+    compiled = obj.compile_problem(base_problem(observed, steps=5, weights=w), model=model)
+    theta = rng_theta(compiled, rng)
+    f, g, h, _ = compiled.evaluate(theta)
+    parts = compiled.split(theta)
+    mods, ctls = parts["u_h"].reshape(5, -1), parts["u_r"].reshape(5, -1)
     expected = 0.0
     for t in range(4):
         expected += 3.0 * np.sum(((mods[t + 1] - mods[t]) / 0.05) ** 2)
         expected += 7.0 * np.sum(((ctls[t + 1] - ctls[t]) / 0.05) ** 2)
-    assert obj.control_objective(mods, ctls, w) == pytest.approx(expected, rel=1e-12)
+    assert f == pytest.approx(expected, rel=1e-12)
+    assert g.size == 0 and h.size == 0
 
 
 def test_compiled_objective_matches_reference(model, observed):
+    """Under the problem's own weights the compiled objective equals the
+    control-rate sum taken over whole arrays with np.diff."""
     rng = np.random.default_rng(1)
     problem = base_problem(observed, steps=5)
     compiled = obj.compile_problem(problem, model=model)
     theta = rng_theta(compiled, rng)
     f, g, h, _ = compiled.evaluate(theta)
     parts = compiled.split(theta)
-    ref = obj.control_objective(parts["u_h"].reshape(5, -1), parts["u_r"].reshape(5, -1),
-                                problem.weights)
+    w = problem.weights
+    inv_dt2 = 1.0 / w.frame_time ** 2
+    ref = (w.weight_human * inv_dt2 * np.sum(np.diff(parts["u_h"].reshape(5, -1), axis=0) ** 2)
+           + w.weight_robot * inv_dt2 * np.sum(np.diff(parts["u_r"].reshape(5, -1), axis=0) ** 2))
     assert f == pytest.approx(ref, rel=1e-12)
     assert g.size == 0 and h.size == 0
 
