@@ -19,6 +19,10 @@ to ``records.jsonl``, each task that raised to ``failures.json``, and one
 ``summary.json`` and ``summary.txt``.  A sweep's rows and entries carry their
 ``weight_robot``.
 
+``plan`` and ``evaluate`` read a given ``--weights`` file once, before their
+first write, whatever the method; ``evaluation.needs_model`` says which
+methods need the model.
+
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure, 4 internal
 bug.  The only environment override is COMOTION_OUT for the default output
 directory.
@@ -47,6 +51,7 @@ from . import objectives as obj
 from .environment import SceneError, build_sdf, save_sdf
 from .kinematics import KinematicsError
 from .robot_model import RobotError, load_robot_trajectory, save_robot_trajectory
+from .schema import is_number
 from .solver import SolverConfig
 
 
@@ -132,21 +137,13 @@ def _out_dir(args) -> str:
     return out
 
 
-_MODEL_CACHE: dict = {}
-
-
-def _model_for(problem: obj.ProblemSpec, method: str, weights):
-    """The predictor ``method`` needs on ``problem``, read from the file
-    ``weights`` (``--weights``), or None when it needs none: ``initial`` and
-    ``sample`` forecast with it, and every method but ``zerovel`` unrolls it
-    when the problem plans the human."""
-    if method == "zerovel" or not (problem.plans_human or method in ("initial", "sample")):
-        return None
-    if weights is None:
-        raise UsageError(f"method {method!r} needs model weights (--weights)")
-    if weights not in _MODEL_CACHE:
-        _MODEL_CACHE[weights] = hm.load_params(_require(weights, "weight file"))
-    return _MODEL_CACHE[weights]
+def _at_least(args, **lows) -> None:
+    """Raises a UsageError naming the first flag below its bound; a flag left
+    at None is not checked."""
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
 
 
 def _sample_config(args) -> ev.SampleConfig:
@@ -174,6 +171,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_synth(args) -> int:
+    _at_least(args, count=1, frames=2)
     out = _out_dir(args)
     _write_manifest(out, args)
     cfg = dat.SynthConfig(num_trajectories=args.count, duration_frames=args.frames)
@@ -192,6 +190,21 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     data_path = _require(args.data, "dataset")
+    _at_least(args, epochs=1, batch_size=1)
+    for name in ("learning_rate", "learning_rate_decay"):
+        value = getattr(args, name)
+        if not (is_number(value) and value > 0):
+            raise UsageError(f"--{name.replace('_', '-')} must be a positive finite number, "
+                             f"got {value}")
+    try:
+        config = hm.ModelConfig(
+            num_layers=args.layers,
+            hidden_size=args.hidden,
+            input_frames=args.input_frames,
+            output_frames=args.output_frames,
+        )
+    except hm.ModelError as exc:
+        raise UsageError(f"--layers, --hidden, --input-frames, --output-frames: {exc}") from None
     out = _out_dir(args)
     _write_manifest(out, args)
     records = dat.load_trajectories(data_path)
@@ -199,12 +212,6 @@ def cmd_train(args) -> int:
         raise UsageError(f"dataset is empty: {data_path}")
     split = dat.split_dataset(records, held_out_subject=args.held_out,
                               test_fraction=args.test_fraction, seed=args.seed)
-    config = hm.ModelConfig(
-        num_layers=args.layers,
-        hidden_size=args.hidden,
-        input_frames=args.input_frames,
-        output_frames=args.output_frames,
-    )
     lines = []
 
     def progress(m):
@@ -235,10 +242,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.start < 0:
-        raise UsageError(f"--start must be at least 0, got {args.start}")
-    if args.frames is not None and args.frames < 1:
-        raise UsageError(f"--frames must be at least 1, got {args.frames}")
+    _at_least(args, start=0, frames=1)
     model = hm.load_params(_require(args.weights, "weight file"))
     records = dat.load_trajectories(_require(args.data, "trajectory file"))
     if not (0 <= args.record < len(records)):
@@ -266,21 +270,6 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(problem, problem_id, method, weights, seed, solver_config,
-              sample_config) -> ev.ExperimentRecord:
-    """The one solve path of ``plan`` and ``evaluate``, scored as the
-    problem's ``default_kind``."""
-    return ev.evaluate_problem(
-        problem,
-        method,
-        _model_for(problem, method, weights),
-        problem_id=problem_id,
-        solver_config=solver_config,
-        sample_config=sample_config,
-        seed=seed,
-    )
-
-
 def cmd_plan(args) -> int:
     problem_path = _require(args.problem, "problem file")
     problem = obj.load_problem(problem_path)
@@ -288,14 +277,19 @@ def cmd_plan(args) -> int:
     sample_config = _sample_config(args)
     if args.method not in ev.METHODS:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(ev.METHODS)})")
-    _model_for(problem, args.method, args.weights)  # read every input before the first write
+    # every input is read before the first write
+    model = None if args.weights is None else hm.load_params(_require(args.weights, "weight file"))
+    if model is None and ev.needs_model(problem, args.method):
+        raise UsageError(f"method {args.method!r} needs model weights (--weights)")
     out = _out_dir(args)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:
         obj.save_problem(problem, tmp)
 
-    record = _evaluate(problem, os.path.basename(problem_path), args.method, args.weights,
-                       args.seed, solver_config, sample_config)
+    record = ev.evaluate_problem(problem, args.method, model,
+                                 problem_id=os.path.basename(problem_path),
+                                 solver_config=solver_config, sample_config=sample_config,
+                                 seed=args.seed)
     result = record.result
     doc = record.row()
     doc["kind"] = ev.default_kind(problem)
@@ -329,13 +323,15 @@ def _evaluate_one(task):
     """One ``evaluate`` task: (its row, None), or (None, its failure).  A task
     of an alpha sweep solves its problem at its robot weight, and its row and
     failure carry that ``weight_robot``."""
-    path, problem, method, weight_robot, *rest = task
+    path, problem, method, weight_robot, model, seed, solver_config, sample_config = task
     tag = {} if weight_robot is None else {"weight_robot": weight_robot}
     try:
         if weight_robot is not None:
             problem = replace(problem, weights=replace(problem.weights,
                                                        weight_robot=weight_robot))
-        row = _evaluate(problem, os.path.basename(path), method, *rest).row()
+        row = ev.evaluate_problem(problem, method, model, problem_id=os.path.basename(path),
+                                  solver_config=solver_config, sample_config=sample_config,
+                                  seed=seed).row()
         return {**row, **tag}, None
     except Exception as exc:
         return None, {"task": str((path, method)), **tag, "error": str(exc)}
@@ -366,21 +362,24 @@ def cmd_evaluate(args) -> int:
     paths = sorted(p for pattern in args.problems for p in glob.glob(pattern))
     if not paths:
         raise UsageError("empty problem batch")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    _at_least(args, jobs=1)
     solver_config = _solver_config(args)
     sample_config = _sample_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError(f"--methods names no method: {args.methods!r}")
     for m in methods:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
     alphas = _alphas(args.alpha_sweep) if args.alpha_sweep else (None,)
-    problems = [obj.load_problem(p) for p in paths]  # every file read before the first write
+    # every input is read before the first write
+    problems = [obj.load_problem(p) for p in paths]
+    model = None if args.weights is None else hm.load_params(_require(args.weights, "weight file"))
     out = _out_dir(args)
     _write_manifest(out, args, extra={"problems": paths})
 
     tasks = [
-        (path, problem, m, alpha, args.weights, args.seed, solver_config, sample_config)
+        (path, problem, m, alpha, model, args.seed, solver_config, sample_config)
         for path, problem in zip(paths, problems)
         for m in methods
         for alpha in alphas

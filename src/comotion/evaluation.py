@@ -12,6 +12,9 @@ Methods compared throughout the experiments:
 * ``with_coll`` / ``human_avoids`` / ``robot_avoids``: sequential pipelines
   that optimize the agents separately (and in the avoid variants freeze the
   first agents' result while the second keeps a clearance to it).
+
+``needs_model`` is the one rule for which methods need the learned predictor;
+``run_method`` raises an ``EvaluationError`` naming a method run without it.
 """
 
 from __future__ import annotations
@@ -231,18 +234,6 @@ def _single_agent_problem(problem: ProblemSpec, agent: str,
     return replace(problem, constraints=constraints, fixed_human=other_traj)
 
 
-def _solve_robot_against(problem, human_traj, solver_config,
-                         compiled_cache=None) -> SolveResult:
-    """Robot-only solve with the human frozen; caches the compiled tape."""
-    if compiled_cache is not None and "compiled" in compiled_cache:
-        return solve_compiled(compiled_cache["compiled"], solver_config,
-                              extra_leaves={"fixed_h": human_traj.reshape(-1)})
-    compiled = compile_problem(_single_agent_problem(problem, "robot", human_traj))
-    if compiled_cache is not None:
-        compiled_cache["compiled"] = compiled
-    return solve_compiled(compiled, solver_config)
-
-
 # method -> (the agent solved first, whether the second solve keeps clear of
 # the first agent's frozen result, details)
 _SEQUENTIAL = {
@@ -250,6 +241,13 @@ _SEQUENTIAL = {
     "human_avoids": ("robot", True, {"frozen": "robot"}),
     "robot_avoids": ("human", True, {"frozen": "human"}),
 }
+
+
+def needs_model(problem: ProblemSpec, method: str) -> bool:
+    """Whether ``method`` needs the learned predictor on ``problem``: every
+    method but ``zerovel`` unrolls it when the problem plans the human, and
+    ``initial`` and ``sample`` forecast with it."""
+    return method != "zerovel" and (problem.plans_human or method in ("initial", "sample"))
 
 
 def run_method(
@@ -265,6 +263,8 @@ def run_method(
     """Run one planning method on one problem; ``kind`` defaults to ``default_kind``."""
     if method not in METHODS:
         raise EvaluationError(f"unknown method {method!r}")
+    if model is None and needs_model(problem, method):
+        raise EvaluationError(f"method {method!r} needs model weights")
     if method in WEIGHT_PRESETS:
         wh, wr = WEIGHT_PRESETS[method]
         problem = replace(problem,
@@ -286,7 +286,8 @@ def run_method(
         )
         if not problem.plans_robot:  # no robot, or a frozen one: nothing to solve
             return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, "converged")
-        return _solved(method, _solve_robot_against(problem, human, solver_config))
+        compiled = compile_problem(_single_agent_problem(problem, "robot", human))
+        return _solved(method, solve_compiled(compiled, solver_config))
 
     if method == "sample":
         samples = sample_predictions(model, problem.observed_human, steps,
@@ -296,11 +297,12 @@ def run_method(
             return MethodResult(method, samples[order[0]], problem.fixed_robot, None, None, 0.0,
                                 "converged", details={"attempts": 0, "picked": int(order[0])})
         kind = kind or default_kind(problem)
-        cache: dict = {}
+        # one robot-only tape, replayed against each sample as its frozen human
+        compiled = compile_problem(_single_agent_problem(problem, "robot", samples[order[0]]))
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
-            res = _solve_robot_against(problem, samples[idx], solver_config,
-                                       compiled_cache=cache)
+            res = solve_compiled(compiled, solver_config,
+                                 extra_leaves={"fixed_h": samples[idx].reshape(-1)})
             candidate = _solved(method, res, attempts=attempt, picked=int(idx),
                                 succeeded=True)
             ok, _ = check_success(problem, candidate, kind)
@@ -317,10 +319,7 @@ def run_method(
     frozen = None
     for agent in (first, _OTHER[first]):
         sub = _single_agent_problem(problem, agent, frozen)
-        res = solve_compiled(
-            compile_problem(sub, model=model if agent == "human" else None),
-            solver_config,
-        )
+        res = solve_compiled(compile_problem(sub, model), solver_config)
         solved[agent] = res
         if avoids:
             frozen = res.human_traj if agent == "human" else res.robot_traj

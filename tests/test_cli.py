@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from comotion import data as cd
+from comotion import evaluation as ev
 from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
@@ -210,7 +211,7 @@ def test_plan_unknown_method_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # rejected before any output is written
 
 
-@pytest.mark.parametrize("flag, value", [("--methods", "sorcery")])
+@pytest.mark.parametrize("flag, value", [("--methods", "sorcery"), ("--methods", ",")])
 def test_evaluate_unknown_method_or_kind_exits_2_before_any_output(tmp_path, capsys, flag,
                                                                    value):
     path = toy_robot_problem(tmp_path)
@@ -407,6 +408,24 @@ def test_plan_zerovel_needs_no_weights(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+@pytest.mark.parametrize("method", ev.METHODS)
+def test_bad_weight_file_exits_2_before_any_output_for_every_method(tmp_path, capsys, command,
+                                                                     method):
+    """A given ``--weights`` is read before the first write, whether or not
+    the method uses the model."""
+    junk = tmp_path / "junk.weights"
+    junk.write_bytes(b"garbage")
+    path = human_robot_problem(tmp_path)
+    where = (["--problem", path, "--method", method] if command == "plan"
+             else ["--problems", path, "--methods", method])
+    rc = main([command, *where, "--weights", str(junk), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(junk) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("method", ["ours", "sample", "robot_avoids"])
 def test_plan_result_matches_evaluate_row(tiny_weights, tmp_path, method):
     path = human_robot_problem(tmp_path)
@@ -591,14 +610,19 @@ def test_evaluate_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("removed", ["sweep", "evaluate --aggregate", "predict --seed",
                                      "export --seed", "plan --robot", "evaluate --robot",
-                                     "plan --kind", "evaluate --kind"])
+                                     "plan --kind", "evaluate --kind",
+                                     "synth --count", "synth --frames", "train --epochs",
+                                     "train --batch-size", "train --layers",
+                                     "train --learning-rate", "train --learning-rate-decay"])
 def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_weights,
                                                            tmp_path, capsys, removed):
-    """Each call is complete but for its removed command or flag, which alone
-    makes it a usage error."""
+    """Each call is complete but for its removed command or flag, or for the
+    out-of-range value its last flag is given, which alone makes it a usage
+    error."""
     plan_dir = tmp_path / "plan"
     plan_dir.mkdir()
     os.replace(toy_robot_problem(plan_dir), plan_dir / "problem.json")
+    train = train_args(tiny_dataset, str(tmp_path / "o"))
     args = {
         "sweep": ["sweep", "--data", tiny_dataset, "--epochs", "1", "--batch-sizes", "8",
                   "--layer-counts", "1", "--hidden-sizes", "8", "--input-frames", "4",
@@ -615,6 +639,13 @@ def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_we
         "plan --kind": ["plan", "--problem", str(plan_dir / "problem.json"), "--kind", "goal"],
         "evaluate --kind": ["evaluate", "--problems", str(plan_dir / "problem.json"),
                             "--kind", "goal"],
+        "synth --count": ["synth", "--count", "0"],
+        "synth --frames": ["synth", "--count", "1", "--frames", "1"],
+        "train --epochs": [*train, "--epochs", "-1"],
+        "train --batch-size": [*train, "--batch-size", "0"],
+        "train --layers": [*train, "--layers", "0"],
+        "train --learning-rate": [*train, "--learning-rate", "nan"],
+        "train --learning-rate-decay": [*train, "--learning-rate-decay", "0"],
     }[removed]
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

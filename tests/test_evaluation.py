@@ -159,11 +159,14 @@ def test_forecast_methods_keep_a_frozen_robot(model, monkeypatch, method):
 @pytest.mark.parametrize("success_at", [None, 2])
 def test_sample_method_counts_every_robot_solve(model, monkeypatch, success_at):
     """``attempts`` is the number of robot solves run, and ``succeeded`` says
-    whether one of the samples passed the success check."""
+    whether one of the samples passed the success check.  Every solve replays
+    the one robot-only tape compiled for the run."""
     problem = scenarios.make_crossing_problems(1, 1)[0].problem
-    solves, checks = [], []
-    solve = ev._solve_robot_against
-    monkeypatch.setattr(ev, "_solve_robot_against",
+    compiles, solves, checks = [], [], []
+    compile_problem, solve = ev.compile_problem, ev.solve_compiled
+    monkeypatch.setattr(ev, "compile_problem",
+                        lambda *a, **kw: compiles.append(1) or compile_problem(*a, **kw))
+    monkeypatch.setattr(ev, "solve_compiled",
                         lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     if success_at is not None:  # the real check fails every capped crossing solve
         monkeypatch.setattr(ev, "check_success",
@@ -172,7 +175,22 @@ def test_sample_method_counts_every_robot_solve(model, monkeypatch, success_at):
                         solver_config=SolverConfig(max_rounds=1, max_inner=3))
     expected = 4 if success_at is None else success_at
     assert len(solves) == res.details["attempts"] == expected
+    assert len(compiles) == 1
     assert res.details["succeeded"] is (success_at is not None)
+
+
+@pytest.mark.parametrize("method", ["initial", "sample", "ours", "zerovel"])
+def test_run_method_without_a_model_it_needs_names_the_method(method):
+    """On a problem that plans the human, every method but ``zerovel`` needs
+    the model, and without it ``run_method`` raises naming the method."""
+    problem = scenarios.make_crossing_problems(1, 1)[0].problem
+    capped = SolverConfig(max_rounds=1, max_inner=2)
+    assert problem.plans_human and ev.needs_model(problem, method) is (method != "zerovel")
+    if method == "zerovel":
+        assert ev.run_method(problem, method, None, solver_config=capped).human_traj is not None
+    else:
+        with pytest.raises(ev.EvaluationError, match=f"method '{method}' needs model weights"):
+            ev.run_method(problem, method, None, solver_config=capped)
 
 
 def test_sequential_frozen_agent_unchanged(model, observed):
