@@ -206,12 +206,15 @@ def cmd_train(args) -> int:
     except hm.ModelError as exc:
         raise UsageError(f"--layers, --hidden, --input-frames, --output-frames: {exc}") from None
     out = _out_dir(args)
-    _write_manifest(out, args)
+    # the dataset is read, split and checked for windows before the first write
     records = dat.load_trajectories(data_path)
     if not records:
         raise UsageError(f"dataset is empty: {data_path}")
     split = dat.split_dataset(records, held_out_subject=args.held_out,
                               test_fraction=args.test_fraction, seed=args.seed)
+    train_frames = [r.frames for r in split.train]
+    hm.training_windows(train_frames, config)
+    _write_manifest(out, args)
     lines = []
 
     def progress(m):
@@ -219,7 +222,7 @@ def cmd_train(args) -> int:
         print(f"epoch {m.epoch}: train {m.train_loss:.4f} test {m.test_loss:.4f}", flush=True)
 
     result = hm.train(
-        [r.frames for r in split.train],
+        train_frames,
         config,
         args.seed,
         epochs=args.epochs,
@@ -435,6 +438,8 @@ def _polyline(points: np.ndarray) -> str:
 
 
 def cmd_export(args) -> int:
+    """Plot data of a plan: its scene's grid is the one its collision rows
+    read, at ``environment.DEFAULT_RESOLUTION``."""
     plan_dir = _require(args.plan_dir, "plan output directory")
     out = _out_dir(args)
     problem_path = os.path.join(plan_dir, "problem.json")
@@ -475,8 +480,7 @@ def cmd_export(args) -> int:
                     raise UsageError(f"{iters}: line {n} is not an iteration record "
                                      f"({exc!r})") from None
         texts["iterations.csv"] = ",".join(fields) + "\n" + "\n".join(rows) + "\n"
-    grid = (None if problem.scene is None
-            else build_sdf(problem.scene, resolution=args.resolution))
+    grid = None if problem.scene is None else build_sdf(problem.scene)
 
     _write_manifest(out, args)
     if grid is not None:
@@ -557,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="emit plot-ready grids and polylines")
     p.add_argument("--plan-dir", required=False)
-    p.add_argument("--resolution", type=float, default=0.05)
     p.add_argument("--out", default=None)
 
     return parser

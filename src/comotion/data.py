@@ -186,7 +186,16 @@ def split_dataset(
     test_fraction: float = 0.2,
     seed: int = 0,
 ) -> DatasetSplit:
-    """Subject-disjoint held-out split plus a per-subject train/test split."""
+    """Subject-disjoint held-out split plus a per-subject train/test split.
+
+    Raises ``DataError`` when ``test_fraction`` lies outside (0, 1) or no
+    record has the held-out subject."""
+    if not 0.0 < test_fraction < 1.0:
+        raise DataError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    present = sorted({r.subject for r in records})
+    if held_out_subject not in present:
+        raise DataError(f"no record has the held-out subject {held_out_subject!r}; "
+                        f"the subjects are {', '.join(present)}")
     held = [r for r in records if r.subject == held_out_subject]
     rest = [r for r in records if r.subject != held_out_subject]
     rng = np.random.default_rng(seed)

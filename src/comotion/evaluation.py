@@ -229,8 +229,7 @@ def _single_agent_problem(problem: ProblemSpec, agent: str,
         return replace(problem, constraints=constraints, robot_initial=None,
                        fixed_robot=other_traj)
     if other_traj is None:
-        return replace(problem, constraints=constraints, observed_human=None,
-                       horizon=problem.steps)
+        return replace(problem, constraints=constraints, observed_human=None)
     return replace(problem, constraints=constraints, fixed_human=other_traj)
 
 

@@ -342,6 +342,18 @@ def _window_index(records, span):
     return idx
 
 
+def training_windows(records: list[np.ndarray], config: ModelConfig) -> list[tuple]:
+    """(record, first frame) of every training window of ``config``'s
+    ``input + output`` frames; a ``ModelError`` when there is none."""
+    if not records:
+        raise ModelError("empty training set")
+    span = config.input_frames + config.output_frames
+    index = _window_index(records, span)
+    if not index:
+        raise ModelError(f"no record is long enough for {span}-frame windows")
+    return index
+
+
 def _evaluate(params, config, windows_arr):
     """Test loss and final-frame base error over a (N, k+T, 129) array."""
     if windows_arr.shape[0] == 0:
@@ -376,13 +388,8 @@ def train(
     rotation term keeps Adam oscillating at the step-size scale, so exact
     convergence needs a decaying schedule (default keeps it constant).
     """
-    if not records:
-        raise ModelError("empty training set")
-    k, horizon = config.input_frames, config.output_frames
-    span = k + horizon
-    index = _window_index(records, span)
-    if not index:
-        raise ModelError(f"no record is long enough for {span}-frame windows")
+    index = training_windows(records, config)
+    span = config.input_frames + config.output_frames
     test_windows = np.zeros((0, span, STATE_DIM))
     if test_records:
         test_idx = _window_index(test_records, span)

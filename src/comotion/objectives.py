@@ -1,14 +1,15 @@
 """Planning problems: objective and constraint functions, compiled to a tape.
 
-A :class:`ProblemSpec` declares the agents, horizon, weights and constraints.
+A :class:`ProblemSpec` declares the agents, step count, weights and constraints.
 :func:`compile_problem` unrolls both dynamics onto one tape and appends every
 objective/constraint scalar, so one backward pass yields the gradient of any
 weighted combination with respect to all decision variables (human decoder
 modifiers and robot controls).
 
 Conventions:
-  * Predicted timesteps are indexed 0..H-1 with H = horizon - observed frames.
-    Goal and handover constraints act on the final step, H-1.
+  * H is a problem's ``steps``: the number of planned timesteps after the
+    observed history, indexed 0..H-1.  Goal and handover constraints act on
+    the final step, H-1.
   * An agent is planned when the problem has its start (the human's observed
     history, the robot's initial state) and no frozen trajectory for it.
   * Inequality constraints are feasible at values <= 0.
@@ -31,7 +32,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .environment import (
-    DEFAULT_RESOLUTION,
     Scene,
     build_sdf,
     scene_from_doc,
@@ -106,16 +106,17 @@ class ConstraintSpec:
 
 @dataclass
 class ProblemSpec:
-    """One planning instance.  ``horizon`` counts total frames including the
-    observed history; constraints act on the H = horizon - k predicted steps.
-    Which arrays are present decides each agent's role: see ``plans_human``
-    and ``plans_robot``.  The robot is ``DEFAULT_ROBOT``.
+    """One planning instance.  ``steps`` is H, the number of planned
+    timesteps after the observed history; constraints act on those H steps,
+    and a frozen agent's trajectory has one row per step.  Which arrays are
+    present decides each agent's role: see ``plans_human`` and
+    ``plans_robot``.  The robot is ``DEFAULT_ROBOT``.
 
-    Construction checks that at least one step is left to plan, and every
+    Construction checks that ``steps`` is an integer of at least 1, and every
     array that is present: its shape and that each entry is finite.  This is
-    the one check of a problem's arrays."""
+    the one check of a problem's step count and arrays."""
 
-    horizon: int
+    steps: int
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     constraints: list = field(default_factory=list)
     observed_human: np.ndarray | None = None  # (k, 129)
@@ -125,6 +126,8 @@ class ProblemSpec:
     fixed_robot: np.ndarray | None = None  # (H, state_dim) when the robot is frozen
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
+            raise ProblemError(f"steps must be an integer of at least 1, got {self.steps!r}")
         for name in ("observed_human", "robot_initial", "fixed_human", "fixed_robot"):
             value = getattr(self, name)
             if value is not None:
@@ -139,13 +142,6 @@ class ProblemSpec:
                                    f"got {observed.shape}")
             if observed.shape[0] < 2:
                 raise ProblemError("observed_human needs at least 2 frames")
-            if self.horizon <= observed.shape[0]:
-                raise ProblemError("horizon must exceed the observed history")
-        if self.fixed_human is not None and self.fixed_human.ndim != 2:
-            raise ProblemError(f"fixed_human must have shape (steps, {STATE_DIM}), "
-                               f"got {self.fixed_human.shape}")
-        if self.steps < 1:
-            raise ProblemError(f"horizon leaves no timesteps to plan (steps = {self.steps})")
         robot_dim = DEFAULT_ROBOT.state_dim
         for name, shape in (("robot_initial", (robot_dim,)),
                             ("fixed_human", (self.steps, STATE_DIM)),
@@ -153,16 +149,6 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None and value.shape != shape:
                 raise ProblemError(f"{name} must have shape {shape}, got {value.shape}")
-
-    @property
-    def steps(self) -> int:
-        """Number of predicted/planned timesteps H: the horizon past the
-        observed history, else the frozen human's length, else the horizon."""
-        if self.observed_human is not None:
-            return self.horizon - self.observed_human.shape[0]
-        if self.fixed_human is not None:
-            return len(self.fixed_human)
-        return self.horizon
 
     @property
     def plans_human(self) -> bool:
@@ -185,21 +171,18 @@ HUMAN_HAND_LINK = "rWrist"
 class GraphContext:
     """What constraint builders read from the agents' trajectories.
 
-    ``human_traj``/``robot_traj`` are (H, dim) state trajectory refs, or None
-    for an absent agent.  A point on a link is one ``link_point`` node, over
-    one step's row or over the whole trajectory; base positions and headings
-    read state columns directly.  The chains are ``DEFAULT_HUMAN_SKELETON``'s
-    and ``DEFAULT_ROBOT``'s.
+    ``steps`` is the problem's H, and ``human_traj``/``robot_traj`` are
+    (H, dim) state trajectory refs, or None for an absent agent.  A point on
+    a link is one ``link_point`` node, over one step's row or over the whole
+    trajectory; base positions and headings read state columns directly.  The
+    chains are ``DEFAULT_HUMAN_SKELETON``'s and ``DEFAULT_ROBOT``'s.
     """
 
-    def __init__(self, tape, human_traj, robot_traj, sdf):
+    def __init__(self, tape, steps, human_traj, robot_traj, sdf):
         self.tape = tape
+        self.steps = steps
         self.sdf = sdf
         self._traj = {"human": human_traj, "robot": robot_traj}
-
-    def steps(self) -> int:
-        traj = self._traj["human"] if self._traj["human"] is not None else self._traj["robot"]
-        return traj.shape[0]
 
     def trajectory(self, agent: str) -> Ref:
         traj = self._traj[agent]
@@ -280,7 +263,7 @@ def control_objective_graph(tape, weights: ObjectiveWeights, modifiers: Ref | No
 def human_base_penalty_graph(tape, ctx: GraphContext, observed_last: np.ndarray,
                              weight: float) -> Ref:
     """Penalizes human base displacement over the plan (pickup-agent studies)."""
-    steps = ctx.steps()
+    steps = ctx.steps
     bases = tape.reshape(ctx.base_positions("human", 3), (steps * 3,))
     flat = tape.concat([tape.const(observed_last[:3]), bases])
     return _difference_cost(tape, flat, 3, steps + 1, weight)
@@ -290,7 +273,7 @@ def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """Squared distance between a link position at the final step and the
     goal point."""
     tape = ctx.tape
-    pos = ctx.point(spec.agent, spec.link, t=ctx.steps() - 1)
+    pos = ctx.point(spec.agent, spec.link, t=ctx.steps - 1)
     return tape.sum_squares(tape.sub(pos, tape.const(np.asarray(spec.target, dtype=np.float64))))
 
 
@@ -338,7 +321,7 @@ def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     agents face each other, 2 when they face the same way.
     """
     tape = ctx.tape
-    t = ctx.steps() - 1
+    t = ctx.steps - 1
     hand_h = ctx.palm_point("human", t)
     hand_r = ctx.palm_point("robot", t)
     dist = tape.sum_squares(tape.sub(hand_h, hand_r))
@@ -422,7 +405,7 @@ class CompiledProblem:
 def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> CompiledProblem:
     """Record the whole planning problem on a fresh tape at zero controls."""
     steps = problem.steps
-    sdf = None if problem.scene is None else build_sdf(problem.scene, DEFAULT_RESOLUTION)
+    sdf = None if problem.scene is None else build_sdf(problem.scene)
 
     tape = Tape()
     leaf_dims: dict[str, int] = {}
@@ -465,7 +448,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     if not leaf_dims:
         raise ProblemError("nothing to optimize: no free agent")
 
-    ctx = GraphContext(tape, human_traj, robot_traj, sdf)
+    ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
 
     objective = control_objective_graph(
         tape, problem.weights, modifiers, controls, steps, DEFAULT_ROBOT.control_dim
@@ -528,7 +511,7 @@ def save_problem(problem: ProblemSpec, path) -> None:
     doc = {
         "format": "comotion-problem",
         "version": 1,
-        "horizon": problem.horizon,
+        "steps": problem.steps,
         "weights": asdict(problem.weights),
         "constraints": [asdict(c) for c in problem.constraints],
         "observed_human": _array_to_doc(problem.observed_human),
@@ -565,11 +548,8 @@ def _problem_from_doc(doc: dict) -> ProblemSpec:
     unknown = sorted(set(doc) - {"format", "version"} - {f.name for f in fields(ProblemSpec)})
     if unknown:
         raise ProblemError(f"unknown key {unknown[0]!r}")
-    horizon = doc["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ProblemError(f"horizon must be an integer, got {horizon!r}")
     return ProblemSpec(
-        horizon=horizon,
+        steps=doc["steps"],
         weights=from_doc(ObjectiveWeights, doc["weights"],
                          required=("weight_human", "weight_robot", "frame_time")),
         constraints=[from_doc(ConstraintSpec, c) for c in doc["constraints"]],

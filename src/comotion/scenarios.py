@@ -78,7 +78,7 @@ def make_reach_problems(count: int, seed: int, observed_frames: int = 20,
         truth = rec[observed_frames:span]
         goal, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, truth[-1], "rWrist")
         problem = ProblemSpec(
-            horizon=span,
+            steps=prediction_frames,
             observed_human=observed,
             constraints=[
                 ConstraintSpec(kind="goal", agent="human", link="rWrist",
@@ -130,7 +130,7 @@ def make_crossing_problems(count: int, seed: int, observed_frames: int = 20,
         robot_goal = (gap_x + rng.uniform(-0.2, 0.2), -start_y, 0.0)
 
         problem = ProblemSpec(
-            horizon=span,
+            steps=prediction_frames,
             observed_human=observed,
             robot_initial=robot_initial,
             scene=scene,
@@ -177,7 +177,7 @@ def make_handover_problems(count: int, seed: int, observed_frames: int = 20,
             bounds=Rect((0.0, 0.0), (8.0, 8.0)),
         )
         problem = ProblemSpec(
-            horizon=span,
+            steps=prediction_frames,
             observed_human=observed,
             robot_initial=robot_initial,
             scene=scene,
@@ -213,7 +213,7 @@ def make_pickup_handover_problem(seed: int, observed_frames: int = 20,
     robot_initial[2] = np.pi
 
     problem = ProblemSpec(
-        horizon=span,
+        steps=prediction_frames,
         observed_human=observed,
         robot_initial=robot_initial,
         weights=ObjectiveWeights(human_base_penalty=human_base_penalty),

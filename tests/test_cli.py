@@ -77,6 +77,22 @@ def test_train_seeded_runs_produce_identical_weights(tiny_dataset, tmp_path):
     assert wa == wb
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--held-out", "nobody", ("'nobody'", "synth0, synth1")),
+    ("--test-fraction", "1.5", ("test fraction", "1.5")),
+    ("--test-fraction", "-1", ("test fraction", "-1")),
+    # the tiny dataset's records are 16 frames long
+    ("--input-frames", "13", ("17-frame windows",)),
+])
+def test_train_bad_split_or_window_exits_2_before_any_output(tiny_dataset, tmp_path, capsys,
+                                                             flag, value, named):
+    rc = main([*train_args(tiny_dataset, str(tmp_path / "o")), flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named) and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_round_trips(tmp_path):
     out = str(tmp_path / "synth")
     rc = main(["synth", "--count", "3", "--frames", "12", "--seed", "1", "--out", out])
@@ -175,7 +191,7 @@ def test_plan_bad_weight_config_exits_2_before_any_output(tiny_weights, tmp_path
 def toy_robot_problem(tmp_path, steps=2, target=(0.4, 0.0, 0.0)):
     """Robot-only line drive: difference objective makes u0 = d/steps unique."""
     problem = obj.ProblemSpec(
-        horizon=steps,
+        steps=steps,
         observed_human=None,
         robot_initial=np.zeros(7),
         constraints=[obj.ConstraintSpec(kind="goal", agent="robot", link="base",
@@ -282,9 +298,11 @@ def test_plan_bad_timestep_exits_2_before_any_output(tmp_path, capsys, timestep)
 
 # a problem file edit and the key or field the error must name
 _PROBLEM_EDITS = {
-    "horizon not a number": (lambda doc: doc.update(horizon="sixty"), "horizon"),
-    "horizon not an integer": (lambda doc: doc.update(horizon=doc["horizon"] + 0.7), "horizon"),
-    "horizon 0": (lambda doc: doc.update(horizon=0), "horizon"),
+    "steps not a number": (lambda doc: doc.update(steps="sixty"), "steps"),
+    "steps not an integer": (lambda doc: doc.update(steps=doc["steps"] + 0.7), "steps"),
+    "steps 0": (lambda doc: doc.update(steps=0), "steps"),
+    # a problem states its planned steps, not the frames of a horizon
+    "horizon key": (lambda doc: doc.update(horizon=doc.pop("steps") + 4), "'horizon'"),
     "unknown constraint key": (lambda doc: doc["constraints"][0].update(temprature=0.1),
                                "'temprature'"),
     "unknown weights key": (lambda doc: doc["weights"].update(weight_humna=1.0), "'weight_humna'"),
@@ -323,7 +341,7 @@ _PROBLEM_EDITS = {
         "bounds": {"center": [0.0, 0.0], "half_extents": [float("inf"), 2.0]}, "obstacles": [],
     }), "half_extents"),
     "NaN observed_human entry": (lambda doc: doc.update(
-        horizon=4, observed_human=[[float("nan")] * 129, [0.0] * 129]), "observed_human"),
+        observed_human=[[float("nan")] * 129, [0.0] * 129]), "observed_human"),
     "NaN robot_initial entry": (lambda doc: doc.update(robot_initial=[float("nan")] + [0.0] * 6),
                                 "robot_initial"),
 }
@@ -364,7 +382,7 @@ def human_robot_problem(tmp_path, name="human_robot.json", robot_shift=0.3):
     rinit[:2] = observed[-1, :2] + np.array([1.0, 0.3])
     rinit[2] = np.pi
     problem = obj.ProblemSpec(
-        horizon=4 + 4,
+        steps=4,
         observed_human=observed,
         robot_initial=rinit,
         constraints=[
@@ -561,14 +579,14 @@ def test_evaluate_unreadable_problem_exits_2_before_any_output(tmp_path, capsys,
     bad = tmp_path / "bad.json"
     with open(good) as fh:
         doc = json.load(fh)
-    del doc["horizon"]
+    del doc["steps"]
     with open(bad, "w") as fh:
         json.dump(doc, fh)
     rc = main(["evaluate", "--problems", good, str(bad), *sweep, "--jobs", "1",
                "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and "'horizon'" in err and "Traceback" not in err
+    assert str(bad) in err and "'steps'" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -609,7 +627,8 @@ def test_evaluate_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("removed", ["sweep", "evaluate --aggregate", "predict --seed",
-                                     "export --seed", "plan --robot", "evaluate --robot",
+                                     "export --seed", "export --resolution",
+                                     "plan --robot", "evaluate --robot",
                                      "plan --kind", "evaluate --kind",
                                      "synth --count", "synth --frames", "train --epochs",
                                      "train --batch-size", "train --layers",
@@ -632,6 +651,7 @@ def test_removed_command_or_flag_exits_2_before_any_output(tiny_dataset, tiny_we
         "predict --seed": ["predict", "--weights", tiny_weights, "--data", tiny_dataset,
                            "--seed", "1"],
         "export --seed": ["export", "--plan-dir", str(plan_dir), "--seed", "1"],
+        "export --resolution": ["export", "--plan-dir", str(plan_dir), "--resolution", "0.05"],
         "plan --robot": ["plan", "--problem", str(plan_dir / "problem.json"),
                          "--robot", str(plan_dir / "problem.json")],
         "evaluate --robot": ["evaluate", "--problems", str(plan_dir / "problem.json"),
@@ -772,10 +792,10 @@ def test_export_empty_human_trajectory_exits_2_writing_nothing(tmp_path, capsys)
 
 
 def test_export_sdf_header_round_trip(tmp_path):
-    from comotion.environment import Rect, Scene, load_sdf
+    from comotion.environment import Rect, Scene, build_sdf, load_sdf
 
     problem = obj.ProblemSpec(
-        horizon=3,
+        steps=3,
         robot_initial=np.zeros(7),
         scene=Scene((), Rect((0.0, 0.0), (1.0, 1.0))),
         constraints=[obj.ConstraintSpec(kind="goal", agent="robot", link="base",
@@ -786,10 +806,13 @@ def test_export_sdf_header_round_trip(tmp_path):
     plan_out = str(tmp_path / "plan")
     assert main(["plan", "--problem", str(ppath), "--method", "ours", "--out", plan_out]) == 0
     out = str(tmp_path / "export")
-    assert main(["export", "--plan-dir", plan_out, "--resolution", "0.25", "--out", out]) == 0
+    assert main(["export", "--plan-dir", plan_out, "--out", out]) == 0
     grid = load_sdf(os.path.join(out, "scene.sdf"))
-    assert grid.resolution == 0.25
-    assert grid.values.shape[0] >= 2
+    # the grid the collision rows read
+    expected = build_sdf(problem.scene)
+    assert grid.resolution == expected.resolution
+    assert np.array_equal(grid.origin, expected.origin)
+    assert np.array_equal(grid.values, expected.values)
 
 
 def test_version_flag():

@@ -221,3 +221,18 @@ def test_split_held_out_subject_disjoint():
     assert not any(r.subject == "synth2" for r in split.train + split.test)
     assert len(split.held_out) == sum(1 for r in recs if r.subject == "synth2")
     assert len(split.train) + len(split.test) + len(split.held_out) == len(recs)
+
+
+def test_split_rejects_a_test_fraction_outside_0_1():
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=12, duration_frames=20,
+                                            reach_frames=5), seed=4)
+    for fraction in (0.0, 1.0, 1.5, -1.0, float("nan")):
+        with pytest.raises(cd.DataError, match="test fraction"):
+            cd.split_dataset(recs, held_out_subject="synth2", test_fraction=fraction)
+
+
+def test_split_rejects_a_held_out_subject_no_record_has():
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=12, duration_frames=20,
+                                            reach_frames=5), seed=4)
+    with pytest.raises(cd.DataError, match="'nobody'.*synth0, synth1, synth2"):
+        cd.split_dataset(recs, held_out_subject="nobody")

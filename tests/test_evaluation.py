@@ -64,7 +64,7 @@ def test_sample_zero_noise_limit_equals_initial(model, observed):
 
 def test_sample_ranking_by_goal_distance(model, observed):
     problem = obj.ProblemSpec(
-        horizon=4 + 5,
+        steps=5,
         observed_human=observed,
         constraints=[obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                                         target=(0.5, 0.0, 0.9))],
@@ -97,7 +97,7 @@ def test_sample_ranking_default_follows_the_constraints(model):
     assert order == list(np.argsort(losses, kind="stable"))
     assert order == ev.rank_predictions(samples, replace(cfg, ranking="handover_loss"), problem)
 
-    bare = obj.ProblemSpec(horizon=problem.horizon, observed_human=problem.observed_human)
+    bare = obj.ProblemSpec(steps=problem.steps, observed_human=problem.observed_human)
     with pytest.raises(ev.EvaluationError, match="no sample ranking applies"):
         ev.rank_predictions(samples, cfg, bare)
 
@@ -196,7 +196,7 @@ def test_run_method_without_a_model_it_needs_names_the_method(method):
 def test_sequential_frozen_agent_unchanged(model, observed):
     scene = Scene((Disc((0.6, 0.8), 0.25),), Rect((0, 0), (6, 6)))
     problem = obj.ProblemSpec(
-        horizon=4 + 5,
+        steps=5,
         observed_human=observed,
         robot_initial=np.array([1.5, 0.4, np.pi, 0.0, 0.0, 0.0, 0.0]),
         scene=scene,
@@ -224,7 +224,7 @@ def test_sequential_frozen_agent_unchanged(model, observed):
 def _avoid_problem(observed):
     """Both agents with goals, a scene and a joint clearance, on the tiny model."""
     return obj.ProblemSpec(
-        horizon=4 + 5,
+        steps=5,
         observed_human=observed,
         robot_initial=np.array([1.5, 0.4, np.pi, 0.0, 0.0, 0.0, 0.0]),
         scene=Scene((Disc((0.6, 0.8), 0.25),), Rect((0, 0), (6, 6))),
@@ -306,7 +306,7 @@ def test_with_coll_ignores_other_agent(model, observed):
     rinit[:2] = observed[-1, :2]  # robot parked right on the human
     rinit[2] = np.pi
     problem = obj.ProblemSpec(
-        horizon=4 + 4,
+        steps=4,
         observed_human=observed,
         robot_initial=rinit,
         constraints=[
@@ -461,7 +461,7 @@ def success_fixture():
     robot[:, 0] = np.linspace(0.0, 0.5, 6)
     robot[:, 1] = -1.0
     problem = obj.ProblemSpec(
-        horizon=6,
+        steps=6,
         constraints=[
             obj.ConstraintSpec(kind="goal", agent="robot", link="base",
                                target=(0.5, -1.0, 0.0)),
@@ -538,7 +538,7 @@ def test_handover_loss_threshold_edge():
     robot[:, 0] = 3.0
     robot[:, 2] = np.pi
     problem = obj.ProblemSpec(
-        horizon=4,
+        steps=4,
         constraints=[obj.ConstraintSpec(kind="handover")],
         fixed_human=human,
         robot_initial=robot[0],
@@ -564,7 +564,7 @@ def test_handover_loss_matches_the_compiled_constraint():
             human[t, 3 + 6 * j : 9 + 6 * j] = matrix_to_rot6d(
                 axis_angle_matrix(axis, rng.uniform(-np.pi, np.pi)))
     spec = obj.ConstraintSpec(kind="handover")
-    problem = obj.ProblemSpec(horizon=H, constraints=[spec], fixed_human=human,
+    problem = obj.ProblemSpec(steps=H, constraints=[spec], fixed_human=human,
                               robot_initial=rng.normal(size=7))
     compiled = obj.compile_problem(problem)
     _, _, h, evaluation = compiled.evaluate(0.1 * rng.normal(size=compiled.n))
@@ -586,7 +586,7 @@ def test_joint_goal_diagnostic_picks_nearest_agent():
     wrist, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[2], "rWrist")
     target = wrist + R @ np.asarray(obj.HUMAN_PALM_OFFSET)
     problem = obj.ProblemSpec(
-        horizon=5,
+        steps=5,
         constraints=[obj.ConstraintSpec(kind="joint_goal", target=tuple(target))],
         fixed_human=human,
         robot_initial=robot[0],

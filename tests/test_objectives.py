@@ -55,9 +55,8 @@ def small_scene():
 
 def base_problem(observed, steps=5, constraints=(), scene=None, weights=None,
                  robot=True, human=True):
-    k = observed.shape[0] if human else 0
     return obj.ProblemSpec(
-        horizon=k + steps,
+        steps=steps,
         weights=weights or obj.ObjectiveWeights(),
         constraints=list(constraints),
         observed_human=observed if human else None,
@@ -225,7 +224,7 @@ def test_clearance_agents_two_d_apart():
     robot = np.zeros((H, 7))
     spec = obj.ConstraintSpec(kind="joint_clearance", clearance=d)
     problem = obj.ProblemSpec(
-        horizon=H, constraints=[spec], fixed_human=human, robot_initial=np.zeros(7),
+        steps=H, constraints=[spec], fixed_human=human, robot_initial=np.zeros(7),
     )
     compiled = obj.compile_problem(problem)
     _, g, _, _ = compiled.evaluate(np.zeros(compiled.n))
@@ -297,7 +296,7 @@ def frozen_pair_problem(face_to_face=True):
 def test_handover_same_heading_facing_residual_two():
     human, robot = frozen_pair_problem(face_to_face=False)
     spec = obj.ConstraintSpec(kind="handover")
-    problem = obj.ProblemSpec(horizon=3, constraints=[spec], fixed_human=human,
+    problem = obj.ProblemSpec(steps=3, constraints=[spec], fixed_human=human,
                               robot_initial=robot[0])
     compiled = obj.compile_problem(problem)
     _, _, h, ev = compiled.evaluate(np.zeros(compiled.n))
@@ -324,7 +323,7 @@ def test_handover_face_to_face_palms_touching_is_zero():
     robot = np.zeros((3, 7))
     robot[:, 0] = shift[0]
     robot[:, 1] = shift[1]
-    problem = obj.ProblemSpec(horizon=3, constraints=[spec], fixed_human=human,
+    problem = obj.ProblemSpec(steps=3, constraints=[spec], fixed_human=human,
                               robot_initial=robot[0])
     compiled = obj.compile_problem(problem)
     _, _, h, _ = compiled.evaluate(np.zeros(compiled.n))
@@ -428,7 +427,7 @@ def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
             obj.ConstraintSpec(kind="joint_goal", target=tuple(tg["pick"])),
             obj.ConstraintSpec(kind="handover"),
         ]
-        problem = obj.ProblemSpec(horizon=len(h), constraints=constraints, fixed_human=h,
+        problem = obj.ProblemSpec(steps=len(h), constraints=constraints, fixed_human=h,
                                   robot_initial=r)
         _, g, eq, _ = obj.compile_problem(problem).evaluate(theta)
         values.append(np.concatenate([g, eq]))
@@ -549,7 +548,7 @@ def test_problem_file_round_trip(tmp_path, observed):
     path = tmp_path / "problem.json"
     obj.save_problem(problem, path)
     loaded = obj.load_problem(path)
-    assert loaded.horizon == problem.horizon
+    assert loaded.steps == problem.steps
     assert loaded.weights == problem.weights
     assert loaded.constraints == problem.constraints
     assert loaded.scene == problem.scene
@@ -605,12 +604,12 @@ def test_problem_file_round_trip_is_a_byte_fixed_point(human, robot, constraints
     """save -> load -> save writes the same bytes, for random constraints of
     every kind and every role of each agent, and the roles come back."""
     rng = np.random.default_rng(seed)
-    has_start = human in ("planned", "frozen with start")
     problem = obj.ProblemSpec(
-        horizon=steps + observed if has_start else steps,
+        steps=steps,
         weights=weights,
         constraints=constraints,
-        observed_human=rng.normal(size=(observed, 129)) if has_start else None,
+        observed_human=rng.normal(size=(observed, 129))
+        if human in ("planned", "frozen with start") else None,
         robot_initial=rng.normal(size=7) if robot in ("planned", "frozen with start") else None,
         scene=small_scene() if with_scene else None,
         fixed_human=rng.normal(size=(steps, 129)) if human.startswith("frozen") else None,
@@ -646,6 +645,21 @@ def test_constraint_spec_validation():
     for name, bad in (("clearance", "0.5"), ("target", (0.1, 0.0))):
         with pytest.raises(obj.ProblemError, match=name):
             obj.ConstraintSpec(kind="collision", agent="robot", **{name: bad})
+
+
+@pytest.mark.parametrize("steps", [0, -1, True, 2.5])
+def test_problem_steps_must_be_an_integer_of_at_least_1(steps):
+    with pytest.raises(obj.ProblemError, match="steps"):
+        obj.ProblemSpec(steps=steps, robot_initial=np.zeros(7))
+
+
+@pytest.mark.parametrize("name, dim", [("fixed_human", 129), ("fixed_robot", 7)])
+def test_frozen_trajectory_has_one_row_per_step(name, dim):
+    """A frozen agent's rows are the planned steps, whatever else is present."""
+    for rows in (3, 5):
+        with pytest.raises(obj.ProblemError, match=name):
+            obj.ProblemSpec(steps=4, robot_initial=np.zeros(7), **{name: np.zeros((rows, dim))})
+    assert obj.ProblemSpec(steps=4, **{name: np.zeros((4, dim))}).steps == 4
 
 
 def test_problem_missing_agent_errors(observed):

@@ -198,7 +198,7 @@ def test_heading_graph():
     robot = tape.leaf("r", np.array([[0, 0, np.pi / 3, 0, 0, 0, 0.0]]))
     human = np.zeros((1, 129))
     human[0, 3:9] = [0.0, 2.0, 0.5, -1.0, 0.0, 0.0]
-    ctx = obj.GraphContext(tape, tape.leaf("h", human), robot, None)
+    ctx = obj.GraphContext(tape, 1, tape.leaf("h", human), robot, None)
     assert np.allclose(ctx.heading("robot", 0).value, [np.cos(np.pi / 3), np.sin(np.pi / 3)],
                        atol=1e-15)
     assert np.allclose(ctx.heading("human", 0).value, [0.0, 1.0], atol=1e-12)

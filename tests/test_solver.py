@@ -264,7 +264,7 @@ def tiny_model_setup():
 def test_motion_problem_warm_start_objective_zero(tiny_model_setup):
     model, observed = tiny_model_setup
     problem = obj.ProblemSpec(
-        horizon=4 + 5,
+        steps=5,
         observed_human=observed,
         robot_initial=np.array([1.0, 0.0, np.pi, 0.0, 0.0, 0.0, 0.0]),
     )
@@ -280,7 +280,7 @@ def test_shooting_consistency_bit_exact(tiny_model_setup):
     model, observed = tiny_model_setup
     target = observed[-1][:3] + np.array([0.3, 0.1, -0.1])
     problem = obj.ProblemSpec(
-        horizon=4 + 5,
+        steps=5,
         observed_human=observed,
         robot_initial=np.array([1.0, 0.0, np.pi, 0.0, 0.0, 0.0, 0.0]),
         constraints=[
@@ -312,7 +312,7 @@ def test_human_reach_problem_converges(tiny_model_setup):
     wrist, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
     target = wrist + np.array([0.15, -0.1, 0.05])
     problem = obj.ProblemSpec(
-        horizon=4 + 6,
+        steps=6,
         observed_human=observed,
         constraints=[obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                                         target=tuple(target))],
