@@ -8,14 +8,20 @@ temp-file-plus-rename so partial outputs never clobber good ones.
 ``plan`` and ``evaluate`` solve through the same ``evaluation.evaluate_problem``
 call: ``plan``'s ``result.json`` is the row ``evaluate`` writes to
 ``records.jsonl``, plus ``kind``, ``partial`` and ``controls``.  Both plan for
-the one robot, ``robot_model.DEFAULT_ROBOT``, and score each problem as the
-experiment kind its constraints describe (``evaluation.default_kind``).
+the one human skeleton of ``kinematics`` and the one robot arm of
+``robot_model``, and score each problem as the experiment kind its
+constraints describe (``evaluation.default_kind``).
 
-``evaluate`` reads every problem file before its first write, then runs one
-task per problem, method and, with ``--alpha-sweep``, robot weight, through
-one pool of at most ``--jobs`` workers.  It writes each completed task's row
-to ``records.jsonl``, each task that raised to ``failures.json``, and one
-``evaluation.summarize`` entry per method and robot weight to
+``train`` scores its best weights on the ``--held-out`` subject's windows,
+as each epoch's test loss scores the test split, in ``held_out.json``.
+
+``evaluate`` reads each problem file once, however many patterns match it,
+and refuses two files of one name, the name its rows carry.  Before its first
+write it reads every file and sets each problem at each ``--alpha-sweep``
+robot weight; then it runs one task per problem, method and robot weight,
+through one pool of at most ``--jobs`` workers.  It writes each completed
+task's row to ``records.jsonl``, each task that raised to ``failures.json``,
+and one ``evaluation.summarize`` entry per method and robot weight to
 ``summary.json`` and ``summary.txt``.  A sweep's rows and entries carry their
 ``weight_robot``.
 
@@ -214,6 +220,11 @@ def cmd_train(args) -> int:
                               test_fraction=args.test_fraction, seed=args.seed)
     train_frames = [r.frames for r in split.train]
     hm.training_windows(train_frames, config)
+    held_frames = [r.frames for r in split.held_out]
+    try:
+        held_index = hm.training_windows(held_frames, config)
+    except hm.ModelError as exc:
+        raise UsageError(f"--held-out {args.held_out}: {exc}") from None
     _write_manifest(out, args)
     lines = []
 
@@ -235,6 +246,14 @@ def cmd_train(args) -> int:
     _save_weights(result.best, os.path.join(out, "model.weights"))
     _save_weights(result.params, os.path.join(out, "model-final.weights"))
     _atomic_write(os.path.join(out, "epochs.jsonl"), "\n".join(lines) + "\n")
+    # the best weights on the held-out subject's windows, scored as the test split
+    span = config.input_frames + config.output_frames
+    windows = np.stack([held_frames[ri][s : s + span] for ri, s in held_index])
+    loss, base_err = hm._evaluate(result.best, config, windows)
+    _write_json(os.path.join(out, "held_out.json"),
+                {"subject": args.held_out, "windows": len(held_index), "loss": loss,
+                 "base_pos_error": base_err})
+    print(f"held-out {args.held_out}: loss {loss:.4f} over {len(held_index)} windows")
     print(f"wrote {os.path.join(out, 'model.weights')}")
     return 0
 
@@ -323,15 +342,12 @@ def cmd_plan(args) -> int:
 
 
 def _evaluate_one(task):
-    """One ``evaluate`` task: (its row, None), or (None, its failure).  A task
-    of an alpha sweep solves its problem at its robot weight, and its row and
-    failure carry that ``weight_robot``."""
+    """One ``evaluate`` task: (its row, None), or (None, its failure).  The
+    row and failure of an alpha sweep's task carry its ``weight_robot``, the
+    robot weight its problem already holds."""
     path, problem, method, weight_robot, model, seed, solver_config, sample_config = task
     tag = {} if weight_robot is None else {"weight_robot": weight_robot}
     try:
-        if weight_robot is not None:
-            problem = replace(problem, weights=replace(problem.weights,
-                                                       weight_robot=weight_robot))
         row = ev.evaluate_problem(problem, method, model, problem_id=os.path.basename(path),
                                   solver_config=solver_config, sample_config=sample_config,
                                   seed=seed).row()
@@ -362,9 +378,15 @@ def _fmt(v) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    paths = sorted(p for pattern in args.problems for p in glob.glob(pattern))
+    # each file once, however many patterns match it
+    paths = sorted({os.path.normpath(p) for pattern in args.problems for p in glob.glob(pattern)})
     if not paths:
         raise UsageError("empty problem batch")
+    named: dict[str, str] = {}
+    for path in paths:
+        other = named.setdefault(os.path.basename(path), path)
+        if other != path:
+            raise UsageError(f"{other} and {path} share the file name that names their rows")
     _at_least(args, jobs=1)
     solver_config = _solver_config(args)
     sample_config = _sample_config(args)
@@ -374,18 +396,19 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in ev.METHODS:
             raise UsageError(f"unknown method {m!r}")
-    alphas = _alphas(args.alpha_sweep) if args.alpha_sweep else (None,)
-    # every input is read before the first write
-    problems = [obj.load_problem(p) for p in paths]
+    alphas = _numbers(args.alpha_sweep, "--alpha-sweep", float) if args.alpha_sweep else (None,)
+    # every input is read, and every problem re-weighted, before the first write
+    sweeps = [[(alpha, _at_robot_weight(path, obj.load_problem(path), alpha)) for alpha in alphas]
+              for path in paths]
     model = None if args.weights is None else hm.load_params(_require(args.weights, "weight file"))
     out = _out_dir(args)
     _write_manifest(out, args, extra={"problems": paths})
 
     tasks = [
         (path, problem, m, alpha, model, args.seed, solver_config, sample_config)
-        for path, problem in zip(paths, problems)
+        for path, sweep in zip(paths, sweeps)
         for m in methods
-        for alpha in alphas
+        for alpha, problem in sweep
     ]
     jobs = min(args.jobs, len(tasks))
     pool = cf.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -409,16 +432,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _alphas(text: str) -> tuple:
-    """The robot weights given to ``--alpha-sweep``, each one checked as an
-    ``ObjectiveWeights`` field."""
-    alphas = _numbers(text, "--alpha-sweep", float)
-    for alpha in alphas:
-        try:
-            obj.ObjectiveWeights(weight_robot=alpha)
-        except obj.ProblemError as exc:
-            raise UsageError(f"--alpha-sweep: {exc}") from None
-    return alphas
+def _at_robot_weight(path, problem, alpha):
+    """``problem`` with robot weight ``alpha``, or as it is for None; a weight
+    the problem's other weights do not admit is a UsageError naming the file
+    and the weight."""
+    if alpha is None:
+        return problem
+    try:
+        return replace(problem, weights=replace(problem.weights, weight_robot=alpha))
+    except obj.ProblemError as exc:
+        raise UsageError(f"{path} at --alpha-sweep {alpha:g}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import (
-    DEFAULT_HUMAN_SKELETON,
     HUMAN_JOINT_NAMES,
     NUM_JOINTS,
     STATE_DIM,
@@ -317,7 +316,7 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
             heading += turn * dt
             phase += 2.0 * np.pi * speed * dt / 0.6  # 0.6 m stride length
         frames[:, 3:] = matrix_to_rot6d(local).reshape(n, -1)
-        goal, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, frames[-1], "rWrist")
+        goal, _ = forward_kinematics(frames[-1], "rWrist")
         records.append(
             TrajectoryRecord(
                 subject=f"synth{ti % config.num_subjects}",

@@ -29,15 +29,14 @@ from .chains import NORM_EPS
 from .environment import scene_sdf
 from .kinematics import (
     ARM_JOINT_NAMES,
-    DEFAULT_HUMAN_SKELETON,
     NUM_JOINTS,
     forward_kinematics,
+    joint_index,
     quat_from_rot6d,
     relative_angle,
 )
-from .objectives import (HUMAN_HAND_LINK, HUMAN_PALM_OFFSET, ROBOT_PALM_OFFSET, ConstraintSpec,
-                         ProblemSpec, compile_problem)
-from .robot_model import DEFAULT_ROBOT, robot_fk
+from .objectives import PALMS, ConstraintSpec, ProblemSpec, compile_problem
+from .robot_model import robot_fk
 from .solver import IterationRecord, SolveResult, SolverConfig, solve_compiled
 
 METHODS = (
@@ -130,12 +129,10 @@ def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int
 
 
 def _palms(agent: str, states) -> np.ndarray:
-    """Palm points, (3,) for one state or (N, 3) for a batch."""
-    if agent == "human":
-        pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, states, HUMAN_HAND_LINK)
-        return pos + R @ np.asarray(HUMAN_PALM_OFFSET)
-    pos, R = robot_fk(DEFAULT_ROBOT, states, DEFAULT_ROBOT.hand_link)
-    return pos + R @ np.asarray(ROBOT_PALM_OFFSET)
+    """The agent's ``PALMS`` points, (3,) for one state or (N, 3) for a batch."""
+    link, offset = PALMS[agent]
+    pos, R = (forward_kinematics if agent == "human" else robot_fk)(states, link)
+    return pos + R @ np.asarray(offset)
 
 
 def handover_loss(human_states, robot_state):
@@ -163,7 +160,7 @@ def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec):
         goal = _find(problem, "goal", "human")
         if goal is None:
             raise EvaluationError("distance_to_goal ranking needs a human goal constraint")
-        pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, finals, goal.link)
+        pos, _ = forward_kinematics(finals, goal.link)
         scores = np.linalg.norm(pos - np.asarray(goal.target), axis=1)
     else:
         if _find(problem, "handover") is None:
@@ -440,7 +437,7 @@ def compute_metrics(
         pred, truth = human_traj[frames], ground_truth[frames]
         rot6d = np.stack([pred, truth])[..., 3:].reshape(2, len(frames), NUM_JOINTS, 6)
         angles = relative_angle(*quat_from_rot6d(rot6d))  # (frames, joints)
-        arm_idx = [DEFAULT_HUMAN_SKELETON.index(nm) for nm in ARM_JOINT_NAMES]
+        arm_idx = [joint_index(nm) for nm in ARM_JOINT_NAMES]
         for name, values in (("base_pos", np.linalg.norm(pred[:, :3] - truth[:, :3], axis=1)),
                              ("angle", np.mean(angles, axis=1)),
                              ("angle_arm", np.mean(angles[:, arm_idx], axis=1))):
@@ -543,7 +540,7 @@ def check_success(problem: ProblemSpec, result: MethodResult,
     if kind in ("goal", "collision"):
         goal = _find(problem, "goal", "human")
         if goal is not None and human is not None:
-            pos, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[-1], goal.link)
+            pos, _ = forward_kinematics(human[-1], goal.link)
             if np.linalg.norm(pos - np.asarray(goal.target)) > HAND_GOAL_MAX:
                 reasons.append("hand-goal")
     if kind == "collision":

@@ -1,4 +1,4 @@
-"""Rotation representations, skeletons and forward kinematics.
+"""Rotation representations, the human skeleton and forward kinematics.
 
 Rotations are carried through optimization as 6-D vectors (the first two
 columns of a rotation matrix, column-major), which stay continuous under
@@ -17,13 +17,11 @@ A human configuration is a flat 129-vector::
 
     [ base position (3) | base rotation (6) | 20 joint rotations (6 each) ]
 
-Joint rotations are local (parent-relative) and ordered as in
+The joints' rotations are local (parent-relative) and ordered as in
 ``HUMAN_JOINT_NAMES``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,83 +163,61 @@ def rot6d_from_quat(q) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Skeleton
+# The human skeleton
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Joint:
-    name: str
-    parent: int  # -1 for the root
-    offset: tuple[float, float, float]  # fixed translation in the parent frame, meters
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """Kinematic chain: joints in topological order (parent before child)."""
-
-    joints: tuple[Joint, ...]
-
-    def __post_init__(self):
-        for i, j in enumerate(self.joints):
-            if i == 0:
-                if j.parent != -1:
-                    raise KinematicsError("first joint must be the root")
-            elif not (0 <= j.parent < i):
-                raise KinematicsError(f"joint {j.name!r} breaks topological order")
-
-    def index(self, name: str) -> int:
-        for i, j in enumerate(self.joints):
-            if j.name == name:
-                return i
-        raise KinematicsError(f"unknown link {name!r}")
-
-    def chain(self, name: str) -> list[int]:
-        """Indices from the root down to ``name`` inclusive."""
-        path = []
-        i = self.index(name)
-        while i >= 0:
-            path.append(i)
-            i = self.joints[i].parent
-        return path[::-1]
-
-    def kinematic_chain(self, link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
-        """The chain from the base to ``link`` in a state vector, ending at
-        ``tip`` in the link frame.  The root's own offset is not used."""
-        path = self.chain(link)
-        offsets = [(0.0, 0.0, 0.0)] + [self.joints[i].offset for i in path[1:]]
-        return Chain(range(3), offsets, [3 + 6 * i for i in path], tip=tip)
-
-
-# Canonical joint order.  The upstream capture lists the same 21 joints in an
-# arbitrary table order; here parents always precede children and the index
-# doubles as the rotation-slot index in the state vector.
-_HUMAN_JOINTS = (
-    Joint("base", -1, (0.0, 0.0, 0.0)),
-    Joint("pelvis", 0, (0.0, 0.0, 0.10)),
-    Joint("torso", 1, (0.0, 0.0, 0.22)),
-    Joint("neck", 2, (0.0, 0.0, 0.25)),
-    Joint("head", 3, (0.0, 0.0, 0.15)),
-    Joint("linnerShoulder", 2, (0.0, 0.05, 0.21)),
-    Joint("lShoulder", 5, (0.0, 0.13, 0.02)),
-    Joint("lElbow", 6, (0.0, 0.28, 0.0)),
-    Joint("lWrist", 7, (0.0, 0.25, 0.0)),
-    Joint("rinnerShoulder", 2, (0.0, -0.05, 0.21)),
-    Joint("rShoulder", 9, (0.0, -0.13, 0.02)),
-    Joint("rElbow", 10, (0.0, -0.28, 0.0)),
-    Joint("rWrist", 11, (0.0, -0.25, 0.0)),
-    Joint("lHip", 0, (0.0, 0.09, -0.05)),
-    Joint("lKnee", 13, (0.0, 0.0, -0.42)),
-    Joint("lAnkle", 14, (0.0, 0.0, -0.40)),
-    Joint("lToe", 15, (0.15, 0.0, -0.07)),
-    Joint("rHip", 0, (0.0, -0.09, -0.05)),
-    Joint("rKnee", 17, (0.0, 0.0, -0.42)),
-    Joint("rAnkle", 18, (0.0, 0.0, -0.40)),
-    Joint("rToe", 19, (0.15, 0.0, -0.07)),
+# (name, parent index, fixed translation in the parent frame in meters), in
+# canonical joint order.  The upstream capture lists the same 21 joints in an
+# arbitrary table order; here parents always precede children, the root's
+# parent is -1, and the index doubles as the rotation-slot index in the state
+# vector.
+HUMAN_JOINTS = (
+    ("base", -1, (0.0, 0.0, 0.0)),
+    ("pelvis", 0, (0.0, 0.0, 0.10)),
+    ("torso", 1, (0.0, 0.0, 0.22)),
+    ("neck", 2, (0.0, 0.0, 0.25)),
+    ("head", 3, (0.0, 0.0, 0.15)),
+    ("linnerShoulder", 2, (0.0, 0.05, 0.21)),
+    ("lShoulder", 5, (0.0, 0.13, 0.02)),
+    ("lElbow", 6, (0.0, 0.28, 0.0)),
+    ("lWrist", 7, (0.0, 0.25, 0.0)),
+    ("rinnerShoulder", 2, (0.0, -0.05, 0.21)),
+    ("rShoulder", 9, (0.0, -0.13, 0.02)),
+    ("rElbow", 10, (0.0, -0.28, 0.0)),
+    ("rWrist", 11, (0.0, -0.25, 0.0)),
+    ("lHip", 0, (0.0, 0.09, -0.05)),
+    ("lKnee", 13, (0.0, 0.0, -0.42)),
+    ("lAnkle", 14, (0.0, 0.0, -0.40)),
+    ("lToe", 15, (0.15, 0.0, -0.07)),
+    ("rHip", 0, (0.0, -0.09, -0.05)),
+    ("rKnee", 17, (0.0, 0.0, -0.42)),
+    ("rAnkle", 18, (0.0, 0.0, -0.40)),
+    ("rToe", 19, (0.15, 0.0, -0.07)),
 )
 
-HUMAN_JOINT_NAMES = [j.name for j in _HUMAN_JOINTS]
-DEFAULT_HUMAN_SKELETON = Skeleton(_HUMAN_JOINTS)
+HUMAN_JOINT_NAMES = [name for name, _, _ in HUMAN_JOINTS]
+
+
+def joint_index(name: str) -> int:
+    """The index of joint ``name`` in ``HUMAN_JOINTS``."""
+    try:
+        return HUMAN_JOINT_NAMES.index(name)
+    except ValueError:
+        raise KinematicsError(f"unknown link {name!r}") from None
+
+
+def kinematic_chain(link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
+    """The chain from the base to ``link`` in a human state vector, ending at
+    ``tip`` in the link frame.  The root's own offset is not used."""
+    path = []
+    i = joint_index(link)
+    while i > 0:
+        path.append(i)
+        i = HUMAN_JOINTS[i][1]
+    path.reverse()
+    offsets = [(0.0, 0.0, 0.0)] + [HUMAN_JOINTS[i][2] for i in path]
+    return Chain(range(3), offsets, [3 + 6 * i for i in [0] + path], tip=tip)
+
 
 ARM_JOINT_NAMES = ["rElbow", "rShoulder"]  # joints entering the arm angle metric
 
@@ -254,7 +230,7 @@ ARM_JOINT_NAMES = ["rElbow", "rShoulder"]  # joints entering the arm angle metri
 # records; this numpy entry point validates its input first.
 
 
-def forward_kinematics(skeleton: Skeleton, states: np.ndarray, link: str):
+def forward_kinematics(states: np.ndarray, link: str):
     """World position and orientation of ``link`` for one 129-dim
     configuration or an (N, 129) batch.
 
@@ -264,7 +240,7 @@ def forward_kinematics(skeleton: Skeleton, states: np.ndarray, link: str):
     states = np.asarray(states, dtype=np.float64)
     if states.ndim not in (1, 2) or states.shape[-1] != STATE_DIM:
         raise KinematicsError(f"expected states of {STATE_DIM} values, got {states.shape}")
-    chain = skeleton.kinematic_chain(link)
+    chain = kinematic_chain(link)
     batch = states.reshape(-1, STATE_DIM)
     _check_rot6d(batch[:, chain.rot_cols])
     pos, rot, _ = chain_fk(chain, batch)

@@ -20,8 +20,8 @@ Conventions:
     human base sits at pelvis height while the robot base is on the floor).
     Each is one row: the soft maximum over the H timesteps,
     ``tau * log(sum_t exp(v_t / tau))`` at ``tau = SOFT_MAX_TEMPERATURE``.
-  * Palm points sit at ``HUMAN_PALM_OFFSET`` in the human's wrist frame and
-    ``ROBOT_PALM_OFFSET`` in the robot's hand frame.
+  * Each agent's palm is a fixed point on its hand link, stated once in
+    ``PALMS``.
 """
 
 from __future__ import annotations
@@ -40,14 +40,20 @@ from .environment import (
 )
 from .graph import Evaluation, Ref, Tape, backward
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
-from .kinematics import DEFAULT_HUMAN_SKELETON, STATE_DIM
-from .robot_model import DEFAULT_ROBOT, robot_unroll_graph
+from .kinematics import STATE_DIM
+from .kinematics import kinematic_chain as human_chain
+from .robot_model import (HAND_LINK, ROBOT_CONTROL_BOUNDS, ROBOT_CONTROL_DIM, ROBOT_STATE_DIM,
+                          robot_unroll_graph)
+from .robot_model import kinematic_chain as robot_chain
 from .schema import from_doc, is_number, is_numbers
 
 SOFT_MAX_TEMPERATURE = 0.01  # m^2, soft maximum over timesteps
 JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
-HUMAN_PALM_OFFSET = (0.0, -0.10, 0.0)  # wrist frame, right arm points -y
-ROBOT_PALM_OFFSET = (0.10, 0.0, 0.0)  # hand frame, arm points +x
+# each agent's palm: its hand link and the palm's offset in that link's frame
+PALMS = {
+    "human": ("rWrist", (0.0, -0.10, 0.0)),  # the right arm points -y
+    "robot": (HAND_LINK, (0.10, 0.0, 0.0)),  # the arm points +x
+}
 
 CONSTRAINT_KINDS = ("goal", "collision", "joint_clearance", "joint_goal", "handover")
 
@@ -110,7 +116,8 @@ class ProblemSpec:
     timesteps after the observed history; constraints act on those H steps,
     and a frozen agent's trajectory has one row per step.  Which arrays are
     present decides each agent's role: see ``plans_human`` and
-    ``plans_robot``.  The robot is ``DEFAULT_ROBOT``.
+    ``plans_robot``.  The human is ``kinematics``' one skeleton and the robot
+    ``robot_model``'s one arm.
 
     Construction checks that ``steps`` is an integer of at least 1, and every
     array that is present: its shape and that each entry is finite.  This is
@@ -120,10 +127,10 @@ class ProblemSpec:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     constraints: list = field(default_factory=list)
     observed_human: np.ndarray | None = None  # (k, 129)
-    robot_initial: np.ndarray | None = None  # (state_dim,)
+    robot_initial: np.ndarray | None = None  # (ROBOT_STATE_DIM,)
     scene: Scene | None = None
     fixed_human: np.ndarray | None = None  # (H, 129) when the human is frozen
-    fixed_robot: np.ndarray | None = None  # (H, state_dim) when the robot is frozen
+    fixed_robot: np.ndarray | None = None  # (H, ROBOT_STATE_DIM) when the robot is frozen
 
     def __post_init__(self):
         if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
@@ -142,10 +149,9 @@ class ProblemSpec:
                                    f"got {observed.shape}")
             if observed.shape[0] < 2:
                 raise ProblemError("observed_human needs at least 2 frames")
-        robot_dim = DEFAULT_ROBOT.state_dim
-        for name, shape in (("robot_initial", (robot_dim,)),
+        for name, shape in (("robot_initial", (ROBOT_STATE_DIM,)),
                             ("fixed_human", (self.steps, STATE_DIM)),
-                            ("fixed_robot", (self.steps, robot_dim))):
+                            ("fixed_robot", (self.steps, ROBOT_STATE_DIM))):
             value = getattr(self, name)
             if value is not None and value.shape != shape:
                 raise ProblemError(f"{name} must have shape {shape}, got {value.shape}")
@@ -165,17 +171,15 @@ class ProblemSpec:
 # Graph context: kinematic reads of the agents' trajectories
 # ---------------------------------------------------------------------------
 
-HUMAN_HAND_LINK = "rWrist"
-
-
 class GraphContext:
     """What constraint builders read from the agents' trajectories.
 
     ``steps`` is the problem's H, and ``human_traj``/``robot_traj`` are
     (H, dim) state trajectory refs, or None for an absent agent.  A point on
     a link is one ``link_point`` node, over one step's row or over the whole
-    trajectory; base positions and headings read state columns directly.  The
-    chains are ``DEFAULT_HUMAN_SKELETON``'s and ``DEFAULT_ROBOT``'s.
+    trajectory, through ``kinematics.kinematic_chain`` for the human and
+    ``robot_model.kinematic_chain`` for the robot; base positions and
+    headings read state columns directly.
     """
 
     def __init__(self, tape, steps, human_traj, robot_traj, sdf):
@@ -197,18 +201,13 @@ class GraphContext:
     def point(self, agent: str, link: str, offset=(0.0, 0.0, 0.0), t: int | None = None) -> Ref:
         """World point of a link-frame ``offset`` on ``link``: (3,) at step
         ``t``, or (H, 3) over every step when ``t`` is None."""
-        if agent == "human":
-            chain = DEFAULT_HUMAN_SKELETON.kinematic_chain(link, offset)
-        else:
-            chain = DEFAULT_ROBOT.kinematic_chain(link, offset)
+        chain = (human_chain if agent == "human" else robot_chain)(link, offset)
         return self.tape.link_point(self._states(agent, t), chain)
 
     def palm_point(self, agent: str, t: int | None = None) -> Ref:
-        """The agent's palm point on its hand link: (3,) at step ``t``, or
-        (H, 3) over every step when ``t`` is None."""
-        if agent == "human":
-            return self.point(agent, HUMAN_HAND_LINK, HUMAN_PALM_OFFSET, t)
-        return self.point(agent, DEFAULT_ROBOT.hand_link, ROBOT_PALM_OFFSET, t)
+        """The agent's ``PALMS`` point: (3,) at step ``t``, or (H, 3) over
+        every step when ``t`` is None."""
+        return self.point(agent, *PALMS[agent], t)
 
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
@@ -242,8 +241,7 @@ def _difference_cost(tape, flat: Ref, row: int, steps: int, scale: float) -> Ref
 
 
 def control_objective_graph(tape, weights: ObjectiveWeights, modifiers: Ref | None,
-                            robot_controls: Ref | None, steps: int,
-                            robot_control_dim: int | None = None) -> Ref:
+                            robot_controls: Ref | None, steps: int) -> Ref:
     """Sum of squared finite-difference control rates, weighted per agent."""
     inv_dt2 = 1.0 / (weights.frame_time ** 2)
     total = tape.const(0.0)
@@ -253,7 +251,7 @@ def control_objective_graph(tape, weights: ObjectiveWeights, modifiers: Ref | No
         if c is not None:
             total = tape.add(total, c)
     if robot_controls is not None and weights.weight_robot > 0:
-        c = _difference_cost(tape, robot_controls, robot_control_dim, steps,
+        c = _difference_cost(tape, robot_controls, ROBOT_CONTROL_DIM, steps,
                              weights.weight_robot * inv_dt2)
         if c is not None:
             total = tape.add(total, c)
@@ -363,7 +361,7 @@ class CompiledProblem:
     lower: np.ndarray  # box bounds on theta (-inf where free)
     upper: np.ndarray
     human_traj: Ref | None  # (H, 129) state trajectory
-    robot_traj: Ref | None  # (H, state_dim)
+    robot_traj: Ref | None  # (H, ROBOT_STATE_DIM)
 
     @property
     def n(self) -> int:
@@ -432,15 +430,13 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     robot_traj = None
     controls = None
     if problem.plans_robot:
-        cdim = DEFAULT_ROBOT.control_dim
-        dim = steps * cdim
+        dim = steps * ROBOT_CONTROL_DIM
         controls = tape.leaf("u_r", np.zeros(dim))
         leaf_dims["u_r"] = dim
-        bounds = np.tile(DEFAULT_ROBOT.control_bounds(), steps)
+        bounds = np.tile(ROBOT_CONTROL_BOUNDS, steps)
         lower_parts.append(-bounds)
         upper_parts.append(bounds)
-        robot_traj = robot_unroll_graph(tape, problem.robot_initial, controls, steps,
-                                        DEFAULT_ROBOT.state_dim)
+        robot_traj = robot_unroll_graph(tape, problem.robot_initial, controls, steps)
     elif problem.fixed_robot is not None:
         flat = tape.leaf("fixed_r", problem.fixed_robot.reshape(-1))
         robot_traj = tape.reshape(flat, problem.fixed_robot.shape)
@@ -450,9 +446,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
 
     ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
 
-    objective = control_objective_graph(
-        tape, problem.weights, modifiers, controls, steps, DEFAULT_ROBOT.control_dim
-    )
+    objective = control_objective_graph(tape, problem.weights, modifiers, controls, steps)
     if problem.weights.human_base_penalty > 0 and human_traj is not None:
         pen = human_base_penalty_graph(
             tape, ctx, problem.observed_human[-1]

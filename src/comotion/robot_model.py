@@ -5,15 +5,15 @@ arm.  Its state is ``[x, y, heading, q_1..q_J]`` and one control step holds a
 forward displacement, an angular displacement and per-joint displacements
 (displacements per step; the frame time only enters metrics).
 
-The platform is a stand-in: a 4-joint right arm on a wheeled base, described
-once by ``DEFAULT_ROBOT``.  Planning and scoring use that one robot; another
-geometry means editing that constant.
+The platform is a stand-in: a 4-joint right arm on a wheeled base, stated
+once as the ``ARM`` table, from which the state and control dimensions and
+the control bounds follow.  Planning and scoring use that one robot; another
+geometry means editing that table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,72 +25,41 @@ class RobotError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChainLink:
-    """One link: fixed translation in the parent frame, then an optional
-    revolute joint about ``axis`` (None for a rigid link)."""
-
-    name: str
-    offset: tuple[float, float, float]
-    axis: tuple[float, float, float] | None = None
-
-
-@dataclass(frozen=True)
-class RobotConfig:
-    chain: tuple[ChainLink, ...]
-    hand_link: str = "hand"
-    max_forward_step: float = 0.15  # m per step
-    max_turn_step: float = 0.3  # rad per step
-    max_joint_step: float = 0.2  # rad per step
-
-    @property
-    def num_joints(self) -> int:
-        return sum(1 for l in self.chain if l.axis is not None)
-
-    @property
-    def state_dim(self) -> int:
-        return 3 + self.num_joints
-
-    @property
-    def control_dim(self) -> int:
-        return 2 + self.num_joints
-
-    def kinematic_chain(self, link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
-        """The chain from the base to ``link`` in a state vector, ending at
-        ``tip`` in the link frame.  The base link sits on the ground plane at
-        ``(x, y, 0)`` and turns by the heading about z."""
-        offsets, columns, axes = [(0.0, 0.0, 0.0)], [2], [(0.0, 0.0, 1.0)]
-        if link != "base":
-            qi = 3
-            for l in self.chain:
-                offsets.append(l.offset)
-                columns.append(None if l.axis is None else qi)
-                if l.axis is not None:
-                    axes.append(l.axis)
-                    qi += 1
-                if l.name == link:
-                    break
-            else:
-                raise RobotError(f"unknown link {link!r}")
-        return Chain((0, 1), offsets, columns, axes, tip)
-
-    def control_bounds(self) -> np.ndarray:
-        """Per-control symmetric bound magnitudes, shape (control_dim,)."""
-        return np.array(
-            [self.max_forward_step, self.max_turn_step]
-            + [self.max_joint_step] * self.num_joints
-        )
-
-
-DEFAULT_ROBOT = RobotConfig(
-    chain=(
-        ChainLink("shoulderPitch", (0.05, -0.15, 0.80), (0.0, 1.0, 0.0)),
-        ChainLink("shoulderRoll", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-        ChainLink("elbow", (0.22, 0.0, 0.0), (0.0, 1.0, 0.0)),
-        ChainLink("wristPitch", (0.20, 0.0, 0.0), (0.0, 1.0, 0.0)),
-        ChainLink("hand", (0.10, 0.0, 0.0), None),
-    )
+# The arm, base to hand: (link name, fixed translation in the parent frame,
+# then the axis of its revolute joint, or None for a rigid link).
+ARM = (
+    ("shoulderPitch", (0.05, -0.15, 0.80), (0.0, 1.0, 0.0)),
+    ("shoulderRoll", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ("elbow", (0.22, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ("wristPitch", (0.20, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ("hand", (0.10, 0.0, 0.0), None),
 )
+HAND_LINK = ARM[-1][0]
+ARM_JOINTS = sum(axis is not None for _, _, axis in ARM)
+ROBOT_STATE_DIM = 3 + ARM_JOINTS  # x, y, heading, joint angles
+ROBOT_CONTROL_DIM = 2 + ARM_JOINTS  # forward, turn, joint displacements
+# symmetric bound magnitudes per control: 0.15 m, 0.3 rad and 0.2 rad per step
+ROBOT_CONTROL_BOUNDS = (0.15, 0.3) + (0.2,) * ARM_JOINTS
+
+
+def kinematic_chain(link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
+    """The chain from the base to ``link`` in a robot state vector, ending at
+    ``tip`` in the link frame.  The base link sits on the ground plane at
+    ``(x, y, 0)`` and turns by the heading about z."""
+    offsets, columns, axes = [(0.0, 0.0, 0.0)], [2], [(0.0, 0.0, 1.0)]
+    if link != "base":
+        qi = 3
+        for name, offset, axis in ARM:
+            offsets.append(offset)
+            columns.append(None if axis is None else qi)
+            if axis is not None:
+                axes.append(axis)
+                qi += 1
+            if name == link:
+                break
+        else:
+            raise RobotError(f"unknown link {link!r}")
+    return Chain((0, 1), offsets, columns, axes, tip)
 
 
 def save_robot_trajectory(states: np.ndarray, path) -> None:
@@ -152,15 +121,13 @@ def robot_unroll(initial: np.ndarray, controls: np.ndarray) -> np.ndarray:
     return unicycle_rollout(initial, controls)
 
 
-def robot_unroll_graph(tape: Tape, initial: np.ndarray, controls: Ref,
-                       horizon: int, state_dim: int) -> Ref:
+def robot_unroll_graph(tape: Tape, initial: np.ndarray, controls: Ref, horizon: int) -> Ref:
     """Record the unrolled dynamics as one ``rollout`` node of shape
-    (horizon, state_dim); ``controls`` is flat (horizon * (dim-1),)."""
-    control_dim = state_dim - 1
-    if controls.shape != (horizon * control_dim,):
-        raise RobotError(
-            f"controls ref must have shape ({horizon * control_dim},), got {controls.shape}"
-        )
+    (horizon, ROBOT_STATE_DIM); ``controls`` is flat
+    (horizon * ROBOT_CONTROL_DIM,)."""
+    if controls.shape != (horizon * ROBOT_CONTROL_DIM,):
+        raise RobotError(f"controls ref must have shape ({horizon * ROBOT_CONTROL_DIM},), "
+                         f"got {controls.shape}")
     return tape.rollout(controls, np.asarray(initial, dtype=np.float64))
 
 
@@ -169,16 +136,16 @@ def robot_unroll_graph(tape: Tape, initial: np.ndarray, controls: Ref,
 # ---------------------------------------------------------------------------
 
 
-def robot_fk(config: RobotConfig, states: np.ndarray, link: str):
+def robot_fk(states: np.ndarray, link: str):
     """World position and orientation of a robot link for one state or an
-    (N, state_dim) batch.
+    (N, ROBOT_STATE_DIM) batch.
 
     Returns ``(position, rotation_matrix)``: (3,) and (3, 3), or (N, 3) and
     (N, 3, 3).  The base link sits on the ground plane at ``(x, y, 0)`` with
     the base yaw.
     """
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim not in (1, 2) or states.shape[-1] != config.state_dim:
-        raise RobotError(f"expected states of {config.state_dim} values, got {states.shape}")
-    pos, rot, _ = chain_fk(config.kinematic_chain(link), states.reshape(-1, config.state_dim))
+    if states.ndim not in (1, 2) or states.shape[-1] != ROBOT_STATE_DIM:
+        raise RobotError(f"expected states of {ROBOT_STATE_DIM} values, got {states.shape}")
+    pos, rot, _ = chain_fk(kinematic_chain(link), states.reshape(-1, ROBOT_STATE_DIM))
     return (pos[0], rot[0]) if states.ndim == 1 else (pos, rot)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SynthConfig, rotate_frames, synth_generate
 from .environment import Disc, Rect, Scene
-from .kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics, rot6d_to_matrix
+from .kinematics import forward_kinematics, rot6d_to_matrix
 from .objectives import ConstraintSpec, ObjectiveWeights, ProblemSpec
 
 
@@ -76,7 +76,7 @@ def make_reach_problems(count: int, seed: int, observed_frames: int = 20,
         rec = _canonical_walk(rec, observed_frames)
         observed = rec[:observed_frames]
         truth = rec[observed_frames:span]
-        goal, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, truth[-1], "rWrist")
+        goal, _ = forward_kinematics(truth[-1], "rWrist")
         problem = ProblemSpec(
             steps=prediction_frames,
             observed_human=observed,
@@ -105,7 +105,7 @@ def make_crossing_problems(count: int, seed: int, observed_frames: int = 20,
         rec = _canonical_walk(rec, observed_frames)
         observed = rec[:observed_frames]
         truth = rec[observed_frames:span]
-        goal, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, truth[-1], "rWrist")
+        goal, _ = forward_kinematics(truth[-1], "rWrist")
 
         # corridor gap centered on the walked path, ahead of the human
         walked = truth[-1, :2] - observed[-1, :2]

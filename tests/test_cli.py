@@ -3,6 +3,7 @@
 import concurrent.futures as cf
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,31 @@ def test_train_bad_split_or_window_exits_2_before_any_output(tiny_dataset, tmp_p
     assert rc == 2
     err = capsys.readouterr().err
     assert all(name in err for name in named) and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_scores_the_held_out_subject(tiny_dataset, tmp_path):
+    """held_out.json scores the saved best weights on every window of the
+    held-out subject's records, as each epoch's test loss scores the test split."""
+    assert main(train_args(tiny_dataset, str(tmp_path / "run"))) == 0
+    doc = json.loads((tmp_path / "run" / "held_out.json").read_text())
+    held = [r.frames for r in cd.load_trajectories(tiny_dataset) if r.subject == "synth5"]
+    windows = np.stack([f[s : s + 8] for f in held for s in range(len(f) - 7)])
+    best = hm.load_params(tmp_path / "run" / "model.weights")
+    loss, base_pos_error = hm._evaluate(best, best.config, windows)
+    assert doc == {"subject": "synth5", "windows": 9, "loss": loss,
+                   "base_pos_error": base_pos_error}
+
+
+def test_train_held_out_subject_without_a_window_exits_2_before_any_output(tiny_dataset,
+                                                                            tmp_path, capsys):
+    records = cd.load_trajectories(tiny_dataset)
+    short = [replace(r, frames=r.frames[:6]) if r.subject == "synth5" else r for r in records]
+    path = tmp_path / "short.traj"
+    cd.save_trajectories(short, path)
+    assert main(train_args(str(path), str(tmp_path / "o"))) == 2
+    err = capsys.readouterr().err
+    assert "--held-out synth5" in err and "8-frame windows" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -686,6 +712,46 @@ def test_predict_bad_window_exits_2_before_any_output(tiny_dataset, tiny_weights
     assert rc == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_alpha_sweep_weights_no_problem_admits_exit_2_before_any_output(tmp_path,
+                                                                                  capsys):
+    """A robot weight of 0 on a problem whose human weight is 0 leaves no
+    positive weight: the sweep names the file and the weight, and writes nothing."""
+    path = tmp_path / "handover.json"
+    problem = scenarios.make_handover_problems(1, 1)[0].problem
+    obj.save_problem(replace(problem, weights=replace(problem.weights, weight_human=0.0)), path)
+    rc = main(["evaluate", "--problems", str(path), "--methods", "zerovel", "--alpha-sweep",
+               "1,0", "--jobs", "1", *CAPPED, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path} at --alpha-sweep 0" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_reads_each_problem_file_once(tmp_path):
+    """Patterns that match one file twice give one row per method, not two."""
+    path = toy_robot_problem(tmp_path)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--problems", path, str(tmp_path / "*.json"), path,
+                 "--jobs", "1", "--out", str(out)]) == 0
+    rows = (out / "records.jsonl").read_text().splitlines()
+    assert [json.loads(r)["problem"] for r in rows] == ["toy.json"]
+    assert [e["count"] for e in json.loads((out / "summary.json").read_text())] == [1]
+    assert json.loads((out / "manifest.json").read_text())["problems"] == [path]
+
+
+def test_evaluate_two_files_of_one_name_exit_2_before_any_output(tmp_path, capsys):
+    """Rows are named by file name, so two files of one name are refused."""
+    paths = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        paths.append(toy_robot_problem(tmp_path / name))
+    rc = main(["evaluate", "--problems", *paths, "--jobs", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(p in err for p in paths) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

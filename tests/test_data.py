@@ -12,7 +12,6 @@ from comotion import data as cd
 from comotion import human_model as hm
 from comotion.human_model import ModelConfig
 from comotion.kinematics import (
-    DEFAULT_HUMAN_SKELETON,
     NUM_JOINTS,
     STATE_DIM,
     forward_kinematics,
@@ -199,7 +198,7 @@ def test_synth_reach_annotation_is_exact_final_wrist():
     cfg = cd.SynthConfig(num_trajectories=3, duration_frames=50)
     recs = cd.synth_generate(cfg, seed=2)
     for rec in recs:
-        wrist, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, rec.frames[-1], "rWrist")
+        wrist, _ = forward_kinematics(rec.frames[-1], "rWrist")
         assert np.allclose(wrist, rec.annotations["goal"], atol=1e-6)
 
 

@@ -72,10 +72,10 @@ def test_sample_ranking_by_goal_distance(model, observed):
     cfg = ev.SampleConfig(num_samples=8, noise_variance=0.05)
     samples = ev.sample_predictions(model, observed, 5, cfg, seed=1)
     order = ev.rank_predictions(samples, cfg, problem)
-    from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
+    from comotion.kinematics import forward_kinematics
 
     dists = [
-        float(np.linalg.norm(forward_kinematics(DEFAULT_HUMAN_SKELETON, s[-1], "rWrist")[0]
+        float(np.linalg.norm(forward_kinematics(s[-1], "rWrist")[0]
                              - np.array([0.5, 0.0, 0.9])))
         for s in samples
     ]
@@ -581,10 +581,10 @@ def test_joint_goal_diagnostic_picks_nearest_agent():
     human = np.tile(identity_state((0.0, 0.0, 0.93)), (5, 1))
     robot = np.zeros((5, 7))
     robot[:, 0] = 5.0  # far away
-    from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
+    from comotion.kinematics import forward_kinematics
 
-    wrist, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[2], "rWrist")
-    target = wrist + R @ np.asarray(obj.HUMAN_PALM_OFFSET)
+    wrist, R = forward_kinematics(human[2], "rWrist")
+    target = wrist + R @ np.asarray(obj.PALMS["human"][1])
     problem = obj.ProblemSpec(
         steps=5,
         constraints=[obj.ConstraintSpec(kind="joint_goal", target=tuple(target))],

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from comotion.chains import gram_schmidt
 from comotion.graph import backward, gradient_check, record
 from comotion.kinematics import (
-    DEFAULT_HUMAN_SKELETON,
+    HUMAN_JOINT_NAMES,
+    HUMAN_JOINTS,
     STATE_DIM,
     KinematicsError,
-    Skeleton,
     axis_angle_matrix,
     forward_kinematics,
+    kinematic_chain,
     matrix_to_rot6d,
     quat_from_matrix,
     quat_from_rot6d,
@@ -179,71 +180,69 @@ def random_state(rng) -> np.ndarray:
     return state
 
 
-def fk_oracle(skeleton, state, link):
+def joint_path(link):
+    """Indices of the joints from the root down to ``link`` inclusive."""
+    path = [HUMAN_JOINT_NAMES.index(link)]
+    while path[-1] > 0:
+        path.append(HUMAN_JOINTS[path[-1]][1])
+    return path[::-1]
+
+
+def fk_oracle(state, link):
     """Independent FK using homogeneous 4x4 stacks."""
-    chain = skeleton.chain(link)
     T = np.eye(4)
     T[:3, 3] = state[:3]
     T[:3, :3] = rot6d_to_matrix(state[3:9])
-    for idx in chain[1:]:
+    for idx in joint_path(link)[1:]:
         L = np.eye(4)
-        L[:3, 3] = skeleton.joints[idx].offset
+        L[:3, 3] = HUMAN_JOINTS[idx][2]
         L[:3, :3] = rot6d_to_matrix(state[3 + 6 * idx : 9 + 6 * idx])
         T = T @ L
     return T[:3, 3], T[:3, :3]
 
 
 def test_fk_identity_pose_sums_offsets():
-    sk = DEFAULT_HUMAN_SKELETON
     state = identity_state(base_pos=(1.0, 2.0, 0.9))
-    pos, R = forward_kinematics(sk, state, "rWrist")
+    pos, R = forward_kinematics(state, "rWrist")
     expected = np.array([1.0, 2.0, 0.9])
-    for idx in sk.chain("rWrist")[1:]:
-        expected = expected + np.asarray(sk.joints[idx].offset)
+    for idx in joint_path("rWrist")[1:]:
+        expected = expected + np.asarray(HUMAN_JOINTS[idx][2])
     assert np.allclose(pos, expected, atol=1e-15)
     assert np.allclose(R, np.eye(3), atol=1e-15)
 
 
 def test_fk_rotated_base_moves_child():
-    sk = Skeleton(
-        (
-            type(DEFAULT_HUMAN_SKELETON.joints[0])("base", -1, (0.0, 0.0, 0.0)),
-            type(DEFAULT_HUMAN_SKELETON.joints[0])("tip", 0, (1.0, 0.0, 0.0)),
-        )
-    )
-    state = np.zeros(STATE_DIM)
-    state[:3] = [0.5, 0.5, 0.0]
+    """A quarter turn of the base about z carries the left hip, a child of
+    the base at (0, 0.09, -0.05), to (-0.09, 0, -0.05) from the base."""
+    state = identity_state(base_pos=(0.5, 0.5, 0.0))
     state[3:9] = matrix_to_rot6d(yaw_matrix(np.pi / 2))
-    for j in range(1, 21):
-        state[3 + 6 * j : 9 + 6 * j] = [1, 0, 0, 0, 1, 0]
-    pos, _ = forward_kinematics(sk, state, "tip")
-    assert np.allclose(pos, [0.5, 1.5, 0.0], atol=1e-15)
+    pos, _ = forward_kinematics(state, "lHip")
+    assert np.allclose(pos, [0.41, 0.5, -0.05], atol=1e-15)
 
 
 def test_fk_matches_homogeneous_oracle():
     rng = np.random.default_rng(5)
-    sk = DEFAULT_HUMAN_SKELETON
     for _ in range(25):
         state = random_state(rng)
-        link = sk.joints[rng.integers(0, 21)].name
-        pos, R = forward_kinematics(sk, state, link)
-        pos_ref, R_ref = fk_oracle(sk, state, link)
+        link = HUMAN_JOINT_NAMES[rng.integers(0, 21)]
+        pos, R = forward_kinematics(state, link)
+        pos_ref, R_ref = fk_oracle(state, link)
         assert np.allclose(pos, pos_ref, atol=1e-9)
         assert np.allclose(R, R_ref, atol=1e-9)
 
 
 def test_fk_unknown_link():
     with pytest.raises(KinematicsError, match="unknown link"):
-        forward_kinematics(DEFAULT_HUMAN_SKELETON, identity_state(), "tail")
+        forward_kinematics(identity_state(), "tail")
 
 
 def test_fk_batch_rows_equal_single_state_calls():
     rng = np.random.default_rng(10)
     states = np.stack([random_state(rng) for _ in range(6)])
-    pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, states, "rWrist")
+    pos, R = forward_kinematics(states, "rWrist")
     assert pos.shape == (6, 3) and R.shape == (6, 3, 3)
     for i, state in enumerate(states):
-        p1, R1 = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, "rWrist")
+        p1, R1 = forward_kinematics(state, "rWrist")
         assert np.array_equal(pos[i], p1) and np.array_equal(R[i], R1)
 
 
@@ -251,14 +250,14 @@ def test_fk_rejects_degenerate_rotation_and_bad_shape():
     states = np.stack([identity_state()] * 3)
     states[1, 3 + 6 * 11 : 9 + 6 * 11] = [1, 0, 0, 2, 0, 0]  # rElbow, on the rWrist chain
     with pytest.raises(KinematicsError, match="degenerate"):
-        forward_kinematics(DEFAULT_HUMAN_SKELETON, states, "rWrist")
-    forward_kinematics(DEFAULT_HUMAN_SKELETON, states, "lWrist")  # off that chain
+        forward_kinematics(states, "rWrist")
+    forward_kinematics(states, "lWrist")  # off that chain
     with pytest.raises(KinematicsError, match="129"):
-        forward_kinematics(DEFAULT_HUMAN_SKELETON, np.zeros(128), "rWrist")
+        forward_kinematics(np.zeros(128), "rWrist")
 
 
 def point_graph(link, tip=(0.0, 0.0, 0.0)):
-    chain = DEFAULT_HUMAN_SKELETON.kinematic_chain(link, tip)
+    chain = kinematic_chain(link, tip)
     return lambda t, r: t.link_point(r["state"], chain)
 
 
@@ -268,18 +267,18 @@ def test_fk_graph_matches_numpy():
     for link in ["rWrist", "head", "lToe", "base"]:
         state = random_state(rng)
         _, out = record(point_graph(link), {"state": state})
-        pos_ref, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, link)
+        pos_ref, _ = forward_kinematics(state, link)
         assert np.array_equal(out, pos_ref)
         states = np.stack([state, random_state(rng)])
         _, out = record(point_graph(link), {"state": states})
-        assert np.array_equal(out, forward_kinematics(DEFAULT_HUMAN_SKELETON, states, link)[0])
+        assert np.array_equal(out, forward_kinematics(states, link)[0])
 
 
 def test_fk_graph_orientation_matches_numpy():
     """A unit tip offset e_k moves the point by the link's k-th axis."""
     rng = np.random.default_rng(7)
     state = random_state(rng)
-    pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, state, "rWrist")
+    pos, R = forward_kinematics(state, "rWrist")
     for k in range(3):
         _, out = record(point_graph("rWrist", np.eye(3)[k]), {"state": state})
         assert np.allclose(out - pos, R[:, k], atol=1e-12)
@@ -289,10 +288,10 @@ def test_fk_gradient_matches_finite_differences():
     """Every state column of a (D,) row and of an (H, D) trajectory; columns
     off the chain get exactly 0."""
     rng = np.random.default_rng(8)
-    chain = DEFAULT_HUMAN_SKELETON.kinematic_chain("rWrist", (0.0, -0.1, 0.0))
+    chain = kinematic_chain("rWrist", (0.0, -0.1, 0.0))
     on_chain = np.zeros(STATE_DIM, dtype=bool)
     on_chain[:3] = True
-    for i in DEFAULT_HUMAN_SKELETON.chain("rWrist"):
+    for i in joint_path("rWrist"):
         on_chain[3 + 6 * i : 9 + 6 * i] = True
     for state in (random_state(rng), np.stack([random_state(rng) for _ in range(4)])):
         state = state + 0.1 * rng.normal(size=state.shape)  # non-orthonormal 6-D blocks too
@@ -318,7 +317,10 @@ def test_rot6d_graph_matches_numpy_path():
         assert np.allclose(mat, rot6d_to_matrix(r), atol=1e-11)
 
 
-def test_skeleton_rejects_bad_topology():
-    J = type(DEFAULT_HUMAN_SKELETON.joints[0])
-    with pytest.raises(KinematicsError):
-        Skeleton((J("base", -1, (0, 0, 0)), J("x", 5, (0, 0, 0))))
+def test_joint_table_lists_parents_before_children():
+    """The root comes first and every other joint's parent precedes it, so
+    one pass over the table reaches each parent before its children."""
+    assert HUMAN_JOINTS[0][1] == -1
+    for i, (_, parent, _) in enumerate(HUMAN_JOINTS[1:], 1):
+        assert 0 <= parent < i
+    assert len(set(HUMAN_JOINT_NAMES)) == len(HUMAN_JOINTS) == 21

@@ -15,8 +15,8 @@ from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
 from comotion.graph import _OP_NAMES, backward, record
-from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
-from comotion.robot_model import DEFAULT_ROBOT, robot_fk, robot_unroll
+from comotion.kinematics import forward_kinematics
+from comotion.robot_model import robot_fk, robot_unroll
 from helpers import identity_state
 
 
@@ -121,7 +121,7 @@ def test_compiled_objective_matches_reference(model, observed):
 
 def test_goal_constraint_zero_when_on_target(model, observed):
     pred = hm.predict(model, observed, horizon=5)
-    target, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
+    target, _ = forward_kinematics(pred[-1], "rWrist")
     spec = obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                               target=tuple(target))
     problem = base_problem(observed, steps=5, constraints=[spec], robot=False)
@@ -132,7 +132,7 @@ def test_goal_constraint_zero_when_on_target(model, observed):
 
 def test_goal_constraint_one_meter_away(model, observed):
     pred = hm.predict(model, observed, horizon=5)
-    target, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
+    target, _ = forward_kinematics(pred[-1], "rWrist")
     spec = obj.ConstraintSpec(kind="goal", agent="human", link="rWrist",
                               target=(target[0] + 1.0, target[1], target[2]))
     problem = base_problem(observed, steps=5, constraints=[spec], robot=False)
@@ -151,7 +151,7 @@ def test_robot_goal_constraint_value(observed):
     theta = 0.1 * rng.normal(size=compiled.n)
     _, _, h, ev = compiled.evaluate(theta)
     states = robot_unroll(problem.robot_initial, theta.reshape(4, -1))
-    pos, _ = robot_fk(DEFAULT_ROBOT, states[-1], "base")
+    pos, _ = robot_fk(states[-1], "base")
     assert h[0] == pytest.approx(float(np.sum(pos ** 2)), rel=1e-12)
 
 
@@ -239,12 +239,12 @@ def test_clearance_agents_two_d_apart():
 def hard_min_hand_distances(human, robot, target):
     dists = []
     for t in range(len(human)):
-        pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[t], "rWrist")
-        p = pos + R @ np.asarray(obj.HUMAN_PALM_OFFSET)
+        pos, R = forward_kinematics(human[t], "rWrist")
+        p = pos + R @ np.asarray(obj.PALMS["human"][1])
         dists.append(np.sum((p - target) ** 2))
     for t in range(len(robot)):
-        pos, R = robot_fk(DEFAULT_ROBOT, robot[t], "hand")
-        p = pos + R @ np.asarray(obj.ROBOT_PALM_OFFSET)
+        pos, R = robot_fk(robot[t], "hand")
+        p = pos + R @ np.asarray(obj.PALMS["robot"][1])
         dists.append(np.sum((p - target) ** 2))
     return float(np.min(dists))
 
@@ -267,8 +267,8 @@ def test_joint_goal_approximates_hard_min(model, observed):
 
 def test_joint_goal_small_when_hand_on_target(model, observed):
     pred = hm.predict(model, observed, horizon=4)
-    pos, R = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[2], "rWrist")
-    target = tuple(pos + R @ np.asarray(obj.HUMAN_PALM_OFFSET))
+    pos, R = forward_kinematics(pred[2], "rWrist")
+    target = tuple(pos + R @ np.asarray(obj.PALMS["human"][1]))
     tau = obj.JOINT_GOAL_TEMPERATURE
     spec = obj.ConstraintSpec(kind="joint_goal", target=target)
     problem = base_problem(observed, steps=4, constraints=[spec])
@@ -301,10 +301,10 @@ def test_handover_same_heading_facing_residual_two():
     compiled = obj.compile_problem(problem)
     _, _, h, ev = compiled.evaluate(np.zeros(compiled.n))
     hu, ro = compiled.trajectories(ev)
-    ph, Rh = forward_kinematics(DEFAULT_HUMAN_SKELETON, hu[-1], "rWrist")
-    ph = ph + Rh @ np.asarray(obj.HUMAN_PALM_OFFSET)
-    pr, Rr = robot_fk(DEFAULT_ROBOT, ro[-1], "hand")
-    pr = pr + Rr @ np.asarray(obj.ROBOT_PALM_OFFSET)
+    ph, Rh = forward_kinematics(hu[-1], "rWrist")
+    ph = ph + Rh @ np.asarray(obj.PALMS["human"][1])
+    pr, Rr = robot_fk(ro[-1], "hand")
+    pr = pr + Rr @ np.asarray(obj.PALMS["robot"][1])
     expected = float(np.sum((ph - pr) ** 2)) + 2.0
     assert h[0] == pytest.approx(expected, rel=1e-9)
 
@@ -313,10 +313,10 @@ def test_handover_face_to_face_palms_touching_is_zero():
     human, robot = frozen_pair_problem(face_to_face=True)
     # move the robot base in the plane and the human up or down so the palm
     # points coincide
-    ph, Rh = forward_kinematics(DEFAULT_HUMAN_SKELETON, human[-1], "rWrist")
-    palm_h = ph + Rh @ np.asarray(obj.HUMAN_PALM_OFFSET)
-    pr, Rr = robot_fk(DEFAULT_ROBOT, np.zeros(7), "hand")
-    palm_r0 = pr + Rr @ np.asarray(obj.ROBOT_PALM_OFFSET)
+    ph, Rh = forward_kinematics(human[-1], "rWrist")
+    palm_h = ph + Rh @ np.asarray(obj.PALMS["human"][1])
+    pr, Rr = robot_fk(np.zeros(7), "hand")
+    palm_r0 = pr + Rr @ np.asarray(obj.PALMS["robot"][1])
     shift = palm_h - palm_r0
     human[:, 2] -= shift[2]
     spec = obj.ConstraintSpec(kind="handover")
@@ -352,7 +352,7 @@ def test_constraints_invariant_under_rigid_translation(model, observed):
                                   s.bounds.half_extents))
 
     pred = hm.predict(model, observed, horizon=4)
-    wrist, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
+    wrist, _ = forward_kinematics(pred[-1], "rWrist")
     theta = None
     values = []
     for translated in (False, True):
@@ -629,6 +629,32 @@ def test_problem_file_round_trip_is_a_byte_fixed_point(human, robot, constraints
     for name in ("observed_human", "robot_initial", "fixed_human", "fixed_robot"):
         a, b = getattr(problem, name), getattr(loaded, name)
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def walk():
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=20,
+                                            reach_frames=5), seed=4)
+    return recs[0].frames
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(layers=st.integers(1, 3), hidden=st.integers(1, 12), observed=st.integers(2, 6),
+       steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_zero_modifiers_give_the_prediction_bit_exactly(walk, layers, hidden, observed, steps,
+                                                        seed):
+    """At theta = 0 the compiled human trajectory of a human-only goal
+    problem is ``hm.predict``'s forecast, byte for byte, for random model
+    shapes and weights."""
+    config = hm.ModelConfig(num_layers=layers, hidden_size=hidden, input_frames=observed)
+    model = hm.init_params(config, seed)
+    history = walk[:observed]
+    goal = obj.ConstraintSpec(kind="goal", agent="human", link="rWrist", target=(1.0, 0.0, 1.0))
+    compiled = obj.compile_problem(
+        obj.ProblemSpec(steps=steps, constraints=[goal], observed_human=history), model=model)
+    human, robot = compiled.trajectories(compiled.evaluate(np.zeros(compiled.n))[3])
+    assert robot is None
+    assert human.tobytes() == hm.predict(model, history, horizon=steps).tobytes()
 
 
 def test_constraint_spec_validation():

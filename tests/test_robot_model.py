@@ -9,8 +9,8 @@ from comotion.graph import Tape, backward, gradient_check, record
 from comotion.kinematics import axis_angle_matrix, yaw_matrix
 
 
-def zero_state(config=rm.DEFAULT_ROBOT):
-    return np.zeros(config.state_dim)
+def zero_state():
+    return np.zeros(rm.ROBOT_STATE_DIM)
 
 
 def test_zero_controls_keep_state():
@@ -62,7 +62,7 @@ def test_unroll_graph_matches_numpy():
     controls = 0.1 * rng.normal(size=(8, 6))
     tape = Tape()
     ref = tape.leaf("u", controls.reshape(-1))
-    states = rm.robot_unroll_graph(tape, init, ref, 8, 7)
+    states = rm.robot_unroll_graph(tape, init, ref, 8)
     s = init
     for t in range(8):
         s = rm.robot_step(s, controls[t])
@@ -75,7 +75,7 @@ def test_unroll_gradient_matches_finite_differences_horizon_40():
     controls = 0.05 * rng.normal(size=(40, 6))
 
     def f(t, r):
-        states = rm.robot_unroll_graph(t, init, r["u"], 40, 7)
+        states = rm.robot_unroll_graph(t, init, r["u"], 40)
         return t.sum_squares(t.row(states, -1))
 
     err = gradient_check(f, {"u": controls.reshape(-1)}, step=1e-6,
@@ -95,14 +95,14 @@ def test_path_length_equals_forward_sum_when_straight():
 
 def test_fk_base_link():
     s = np.array([1.0, 2.0, np.pi / 2, 0, 0, 0, 0])
-    pos, R = rm.robot_fk(rm.DEFAULT_ROBOT, s, "base")
+    pos, R = rm.robot_fk(s, "base")
     assert np.allclose(pos, [1.0, 2.0, 0.0])
     assert np.allclose(R, yaw_matrix(np.pi / 2), atol=1e-12)
 
 
 def test_fk_hand_at_zero_joints():
     s = zero_state()
-    pos, _ = rm.robot_fk(rm.DEFAULT_ROBOT, s, "hand")
+    pos, _ = rm.robot_fk(s, "hand")
     # chain offsets accumulate with identity joint rotations
     assert np.allclose(pos, [0.57, -0.15, 0.80], atol=1e-12)
 
@@ -110,16 +110,16 @@ def test_fk_hand_at_zero_joints():
 def test_fk_hand_follows_base_yaw():
     s = zero_state()
     s[2] = np.pi / 2
-    pos, _ = rm.robot_fk(rm.DEFAULT_ROBOT, s, "hand")
+    pos, _ = rm.robot_fk(s, "hand")
     assert np.allclose(pos, [0.15, 0.57, 0.80], atol=1e-12)
 
 
 def test_fk_unknown_link():
     with pytest.raises(rm.RobotError, match="unknown link"):
-        rm.robot_fk(rm.DEFAULT_ROBOT, zero_state(), "tentacle")
+        rm.robot_fk(zero_state(), "tentacle")
 
 
-def fk_oracle(config, state, link):
+def fk_oracle(state, link):
     """Independent FK: homogeneous 4x4 products, one per link."""
     T = np.eye(4)
     T[:2, 3] = state[:2]
@@ -127,26 +127,25 @@ def fk_oracle(config, state, link):
     if link == "base":
         return T[:3, 3], T[:3, :3]
     qi = 3
-    for l in config.chain:
+    for name, offset, axis in rm.ARM:
         L = np.eye(4)
-        L[:3, 3] = l.offset
-        if l.axis is not None:
-            L[:3, :3] = axis_angle_matrix(l.axis, state[qi])
+        L[:3, 3] = offset
+        if axis is not None:
+            L[:3, :3] = axis_angle_matrix(axis, state[qi])
             qi += 1
         T = T @ L
-        if l.name == link:
+        if name == link:
             return T[:3, 3], T[:3, :3]
     raise AssertionError(link)
 
 
 def test_fk_matches_homogeneous_oracle():
     rng = np.random.default_rng(6)
-    config = rm.DEFAULT_ROBOT
-    for link in ["base"] + [l.name for l in config.chain]:
+    for link in ["base"] + [name for name, _, _ in rm.ARM]:
         for _ in range(5):
             s = rng.normal(size=7)
-            pos, R = rm.robot_fk(config, s, link)
-            pos_ref, R_ref = fk_oracle(config, s, link)
+            pos, R = rm.robot_fk(s, link)
+            pos_ref, R_ref = fk_oracle(s, link)
             assert np.allclose(pos, pos_ref, atol=1e-12)
             assert np.allclose(R, R_ref, atol=1e-12)
 
@@ -154,23 +153,23 @@ def test_fk_matches_homogeneous_oracle():
 def test_fk_batch_rows_equal_single_state_calls():
     rng = np.random.default_rng(7)
     states = rng.normal(size=(6, 7))
-    pos, R = rm.robot_fk(rm.DEFAULT_ROBOT, states, "hand")
+    pos, R = rm.robot_fk(states, "hand")
     assert pos.shape == (6, 3) and R.shape == (6, 3, 3)
     for i, s in enumerate(states):
-        p1, R1 = rm.robot_fk(rm.DEFAULT_ROBOT, s, "hand")
+        p1, R1 = rm.robot_fk(s, "hand")
         assert np.array_equal(pos[i], p1) and np.array_equal(R[i], R1)
     with pytest.raises(rm.RobotError, match="7 values"):
-        rm.robot_fk(rm.DEFAULT_ROBOT, np.zeros(6), "hand")
+        rm.robot_fk(np.zeros(6), "hand")
 
 
 def test_fk_graph_matches_numpy():
     """The tape node's forward is the numpy kernel: equal bit for bit."""
     rng = np.random.default_rng(4)
-    chain = rm.DEFAULT_ROBOT.kinematic_chain("hand")
+    chain = rm.kinematic_chain("hand")
     for _ in range(10):
         s = rng.normal(size=7)
         _, out = record(lambda t, r: t.link_point(r["s"], chain), {"s": s})
-        ref, _ = rm.robot_fk(rm.DEFAULT_ROBOT, s, "hand")
+        ref, _ = rm.robot_fk(s, "hand")
         assert np.array_equal(out, ref)
 
 
@@ -180,8 +179,8 @@ def test_fk_graph_gradient():
     rng = np.random.default_rng(5)
     for s in (rng.normal(size=7), rng.normal(size=(4, 7))):
         d = rng.normal(size=s.shape[:-1] + (3,))
-        for link, tip in (("hand", obj.ROBOT_PALM_OFFSET), ("elbow", (0.0, 0.0, 0.0))):
-            chain = rm.DEFAULT_ROBOT.kinematic_chain(link, tip)
+        for link, tip in (("hand", obj.PALMS["robot"][1]), ("elbow", (0.0, 0.0, 0.0))):
+            chain = rm.kinematic_chain(link, tip)
 
             def f(t, r):
                 return t.sum(t.mul(t.link_point(r["s"], chain), t.const(d)))
@@ -205,8 +204,8 @@ def test_heading_graph():
 
 
 def test_control_dims():
-    cfg = rm.DEFAULT_ROBOT
-    assert cfg.num_joints == 4
-    assert cfg.state_dim == 7
-    assert cfg.control_dim == 6
-    assert cfg.control_bounds().shape == (6,)
+    assert rm.ARM_JOINTS == 4
+    assert rm.ROBOT_STATE_DIM == 7
+    assert rm.ROBOT_CONTROL_DIM == 6
+    assert len(rm.ROBOT_CONTROL_BOUNDS) == 6
+    assert rm.HAND_LINK == "hand"

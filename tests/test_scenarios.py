@@ -6,7 +6,7 @@ import pytest
 from comotion import scenarios as sc
 from comotion.data import synth_generate
 from comotion.environment import scene_sdf
-from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
+from comotion.kinematics import forward_kinematics
 
 
 def test_reach_problems_goal_is_oracle_wrist():
@@ -16,7 +16,7 @@ def test_reach_problems_goal_is_oracle_wrist():
         assert inst.problem.plans_human and not inst.problem.plans_robot
         assert inst.ground_truth.shape == (20, 129)
         goal = np.asarray(inst.problem.constraints[0].target)
-        wrist, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, inst.ground_truth[-1], "rWrist")
+        wrist, _ = forward_kinematics(inst.ground_truth[-1], "rWrist")
         assert np.allclose(goal, wrist, atol=1e-12)
 
 

@@ -307,9 +307,9 @@ def test_shooting_consistency_bit_exact(tiny_model_setup):
 def test_human_reach_problem_converges(tiny_model_setup):
     model, observed = tiny_model_setup
     pred = hm.predict(model, observed, horizon=6)
-    from comotion.kinematics import DEFAULT_HUMAN_SKELETON, forward_kinematics
+    from comotion.kinematics import forward_kinematics
 
-    wrist, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, pred[-1], "rWrist")
+    wrist, _ = forward_kinematics(pred[-1], "rWrist")
     target = wrist + np.array([0.15, -0.1, 0.05])
     problem = obj.ProblemSpec(
         steps=6,
@@ -320,5 +320,5 @@ def test_human_reach_problem_converges(tiny_model_setup):
     compiled = obj.compile_problem(problem, model=model)
     result = sv.solve_compiled(compiled, sv.SolverConfig(max_rounds=6, max_inner=40))
     assert result.status == "converged"
-    final, _ = forward_kinematics(DEFAULT_HUMAN_SKELETON, result.human_traj[-1], "rWrist")
+    final, _ = forward_kinematics(result.human_traj[-1], "rWrist")
     assert np.linalg.norm(final - target) < 0.05  # residual < 1e-3 means < 3.2 cm
