@@ -378,10 +378,12 @@ def _fmt(v) -> str:
 
 
 def cmd_evaluate(args) -> int:
+    matches = [glob.glob(pattern) for pattern in args.problems]
+    for pattern, found in zip(args.problems, matches):
+        if not found:
+            raise UsageError(f"--problems {pattern!r} matches no file (an empty problem batch)")
     # each file once, however many patterns match it
-    paths = sorted({os.path.normpath(p) for pattern in args.problems for p in glob.glob(pattern)})
-    if not paths:
-        raise UsageError("empty problem batch")
+    paths = sorted({os.path.normpath(p) for found in matches for p in found})
     named: dict[str, str] = {}
     for path in paths:
         other = named.setdefault(os.path.basename(path), path)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import human_model as hm
-from .chains import NORM_EPS
 from .environment import scene_sdf
+from .graph import handover_residual
 from .kinematics import (
     ARM_JOINT_NAMES,
     NUM_JOINTS,
@@ -136,19 +136,14 @@ def _palms(agent: str, states) -> np.ndarray:
 
 
 def handover_loss(human_states, robot_state):
-    """Hard handover residual: palm distance squared plus the facing term.
+    """Hard handover residual: the handover row's kernel
+    (:func:`graph.handover_residual`) on the agents' palms.
 
-    A float for one human state, an (N,) array for a batch of them.  The
-    human faces along the normalized xy of its base 6-D rotation's first
-    column, the robot along its heading, as on the tape.
+    A float for one human state, an (N,) array for a batch of them.
     """
     human_states = np.asarray(human_states, dtype=np.float64)
-    ph = _palms("human", human_states)
-    pr = _palms("robot", robot_state)
-    xy = human_states[..., 3:5]
-    hh = xy / np.sqrt(np.sum(xy * xy, axis=-1, keepdims=True) + NORM_EPS)
-    th = robot_state[2]
-    loss = np.sum((ph - pr) ** 2, axis=-1) + (1.0 + hh @ np.array([np.cos(th), np.sin(th)]))
+    loss = handover_residual(_palms("human", human_states), _palms("robot", robot_state),
+                             human_states, robot_state)
     return float(loss) if human_states.ndim == 1 else loss
 
 
@@ -190,7 +185,7 @@ class MethodResult:
     modifiers: np.ndarray | None
     controls: np.ndarray | None
     objective: float
-    solver_status: str
+    solver_status: str | None  # None when no solve ran
     details: dict = field(default_factory=dict)
     # the iteration log of the method's solve; None unless it runs exactly one
     log: list[IterationRecord] | None = None
@@ -281,7 +276,7 @@ def run_method(
             else zerovel_predict(problem.observed_human, steps)
         )
         if not problem.plans_robot:  # no robot, or a frozen one: nothing to solve
-            return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, "converged")
+            return MethodResult(method, human, problem.fixed_robot, None, None, 0.0, None)
         compiled = compile_problem(_single_agent_problem(problem, "robot", human))
         return _solved(method, solve_compiled(compiled, solver_config))
 
@@ -291,7 +286,7 @@ def run_method(
         order = rank_predictions(samples, sample_config, problem)
         if not problem.plans_robot:
             return MethodResult(method, samples[order[0]], problem.fixed_robot, None, None, 0.0,
-                                "converged", details={"attempts": 0, "picked": int(order[0])})
+                                None, details={"attempts": 0, "picked": int(order[0])})
         kind = kind or default_kind(problem)
         # one robot-only tape, replayed against each sample as its frozen human
         compiled = compile_problem(_single_agent_problem(problem, "robot", samples[order[0]]))
@@ -590,7 +585,7 @@ class ExperimentRecord:
     success: bool
     reasons: list[str]
     metrics: dict  # compute_metrics' row
-    solver_status: str
+    solver_status: str | None  # None when no solve ran
     wall_time: float
     result: MethodResult  # the scored method output
 

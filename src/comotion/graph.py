@@ -10,7 +10,10 @@ propagates a seed gradient to every leaf.
 
 All values are 64-bit float arrays.  Scalars are 0-d arrays.
 
-Fused primitives keep planning tapes short; each has a hand-written adjoint.
+The primitives are add, subtract, multiply, square, sum, logsumexp, concat,
+slice, reshape, row and columns, and the fused gru_scan, rollout,
+link_point, grid_interp and handover.  Fused primitives keep planning tapes
+short; each has a hand-written adjoint.
 
 ``gru_cell`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
 W = [Wz; Wr; Wn] (3d, in), U = [Uz; Ur; Un] (3d, d) and b = [bz; br; bn]
@@ -107,6 +110,17 @@ c_k u_k^T with c_k = R_{k-1}^T g; the base columns get g.  Per block::
 
 and columns off the chain get exactly 0.
 
+``handover`` is the handover row (:func:`handover_residual`, which the numpy
+success check and sample ranking run too) of palm points p_h and p_r, the xy
+of the human base's 6-D first column (state columns 3:5) and the robot's
+heading theta (state column 2); other state columns get exactly 0.  With g
+the output gradient, and the terms summed in the order written::
+
+    d = p_h - p_r,  n = sqrt(xy . xy + 1e-12),  f_h = xy / n,  f_r = (cos theta, sin theta)
+    value = d . d + (1 + f_h . f_r)
+    dp_h = -dp_r = 2 g d,  dxy = g f_r / n + (sum(-g f_r * xy) / n^2) xy / n
+    dtheta = g f_h[1] cos theta + (-g f_h[0]) sin theta
+
 ``grid_interp`` looks up (N, 2) points, keeping the bilinear weights for
 its adjoint, and ``columns`` takes one column range of an (N, D) trajectory,
 so per-timestep constraint terms are a few (H,) vector nodes.
@@ -130,6 +144,7 @@ __all__ = [
     "gru_cell",
     "gru_unroll",
     "unicycle_rollout",
+    "handover_residual",
 ]
 
 
@@ -187,15 +202,6 @@ def _f_mul(vals, a, p):
 def _b_mul(g, vals, a, p, out):
     x, y = vals[a[0]], vals[a[1]]
     return (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
-
-
-def _f_div(vals, a, p):
-    return vals[a[0]] / vals[a[1]]
-
-
-def _b_div(g, vals, a, p, out):
-    x, y = vals[a[0]], vals[a[1]]
-    return (_unbroadcast(g / y, x.shape), _unbroadcast(-g * x / (y * y), y.shape))
 
 
 def _f_concat(vals, a, p):
@@ -261,22 +267,6 @@ def _b_columns(g, vals, a, p, out):
     return (full,)
 
 
-def _f_sin(vals, a, p):
-    return np.sin(vals[a[0]])
-
-
-def _b_sin(g, vals, a, p, out):
-    return (g * np.cos(vals[a[0]]),)
-
-
-def _f_cos(vals, a, p):
-    return np.cos(vals[a[0]])
-
-
-def _b_cos(g, vals, a, p, out):
-    return (-g * np.sin(vals[a[0]]),)
-
-
 def _f_square(vals, a, p):
     x = vals[a[0]]
     return x * x
@@ -284,15 +274,6 @@ def _f_square(vals, a, p):
 
 def _b_square(g, vals, a, p, out):
     return (2.0 * g * vals[a[0]],)
-
-
-def _f_norm(vals, a, p):
-    x = vals[a[0]]
-    return np.asarray(np.sqrt(np.dot(x.reshape(-1), x.reshape(-1)) + NORM_EPS))
-
-
-def _b_norm(g, vals, a, p, out):
-    return (float(g) * vals[a[0]] / float(out),)
 
 
 def _f_lse(vals, a, p):
@@ -705,6 +686,44 @@ def _b_rollout(g, vals, a, p, out):
     return (gu.reshape(-1),)
 
 
+def _handover(palm_h, palm_r, human, robot):
+    """The handover residual and the intermediates its adjoint reads."""
+    d = palm_h - palm_r
+    xy = human[..., 3:5]
+    # the stacked product rounds as np.dot does, row by row
+    norm = np.sqrt((xy[..., None, :] @ xy[..., :, None])[..., 0] + NORM_EPS)
+    facing_h = xy / norm
+    heading = robot[2:3]
+    facing_r = np.concatenate([np.cos(heading), np.sin(heading)])
+    value = (d * d).sum(axis=-1) + (1.0 + (facing_h * facing_r).sum(axis=-1))
+    return value, (d, xy, norm, facing_h, facing_r)
+
+
+def handover_residual(palm_h, palm_r, human, robot):
+    """The handover residual (see the module docstring) of a human state
+    (D,) and its (3,) palm point, or an (N, D) batch of them and (N, 3)
+    palms, against one robot state and its palm: a float or an (N,) array."""
+    return _handover(palm_h, palm_r, human, robot)[0]
+
+
+def _f_handover(vals, a, p):
+    value, cache = _handover(*(vals[i] for i in a))
+    return np.asarray(value), cache
+
+
+def _b_handover(g, vals, a, p, cache):
+    d, xy, norm, facing_h, facing_r = cache
+    g = float(g)
+    g_palm = 2.0 * g * d
+    g_fh, g_fr = g * facing_r, g * facing_h
+    g_norm = ((-g_fh) * xy / (norm * norm)).sum()
+    g_human = np.zeros(vals[a[2]].shape)
+    g_human[3:5] = g_fh / norm + g_norm * xy / norm
+    g_robot = np.zeros(vals[a[3]].shape)
+    g_robot[2:3] = g_fr[1:2] * facing_r[0:1] + (-g_fr[0:1]) * facing_r[1:2]
+    return g_palm, -g_palm, g_human, g_robot
+
+
 def _f_link_point(vals, a, p):
     x = vals[a[0]]
     point, _, cache = chain_fk(p, x.reshape(-1, x.shape[-1]), keep=True)
@@ -742,15 +761,11 @@ def _register(name, fwd, bwd, masked=False, cached=False):
 OP_ADD = _register("add", _f_add, _b_add)
 OP_SUB = _register("subtract", _f_sub, _b_sub)
 OP_MUL = _register("multiply", _f_mul, _b_mul)
-OP_DIV = _register("divide", _f_div, _b_div)
 OP_CONCAT = _register("concat", _f_concat, _b_concat)
 OP_SLICE = _register("slice", _f_slice, _b_slice)
 OP_RESHAPE = _register("reshape", _f_reshape, _b_reshape)
 OP_SUM = _register("sum", _f_sum, _b_sum)
-OP_SIN = _register("sin", _f_sin, _b_sin)
-OP_COS = _register("cos", _f_cos, _b_cos)
 OP_SQUARE = _register("square", _f_square, _b_square)
-OP_NORM = _register("l2_norm", _f_norm, _b_norm)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
 OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2, cached=True)
 OP_ROW = _register("row", _f_row, _b_row)
@@ -758,6 +773,7 @@ OP_COLUMNS = _register("columns", _f_columns, _b_columns)
 OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
 OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point, cached=True)
+OP_HANDOVER = _register("handover", _f_handover, _b_handover, cached=True)
 # no primitive records these; the benchmark's per-type node counts still name them
 OP_MATMUL, OP_SIGMOID, OP_TANH = -1, -2, -3
 
@@ -878,9 +894,6 @@ class Tape:
     def mul(self, a: Ref, b: Ref) -> Ref:
         return self._apply(OP_MUL, (a, b))
 
-    def div(self, a: Ref, b: Ref) -> Ref:
-        return self._apply(OP_DIV, (a, b))
-
     def concat(self, parts: list[Ref]) -> Ref:
         if not parts:
             raise GraphError("concat of no tensors")
@@ -900,18 +913,8 @@ class Tape:
         """Sum of all entries, or along one axis."""
         return self._apply(OP_SUM, (x,), axis)
 
-    def sin(self, x: Ref) -> Ref:
-        return self._apply(OP_SIN, (x,))
-
-    def cos(self, x: Ref) -> Ref:
-        return self._apply(OP_COS, (x,))
-
     def square(self, x: Ref) -> Ref:
         return self._apply(OP_SQUARE, (x,))
-
-    def norm(self, x: Ref) -> Ref:
-        """Euclidean norm, regularized: sqrt(sum(x*x) + 1e-12)."""
-        return self._apply(OP_NORM, (x,))
 
     def logsumexp(self, x: Ref, temperature: float) -> Ref:
         """Smooth maximum: temperature * log(sum(exp(x / temperature)))."""
@@ -1011,10 +1014,15 @@ class Tape:
             )
         return self._apply(OP_LINK_POINT, (states,), chain)
 
-    # -- convenience composites (no new primitives) ---------------------------
+    def handover(self, palm_h: Ref, palm_r: Ref, human: Ref, robot: Ref) -> Ref:
+        """The handover residual (:func:`handover_residual`) of one human and
+        one robot state row and their (3,) palm points, a scalar."""
+        shapes = [r.shape for r in (palm_h, palm_r, human, robot)]
+        if shapes[:2] != [(3,), (3,)] or len(human.shape) != 1 or len(robot.shape) != 1:
+            raise GraphError(f"handover reads (3,) palms and two state rows, got {shapes}")
+        return self._apply(OP_HANDOVER, (palm_h, palm_r, human, robot))
 
-    def dot(self, a: Ref, b: Ref) -> Ref:
-        return self.sum(self.mul(a, b))
+    # -- convenience composites (no new primitives) ---------------------------
 
     def sum_squares(self, x: Ref) -> Ref:
         return self.sum(self.square(x))

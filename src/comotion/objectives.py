@@ -13,8 +13,9 @@ Conventions:
   * An agent is planned when the problem has its start (the human's observed
     history, the robot's initial state) and no frozen trajectory for it.
   * Inequality constraints are feasible at values <= 0.
-  * Equality constraints are residuals driven to 0 (squared distances, plus a
-    facing term for handovers).
+  * Equality constraints are residuals driven to 0: squared distances, and
+    for a handover the palms' squared distance plus a facing term, one
+    ``handover`` node whose kernel ``evaluation.handover_loss`` runs too.
   * Obstacle clearance uses ``-SDF(base)``; inter-agent clearance uses
     ``d^2 - |planar base offset|^2`` (the ground-plane distance, since the
     human base sits at pelvis height while the robot base is on the floor).
@@ -178,8 +179,8 @@ class GraphContext:
     (H, dim) state trajectory refs, or None for an absent agent.  A point on
     a link is one ``link_point`` node, over one step's row or over the whole
     trajectory, through ``kinematics.kinematic_chain`` for the human and
-    ``robot_model.kinematic_chain`` for the robot; base positions and
-    headings read state columns directly.
+    ``robot_model.kinematic_chain`` for the robot; base positions and state
+    rows read the trajectory directly.
     """
 
     def __init__(self, tape, steps, human_traj, robot_traj, sdf):
@@ -194,7 +195,9 @@ class GraphContext:
             raise ProblemError(f"constraint references the {agent}, but no {agent} is present")
         return traj
 
-    def _states(self, agent: str, t: int | None) -> Ref:
+    def states(self, agent: str, t: int | None) -> Ref:
+        """The agent's state row at step ``t``, (D,), or its (H, D)
+        trajectory when ``t`` is None."""
         traj = self.trajectory(agent)
         return traj if t is None else self.tape.row(traj, t)
 
@@ -202,7 +205,7 @@ class GraphContext:
         """World point of a link-frame ``offset`` on ``link``: (3,) at step
         ``t``, or (H, 3) over every step when ``t`` is None."""
         chain = (human_chain if agent == "human" else robot_chain)(link, offset)
-        return self.tape.link_point(self._states(agent, t), chain)
+        return self.tape.link_point(self.states(agent, t), chain)
 
     def palm_point(self, agent: str, t: int | None = None) -> Ref:
         """The agent's ``PALMS`` point: (3,) at step ``t``, or (H, 3) over
@@ -212,18 +215,6 @@ class GraphContext:
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
         return self.tape.columns(self.trajectory(agent), 0, dims)
-
-    def heading(self, agent: str, t: int) -> Ref:
-        """Planar facing unit vector of the agent's base: (cos, sin) of the
-        robot's heading, or the normalized xy of the first column of the
-        human's base 6-D rotation (the base frame's world x-axis)."""
-        tape = self.tape
-        state = self._states(agent, t)
-        if agent == "robot":
-            th = tape.slice(state, 2, 3)
-            return tape.concat([tape.cos(th), tape.sin(th)])
-        xy = tape.slice(state, 3, 5)
-        return tape.div(xy, tape.norm(xy))
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +304,15 @@ def joint_goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
 
 
 def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
-    """Palm-to-palm squared distance plus a facing residual at the final step.
+    """Palm-to-palm squared distance plus a facing residual at the final
+    step, one ``handover`` node over the palm points and the state rows.
 
     The facing term is 1 + dot(facing_H, facing_R): zero exactly when the
     agents face each other, 2 when they face the same way.
     """
-    tape = ctx.tape
     t = ctx.steps - 1
-    hand_h = ctx.palm_point("human", t)
-    hand_r = ctx.palm_point("robot", t)
-    dist = tape.sum_squares(tape.sub(hand_h, hand_r))
-    facing = tape.add(tape.const(1.0), tape.dot(ctx.heading("human", t), ctx.heading("robot", t)))
-    return tape.add(dist, facing)
+    palms = ctx.palm_point("human", t), ctx.palm_point("robot", t)
+    return ctx.tape.handover(*palms, ctx.states("human", t), ctx.states("robot", t))
 
 
 # the graph builder of each constraint kind

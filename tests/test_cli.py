@@ -493,6 +493,29 @@ def test_evaluate_empty_batch_exits_2(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_evaluate_unmatched_pattern_exits_2_before_any_output(tmp_path, capsys):
+    """One pattern that matches no file fails the batch, even when another
+    pattern matches."""
+    path = toy_robot_problem(tmp_path)
+    typo = str(tmp_path / "typo.json")
+    rc = main(["evaluate", "--problems", path, typo, "--methods", "zerovel",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert repr(typo) in err and "empty problem batch" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_without_robot_writes_a_null_status(tmp_path):
+    """A forecast method on a problem that plans no robot runs no solve."""
+    path = str(tmp_path / "reach.json")
+    obj.save_problem(scenarios.make_reach_problems(1, 1)[0].problem, path)
+    assert main(["plan", "--problem", path, "--method", "zerovel",
+                 "--out", str(tmp_path / "plan")]) == 0
+    doc = json.loads((tmp_path / "plan" / "result.json").read_text())
+    assert doc["status"] is None and doc["objective"] == 0.0
+
+
 def test_evaluate_batch_summary(tmp_path):
     for i, d in enumerate((0.2, 0.3)):
         toy = toy_robot_problem(tmp_path, steps=3, target=(d, 0.0, 0.0))

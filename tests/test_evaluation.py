@@ -153,7 +153,7 @@ def test_forecast_methods_keep_a_frozen_robot(model, monkeypatch, method):
         human = samples[picked]
     assert np.array_equal(res.human_traj, human)
     assert np.array_equal(res.robot_traj, frozen.fixed_robot)
-    assert res.solver_status == "converged" and res.controls is None
+    assert res.solver_status is None and res.controls is None  # no solve ran
 
 
 @pytest.mark.parametrize("success_at", [None, 2])
@@ -550,8 +550,9 @@ def test_handover_loss_threshold_edge():
 
 
 def test_handover_loss_matches_the_compiled_constraint():
-    """The numpy residual and the tape's, at random frozen human states and a
-    random robot plan; a batch of human states scores row by row."""
+    """The numpy residual and the tape's run one kernel: bit for bit equal at
+    random frozen human states and a random robot plan; a batch of human
+    states scores row by row."""
     from comotion.kinematics import axis_angle_matrix, matrix_to_rot6d
 
     rng = np.random.default_rng(11)
@@ -571,7 +572,7 @@ def test_handover_loss_matches_the_compiled_constraint():
     robot = compiled.trajectories(evaluation)[1]
     loss = ev.handover_loss(human[-1], robot[-1])
     assert isinstance(loss, float)
-    assert loss == pytest.approx(h[0], rel=0, abs=1e-10)
+    assert loss == h[0]
     batch = ev.handover_loss(human, robot[-1])
     assert batch.shape == (H,)
     assert batch[-1] == pytest.approx(loss, rel=0, abs=1e-12)

@@ -12,6 +12,7 @@ from comotion.graph import (
     gradient_check,
     gru_cell,
     gru_unroll,
+    handover_residual,
     record,
 )
 
@@ -49,7 +50,7 @@ def test_unconnected_leaf_gets_zero_gradient():
 
 def test_seed_linearity():
     def f(t, r):
-        return t.sum(t.sin(r["x"]))
+        return t.logsumexp(t.square(r["x"]), 0.5)
 
     tape, _ = record(f, {"x": np.array([0.3, -0.7, 1.1])})
     g1 = backward(tape, np.asarray(1.0))["x"]
@@ -62,8 +63,8 @@ def test_replay_bit_exact():
     x = rng.normal(size=7)
 
     def f(t, r):
-        a = t.sin(r["x"])
-        return t.sum(t.div(a, t.add(t.square(t.cos(r["x"])), t.const(1.0))))
+        a = t.mul(r["x"], t.sub(t.square(r["x"]), t.const(1.0)))
+        return t.add(t.sum(a), t.logsumexp(a, 0.3))
 
     tape, out = record(f, {"x": x})
     replay = tape.forward({"x": x.copy()})
@@ -74,7 +75,7 @@ def test_replay_new_leaves_match_fresh_record():
     rng = np.random.default_rng(1)
 
     def f(t, r):
-        return t.norm(t.sub(t.cos(r["x"]), t.sin(r["y"])))
+        return t.logsumexp(t.mul(t.square(r["x"]), t.sub(r["x"], r["y"])), 0.2)
 
     x0, y0 = rng.normal(size=4), rng.normal(size=4)
     tape, _ = record(f, {"x": x0, "y": y0})
@@ -125,24 +126,22 @@ def test_smooth_min_bounds_min():
 
 @pytest.mark.parametrize("trial", range(10))
 def test_primitive_gradients_match_finite_differences(trial):
-    """Composed chain exercising every smooth primitive, 10 seeded trials."""
+    """Composed chain exercising every smooth generic primitive and the
+    handover node, 10 seeded trials."""
     rng = np.random.default_rng(100 + trial)
     x = rng.uniform(0.2, 1.5, size=6)
     y = rng.uniform(0.2, 1.5, size=6)
     W = rng.normal(size=(4, 6))
 
     def f(t, r):
-        a = t.add(t.sin(r["x"]), t.cos(r["y"]))
+        a = t.add(t.square(r["x"]), t.mul(r["x"], r["y"]))
         b = t.mul(a, t.sub(r["y"], t.const(np.full(6, 3.0))))
-        c = t.div(b, t.add(t.square(r["x"]), t.const(np.full(6, 2.0))))
-        m = t.mul(r["W"], t.sin(c))  # (4, 6) times a broadcast row
+        m = t.mul(r["W"], b)  # (4, 6) times a broadcast row
         d = t.sum(t.columns(m, 1, 5), axis=1)
         e = t.concat([d, t.add(r["x"], t.const(np.full(6, 1.0)))])
         h = t.slice(e, 1, 9)
-        return t.add(
-            t.norm(h),
-            t.add(t.logsumexp(h, 0.1), t.sum(t.row(t.reshape(h, (2, 4)), 1))),
-        )
+        meet = t.handover(t.slice(e, 0, 3), t.slice(e, 7, 10), h, t.slice(e, 2, 9))
+        return t.add(meet, t.add(t.logsumexp(h, 0.1), t.sum(t.row(t.reshape(h, (2, 4)), 1))))
 
     err = gradient_check(f, {"x": x, "y": y, "W": W}, step=1e-5)
     assert err < 1e-6
@@ -229,7 +228,7 @@ def test_recorded_tape_is_freed_by_reference_counting():
 
 def test_backward_plan_is_computed_once_per_output_and_leaf_set():
     def f(t, r):
-        return t.sum(t.mul(t.sin(r["x"]), r["y"]))
+        return t.sum(t.mul(t.square(r["x"]), r["y"]))
 
     x, y = np.array([0.3, -0.2]), np.array([1.5, 2.0])
     tape, _ = record(f, {"x": x, "y": y})
@@ -238,8 +237,8 @@ def test_backward_plan_is_computed_once_per_output_and_leaf_set():
     both = backward(tape, np.asarray(1.0))
     assert backward(tape, np.asarray(1.0), wrt=["x"])["x"].tolist() == gx["x"].tolist()
     assert tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]}) is plan
-    assert np.allclose(gx["x"], np.cos(x) * y, atol=1e-15)
-    assert np.allclose(both["y"], np.sin(x), atol=1e-15)
+    assert np.allclose(gx["x"], 2.0 * x * y, atol=1e-15)
+    assert np.allclose(both["y"], x * x, atol=1e-15)
 
 
 def _gru_oracle(x, h, W, U, b, mx, mh):
@@ -608,8 +607,30 @@ def test_row_and_axis_sum_gradients():
 
     def f(t, r):
         rows = t.sum(t.square(r["m"]), axis=1)
-        return t.add(t.dot(rows, t.const(np.arange(4.0))), t.sum(t.sin(t.row(r["m"], -1))))
+        weighted = t.sum(t.mul(rows, t.const(np.arange(4.0))))
+        return t.add(weighted, t.logsumexp(t.row(r["m"], -1), 0.5))
 
     _, out = record(lambda t, r: t.sum(r["m"], axis=1), {"m": m})
     assert np.array_equal(out, m.sum(axis=1))
     assert gradient_check(f, {"m": m}) < 1e-8
+
+
+def test_handover_gradient_matches_finite_differences():
+    """All four inputs of the handover node, at a human whose 6-D first
+    column is not a unit vector; state columns the residual does not read
+    get exactly 0."""
+    rng = np.random.default_rng(25)
+    human = rng.normal(size=129)
+    human[3:9] = [1.7, -0.6, 0.4, 0.2, 0.9, -0.3]
+    point = {"ph": rng.normal(size=3), "pr": rng.normal(size=3), "h": human,
+             "r": rng.normal(size=7)}
+
+    def f(t, r):
+        return t.handover(r["ph"], r["pr"], r["h"], r["r"])
+
+    assert gradient_check(f, point) < 1e-8
+    tape, out = record(f, point)
+    assert float(out) == handover_residual(point["ph"], point["pr"], human, point["r"])
+    grads = backward(tape, np.asarray(1.0))
+    assert np.all(np.delete(grads["h"], [3, 4]) == 0.0) and np.all(grads["h"][3:5] != 0.0)
+    assert np.all(np.delete(grads["r"], 2) == 0.0) and grads["r"][2] != 0.0

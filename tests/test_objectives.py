@@ -434,6 +434,51 @@ def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
     assert np.allclose(values[1], values[0], rtol=0, atol=1e-9)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(quarter_turns=st.integers(0, 3), tx=st.floats(-5.0, 5.0), ty=st.floats(-5.0, 5.0))
+def test_collision_invariant_under_planar_rigid_motion(quarter_turns, tx, ty):
+    """Turning both agents and the scene by a multiple of 90 degrees, so that
+    every rectangle stays axis-aligned, and shifting them by any vector
+    changes neither agent's collision row beyond the SDF grid's rounding."""
+    turn = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), quarter_turns)
+    shift = np.array([tx, ty])
+
+    def move(p):
+        return tuple(float(v) for v in turn @ np.asarray(p) + shift)
+
+    def moved_rect(rect):  # an odd number of quarter turns swaps the half extents
+        return env.Rect(move(rect.center), tuple(float(v) for v in np.abs(turn) @ rect.half_extents))
+
+    # bounds whose widths are whole numbers of grid cells, so that the turned
+    # grid's nodes are the turned nodes
+    scene = env.Scene(obstacles=(env.Rect((-1.2, -0.8), (0.3, 0.2)), env.Disc((1.2, -0.2), 0.3)),
+                      bounds=env.Rect((0.5, -0.5), (4.0, 3.0)))
+    human = _FROZEN_HUMAN
+    rinit = np.array([0.9, -0.6, 2.0, 0.3, -0.2, 0.4, 0.1])
+    theta = 0.05 * np.random.default_rng(14).normal(size=len(human) * 6)
+    constraints = [obj.ConstraintSpec(kind="collision", agent="human"),
+                   obj.ConstraintSpec(kind="collision", agent="robot")]
+    values = []
+    for moved in (False, True):
+        h, r, sc = human.copy(), rinit.copy(), scene
+        if moved:
+            h[:, :2] = h[:, :2] @ turn.T + shift  # the row reads only the base xy
+            r[:2] = move(r[:2])
+            r[2] += quarter_turns * np.pi / 2
+            sc = env.Scene(obstacles=(moved_rect(scene.obstacles[0]),
+                                      env.Disc(move(scene.obstacles[1].center), 0.3)),
+                           bounds=moved_rect(scene.bounds))
+        problem = obj.ProblemSpec(steps=len(h), constraints=constraints, fixed_human=h,
+                                  robot_initial=r, scene=sc)
+        _, g, _, _ = obj.compile_problem(problem).evaluate(theta)
+        values.append(g)
+    # node and query coordinates below 10 m round at ulp(10) = 1.8e-15 m; the
+    # SDF is 1-Lipschitz, and the lookup and the soft maximum add a few
+    # roundings of values below 10: 1e-12 is over 100 times that (200 draws
+    # moved the rows by at most 8.9e-16)
+    assert np.allclose(values[1], values[0], rtol=0, atol=1e-12)
+
+
 # -- gradients through everything ---------------------------------------------
 
 

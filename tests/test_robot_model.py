@@ -190,17 +190,21 @@ def test_fk_graph_gradient():
         assert np.all(backward(tape, np.asarray(1.0))["s"][..., 6] == 0.0)
 
 
-def test_heading_graph():
-    """Planar headings read state columns: the robot's angle, the human's
-    base 6-D first column."""
+@pytest.mark.parametrize("degrees", [60, -90, 90])
+def test_handover_facing_value(degrees):
+    """The handover node's facing term reads state columns: the robot faces
+    along its heading angle, the human along the xy of its base 6-D first
+    column.  With the palms together the residual is 1 + the facing dot."""
+    heading = np.radians(degrees)
     tape = Tape()
-    robot = tape.leaf("r", np.array([[0, 0, np.pi / 3, 0, 0, 0, 0.0]]))
+    robot = tape.leaf("r", np.array([[0, 0, heading, 0, 0, 0, 0.0]]))
     human = np.zeros((1, 129))
-    human[0, 3:9] = [0.0, 2.0, 0.5, -1.0, 0.0, 0.0]
+    human[0, 3:9] = [0.0, 2.0, 0.5, -1.0, 0.0, 0.0]  # faces +y
     ctx = obj.GraphContext(tape, 1, tape.leaf("h", human), robot, None)
-    assert np.allclose(ctx.heading("robot", 0).value, [np.cos(np.pi / 3), np.sin(np.pi / 3)],
-                       atol=1e-15)
-    assert np.allclose(ctx.heading("human", 0).value, [0.0, 1.0], atol=1e-12)
+    palm = tape.const(np.array([0.3, -0.2, 1.0]))
+    out = tape.handover(palm, palm, ctx.states("human", 0), ctx.states("robot", 0))
+    # |(0, 2)| is regularized by 1e-12 under the root: 1.25e-13 off
+    assert float(out.value) == pytest.approx(1.0 + np.sin(heading), abs=1e-12)
 
 
 def test_control_dims():
