@@ -1,0 +1,78 @@
+"""The behaviour lock (``tests/golden``): 36 seeded planning runs return
+what ``lock.json`` holds.
+
+Discrete fields (status, details, success, reasons, array sizes) must match
+exactly.  Floats (the objective and the stored entries of theta and of both
+trajectories) must match within ``RTOL`` relative, not bit for bit: CI's
+Python 3.10 job runs a different numpy, and OpenBLAS picks its kernels per
+CPU, so a product may round differently in the last bit.  Measured when the
+lock was made: a 1e-15 relative perturbation of every model weight moved
+these outputs by at most 5.1e-12 by this test's measure and changed no
+discrete field, so 1e-8 leaves three orders of magnitude for such rounding while any
+change of the math shows.  Bit-exact claims use the digests that
+``python tests/golden/lock.py`` prints.
+
+A change that moves the outputs on purpose regenerates the lock with
+``python tests/golden/lock.py --write`` and says which entries moved, and
+why.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from golden import lock
+
+RTOL = 1e-8
+with open(lock.LOCK) as _fh:
+    LOCKED = json.load(_fh)
+
+
+def deviation(value, ref, scale):
+    """|value - ref| relative to max(|ref|, scale); 0 for equal values."""
+    value, ref = np.asarray(value, np.float64), np.asarray(ref, np.float64)
+    denom = np.maximum(np.abs(ref), scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(value == ref, 0.0, np.abs(value - ref) / denom)
+    return float(np.max(rel, initial=0.0))
+
+
+def compare(entry, discrete, objective, arrays):
+    """The discrete fields that differ and the largest float deviation of
+    one fresh run from its locked entry.  An array's deviation is taken
+    relative to its largest stored entry, so entries near 0 in an array of
+    metres are not held to a relative bound of their own."""
+    wrong = [k for k in discrete if json.loads(json.dumps(discrete[k])) != entry[k]]
+    worst = deviation(objective, entry["objective"], 0.0)
+    for name in lock.ARRAYS:
+        a, ref = arrays[name], entry[name]
+        if a is None or ref is None:
+            if (a is None) != (ref is None):
+                wrong.append(name)
+            continue
+        flat = np.asarray(a, np.float64).reshape(-1)
+        if flat.size != ref["size"]:
+            wrong.append(f"{name} size")
+            continue
+        stored = np.asarray(ref["value"])
+        scale = float(np.max(np.abs(stored), initial=0.0))
+        worst = max(worst, deviation(flat[ref["index"]], stored, scale))
+    return wrong, worst
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    return {name: rest for name, *rest in lock.runs()}
+
+
+def test_the_lock_holds_every_method_on_every_problem(fresh):
+    assert list(fresh) == list(LOCKED)
+    assert len(LOCKED) == 36
+
+
+@pytest.mark.parametrize("name", list(LOCKED))
+def test_a_run_returns_what_the_lock_holds(fresh, name):
+    wrong, worst = compare(LOCKED[name], *fresh[name])
+    assert wrong == []
+    assert worst <= RTOL

@@ -578,6 +578,40 @@ def test_pickup_handover_reads_each_palm_in_one_node_and_its_gradient_holds():
     assert worst < 1e-5
 
 
+def test_human_base_penalty_gradient_matches_finite_differences():
+    """The base penalty's gradient: on pickup-handover (seed 1) at
+    ``human_base_penalty=1.0``, the difference of the objective gradients
+    with and without the penalty matches central differences of the
+    difference of the objectives, and it is not zero."""
+    model = hm.init_params(hm.ModelConfig(), 0)
+    plain = scenarios.make_pickup_handover_problem(1).problem
+    penalized = scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem
+    compiled = [obj.compile_problem(p, model=model) for p in (penalized, plain)]
+    rng = np.random.default_rng(15)
+    theta = 0.02 * rng.normal(size=compiled[0].n)
+
+    def penalty(th):
+        return compiled[0].evaluate(th)[0] - compiled[1].evaluate(th)[0]
+
+    grads = []
+    for c in compiled:
+        _, g, h, ev = c.evaluate(theta)
+        grads.append(c.gradient(np.eye(1 + g.size + h.size)[0], ev))
+    grad = grads[0] - grads[1]
+    assert np.abs(grad).max() > 0.1
+    # the objective is about 1.7e4 and the penalty 5.8: a larger step keeps
+    # the rounding of the two objectives out of the differences
+    step = 1e-4
+    worst = 0.0
+    for i in rng.choice(compiled[0].n, size=30, replace=False):
+        th_hi, th_lo = theta.copy(), theta.copy()
+        th_hi[i] += step
+        th_lo[i] -= step
+        fd = (penalty(th_hi) - penalty(th_lo)) / (2 * step)
+        worst = max(worst, abs(grad[i] - fd) / max(1e-2, abs(grad[i])))
+    assert worst < 1e-4
+
+
 # -- problem files -------------------------------------------------------------
 
 
