@@ -29,6 +29,11 @@ and one ``evaluation.summarize`` entry per method and robot weight to
 first write, whatever the method; ``evaluation.needs_model`` says which
 methods need the model.
 
+A model runs at one frame rate, ``ModelConfig.frame_rate``: ``train`` takes
+it from its records, which must share it, and ``predict``, ``plan`` and
+``evaluate`` refuse a record or problem (``1 / frame_time``) at another rate
+before their first write.
+
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure, 4 internal
 bug.  The only environment override is COMOTION_OUT for the default output
 directory.
@@ -136,6 +141,14 @@ def _numbers(text: str, flag: str, kind) -> tuple:
                          f"got {text!r}") from None
 
 
+def _same_rate(path, what, rate, ref_rate, ref="the model") -> None:
+    """Raises a UsageError naming ``path`` and both rates when ``what`` runs
+    at a frame rate other than ``ref``'s, to 1e-9 relative."""
+    if abs(rate - ref_rate) > 1e-9 * ref_rate:
+        raise UsageError(f"{path}: {what} runs at {rate:g} fps, {ref} at {ref_rate:g} fps; "
+                         f"resample it to {ref_rate:g} fps")
+
+
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("COMOTION_OUT")
     if out is None:
@@ -216,6 +229,9 @@ def cmd_train(args) -> int:
     records = dat.load_trajectories(data_path)
     if not records:
         raise UsageError(f"dataset is empty: {data_path}")
+    for i, rec in enumerate(records):
+        _same_rate(data_path, f"record {i}", rec.fps, records[0].fps, "record 0")
+    config = replace(config, frame_rate=records[0].fps)
     split = dat.split_dataset(records, held_out_subject=args.held_out,
                               test_fraction=args.test_fraction, seed=args.seed)
     train_frames = [r.frames for r in split.train]
@@ -270,6 +286,7 @@ def cmd_predict(args) -> int:
     if not (0 <= args.record < len(records)):
         raise UsageError(f"record index {args.record} out of range (file has {len(records)})")
     rec = records[args.record]
+    _same_rate(args.data, f"record {args.record}", rec.fps, model.config.frame_rate)
     k = model.config.input_frames
     if args.start + k > len(rec.frames):
         raise UsageError("observation window runs past the record end")
@@ -303,6 +320,9 @@ def cmd_plan(args) -> int:
     model = None if args.weights is None else hm.load_params(_require(args.weights, "weight file"))
     if model is None and ev.needs_model(problem, args.method):
         raise UsageError(f"method {args.method!r} needs model weights (--weights)")
+    if model is not None:
+        _same_rate(problem_path, "the problem", 1.0 / problem.weights.frame_time,
+                   model.config.frame_rate)
     out = _out_dir(args)
     _write_manifest(out, args)
     with _atomic(os.path.join(out, "problem.json")) as tmp:
@@ -403,6 +423,10 @@ def cmd_evaluate(args) -> int:
     sweeps = [[(alpha, _at_robot_weight(path, obj.load_problem(path), alpha)) for alpha in alphas]
               for path in paths]
     model = None if args.weights is None else hm.load_params(_require(args.weights, "weight file"))
+    if model is not None:
+        for path, sweep in zip(paths, sweeps):
+            _same_rate(path, "the problem", 1.0 / sweep[0][1].weights.frame_time,
+                       model.config.frame_rate)
     out = _out_dir(args)
     _write_manifest(out, args, extra={"problems": paths})
 

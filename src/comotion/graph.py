@@ -10,10 +10,10 @@ propagates a seed gradient to every leaf.
 
 All values are 64-bit float arrays.  Scalars are 0-d arrays.
 
-The primitives are add, subtract, multiply, square, sum, logsumexp, concat,
-slice, reshape, row and columns, and the fused gru_scan, rollout,
-link_point, grid_interp and handover.  Fused primitives keep planning tapes
-short; each has a hand-written adjoint.
+The primitives are subtract, multiply, square, sum, logsumexp, concat,
+reshape, row and columns, and the fused gru_scan, rollout, link_point,
+grid_interp, handover and squared_differences.  Fused primitives keep
+planning tapes short; each has a hand-written adjoint.
 
 ``gru_cell`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
 W = [Wz; Wr; Wn] (3d, in), U = [Uz; Ur; Un] (3d, d) and b = [bz; br; bn]
@@ -121,6 +121,13 @@ the output gradient, and the terms summed in the order written::
     dp_h = -dp_r = 2 g d,  dxy = g f_r / n + (sum(-g f_r * xy) / n^2) xy / n
     dtheta = g f_h[1] cos theta + (-g f_h[0]) sin theta
 
+``squared_differences`` is scale times the summed squared steps of (N, w)
+rows x (:func:`squared_differences`, which the planning objective's
+control-rate cost runs too, off the tape).  With g the output gradient::
+
+    d = x[1:] - x[:-1],  value = (d * d).sum() * scale
+    v = 2 (g scale) d,  dx = [-v; 0] + [0; v]
+
 ``grid_interp`` looks up (N, 2) points, keeping the bilinear weights for
 its adjoint, and ``columns`` takes one column range of an (N, D) trajectory,
 so per-timestep constraint terms are a few (H,) vector nodes.
@@ -145,6 +152,8 @@ __all__ = [
     "gru_unroll",
     "unicycle_rollout",
     "handover_residual",
+    "squared_differences",
+    "squared_differences_adjoint",
 ]
 
 
@@ -179,14 +188,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _f_add(vals, a, p):
-    return vals[a[0]] + vals[a[1]]
-
-
-def _b_add(g, vals, a, p, out):
-    return (_unbroadcast(g, vals[a[0]].shape), _unbroadcast(g, vals[a[1]].shape))
-
-
 def _f_sub(vals, a, p):
     return vals[a[0]] - vals[a[1]]
 
@@ -216,16 +217,6 @@ def _b_concat(g, vals, a, p, out):
         grads.append(g[pos : pos + n])
         pos += n
     return tuple(grads)
-
-
-def _f_slice(vals, a, p):
-    return vals[a[0]][p[0] : p[1]]
-
-
-def _b_slice(g, vals, a, p, out):
-    full = np.zeros(vals[a[0]].shape)
-    full[p[0] : p[1]] = g
-    return (full,)
 
 
 def _f_reshape(vals, a, p):
@@ -724,6 +715,27 @@ def _b_handover(g, vals, a, p, cache):
     return g_palm, -g_palm, g_human, g_robot
 
 
+def squared_differences(rows, scale):
+    """scale * sum_t |rows[t+1] - rows[t]|^2 of (N, w) rows, a float."""
+    d = rows[1:] - rows[:-1]
+    return (d * d).sum() * scale
+
+
+def squared_differences_adjoint(rows, scale, g):
+    """The (N, w) gradient of g * squared_differences(rows, scale)."""
+    v = 2.0 * (g * scale) * (rows[1:] - rows[:-1])
+    zero = np.zeros((1, rows.shape[1]))
+    return np.concatenate([-v, zero]) + np.concatenate([zero, v])
+
+
+def _f_sqdiff(vals, a, p):
+    return squared_differences(vals[a[0]], p)
+
+
+def _b_sqdiff(g, vals, a, p, out):
+    return (squared_differences_adjoint(vals[a[0]], p, g),)
+
+
 def _f_link_point(vals, a, p):
     x = vals[a[0]]
     point, _, cache = chain_fk(p, x.reshape(-1, x.shape[-1]), keep=True)
@@ -758,11 +770,9 @@ def _register(name, fwd, bwd, masked=False, cached=False):
     return code
 
 
-OP_ADD = _register("add", _f_add, _b_add)
 OP_SUB = _register("subtract", _f_sub, _b_sub)
 OP_MUL = _register("multiply", _f_mul, _b_mul)
 OP_CONCAT = _register("concat", _f_concat, _b_concat)
-OP_SLICE = _register("slice", _f_slice, _b_slice)
 OP_RESHAPE = _register("reshape", _f_reshape, _b_reshape)
 OP_SUM = _register("sum", _f_sum, _b_sum)
 OP_SQUARE = _register("square", _f_square, _b_square)
@@ -774,8 +784,9 @@ OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
 OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point, cached=True)
 OP_HANDOVER = _register("handover", _f_handover, _b_handover, cached=True)
+OP_SQDIFF = _register("squared_differences", _f_sqdiff, _b_sqdiff)
 # no primitive records these; the benchmark's per-type node counts still name them
-OP_MATMUL, OP_SIGMOID, OP_TANH = -1, -2, -3
+OP_MATMUL, OP_SIGMOID, OP_TANH, OP_SLICE, OP_ADD = -1, -2, -3, -4, -5
 
 
 class Ref:
@@ -885,9 +896,6 @@ class Tape:
 
     # -- primitives ----------------------------------------------------------
 
-    def add(self, a: Ref, b: Ref) -> Ref:
-        return self._apply(OP_ADD, (a, b))
-
     def sub(self, a: Ref, b: Ref) -> Ref:
         return self._apply(OP_SUB, (a, b))
 
@@ -898,11 +906,6 @@ class Tape:
         if not parts:
             raise GraphError("concat of no tensors")
         return self._apply(OP_CONCAT, tuple(parts))
-
-    def slice(self, x: Ref, start: int, stop: int) -> Ref:
-        if not (0 <= start <= stop <= x.shape[0]):
-            raise GraphError(f"slice [{start}:{stop}] out of range for {x.shape}")
-        return self._apply(OP_SLICE, (x,), (start, stop))
 
     def reshape(self, x: Ref, shape: tuple[int, ...]) -> Ref:
         if int(np.prod(shape)) != int(np.prod(x.shape)):
@@ -1021,6 +1024,12 @@ class Tape:
         if shapes[:2] != [(3,), (3,)] or len(human.shape) != 1 or len(robot.shape) != 1:
             raise GraphError(f"handover reads (3,) palms and two state rows, got {shapes}")
         return self._apply(OP_HANDOVER, (palm_h, palm_r, human, robot))
+
+    def squared_differences(self, rows: Ref, scale: float) -> Ref:
+        """:func:`squared_differences` of (N, w) rows, a scalar."""
+        if len(rows.shape) != 2:
+            raise GraphError(f"squared_differences reads (N, w) rows, got {rows.shape}")
+        return self._apply(OP_SQDIFF, (rows,), float(scale))
 
     # -- convenience composites (no new primitives) ---------------------------
 

@@ -2,9 +2,10 @@
 
 A :class:`ProblemSpec` declares the agents, step count, weights and constraints.
 :func:`compile_problem` unrolls both dynamics onto one tape and appends every
-objective/constraint scalar, so one backward pass yields the gradient of any
-weighted combination with respect to all decision variables (human decoder
-modifiers and robot controls).
+constraint scalar and the state-dependent objective, so one backward pass
+yields the gradient of any weighted combination with respect to all decision
+variables (human decoder modifiers and robot controls).  The control-rate
+objective, fixed and quadratic in them, is stated on :class:`CompiledProblem`.
 
 Conventions:
   * H is a problem's ``steps``: the number of planned timesteps after the
@@ -20,7 +21,8 @@ Conventions:
     ``d^2 - |planar base offset|^2`` (the ground-plane distance, since the
     human base sits at pelvis height while the robot base is on the floor).
     Each is one row: the soft maximum over the H timesteps,
-    ``tau * log(sum_t exp(v_t / tau))`` at ``tau = SOFT_MAX_TEMPERATURE``.
+    ``tau * log(sum_t exp(v_t / tau))`` at ``tau = SOFT_MAX_TEMPERATURE`` in
+    the row's own unit: metres for the collision row, m^2 for clearance.
   * Each agent's palm is a fixed point on its hand link, stated once in
     ``PALMS``.
 """
@@ -39,7 +41,8 @@ from .environment import (
     scene_to_doc,
     sdf_query_graph,
 )
-from .graph import Evaluation, Ref, Tape, backward
+from .graph import (Evaluation, Ref, Tape, backward, squared_differences,
+                    squared_differences_adjoint)
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
 from .kinematics import STATE_DIM
 from .kinematics import kinematic_chain as human_chain
@@ -48,7 +51,7 @@ from .robot_model import (HAND_LINK, ROBOT_CONTROL_BOUNDS, ROBOT_CONTROL_DIM, RO
 from .robot_model import kinematic_chain as robot_chain
 from .schema import from_doc, is_number, is_numbers
 
-SOFT_MAX_TEMPERATURE = 0.01  # m^2, soft maximum over timesteps
+SOFT_MAX_TEMPERATURE = 0.01  # soft maximum over timesteps: m for collision, m^2 for clearance
 JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
 # each agent's palm: its hand link and the palm's offset in that link's frame
 PALMS = {
@@ -222,42 +225,6 @@ class GraphContext:
 # ---------------------------------------------------------------------------
 
 
-def _difference_cost(tape, flat: Ref, row: int, steps: int, scale: float) -> Ref | None:
-    """scale * sum of squared adjacent-row differences of a flat (steps*row,) ref."""
-    if steps < 2:
-        return None
-    head = tape.slice(flat, row, steps * row)
-    tail = tape.slice(flat, 0, (steps - 1) * row)
-    return tape.mul(tape.sum_squares(tape.sub(head, tail)), tape.const(scale))
-
-
-def control_objective_graph(tape, weights: ObjectiveWeights, modifiers: Ref | None,
-                            robot_controls: Ref | None, steps: int) -> Ref:
-    """Sum of squared finite-difference control rates, weighted per agent."""
-    inv_dt2 = 1.0 / (weights.frame_time ** 2)
-    total = tape.const(0.0)
-    if modifiers is not None and weights.weight_human > 0:
-        c = _difference_cost(tape, modifiers, MODIFIER_DIM, steps,
-                             weights.weight_human * inv_dt2)
-        if c is not None:
-            total = tape.add(total, c)
-    if robot_controls is not None and weights.weight_robot > 0:
-        c = _difference_cost(tape, robot_controls, ROBOT_CONTROL_DIM, steps,
-                             weights.weight_robot * inv_dt2)
-        if c is not None:
-            total = tape.add(total, c)
-    return total
-
-
-def human_base_penalty_graph(tape, ctx: GraphContext, observed_last: np.ndarray,
-                             weight: float) -> Ref:
-    """Penalizes human base displacement over the plan (pickup-agent studies)."""
-    steps = ctx.steps
-    bases = tape.reshape(ctx.base_positions("human", 3), (steps * 3,))
-    flat = tape.concat([tape.const(observed_last[:3]), bases])
-    return _difference_cost(tape, flat, 3, steps + 1, weight)
-
-
 def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """Squared distance between a link position at the final step and the
     goal point."""
@@ -330,13 +297,30 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ControlRate:
+    """A planned agent's control-rate cost (``graph.squared_differences``):
+    ``scale``, its weight over the squared frame time, times the summed squared
+    steps of ``steps`` rows of ``width`` variables from ``offset`` on.  Its
+    block of Q is 2 scale (DᵀD ⊗ I), D the (steps - 1, steps) difference matrix."""
+
+    offset: int
+    steps: int
+    width: int
+    scale: float
+
+    def rows(self, theta: np.ndarray) -> np.ndarray:
+        return theta[self.offset : self.offset + self.steps * self.width].reshape(self.steps, -1)
+
+
 @dataclass
 class CompiledProblem:
     """A problem recorded on one tape: replayable, differentiable, packed.
 
-    The tape output is the vector [objective, g_1..g_m, h_1..h_k]; feasible
-    inequalities are <= 0.  Decision variables pack human modifiers first,
-    then robot controls.
+    The tape output is the vector [r, g_1..g_m, h_1..h_k]; feasible
+    inequalities are <= 0.  Row r is the human base penalty, or 0; the
+    objective adds the control-rate cost ½ θᵀQθ of ``rates`` to it, off the
+    tape.  Decision variables pack human modifiers first, then robot controls.
     """
 
     problem: ProblemSpec
@@ -350,6 +334,7 @@ class CompiledProblem:
     upper: np.ndarray
     human_traj: Ref | None  # (H, 129) state trajectory
     robot_traj: Ref | None  # (H, ROBOT_STATE_DIM)
+    rates: tuple[ControlRate, ...] = ()
 
     @property
     def n(self) -> int:
@@ -374,13 +359,18 @@ class CompiledProblem:
             leaves.update(extra_leaves)
         ev = self.tape.forward(leaves)
         out = ev.output
+        control = sum(squared_differences(r.rows(theta), r.scale) for r in self.rates)
         m = self.num_ineq
-        return float(out[0]), out[1 : 1 + m].copy(), out[1 + m :].copy(), ev
+        return float(out[0] + control), out[1 : 1 + m].copy(), out[1 + m :].copy(), ev
 
     def gradient(self, seed: np.ndarray, at: Evaluation) -> np.ndarray:
         """Gradient of seed . [objective, g, h] w.r.t. the packed variables."""
         grads = backward(self.tape, seed, at=at, wrt=list(self.leaf_dims))
-        return np.concatenate([grads[name] for name in self.leaf_dims])
+        grad = np.concatenate([grads[name] for name in self.leaf_dims])
+        theta = np.concatenate([at.values[self.tape.leaves[name]] for name in self.leaf_dims])
+        for r in self.rates:
+            r.rows(grad)[...] += squared_differences_adjoint(r.rows(theta), r.scale, seed[0])
+        return grad
 
     def trajectories(self, at: Evaluation):
         """Human and robot state sequences at an evaluation (None if absent)."""
@@ -397,9 +387,11 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     leaf_dims: dict[str, int] = {}
     lower_parts = []
     upper_parts = []
+    weights = problem.weights
+    inv_dt2 = 1.0 / (weights.frame_time ** 2)
+    rates = []
 
     human_traj = None
-    modifiers = None
     if problem.plans_human:
         if model is None:
             raise ProblemError("planning the human needs model weights")
@@ -409,6 +401,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         lower_parts.append(np.full(dim, -np.inf))
         upper_parts.append(np.full(dim, np.inf))
         human_traj = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
+        rates.append(ControlRate(0, steps, MODIFIER_DIM, weights.weight_human * inv_dt2))
     elif problem.fixed_human is not None:
         # a leaf (not a decision variable) so the same tape replays against
         # other frozen trajectories, e.g. across prediction samples
@@ -416,8 +409,9 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         human_traj = tape.reshape(flat, (steps, STATE_DIM))
 
     robot_traj = None
-    controls = None
     if problem.plans_robot:
+        rates.append(ControlRate(sum(leaf_dims.values()), steps, ROBOT_CONTROL_DIM,
+                                 weights.weight_robot * inv_dt2))
         dim = steps * ROBOT_CONTROL_DIM
         controls = tape.leaf("u_r", np.zeros(dim))
         leaf_dims["u_r"] = dim
@@ -433,17 +427,13 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         raise ProblemError("nothing to optimize: no free agent")
 
     ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
-
-    objective = control_objective_graph(tape, problem.weights, modifiers, controls, steps)
-    if problem.weights.human_base_penalty > 0 and human_traj is not None:
-        pen = human_base_penalty_graph(
-            tape, ctx, problem.observed_human[-1]
-            if problem.observed_human is not None
-            else problem.fixed_human[0],
-            problem.weights.human_base_penalty,
-        )
-        if pen is not None:
-            objective = tape.add(objective, pen)
+    objective = tape.const(0.0)
+    if weights.human_base_penalty > 0 and human_traj is not None:
+        # the squared steps of the human base from its anchor state on
+        anchor = (problem.observed_human[-1] if problem.observed_human is not None
+                  else problem.fixed_human[0])
+        bases = tape.concat([tape.const(anchor[None, :3]), ctx.base_positions("human", 3)])
+        objective = tape.squared_differences(bases, weights.human_base_penalty)
 
     # (name, scalar value) pairs, one row per constraint
     ineq: list[tuple[str, Ref]] = []
@@ -469,6 +459,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         upper=np.concatenate(upper_parts),
         human_traj=human_traj,
         robot_traj=robot_traj,
+        rates=tuple(rates),
     )
 
 

@@ -909,3 +909,60 @@ def test_version_flag():
         import comotion.cli as c
 
         c.build_parser().parse_args(["--version"])
+
+
+def relabel(src, dst, fps, only=None):
+    """The trajectory file ``src`` with every record, or record ``only``,
+    relabelled to ``fps``, written to ``dst``."""
+    recs = cd.load_trajectories(src)
+    cd.save_trajectories([replace(r, fps=fps) if only in (None, i) else r
+                          for i, r in enumerate(recs)], dst)
+    return str(dst)
+
+
+def test_train_takes_the_frame_rate_from_its_records(tiny_dataset, tmp_path):
+    data = relabel(tiny_dataset, tmp_path / "fast.traj", 30.0)
+    assert main(train_args(data, str(tmp_path / "run"))) == 0
+    assert hm.load_params(tmp_path / "run" / "model.weights").config.frame_rate == 30.0
+
+
+def test_train_mixed_frame_rates_exit_2_before_any_output(tiny_dataset, tmp_path, capsys):
+    data = relabel(tiny_dataset, tmp_path / "mixed.traj", 30.0, only=2)
+    assert main(train_args(data, str(tmp_path / "run"))) == 2
+    err = capsys.readouterr().err
+    assert data in err and "30 fps" in err and "20 fps" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_predict_record_at_another_frame_rate_exits_2_before_any_output(tiny_dataset,
+                                                                        tiny_weights, tmp_path,
+                                                                        capsys):
+    data = relabel(tiny_dataset, tmp_path / "fast.traj", 30.0)
+    rc = main(["predict", "--weights", tiny_weights, "--data", data, "--out",
+               str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert data in err and "30 fps" in err and "20 fps" in err and "Traceback" not in err
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+@pytest.mark.parametrize("method", ["ours", "zerovel"])
+def test_problem_at_another_frame_rate_exits_2_before_any_output(tiny_weights, tmp_path, capsys,
+                                                                 command, method):
+    """A problem whose 1 / frame_time is not the model's rate is refused when
+    ``--weights`` is given, whether or not the method uses the model; a rate
+    within 1e-9 relative of it passes."""
+    problem = obj.load_problem(human_robot_problem(tmp_path))
+    for frame_time, rc in ((1.0 / 30.0, 2), (0.05 * (1.0 + 1e-12), 0)):
+        path = tmp_path / "rate.json"
+        obj.save_problem(replace(problem, weights=replace(problem.weights,
+                                                          frame_time=frame_time)), path)
+        where = (["--problem", str(path), "--method", method] if command == "plan"
+                 else ["--problems", str(path), "--methods", method, "--jobs", "1"])
+        out = tmp_path / f"o{rc}"
+        assert main([command, *where, "--weights", tiny_weights, *CAPPED,
+                     "--out", str(out)]) == rc
+        assert out.exists() == (rc == 0)
+    err = capsys.readouterr().err
+    assert str(path) in err and "30 fps" in err and "20 fps" in err and "Traceback" not in err

@@ -14,6 +14,7 @@ from comotion.graph import (
     gru_unroll,
     handover_residual,
     record,
+    squared_differences,
 )
 
 
@@ -64,7 +65,7 @@ def test_replay_bit_exact():
 
     def f(t, r):
         a = t.mul(r["x"], t.sub(t.square(r["x"]), t.const(1.0)))
-        return t.add(t.sum(a), t.logsumexp(a, 0.3))
+        return t.sub(t.sum(a), t.logsumexp(a, 0.3))
 
     tape, out = record(f, {"x": x})
     replay = tape.forward({"x": x.copy()})
@@ -134,14 +135,18 @@ def test_primitive_gradients_match_finite_differences(trial):
     W = rng.normal(size=(4, 6))
 
     def f(t, r):
-        a = t.add(t.square(r["x"]), t.mul(r["x"], r["y"]))
+        a = t.sub(t.square(r["x"]), t.mul(r["x"], r["y"]))
         b = t.mul(a, t.sub(r["y"], t.const(np.full(6, 3.0))))
         m = t.mul(r["W"], b)  # (4, 6) times a broadcast row
         d = t.sum(t.columns(m, 1, 5), axis=1)
-        e = t.concat([d, t.add(r["x"], t.const(np.full(6, 1.0)))])
-        h = t.slice(e, 1, 9)
-        meet = t.handover(t.slice(e, 0, 3), t.slice(e, 7, 10), h, t.slice(e, 2, 9))
-        return t.add(meet, t.add(t.logsumexp(h, 0.1), t.sum(t.row(t.reshape(h, (2, 4)), 1))))
+        e = t.reshape(t.concat([d, t.sub(r["x"], t.const(np.full(6, -1.0)))]), (1, 10))
+
+        def part(lo, hi):
+            return t.row(t.columns(e, lo, hi), 0)
+
+        h = part(1, 9)
+        meet = t.handover(part(0, 3), part(7, 10), h, part(2, 9))
+        return t.sub(meet, t.sub(t.logsumexp(h, 0.1), t.sum(t.row(t.reshape(h, (2, 4)), 1))))
 
     err = gradient_check(f, {"x": x, "y": y, "W": W}, step=1e-5)
     assert err < 1e-6
@@ -155,13 +160,14 @@ def test_gradient_check_linear_is_exact():
     assert err < 1e-10
 
 
-def test_broadcast_bias_add_gradient():
+def test_broadcast_bias_gradient():
+    """A (3, 1) bias broadcast over the columns of M sums its gradient back."""
     rng = np.random.default_rng(6)
     M = rng.normal(size=(3, 5))
     b = rng.normal(size=(3, 1))
 
     def f(t, r):
-        return t.sum(t.square(t.add(r["M"], r["b"])))
+        return t.sum(t.square(t.sub(r["M"], r["b"])))
 
     assert gradient_check(f, {"M": M, "b": b}) < 1e-7
 
@@ -202,7 +208,7 @@ def test_cross_tape_operands_rejected():
     a = t1.leaf("a", np.ones(2))
     b = t2.leaf("b", np.ones(2))
     with pytest.raises(GraphError, match="different tapes"):
-        t1.add(a, b)
+        t1.sub(a, b)
 
 
 def test_recorded_tape_is_freed_by_reference_counting():
@@ -212,7 +218,7 @@ def test_recorded_tape_is_freed_by_reference_counting():
 
     def f(t, r):
         y = t.mul(r["x"], t.const(2.0))  # a shared scalar constant
-        y = t.add(y, t.const(2.0))  # a cache hit on it
+        y = t.sub(y, t.const(2.0))  # a cache hit on it
         return t.sum(t.mul(y, t.const(np.ones(3))))
 
     gc.disable()
@@ -608,7 +614,7 @@ def test_row_and_axis_sum_gradients():
     def f(t, r):
         rows = t.sum(t.square(r["m"]), axis=1)
         weighted = t.sum(t.mul(rows, t.const(np.arange(4.0))))
-        return t.add(weighted, t.logsumexp(t.row(r["m"], -1), 0.5))
+        return t.sub(weighted, t.logsumexp(t.row(r["m"], -1), 0.5))
 
     _, out = record(lambda t, r: t.sum(r["m"], axis=1), {"m": m})
     assert np.array_equal(out, m.sum(axis=1))
@@ -634,3 +640,23 @@ def test_handover_gradient_matches_finite_differences():
     grads = backward(tape, np.asarray(1.0))
     assert np.all(np.delete(grads["h"], [3, 4]) == 0.0) and np.all(grads["h"][3:5] != 0.0)
     assert np.all(np.delete(grads["r"], 2) == 0.0) and grads["r"][2] != 0.0
+
+
+def test_squared_differences_value_and_gradient():
+    """The node is scale * sum_t |x[t+1] - x[t]|^2 over rows, its value is
+    the numpy kernel's bit for bit, and its adjoint matches central
+    differences; a single row costs 0 and gets a zero gradient."""
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(6, 4))
+
+    def f(t, r):
+        return t.squared_differences(r["x"], 2.5)
+
+    tape, out = record(f, {"x": x})
+    assert float(out) == pytest.approx(2.5 * np.sum(np.diff(x, axis=0) ** 2), rel=1e-14)
+    assert float(out) == squared_differences(x, 2.5)
+    assert gradient_check(f, {"x": x}) < 1e-8
+    tape, out = record(f, {"x": x[:1]})
+    assert float(out) == 0.0 and not backward(tape, np.asarray(1.0))["x"].any()
+    with pytest.raises(GraphError, match="rows"):
+        record(lambda t, r: t.squared_differences(r["x"], 1.0), {"x": x[0]})

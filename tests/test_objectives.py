@@ -16,7 +16,7 @@ from comotion import objectives as obj
 from comotion import scenarios
 from comotion.graph import _OP_NAMES, backward, record
 from comotion.kinematics import forward_kinematics
-from comotion.robot_model import robot_fk, robot_unroll
+from comotion.robot_model import ROBOT_CONTROL_DIM, robot_fk, robot_unroll
 from helpers import identity_state
 
 
@@ -522,6 +522,49 @@ def test_all_constraint_gradients_match_finite_differences(model, observed):
     assert worst < 1e-4
 
 
+def test_the_objective_is_the_stated_quadratic_plus_row_0(model, observed):
+    """``CompiledProblem.rates`` states the control-rate cost: Q built densely
+    from its blocks gives f = ½ θᵀQθ + row 0 and the gradient's objective
+    part seed[0] Qθ, with row 0 the base penalty on the tape."""
+    w = obj.ObjectiveWeights(weight_human=3.0, weight_robot=7.0, human_base_penalty=2.0)
+    problem = base_problem(observed, steps=5, weights=w,
+                           constraints=[obj.ConstraintSpec(kind="handover")])
+    compiled = obj.compile_problem(problem, model=model)
+    widths = [hm.MODIFIER_DIM, ROBOT_CONTROL_DIM]
+    assert [(r.offset, r.steps, r.width) for r in compiled.rates] == [(0, 5, widths[0]),
+                                                                      (5 * widths[0], 5, widths[1])]
+    assert [r.scale for r in compiled.rates] == [3.0 / 0.05 ** 2, 7.0 / 0.05 ** 2]
+    Q = np.zeros((compiled.n, compiled.n))
+    for r in compiled.rates:
+        D = np.eye(r.steps - 1, r.steps, 1) - np.eye(r.steps - 1, r.steps)
+        span = slice(r.offset, r.offset + r.steps * r.width)
+        Q[span, span] = 2.0 * r.scale * np.kron(D.T @ D, np.eye(r.width))
+    rng = np.random.default_rng(16)
+    theta = rng_theta(compiled, rng)
+    f, g, h, ev = compiled.evaluate(theta)
+    row0 = float(ev.output[0])
+    assert row0 > 0.0
+    assert f == pytest.approx(0.5 * theta @ Q @ theta + row0, rel=1e-12)
+    seed = rng.normal(size=1 + g.size + h.size)
+    tape_part = backward(compiled.tape, seed, at=ev, wrt=list(compiled.leaf_dims))
+    expected = np.concatenate(list(tape_part.values())) + seed[0] * (Q @ theta)
+    grad = compiled.gradient(seed, ev)
+    assert np.abs(grad - expected).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_control_rates_leave_the_tape():
+    """The control-rate cost records no node: the default model's crossing
+    and handover tapes (seed 1) hold 49 and 34 nodes, 64 and 49 when it was
+    recorded, and the tape records a base penalty as one node."""
+    model = hm.init_params(hm.ModelConfig(), 0)
+    for problem, size in ((scenarios.make_crossing_problems(1, 1)[0].problem, 49),
+                          (scenarios.make_handover_problems(1, 1)[0].problem, 34)):
+        assert len(obj.compile_problem(problem, model=model).tape) == size
+    pickup = scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem
+    names = [_OP_NAMES[op] for op in obj.compile_problem(pickup, model=model).tape.ops]
+    assert names.count("squared_differences") == 1
+
+
 def test_an_evaluation_survives_later_replays(model, observed):
     """The line search holds one evaluation while it replays trials, and the
     solver's best iterate keeps its own: values and the backward pass
@@ -544,9 +587,9 @@ def test_an_evaluation_survives_later_replays(model, observed):
     seed = rng.normal(size=1 + g.size + h.size)
     grad = compiled.gradient(seed, held)
     compiled.gradient(seed, compiled.evaluate(at_b)[3])
-    fresh = compiled.evaluate(at_a)[3]
+    *again, fresh = compiled.evaluate(at_a)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(held.values, fresh.values))
-    assert np.concatenate([[f], g, h]).tobytes() == fresh.output.tobytes()
+    assert np.concatenate([[f], g, h]).tobytes() == np.concatenate([[again[0]], *again[1:]]).tobytes()
     assert grad.tobytes() == compiled.gradient(seed, fresh).tobytes()
 
 
