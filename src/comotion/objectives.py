@@ -427,13 +427,13 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         raise ProblemError("nothing to optimize: no free agent")
 
     ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
-    objective = tape.const(0.0)
     if weights.human_base_penalty > 0 and human_traj is not None:
-        # the squared steps of the human base from its anchor state on
         anchor = (problem.observed_human[-1] if problem.observed_human is not None
                   else problem.fixed_human[0])
         bases = tape.concat([tape.const(anchor[None, :3]), ctx.base_positions("human", 3)])
         objective = tape.squared_differences(bases, weights.human_base_penalty)
+    else:
+        objective = tape.const(0.0)
 
     # (name, scalar value) pairs, one row per constraint
     ineq: list[tuple[str, Ref]] = []
