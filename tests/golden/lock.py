@@ -1,8 +1,8 @@
-"""The behaviour lock: 36 seeded planning runs and what they return.
+"""The behaviour lock: 45 seeded planning runs and what they return.
 
 The runs: the untrained seed-0 default model; instance 0 of the seed-1
 crossing, handover and reach problems and the seed-1 pickup-handover
-problem; every method of ``evaluation.METHODS``; ``SolverConfig(2, 8)``;
+problem, without and with a human base penalty of 1.0; every method of ``evaluation.METHODS``; ``SolverConfig(2, 8)``;
 5 samples; seed 0.  ``lock.json`` keeps, per run, the status, ``details``,
 success, reasons and objective, and a seeded subset of the entries of theta
 (the modifiers, then the controls) and of both trajectories.
@@ -35,18 +35,20 @@ ARRAYS = ("theta", "human_traj", "robot_traj")
 
 
 def problems():
-    """The four locked problems, by name."""
+    """The five locked problems, by name."""
     return {
         "crossing": scenarios.make_crossing_problems(1, 1)[0].problem,
         "handover": scenarios.make_handover_problems(1, 1)[0].problem,
         "reach": scenarios.make_reach_problems(1, 1)[0].problem,
         "pickup_handover": scenarios.make_pickup_handover_problem(1).problem,
+        "pickup_handover_penalty":
+            scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem,
     }
 
 
 def runs():
     """Yields (name, discrete fields, objective, {array name: array or None})
-    for each of the 36 runs, problems in order, then methods."""
+    for each of the 45 runs, problems in order, then methods."""
     model = hm.init_params(hm.ModelConfig(), 0)
     solver_config = SolverConfig(2, 8)
     sample_config = ev.SampleConfig(num_samples=5)

@@ -1,4 +1,4 @@
-"""The behaviour lock (``tests/golden``): 36 seeded planning runs return
+"""The behaviour lock (``tests/golden``): 45 seeded planning runs return
 what ``lock.json`` holds.
 
 Discrete fields (status, details, success, reasons, array sizes) must match
@@ -68,7 +68,7 @@ def fresh():
 
 def test_the_lock_holds_every_method_on_every_problem(fresh):
     assert list(fresh) == list(LOCKED)
-    assert len(LOCKED) == 36
+    assert len(LOCKED) == 45
 
 
 @pytest.mark.parametrize("name", list(LOCKED))
