@@ -293,7 +293,7 @@ def run_method(
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
             res = solve_compiled(compiled, solver_config,
-                                 extra_leaves={"fixed_h": samples[idx].reshape(-1)})
+                                 extra_leaves={"fixed_h": samples[idx]})
             candidate = _solved(method, res, attempts=attempt, picked=int(idx),
                                 succeeded=True)
             ok, _ = check_success(problem, candidate, kind)

@@ -10,10 +10,13 @@ propagates a seed gradient to every leaf.
 
 All values are 64-bit float arrays.  Scalars are 0-d arrays.
 
-The primitives are subtract, multiply, square, sum, logsumexp, concat,
-reshape, row and columns, and the fused gru_scan, rollout, link_point,
-grid_interp, handover and squared_differences.  Fused primitives keep
-planning tapes short; each has a hand-written adjoint.
+The primitives are subtract, square, sum, logsumexp, concat and take, and
+the fused gru_scan, rollout, link_point, grid_interp, handover and
+squared_differences.  Fused primitives keep planning tapes short; each has a
+hand-written adjoint.  Leaves are recorded in their natural shapes, so no
+primitive only reshapes.  Every primitive has one calling convention: its
+forward returns the value and a cache (what its adjoint reads, or None), and
+its backward receives that cache and the mask of nodes that want a gradient.
 
 ``gru_cell`` is one GRU layer step (Cho et al. 2014) on stacked gate weights
 W = [Wz; Wr; Wn] (3d, in), U = [Uz; Ur; Un] (3d, d) and b = [bz; br; bn]
@@ -129,8 +132,9 @@ control-rate cost runs too, off the tape).  With g the output gradient::
     v = 2 (g scale) d,  dx = [-v; 0] + [0; v]
 
 ``grid_interp`` looks up (N, 2) points, keeping the bilinear weights for
-its adjoint, and ``columns`` takes one column range of an (N, D) trajectory,
-so per-timestep constraint terms are a few (H,) vector nodes.
+its adjoint, and ``take`` is one basic index of an array (a row, or a column
+range of an (N, D) trajectory), so per-timestep constraint terms are a few
+(H,) vector nodes.
 """
 
 from __future__ import annotations
@@ -169,9 +173,10 @@ def _as_array(value) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive table.  Each op has a forward (vals, arg_ids, param) -> ndarray and
-# a backward (grad_out, vals, arg_ids, param, out_val) -> tuple of input grads
-# aligned with arg_ids (None for no gradient).
+# Primitive table.  Each op has a forward (vals, arg_ids, param) -> (value,
+# cache) and a backward (grad_out, vals, arg_ids, param, cache, needed) ->
+# tuple of input grads aligned with arg_ids (None for no gradient); ``needed``
+# marks the nodes that want a gradient.
 # ---------------------------------------------------------------------------
 
 
@@ -189,81 +194,56 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _f_sub(vals, a, p):
-    return vals[a[0]] - vals[a[1]]
+    return vals[a[0]] - vals[a[1]], None
 
 
-def _b_sub(g, vals, a, p, out):
+def _b_sub(g, vals, a, p, cache, needed):
     return (_unbroadcast(g, vals[a[0]].shape), _unbroadcast(-g, vals[a[1]].shape))
 
 
-def _f_mul(vals, a, p):
-    return vals[a[0]] * vals[a[1]]
-
-
-def _b_mul(g, vals, a, p, out):
-    x, y = vals[a[0]], vals[a[1]]
-    return (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
-
-
 def _f_concat(vals, a, p):
-    return np.concatenate([vals[i] for i in a], axis=0)
+    return np.concatenate([np.atleast_1d(vals[i]) for i in a]), None
 
 
-def _b_concat(g, vals, a, p, out):
+def _b_concat(g, vals, a, p, cache, needed):
     grads = []
     pos = 0
     for i in a:
-        n = vals[i].shape[0]
-        grads.append(g[pos : pos + n])
+        shape = vals[i].shape
+        n = shape[0] if shape else 1
+        grads.append(g[pos : pos + n].reshape(shape))
         pos += n
     return tuple(grads)
 
 
-def _f_reshape(vals, a, p):
-    return vals[a[0]].reshape(p)
-
-
-def _b_reshape(g, vals, a, p, out):
-    return (g.reshape(vals[a[0]].shape),)
-
-
 def _f_sum(vals, a, p):
-    return np.asarray(vals[a[0]].sum(axis=p))
+    return np.asarray(vals[a[0]].sum(axis=p)), None
 
 
-def _b_sum(g, vals, a, p, out):
+def _b_sum(g, vals, a, p, cache, needed):
     x = vals[a[0]]
     if p is None:
         return (np.full(x.shape, float(g)),)
     return (np.broadcast_to(np.expand_dims(g, p), x.shape).copy(),)
 
 
-def _f_row(vals, a, p):
-    return vals[a[0]][p]
+def _f_take(vals, a, p):
+    # a contiguous copy: a column range then sums as a fresh array does
+    return np.array(vals[a[0]][p]), None
 
 
-def _b_row(g, vals, a, p, out):
+def _b_take(g, vals, a, p, cache, needed):
     full = np.zeros(vals[a[0]].shape)
     full[p] = g
     return (full,)
 
 
-def _f_columns(vals, a, p):
-    return np.ascontiguousarray(vals[a[0]][:, p[0] : p[1]])
-
-
-def _b_columns(g, vals, a, p, out):
-    full = np.zeros(vals[a[0]].shape)
-    full[:, p[0] : p[1]] = g
-    return (full,)
-
-
 def _f_square(vals, a, p):
     x = vals[a[0]]
-    return x * x
+    return x * x, None
 
 
-def _b_square(g, vals, a, p, out):
+def _b_square(g, vals, a, p, cache, needed):
     return (2.0 * g * vals[a[0]],)
 
 
@@ -271,12 +251,12 @@ def _f_lse(vals, a, p):
     x = vals[a[0]]
     tau = p
     m = x.max()
-    return np.asarray(m + tau * np.log(np.exp((x - m) / tau).sum()))
+    value = np.asarray(m + tau * np.log(np.exp((x - m) / tau).sum()))
+    return value, value
 
 
-def _b_lse(g, vals, a, p, out):
-    x = vals[a[0]]
-    w = np.exp((x - float(out)) / p)
+def _b_lse(g, vals, a, p, value, needed):
+    w = np.exp((vals[a[0]] - float(value)) / p)
     return (float(g) * w,)
 
 
@@ -304,7 +284,7 @@ def _f_interp2(vals, a, p):
     return out, (v00, v10, v01, v11, fx, fy, gx, gy, s == sc)
 
 
-def _b_interp2(g, vals, a, p, cache):
+def _b_interp2(g, vals, a, p, cache, needed):
     v00, v10, v01, v11, fx, fy, gx, gy, free = cache
     res = p[2]
     grad = np.empty(free.shape)
@@ -659,12 +639,13 @@ def unicycle_rollout(initial, controls) -> np.ndarray:
 
 
 def _f_rollout(vals, a, p):
-    return unicycle_rollout(p, vals[a[0]].reshape(-1, p.shape[0] - 1))
+    states = unicycle_rollout(p, vals[a[0]])
+    return states, states
 
 
-def _b_rollout(g, vals, a, p, out):
-    forward = vals[a[0]].reshape(-1, p.shape[0] - 1)[:, 0]
-    before = np.concatenate([p[2:3], out[:-1, 2]])
+def _b_rollout(g, vals, a, p, states, needed):
+    forward = vals[a[0]][:, 0]
+    before = np.concatenate([p[2:3], states[:-1, 2]])
     c, s = np.cos(before), np.sin(before)
     R = np.cumsum(g[::-1], axis=0)[::-1]  # R[k] = sum over t >= k of g[t]
     d_before = forward * (c * R[:, 1] - s * R[:, 0])
@@ -674,7 +655,7 @@ def _b_rollout(g, vals, a, p, out):
     gu[:-1, 1] = R[:-1, 2] + later[1:]
     gu[-1, 1] = R[-1, 2]
     gu[:, 2:] = R[:, 3:]
-    return (gu.reshape(-1),)
+    return (gu,)
 
 
 def _handover(palm_h, palm_r, human, robot):
@@ -702,7 +683,7 @@ def _f_handover(vals, a, p):
     return np.asarray(value), cache
 
 
-def _b_handover(g, vals, a, p, cache):
+def _b_handover(g, vals, a, p, cache, needed):
     d, xy, norm, facing_h, facing_r = cache
     g = float(g)
     g_palm = 2.0 * g * d
@@ -729,10 +710,10 @@ def squared_differences_adjoint(rows, scale, g):
 
 
 def _f_sqdiff(vals, a, p):
-    return squared_differences(vals[a[0]], p)
+    return np.asarray(squared_differences(vals[a[0]], p)), None
 
 
-def _b_sqdiff(g, vals, a, p, out):
+def _b_sqdiff(g, vals, a, p, cache, needed):
     return (squared_differences_adjoint(vals[a[0]], p, g),)
 
 
@@ -742,7 +723,7 @@ def _f_link_point(vals, a, p):
     return point.reshape(x.shape[:-1] + (3,)), cache
 
 
-def _b_link_point(g, vals, a, p, cache):
+def _b_link_point(g, vals, a, p, cache, needed):
     return (chain_fk_adjoint(p, cache, g.reshape(-1, 3)).reshape(vals[a[0]].shape),)
 
 
@@ -752,41 +733,30 @@ OP_CONST = 1
 _FWD = {}
 _BWD = {}
 _OP_NAMES = {OP_LEAF: "leaf", OP_CONST: "const"}
-# ops whose backward also takes the needed mask and skips unwanted inputs
-_MASKED: set[int] = set()
-# ops whose forward returns (value, cache); backward gets the cache as `out`
-_CACHED: set[int] = set()
 
 
-def _register(name, fwd, bwd, masked=False, cached=False):
+def _register(name, fwd, bwd):
     code = len(_OP_NAMES)
     _OP_NAMES[code] = name
     _FWD[code] = fwd
     _BWD[code] = bwd
-    if masked:
-        _MASKED.add(code)
-    if cached:
-        _CACHED.add(code)
     return code
 
 
 OP_SUB = _register("subtract", _f_sub, _b_sub)
-OP_MUL = _register("multiply", _f_mul, _b_mul)
 OP_CONCAT = _register("concat", _f_concat, _b_concat)
-OP_RESHAPE = _register("reshape", _f_reshape, _b_reshape)
 OP_SUM = _register("sum", _f_sum, _b_sum)
 OP_SQUARE = _register("square", _f_square, _b_square)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
-OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2, cached=True)
-OP_ROW = _register("row", _f_row, _b_row)
-OP_COLUMNS = _register("columns", _f_columns, _b_columns)
-OP_SCAN = _register("gru_scan", _f_scan, _b_scan, masked=True, cached=True)
+OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
+OP_TAKE = _register("take", _f_take, _b_take)
+OP_SCAN = _register("gru_scan", _f_scan, _b_scan)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
-OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point, cached=True)
-OP_HANDOVER = _register("handover", _f_handover, _b_handover, cached=True)
+OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point)
+OP_HANDOVER = _register("handover", _f_handover, _b_handover)
 OP_SQDIFF = _register("squared_differences", _f_sqdiff, _b_sqdiff)
 # no primitive records these; the benchmark's per-type node counts still name them
-OP_MATMUL, OP_SIGMOID, OP_TANH, OP_SLICE, OP_ADD = -1, -2, -3, -4, -5
+OP_MATMUL, OP_SIGMOID, OP_TANH, OP_SLICE, OP_ADD, OP_MUL = -1, -2, -3, -4, -5, -6
 
 
 class Ref:
@@ -807,13 +777,13 @@ class Ref:
 class Evaluation:
     """Result of one forward replay: per-node values, read-only afterwards.
 
-    ``caches`` holds what fused nodes keep for their backward pass (the GRU
-    gates, the chain rotations, the bilinear weights), keyed by node index.
+    ``caches`` holds, per node, what its forward kept for the backward pass
+    (the GRU gates, the chain rotations, the bilinear weights), or None.
     """
 
     __slots__ = ("tape", "values", "caches")
 
-    def __init__(self, tape: "Tape", values: list, caches: dict):
+    def __init__(self, tape: "Tape", values: list, caches: list):
         self.tape = tape
         self.values = values
         self.caches = caches
@@ -839,8 +809,7 @@ class Tape:
         self.args: list[tuple[int, ...]] = []
         self.params: list = []
         self.vals: list[np.ndarray] = []
-        self.shapes: list[tuple[int, ...]] = []
-        self.caches: dict[int, tuple] = {}
+        self.caches: list = []
         self.leaves: dict[str, int] = {}
         self.output_index: int | None = None
         # node indices, not Refs: a Ref points back at its tape, and a cycle
@@ -853,7 +822,8 @@ class Tape:
 
     # -- node construction --------------------------------------------------
 
-    def _push(self, op: int, args: tuple[int, ...], param, value: np.ndarray) -> Ref:
+    def _push(self, op: int, args: tuple[int, ...], param, value: np.ndarray,
+              cache=None) -> Ref:
         idx = len(self.ops)
         if not np.all(np.isfinite(value)):
             raise GraphError(f"numeric overflow at node {idx} ({_OP_NAMES[op]})")
@@ -861,7 +831,7 @@ class Tape:
         self.args.append(args)
         self.params.append(param)
         self.vals.append(value)
-        self.shapes.append(value.shape)
+        self.caches.append(cache)
         return Ref(self, idx, value.shape)
 
     def leaf(self, name: str, value) -> Ref:
@@ -889,28 +859,19 @@ class Tape:
                 raise GraphError("operands recorded on different tapes")
         args = tuple(r.idx for r in refs)
         with np.errstate(all="ignore"):
-            value = _FWD[op](self.vals, args, param)
-        if op in _CACHED:
-            value, self.caches[len(self.ops)] = value
-        return self._push(op, args, param, np.asarray(value))
+            value, cache = _FWD[op](self.vals, args, param)
+        return self._push(op, args, param, np.asarray(value), cache)
 
     # -- primitives ----------------------------------------------------------
 
     def sub(self, a: Ref, b: Ref) -> Ref:
         return self._apply(OP_SUB, (a, b))
 
-    def mul(self, a: Ref, b: Ref) -> Ref:
-        return self._apply(OP_MUL, (a, b))
-
     def concat(self, parts: list[Ref]) -> Ref:
+        """The parts joined along axis 0; a scalar part is one entry."""
         if not parts:
             raise GraphError("concat of no tensors")
         return self._apply(OP_CONCAT, tuple(parts))
-
-    def reshape(self, x: Ref, shape: tuple[int, ...]) -> Ref:
-        if int(np.prod(shape)) != int(np.prod(x.shape)):
-            raise GraphError(f"cannot reshape {x.shape} to {shape}")
-        return self._apply(OP_RESHAPE, (x,), tuple(shape))
 
     def sum(self, x: Ref, axis: int | None = None) -> Ref:
         """Sum of all entries, or along one axis."""
@@ -941,18 +902,20 @@ class Tape:
         )
         return self._apply(OP_INTERP2, (points,), param)
 
-    def row(self, x: Ref, index: int) -> Ref:
-        """Row ``index`` of an array (negative counts from the end)."""
-        n = x.shape[0] if x.shape else 0
-        if not -n <= index < n:
-            raise GraphError(f"row {index} out of range for {x.shape}")
-        return self._apply(OP_ROW, (x,), index % n)
-
-    def columns(self, x: Ref, lo: int, hi: int) -> Ref:
-        """Columns ``lo:hi`` of an (N, D) array, (N, hi - lo)."""
-        if len(x.shape) != 2 or not (0 <= lo < hi <= x.shape[1]):
-            raise GraphError(f"cannot take columns [{lo}:{hi}] of {x.shape}")
-        return self._apply(OP_COLUMNS, (x,), (lo, hi))
+    def take(self, x: Ref, index) -> Ref:
+        """``x[index]`` for a basic index: per leading axis an int (negative
+        counts from the end) or a ``slice(lo, hi)`` with 0 <= lo < hi."""
+        parts = index if isinstance(index, tuple) else (index,)
+        ok = len(parts) <= len(x.shape)
+        for i, n in zip(parts, x.shape):
+            if isinstance(i, slice):
+                lo, hi = i.start or 0, n if i.stop is None else i.stop
+                ok &= i.step is None and 0 <= lo < hi <= n
+            else:
+                ok &= isinstance(i, int) and -n <= i < n
+        if not ok:
+            raise GraphError(f"cannot take {index!r} of {x.shape}")
+        return self._apply(OP_TAKE, (x,), index)
 
     def gru_scan(self, weights: list[Ref], hiddens, state, velocity, horizon: int,
                  inputs=None, modifiers: Ref | None = None, masks=None) -> Ref:
@@ -998,13 +961,13 @@ class Tape:
         return self._apply(OP_SCAN, refs, (hiddens, state, velocity, horizon, inputs, masks))
 
     def rollout(self, controls: Ref, initial) -> Ref:
-        """Unicycle-plus-joints states (H, n) for flat (H * (n - 1),) controls."""
+        """Unicycle-plus-joints states (H, n) for (H, n - 1) controls."""
         initial = _as_array(initial)
-        if (initial.ndim != 1 or initial.shape[0] < 3 or len(controls.shape) != 1
-                or not controls.shape[0] or controls.shape[0] % (initial.shape[0] - 1)):
+        if (initial.ndim != 1 or initial.shape[0] < 3 or len(controls.shape) != 2
+                or not controls.shape[0] or controls.shape[1] != initial.shape[0] - 1):
             raise GraphError(
-                f"rollout of initial state {initial.shape} needs flat controls in rows "
-                f"of one less, got {controls.shape}"
+                f"rollout of initial state {initial.shape} needs (H, {initial.shape[0] - 1}) "
+                f"controls, got {controls.shape}"
             )
         return self._apply(OP_ROLLOUT, (controls,), initial)
 
@@ -1037,9 +1000,9 @@ class Tape:
         return self.sum(self.square(x))
 
     def smooth_min(self, x: Ref, temperature: float) -> Ref:
-        """Lower-bounding soft minimum: -logsumexp(-x, temperature)."""
-        neg = self.mul(x, self.const(-1.0))
-        return self.mul(self.logsumexp(neg, temperature), self.const(-1.0))
+        """Lower-bounding soft minimum: 0 - logsumexp(0 - x, temperature)."""
+        zero = self.const(0.0)
+        return self.sub(zero, self.logsumexp(self.sub(zero, x), temperature))
 
     # -- execution -----------------------------------------------------------
 
@@ -1063,26 +1026,24 @@ class Tape:
                 if idx is None:
                     raise GraphError(f"unknown leaf {name!r}")
                 arr = _as_array(v)
-                if arr.shape != self.shapes[idx]:
+                if arr.shape != self.vals[idx].shape:
                     raise GraphError(
-                        f"leaf {name!r} expects shape {self.shapes[idx]}, got {arr.shape}"
+                        f"leaf {name!r} expects shape {self.vals[idx].shape}, got {arr.shape}"
                     )
                 overrides[idx] = arr
         n = len(self.ops)
         vals: list = [None] * n
-        caches: dict = {}
+        caches: list = [None] * n
         ops, args, params, rec = self.ops, self.args, self.params, self.vals
-        fwd, cached = _FWD, _CACHED
+        fwd = _FWD
         with np.errstate(all="ignore"):
             for i in range(n):
                 op = ops[i]
                 if op <= OP_CONST:
-                    v = overrides.get(i, rec[i]) if op == OP_LEAF else rec[i]
-                elif op in cached:
-                    v, caches[i] = fwd[op](vals, args[i], params[i])
+                    vals[i] = overrides.get(i, rec[i]) if op == OP_LEAF else rec[i]
                 else:
-                    v = np.asarray(fwd[op](vals, args[i], params[i]))
-                vals[i] = v
+                    v, caches[i] = fwd[op](vals, args[i], params[i])
+                    vals[i] = np.asarray(v)
         return Evaluation(self, vals, caches)
 
     def backward_plan(self, out_idx: int, wanted: dict[str, int]):
@@ -1151,23 +1112,22 @@ def backward(
     if wrt is None:
         wanted = tape.leaves
     else:
+        unknown = [name for name in wrt if name not in tape.leaves]
+        if unknown:
+            raise GraphError(f"unknown leaf {unknown[0]!r}")
         wanted = {name: tape.leaves[name] for name in wrt}
     needed, order = tape.backward_plan(out_idx, wanted)
     caches = at.caches if at is not None else tape.caches
     grads: list = [None] * (out_idx + 1)
     grads[out_idx] = seed
-    bwd, masked, cached = _BWD, _MASKED, _CACHED
+    bwd = _BWD
     with np.errstate(all="ignore"):
         for i in order:
             g = grads[i]
             if g is None:
                 continue
-            op, a = ops[i], args[i]
-            out = caches[i] if op in cached else vals[i]
-            if op in masked:
-                contribs = bwd[op](g, vals, a, params[i], out, needed)
-            else:
-                contribs = bwd[op](g, vals, a, params[i], out)
+            a = args[i]
+            contribs = bwd[ops[i]](g, vals, a, params[i], caches[i], needed)
             for j, c in zip(a, contribs):
                 if c is None or not needed[j]:
                     continue
@@ -1177,7 +1137,7 @@ def backward(
     for name, idx in wanted.items():
         g = grads[idx] if idx <= out_idx else None
         if g is None:
-            g = np.zeros(tape.shapes[idx])
+            g = np.zeros(tape.vals[idx].shape)
         result[name] = np.asarray(g, dtype=np.float64)
     return result
 

@@ -239,17 +239,16 @@ def unroll_graph(tape: Tape, params: ModelParams, observed: np.ndarray,
     returns the (horizon, 129) state trajectory ref.
 
     The observed history is encoded outside the tape (it is not a decision
-    variable); weights enter as constants.  ``modifiers`` is a flat
-    ``(horizon * MODIFIER_DIM,)`` ref, one row per step.
+    variable); weights enter as constants.  ``modifiers`` is a
+    ``(horizon, MODIFIER_DIM)`` ref, one row per step.
     """
     observed = np.asarray(observed, dtype=np.float64)
-    if modifiers.shape != (horizon * MODIFIER_DIM,):
+    if modifiers.shape != (horizon, MODIFIER_DIM):
         raise ModelError(
-            f"modifiers ref must have shape ({horizon * MODIFIER_DIM},), got {modifiers.shape}"
+            f"modifiers ref must have shape ({horizon}, {MODIFIER_DIM}), got {modifiers.shape}"
         )
     return tape.gru_scan([tape.const(w) for w in _weights(params)], encode(params, observed),
-                         observed[-1], observed[-1] - observed[-2], horizon,
-                         modifiers=tape.reshape(modifiers, (horizon, MODIFIER_DIM)))
+                         observed[-1], observed[-1] - observed[-2], horizon, modifiers=modifiers)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ yields the gradient of any weighted combination with respect to all decision
 variables (human decoder modifiers and robot controls).  The control-rate
 objective, fixed and quadratic in them, is stated on :class:`CompiledProblem`.
 
+The tape's output is one vector, a single ``concat`` of scalar rows: row 0 is
+the state-dependent objective (the human base penalty, or 0), then come the
+inequality rows and then the equality rows, each in constraint order.  The
+decision leaves are recorded in their natural shapes, the (H, MODIFIER_DIM)
+modifiers ``u_h`` and the (H, ROBOT_CONTROL_DIM) controls ``u_r``; θ packs
+them flat in that order.
+
 Conventions:
   * H is a problem's ``steps``: the number of planned timesteps after the
     observed history, indexed 0..H-1.  Goal and handover constraints act on
@@ -30,6 +37,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -202,7 +210,7 @@ class GraphContext:
         """The agent's state row at step ``t``, (D,), or its (H, D)
         trajectory when ``t`` is None."""
         traj = self.trajectory(agent)
-        return traj if t is None else self.tape.row(traj, t)
+        return traj if t is None else self.tape.take(traj, t)
 
     def point(self, agent: str, link: str, offset=(0.0, 0.0, 0.0), t: int | None = None) -> Ref:
         """World point of a link-frame ``offset`` on ``link``: (3,) at step
@@ -217,7 +225,7 @@ class GraphContext:
 
     def base_positions(self, agent: str, dims: int = 2) -> Ref:
         """The agent's first ``dims`` base coordinates at every step, (H, dims)."""
-        return self.tape.columns(self.trajectory(agent), 0, dims)
+        return self.tape.take(self.trajectory(agent), (slice(None), slice(0, dims)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +325,16 @@ class ControlRate:
 class CompiledProblem:
     """A problem recorded on one tape: replayable, differentiable, packed.
 
-    The tape output is the vector [r, g_1..g_m, h_1..h_k]; feasible
-    inequalities are <= 0.  Row r is the human base penalty, or 0; the
-    objective adds the control-rate cost ½ θᵀQθ of ``rates`` to it, off the
-    tape.  Decision variables pack human modifiers first, then robot controls.
+    The tape output is the vector [r, g_1..g_m, h_1..h_k] (see the module
+    docstring), its rows named by ``ineq_names`` and ``eq_names``; feasible
+    inequalities are <= 0.  The objective adds the control-rate cost ½ θᵀQθ
+    of ``rates`` to row r, off the tape.  ``leaf_shapes`` holds the shape of
+    each decision leaf, in θ's packing order.
     """
 
     problem: ProblemSpec
     tape: Tape
-    leaf_dims: dict[str, int]
-    num_ineq: int
-    num_eq: int
+    leaf_shapes: dict[str, tuple[int, ...]]
     ineq_names: list[str]
     eq_names: list[str]
     lower: np.ndarray  # box bounds on theta (-inf where free)
@@ -338,14 +345,26 @@ class CompiledProblem:
 
     @property
     def n(self) -> int:
-        return sum(self.leaf_dims.values())
+        return sum(math.prod(shape) for shape in self.leaf_shapes.values())
+
+    @property
+    def num_ineq(self) -> int:
+        return len(self.ineq_names)
+
+    @property
+    def num_eq(self) -> int:
+        return len(self.eq_names)
 
     def split(self, theta: np.ndarray) -> dict[str, np.ndarray]:
+        """The decision leaves' values in θ, in their recorded shapes."""
+        if np.shape(theta) != (self.n,):
+            raise ProblemError(f"theta must have shape ({self.n},), got {np.shape(theta)}")
         out = {}
         pos = 0
-        for name, dim in self.leaf_dims.items():
-            out[name] = theta[pos : pos + dim]
-            pos += dim
+        for name, shape in self.leaf_shapes.items():
+            size = math.prod(shape)
+            out[name] = theta[pos : pos + size].reshape(shape)
+            pos += size
         return out
 
     def evaluate(self, theta: np.ndarray, extra_leaves: dict | None = None):
@@ -365,9 +384,10 @@ class CompiledProblem:
 
     def gradient(self, seed: np.ndarray, at: Evaluation) -> np.ndarray:
         """Gradient of seed . [objective, g, h] w.r.t. the packed variables."""
-        grads = backward(self.tape, seed, at=at, wrt=list(self.leaf_dims))
-        grad = np.concatenate([grads[name] for name in self.leaf_dims])
-        theta = np.concatenate([at.values[self.tape.leaves[name]] for name in self.leaf_dims])
+        grads = backward(self.tape, seed, at=at, wrt=list(self.leaf_shapes))
+        grad = np.concatenate([grads[name].reshape(-1) for name in self.leaf_shapes])
+        theta = np.concatenate([at.values[self.tape.leaves[name]].reshape(-1)
+                                for name in self.leaf_shapes])
         for r in self.rates:
             r.rows(grad)[...] += squared_differences_adjoint(r.rows(theta), r.scale, seed[0])
         return grad
@@ -384,7 +404,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     sdf = None if problem.scene is None else build_sdf(problem.scene)
 
     tape = Tape()
-    leaf_dims: dict[str, int] = {}
+    leaf_shapes: dict[str, tuple[int, ...]] = {}
     lower_parts = []
     upper_parts = []
     weights = problem.weights
@@ -395,35 +415,31 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     if problem.plans_human:
         if model is None:
             raise ProblemError("planning the human needs model weights")
-        dim = steps * MODIFIER_DIM
-        modifiers = tape.leaf("u_h", np.zeros(dim))
-        leaf_dims["u_h"] = dim
-        lower_parts.append(np.full(dim, -np.inf))
-        upper_parts.append(np.full(dim, np.inf))
+        leaf_shapes["u_h"] = shape = (steps, MODIFIER_DIM)
+        modifiers = tape.leaf("u_h", np.zeros(shape))
+        lower_parts.append(np.full(steps * MODIFIER_DIM, -np.inf))
+        upper_parts.append(np.full(steps * MODIFIER_DIM, np.inf))
         human_traj = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
         rates.append(ControlRate(0, steps, MODIFIER_DIM, weights.weight_human * inv_dt2))
     elif problem.fixed_human is not None:
         # a leaf (not a decision variable) so the same tape replays against
         # other frozen trajectories, e.g. across prediction samples
-        flat = tape.leaf("fixed_h", problem.fixed_human.reshape(-1))
-        human_traj = tape.reshape(flat, (steps, STATE_DIM))
+        human_traj = tape.leaf("fixed_h", problem.fixed_human)
 
     robot_traj = None
     if problem.plans_robot:
-        rates.append(ControlRate(sum(leaf_dims.values()), steps, ROBOT_CONTROL_DIM,
-                                 weights.weight_robot * inv_dt2))
-        dim = steps * ROBOT_CONTROL_DIM
-        controls = tape.leaf("u_r", np.zeros(dim))
-        leaf_dims["u_r"] = dim
+        offset = steps * MODIFIER_DIM if leaf_shapes else 0
+        rates.append(ControlRate(offset, steps, ROBOT_CONTROL_DIM, weights.weight_robot * inv_dt2))
+        leaf_shapes["u_r"] = shape = (steps, ROBOT_CONTROL_DIM)
+        controls = tape.leaf("u_r", np.zeros(shape))
         bounds = np.tile(ROBOT_CONTROL_BOUNDS, steps)
         lower_parts.append(-bounds)
         upper_parts.append(bounds)
         robot_traj = robot_unroll_graph(tape, problem.robot_initial, controls, steps)
     elif problem.fixed_robot is not None:
-        flat = tape.leaf("fixed_r", problem.fixed_robot.reshape(-1))
-        robot_traj = tape.reshape(flat, problem.fixed_robot.shape)
+        robot_traj = tape.leaf("fixed_r", problem.fixed_robot)
 
-    if not leaf_dims:
+    if not leaf_shapes:
         raise ProblemError("nothing to optimize: no free agent")
 
     ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
@@ -442,19 +458,14 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         row = (f"{spec.kind}[{i}]", _BUILDERS[spec.kind](ctx, spec))
         (ineq if spec.kind in ("collision", "joint_clearance") else eq).append(row)
 
-    parts = [tape.reshape(v, (1,)) for v in [objective] + [row for _, row in ineq + eq]]
-    tape.set_output(tape.concat(parts) if len(parts) > 1 else parts[0])
-    ineq_names = [name for name, _ in ineq]
-    eq_names = [name for name, _ in eq]
+    tape.set_output(tape.concat([objective] + [row for _, row in ineq + eq]))
 
     return CompiledProblem(
         problem=problem,
         tape=tape,
-        leaf_dims=leaf_dims,
-        num_ineq=len(ineq_names),
-        num_eq=len(eq_names),
-        ineq_names=ineq_names,
-        eq_names=eq_names,
+        leaf_shapes=leaf_shapes,
+        ineq_names=[name for name, _ in ineq],
+        eq_names=[name for name, _ in eq],
         lower=np.concatenate(lower_parts),
         upper=np.concatenate(upper_parts),
         human_traj=human_traj,

@@ -123,10 +123,9 @@ def robot_unroll(initial: np.ndarray, controls: np.ndarray) -> np.ndarray:
 
 def robot_unroll_graph(tape: Tape, initial: np.ndarray, controls: Ref, horizon: int) -> Ref:
     """Record the unrolled dynamics as one ``rollout`` node of shape
-    (horizon, ROBOT_STATE_DIM); ``controls`` is flat
-    (horizon * ROBOT_CONTROL_DIM,)."""
-    if controls.shape != (horizon * ROBOT_CONTROL_DIM,):
-        raise RobotError(f"controls ref must have shape ({horizon * ROBOT_CONTROL_DIM},), "
+    (horizon, ROBOT_STATE_DIM); ``controls`` is (horizon, ROBOT_CONTROL_DIM)."""
+    if controls.shape != (horizon, ROBOT_CONTROL_DIM):
+        raise RobotError(f"controls ref must have shape ({horizon}, {ROBOT_CONTROL_DIM}), "
                          f"got {controls.shape}")
     return tape.rollout(controls, np.asarray(initial, dtype=np.float64))
 

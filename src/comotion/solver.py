@@ -77,10 +77,6 @@ class SolveResult:
     status: str  # converged | max-iter | infeasible | numeric-failure
     theta: np.ndarray
     objective: float
-    ineq: np.ndarray
-    eq: np.ndarray
-    ineq_names: list[str]
-    eq_names: list[str]
     human_traj: np.ndarray | None
     robot_traj: np.ndarray | None
     modifiers: np.ndarray | None
@@ -319,20 +315,14 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
 
     human, robot = compiled.trajectories(ev)
     parts = compiled.split(theta_best)
-    modifiers = parts.get("u_h")
-    controls = parts.get("u_r")
     return SolveResult(
         status=status,
         theta=theta_best,
         objective=f,
-        ineq=g,
-        eq=h,
-        ineq_names=compiled.ineq_names,
-        eq_names=compiled.eq_names,
         human_traj=human,
         robot_traj=robot,
-        modifiers=None if modifiers is None else modifiers.reshape(len(human), -1),
-        controls=None if controls is None else controls.reshape(len(robot), -1),
+        modifiers=parts.get("u_h"),
+        controls=parts.get("u_r"),
         iterations=iteration,
         log=log,
     )

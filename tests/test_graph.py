@@ -16,6 +16,7 @@ from comotion.graph import (
     record,
     squared_differences,
 )
+from helpers import seeded_gradient_check
 
 
 def test_identity_record():
@@ -26,7 +27,7 @@ def test_identity_record():
 
 def test_sum_of_squares_forward_and_grad():
     def f(t, r):
-        return t.sum(t.mul(r["x"], r["x"]))
+        return t.sum(t.square(r["x"]))
 
     tape, out = record(f, {"x": np.array([3.0, 4.0])})
     assert float(out) == 25.0
@@ -64,7 +65,7 @@ def test_replay_bit_exact():
     x = rng.normal(size=7)
 
     def f(t, r):
-        a = t.mul(r["x"], t.sub(t.square(r["x"]), t.const(1.0)))
+        a = t.square(t.sub(t.square(r["x"]), t.const(1.0)))
         return t.sub(t.sum(a), t.logsumexp(a, 0.3))
 
     tape, out = record(f, {"x": x})
@@ -76,7 +77,7 @@ def test_replay_new_leaves_match_fresh_record():
     rng = np.random.default_rng(1)
 
     def f(t, r):
-        return t.logsumexp(t.mul(t.square(r["x"]), t.sub(r["x"], r["y"])), 0.2)
+        return t.logsumexp(t.square(t.sub(t.square(r["x"]), r["y"])), 0.2)
 
     x0, y0 = rng.normal(size=4), rng.normal(size=4)
     tape, _ = record(f, {"x": x0, "y": y0})
@@ -98,7 +99,7 @@ def test_record_rejects_overflow():
 
 
 def test_backward_seed_shape_mismatch():
-    tape, _ = record(lambda t, r: t.mul(r["x"], r["x"]), {"x": np.ones(3)})
+    tape, _ = record(lambda t, r: t.square(r["x"]), {"x": np.ones(3)})
     with pytest.raises(GraphError, match="seed shape"):
         backward(tape, np.ones(2))
 
@@ -128,25 +129,23 @@ def test_smooth_min_bounds_min():
 @pytest.mark.parametrize("trial", range(10))
 def test_primitive_gradients_match_finite_differences(trial):
     """Composed chain exercising every smooth generic primitive and the
-    handover node, 10 seeded trials."""
+    handover node, 10 seeded trials: ``take`` of rows, column ranges and one
+    entry, and a ``concat`` with a scalar part."""
     rng = np.random.default_rng(100 + trial)
     x = rng.uniform(0.2, 1.5, size=6)
     y = rng.uniform(0.2, 1.5, size=6)
     W = rng.normal(size=(4, 6))
 
     def f(t, r):
-        a = t.sub(t.square(r["x"]), t.mul(r["x"], r["y"]))
-        b = t.mul(a, t.sub(r["y"], t.const(np.full(6, 3.0))))
-        m = t.mul(r["W"], b)  # (4, 6) times a broadcast row
-        d = t.sum(t.columns(m, 1, 5), axis=1)
-        e = t.reshape(t.concat([d, t.sub(r["x"], t.const(np.full(6, -1.0)))]), (1, 10))
-
-        def part(lo, hi):
-            return t.row(t.columns(e, lo, hi), 0)
-
-        h = part(1, 9)
-        meet = t.handover(part(0, 3), part(7, 10), h, part(2, 9))
-        return t.sub(meet, t.sub(t.logsumexp(h, 0.1), t.sum(t.row(t.reshape(h, (2, 4)), 1))))
+        a = t.sub(t.square(r["x"]), t.square(t.sub(r["x"], r["y"])))
+        b = t.sub(a, t.sub(r["y"], t.const(np.full(6, 3.0))))
+        m = t.square(t.sub(r["W"], b))  # (4, 6) minus a broadcast row
+        d = t.sum(t.take(m, (slice(None), slice(1, 5))), axis=1)
+        e = t.concat([d, t.take(m, (2, 3)), t.sub(r["x"], t.const(np.full(6, -1.0)))])
+        h = t.take(e, slice(1, 9))
+        meet = t.handover(t.take(e, slice(0, 3)), t.take(e, slice(8, 11)), h,
+                          t.take(e, slice(2, 9)))
+        return t.sub(meet, t.sub(t.logsumexp(h, 0.1), t.sum(t.take(m, -1))))
 
     err = gradient_check(f, {"x": x, "y": y, "W": W}, step=1e-5)
     assert err < 1e-6
@@ -154,7 +153,8 @@ def test_primitive_gradients_match_finite_differences(trial):
 
 def test_gradient_check_linear_is_exact():
     def f(t, r):
-        return t.sum(t.mul(r["x"], t.const(np.array([2.0, -3.0, 0.5]))))
+        twice_first = t.sum(t.concat([r["x"], t.take(r["x"], 0)]))
+        return t.sub(twice_first, t.sum(t.sub(r["x"], t.const(np.array([2.0, -3.0, 0.5])))))
 
     err = gradient_check(f, {"x": np.array([1.0, 2.0, 3.0])})
     assert err < 1e-10
@@ -217,9 +217,9 @@ def test_recorded_tape_is_freed_by_reference_counting():
     import weakref
 
     def f(t, r):
-        y = t.mul(r["x"], t.const(2.0))  # a shared scalar constant
-        y = t.sub(y, t.const(2.0))  # a cache hit on it
-        return t.sum(t.mul(y, t.const(np.ones(3))))
+        y = t.sub(r["x"], t.const(2.0))  # a shared scalar constant
+        y = t.sub(t.const(2.0), y)  # a cache hit on it
+        return t.sum(t.sub(y, t.const(np.ones(3))))
 
     gc.disable()
     try:
@@ -234,7 +234,7 @@ def test_recorded_tape_is_freed_by_reference_counting():
 
 def test_backward_plan_is_computed_once_per_output_and_leaf_set():
     def f(t, r):
-        return t.sum(t.mul(t.square(r["x"]), r["y"]))
+        return t.sum(t.square(t.sub(t.square(r["x"]), r["y"])))
 
     x, y = np.array([0.3, -0.2]), np.array([1.5, 2.0])
     tape, _ = record(f, {"x": x, "y": y})
@@ -243,8 +243,14 @@ def test_backward_plan_is_computed_once_per_output_and_leaf_set():
     both = backward(tape, np.asarray(1.0))
     assert backward(tape, np.asarray(1.0), wrt=["x"])["x"].tolist() == gx["x"].tolist()
     assert tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]}) is plan
-    assert np.allclose(gx["x"], 2.0 * x * y, atol=1e-15)
-    assert np.allclose(both["y"], x * x, atol=1e-15)
+    assert np.allclose(gx["x"], 4.0 * x * (x * x - y), atol=1e-15)
+    assert np.allclose(both["y"], -2.0 * (x * x - y), atol=1e-15)
+
+
+def test_backward_rejects_an_unknown_wrt_leaf():
+    tape, _ = record(lambda t, r: t.sum(r["x"]), {"x": np.ones(2)})
+    with pytest.raises(GraphError, match="unknown leaf 'nope'"):
+        backward(tape, np.asarray(1.0), wrt=["x", "nope"])
 
 
 def _gru_oracle(x, h, W, U, b, mx, mh):
@@ -314,12 +320,10 @@ def test_gru_scan_modifier_gradients_match_finite_differences_horizon_40():
 
     def f(t, r):
         consts = [t.const(w) for w in weights.values()]
-        out = t.gru_scan(consts, hiddens, state, velocity, H,
-                         modifiers=t.reshape(r["u"], (H, sd)))
-        return t.sum(t.mul(out, t.const(probe)))
+        return t.gru_scan(consts, hiddens, state, velocity, H, modifiers=r["u"])
 
-    u = 0.2 * rng.normal(size=H * sd)
-    assert gradient_check(f, {"u": u}, step=1e-6) < 1e-7
+    u = 0.2 * rng.normal(size=(H, sd))
+    assert seeded_gradient_check(f, {"u": u}, probe, step=1e-6) < 1e-7
 
 
 def test_gru_scan_weight_gradients_match_finite_differences():
@@ -338,12 +342,11 @@ def test_gru_scan_weight_gradients_match_finite_differences():
     probe = rng.normal(size=(H, sd, B))
 
     def f(t, r):
-        out = t.gru_scan([r[name] for name in point], hiddens, state, velocity, H,
-                         inputs=inputs, masks=masks)
-        return t.sum(t.mul(out, t.const(probe)))
+        return t.gru_scan([r[name] for name in point], hiddens, state, velocity, H,
+                          inputs=inputs, masks=masks)
 
     assert len(point) == 8
-    assert gradient_check(f, point, step=1e-6) < 1e-7
+    assert seeded_gradient_check(f, point, probe, step=1e-6) < 1e-7
 
 
 def _bptt_oracle(weights, hiddens, state, velocity, H, seed, inputs=None, modifiers=None,
@@ -456,9 +459,9 @@ def test_gru_scan_modifier_gradient_is_the_bptt_oracle_bit_for_bit():
     state, velocity = rng.normal(size=sd), 0.1 * rng.normal(size=sd)
     mods, seed = 0.2 * rng.normal(size=(H, sd)), rng.normal(size=(H, sd))
     tape = Tape()
-    u = tape.leaf("u", mods.reshape(-1))
+    u = tape.leaf("u", mods)
     tape.set_output(tape.gru_scan([tape.const(w) for w in weights], hiddens, state, velocity,
-                                  H, modifiers=tape.reshape(u, (H, sd))))
+                                  H, modifiers=u))
     _, du = _bptt_oracle(weights, hiddens, state, velocity, H, seed, modifiers=mods)
     assert backward(tape, seed, wrt=["u"])["u"].tobytes() == du.tobytes()
 
@@ -549,9 +552,9 @@ def test_rollout_gradient_matches_finite_differences_horizon_40():
     weights = rng.normal(size=(H, n))
 
     def f(t, r):
-        return t.sum(t.mul(t.rollout(r["u"], initial), t.const(weights)))
+        return t.rollout(r["u"], initial)
 
-    _, states = record(lambda t, r: t.rollout(r["u"], initial), {"u": controls.reshape(-1)})
+    _, states = record(f, {"u": controls})
     assert np.ptp(states[:, 2]) > 1.0  # the heading really turns
     s = initial.copy()
     for t, u in enumerate(controls):  # the per-step recursion, written out
@@ -560,7 +563,7 @@ def test_rollout_gradient_matches_finite_differences_horizon_40():
         s[2] += u[1]
         s[3:] += u[2:]
         assert np.array_equal(states[t], s)
-    assert gradient_check(f, {"u": controls.reshape(-1)}, step=1e-6) < 1e-7
+    assert seeded_gradient_check(f, {"u": controls}, weights, step=1e-6) < 1e-7
 
 
 def test_batched_grid_interp_matches_points_and_finite_differences():
@@ -576,10 +579,9 @@ def test_batched_grid_interp_matches_points_and_finite_differences():
     weights = rng.normal(size=len(points))
 
     def f(t, r):
-        d = t.grid_interp(r["p"], values, origin, res)
-        return t.sum(t.mul(d, t.const(weights)))
+        return t.grid_interp(r["p"], values, origin, res)
 
-    tape, _ = record(lambda t, r: t.grid_interp(r["p"], values, origin, res), {"p": points})
+    tape, _ = record(f, {"p": points})
     batched = tape.output_value
     assert batched.shape == (len(points),)
     grads = backward(tape, np.ones(len(points)))["p"]
@@ -591,34 +593,68 @@ def test_batched_grid_interp_matches_points_and_finite_differences():
     assert np.array_equal(grads[6], [0.0, grads[6, 1]])
     assert np.array_equal(grads[7], [grads[7, 0], 0.0])
     assert np.array_equal(grads[8], [0.0, 0.0])
-    assert gradient_check(f, {"p": points}, step=1e-6 * res) < 1e-6
+    assert seeded_gradient_check(f, {"p": points}, weights, step=1e-6 * res) < 1e-6
 
 
 def test_columns_gradient_matches_finite_differences():
+    """A column range taken by ``take``: a contiguous copy, and its adjoint
+    puts the gradient back into those columns only."""
     rng = np.random.default_rng(23)
     point = {"m": rng.normal(size=(4, 5))}
     weights = rng.normal(size=(4, 2))
 
     def f(t, r):
-        return t.sum(t.mul(t.square(t.columns(r["m"], 1, 3)), t.const(weights)))
+        return t.square(t.take(r["m"], (slice(None), slice(1, 3))))
 
-    _, out = record(lambda t, r: t.columns(r["m"], 1, 3), point)
-    assert np.array_equal(out, point["m"][:, 1:3]) and out.flags["C_CONTIGUOUS"]
-    assert gradient_check(f, point) < 1e-8
+    tape, out = record(f, point)
+    assert np.array_equal(out, point["m"][:, 1:3] ** 2) and out.flags["C_CONTIGUOUS"]
+    grad = backward(tape, weights)["m"]
+    assert not grad[:, [0, 3, 4]].any()
+    assert seeded_gradient_check(f, point, weights) < 1e-8
 
 
 def test_row_and_axis_sum_gradients():
+    """A row taken by ``take`` (negative counts from the end) and a sum
+    along one axis."""
     rng = np.random.default_rng(24)
     m = rng.normal(size=(4, 3))
 
     def f(t, r):
         rows = t.sum(t.square(r["m"]), axis=1)
-        weighted = t.sum(t.mul(rows, t.const(np.arange(4.0))))
-        return t.sub(weighted, t.logsumexp(t.row(r["m"], -1), 0.5))
+        return t.sub(t.sum(t.square(rows)), t.logsumexp(t.take(r["m"], -1), 0.5))
 
     _, out = record(lambda t, r: t.sum(r["m"], axis=1), {"m": m})
     assert np.array_equal(out, m.sum(axis=1))
+    _, out = record(lambda t, r: t.take(r["m"], -1), {"m": m})
+    assert np.array_equal(out, m[-1])
     assert gradient_check(f, {"m": m}) < 1e-8
+
+
+def test_take_rejects_an_index_it_cannot_differentiate():
+    """Out-of-range ints, slices past the axis, empty or stepped slices,
+    more indices than axes and array indices are all refused."""
+    tape = Tape()
+    m = tape.leaf("m", np.ones((4, 3)))
+    for index in (4, -5, slice(2, 5), slice(2, 2), slice(0, 4, 2), (0, 1, 2), [0, 1],
+                  (slice(None), 3)):
+        with pytest.raises(GraphError, match="cannot take"):
+            tape.take(m, index)
+    assert len(tape) == 1
+
+
+def test_concat_takes_a_scalar_part_as_one_entry():
+    """Scalars and vectors concatenate along axis 0; the adjoint hands each
+    scalar part back a 0-d gradient."""
+    def f(t, r):
+        return t.concat([t.sum(r["x"]), r["x"], t.take(r["x"], 1)])
+
+    x = np.array([1.0, 2.0, 4.0])
+    tape, out = record(f, {"x": x})
+    assert out.tolist() == [7.0, 1.0, 2.0, 4.0, 2.0]
+    seed = np.array([1.0, 10.0, 100.0, 1000.0, 0.5])
+    assert backward(tape, seed)["x"].tolist() == [11.0, 101.5, 1001.0]
+    tape, out = record(lambda t, r: t.concat([t.sum(r["x"])]), {"x": x})
+    assert out.shape == (1,) and backward(tape, np.ones(1))["x"].tolist() == [1.0] * 3
 
 
 def test_handover_gradient_matches_finite_differences():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from comotion import human_model as hm
-from comotion.graph import OP_SCAN, OP_SLICE, Tape, backward, gradient_check, gru_unroll
+from comotion.graph import OP_SCAN, Tape, backward, gradient_check, gru_unroll
 from comotion.kinematics import STATE_DIM, rot6d_to_matrix
 from helpers import identity_state
 
@@ -187,9 +187,9 @@ def test_controlled_gradient_matches_finite_differences():
 
     def f(t, r):
         states = hm.unroll_graph(t, params, obs, r["u"], H)
-        return t.sum_squares(t.row(states, -1))
+        return t.sum_squares(t.take(states, -1))
 
-    u0 = 0.02 * rng.normal(size=H * hm.MODIFIER_DIM)
+    u0 = 0.02 * rng.normal(size=(H, hm.MODIFIER_DIM))
     err = gradient_check(f, {"u": u0}, step=1e-6)
     assert err < 1e-5
 
@@ -203,10 +203,12 @@ def test_unroll_zero_modifiers_equals_prediction_bit_exact():
     pred = hm.predict(params, obs, horizon=H)
 
     tape = Tape()
-    u = tape.leaf("u", np.zeros(H * hm.MODIFIER_DIM))
+    u = tape.leaf("u", np.zeros((H, hm.MODIFIER_DIM)))
     states = hm.unroll_graph(tape, params, obs, u, H)
     assert states.value.tobytes() == pred.tobytes()
-    assert [tape.ops.count(op) for op in (OP_SCAN, OP_SLICE)] == [1, 0]
+    # the leaf and the weight constants feed the one gru_scan node directly
+    assert tape.ops.count(OP_SCAN) == 1 and tape.args[-1][-1] == u.idx
+    assert len(tape) == len(tape.args[-1]) + 1
 
 
 def test_unroll_graph_replay_equals_unroll_decoder_bit_exact():
@@ -215,9 +217,9 @@ def test_unroll_graph_replay_equals_unroll_decoder_bit_exact():
     obs = random_observed(rng, k=5)
     H = 6
     tape = Tape()
-    states = hm.unroll_graph(tape, params, obs, tape.leaf("u", np.zeros(H * hm.MODIFIER_DIM)), H)
+    states = hm.unroll_graph(tape, params, obs, tape.leaf("u", np.zeros((H, hm.MODIFIER_DIM))), H)
     mods = 0.05 * rng.normal(size=(H, hm.MODIFIER_DIM))
-    replay = tape.forward({"u": mods.reshape(-1)}).value_of(states)
+    replay = tape.forward({"u": mods}).value_of(states)
     expected = hm.unroll_decoder(params, obs[-1], obs[-1] - obs[-2], hm.encode(params, obs),
                                  mods, H)
     assert replay.tobytes() == expected.tobytes()

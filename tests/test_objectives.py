@@ -75,8 +75,8 @@ def rng_theta(compiled, rng, scale=0.02):
 def test_control_objective_zero_and_constant(model, observed):
     """Equal control rows of either agent cost nothing."""
     compiled = obj.compile_problem(base_problem(observed), model=model)
-    constant = np.concatenate([np.full(dim, value) for dim, value
-                               in zip(compiled.leaf_dims.values(), (0.3, -0.1))])
+    constant = np.concatenate([np.full(shape, value).reshape(-1) for shape, value
+                               in zip(compiled.leaf_shapes.values(), (0.3, -0.1))])
     for theta in (np.zeros(compiled.n), constant):
         assert compiled.evaluate(theta)[0] == 0.0
 
@@ -90,13 +90,25 @@ def test_control_objective_matches_hand_evaluation(model, observed):
     theta = rng_theta(compiled, rng)
     f, g, h, _ = compiled.evaluate(theta)
     parts = compiled.split(theta)
-    mods, ctls = parts["u_h"].reshape(5, -1), parts["u_r"].reshape(5, -1)
+    mods, ctls = parts["u_h"], parts["u_r"]
+    assert mods.shape == (5, hm.MODIFIER_DIM) and ctls.shape == (5, ROBOT_CONTROL_DIM)
     expected = 0.0
     for t in range(4):
         expected += 3.0 * np.sum(((mods[t + 1] - mods[t]) / 0.05) ** 2)
         expected += 7.0 * np.sum(((ctls[t + 1] - ctls[t]) / 0.05) ** 2)
     assert f == pytest.approx(expected, rel=1e-12)
     assert g.size == 0 and h.size == 0
+
+
+def test_theta_of_the_wrong_length_is_refused(model, observed):
+    """A θ one entry short or one entry long is a ProblemError naming n and
+    the given shape, for a replay and for splitting θ into the leaves."""
+    compiled = obj.compile_problem(base_problem(observed, steps=3), model=model)
+    n = compiled.n
+    for theta in (np.zeros(n - 1), np.zeros(n + 1)):
+        for call in (compiled.evaluate, compiled.split):
+            with pytest.raises(obj.ProblemError, match=rf"\({n},\), got \({theta.size},\)"):
+                call(theta)
 
 
 def test_compiled_objective_matches_reference(model, observed):
@@ -110,8 +122,8 @@ def test_compiled_objective_matches_reference(model, observed):
     parts = compiled.split(theta)
     w = problem.weights
     inv_dt2 = 1.0 / w.frame_time ** 2
-    ref = (w.weight_human * inv_dt2 * np.sum(np.diff(parts["u_h"].reshape(5, -1), axis=0) ** 2)
-           + w.weight_robot * inv_dt2 * np.sum(np.diff(parts["u_r"].reshape(5, -1), axis=0) ** 2))
+    ref = (w.weight_human * inv_dt2 * np.sum(np.diff(parts["u_h"], axis=0) ** 2)
+           + w.weight_robot * inv_dt2 * np.sum(np.diff(parts["u_r"], axis=0) ** 2))
     assert f == pytest.approx(ref, rel=1e-12)
     assert g.size == 0 and h.size == 0
 
@@ -546,19 +558,22 @@ def test_the_objective_is_the_stated_quadratic_plus_row_0(model, observed):
     assert row0 > 0.0
     assert f == pytest.approx(0.5 * theta @ Q @ theta + row0, rel=1e-12)
     seed = rng.normal(size=1 + g.size + h.size)
-    tape_part = backward(compiled.tape, seed, at=ev, wrt=list(compiled.leaf_dims))
-    expected = np.concatenate(list(tape_part.values())) + seed[0] * (Q @ theta)
+    tape_part = backward(compiled.tape, seed, at=ev, wrt=list(compiled.leaf_shapes))
+    expected = (np.concatenate([g.reshape(-1) for g in tape_part.values()])
+                + seed[0] * (Q @ theta))
     grad = compiled.gradient(seed, ev)
     assert np.abs(grad - expected).max() <= 1e-12 * np.abs(grad).max()
 
 
 def test_control_rates_leave_the_tape():
     """The control-rate cost records no node: the default model's crossing
-    and handover tapes (seed 1) hold 49 and 34 nodes, 64 and 49 when it was
-    recorded, and the tape records a base penalty as one node."""
+    and handover tapes (seed 1) hold 42 and 29 nodes (64 and 49 when it was
+    recorded, 49 and 34 while leaves were flat and reshaped and every row
+    was reshaped into the output), and the tape records a base penalty as
+    one node."""
     model = hm.init_params(hm.ModelConfig(), 0)
-    for problem, size in ((scenarios.make_crossing_problems(1, 1)[0].problem, 49),
-                          (scenarios.make_handover_problems(1, 1)[0].problem, 34)):
+    for problem, size in ((scenarios.make_crossing_problems(1, 1)[0].problem, 42),
+                          (scenarios.make_handover_problems(1, 1)[0].problem, 29)):
         assert len(obj.compile_problem(problem, model=model).tape) == size
     pickup = scenarios.make_pickup_handover_problem(1, human_base_penalty=1.0).problem
     names = [_OP_NAMES[op] for op in obj.compile_problem(pickup, model=model).tape.ops]

@@ -13,24 +13,20 @@ from comotion.graph import Tape
 from comotion.objectives import CompiledProblem
 
 
-def toy_problem(build, n, num_ineq=0, num_eq=0, lower=None, upper=None):
+def toy_problem(build, n, lower=None, upper=None):
     """Wrap a hand-built scalar graph into the compiled-problem interface.
 
-    ``build(tape, x)`` returns (objective ref, [ineq refs], [eq refs]).
+    ``build(tape, x)`` returns (objective ref, [ineq refs], [eq refs]); the
+    output is their rows in one ``concat``, as ``compile_problem`` records it.
     """
     tape = Tape()
     x = tape.leaf("x", np.zeros(n))
     f, gs, hs = build(tape, x)
-    parts = [tape.reshape(f, (1,))]
-    parts += [tape.reshape(v, (1,)) for v in gs]
-    parts += [tape.reshape(v, (1,)) for v in hs]
-    tape.set_output(tape.concat(parts) if len(parts) > 1 else parts[0])
+    tape.set_output(tape.concat([f, *gs, *hs]))
     return CompiledProblem(
         problem=None,
         tape=tape,
-        leaf_dims={"x": n},
-        num_ineq=len(gs),
-        num_eq=len(hs),
+        leaf_shapes={"x": (n,)},
         ineq_names=[f"g{i}" for i in range(len(gs))],
         eq_names=[f"h{i}" for i in range(len(hs))],
         lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float),
@@ -79,7 +75,7 @@ def test_inequality_toy_max_style():
 
     def build(t, x):
         d = t.sub(x, t.const(a))
-        gs = [t.row(x, i) for i in range(3)]
+        gs = [t.take(x, i) for i in range(3)]
         return t.sum_squares(d), gs, []
 
     compiled = toy_problem(build, n=3)
