@@ -1148,10 +1148,13 @@ def gradient_check(
     step: float = 1e-5,
     coords_per_leaf: int | None = None,
     rng: np.random.Generator | None = None,
+    seed=1.0,
 ) -> float:
-    """Compare recorded gradients of a scalar function with central differences.
+    """Compare recorded gradients of ``sum(seed * fn(point))`` with central
+    differences.
 
-    Returns max over checked coordinates of
+    ``seed`` has the output's shape (the scalar 1.0 for a scalar function)
+    and seeds the backward pass.  Returns max over checked coordinates of
     ``|analytic - central| / max(1, |analytic|)``; non-finite differences
     report as +inf.  ``coords_per_leaf`` subsamples coordinates of large
     leaves to bound runtime (all coordinates when None).
@@ -1159,10 +1162,9 @@ def gradient_check(
     if not (0.0 < step <= 1e-3):
         raise ValueError("step must be in (0, 1e-3]")
     point = {k: _as_array(v).copy() for k, v in point.items()}
-    tape, out = record(fn, point)
-    if out.shape != ():
-        raise GraphError("gradient_check requires a scalar-valued function")
-    grads = backward(tape, np.asarray(1.0))
+    seed = np.asarray(seed, dtype=np.float64)
+    tape, _ = record(fn, point)
+    grads = backward(tape, seed)
     worst = 0.0
     for name, x in point.items():
         flat = x.reshape(-1)
@@ -1176,9 +1178,9 @@ def gradient_check(
         for i in coords:
             saved = flat[i]
             flat[i] = saved + step
-            hi = float(tape.forward({name: x}).output)
+            hi = float((seed * tape.forward({name: x}).output).sum())
             flat[i] = saved - step
-            lo = float(tape.forward({name: x}).output)
+            lo = float((seed * tape.forward({name: x}).output).sum())
             flat[i] = saved
             diff = (hi - lo) / (2.0 * step)
             if not np.isfinite(diff):

@@ -309,16 +309,11 @@ _BUILDERS = {
 class ControlRate:
     """A planned agent's control-rate cost (``graph.squared_differences``):
     ``scale``, its weight over the squared frame time, times the summed squared
-    steps of ``steps`` rows of ``width`` variables from ``offset`` on.  Its
-    block of Q is 2 scale (DᵀD ⊗ I), D the (steps - 1, steps) difference matrix."""
+    steps of the (steps, width) decision leaf ``leaf``.  Its block of Q is
+    2 scale (DᵀD ⊗ I), D the (steps - 1, steps) difference matrix."""
 
-    offset: int
-    steps: int
-    width: int
+    leaf: str
     scale: float
-
-    def rows(self, theta: np.ndarray) -> np.ndarray:
-        return theta[self.offset : self.offset + self.steps * self.width].reshape(self.steps, -1)
 
 
 @dataclass
@@ -374,23 +369,21 @@ class CompiledProblem:
         trajectory (``fixed_h``/``fixed_r``) shared across replays.
         """
         leaves = self.split(theta)
+        control = sum(squared_differences(leaves[r.leaf], r.scale) for r in self.rates)
         if extra_leaves:
             leaves.update(extra_leaves)
         ev = self.tape.forward(leaves)
         out = ev.output
-        control = sum(squared_differences(r.rows(theta), r.scale) for r in self.rates)
         m = self.num_ineq
         return float(out[0] + control), out[1 : 1 + m].copy(), out[1 + m :].copy(), ev
 
     def gradient(self, seed: np.ndarray, at: Evaluation) -> np.ndarray:
         """Gradient of seed . [objective, g, h] w.r.t. the packed variables."""
         grads = backward(self.tape, seed, at=at, wrt=list(self.leaf_shapes))
-        grad = np.concatenate([grads[name].reshape(-1) for name in self.leaf_shapes])
-        theta = np.concatenate([at.values[self.tape.leaves[name]].reshape(-1)
-                                for name in self.leaf_shapes])
         for r in self.rates:
-            r.rows(grad)[...] += squared_differences_adjoint(r.rows(theta), r.scale, seed[0])
-        return grad
+            rows = at.values[self.tape.leaves[r.leaf]]
+            grads[r.leaf] = grads[r.leaf] + squared_differences_adjoint(rows, r.scale, seed[0])
+        return np.concatenate([grads[name].reshape(-1) for name in self.leaf_shapes])
 
     def trajectories(self, at: Evaluation):
         """Human and robot state sequences at an evaluation (None if absent)."""
@@ -420,7 +413,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
         lower_parts.append(np.full(steps * MODIFIER_DIM, -np.inf))
         upper_parts.append(np.full(steps * MODIFIER_DIM, np.inf))
         human_traj = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
-        rates.append(ControlRate(0, steps, MODIFIER_DIM, weights.weight_human * inv_dt2))
+        rates.append(ControlRate("u_h", weights.weight_human * inv_dt2))
     elif problem.fixed_human is not None:
         # a leaf (not a decision variable) so the same tape replays against
         # other frozen trajectories, e.g. across prediction samples
@@ -428,8 +421,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
 
     robot_traj = None
     if problem.plans_robot:
-        offset = steps * MODIFIER_DIM if leaf_shapes else 0
-        rates.append(ControlRate(offset, steps, ROBOT_CONTROL_DIM, weights.weight_robot * inv_dt2))
+        rates.append(ControlRate("u_r", weights.weight_robot * inv_dt2))
         leaf_shapes["u_r"] = shape = (steps, ROBOT_CONTROL_DIM)
         controls = tape.leaf("u_r", np.zeros(shape))
         bounds = np.tile(ROBOT_CONTROL_BOUNDS, steps)

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from comotion.graph import backward, record
 from comotion.kinematics import NUM_JOINTS, STATE_DIM
 
 
@@ -13,27 +12,3 @@ def identity_state(base_pos=(0.0, 0.0, 0.0)) -> np.ndarray:
     state[3:] = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], NUM_JOINTS)
     return state
 
-
-def seeded_gradient_check(fn, point, seed, step=1e-5):
-    """``graph.gradient_check`` for the linear functional seed . fn(point):
-    the backward pass seeded with ``seed`` against central differences of
-    seed . output over replays.  Returns the worst relative error, +inf for
-    a difference that is not finite."""
-    point = {k: np.array(v, dtype=np.float64) for k, v in point.items()}
-    tape, _ = record(fn, point)
-    grads = backward(tape, seed)
-    worst = 0.0
-    for name, x in point.items():
-        flat, analytic = x.reshape(-1), grads[name].reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            hi = float((tape.forward({name: x}).output * seed).sum())
-            flat[i] = saved - step
-            lo = float((tape.forward({name: x}).output * seed).sum())
-            flat[i] = saved
-            diff = (hi - lo) / (2.0 * step)
-            if not np.isfinite(diff):
-                return float("inf")
-            worst = max(worst, abs(analytic[i] - diff) / max(1.0, abs(analytic[i])))
-    return worst

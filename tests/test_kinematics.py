@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comotion.chains import gram_schmidt
-from comotion.graph import backward, record
+from comotion.graph import backward, gradient_check, record
 from comotion.kinematics import (
     HUMAN_JOINT_NAMES,
     HUMAN_JOINTS,
@@ -24,7 +24,7 @@ from comotion.kinematics import (
     rot6d_to_matrix,
     yaw_matrix,
 )
-from helpers import identity_state, seeded_gradient_check
+from helpers import identity_state
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -300,7 +300,7 @@ def test_fk_gradient_matches_finite_differences():
         def f(t, r):
             return t.link_point(r["state"], chain)
 
-        assert seeded_gradient_check(f, {"state": state}, weights, step=1e-6) < 1e-7
+        assert gradient_check(f, {"state": state}, step=1e-6, seed=weights) < 1e-7
         tape, _ = record(f, {"state": state})
         grad = backward(tape, weights)["state"]
         assert np.all(grad[..., ~on_chain] == 0.0)

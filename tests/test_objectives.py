@@ -542,15 +542,16 @@ def test_the_objective_is_the_stated_quadratic_plus_row_0(model, observed):
     problem = base_problem(observed, steps=5, weights=w,
                            constraints=[obj.ConstraintSpec(kind="handover")])
     compiled = obj.compile_problem(problem, model=model)
-    widths = [hm.MODIFIER_DIM, ROBOT_CONTROL_DIM]
-    assert [(r.offset, r.steps, r.width) for r in compiled.rates] == [(0, 5, widths[0]),
-                                                                      (5 * widths[0], 5, widths[1])]
-    assert [r.scale for r in compiled.rates] == [3.0 / 0.05 ** 2, 7.0 / 0.05 ** 2]
+    assert compiled.leaf_shapes == {"u_h": (5, hm.MODIFIER_DIM), "u_r": (5, ROBOT_CONTROL_DIM)}
+    assert [(r.leaf, r.scale) for r in compiled.rates] == [("u_h", 3.0 / 0.05 ** 2),
+                                                           ("u_r", 7.0 / 0.05 ** 2)]
+    offsets = dict(zip(compiled.leaf_shapes, [0, 5 * hm.MODIFIER_DIM]))
     Q = np.zeros((compiled.n, compiled.n))
     for r in compiled.rates:
-        D = np.eye(r.steps - 1, r.steps, 1) - np.eye(r.steps - 1, r.steps)
-        span = slice(r.offset, r.offset + r.steps * r.width)
-        Q[span, span] = 2.0 * r.scale * np.kron(D.T @ D, np.eye(r.width))
+        steps, width = compiled.leaf_shapes[r.leaf]
+        D = np.eye(steps - 1, steps, 1) - np.eye(steps - 1, steps)
+        span = slice(offsets[r.leaf], offsets[r.leaf] + steps * width)
+        Q[span, span] = 2.0 * r.scale * np.kron(D.T @ D, np.eye(width))
     rng = np.random.default_rng(16)
     theta = rng_theta(compiled, rng)
     f, g, h, ev = compiled.evaluate(theta)
