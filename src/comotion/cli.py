@@ -398,6 +398,8 @@ def _fmt(v) -> str:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.problems:
+        raise UsageError("missing --problems (an empty problem batch)")
     matches = [glob.glob(pattern) for pattern in args.problems]
     for pattern, found in zip(args.problems, matches):
         if not found:

@@ -31,6 +31,7 @@ from .kinematics import (
 )
 
 FRAME_NUMBERS = 3 + 4 * NUM_JOINTS  # 87 per line on disk
+FRAME_RATE = 20.0  # fps of synthetic data, and the default of a model and of a problem
 
 
 class DataError(ValueError):
@@ -211,22 +212,21 @@ def split_dataset(
 
 
 # ---------------------------------------------------------------------------
-# Synthetic walk-and-reach data
+# Synthetic walk-and-reach data, at FRAME_RATE
 # ---------------------------------------------------------------------------
+MIN_SPEED = 0.3  # m/s, the slowest cruise speed drawn
+WORKSPACE = 3.0  # half-extent of the start square, m
+BASE_HEIGHT = 0.93  # pelvis height, m
+NUM_SUBJECTS = 6  # trajectory i belongs to subject i mod NUM_SUBJECTS
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     num_trajectories: int = 200
     duration_frames: int = 80
-    fps: float = 20.0
-    min_speed: float = 0.3
     max_speed: float = 0.55  # m/s, hard clamp on base speed
     max_turn_rate: float = 0.4  # rad/s
     reach_frames: int = 20  # terminal arm-reach segment
-    workspace: float = 3.0  # half-extent of the start square, m
-    base_height: float = 0.93
-    num_subjects: int = 6
 
 
 def _smoothstep(x: float) -> float:
@@ -285,16 +285,15 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
     """
     rng = np.random.default_rng(seed)
     records = []
-    dt = 1.0 / config.fps
+    dt = 1.0 / FRAME_RATE
     for ti in range(config.num_trajectories):
         n = config.duration_frames
-        cruise = 0.0 if config.max_speed <= 0 else rng.uniform(config.min_speed, config.max_speed)
+        cruise = 0.0 if config.max_speed <= 0 else rng.uniform(MIN_SPEED, config.max_speed)
         cruise = min(cruise, config.max_speed)
         turn = rng.uniform(-config.max_turn_rate, config.max_turn_rate)
         heading = rng.uniform(0, 2 * np.pi)
         pos = np.array(
-            [rng.uniform(-config.workspace, config.workspace),
-             rng.uniform(-config.workspace, config.workspace)]
+            [rng.uniform(-WORKSPACE, WORKSPACE), rng.uniform(-WORKSPACE, WORKSPACE)]
         )
         reach_start = n - config.reach_frames
         frames = np.empty((n, STATE_DIM))
@@ -306,7 +305,7 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
             speed = min(cruise * ramp * slow, config.max_speed)
             swing = min(speed / 0.6, 1.0)
             blend = _smoothstep((i - reach_start) / max(config.reach_frames, 1))
-            z = config.base_height + 0.015 * swing * np.cos(2.0 * phase)
+            z = BASE_HEIGHT + 0.015 * swing * np.cos(2.0 * phase)
             frames[i, 0:2] = pos
             frames[i, 2] = z
             local[i, 0] = yaw_matrix(heading)
@@ -319,8 +318,8 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
         goal, _ = forward_kinematics(frames[-1], "rWrist")
         records.append(
             TrajectoryRecord(
-                subject=f"synth{ti % config.num_subjects}",
-                fps=config.fps,
+                subject=f"synth{ti % NUM_SUBJECTS}",
+                fps=FRAME_RATE,
                 frames=frames,
                 annotations={"goal": [float(v) for v in goal], "goal_frame": n - 1,
                              "goal_link": "rWrist"},

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import human_model as hm
+from .data import FRAME_RATE
 from .environment import scene_sdf
 from .graph import handover_residual
 from .kinematics import (
@@ -292,8 +293,7 @@ def run_method(
         compiled = compile_problem(_single_agent_problem(problem, "robot", samples[order[0]]))
         top_ranked = None
         for attempt, idx in enumerate(order, 1):
-            res = solve_compiled(compiled, solver_config,
-                                 extra_leaves={"fixed_h": samples[idx]})
+            res = solve_compiled(compiled, solver_config, fixed_human=samples[idx])
             candidate = _solved(method, res, attempts=attempt, picked=int(idx),
                                 succeeded=True)
             ok, _ = check_success(problem, candidate, kind)
@@ -392,7 +392,7 @@ def compute_metrics(
     human_traj: np.ndarray | None,
     robot_traj: np.ndarray | None,
     ground_truth: np.ndarray | None = None,
-    dt: float = 0.05,
+    dt: float = 1.0 / FRAME_RATE,
     sample_seconds=(0.4, 0.8, 1.2, 1.6, 2.0),
     robot_initial: np.ndarray | None = None,
     human_start: np.ndarray | None = None,

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import rotate_frames
+from .data import FRAME_RATE, rotate_frames
 from .graph import GraphError, Ref, Tape, backward, gru_unroll
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
 from .schema import from_doc, is_number
@@ -61,7 +61,7 @@ class ModelConfig:
     hidden_size: int = 100
     input_frames: int = 20
     output_frames: int = 20
-    frame_rate: float = 20.0
+    frame_rate: float = FRAME_RATE
     dropout: float = 0.2
     recurrent_dropout: float = 0.2
 

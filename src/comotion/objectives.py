@@ -4,15 +4,18 @@ A :class:`ProblemSpec` declares the agents, step count, weights and constraints.
 :func:`compile_problem` unrolls both dynamics onto one tape and appends every
 constraint scalar and the state-dependent objective, so one backward pass
 yields the gradient of any weighted combination with respect to all decision
-variables (human decoder modifiers and robot controls).  The control-rate
-objective, fixed and quadratic in them, is stated on :class:`CompiledProblem`.
+variables (human decoder modifiers and robot controls).
 
 The tape's output is one vector, a single ``concat`` of scalar rows: row 0 is
 the state-dependent objective (the human base penalty, or 0), then come the
-inequality rows and then the equality rows, each in constraint order.  The
-decision leaves are recorded in their natural shapes, the (H, MODIFIER_DIM)
-modifiers ``u_h`` and the (H, ROBOT_CONTROL_DIM) controls ``u_r``; θ packs
-them flat in that order.
+inequality rows and then the equality rows, each in constraint order.
+
+θ packs ``CompiledProblem.decisions`` flat, one :class:`Decision` per planned
+agent: the (H, MODIFIER_DIM) modifiers ``u_h``, free, then the (H,
+ROBOT_CONTROL_DIM) controls ``u_r``, boxed by |u| <= ``ROBOT_CONTROL_BOUNDS``.
+Each states its leaf's tape shape and its control-rate cost, quadratic in θ
+and kept off the tape.  A frozen human is the leaf ``fixed_h``, the one input
+a replay may replace (``evaluate``'s ``fixed_human``).
 
 Conventions:
   * H is a problem's ``steps``: the number of planned timesteps after the
@@ -42,6 +45,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .data import FRAME_RATE
 from .environment import (
     Scene,
     build_sdf,
@@ -78,7 +82,7 @@ class ProblemError(ValueError):
 class ObjectiveWeights:
     weight_human: float = 10.0
     weight_robot: float = 10.0
-    frame_time: float = 0.05  # seconds per frame
+    frame_time: float = 1.0 / FRAME_RATE  # seconds per frame
     human_base_penalty: float = 0.0  # extra cost on human base displacement
 
     def __post_init__(self):
@@ -306,14 +310,18 @@ _BUILDERS = {
 
 
 @dataclass(frozen=True)
-class ControlRate:
-    """A planned agent's control-rate cost (``graph.squared_differences``):
-    ``scale``, its weight over the squared frame time, times the summed squared
-    steps of the (steps, width) decision leaf ``leaf``.  Its block of Q is
-    2 scale (DᵀD ⊗ I), D the (steps - 1, steps) difference matrix."""
+class Decision:
+    """One decision leaf of θ, recorded in (steps, width) ``shape``.  Its
+    control-rate cost (``graph.squared_differences``) is ``scale``, the
+    agent's weight over the squared frame time, times the summed squared steps
+    of its rows: Q's block 2 scale (DᵀD ⊗ I), D the (steps - 1, steps)
+    difference matrix.  ``bound`` is the box |entry| <= bound, one magnitude
+    per column, or None for a free leaf."""
 
     leaf: str
+    shape: tuple[int, int]
     scale: float
+    bound: tuple[float, ...] | None = None
 
 
 @dataclass
@@ -322,33 +330,21 @@ class CompiledProblem:
 
     The tape output is the vector [r, g_1..g_m, h_1..h_k] (see the module
     docstring), its rows named by ``ineq_names`` and ``eq_names``; feasible
-    inequalities are <= 0.  The objective adds the control-rate cost ½ θᵀQθ
-    of ``rates`` to row r, off the tape.  ``leaf_shapes`` holds the shape of
-    each decision leaf, in θ's packing order.
+    inequalities are <= 0.  θ packs the leaves of ``decisions`` flat, in
+    order; the objective adds their control-rate cost ½ θᵀQθ to row r, off
+    the tape.
     """
 
-    problem: ProblemSpec
     tape: Tape
-    leaf_shapes: dict[str, tuple[int, ...]]
+    decisions: tuple[Decision, ...]
     ineq_names: list[str]
     eq_names: list[str]
-    lower: np.ndarray  # box bounds on theta (-inf where free)
-    upper: np.ndarray
     human_traj: Ref | None  # (H, 129) state trajectory
     robot_traj: Ref | None  # (H, ROBOT_STATE_DIM)
-    rates: tuple[ControlRate, ...] = ()
 
     @property
     def n(self) -> int:
-        return sum(math.prod(shape) for shape in self.leaf_shapes.values())
-
-    @property
-    def num_ineq(self) -> int:
-        return len(self.ineq_names)
-
-    @property
-    def num_eq(self) -> int:
-        return len(self.eq_names)
+        return sum(math.prod(d.shape) for d in self.decisions)
 
     def split(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         """The decision leaves' values in θ, in their recorded shapes."""
@@ -356,34 +352,37 @@ class CompiledProblem:
             raise ProblemError(f"theta must have shape ({self.n},), got {np.shape(theta)}")
         out = {}
         pos = 0
-        for name, shape in self.leaf_shapes.items():
-            size = math.prod(shape)
-            out[name] = theta[pos : pos + size].reshape(shape)
+        for d in self.decisions:
+            size = math.prod(d.shape)
+            out[d.leaf] = theta[pos : pos + size].reshape(d.shape)
             pos += size
         return out
 
-    def evaluate(self, theta: np.ndarray, extra_leaves: dict | None = None):
+    def evaluate(self, theta: np.ndarray, fixed_human: np.ndarray | None = None):
         """Returns (objective, ineq values, eq values, Evaluation).
 
-        ``extra_leaves`` overrides non-decision leaves, e.g. a frozen agent
-        trajectory (``fixed_h``/``fixed_r``) shared across replays.
+        ``fixed_human`` replaces the frozen human trajectory the tape was
+        recorded with, so one tape replays against other forecasts, e.g.
+        prediction samples; a tape without a frozen human refuses it.
         """
         leaves = self.split(theta)
-        control = sum(squared_differences(leaves[r.leaf], r.scale) for r in self.rates)
-        if extra_leaves:
-            leaves.update(extra_leaves)
+        control = sum(squared_differences(leaves[d.leaf], d.scale) for d in self.decisions)
+        if fixed_human is not None:
+            if "fixed_h" not in self.tape.leaves:
+                raise ProblemError("fixed_human given, but the problem has no frozen human")
+            leaves["fixed_h"] = fixed_human
         ev = self.tape.forward(leaves)
         out = ev.output
-        m = self.num_ineq
+        m = len(self.ineq_names)
         return float(out[0] + control), out[1 : 1 + m].copy(), out[1 + m :].copy(), ev
 
     def gradient(self, seed: np.ndarray, at: Evaluation) -> np.ndarray:
         """Gradient of seed . [objective, g, h] w.r.t. the packed variables."""
-        grads = backward(self.tape, seed, at=at, wrt=list(self.leaf_shapes))
-        for r in self.rates:
-            rows = at.values[self.tape.leaves[r.leaf]]
-            grads[r.leaf] = grads[r.leaf] + squared_differences_adjoint(rows, r.scale, seed[0])
-        return np.concatenate([grads[name].reshape(-1) for name in self.leaf_shapes])
+        grads = backward(self.tape, seed, at=at, wrt=[d.leaf for d in self.decisions])
+        for d in self.decisions:
+            rows = at.values[self.tape.leaves[d.leaf]]
+            grads[d.leaf] = grads[d.leaf] + squared_differences_adjoint(rows, d.scale, seed[0])
+        return np.concatenate([grads[d.leaf].reshape(-1) for d in self.decisions])
 
     def trajectories(self, at: Evaluation):
         """Human and robot state sequences at an evaluation (None if absent)."""
@@ -397,23 +396,18 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     sdf = None if problem.scene is None else build_sdf(problem.scene)
 
     tape = Tape()
-    leaf_shapes: dict[str, tuple[int, ...]] = {}
-    lower_parts = []
-    upper_parts = []
     weights = problem.weights
     inv_dt2 = 1.0 / (weights.frame_time ** 2)
-    rates = []
+    decisions = []
 
     human_traj = None
     if problem.plans_human:
         if model is None:
             raise ProblemError("planning the human needs model weights")
-        leaf_shapes["u_h"] = shape = (steps, MODIFIER_DIM)
-        modifiers = tape.leaf("u_h", np.zeros(shape))
-        lower_parts.append(np.full(steps * MODIFIER_DIM, -np.inf))
-        upper_parts.append(np.full(steps * MODIFIER_DIM, np.inf))
+        decision = Decision("u_h", (steps, MODIFIER_DIM), weights.weight_human * inv_dt2)
+        modifiers = tape.leaf(decision.leaf, np.zeros(decision.shape))
         human_traj = unroll_graph(tape, model, problem.observed_human, modifiers, steps)
-        rates.append(ControlRate("u_h", weights.weight_human * inv_dt2))
+        decisions.append(decision)
     elif problem.fixed_human is not None:
         # a leaf (not a decision variable) so the same tape replays against
         # other frozen trajectories, e.g. across prediction samples
@@ -421,17 +415,15 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
 
     robot_traj = None
     if problem.plans_robot:
-        rates.append(ControlRate("u_r", weights.weight_robot * inv_dt2))
-        leaf_shapes["u_r"] = shape = (steps, ROBOT_CONTROL_DIM)
-        controls = tape.leaf("u_r", np.zeros(shape))
-        bounds = np.tile(ROBOT_CONTROL_BOUNDS, steps)
-        lower_parts.append(-bounds)
-        upper_parts.append(bounds)
+        decision = Decision("u_r", (steps, ROBOT_CONTROL_DIM), weights.weight_robot * inv_dt2,
+                            ROBOT_CONTROL_BOUNDS)
+        controls = tape.leaf(decision.leaf, np.zeros(decision.shape))
         robot_traj = robot_unroll_graph(tape, problem.robot_initial, controls, steps)
+        decisions.append(decision)
     elif problem.fixed_robot is not None:
         robot_traj = tape.leaf("fixed_r", problem.fixed_robot)
 
-    if not leaf_shapes:
+    if not decisions:
         raise ProblemError("nothing to optimize: no free agent")
 
     ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
@@ -453,16 +445,12 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     tape.set_output(tape.concat([objective] + [row for _, row in ineq + eq]))
 
     return CompiledProblem(
-        problem=problem,
         tape=tape,
-        leaf_shapes=leaf_shapes,
+        decisions=tuple(decisions),
         ineq_names=[name for name, _ in ineq],
         eq_names=[name for name, _ in eq],
-        lower=np.concatenate(lower_parts),
-        upper=np.concatenate(upper_parts),
         human_traj=human_traj,
         robot_traj=robot_traj,
-        rates=tuple(rates),
     )
 
 

@@ -38,7 +38,7 @@ HAND_LINK = ARM[-1][0]
 ARM_JOINTS = sum(axis is not None for _, _, axis in ARM)
 ROBOT_STATE_DIM = 3 + ARM_JOINTS  # x, y, heading, joint angles
 ROBOT_CONTROL_DIM = 2 + ARM_JOINTS  # forward, turn, joint displacements
-# symmetric bound magnitudes per control: 0.15 m, 0.3 rad and 0.2 rad per step
+# the symmetric box |u| <= bound per control, θ's one box: 0.15 m, 0.3 rad, 0.2 rad a step
 ROBOT_CONTROL_BOUNDS = (0.15, 0.3) + (0.2,) * ARM_JOINTS
 
 

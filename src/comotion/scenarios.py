@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SynthConfig, rotate_frames, synth_generate
+from .data import FRAME_RATE, SynthConfig, rotate_frames, synth_generate
 from .environment import Disc, Rect, Scene
 from .kinematics import forward_kinematics, rot6d_to_matrix
 from .objectives import ConstraintSpec, ObjectiveWeights, ProblemSpec
+from .robot_model import ROBOT_STATE_DIM
 
 
 @dataclass
@@ -47,7 +48,7 @@ def _walking_records(count: int, seed: int, frames_needed: int) -> list[np.ndarr
     walking, in generation order.
 
     A record keeps walking when its base chord (first to last frame) covers
-    `_MIN_WALK_SPEED * (frames_needed - 1) / fps` metres.  The threshold
+    `_MIN_WALK_SPEED * (frames_needed - 1) / FRAME_RATE` metres.  The threshold
     scales with the span because the walkers ramp up over the first 10 frames
     and slow during the 12-frame reach: no 30-frame walker covers 0.6 m, while
     every 60-frame one does.
@@ -55,7 +56,7 @@ def _walking_records(count: int, seed: int, frames_needed: int) -> list[np.ndarr
     """
     cfg = SynthConfig(num_trajectories=count * 3, duration_frames=frames_needed,
                       max_turn_rate=0.25, reach_frames=12)
-    min_travel = _MIN_WALK_SPEED * (frames_needed - 1) / cfg.fps
+    min_travel = _MIN_WALK_SPEED * (frames_needed - 1) / FRAME_RATE
     walking = [rec.frames for rec in synth_generate(cfg, seed)
                if np.linalg.norm(rec.frames[-1, :2] - rec.frames[0, :2]) >= min_travel]
     if len(walking) < count:
@@ -123,7 +124,7 @@ def make_crossing_problems(count: int, seed: int, observed_frames: int = 20,
         # robot crosses the human path through the gap
         side = 1.0 if rng.uniform() < 0.5 else -1.0
         start_y = side * rng.uniform(1.4, 1.9)
-        robot_initial = np.zeros(7)
+        robot_initial = np.zeros(ROBOT_STATE_DIM)
         robot_initial[0] = gap_x + rng.uniform(-0.15, 0.15)
         robot_initial[1] = start_y
         robot_initial[2] = -side * np.pi / 2  # facing across the corridor
@@ -165,7 +166,7 @@ def make_handover_problems(count: int, seed: int, observed_frames: int = 20,
         # partner ahead of the predicted end, offset to a random side
         ahead = observed[-1, :2] + np.array([walked + rng.uniform(1.0, 1.6),
                                              rng.uniform(-0.8, 0.8)])
-        robot_initial = np.zeros(7)
+        robot_initial = np.zeros(ROBOT_STATE_DIM)
         robot_initial[:2] = ahead
         robot_initial[2] = np.pi + rng.uniform(-0.4, 0.4)  # roughly facing the human
 
@@ -208,7 +209,7 @@ def make_pickup_handover_problem(seed: int, observed_frames: int = 20,
     truth = rec[observed_frames:span]
 
     pickup = (observed[-1, 0] + 0.75, observed[-1, 1] + 0.1, 0.85)
-    robot_initial = np.zeros(7)
+    robot_initial = np.zeros(ROBOT_STATE_DIM)
     robot_initial[:2] = observed[-1, :2] + np.array([1.9, -0.4])
     robot_initial[2] = np.pi
 

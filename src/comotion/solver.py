@@ -1,10 +1,11 @@
 """Barrier + augmented-Lagrangian quasi-Newton solver over shooting variables.
 
-The decision variables are the flattened decoder modifiers and robot controls
-(both warm-started at zero, which reproduces the plain prediction and a
-standing robot).  Inequalities enter through a shifted logarithmic barrier
-whose weight shrinks over outer rounds; equalities through multipliers plus a
-growing quadratic penalty.  Each round minimizes the resulting merit with
+θ packs ``CompiledProblem.decisions``, decoder modifiers and robot controls,
+warm-started at zero (the plain prediction and a standing robot).  Logarithmic
+barriers under one weight, shrinking over outer rounds, take the inequalities
+(shifted) and the box |θ_i| <= b_i of the bounded decisions, which a
+fraction-to-boundary step keeps strictly; equalities enter through
+multipliers plus a growing quadratic penalty.  Each round minimizes the merit with
 L-BFGS, its initial matrix rescaled by ``s'y / y'y`` of the newest pair every
 iteration (Nocedal & Wright, ch. 7.2), and an Armijo backtracking line search;
 every problem, whatever its size, takes this one path.  The schedule,
@@ -86,13 +87,15 @@ class SolveResult:
 
 
 class _Box:
-    """The finite box bounds on theta, found once per solve: the indices
-    ``lo_idx`` and ``hi_idx`` of the bounded coordinates and their bounds."""
+    """The box |θ_i| <= b_i of the bounded decisions, built once per solve:
+    the indices ``idx`` of their coordinates in θ and the magnitudes ``b``."""
 
-    def __init__(self, lower, upper):
-        self.lo_idx = np.flatnonzero(np.isfinite(lower))
-        self.hi_idx = np.flatnonzero(np.isfinite(upper))
-        self.lo, self.hi = lower[self.lo_idx], upper[self.hi_idx]
+    def __init__(self, compiled):
+        where = compiled.split(np.arange(compiled.n))  # each leaf's coordinates in θ
+        bounded = [d for d in compiled.decisions if d.bound is not None]
+        self.idx = np.concatenate([where[d.leaf].ravel() for d in bounded] + [np.zeros(0, int)])
+        self.b = np.concatenate([np.broadcast_to(d.bound, d.shape).ravel() for d in bounded]
+                                + [np.zeros(0)])
 
 
 def _merit_value(box, theta, f, g, h, mu, rho, lam, shift) -> float:
@@ -110,9 +113,9 @@ def _merit_value(box, theta, f, g, h, mu, rho, lam, shift) -> float:
         if not np.isfinite(h).all():
             return np.inf
         total += float(lam @ h) + 0.5 * rho * float(h @ h)
-    if box.lo_idx.size or box.hi_idx.size:
-        dlo = theta[box.lo_idx] - box.lo
-        dhi = box.hi - theta[box.hi_idx]
+    if box.idx.size:
+        x = theta[box.idx]
+        dlo, dhi = x + box.b, box.b - x
         if (dlo <= 0).any() or (dhi <= 0).any():
             return np.inf
         total -= mu * (float(np.log(dlo).sum()) + float(np.log(dhi).sum()))
@@ -127,10 +130,9 @@ def _merit_gradient(compiled, box, theta, g, h, mu, rho, lam, shift, ev) -> np.n
     if h.size:
         seed[1 + g.size :] = lam + rho * h
     grad = compiled.gradient(seed, ev)
-    if box.lo_idx.size:
-        grad[box.lo_idx] -= mu / (theta[box.lo_idx] - box.lo)
-    if box.hi_idx.size:
-        grad[box.hi_idx] += mu / (box.hi - theta[box.hi_idx])
+    x = theta[box.idx]
+    grad[box.idx] -= mu / (x + box.b)
+    grad[box.idx] += mu / (box.b - x)
     return grad
 
 
@@ -167,29 +169,30 @@ class _LbfgsMemory:
 def _fraction_to_boundary(theta, d, box, margin=0.995) -> float:
     """Largest step keeping box-bounded coordinates strictly interior."""
     alpha = 1.0
-    d_lo, d_hi = d[box.lo_idx], d[box.hi_idx]
-    fl, fh = d_lo < 0, d_hi > 0
+    x, db = theta[box.idx], d[box.idx]
+    fl, fh = db < 0, db > 0
     if fl.any():
-        alpha = min(alpha, margin * float(((box.lo[fl] - theta[box.lo_idx][fl]) / d_lo[fl]).min()))
+        alpha = min(alpha, margin * float(((x[fl] + box.b[fl]) / -db[fl]).min()))
     if fh.any():
-        alpha = min(alpha, margin * float(((box.hi[fh] - theta[box.hi_idx][fh]) / d_hi[fh]).min()))
+        alpha = min(alpha, margin * float(((box.b[fh] - x[fh]) / db[fh]).min()))
     return max(alpha, 0.0)
 
 
 def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfig(),
-                   extra_leaves: dict | None = None) -> SolveResult:
-    """Run the outer barrier/multiplier rounds on an already-compiled problem.
+                   fixed_human: np.ndarray | None = None) -> SolveResult:
+    """Run the outer barrier/multiplier rounds on an already-compiled problem,
+    its frozen human replaced by ``fixed_human`` when that is given.
 
     Every point is replayed once: a round starts from the evaluation the
     last one ended on, and the best iterate keeps its own.
     """
     theta = np.zeros(compiled.n)
-    lam = np.zeros(compiled.num_eq)
+    lam = np.zeros(len(compiled.eq_names))
     mu = BARRIER_INIT
     rho = PENALTY_INIT
-    box = _Box(compiled.lower, compiled.upper)
+    box = _Box(compiled)
 
-    f, g, h, ev = compiled.evaluate(theta, extra_leaves)
+    f, g, h, ev = compiled.evaluate(theta, fixed_human)
     shift0 = 0.0
     if g.size:
         shift0 = max(0.0, float(g.max())) + 0.1
@@ -262,7 +265,7 @@ def solve_compiled(compiled: CompiledProblem, config: SolverConfig = SolverConfi
             accepted = False
             for trials in range(1, MAX_BACKTRACKS + 1):
                 trial = theta + alpha * d
-                f2, g2, h2, ev2 = compiled.evaluate(trial, extra_leaves)
+                f2, g2, h2, ev2 = compiled.evaluate(trial, fixed_human)
                 m2 = _merit_value(box, trial, f2, g2, h2, mu, rho, lam, shift)
                 if np.isfinite(m2) and m2 <= m_val + ARMIJO_C * alpha * slope:
                     accepted = True

@@ -493,6 +493,13 @@ def test_evaluate_empty_batch_exits_2(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_evaluate_without_problems_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["evaluate", "--out", str(out)]) == 2
+    assert "--problems" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_unmatched_pattern_exits_2_before_any_output(tmp_path, capsys):
     """One pattern that matches no file fails the batch, even when another
     pattern matches."""

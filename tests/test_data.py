@@ -190,7 +190,7 @@ def test_synth_speed_clamped():
     cfg = cd.SynthConfig(num_trajectories=5, duration_frames=50, max_speed=0.5)
     recs = cd.synth_generate(cfg, seed=1)
     for rec in recs:
-        speeds = np.linalg.norm(np.diff(rec.frames[:, :2], axis=0), axis=1) * cfg.fps
+        speeds = np.linalg.norm(np.diff(rec.frames[:, :2], axis=0), axis=1) * rec.fps
         assert np.all(speeds <= 0.5 + 1e-9)
 
 

@@ -16,7 +16,8 @@ from comotion import objectives as obj
 from comotion import scenarios
 from comotion.graph import _OP_NAMES, backward, record
 from comotion.kinematics import forward_kinematics
-from comotion.robot_model import ROBOT_CONTROL_DIM, robot_fk, robot_unroll
+from comotion.robot_model import (ROBOT_CONTROL_BOUNDS, ROBOT_CONTROL_DIM, ROBOT_STATE_DIM,
+                                  robot_fk, robot_unroll)
 from helpers import identity_state
 
 
@@ -75,8 +76,8 @@ def rng_theta(compiled, rng, scale=0.02):
 def test_control_objective_zero_and_constant(model, observed):
     """Equal control rows of either agent cost nothing."""
     compiled = obj.compile_problem(base_problem(observed), model=model)
-    constant = np.concatenate([np.full(shape, value).reshape(-1) for shape, value
-                               in zip(compiled.leaf_shapes.values(), (0.3, -0.1))])
+    constant = np.concatenate([np.full(d.shape, value).reshape(-1) for d, value
+                               in zip(compiled.decisions, (0.3, -0.1))])
     for theta in (np.zeros(compiled.n), constant):
         assert compiled.evaluate(theta)[0] == 0.0
 
@@ -409,6 +410,37 @@ _FROZEN_HUMAN = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_fr
                                                  reach_frames=4), seed=7)[0].frames[-4:]
 
 
+def test_a_frozen_human_replay_equals_a_fresh_compile():
+    """A robot-only tape recorded against one frozen human and replayed with
+    ``fixed_human`` set to another gives, byte for byte, the objective, rows,
+    gradient and trajectories of a tape compiled with the other frozen."""
+    other = _FROZEN_HUMAN.copy()
+    other[:, :2] += (0.3, -0.2)
+    problem = obj.ProblemSpec(
+        steps=len(other), fixed_human=_FROZEN_HUMAN,
+        robot_initial=np.array([0.9, -0.6, 2.0, 0.3, -0.2, 0.4, 0.1]),
+        constraints=[obj.ConstraintSpec(kind="joint_clearance", clearance=0.5),
+                     obj.ConstraintSpec(kind="handover")])
+    replayed = obj.compile_problem(problem)
+    fresh = obj.compile_problem(replace(problem, fixed_human=other))
+    theta = 0.05 * np.random.default_rng(12).normal(size=replayed.n)
+    seed = np.random.default_rng(13).normal(size=3)
+    runs = []
+    for compiled, override in ((replayed, other), (fresh, None)):
+        f, g, h, at = compiled.evaluate(theta, fixed_human=override)
+        arrays = (g, h, compiled.gradient(seed, at), *compiled.trajectories(at))
+        runs.append((f, [a.tobytes() for a in arrays]))
+    assert runs[0] == runs[1]
+    assert replayed.evaluate(theta)[1].tobytes() != runs[0][1][0]  # the override took
+
+
+def test_replacing_a_human_that_is_not_frozen_is_an_error():
+    robot_only = obj.ProblemSpec(steps=4, robot_initial=np.zeros(ROBOT_STATE_DIM))
+    compiled = obj.compile_problem(robot_only)
+    with pytest.raises(obj.ProblemError, match="no frozen human"):
+        compiled.evaluate(np.zeros(compiled.n), fixed_human=_FROZEN_HUMAN)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(psi=st.floats(-np.pi, np.pi), tx=st.floats(-3.0, 3.0), ty=st.floats(-3.0, 3.0))
 def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
@@ -535,23 +567,25 @@ def test_all_constraint_gradients_match_finite_differences(model, observed):
 
 
 def test_the_objective_is_the_stated_quadratic_plus_row_0(model, observed):
-    """``CompiledProblem.rates`` states the control-rate cost: Q built densely
-    from its blocks gives f = ½ θᵀQθ + row 0 and the gradient's objective
-    part seed[0] Qθ, with row 0 the base penalty on the tape."""
+    """``CompiledProblem.decisions`` states θ's layout, box and control-rate
+    cost: Q built densely from their blocks gives f = ½ θᵀQθ + row 0 and the
+    gradient's objective part seed[0] Qθ, with row 0 the base penalty on the
+    tape."""
     w = obj.ObjectiveWeights(weight_human=3.0, weight_robot=7.0, human_base_penalty=2.0)
     problem = base_problem(observed, steps=5, weights=w,
                            constraints=[obj.ConstraintSpec(kind="handover")])
     compiled = obj.compile_problem(problem, model=model)
-    assert compiled.leaf_shapes == {"u_h": (5, hm.MODIFIER_DIM), "u_r": (5, ROBOT_CONTROL_DIM)}
-    assert [(r.leaf, r.scale) for r in compiled.rates] == [("u_h", 3.0 / 0.05 ** 2),
-                                                           ("u_r", 7.0 / 0.05 ** 2)]
-    offsets = dict(zip(compiled.leaf_shapes, [0, 5 * hm.MODIFIER_DIM]))
+    assert compiled.decisions == (
+        obj.Decision("u_h", (5, hm.MODIFIER_DIM), 3.0 / 0.05 ** 2),
+        obj.Decision("u_r", (5, ROBOT_CONTROL_DIM), 7.0 / 0.05 ** 2, ROBOT_CONTROL_BOUNDS))
     Q = np.zeros((compiled.n, compiled.n))
-    for r in compiled.rates:
-        steps, width = compiled.leaf_shapes[r.leaf]
+    start = 0
+    for d in compiled.decisions:
+        steps, width = d.shape
         D = np.eye(steps - 1, steps, 1) - np.eye(steps - 1, steps)
-        span = slice(offsets[r.leaf], offsets[r.leaf] + steps * width)
-        Q[span, span] = 2.0 * r.scale * np.kron(D.T @ D, np.eye(width))
+        span = slice(start, start + steps * width)
+        Q[span, span] = 2.0 * d.scale * np.kron(D.T @ D, np.eye(width))
+        start = span.stop
     rng = np.random.default_rng(16)
     theta = rng_theta(compiled, rng)
     f, g, h, ev = compiled.evaluate(theta)
@@ -559,7 +593,7 @@ def test_the_objective_is_the_stated_quadratic_plus_row_0(model, observed):
     assert row0 > 0.0
     assert f == pytest.approx(0.5 * theta @ Q @ theta + row0, rel=1e-12)
     seed = rng.normal(size=1 + g.size + h.size)
-    tape_part = backward(compiled.tape, seed, at=ev, wrt=list(compiled.leaf_shapes))
+    tape_part = backward(compiled.tape, seed, at=ev, wrt=[d.leaf for d in compiled.decisions])
     expected = (np.concatenate([g.reshape(-1) for g in tape_part.values()])
                 + seed[0] * (Q @ theta))
     grad = compiled.gradient(seed, ev)

@@ -10,27 +10,27 @@ from comotion import scenarios
 from comotion import solver as sv
 from comotion.data import SynthConfig, synth_generate
 from comotion.graph import Tape
-from comotion.objectives import CompiledProblem
+from comotion.objectives import CompiledProblem, Decision
+from comotion.robot_model import ROBOT_CONTROL_BOUNDS, ROBOT_STATE_DIM
 
 
-def toy_problem(build, n, lower=None, upper=None):
+def toy_problem(build, n, bound=None):
     """Wrap a hand-built scalar graph into the compiled-problem interface.
 
-    ``build(tape, x)`` returns (objective ref, [ineq refs], [eq refs]); the
-    output is their rows in one ``concat``, as ``compile_problem`` records it.
+    ``build(tape, x)`` takes the (n, 1) decision leaf and returns (objective
+    ref, [ineq refs], [eq refs]); the output is their rows in one ``concat``,
+    as ``compile_problem`` records it.  The leaf has no control-rate cost
+    (scale 0) and the box |x_i| <= ``bound``, or none when that is None.
     """
     tape = Tape()
-    x = tape.leaf("x", np.zeros(n))
+    x = tape.leaf("x", np.zeros((n, 1)))
     f, gs, hs = build(tape, x)
     tape.set_output(tape.concat([f, *gs, *hs]))
     return CompiledProblem(
-        problem=None,
         tape=tape,
-        leaf_shapes={"x": (n,)},
+        decisions=(Decision("x", (n, 1), 0.0, None if bound is None else (bound,)),),
         ineq_names=[f"g{i}" for i in range(len(gs))],
         eq_names=[f"h{i}" for i in range(len(hs))],
-        lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float),
-        upper=np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float),
         human_traj=None,
         robot_traj=None,
     )
@@ -58,13 +58,13 @@ def test_equality_toy_matches_analytic_solution():
 
 
 def test_box_bound_quadratic_hits_kkt_point():
-    """min (u - 2)^2 with u <= 1: active bound at u* = 1."""
+    """min (u - 2)^2 with |u| <= 1: active bound at u* = 1."""
 
     def build(t, x):
-        d = t.sub(x, t.const(np.full(1, 2.0)))
+        d = t.sub(x, t.const(np.full((1, 1), 2.0)))
         return t.sum_squares(d), [], []
 
-    compiled = toy_problem(build, n=1, lower=[-5.0], upper=[1.0])
+    compiled = toy_problem(build, n=1, bound=1.0)
     result = sv.solve_compiled(compiled)
     assert result.theta[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -74,8 +74,8 @@ def test_inequality_toy_max_style():
     a = np.array([0.5, 1.0, 0.2])
 
     def build(t, x):
-        d = t.sub(x, t.const(a))
-        gs = [t.take(x, i) for i in range(3)]
+        d = t.sub(x, t.const(a[:, None]))
+        gs = [t.take(x, (i, 0)) for i in range(3)]
         return t.sum_squares(d), gs, []
 
     compiled = toy_problem(build, n=3)
@@ -87,7 +87,7 @@ def test_inequality_toy_max_style():
 def merit(compiled, theta, mu, rho, multipliers, shift=0.0):
     """The merit value the solver's line search compares, at ``theta``."""
     f, g, h, _ = compiled.evaluate(theta)
-    box = sv._Box(compiled.lower, compiled.upper)
+    box = sv._Box(compiled)
     return sv._merit_value(box, theta, f, g, h, mu, rho, multipliers, shift)
 
 
@@ -197,6 +197,24 @@ def test_capped_joint_solve_replays_each_point_once(monkeypatch):
     assert len(backwards) == result.iterations + 2
 
 
+def test_capped_solves_keep_every_control_inside_its_box():
+    """The box ``compile_problem`` states reaches the solver: a capped
+    ``ours`` solve on the seed-1 crossing and handover problems keeps every
+    robot control strictly inside ``ROBOT_CONTROL_BOUNDS``, and so does a
+    robot sent 2 m in 6 steps, whose forward control would need 2.2 times its
+    bound and ends at the bound's edge."""
+    model = hm.init_params(hm.ModelConfig(), 0)
+    capped = sv.SolverConfig(max_rounds=2, max_inner=8)
+    for make in (scenarios.make_crossing_problems, scenarios.make_handover_problems):
+        result = ev.run_method(make(1, 1)[0].problem, "ours", model, solver_config=capped)
+        assert np.all(np.abs(result.controls) < ROBOT_CONTROL_BOUNDS)
+    far = obj.ProblemSpec(steps=6, robot_initial=np.zeros(ROBOT_STATE_DIM), constraints=[
+        obj.ConstraintSpec(kind="goal", agent="robot", link="base", target=(2.0, 0.0, 0.0))])
+    controls = sv.solve_compiled(obj.compile_problem(far), capped).controls
+    assert np.all(np.abs(controls) < ROBOT_CONTROL_BOUNDS)
+    assert controls[:, 0].max() > 0.99 * ROBOT_CONTROL_BOUNDS[0]
+
+
 def test_monotone_merit_within_rounds():
     def build(t, x):
         h = t.sub(t.sum(x), t.const(1.0))
@@ -215,7 +233,7 @@ def test_iteration_log_lines_parse():
     import json
 
     def build(t, x):
-        return t.sum_squares(t.sub(x, t.const(np.ones(3)))), [], []
+        return t.sum_squares(t.sub(x, t.const(np.ones((3, 1))))), [], []
 
     result = sv.solve_compiled(toy_problem(build, n=3))
     assert result.log
@@ -238,7 +256,7 @@ def test_solver_determinism():
     def build(t, x):
         g = t.sub(t.sum_squares(x), t.const(1.0))
         h = t.sub(t.sum(x), t.const(0.5))
-        return t.sum_squares(t.sub(x, t.const(np.array([1.0, -2.0, 0.5])))), [g], [h]
+        return t.sum_squares(t.sub(x, t.const(np.array([[1.0], [-2.0], [0.5]])))), [g], [h]
 
     a = sv.solve_compiled(toy_problem(build, n=3))
     b = sv.solve_compiled(toy_problem(build, n=3))
