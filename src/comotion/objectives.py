@@ -471,8 +471,9 @@ def _array_to_doc(a: np.ndarray | None):
     return None if a is None else [[float(v) for v in row] for row in np.atleast_2d(a)]
 
 
-def save_problem(problem: ProblemSpec, path) -> None:
-    doc = {
+def problem_to_doc(problem: ProblemSpec) -> dict:
+    """The JSON document of a problem file."""
+    return {
         "format": "comotion-problem",
         "version": 1,
         "steps": problem.steps,
@@ -485,8 +486,11 @@ def save_problem(problem: ProblemSpec, path) -> None:
         "fixed_robot": _array_to_doc(problem.fixed_robot),
         "scene": None if problem.scene is None else scene_to_doc(problem.scene),
     }
+
+
+def save_problem(problem: ProblemSpec, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(problem_to_doc(problem), fh)
 
 
 def load_problem(path) -> ProblemSpec:

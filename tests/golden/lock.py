@@ -1,4 +1,5 @@
-"""The behaviour lock: 45 seeded planning runs and what they return.
+"""The behaviour lock: 45 seeded planning runs and what they return, and the
+seeded inputs that the data generators write.
 
 The runs: the untrained seed-0 default model; instance 0 of the seed-1
 crossing, handover and reach problems and the seed-1 pickup-handover
@@ -6,13 +7,23 @@ problem, without and with a human base penalty of 1.0; every method of ``evaluat
 5 samples; seed 0.  ``lock.json`` keeps, per run, the status, ``details``,
 success, reasons and objective, and a seeded subset of the entries of theta
 (the modifiers, then the controls) and of both trajectories.
-``test_golden.py`` compares a fresh run with it.
+
+The generators: ``data.synth_generate`` on the default record, on the
+scenario generators' walkers and on four edge configs (standing still, no
+reach, a reach longer than the record, 2 frames), and the four scenario
+generators.  ``lock.json`` keeps, per generator, its discrete fields, and
+a seeded subset of the entries and the ``column_sums`` of its arrays: a
+record's frames and goals, a problem's numbers in file order and its ground
+truth.
+
+``test_golden.py`` compares fresh runs and generators with it.
 
     python tests/golden/lock.py           # sha256 digests of the full outputs
     python tests/golden/lock.py --write   # regenerate lock.json
 
 with ``src`` on ``PYTHONPATH``.  The digests cover every bit of every
-output, so two trees that print the same digests plan alike bit for bit.
+output, so two trees that print the same digests plan and generate alike bit
+for bit: ``all`` over the runs, ``generators`` over the generators.
 """
 
 from __future__ import annotations
@@ -24,14 +35,25 @@ import os
 
 import numpy as np
 
+from comotion import data
 from comotion import evaluation as ev
 from comotion import human_model as hm
-from comotion import scenarios
+from comotion import objectives, scenarios
 from comotion.solver import SolverConfig
 
 LOCK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lock.json")
 ENTRIES = 12  # stored entries per array
-ARRAYS = ("theta", "human_traj", "robot_traj")
+
+# name: (config, seed).  "walkers" is the scenario generators' config.
+SYNTH = {
+    "default": (data.SynthConfig(num_trajectories=2), 0),
+    "walkers": (data.SynthConfig(num_trajectories=3, duration_frames=60,
+                                 max_turn_rate=0.25, reach_frames=12), 1),
+    "standing": (data.SynthConfig(num_trajectories=2, duration_frames=30, max_speed=0.0), 2),
+    "no-reach": (data.SynthConfig(num_trajectories=2, duration_frames=30, reach_frames=0), 3),
+    "long-reach": (data.SynthConfig(num_trajectories=2, duration_frames=12), 4),
+    "two-frames": (data.SynthConfig(num_trajectories=2, duration_frames=2), 0),
+}
 
 
 def problems():
@@ -47,8 +69,9 @@ def problems():
 
 
 def runs():
-    """Yields (name, discrete fields, objective, {array name: array or None})
-    for each of the 45 runs, problems in order, then methods."""
+    """Yields (name, discrete fields, {array name: array or None}) for each of
+    the 45 runs, problems in order, then methods; the objective is the array
+    "objective"."""
     model = hm.init_params(hm.ModelConfig(), 0)
     solver_config = SolverConfig(2, 8)
     sample_config = ev.SampleConfig(num_samples=5)
@@ -66,7 +89,46 @@ def runs():
             }
             discrete = {"status": rec.solver_status, "details": res.details,
                         "success": rec.success, "reasons": rec.reasons}
-            yield f"{pname}/{method}", discrete, res.objective, arrays
+            yield f"{pname}/{method}", discrete, {"objective": np.float64(res.objective), **arrays}
+
+
+def _numbers(doc) -> list[float]:
+    """The numbers of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, (list, tuple)):
+        return [x for v in doc for x in _numbers(v)]
+    return [float(doc)] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def generators():
+    """Yields (name, discrete fields, {array name: array}) for each locked
+    generator: the synthetic records, then the scenario problems."""
+    for name, (config, seed) in SYNTH.items():
+        records = data.synth_generate(config, seed)
+        discrete = {"subjects": [r.subject for r in records], "fps": [r.fps for r in records],
+                    "annotations": [{k: v for k, v in r.annotations.items() if k != "goal"}
+                                    for r in records]}
+        yield f"synth/{name}", discrete, {
+            "frames": np.stack([r.frames for r in records]),
+            "goals": np.array([r.annotations["goal"] for r in records]),
+        }
+    families = {
+        "crossing": scenarios.make_crossing_problems(2, 1),
+        "handover": scenarios.make_handover_problems(2, 1),
+        "reach": scenarios.make_reach_problems(2, 1),
+        "pickup_handover": [scenarios.make_pickup_handover_problem(1)],
+    }
+    for name, instances in families.items():
+        docs = [objectives.problem_to_doc(inst.problem) for inst in instances]
+        discrete = {"ids": [inst.problem_id for inst in instances],
+                    "kinds": [inst.kind for inst in instances],
+                    "constraints": [[[c["kind"], c["agent"], c["link"]] for c in doc["constraints"]]
+                                    for doc in docs]}
+        yield f"scenarios/{name}", discrete, {
+            "problems": np.array([x for doc in docs for x in _numbers(doc)]),
+            "ground_truth": np.stack([inst.ground_truth for inst in instances]),
+        }
 
 
 def _subset(array, rng):
@@ -78,31 +140,61 @@ def _subset(array, rng):
             "value": [float(flat[i]) for i in index]}
 
 
-def write_lock(path=LOCK) -> None:
-    rng = np.random.default_rng(0)
+def column_sums(array) -> np.ndarray:
+    """An array's sums over every axis but its last, or a 1-D array's sum:
+    a change of any one entry moves one of them."""
+    a = np.asarray(array, dtype=np.float64)
+    return a.reshape(-1, a.shape[-1]).sum(axis=0) if a.ndim > 1 else a.sum(keepdims=True)
+
+
+def _entries(items, rng, sums=False) -> dict:
+    """Per item its discrete fields, its scalars and a subset of each array,
+    with the array's ``column_sums`` as "sums" when ``sums`` is set."""
     doc = {}
-    for name, discrete, objective, arrays in runs():
-        doc[name] = {**discrete, "objective": float(objective),
-                     **{k: _subset(arrays[k], rng) for k in ARRAYS}}
-    with open(path, "w") as fh:  # one line per run
-        fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
-                 + "\n}\n")
+    for name, discrete, arrays in items:
+        floats = {}
+        for k, a in arrays.items():
+            if a is not None and a.ndim == 0:
+                floats[k] = float(a)
+                continue
+            floats[k] = _subset(a, rng)
+            if sums:
+                floats[k]["sums"] = [float(v) for v in column_sums(a)]
+        doc[name] = {**discrete, **floats}
+    return doc
+
+
+def write_lock(path=LOCK) -> None:
+    sections = {"runs": _entries(runs(), np.random.default_rng(0)),
+                "generators": _entries(generators(), np.random.default_rng(1), sums=True)}
+    with open(path, "w") as fh:  # one line per run or generator
+        fh.write("{\n" + ",\n".join(
+            f"{json.dumps(section)}: {{\n"
+            + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+            + "\n}" for section, doc in sections.items()) + "\n}\n")
+
+
+def _digests(items, total_name):
+    """Per item, the sha256 of its discrete fields and of its arrays (a
+    scalar's bytes, an array's shape and bytes, or "none"); then one digest
+    over all items."""
+    total = hashlib.sha256()
+    for name, discrete, arrays in items:
+        h = hashlib.sha256(json.dumps(discrete, sort_keys=True).encode())
+        for a in arrays.values():
+            if a is None:
+                h.update(b"none")
+            else:
+                h.update(b"" if a.ndim == 0 else str(a.shape).encode())
+                h.update(np.ascontiguousarray(a, np.float64).tobytes())
+        total.update(h.digest())
+        yield name, h.hexdigest()
+    yield total_name, total.hexdigest()
 
 
 def digests():
-    """Per run, the sha256 of its discrete fields, its objective's bytes and
-    the bytes of its full arrays; then one digest over all runs."""
-    total = hashlib.sha256()
-    for name, discrete, objective, arrays in runs():
-        h = hashlib.sha256(json.dumps(discrete, sort_keys=True).encode())
-        h.update(np.float64(objective).tobytes())
-        for k in ARRAYS:
-            a = arrays[k]
-            h.update(b"none" if a is None
-                     else str(a.shape).encode() + np.ascontiguousarray(a, np.float64).tobytes())
-        total.update(h.digest())
-        yield name, h.hexdigest()
-    yield "all", total.hexdigest()
+    yield from _digests(runs(), "all")
+    yield from _digests(generators(), "generators")
 
 
 def main() -> None:
