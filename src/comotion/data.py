@@ -7,8 +7,16 @@ line per frame holding 87 numbers: base position (3) then 21 quaternions
 on disk and converted to the 6-D representation at load time.  Both
 directions make one batched ``kinematics`` conversion per record (``(n, 21,
 k)`` arrays); the 6-D to quaternion direction runs the exact-norm
-Gram-Schmidt map, and ``synth_generate`` likewise converts a record's local
-rotation matrices in one ``matrix_to_rot6d`` call.
+Gram-Schmidt map.
+
+``synth_generate`` builds each record in one batched pass over its frames:
+its speed, swing and arm-blend schedules are array expressions, every joint
+rotation of the record comes from one ``axis_angle_matrix`` or
+``yaw_matrix`` call over an angle array, the right arm's blended frames
+share one stacked SVD, and one ``matrix_to_rot6d`` call converts the lot.
+Only the heading, gait phase and position recurrences are summed frame by
+frame.  Records are batched one at a time, never across records, so memory
+stays at one record's frames.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .kinematics import (
     rot6d_from_quat,
     yaw_matrix,
 )
+from .schema import is_number
 
 FRAME_NUMBERS = 3 + 4 * NUM_JOINTS  # 87 per line on disk
 FRAME_RATE = 20.0  # fps of synthetic data, and the default of a model and of a problem
@@ -222,57 +231,121 @@ NUM_SUBJECTS = 6  # trajectory i belongs to subject i mod NUM_SUBJECTS
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """What ``synth_generate`` draws.  A reach longer than the record starts
+    before its first frame; a speed of 0 stands still."""
+
     num_trajectories: int = 200
     duration_frames: int = 80
-    max_speed: float = 0.55  # m/s, hard clamp on base speed
+    max_speed: float = 0.55  # m/s, hard clamp on base speed: 0, or at least MIN_SPEED
     max_turn_rate: float = 0.4  # rad/s
     reach_frames: int = 20  # terminal arm-reach segment
 
+    def __post_init__(self):
+        for name, least in (("num_trajectories", 1), ("duration_frames", 2), ("reach_frames", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise DataError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not (is_number(self.max_speed) and (self.max_speed == 0 or self.max_speed >= MIN_SPEED)):
+            raise DataError(f"max_speed must be 0 or a finite number of at least {MIN_SPEED} m/s, "
+                            f"got {self.max_speed!r}")
+        if not (is_number(self.max_turn_rate) and self.max_turn_rate >= 0):
+            raise DataError(f"max_turn_rate must be a finite number of at least 0, "
+                            f"got {self.max_turn_rate!r}")
 
-def _smoothstep(x: float) -> float:
-    x = min(max(x, 0.0), 1.0)
+
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, 0.0, 1.0)
     return x * x * (3.0 - 2.0 * x)
 
 
-# the gait's fixed rotations: the left elbow bend, and the right arm's reach
-# pose and the elbow ends it blends between
+def _partial_sums(start: float, steps: np.ndarray) -> np.ndarray:
+    """``start``, then ``start + steps[0]``, then that plus ``steps[1]`` and so
+    on, ``len(steps)`` values in all: a recurrence, summed in order."""
+    out = [start]
+    for step in steps.tolist()[:-1]:
+        start += step
+        out.append(start)
+    return np.array(out)
+
+
+# the gait swings about the y axis; its fixed rotations are the left elbow
+# bend, the right elbow's gait bend and the right arm's reach pose (shoulder,
+# elbow), which the right arm blends into
+_Y_AXIS = (0.0, 1.0, 0.0)
 _L_ELBOW = axis_angle_matrix([0, 0, 1], 0.25)
-_SH_REACH = axis_angle_matrix([0, 0, 1], 1.05) @ axis_angle_matrix([0, 1, 0], -0.25)
 _EL_GAIT = axis_angle_matrix([0, 0, 1], -0.25)
-_EL_REACH = axis_angle_matrix([0, 0, 1], -0.05)
+_ARM_REACH = np.stack([
+    axis_angle_matrix([0, 0, 1], 1.05) @ axis_angle_matrix(_Y_AXIS, -0.25),
+    axis_angle_matrix([0, 0, 1], -0.05),
+])[:, None]
+# the joints that swing with the stride, in the order of _synth_frames' angles
+_SWING_JOINTS = [HUMAN_JOINT_NAMES.index(name)
+                 for name in ("lHip", "rHip", "lKnee", "rKnee", "lShoulder", "torso")]
+_R_ARM = [HUMAN_JOINT_NAMES.index(name) for name in ("rShoulder", "rElbow")]
+_L_ELBOW_INDEX = HUMAN_JOINT_NAMES.index("lElbow")
 
 
-def _gait_rotations(phase: float, swing: float, reach_blend: float) -> dict[str, np.ndarray]:
-    """Local joint rotation matrices for one frame of the gait cycle."""
-    s = np.sin(phase)
-    rots = {
-        "lHip": axis_angle_matrix([0, 1, 0], swing * 0.5 * s),
-        "rHip": axis_angle_matrix([0, 1, 0], -swing * 0.5 * s),
-        "lKnee": axis_angle_matrix([0, 1, 0], swing * 0.4 * (0.5 - 0.5 * np.cos(phase))),
-        "rKnee": axis_angle_matrix([0, 1, 0], swing * 0.4 * (0.5 + 0.5 * np.cos(phase))),
-        "lShoulder": axis_angle_matrix([0, 1, 0], -swing * 0.35 * s),
-        "torso": axis_angle_matrix([0, 1, 0], 0.04 + 0.05 * swing),
-        "lElbow": _L_ELBOW,
-    }
-    # the right arm blends from its gait swing into a forward reach
-    sh_gait = axis_angle_matrix([0, 1, 0], swing * 0.35 * s)
-    rots["rShoulder"] = _blend_rotation(sh_gait, _SH_REACH, reach_blend)
-    rots["rElbow"] = _blend_rotation(_EL_GAIT, _EL_REACH, reach_blend)
-    return rots
+def _blend_rotations(Ra: np.ndarray, Rb: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rotate each of Ra (k, m, 3, 3) toward its Rb (k, 1, 3, 3) by the
+    fractions w (m,) in (0, 1): the rotations nearest to the chordal blends,
+    by one stacked SVD.
+
+    Slerp via quaternions would pull in more machinery than the data needs;
+    normalizing a chordal blend is smooth and exact at both endpoints.
+    """
+    w = w[:, None, None]
+    u, _, vt = np.linalg.svd((1.0 - w) * Ra + w * Rb)
+    flip = np.broadcast_to(np.eye(3), u.shape).copy()
+    flip[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    return u @ flip @ vt
 
 
-def _blend_rotation(Ra: np.ndarray, Rb: np.ndarray, w: float) -> np.ndarray:
-    """Geodesic-ish blend: rotate Ra toward Rb by fraction w (matrix log free)."""
-    if w <= 0.0:
-        return Ra
-    if w >= 1.0:
-        return Rb
-    # slerp via quaternions would pull in more machinery than the data needs;
-    # normalizing a chordal blend is smooth and exact at both endpoints
-    M = (1.0 - w) * Ra + w * Rb
-    u, _, vt = np.linalg.svd(M)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+def _synth_frames(config: SynthConfig, cruise: float, turn: float, heading: float,
+                  pos: tuple[float, float], phase: float) -> np.ndarray:
+    """The (n, 129) frames of one record, from its drawn cruise speed, turn
+    rate, initial heading, position and gait phase, in one pass over its
+    frames.
+
+    The speed ramps up over the first 10 frames and slows by 70% during the
+    reach, while the right arm blends from its gait swing into a forward
+    reach; the joints swing with the stride, in amplitude with the speed.
+    Heading, gait phase (0.6 m per stride) and position are recurrences,
+    each summed frame by frame.
+    """
+    n = config.duration_frames
+    dt = 1.0 / FRAME_RATE
+    i = np.arange(n)
+    reach = _smoothstep((i - (n - config.reach_frames)) / max(config.reach_frames, 1))
+    speed = np.minimum(cruise * _smoothstep(i / 10.0) * (1.0 - 0.7 * reach), config.max_speed)
+    swing = np.minimum(speed / 0.6, 1.0)
+    headings = _partial_sums(heading, np.full(n, turn * dt))
+    phases = _partial_sums(phase, 2.0 * np.pi * speed * dt / 0.6)
+    step = speed * dt
+
+    frames = np.empty((n, STATE_DIM))
+    frames[:, 0] = _partial_sums(pos[0], step * np.cos(headings))
+    frames[:, 1] = _partial_sums(pos[1], step * np.sin(headings))
+    frames[:, 2] = BASE_HEIGHT + 0.015 * swing * np.cos(2.0 * phases)
+
+    s, c = np.sin(phases), np.cos(phases)
+    swings = axis_angle_matrix(_Y_AXIS, [
+        swing * 0.5 * s, -swing * 0.5 * s,  # hips
+        swing * 0.4 * (0.5 - 0.5 * c), swing * 0.4 * (0.5 + 0.5 * c),  # knees
+        -swing * 0.35 * s, 0.04 + 0.05 * swing,  # left shoulder, torso
+        swing * 0.35 * s,  # the right shoulder's gait swing
+    ])
+    local = np.tile(np.eye(3), (n, NUM_JOINTS, 1, 1))  # base, then joint rotations
+    local[:, 0] = yaw_matrix(headings)
+    local[:, _SWING_JOINTS] = swings[:-1].swapaxes(0, 1)
+    local[:, _L_ELBOW_INDEX] = _L_ELBOW
+    # the right arm's gait pose, blended into the reach pose as the reach goes
+    arm = np.stack([swings[-1], np.broadcast_to(_EL_GAIT, (n, 3, 3))])
+    blending = (reach > 0.0) & (reach < 1.0)
+    arm[:, blending] = _blend_rotations(arm[:, blending], _ARM_REACH, reach[blending])
+    arm[:, reach >= 1.0] = _ARM_REACH
+    local[:, _R_ARM] = arm.swapaxes(0, 1)
+    frames[:, 3:] = matrix_to_rot6d(local).reshape(n, -1)
+    return frames
 
 
 def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
@@ -281,40 +354,21 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TrajectoryRecord]:
     Each trajectory walks a smooth arc at a per-trajectory cruise speed with
     stride-locked joint oscillation, then blends the right arm into a reach
     during the final segment.  The annotated goal is the exact final wrist
-    position.
+    position.  A record is one batched pass over its frames
+    (``_synth_frames``); records are drawn one after another from one seeded
+    generator, so the first k records do not depend on how many follow.
     """
     rng = np.random.default_rng(seed)
     records = []
-    dt = 1.0 / FRAME_RATE
     for ti in range(config.num_trajectories):
         n = config.duration_frames
         cruise = 0.0 if config.max_speed <= 0 else rng.uniform(MIN_SPEED, config.max_speed)
         cruise = min(cruise, config.max_speed)
         turn = rng.uniform(-config.max_turn_rate, config.max_turn_rate)
         heading = rng.uniform(0, 2 * np.pi)
-        pos = np.array(
-            [rng.uniform(-WORKSPACE, WORKSPACE), rng.uniform(-WORKSPACE, WORKSPACE)]
-        )
-        reach_start = n - config.reach_frames
-        frames = np.empty((n, STATE_DIM))
-        local = np.tile(np.eye(3), (n, NUM_JOINTS, 1, 1))  # base, then joint rotations
+        pos = (rng.uniform(-WORKSPACE, WORKSPACE), rng.uniform(-WORKSPACE, WORKSPACE))
         phase = rng.uniform(0, 2 * np.pi)
-        for i in range(n):
-            ramp = _smoothstep(i / 10.0)
-            slow = 1.0 - 0.7 * _smoothstep((i - reach_start) / max(config.reach_frames, 1))
-            speed = min(cruise * ramp * slow, config.max_speed)
-            swing = min(speed / 0.6, 1.0)
-            blend = _smoothstep((i - reach_start) / max(config.reach_frames, 1))
-            z = BASE_HEIGHT + 0.015 * swing * np.cos(2.0 * phase)
-            frames[i, 0:2] = pos
-            frames[i, 2] = z
-            local[i, 0] = yaw_matrix(heading)
-            for name, R in _gait_rotations(phase, swing, blend).items():
-                local[i, HUMAN_JOINT_NAMES.index(name)] = R
-            pos = pos + speed * dt * np.array([np.cos(heading), np.sin(heading)])
-            heading += turn * dt
-            phase += 2.0 * np.pi * speed * dt / 0.6  # 0.6 m stride length
-        frames[:, 3:] = matrix_to_rot6d(local).reshape(n, -1)
+        frames = _synth_frames(config, cruise, turn, heading, pos, phase)
         goal, _ = forward_kinematics(frames[-1], "rWrist")
         records.append(
             TrajectoryRecord(

@@ -85,17 +85,29 @@ def matrix_to_rot6d(R) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
-def axis_angle_matrix(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
+def axis_angle_matrix(axis, angle) -> np.ndarray:
+    """Rodrigues rotations (..., 3, 3) about one axis by angles (...): a
+    (3, 3) matrix for one angle.  Each matrix equals the one-angle call bit
+    for bit."""
     a = np.asarray(axis, dtype=np.float64)
     a = a / np.linalg.norm(a)
     K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def yaw_matrix(yaw: float) -> np.ndarray:
+def yaw_matrix(yaw) -> np.ndarray:
+    """Rotations (..., 3, 3) about the z axis by angles (...): a (3, 3)
+    matrix for one angle.  Each matrix equals the one-angle call bit for
+    bit."""
+    yaw = np.asarray(yaw, dtype=np.float64)
     c, s = np.cos(yaw), np.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    R = np.zeros(yaw.shape + (3, 3))
+    R[..., 0, 0] = R[..., 1, 1] = c
+    R[..., 0, 1] = -s
+    R[..., 1, 0] = s
+    R[..., 2, 2] = 1.0
+    return R
 
 
 # ---------------------------------------------------------------------------

@@ -44,27 +44,31 @@ _MIN_WALK_SPEED = 0.2  # m/s, mean base speed over the span
 
 
 def _walking_records(count: int, seed: int, frames_needed: int) -> list[np.ndarray]:
-    """Frames of the first `count` of `3 * count` synthetic records that keep
-    walking, in generation order.
+    """Frames of the first `count` synthetic records that keep walking, in
+    generation order, from a pool of `3 * count`.
 
     A record keeps walking when its base chord (first to last frame) covers
     `_MIN_WALK_SPEED * (frames_needed - 1) / FRAME_RATE` metres.  The threshold
     scales with the span because the walkers ramp up over the first 10 frames
     and slow during the 12-frame reach: no 30-frame walker covers 0.6 m, while
-    every 60-frame one does.
-    Raises ValueError when fewer than `count` records qualify.
+    every 60-frame one does.  So `count` records are drawn first, and the
+    whole pool only when fewer than `count` of them walk; the first records
+    of a seeded `synth_generate` do not depend on how many follow, so either
+    way the result is the pool's first `count` walkers.
+    Raises ValueError when fewer than `count` records of the pool qualify.
     """
-    cfg = SynthConfig(num_trajectories=count * 3, duration_frames=frames_needed,
-                      max_turn_rate=0.25, reach_frames=12)
     min_travel = _MIN_WALK_SPEED * (frames_needed - 1) / FRAME_RATE
-    walking = [rec.frames for rec in synth_generate(cfg, seed)
-               if np.linalg.norm(rec.frames[-1, :2] - rec.frames[0, :2]) >= min_travel]
-    if len(walking) < count:
-        raise ValueError(
-            f"asked for {count} walking records but only {len(walking)} of "
-            f"{cfg.num_trajectories} cover {min_travel:.3f} m over a "
-            f"{frames_needed}-frame span (seed {seed})")
-    return walking[:count]
+    for drawn in (count, 3 * count):
+        cfg = SynthConfig(num_trajectories=drawn, duration_frames=frames_needed,
+                          max_turn_rate=0.25, reach_frames=12)
+        walking = [rec.frames for rec in synth_generate(cfg, seed)
+                   if np.linalg.norm(rec.frames[-1, :2] - rec.frames[0, :2]) >= min_travel]
+        if len(walking) >= count:
+            return walking[:count]
+    raise ValueError(
+        f"asked for {count} walking records but only {len(walking)} of "
+        f"{drawn} cover {min_travel:.3f} m over a "
+        f"{frames_needed}-frame span (seed {seed})")
 
 
 def make_reach_problems(count: int, seed: int, observed_frames: int = 20,

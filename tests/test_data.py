@@ -12,6 +12,7 @@ from comotion import data as cd
 from comotion import human_model as hm
 from comotion.human_model import ModelConfig
 from comotion.kinematics import (
+    HUMAN_JOINT_NAMES,
     NUM_JOINTS,
     STATE_DIM,
     forward_kinematics,
@@ -177,6 +178,30 @@ def test_augment_deterministic_per_seed():
     plain = hm.train(records, config, 9, epochs=1, batch_size=4, augment=False).params
     assert all(np.array_equal(a.arrays[n], b.arrays[n]) for n in a.arrays)
     assert not all(np.array_equal(a.arrays[n], plain.arrays[n]) for n in a.arrays)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_trajectories", 0), ("num_trajectories", 2.5), ("num_trajectories", True),
+    ("duration_frames", 1), ("reach_frames", -5), ("reach_frames", 3.0),
+    ("max_speed", -1.0), ("max_speed", 0.1), ("max_speed", float("nan")),
+    ("max_speed", float("inf")), ("max_speed", "fast"),
+    ("max_turn_rate", -0.4), ("max_turn_rate", float("nan")),
+])
+def test_synth_config_names_a_bad_field(field, value):
+    with pytest.raises(cd.DataError, match=f"^{field} must be"):
+        cd.SynthConfig(**{field: value})
+
+
+def test_synth_reach_longer_than_the_record_starts_before_it():
+    """A reach may outlast the record: the arm is already mid-blend at frame
+    0, where a record without a reach still swings it."""
+    rec, = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=12), seed=0)
+    walk, = cd.synth_generate(cd.SynthConfig(num_trajectories=1, duration_frames=12,
+                                             reach_frames=0), seed=0)
+    shoulder = slice(3 + 6 * HUMAN_JOINT_NAMES.index("rShoulder"),
+                     9 + 6 * HUMAN_JOINT_NAMES.index("rShoulder"))
+    assert rec.frames.shape == (12, 129)
+    assert not np.allclose(rec.frames[0, shoulder], walk.frames[0, shoulder])
 
 
 def test_synth_standing_when_speed_zero():

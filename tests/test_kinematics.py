@@ -146,6 +146,24 @@ def test_batched_conversions_keep_their_input_checks():
     assert quat_from_matrix(np.zeros((0, 3, 3))).shape == (0, 4)
 
 
+_axes = st.one_of(
+    st.just((0.0, 1.0, 0.0)),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 1e-3),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(axis=_axes, angles=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40))
+def test_batched_rotations_equal_the_one_angle_calls(axis, angles):
+    """axis_angle_matrix and yaw_matrix over an angle array (k,) or (1, k)
+    equal their k one-angle calls bit for bit."""
+    angles = np.array(angles)
+    for rotation, args in ((axis_angle_matrix, (axis,)), (yaw_matrix, ())):
+        one_by_one = np.stack([rotation(*args, float(a)) for a in angles])
+        assert np.array_equal(rotation(*args, angles), one_by_one)
+        assert np.array_equal(rotation(*args, angles[None]), one_by_one[None])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(drawn=quaternion_lists, noise=st.floats(0.0, 0.3))
 def test_batched_conversions_match_row_by_row(drawn, noise):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from comotion import scenarios as sc
-from comotion.data import synth_generate
+from comotion.data import SynthConfig, synth_generate
 from comotion.environment import scene_sdf
 from comotion.kinematics import forward_kinematics
 
@@ -94,7 +94,8 @@ def test_pickup_handover_problem():
 
 
 def test_walker_shortfall_raises(monkeypatch):
-    """Too few walkers that move must raise, never return a shorter list."""
+    """Too few walkers that move must raise, never return a shorter list,
+    and the message names the pool."""
     def standing(config, seed):
         recs = synth_generate(config, seed)
         for rec in recs:
@@ -102,7 +103,36 @@ def test_walker_shortfall_raises(monkeypatch):
         return recs
 
     monkeypatch.setattr(sc, "synth_generate", standing)
-    with pytest.raises(ValueError, match="asked for 2 walking records but only 0"):
+    with pytest.raises(ValueError, match="asked for 2 walking records but only 0 of 6 cover"):
         sc.make_reach_problems(2, seed=0)
     with pytest.raises(ValueError, match="seed 8"):
         sc.make_pickup_handover_problem(seed=5)
+
+
+def test_walkers_draw_the_pool_only_on_a_shortfall(monkeypatch):
+    """`count` records first; the `3 * count` pool only when one of them
+    stands, and then its first `count` walkers, in order."""
+    drawn = []
+
+    def counted(config, seed):
+        drawn.append(config.num_trajectories)
+        return synth_generate(config, seed)
+
+    monkeypatch.setattr(sc, "synth_generate", counted)
+    walkers = sc._walking_records(2, 0, 60)
+    assert drawn == [2]
+
+    def second_stands(config, seed):
+        recs = counted(config, seed)
+        recs[1].frames[:, :2] = recs[1].frames[0, :2]
+        return recs
+
+    drawn.clear()
+    monkeypatch.setattr(sc, "synth_generate", second_stands)
+    refilled = sc._walking_records(2, 0, 60)
+    pool = synth_generate(SynthConfig(num_trajectories=6, duration_frames=60,
+                                      max_turn_rate=0.25, reach_frames=12), 0)
+    assert drawn == [2, 6]
+    assert np.array_equal(refilled[0], walkers[0])
+    assert np.array_equal(refilled[1], pool[2].frames)
+
