@@ -7,10 +7,10 @@ temp-file-plus-rename so partial outputs never clobber good ones.
 
 ``plan`` and ``evaluate`` solve through the same ``evaluation.evaluate_problem``
 call: ``plan``'s ``result.json`` is the row ``evaluate`` writes to
-``records.jsonl``, plus ``kind``, ``partial`` and ``controls``.  Both plan for
-the one human skeleton of ``kinematics`` and the one robot arm of
-``robot_model``, and score each problem as the experiment kind its
-constraints describe (``evaluation.default_kind``).
+``records.jsonl``, plus ``partial`` and ``controls``.  Both plan for the one
+human skeleton of ``kinematics`` and the one robot arm of ``robot_model``,
+and score each plan by its problem's constraints, each by its own success
+clause (``evaluation.check_success``).
 
 ``train`` scores its best weights on the ``--held-out`` subject's windows,
 as each epoch's test loss scores the test split, in ``held_out.json``.
@@ -334,7 +334,6 @@ def cmd_plan(args) -> int:
                                  seed=args.seed)
     result = record.result
     doc = record.row()
-    doc["kind"] = ev.default_kind(problem)
     doc["partial"] = result.solver_status == "numeric-failure"
     if result.controls is not None:
         doc["controls"] = [[float(v) for v in row] for row in result.controls]

@@ -15,6 +15,9 @@ Methods compared throughout the experiments:
 
 ``needs_model`` is the one rule for which methods need the learned predictor;
 ``run_method`` raises an ``EvaluationError`` naming a method run without it.
+
+``check_success`` scores a result by each constraint's own clause, stated
+beside its row in ``objectives.CONSTRAINT_KINDS``, then by its objective.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import numpy as np
 
 from . import human_model as hm
 from .data import FRAME_RATE
-from .environment import scene_sdf
-from .graph import handover_residual
+from .environment import scene_sdf  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .kinematics import (
     ARM_JOINT_NAMES,
     NUM_JOINTS,
@@ -36,8 +38,9 @@ from .kinematics import (
     quat_from_rot6d,
     relative_angle,
 )
-from .objectives import PALMS, ConstraintSpec, ProblemSpec, compile_problem
-from .robot_model import robot_fk
+from .objectives import (CONSTRAINT_KINDS, ConstraintSpec, ProblemSpec, compile_problem,
+                         handover_loss)
+from .robot_model import robot_fk  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .solver import IterationRecord, SolveResult, SolverConfig, solve_compiled
 
 METHODS = (
@@ -129,25 +132,6 @@ def sample_predictions(model, observed, horizon, config: SampleConfig, seed: int
     return np.moveaxis(states, 2, 0)
 
 
-def _palms(agent: str, states) -> np.ndarray:
-    """The agent's ``PALMS`` points, (3,) for one state or (N, 3) for a batch."""
-    link, offset = PALMS[agent]
-    pos, R = (forward_kinematics if agent == "human" else robot_fk)(states, link)
-    return pos + R @ np.asarray(offset)
-
-
-def handover_loss(human_states, robot_state):
-    """Hard handover residual: the handover row's kernel
-    (:func:`graph.handover_residual`) on the agents' palms.
-
-    A float for one human state, an (N,) array for a batch of them.
-    """
-    human_states = np.asarray(human_states, dtype=np.float64)
-    loss = handover_residual(_palms("human", human_states), _palms("robot", robot_state),
-                             human_states, robot_state)
-    return float(loss) if human_states.ndim == 1 else loss
-
-
 def rank_predictions(samples, config: SampleConfig, problem: ProblemSpec):
     """Order sample indices by the configured heuristic, best first."""
     ranking = config.ranking if config.ranking is not None else default_ranking(problem)
@@ -203,21 +187,17 @@ def _solved(method: str, res: SolveResult, **details) -> MethodResult:
 
 
 _OTHER = {"human": "robot", "robot": "human"}
-_JOINT_KINDS = ("joint_clearance", "joint_goal", "handover")
 
 
 def _single_agent_problem(problem: ProblemSpec, agent: str,
                           other_traj: np.ndarray | None) -> ProblemSpec:
     """``problem`` with only ``agent`` planned and the other agent frozen on
-    ``other_traj``, or absent when there is none.  The other agent's goal and
-    collision constraints go, and so do the joint constraints when there is no
+    ``other_traj``, or absent when there is none.  The constraints that read
+    only the other agent go, and so do those that read both when there is no
     ``other_traj`` to freeze."""
     other = _OTHER[agent]
-    constraints = [
-        c for c in problem.constraints
-        if not (c.kind in ("goal", "collision") and c.agent == other)
-        and not (other_traj is None and c.kind in _JOINT_KINDS)
-    ]
+    constraints = [c for c in problem.constraints
+                   if other not in c.agents or (agent in c.agents and other_traj is not None)]
     if agent == "human":
         return replace(problem, constraints=constraints, robot_initial=None,
                        fixed_robot=other_traj)
@@ -249,10 +229,10 @@ def run_method(
     *,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
-    kind: str | None = None,
     seed: int = 0,
 ) -> MethodResult:
-    """Run one planning method on one problem; ``kind`` defaults to ``default_kind``."""
+    """Run one planning method on one problem.  ``sample`` stops at the first
+    sample whose plan passes ``check_success``."""
     if method not in METHODS:
         raise EvaluationError(f"unknown method {method!r}")
     if model is None and needs_model(problem, method):
@@ -288,7 +268,6 @@ def run_method(
         if not problem.plans_robot:
             return MethodResult(method, samples[order[0]], problem.fixed_robot, None, None, 0.0,
                                 None, details={"attempts": 0, "picked": int(order[0])})
-        kind = kind or default_kind(problem)
         # one robot-only tape, replayed against each sample as its frozen human
         compiled = compile_problem(_single_agent_problem(problem, "robot", samples[order[0]]))
         top_ranked = None
@@ -296,7 +275,7 @@ def run_method(
             res = solve_compiled(compiled, solver_config, fixed_human=samples[idx])
             candidate = _solved(method, res, attempts=attempt, picked=int(idx),
                                 succeeded=True)
-            ok, _ = check_success(problem, candidate, kind)
+            ok, _ = check_success(problem, candidate)
             if ok:
                 return candidate
             if top_ranked is None:
@@ -445,131 +424,32 @@ def compute_metrics(
 # ---------------------------------------------------------------------------
 
 
-# Success thresholds
-HAND_GOAL_MAX = 0.1  # m, also the pickup distance
-ROBOT_BASE_GOAL_MAX = 0.2  # m
-OBJECTIVE_MAX = 0.1
-HANDOVER_LOSS_MAX = 0.1
-CLEARANCE_SLACK = 0.01  # m, tolerance on the dense check
-RESAMPLE_FACTOR = 10  # dense-check points per step
-KINDS = ("goal", "collision", "handover", "pickup_handover")  # what check_success scores
+OBJECTIVE_MAX = 0.1  # the objective clause
 
 
-def default_kind(problem: ProblemSpec) -> str:
-    """The experiment kind a problem's constraints describe."""
-    kinds = {c.kind for c in problem.constraints}
-    if "joint_goal" in kinds and "handover" in kinds:
-        return "pickup_handover"
-    if "handover" in kinds:
-        return "handover"
-    if "joint_clearance" in kinds or "collision" in kinds:
-        return "collision"
-    return "goal"
+def check_success(problem: ProblemSpec, result: MethodResult) -> tuple[bool, list[str]]:
+    """Every constraint's success clause in problem order, then the objective
+    clause; the reasons name the clauses that fail.
 
-
-def _resample(xy: np.ndarray, factor: int) -> np.ndarray:
-    if len(xy) < 2 or factor <= 1:
-        return xy
-    out = [xy[:1]]
-    for a, b in zip(xy[:-1], xy[1:]):
-        ts = np.linspace(0.0, 1.0, factor + 1)[1:]
-        out.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-    return np.vstack(out)
-
-
-def min_scene_distance(scene, xy: np.ndarray, factor: int) -> float:
-    dense = _resample(xy, factor)
-    return float(np.min(scene_sdf(scene, dense)))
-
-
-def min_clearance(human_xy: np.ndarray, robot_xy: np.ndarray, factor: int) -> float:
-    dh = _resample(human_xy, factor)
-    dr = _resample(robot_xy, factor)
-    return float(np.min(np.linalg.norm(dh - dr, axis=1)))
-
-
-def joint_goal_diagnostic(problem: ProblemSpec, human_traj, robot_traj):
-    """Hard minimum of the pickup distances: which agent, when, how close."""
-    spec = _find(problem, "joint_goal")
-    if spec is None:
-        raise EvaluationError("problem has no joint goal constraint")
-    target = np.asarray(spec.target)
-    best = None
-    for agent, traj in (("human", human_traj), ("robot", robot_traj)):
-        d = np.sum((_palms(agent, traj) - target) ** 2, axis=1)
-        t = int(np.argmin(d))
-        if best is None or d[t] < best[2]:
-            best = (agent, t, float(d[t]))
-    return best
-
-
-def check_success(problem: ProblemSpec, result: MethodResult,
-                  kind: str) -> tuple[bool, list[str]]:
-    """Threshold conjunction for one experiment kind; reasons name failures.
-
-    * ``goal``: the human hand ends within 0.1 m of its goal.
-    * ``collision``: that, the robot base ends within 0.2 m of its goal,
-      neither base path enters an obstacle, the bases keep the distance of
-      the problem's joint clearance constraint apart (less a 0.01 m slack),
-      where it has one, and the objective is at most 0.1.
-    * ``handover``: no scene collision, a final handover loss and an
-      objective of at most 0.1 each.
-    * ``pickup_handover``: that, and one palm passes within 0.1 m of the
-      pickup target.
-
-    Collision and clearance clauses evaluate the hard constraint values on a
-    base path resampled 10 times per step.  Any other kind raises.
+    A constraint's clause is its kind's in ``objectives.CONSTRAINT_KINDS``:
+    it fails when the row's hard value on the result's trajectories exceeds
+    the kind's tolerance, and it is skipped when the result lacks an agent
+    the row reads.  The objective clause, an objective of at most 0.1,
+    applies when some constraint's kind sets ``objective``, as every kind
+    but ``goal`` does: a problem of goals alone succeeds by reaching them.
     """
-    if kind not in KINDS:
-        raise EvaluationError(f"unknown experiment kind {kind!r}")
+    trajs = {"human": result.human_traj, "robot": result.robot_traj}
     reasons = []
-    human, rob = result.human_traj, result.robot_traj
-
-    def scene_clear(xy, who):
-        if problem.scene is None:
-            return
-        d = min_scene_distance(problem.scene, xy, RESAMPLE_FACTOR)
-        if d < 0.0:
-            reasons.append(f"{who}-scene-collision")
-
-    if kind in ("goal", "collision"):
-        goal = _find(problem, "goal", "human")
-        if goal is not None and human is not None:
-            pos, _ = forward_kinematics(human[-1], goal.link)
-            if np.linalg.norm(pos - np.asarray(goal.target)) > HAND_GOAL_MAX:
-                reasons.append("hand-goal")
-    if kind == "collision":
-        rgoal = _find(problem, "goal", "robot")
-        if rgoal is not None and rob is not None:
-            d = np.linalg.norm(rob[-1][:2] - np.asarray(rgoal.target)[:2])
-            if d > ROBOT_BASE_GOAL_MAX:
-                reasons.append("robot-base-goal")
-        if human is not None:
-            scene_clear(human[:, :2], "human")
-        if rob is not None:
-            scene_clear(rob[:, :2], "robot")
-        spec = _find(problem, "joint_clearance")
-        if spec is not None and human is not None and rob is not None:
-            c = min_clearance(human[:, :2], rob[:, :2], RESAMPLE_FACTOR)
-            if c < spec.clearance - CLEARANCE_SLACK:
-                reasons.append("agent-clearance")
-        if result.objective > OBJECTIVE_MAX:
-            reasons.append("objective")
-    if kind in ("handover", "pickup_handover"):
-        if human is not None:
-            scene_clear(human[:, :2], "human")
-        if rob is not None:
-            scene_clear(rob[:, :2], "robot")
-        if _find(problem, "handover") is not None and human is not None and rob is not None:
-            loss = handover_loss(human[-1], rob[-1])
-            if loss > HANDOVER_LOSS_MAX:
-                reasons.append("handover-loss")
-        if result.objective > OBJECTIVE_MAX:
-            reasons.append("objective")
-    if kind == "pickup_handover":
-        diag = joint_goal_diagnostic(problem, human, rob)
-        if diag[2] > HAND_GOAL_MAX ** 2:
-            reasons.append("pickup-goal")
+    for spec in problem.constraints:
+        if any(trajs[agent] is None for agent in spec.agents):
+            continue
+        kind = CONSTRAINT_KINDS[spec.kind]
+        reason, tolerance = kind.clause(spec)
+        if kind.hard(spec, trajs, problem.scene) > tolerance:
+            reasons.append(reason)
+    if (any(CONSTRAINT_KINDS[c.kind].objective for c in problem.constraints)
+            and result.objective > OBJECTIVE_MAX):
+        reasons.append("objective")
     return (not reasons, reasons)
 
 
@@ -610,19 +490,18 @@ def evaluate_problem(
     model,
     *,
     problem_id: str = "p0",
-    kind: str | None = None,
+    kind: str | None = None,  # unused; perfbench/workloads.py still passes it
     ground_truth: np.ndarray | None = None,
     solver_config: SolverConfig = SolverConfig(),
     sample_config: SampleConfig = SampleConfig(),
     seed: int = 0,
 ) -> ExperimentRecord:
-    """Run ``method`` and score it as an experiment of ``kind`` (``default_kind``)."""
-    kind = kind or default_kind(problem)
+    """Run ``method`` and score it with ``check_success``."""
     t0 = time.perf_counter()
     result = run_method(problem, method, model, solver_config=solver_config,
-                        sample_config=sample_config, kind=kind, seed=seed)
+                        sample_config=sample_config, seed=seed)
     wall = time.perf_counter() - t0
-    ok, reasons = check_success(problem, result, kind)
+    ok, reasons = check_success(problem, result)
     metrics = compute_metrics(
         result.human_traj,
         result.robot_traj,

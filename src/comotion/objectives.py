@@ -26,7 +26,7 @@ Conventions:
   * Inequality constraints are feasible at values <= 0.
   * Equality constraints are residuals driven to 0: squared distances, and
     for a handover the palms' squared distance plus a facing term, one
-    ``handover`` node whose kernel ``evaluation.handover_loss`` runs too.
+    ``handover`` node whose kernel :func:`handover_loss` runs too.
   * Obstacle clearance uses ``-SDF(base)``; inter-agent clearance uses
     ``d^2 - |planar base offset|^2`` (the ground-plane distance, since the
     human base sits at pelvis height while the robot base is on the floor).
@@ -35,12 +35,18 @@ Conventions:
     the row's own unit: metres for the collision row, m^2 for clearance.
   * Each agent's palm is a fixed point on its hand link, stated once in
     ``PALMS``.
+
+``CONSTRAINT_KINDS`` states each constraint kind once: its row builder,
+whether the row is an inequality, which agents it reads, and its success
+clause, a numpy hard value of the row on the final trajectories with its
+tolerance and the reason it names when it fails (``evaluation.check_success``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -50,16 +56,17 @@ from .environment import (
     Scene,
     build_sdf,
     scene_from_doc,
+    scene_sdf,
     scene_to_doc,
     sdf_query_graph,
 )
-from .graph import (Evaluation, Ref, Tape, backward, squared_differences,
+from .graph import (Evaluation, Ref, Tape, backward, handover_residual, squared_differences,
                     squared_differences_adjoint)
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
-from .kinematics import STATE_DIM
+from .kinematics import STATE_DIM, forward_kinematics
 from .kinematics import kinematic_chain as human_chain
 from .robot_model import (HAND_LINK, ROBOT_CONTROL_BOUNDS, ROBOT_CONTROL_DIM, ROBOT_STATE_DIM,
-                          robot_unroll_graph)
+                          robot_fk, robot_unroll_graph)
 from .robot_model import kinematic_chain as robot_chain
 from .schema import from_doc, is_number, is_numbers
 
@@ -70,8 +77,7 @@ PALMS = {
     "human": ("rWrist", (0.0, -0.10, 0.0)),  # the right arm points -y
     "robot": (HAND_LINK, (0.10, 0.0, 0.0)),  # the arm points +x
 }
-
-CONSTRAINT_KINDS = ("goal", "collision", "joint_clearance", "joint_goal", "handover")
+RESAMPLE_FACTOR = 10  # points per step of the dense path the hard values read
 
 
 class ProblemError(ValueError):
@@ -124,6 +130,12 @@ class ConstraintSpec:
                 raise ProblemError("joint clearance needs a positive distance")
         if self.kind == "joint_goal" and self.target is None:
             raise ProblemError("joint goal needs a target point")
+
+    @property
+    def agents(self) -> tuple[str, ...]:
+        """The agents this constraint's row reads: both for a joint kind,
+        else its own agent."""
+        return ("human", "robot") if CONSTRAINT_KINDS[self.kind].joint else (self.agent,)
 
 
 @dataclass
@@ -294,13 +306,118 @@ def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     return ctx.tape.handover(*palms, ctx.states("human", t), ctx.states("robot", t))
 
 
-# the graph builder of each constraint kind
-_BUILDERS = {
-    "collision": collision_constraint_graph,
-    "joint_clearance": joint_clearance_constraint_graph,
-    "goal": goal_constraint_graph,
-    "joint_goal": joint_goal_constraint_graph,
-    "handover": handover_constraint_graph,
+# ---------------------------------------------------------------------------
+# Hard values (each row's numpy twin on final trajectories) and the kind table
+# ---------------------------------------------------------------------------
+
+
+def _fk(agent: str):
+    return forward_kinematics if agent == "human" else robot_fk
+
+
+def palm_points(agent: str, states) -> np.ndarray:
+    """The agent's ``PALMS`` points, (3,) for one state or (N, 3) for a batch."""
+    link, offset = PALMS[agent]
+    pos, R = _fk(agent)(states, link)
+    return pos + R @ np.asarray(offset)
+
+
+def handover_loss(human_states, robot_state):
+    """Hard handover residual: the handover row's kernel
+    (:func:`graph.handover_residual`) on the agents' palms.
+
+    A float for one human state, an (N,) array for a batch of them.
+    """
+    human_states = np.asarray(human_states, dtype=np.float64)
+    loss = handover_residual(palm_points("human", human_states),
+                             palm_points("robot", robot_state), human_states, robot_state)
+    return float(loss) if human_states.ndim == 1 else loss
+
+
+def _dense_bases(traj: np.ndarray) -> np.ndarray:
+    """The planar base path with ``RESAMPLE_FACTOR`` interpolated points per step."""
+    xy = traj[:, :2]
+    if len(xy) < 2:
+        return xy
+    ts = np.linspace(0.0, 1.0, RESAMPLE_FACTOR + 1)[1:]
+    steps = xy[:-1, None, :] + ts[None, :, None] * (xy[1:] - xy[:-1])[:, None, :]
+    return np.vstack([xy[:1], steps.reshape(-1, 2)])
+
+
+def goal_distance(spec: ConstraintSpec, trajs: dict, scene) -> float:
+    """The distance of ``spec.link`` at the final step from the target, in m."""
+    pos, _ = _fk(spec.agent)(trajs[spec.agent][-1], spec.link)
+    return float(np.linalg.norm(pos - np.asarray(spec.target)))
+
+
+def scene_penetration(spec: ConstraintSpec, trajs: dict, scene) -> float:
+    """The maximum of -SDF over the dense base path, in m."""
+    if scene is None:
+        raise ProblemError("collision constraint needs a scene")
+    return -float(np.min(scene_sdf(scene, _dense_bases(trajs[spec.agent]))))
+
+
+def clearance_shortfall(spec: ConstraintSpec, trajs: dict, scene) -> float:
+    """The clearance less the least planar distance of the dense base paths, in m."""
+    delta = _dense_bases(trajs["human"]) - _dense_bases(trajs["robot"])
+    return spec.clearance - float(np.min(np.linalg.norm(delta, axis=1)))
+
+
+def pickup_distance(spec: ConstraintSpec, trajs: dict, scene) -> float:
+    """The least squared palm-target distance over both agents and all steps, in m^2."""
+    target = np.asarray(spec.target)
+    return min(float(np.min(np.sum((palm_points(agent, trajs[agent]) - target) ** 2, axis=1)))
+               for agent in ("human", "robot"))
+
+
+@dataclass(frozen=True)
+class ConstraintKind:
+    """One constraint kind: its row and its success clause.
+
+    ``row(ctx, spec)`` records the scalar row, an inequality (feasible <= 0)
+    or an equality residual.  A ``joint`` kind reads both agents, any other
+    only ``spec.agent``.  ``hard(spec, trajs, scene)`` is the row's numpy
+    twin on the final trajectories ``{"human": ..., "robot": ...}``: hard
+    where the row is soft, on the dense base path where it reads every step.
+    The clause fails, naming ``reason``, when that value exceeds
+    ``tolerance``; a kind that reads one agent keys both by agent.  With
+    ``objective``, a problem that has the constraint also holds its plan to
+    ``evaluation.check_success``'s objective clause.
+    """
+
+    row: Callable[[GraphContext, ConstraintSpec], Ref]
+    inequality: bool
+    joint: bool
+    hard: Callable[[ConstraintSpec, dict, Scene | None], float]
+    reason: str | dict[str, str]
+    tolerance: float | dict[str, float]
+    objective: bool = True
+
+    def clause(self, spec: ConstraintSpec) -> tuple[str, float]:
+        """The reason and tolerance of ``spec``'s success clause."""
+        if self.joint:
+            return self.reason, self.tolerance
+        return self.reason[spec.agent], self.tolerance[spec.agent]
+
+
+CONSTRAINT_KINDS = {
+    "goal": ConstraintKind(goal_constraint_graph, False, False, goal_distance,
+                           {"human": "hand-goal", "robot": "robot-base-goal"},
+                           {"human": 0.1, "robot": 0.2}, objective=False),
+    "collision": ConstraintKind(collision_constraint_graph, True, False, scene_penetration,
+                                {"human": "human-scene-collision",
+                                 "robot": "robot-scene-collision"},
+                                {"human": 0.0, "robot": 0.0}),
+    # the 0.01 m slack of a check on the dense path
+    "joint_clearance": ConstraintKind(joint_clearance_constraint_graph, True, True,
+                                      clearance_shortfall, "agent-clearance", 0.01),
+    # one palm passes within 0.1 m of the pickup point
+    "joint_goal": ConstraintKind(joint_goal_constraint_graph, False, True, pickup_distance,
+                                 "pickup-goal", 0.1 ** 2),
+    "handover": ConstraintKind(
+        handover_constraint_graph, False, True,
+        lambda spec, trajs, scene: handover_loss(trajs["human"][-1], trajs["robot"][-1]),
+        "handover-loss", 0.1),
 }
 
 
@@ -439,8 +556,8 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     ineq: list[tuple[str, Ref]] = []
     eq: list[tuple[str, Ref]] = []
     for i, spec in enumerate(problem.constraints):
-        row = (f"{spec.kind}[{i}]", _BUILDERS[spec.kind](ctx, spec))
-        (ineq if spec.kind in ("collision", "joint_clearance") else eq).append(row)
+        kind = CONSTRAINT_KINDS[spec.kind]
+        (ineq if kind.inequality else eq).append((f"{spec.kind}[{i}]", kind.row(ctx, spec)))
 
     tape.set_output(tape.concat([objective] + [row for _, row in ineq + eq]))
 

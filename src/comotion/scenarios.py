@@ -24,7 +24,7 @@ from .robot_model import ROBOT_STATE_DIM
 class ScenarioInstance:
     problem: ProblemSpec
     ground_truth: np.ndarray | None  # (H, 129) future frames, when known
-    kind: str
+    kind: str  # the family's label; scoring reads the constraints, not this
     problem_id: str
 
 

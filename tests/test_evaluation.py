@@ -11,6 +11,8 @@ from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
 from comotion.environment import Disc, Rect, Scene
+from comotion.kinematics import forward_kinematics
+from comotion.robot_model import robot_fk
 from comotion.solver import SolverConfig
 from helpers import identity_state
 
@@ -317,8 +319,8 @@ def test_with_coll_ignores_other_agent(model, observed):
                         solver_config=SolverConfig(max_rounds=2, max_inner=6))
     # both agents sit nearly still since their individual problems are empty
     assert res.human_traj is not None and res.robot_traj is not None
-    c = ev.min_clearance(res.human_traj[:, :2], res.robot_traj[:, :2], 4)
-    assert c < 2.0  # the ignored constraint is indeed violated
+    # the ignored constraint is indeed violated
+    assert "agent-clearance" in ev.check_success(problem, res)[1]
 
 
 # -- metrics -------------------------------------------------------------------
@@ -423,38 +425,6 @@ def test_base_pos_error_frames(model, observed):
 # -- success -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [
-    lambda: scenarios.make_reach_problems(1, 1)[0],
-    lambda: scenarios.make_crossing_problems(1, 1)[0],
-    lambda: scenarios.make_handover_problems(1, 1)[0],
-    lambda: scenarios.make_pickup_handover_problem(1),
-], ids=["reach", "crossing", "handover", "pickup-handover"])
-def test_default_kind_is_the_generators_kind(make):
-    inst = make()
-    assert ev.default_kind(inst.problem) == inst.kind
-
-
-def test_evaluate_scores_the_problems_own_kind_by_default(model, monkeypatch):
-    """A handover problem is scored as a handover by default, by
-    ``evaluate_problem`` and by ``sample``'s per-candidate check alike."""
-    problem = scenarios.make_handover_problems(1, 1)[0].problem
-    config = SolverConfig(max_rounds=1, max_inner=3)
-    default = ev.evaluate_problem(problem, "zerovel", None, solver_config=config)
-    explicit = ev.evaluate_problem(problem, "zerovel", None, solver_config=config,
-                                   kind="handover")
-    assert default.reasons == explicit.reasons
-    assert "agent-clearance" not in default.reasons
-
-    kinds = []
-    check = ev.check_success
-    monkeypatch.setattr(ev, "check_success",
-                        lambda p, r, kind, **kw: kinds.append(kind) or check(p, r, kind, **kw))
-    small = hm.init_params(hm.ModelConfig(num_layers=1, hidden_size=8), 0)
-    ev.run_method(problem, "sample", small, solver_config=config,
-                  sample_config=ev.SampleConfig(num_samples=2))
-    assert kinds and set(kinds) == {"handover"}
-
-
 def success_fixture():
     human = np.tile(identity_state((0.0, 1.0, 0.93)), (6, 1))
     robot = np.zeros((6, 7))
@@ -477,7 +447,7 @@ def success_fixture():
 
 def test_check_success_all_clear():
     problem, result = success_fixture()
-    ok, reasons = ev.check_success(problem, result, "collision")
+    ok, reasons = ev.check_success(problem, result)
     assert ok and reasons == []
 
 
@@ -486,18 +456,18 @@ def test_check_success_reports_each_failure():
     # push the robot goal away: only that clause fails
     result.robot_traj = result.robot_traj.copy()
     result.robot_traj[-1, 0] = 2.0
-    ok, reasons = ev.check_success(problem, result, "collision")
+    ok, reasons = ev.check_success(problem, result)
     assert not ok and reasons == ["robot-base-goal"]
 
     problem, result = success_fixture()
     result.objective = 0.2
-    ok, reasons = ev.check_success(problem, result, "collision")
+    ok, reasons = ev.check_success(problem, result)
     assert not ok and reasons == ["objective"]
 
     problem, result = success_fixture()
     result.human_traj = result.human_traj.copy()
     result.human_traj[:, 1] = -0.8  # within 0.2 m of the robot path
-    ok, reasons = ev.check_success(problem, result, "collision")
+    ok, reasons = ev.check_success(problem, result)
     assert not ok and "agent-clearance" in reasons
 
 
@@ -510,22 +480,131 @@ def test_check_success_holds_the_agents_to_the_stated_clearance():
         stated = replace(problem, constraints=[
             problem.constraints[0], obj.ConstraintSpec(kind="joint_clearance",
                                                        clearance=clearance)])
-        assert ev.check_success(stated, result, "collision") == (not reasons, reasons)
-
-
-def test_check_success_rejects_an_unknown_kind():
-    problem, result = success_fixture()
-    with pytest.raises(ev.EvaluationError, match="'colision'"):
-        ev.check_success(problem, result, "colision")
+        assert ev.check_success(stated, result) == (not reasons, reasons)
 
 
 def test_check_success_monotone():
     problem, result = success_fixture()
     result.objective = 0.099
-    ok1, _ = ev.check_success(problem, result, "collision")
+    ok1, _ = ev.check_success(problem, result)
     result.objective = 0.05  # decreasing a violation never flips success off
-    ok2, _ = ev.check_success(problem, result, "collision")
+    ok2, _ = ev.check_success(problem, result)
     assert ok2 >= ok1
+
+
+# each clause's reason and tolerance, by kind and the agent it acts on
+CLAUSES = {
+    ("goal", "human"): ("hand-goal", 0.1),
+    ("goal", "robot"): ("robot-base-goal", 0.2),
+    ("collision", "human"): ("human-scene-collision", 0.0),
+    ("collision", "robot"): ("robot-scene-collision", 0.0),
+    ("joint_clearance", None): ("agent-clearance", 0.01),
+    ("joint_goal", None): ("pickup-goal", 0.01),
+    ("handover", None): ("handover-loss", 0.1),
+}
+
+
+def _standing(steps=3):
+    """A human standing at the origin facing +x, and a robot 3 m ahead of it
+    facing back: the trajectories of a result that plans nothing."""
+    human = np.tile(identity_state((0.0, 0.0, 0.93)), (steps, 1))
+    robot = np.zeros((steps, 7))
+    robot[:, 0] = 3.0
+    robot[:, 2] = np.pi
+    return human, robot
+
+
+def _fk(agent, state, link):
+    return (forward_kinematics if agent == "human" else robot_fk)(state, link)[0]
+
+
+def _clause_case(kind, agent, value):
+    """A problem with one constraint of ``kind`` and a standing result whose
+    hard value for it is ``value``, up to rounding."""
+    human, robot = _standing()
+    trajs = {"human": human, "robot": robot}
+    scene = None
+    if kind == "goal":
+        link = "rWrist" if agent == "human" else "base"
+        target = _fk(agent, trajs[agent][-1], link) + (value, 0.0, 0.0)
+        spec = obj.ConstraintSpec(kind, agent, link, tuple(target))
+    elif kind == "collision":  # the base sits value deep in a 0.5 m disc
+        center = trajs[agent][0, :2] + (0.5 - value, 0.0)
+        scene = Scene((Disc(tuple(center), 0.5),), Rect((0, 0), (5, 5)))
+        spec = obj.ConstraintSpec(kind, agent)
+    elif kind == "joint_clearance":
+        robot[:, :2] = (0.5 - value, 0.0)
+        spec = obj.ConstraintSpec(kind, clearance=0.5)
+    else:  # the human palm lies sqrt(value) short of the pickup point or the robot palm
+        point = (obj.palm_points("robot", robot[-1]) if kind == "handover"
+                 else np.array([0.5, 0.0, 1.0]))
+        human[:, :3] += point - (np.sqrt(value), 0.0, 0.0) - obj.palm_points("human", human[-1])
+        spec = obj.ConstraintSpec(kind, target=None if kind == "handover" else tuple(point))
+    problem = obj.ProblemSpec(steps=3, constraints=[spec], fixed_human=human,
+                              robot_initial=robot[0], scene=scene)
+    return problem, ev.MethodResult("ours", human, robot, None, None, 0.0, "converged")
+
+
+@pytest.mark.parametrize("kind", sorted(obj.CONSTRAINT_KINDS))
+def test_each_kinds_clause_passes_inside_its_tolerance_and_fails_just_past_it(kind):
+    """For every kind of the table and every agent it acts on, a result whose
+    hard value lies 1e-6 inside the clause's tolerance passes, and one 1e-6
+    past it fails with the kind's reason alone."""
+    agents = [agent for k, agent in CLAUSES if k == kind]
+    assert agents, f"no clause case for {kind!r}"
+    for agent in agents:
+        reason, tolerance = CLAUSES[kind, agent]
+        for value, reasons in ((tolerance - 1e-6, []), (tolerance + 1e-6, [reason])):
+            problem, result = _clause_case(kind, agent, value)
+            spec = problem.constraints[0]
+            trajs = {"human": result.human_traj, "robot": result.robot_traj}
+            hard = obj.CONSTRAINT_KINDS[kind].hard(spec, trajs, problem.scene)
+            assert hard == pytest.approx(value, rel=0, abs=1e-9)
+            assert ev.check_success(problem, result) == (not reasons, reasons)
+
+
+def test_a_robot_goal_alone_is_scored():
+    """A problem whose one constraint is a robot goal fails when the robot
+    ends 2 m short of it."""
+    _, robot = _standing()
+    problem = obj.ProblemSpec(steps=3, robot_initial=robot[0], constraints=[
+        obj.ConstraintSpec("goal", "robot", "base", (5.0, 0.0, 0.0))])
+    result = ev.MethodResult("ours", None, robot, None, None, 0.0, "converged")
+    assert ev.check_success(problem, result) == (False, ["robot-base-goal"])
+
+
+def test_a_robot_goal_reads_its_own_link():
+    """A robot goal on the hand is met at the hand, not at the base."""
+    _, robot = _standing()
+    hand, base = (_fk("robot", robot[-1], link) for link in ("hand", "base"))
+    assert np.linalg.norm(hand - base) > 0.2
+    for target, reasons in ((hand, []), (base, ["robot-base-goal"])):
+        problem = obj.ProblemSpec(steps=3, robot_initial=robot[0], constraints=[
+            obj.ConstraintSpec("goal", "robot", "hand", tuple(target))])
+        result = ev.MethodResult("ours", None, robot, None, None, 0.0, "converged")
+        assert ev.check_success(problem, result)[1] == reasons
+
+
+def test_a_handover_problem_scores_its_human_goal():
+    """A met handover beside a human goal 1 m off fails on the goal alone."""
+    problem, result = _clause_case("handover", None, 0.0)
+    wrist = _fk("human", result.human_traj[-1], "rWrist")
+    goal = obj.ConstraintSpec("goal", "human", "rWrist", tuple(wrist + (0.0, 1.0, 0.0)))
+    problem = replace(problem, constraints=problem.constraints + [goal])
+    assert ev.check_success(problem, result) == (False, ["hand-goal"])
+
+
+def test_only_an_agent_with_a_collision_constraint_is_held_clear_of_the_scene():
+    """A robot standing inside an obstacle fails a scene clause only when the
+    problem has a collision constraint for the robot."""
+    human, robot = _standing()
+    scene = Scene((Disc((3.0, 0.0), 0.5),), Rect((0, 0), (5, 5)))
+    problem = obj.ProblemSpec(steps=3, fixed_human=human, robot_initial=robot[0], scene=scene,
+                              constraints=[obj.ConstraintSpec("collision", "human")])
+    result = ev.MethodResult("ours", human, robot, None, None, 0.0, "converged")
+    assert ev.check_success(problem, result) == (True, [])
+    problem.constraints.append(obj.ConstraintSpec("collision", "robot"))
+    assert ev.check_success(problem, result) == (False, ["robot-scene-collision"])
 
 
 def test_handover_loss_threshold_edge():
@@ -544,7 +623,7 @@ def test_handover_loss_threshold_edge():
         robot_initial=robot[0],
     )
     result = ev.MethodResult("ours", human, robot, None, None, 0.0, "converged")
-    ok, reasons = ev.check_success(problem, result, "handover")
+    ok, reasons = ev.check_success(problem, result)
     # agents face each other but hands are meters apart
     assert not ok and reasons == ["handover-loss"]
 
@@ -579,11 +658,11 @@ def test_handover_loss_matches_the_compiled_constraint():
 
 
 def test_joint_goal_diagnostic_picks_nearest_agent():
+    """The joint goal's hard value is the nearer agent's: 0 with the human
+    palm on the target at step 2 and the robot 5 m away."""
     human = np.tile(identity_state((0.0, 0.0, 0.93)), (5, 1))
     robot = np.zeros((5, 7))
     robot[:, 0] = 5.0  # far away
-    from comotion.kinematics import forward_kinematics
-
     wrist, R = forward_kinematics(human[2], "rWrist")
     target = wrist + R @ np.asarray(obj.PALMS["human"][1])
     problem = obj.ProblemSpec(
@@ -592,8 +671,8 @@ def test_joint_goal_diagnostic_picks_nearest_agent():
         fixed_human=human,
         robot_initial=robot[0],
     )
-    agent, t, value = ev.joint_goal_diagnostic(problem, human, robot)
-    assert agent == "human"
+    spec = problem.constraints[0]
+    value = obj.CONSTRAINT_KINDS["joint_goal"].hard(spec, {"human": human, "robot": robot}, None)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 

@@ -830,8 +830,10 @@ def test_zero_modifiers_give_the_prediction_bit_exactly(walk, layers, hidden, ob
 
 
 def test_constraint_spec_validation():
-    with pytest.raises(obj.ProblemError):
-        obj.ConstraintSpec(kind="warp")
+    # a kind is a key of the constraint table; an experiment's name is none
+    for kind in ("warp", "pickup_handover"):
+        with pytest.raises(obj.ProblemError, match=f"unknown constraint kind '{kind}'"):
+            obj.ConstraintSpec(kind=kind)
     with pytest.raises(obj.ProblemError):
         obj.ConstraintSpec(kind="goal", agent="human")  # missing link/target
     with pytest.raises(obj.ProblemError):
