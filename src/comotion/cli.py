@@ -236,6 +236,12 @@ def cmd_train(args) -> int:
                               test_fraction=args.test_fraction, seed=args.seed)
     train_frames = [r.frames for r in split.train]
     hm.training_windows(train_frames, config)
+    test_frames = [r.frames for r in split.test]
+    if test_frames:
+        try:
+            hm.training_windows(test_frames, config)
+        except hm.ModelError as exc:
+            raise UsageError(f"test split of {len(test_frames)} records: {exc}") from None
     held_frames = [r.frames for r in split.held_out]
     try:
         held_index = hm.training_windows(held_frames, config)
@@ -256,16 +262,14 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         learning_rate_decay=args.learning_rate_decay,
-        test_records=[r.frames for r in split.test],
+        test_records=test_frames,
         progress=progress,
     )
     _save_weights(result.best, os.path.join(out, "model.weights"))
     _save_weights(result.params, os.path.join(out, "model-final.weights"))
     _atomic_write(os.path.join(out, "epochs.jsonl"), "\n".join(lines) + "\n")
     # the best weights on the held-out subject's windows, scored as the test split
-    span = config.input_frames + config.output_frames
-    windows = np.stack([held_frames[ri][s : s + span] for ri, s in held_index])
-    loss, base_err = hm._evaluate(result.best, config, windows)
+    loss, base_err = hm._evaluate(result.best, config, held_frames, held_index)
     _write_json(os.path.join(out, "held_out.json"),
                 {"subject": args.held_out, "windows": len(held_index), "loss": loss,
                  "base_pos_error": base_err})

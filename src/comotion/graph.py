@@ -40,21 +40,24 @@ gradient of h', its adjoint is::
 layer (Martinez et al. 2017, arXiv:1705.02445) as one node; its forward
 :func:`gru_unroll` is what the plain-numpy predictor runs too.  Of the state
 s (sd entries), the first l = 2 sd - in are not network inputs (the base
-position of the human model).  E encoder steps read constant inputs x_t.
-Then H decoder steps start from the constant s_0, v_0 and feed back their
-own output, shifted by the optional modifier rows u_j, with u_H = u_{H-1}::
+position of the human model).  E encoder steps read constant frames
+f_0..f_E.  Then H decoder steps start from the constant s_0, v_0 and feed
+back their own output, shifted by the optional modifier rows u_j, with
+u_H = u_{H-1}.  Encoder step t and decoder step j read::
 
+    x_t = [f_{t+1}[l:];  f_{t+1} - f_t]
     x_j = [s_j[l:] + u_j[l:];  v_j + (u_{j+1} - u_j)]
     o_j = top-layer hidden after every layer's cell step on x_j
     v_{j+1} = W_o o_j + b_o
     s_{j+1} = [s_j[:l]; s_j[l:] + u_j[l:]] + v_{j+1}
 
 The output is the (H, sd[, B]) states s_1..s_H.  Recording and replay keep
-a time-major cache over all T = E + H steps, which each cell step writes in
-place: the layer-0 inputs xs[t], each layer's hidden states hs[l][t] (T + 1
-of them) and gates gates[l][t] = [z; r; n].  The backward pass reuses them
-instead of recomputing.  An unroll that keeps no cache (prediction, encoding,
-the test loss, the sampled forecast) runs every step in one-step workspaces.
+a time-major cache over all T = E + H steps, which each step writes in
+place: its layer-0 input xs[t] (no input array is built up front), each
+layer's hidden states hs[l][t] (T + 1 of them) and gates
+gates[l][t] = [z; r; n].  The backward pass reuses them instead of
+recomputing.  An unroll that keeps no cache (prediction, encoding, the test
+loss, the sampled forecast) runs every step in one-step workspaces.
 The adjoint is backpropagation through time (Werbos 1990).  With G_j the
 output gradient of s_{j+1}, the reverse loop carries S (the gradient of
 s_{j+1}), V (of v_{j+1}) and one hidden-state gradient per layer, and at
@@ -305,9 +308,12 @@ def _product(batch):
     return np.matmul if batch else np.dot
 
 
-def _workspace(shape, count):
-    """``count`` slots that are all one (shape) workspace: a (count, *shape)
-    view with a zero leading stride, for a pass that keeps no cache."""
+def _workspace(shape, count, keep=False):
+    """``count`` (shape) slots, each its own when ``keep``; else all one
+    workspace, a (count, *shape) view with a zero leading stride, for a pass
+    that keeps no cache."""
+    if keep:
+        return np.empty((count, *shape))
     ws = np.empty(shape)
     return np.lib.stride_tricks.as_strided(ws, (count, *shape), (0, *ws.strides))
 
@@ -379,26 +385,27 @@ def gru_cell(x, layer: GRULayer, t):
     return np.add(keep, np.multiply(z, n, out=rh), out=layer.h[t + 1])
 
 
-def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifiers=None,
+def gru_unroll(weights, hiddens, state, velocity, horizon, frames=None, modifiers=None,
                masks=None, keep=False):
     """Unroll a GRU stack with a residual output layer (see the module docstring).
 
     ``weights`` is ``(W, U, b)`` per layer, stacked as :class:`GRULayer` takes
     them, then the output layer ``(W_o, b_o)``; ``hiddens`` holds each layer's
     initial hidden state and ``masks`` one (input, hidden) dropout mask pair
-    per layer.  The first ``len(inputs)`` steps read ``inputs``; the next
-    ``horizon`` steps start from ``state`` and ``velocity`` and feed back their
-    own outputs.  Row j of ``modifiers`` shifts decoder step j, and row j + 1
-    (row j itself when there is none) its velocity input.  Vectors or
-    column-batched matrices; ``state`` and ``velocity`` may be read-only
-    broadcast views.
+    per layer.  The first E steps read the (E + 1, sd[, B]) ``frames``; the
+    next ``horizon`` steps start from ``state`` and ``velocity`` and feed back
+    their own outputs.  Row j of ``modifiers`` shifts decoder step j, and row
+    j + 1 (row j itself when there is none) its velocity input.  Vectors or
+    column-batched matrices; ``frames``, ``state`` and ``velocity`` may be
+    read-only views.
 
     Returns the (horizon, sd[, B]) decoder states, the last velocity, the
     final hidden states and, when ``keep``, the time-major cache that the
     ``gru_scan`` backward pass reads: the layer-0 inputs ``xs[t]``, each
     layer's hidden states ``hs[l][t]`` (T + 1 of them) and gates
     ``gates[l][t]``.  Without ``keep`` every step writes into the same
-    one-step workspaces, so memory does not grow with the step count.
+    one-step workspaces, its input included, so memory does not grow with the
+    step count.
     """
     *cells, out_W, out_b = weights
     batch = hiddens[0].shape[1:]
@@ -410,30 +417,19 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifier
     in_dim = cells[0].shape[1]
     lead = 2 * sd - in_dim  # state entries that are not inputs
     rot = sd - lead  # input entries the shifted state fills; the velocity fills the rest
-    enc = 0 if inputs is None else len(inputs)
+    enc = 0 if frames is None else len(frames) - 1
     steps = enc + horizon
     states = np.empty((horizon, sd, *batch))
-    cache = None
-    if keep:
-        # step t reads xs[t] and hs[l][t], writes gates[l][t] and hs[l][t + 1]
-        xs = np.empty((steps, in_dim, *batch))
-        if enc:
-            xs[:enc] = inputs
-        hs = [np.empty((steps + 1, *h.shape)) for h in hiddens]
-        gates = [np.empty((steps, 3 * h.shape[0], *batch)) for h in hiddens]
-        cache = (xs, hs, gates)
-        step_in, dec_in = list(xs), xs[enc:]
-    else:
-        # the same slots, every step's being one workspace: hidden states update in place
-        dec_in = _workspace((in_dim, *batch), horizon)
-        hs = [_workspace(h.shape, steps + 1) for h in hiddens]
-        gates = [_workspace((3 * h.shape[0], *batch), steps) for h in hiddens]
-        step_in = [*(inputs if enc else ()), *dec_in]
+    # step t writes xs[t], reads it and hs[l][t], writes gates[l][t] and hs[l][t + 1];
+    # without keep every step's slot is one workspace: hidden states update in place
+    xs = _workspace((in_dim, *batch), steps, keep)
+    hs = [_workspace(h.shape, steps + 1, keep) for h in hiddens]
+    gates = [_workspace((3 * h.shape[0], *batch), steps, keep) for h in hiddens]
     for buf, h in zip(hs, hiddens):
         buf[0] = h
     layers = [GRULayer(*cells[3 * li : 3 * li + 3], hs[li], gates[li], *masks[li])
               for li in range(len(hiddens))]
-    x_rot, x_vel = list(dec_in[:, :rot]), list(dec_in[:, rot:])
+    x_rot, x_vel = list(xs[:, :rot]), list(xs[:, rot:])
     out_lead, out_rot = list(states[:, :lead]), list(states[:, lead:])
     if modifiers is not None:
         # u_{j+1} - u_j of every step at once; the last row is its own next row
@@ -447,14 +443,16 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifier
         s_lead, s_rot = state[:lead], state[lead:]
     for t in range(steps):
         j = t - enc
-        if j >= 0:
-            if modifiers is None:
-                np.copyto(x_rot[j], s_rot)
-                np.copyto(x_vel[j], v)
-            else:
-                np.add(s_rot, mod_rot[j], out=x_rot[j])
-                np.add(v, shift[j], out=x_vel[j])
-        x = step_in[t]
+        if j < 0:
+            np.copyto(x_rot[t], frames[t + 1][lead:])
+            np.subtract(frames[t + 1], frames[t], out=x_vel[t])
+        elif modifiers is None:
+            np.copyto(x_rot[t], s_rot)
+            np.copyto(x_vel[t], v)
+        else:
+            np.add(s_rot, mod_rot[j], out=x_rot[t])
+            np.add(v, shift[j], out=x_vel[t])
+        x = xs[t]
         for layer in layers:
             x = gru_cell(x, layer, t)
         if j >= 0:
@@ -463,16 +461,16 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, inputs=None, modifier
             # the residual integrates onto the shifted input state; the lead
             # entries have no modifier slot and integrate their velocity only
             s_lead = np.add(s_lead, vel_lead, out=out_lead[j])
-            s_rot = np.add(x_rot[j], vel_rot, out=out_rot[j])
-    return states, v, [h[steps] for h in hs], cache
+            s_rot = np.add(x_rot[t], vel_rot, out=out_rot[j])
+    return states, v, [h[steps] for h in hs], (xs, hs, gates) if keep else None
 
 
 def _f_scan(vals, a, p):
-    hiddens, state, velocity, horizon, inputs, masks = p
+    hiddens, state, velocity, horizon, frames, masks = p
     nw = 3 * len(hiddens) + 2
     modifiers = vals[a[nw]] if len(a) > nw else None
     states, _, _, cache = gru_unroll([vals[i] for i in a[:nw]], hiddens, state, velocity,
-                                     horizon, inputs, modifiers, masks, keep=True)
+                                     horizon, frames, modifiers, masks, keep=True)
     return states, cache
 
 
@@ -538,8 +536,7 @@ def _b_scan(g, vals, a, p, cache, needed):
     # input gradients of every step are kept only for the modifier gradient
     g_vel = np.empty((sd, horizon, *batch)) if want_w else None
     g_vels = np.moveaxis(g_vel, 1, 0) if want_w else _workspace((sd, *batch), horizon)
-    g_xs = (np.empty((horizon, sd + rot, *batch)) if want_u
-            else _workspace((sd + rot, *batch), horizon))
+    g_xs = _workspace((sd + rot, *batch), horizon, want_u)
     gu = np.zeros((horizon, sd, *batch)) if want_u else None
     gh = [np.zeros(h.shape) for h in hiddens]  # gradient of each layer's hidden state
     top = np.empty_like(gh[-1])
@@ -918,18 +915,19 @@ class Tape:
         return self._apply(OP_TAKE, (x,), index)
 
     def gru_scan(self, weights: list[Ref], hiddens, state, velocity, horizon: int,
-                 inputs=None, modifiers: Ref | None = None, masks=None) -> Ref:
+                 frames=None, modifiers: Ref | None = None, masks=None) -> Ref:
         """A whole GRU-stack unroll (:func:`gru_unroll`) as one node.
 
         ``weights`` are refs to ``(W, U, b)`` per layer then ``(W_o, b_o)``;
         the initial ``hiddens``, the decoder's initial ``state`` and
-        ``velocity``, the encoder ``inputs`` (E, in[, B]) and the dropout
-        ``masks`` are constants.  ``modifiers`` is an optional
-        (horizon, sd[, B]) ref.  The output is the (horizon, sd[, B]) states.
+        ``velocity``, the encoder ``frames`` (E + 1, sd[, B]; kept as views
+        when C-contiguous) and the dropout ``masks`` are constants.
+        ``modifiers`` is an optional (horizon, sd[, B]) ref.  The output is
+        the (horizon, sd[, B]) states.
         """
         hiddens = [_as_array(h) for h in hiddens]
         state, velocity = _as_array(state), _as_array(velocity)
-        inputs = None if inputs is None else _as_array(inputs)
+        frames = None if frames is None else _as_array(frames)
         shapes = [w.shape for w in weights]
         nl = len(hiddens)
         ok = (nl >= 1 and len(weights) == 3 * nl + 2 and horizon >= 1
@@ -945,20 +943,20 @@ class Tape:
             sd = shapes[-1][0] if shapes[-1] else 0
             ok &= (shapes[-2:] == [(sd, in_dim), (sd,)] and 0 <= 2 * sd - shapes[0][-1] <= sd
                    and state.shape == velocity.shape == (sd, *batch))
-            if inputs is not None:
-                ok &= inputs.shape[1:] == (shapes[0][-1], *batch)
+            if frames is not None:
+                ok &= frames.shape[1:] == (sd, *batch) and len(frames) >= 2
             if modifiers is not None:
                 ok &= modifiers.shape == (horizon, sd, *batch)
         if not ok:
             raise GraphError(
                 f"gru_scan shapes do not match: weights {shapes}, hiddens "
                 f"{[h.shape for h in hiddens]}, state {state.shape}, velocity "
-                f"{velocity.shape}, horizon {horizon}, inputs "
-                f"{None if inputs is None else inputs.shape}, modifiers "
+                f"{velocity.shape}, horizon {horizon}, frames "
+                f"{None if frames is None else frames.shape}, modifiers "
                 f"{None if modifiers is None else modifiers.shape}"
             )
         refs = (*weights, modifiers) if modifiers is not None else tuple(weights)
-        return self._apply(OP_SCAN, refs, (hiddens, state, velocity, horizon, inputs, masks))
+        return self._apply(OP_SCAN, refs, (hiddens, state, velocity, horizon, frames, masks))
 
     def rollout(self, controls: Ref, initial) -> Ref:
         """Unicycle-plus-joints states (H, n) for (H, n - 1) controls."""

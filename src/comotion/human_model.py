@@ -13,13 +13,15 @@ modifier's finite difference.  Zero modifiers reproduce the plain prediction
 bit-exactly, which is what warm-starts the optimizer.
 
 The unroll is written once, as :func:`comotion.graph.gru_unroll` on each
-layer's stacked [z; r; n] gate weights.  ``predict``, ``encode``,
-``unroll_decoder`` and the test-set evaluation call it on numpy arrays
-(vectors or column-batched matrices).  Planning and training record it on a
-:class:`~comotion.graph.Tape` as one ``gru_scan`` node, whose forward is that
-function and whose hand-written adjoint is backpropagation through time:
-planning differentiates the decoder states with respect to the modifiers,
-training a batch's loss with respect to the weights.
+layer's stacked [z; r; n] gate weights; its encoder steps read the observed
+frames in place.  ``predict``, ``encode``, ``unroll_decoder`` and the
+test-set score call it on numpy arrays (vectors or column-batched matrices).
+Planning and training record it on a :class:`~comotion.graph.Tape` as one
+``gru_scan`` node, whose forward is that function and whose hand-written
+adjoint is backpropagation through time: planning differentiates the decoder
+states with respect to the modifiers, training a batch's loss with respect
+to the weights.  A training call holds one batch's (span, 129, B) columns and
+tape at a time, and stacks the test windows only while it scores them.
 
 ``ModelParams`` holds only those stacked weights.  The weight file keeps one
 array per gate (``gru0.Wz``, ``gru0.Uz``, ``gru0.bz``, ``gru0.Wr`` ...); its
@@ -159,19 +161,19 @@ def _zero_hiddens(config: ModelConfig, batch: tuple[int, ...] = ()) -> list[np.n
     return [np.zeros((config.hidden_size, *batch)) for _ in range(config.num_layers)]
 
 
-def _encoder_inputs(frames: np.ndarray) -> np.ndarray:
-    """Inputs of the consecutive-frame steps over (k, 129[, B]) frames: each
-    later frame's rotation block and its finite-difference velocity."""
-    return np.concatenate([frames[1:, 3:], frames[1:] - frames[:-1]], axis=1)
-
-
 def _window_start(config: ModelConfig, cols: np.ndarray) -> tuple:
-    """``gru_unroll`` arguments for (k + T, 129, B) training windows: zero
-    hiddens, the decoder start at frame k - 1, T steps and the teacher-forced
-    encoder inputs of frames 0..k-1."""
+    """``gru_unroll`` arguments for (k + T, 129, B) windows: zero hiddens, the
+    decoder start at frame k - 1, T steps and encoder frames 0..k-1, a view."""
     k = config.input_frames
     return (_zero_hiddens(config, cols.shape[2:]), cols[k - 1], cols[k - 1] - cols[k - 2],
-            config.output_frames, _encoder_inputs(cols[:k]))
+            config.output_frames, cols[:k])
+
+
+def _stack_windows(records, index, span, yaws=None) -> np.ndarray:
+    """The (span, 129, N) columns of the windows ``index`` names, each
+    rotated by its yaw when ``yaws`` are given."""
+    wins = [records[ri][s : s + span] for ri, s in index]
+    return np.stack(wins if yaws is None else list(map(rotate_frames, wins, yaws)), axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def encode(params: ModelParams, observed: np.ndarray) -> list[np.ndarray]:
     if observed.shape[0] < 2:
         raise ModelError("need at least 2 observed frames to form a velocity")
     return gru_unroll(_weights(params), _zero_hiddens(params.config), None, None, 0,
-                      _encoder_inputs(observed))[2]
+                      observed)[2]
 
 
 def unroll_decoder(params: ModelParams, initial_state, initial_velocity, hidden,
@@ -333,31 +335,24 @@ class _Adam:
             arrays[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def _window_index(records, span):
-    idx = []
-    for ri, rec in enumerate(records):
-        for s in range(0, len(rec) - span + 1):
-            idx.append((ri, s))
-    return idx
-
-
 def training_windows(records: list[np.ndarray], config: ModelConfig) -> list[tuple]:
-    """(record, first frame) of every training window of ``config``'s
-    ``input + output`` frames; a ``ModelError`` when there is none."""
+    """(record, first frame) of every window of ``config``'s ``input +
+    output`` frames, in order; a ``ModelError`` when there is none."""
     if not records:
         raise ModelError("empty training set")
     span = config.input_frames + config.output_frames
-    index = _window_index(records, span)
+    index = [(ri, s) for ri, rec in enumerate(records) for s in range(len(rec) - span + 1)]
     if not index:
         raise ModelError(f"no record is long enough for {span}-frame windows")
     return index
 
 
-def _evaluate(params, config, windows_arr):
-    """Test loss and final-frame base error over a (N, k+T, 129) array."""
-    if windows_arr.shape[0] == 0:
+def _evaluate(params, config, records, index):
+    """Loss and mean final-frame base error of the windows ``index`` names in
+    ``records`` (NaN for none), stacked as (k+T, 129, N) columns only here."""
+    if not index:
         return float("nan"), float("nan")
-    cols = windows_arr.transpose(1, 2, 0)  # (k+T, 129, N)
+    cols = _stack_windows(records, index, config.input_frames + config.output_frames)
     states = gru_unroll(_weights(params), *_window_start(config, cols))[0]
     diff = states - cols[config.input_frames :]
     return _batch_loss(diff), float(np.mean(np.linalg.norm(diff[-1, :3], axis=0)))
@@ -383,16 +378,22 @@ def train(
     Dropout and recurrent dropout masks are sampled once per batch and reused
     across timesteps.  Deterministic for a fixed seed.
 
+    A batch is stacked once, as (span, 129, B) columns whose first k frames
+    its tape reads in place.  Each epoch ends by scoring the test windows
+    (NaN for none; the best weights then follow the train loss).  Test
+    records without a window raise a ``ModelError``, as do ``epochs`` or
+    ``batch_size`` other than positive integers.
+
     ``learning_rate_decay`` multiplies the step size once per epoch; the L1
     rotation term keeps Adam oscillating at the step-size scale, so exact
     convergence needs a decaying schedule (default keeps it constant).
     """
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ModelError(f"{name} must be a positive integer, got {value!r}")
     index = training_windows(records, config)
+    test_index = training_windows(test_records, config) if test_records else []
     span = config.input_frames + config.output_frames
-    test_windows = np.zeros((0, span, STATE_DIM))
-    if test_records:
-        test_idx = _window_index(test_records, span)
-        test_windows = np.stack([test_records[ri][s : s + span] for ri, s in test_idx])
 
     params = init_params(config, seed)
     adam = _Adam(params.arrays, learning_rate)
@@ -407,14 +408,11 @@ def train(
         rng = np.random.default_rng([seed, epoch])
         order = rng.permutation(len(index))
         epoch_loss = 0.0
-        nb = 0
-        for lo in range(0, len(order), batch_size):
+        batches = range(0, len(order), batch_size)
+        for lo in batches:
             chosen = [index[i] for i in order[lo : lo + batch_size]]
-            wins = np.stack([records[ri][s : s + span] for ri, s in chosen])
-            if augment:
-                yaws = rng.uniform(0.0, 2.0 * np.pi, size=len(chosen))
-                wins = np.stack([rotate_frames(win, yaw) for win, yaw in zip(wins, yaws)])
-            cols = np.ascontiguousarray(wins.transpose(1, 2, 0))  # (span, 129, B)
+            yaws = rng.uniform(0.0, 2.0 * np.pi, size=len(chosen)) if augment else None
+            cols = _stack_windows(records, chosen, span, yaws)
             bsz = cols.shape[2]
             masks = None
             if keep < 1.0 or keep_rec < 1.0:
@@ -432,11 +430,10 @@ def train(
                 raise TrainingDiverged(epoch)
             adam.update(params.arrays, grads)
             epoch_loss += loss
-            nb += 1
 
         adam.lr *= learning_rate_decay
-        test_loss, base_err = _evaluate(params, config, test_windows)
-        metrics = EpochMetrics(epoch, epoch_loss / max(nb, 1), test_loss, base_err,
+        test_loss, base_err = _evaluate(params, config, test_records, test_index)
+        metrics = EpochMetrics(epoch, epoch_loss / len(batches), test_loss, base_err,
                                time.perf_counter() - t0)
         history.append(metrics)
         key = test_loss if np.isfinite(test_loss) else metrics.train_loss

@@ -1,5 +1,5 @@
-"""The behaviour lock: 45 seeded planning runs and what they return, and the
-seeded inputs that the data generators write.
+"""The behaviour lock: 45 seeded planning runs and what they return, the
+seeded inputs that the data generators write, and one seeded training run.
 
 The runs: the untrained seed-0 default model; instance 0 of the seed-1
 crossing, handover and reach problems and the seed-1 pickup-handover
@@ -16,14 +16,23 @@ a seeded subset of the entries and the ``column_sums`` of its arrays: a
 record's frames and goals, a problem's numbers in file order and its ground
 truth.
 
-``test_golden.py`` compares fresh runs and generators with it.
+The training run: ``human_model.train`` with the default ``ModelConfig``
+(dropout on) and seed 0, for 2 epochs with augmentation, on the first two
+"walkers" records (42 windows: a full 32-window batch and a tail of 10),
+scored on the third (21 test windows).  ``lock.json`` keeps every
+``EpochMetrics`` field but the wall time, and a seeded subset of the entries
+and the ``column_sums`` of every array of the final and the best weights
+(the same weights here, since the test loss falls in both epochs).
+
+``test_golden.py`` compares fresh runs, generators and training with it.
 
     python tests/golden/lock.py           # sha256 digests of the full outputs
     python tests/golden/lock.py --write   # regenerate lock.json
 
 with ``src`` on ``PYTHONPATH``.  The digests cover every bit of every
-output, so two trees that print the same digests plan and generate alike bit
-for bit: ``all`` over the runs, ``generators`` over the generators.
+output, so two trees that print the same digests plan, generate and train
+alike bit for bit: ``all`` over the runs, ``generators`` over the generators,
+``training`` over the training run.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -131,6 +141,20 @@ def generators():
         }
 
 
+def training():
+    """Yields (name, discrete fields, {array name: array}) for the locked
+    training run: each epoch's metrics, then the final and the best weights."""
+    records = [r.frames for r in data.synth_generate(*SYNTH["walkers"])]
+    result = hm.train(records[:2], hm.ModelConfig(), 0, epochs=2, test_records=records[2:])
+    for metrics in result.history:
+        fields = asdict(metrics)
+        del fields["seconds"]
+        epoch = fields.pop("epoch")
+        yield f"epoch/{epoch}", {"epoch": epoch}, {k: np.float64(v) for k, v in fields.items()}
+    for name, params in (("params", result.params), ("best", result.best)):
+        yield name, {}, dict(params.arrays)
+
+
 def _subset(array, rng):
     if array is None:
         return None
@@ -166,7 +190,8 @@ def _entries(items, rng, sums=False) -> dict:
 
 def write_lock(path=LOCK) -> None:
     sections = {"runs": _entries(runs(), np.random.default_rng(0)),
-                "generators": _entries(generators(), np.random.default_rng(1), sums=True)}
+                "generators": _entries(generators(), np.random.default_rng(1), sums=True),
+                "training": _entries(training(), np.random.default_rng(2), sums=True)}
     with open(path, "w") as fh:  # one line per run or generator
         fh.write("{\n" + ",\n".join(
             f"{json.dumps(section)}: {{\n"
@@ -195,6 +220,7 @@ def _digests(items, total_name):
 def digests():
     yield from _digests(runs(), "all")
     yield from _digests(generators(), "generators")
+    yield from _digests(training(), "training")
 
 
 def main() -> None:

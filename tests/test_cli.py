@@ -100,11 +100,28 @@ def test_train_scores_the_held_out_subject(tiny_dataset, tmp_path):
     assert main(train_args(tiny_dataset, str(tmp_path / "run"))) == 0
     doc = json.loads((tmp_path / "run" / "held_out.json").read_text())
     held = [r.frames for r in cd.load_trajectories(tiny_dataset) if r.subject == "synth5"]
-    windows = np.stack([f[s : s + 8] for f in held for s in range(len(f) - 7)])
+    windows = [(ri, s) for ri, f in enumerate(held) for s in range(len(f) - 7)]
     best = hm.load_params(tmp_path / "run" / "model.weights")
-    loss, base_pos_error = hm._evaluate(best, best.config, windows)
+    loss, base_pos_error = hm._evaluate(best, best.config, held, windows)
     assert doc == {"subject": "synth5", "windows": 9, "loss": loss,
                    "base_pos_error": base_pos_error}
+
+
+def test_train_test_split_without_a_window_exits_2_before_any_output(tmp_path, capsys):
+    """Two records per subject, so every subject but the held-out one puts
+    one record into the test split; those are cut below one window."""
+    records = cd.synth_generate(cd.SynthConfig(num_trajectories=12, duration_frames=16,
+                                               reach_frames=4), seed=0)
+    test = {id(r) for r in cd.split_dataset(records, "synth5", seed=3).test}
+    assert len(test) == 5
+    short = [replace(r, frames=r.frames[:6]) if id(r) in test else r for r in records]
+    path = tmp_path / "short.traj"
+    cd.save_trajectories(short, path)
+    assert main(train_args(str(path), str(tmp_path / "o"))) == 2
+    err = capsys.readouterr().err
+    assert "test split of 5 records" in err and "8-frame windows" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_held_out_subject_without_a_window_exits_2_before_any_output(tiny_dataset,

@@ -131,14 +131,19 @@ def test_fuzzed_truncation_never_partially_loads(tmp_path):
 
 def test_windows_counts():
     """Training draws every contiguous window of input + output frames."""
-    for n, count in ((41, 2), (40, 1), (39, 0)):
-        assert len(hm._window_index([make_record(n).frames], 40)) == count
+    config = hm.ModelConfig()  # 20 + 20 frames
+    for n, count in ((41, 2), (40, 1)):
+        assert len(hm.training_windows([make_record(n).frames], config)) == count
+    with pytest.raises(hm.ModelError, match="40-frame windows"):
+        hm.training_windows([make_record(39).frames], config)
 
 
 def test_windows_match_direct_slicing():
     """Window (r, s) is frames s..s + span - 1 of record r, for every start."""
     records = [make_record(30, seed=4).frames, make_record(10, seed=5).frames]
-    assert hm._window_index(records, 8) == [(0, s) for s in range(23)] + [(1, s) for s in range(3)]
+    config = hm.ModelConfig(input_frames=3, output_frames=5)
+    assert hm.training_windows(records, config) == ([(0, s) for s in range(23)]
+                                                    + [(1, s) for s in range(3)])
 
 
 def test_rotate_frames_zero_yaw_is_identity():

@@ -1,5 +1,6 @@
-"""The behaviour lock (``tests/golden``): 45 seeded planning runs and the
-seeded data generators return what ``lock.json`` holds.
+"""The behaviour lock (``tests/golden``): 45 seeded planning runs, the
+seeded data generators and one seeded training run return what
+``lock.json`` holds.
 
 Discrete fields (status, details, success, reasons, array sizes; a
 generator's subjects, annotations, problem ids and constraint kinds) must
@@ -14,6 +15,9 @@ product may round differently in the last bit.
   perturbation of every model weight moved these outputs by at most 5.1e-12
   by this test's measure and changed no discrete field, so 1e-8 leaves three
   orders of magnitude for such rounding while any change of the math shows.
+- Training, within ``RTOL``.  A 1e-15 relative perturbation of every
+  initial weight moved its metrics by at most 7.3e-16 and its weights by at
+  most 1.0e-13 by this test's measure.
 - Generators, within ``GENERATOR_RTOL``.  They run no long product, only
   3×3 rotations, an SVD per blended arm frame and forward kinematics, so a
   last-bit rounding moves their outputs by a few ulps at most.
@@ -38,6 +42,7 @@ with open(lock.LOCK) as _fh:
     _DOC = json.load(_fh)
 LOCKED = _DOC["runs"]
 LOCKED_GENERATORS = _DOC["generators"]
+LOCKED_TRAINING = _DOC["training"]
 
 
 def deviation(value, ref, scale):
@@ -113,3 +118,12 @@ def test_a_generator_returns_what_the_lock_holds(fresh_generators, name):
     wrong, worst = compare(LOCKED_GENERATORS[name], *fresh_generators[name])
     assert wrong == []
     assert worst <= GENERATOR_RTOL
+
+
+def test_training_returns_what_the_lock_holds():
+    fresh = {name: rest for name, *rest in lock.training()}
+    assert list(fresh) == list(LOCKED_TRAINING) == ["epoch/0", "epoch/1", "params", "best"]
+    for name, entry in LOCKED_TRAINING.items():
+        wrong, worst = compare(entry, *fresh[name])
+        assert wrong == [], name
+        assert worst <= RTOL, name

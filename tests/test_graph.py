@@ -333,7 +333,7 @@ def test_gru_scan_weight_gradients_match_finite_differences():
     point = _scan_point(rng, d=d, sd=sd, lead=lead)
     in_dim = 2 * sd - lead
     hiddens = [np.zeros((d, B)) for _ in range(2)]
-    inputs = rng.normal(size=(E, in_dim, B))
+    frames = rng.normal(size=(E + 1, sd, B))
     state, velocity = rng.normal(size=(sd, B)), 0.1 * rng.normal(size=(sd, B))
     masks = [(rng.binomial(1, 0.7, size=(n, B)) / 0.7, rng.binomial(1, 0.7, size=(d, B)) / 0.7)
              for n in (in_dim, d)]
@@ -342,16 +342,18 @@ def test_gru_scan_weight_gradients_match_finite_differences():
 
     def f(t, r):
         return t.gru_scan([r[name] for name in point], hiddens, state, velocity, H,
-                          inputs=inputs, masks=masks)
+                          frames=frames, masks=masks)
 
     assert len(point) == 8
     assert gradient_check(f, point, step=1e-6, seed=probe) < 1e-7
 
 
-def _bptt_oracle(weights, hiddens, state, velocity, H, seed, inputs=None, modifiers=None,
+def _bptt_oracle(weights, hiddens, state, velocity, H, seed, frames=None, modifiers=None,
                  masks=None):
     """``gru_scan``'s forward and adjoint written step by step from the module
     docstring's formulas, each product in its documented association order.
+    The encoder inputs are built up front, as one concatenation of the later
+    frames' entries past l and the frame differences.
 
     Returns the weight gradients (W, U, b per layer, then W_o, b_o) and the
     modifier gradient.  An absent mask is 1.0, and x * 1.0 is x bit for bit.
@@ -362,7 +364,9 @@ def _bptt_oracle(weights, hiddens, state, velocity, H, seed, inputs=None, modifi
     col = (lambda v: v[:, None]) if hiddens[0].ndim == 2 else (lambda v: v)
     sd = W_o.shape[0]
     lead = 2 * sd - layers[0][0].shape[1]
-    E = 0 if inputs is None else len(inputs)
+    E = 0 if frames is None else len(frames) - 1
+    if E:
+        inputs = np.concatenate([frames[1:, lead:], frames[1:] - frames[:-1]], axis=1)
 
     def sigmoid(a):
         e = np.exp(-np.abs(a))
@@ -473,18 +477,18 @@ def test_gru_scan_weight_gradients_are_the_bptt_oracle_bit_for_bit():
     point = _scan_point(rng, d=d, sd=sd, lead=lead)
     in_dim = 2 * sd - lead
     hiddens = [np.zeros((d, B)) for _ in range(2)]
-    inputs = rng.normal(size=(E, in_dim, B))
+    frames = rng.normal(size=(E + 1, sd, B))
     state, velocity = rng.normal(size=(sd, B)), 0.1 * rng.normal(size=(sd, B))
     masks = [(rng.binomial(1, 0.7, size=(n, B)) / 0.7, rng.binomial(1, 0.7, size=(d, B)) / 0.7)
              for n in (in_dim, d)]
     seed = rng.normal(size=(H, sd, B))
     tape = Tape()
     refs = [tape.leaf(name, w) for name, w in point.items()]
-    tape.set_output(tape.gru_scan(refs, hiddens, state, velocity, H, inputs=inputs,
+    tape.set_output(tape.gru_scan(refs, hiddens, state, velocity, H, frames=frames,
                                   masks=masks))
     grads = backward(tape, seed)
     expected, _ = _bptt_oracle(list(point.values()), hiddens, state, velocity, H, seed,
-                               inputs=inputs, masks=masks)
+                               frames=frames, masks=masks)
     for name, want in zip(point, expected):
         assert grads[name].tobytes() == want.tobytes(), name
 
@@ -525,6 +529,26 @@ def test_gru_unroll_without_keep_holds_one_step_of_workspace():
     assert peak < 2 * states.nbytes
 
 
+def test_gru_unroll_encoder_builds_no_input_array():
+    """An encoder-only unroll over 20 frames of 205 columns (the default 2x100
+    stack) writes each step's input into one workspace: its peak stays below
+    the (19, 255, 205) input array that building the inputs up front takes."""
+    import tracemalloc
+
+    rng = np.random.default_rng(31)
+    E, d, sd, lead, B = 19, 100, 129, 3, 205
+    weights = list(_scan_point(rng, d=d, sd=sd, lead=lead).values())
+    hiddens = [np.zeros((d, B)) for _ in range(2)]
+    frames = rng.normal(size=(E + 1, sd, B))
+    tracemalloc.start()
+    try:
+        gru_unroll(weights, hiddens, None, None, 0, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E * (2 * sd - lead) * B * 8
+
+
 def test_gru_scan_rejects_mismatched_shapes():
     rng = np.random.default_rng(26)
     weights = list(_scan_point(rng, layers=1).values())
@@ -538,7 +562,12 @@ def test_gru_scan_rejects_mismatched_shapes():
     with pytest.raises(GraphError, match="gru_scan shapes"):
         tape.gru_scan(consts, hiddens, state, state, 4, modifiers=tape.const(np.zeros((3, 5))))
     with pytest.raises(GraphError, match="gru_scan shapes"):
-        tape.gru_scan(consts, hiddens, state, state, 4, inputs=np.zeros((2, 7)))
+        tape.gru_scan(consts, hiddens, state, state, 4, frames=np.zeros((3, 7)))
+    with pytest.raises(GraphError, match="gru_scan shapes"):
+        tape.gru_scan(consts, hiddens, state, state, 4, frames=np.zeros((1, 5)))
+    with pytest.raises(GraphError, match="gru_scan shapes"):
+        tape.gru_scan(consts, hiddens, state, state, 4, frames=np.zeros(5))
+    tape.gru_scan(consts, hiddens, state, state, 4, frames=np.zeros((2, 5)))
 
 
 def test_rollout_gradient_matches_finite_differences_horizon_40():

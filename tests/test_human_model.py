@@ -314,10 +314,11 @@ def test_training_gradients_match_finite_differences_of_the_numpy_loss():
     config = tiny_config(num_layers=2, input_frames=3, output_frames=3)
     params = random_params(config, seed=15)
     rng = np.random.default_rng(16)
-    windows = np.stack([random_observed(rng, k=6, step=0.05) for _ in range(3)])
-    cols = np.ascontiguousarray(windows.transpose(1, 2, 0))
+    records = [random_observed(rng, k=6, step=0.05) for _ in range(3)]
+    windows = [(ri, 0) for ri in range(3)]
+    cols = np.stack(records, axis=2)
     loss, grads = hm._batch_gradients(params, cols)
-    assert loss == pytest.approx(hm._evaluate(params, config, windows)[0], rel=1e-14)
+    assert loss == pytest.approx(hm._evaluate(params, config, records, windows)[0], rel=1e-14)
     assert set(grads) == set(params.arrays)
     eps = 1e-6
     for name, arr in params.arrays.items():
@@ -328,16 +329,59 @@ def test_training_gradients_match_finite_differences_of_the_numpy_loss():
             idx = (k * rows + rng.integers(rows), *(rng.integers(n) for n in arr.shape[1:]))
             saved = arr[idx]
             arr[idx] = saved + eps
-            hi = hm._evaluate(params, config, windows)[0]
+            hi = hm._evaluate(params, config, records, windows)[0]
             arr[idx] = saved - eps
-            lo = hm._evaluate(params, config, windows)[0]
+            lo = hm._evaluate(params, config, records, windows)[0]
             arr[idx] = saved
             assert grads[name][idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-5, abs=1e-8)
+
+
+def test_a_training_tape_holds_a_view_of_its_batch(monkeypatch):
+    """The gru_scan node's encoder frames are the batch's first k frames
+    themselves, not a copy or an input array built from them."""
+    config = tiny_config(num_layers=2, input_frames=3, output_frames=3)
+    rng = np.random.default_rng(17)
+    cols = np.stack([random_observed(rng, k=6) for _ in range(4)], axis=2)
+    tapes = []
+
+    def spy(tape, seed, **kw):
+        tapes.append(tape)
+        return backward(tape, seed, **kw)
+
+    monkeypatch.setattr(hm, "backward", spy)
+    hm._batch_gradients(random_params(config), cols)
+    (tape,) = tapes
+    frames = tape.params[tape.ops.index(OP_SCAN)][4]
+    assert frames.shape == (3, STATE_DIM, 4) and np.shares_memory(frames, cols)
 
 
 def test_train_empty_dataset_rejected():
     with pytest.raises(hm.ModelError, match="empty"):
         hm.train([], tiny_config(), seed=0)
+
+
+def test_train_rejects_test_records_without_a_window():
+    """A ModelError that names the window span, not numpy's stacking error."""
+    rec = random_observed(np.random.default_rng(20), k=16)
+    with pytest.raises(hm.ModelError, match="8-frame windows"):
+        hm.train([rec], tiny_config(), seed=0, epochs=1, test_records=[rec[:7]])
+
+
+@pytest.mark.parametrize("test_records", [None, []], ids=["none", "empty"])
+def test_train_without_test_records_scores_nan(test_records):
+    rec = random_observed(np.random.default_rng(21), k=16)
+    result = hm.train([rec], tiny_config(), seed=0, epochs=2, batch_size=4,
+                      test_records=test_records)
+    assert all(np.isnan(m.test_loss) and np.isnan(m.base_pos_error) for m in result.history)
+
+
+@pytest.mark.parametrize("name, value", [("batch_size", -3), ("batch_size", 0),
+                                         ("batch_size", 2.5), ("batch_size", True),
+                                         ("epochs", 0), ("epochs", -1), ("epochs", 2.0)])
+def test_train_rejects_a_batch_size_or_epoch_count_that_is_not_a_positive_integer(name, value):
+    rec = random_observed(np.random.default_rng(22), k=16)
+    with pytest.raises(hm.ModelError, match=f"{name} must be a positive integer"):
+        hm.train([rec], tiny_config(), seed=0, **{name: value})
 
 
 def test_weight_file_round_trip_bit_exact(tmp_path):
