@@ -12,8 +12,11 @@ human skeleton of ``kinematics`` and the one robot arm of ``robot_model``,
 and score each plan by its problem's constraints, each by its own success
 clause (``evaluation.check_success``).
 
-``train`` scores its best weights on the ``--held-out`` subject's windows,
-as each epoch's test loss scores the test split, in ``held_out.json``.
+``train`` checks every split before its first write: the test split is
+not empty, and the train, test and ``--held-out`` splits each hold a window;
+an error names the split and its record count.  It scores its best weights
+on the ``--held-out`` subject's windows, as each epoch's test loss scores
+the test split, in ``held_out.json``.
 
 ``evaluate`` reads each problem file once, however many patterns match it,
 and refuses two files of one name, the name its rows carry.  Before its first
@@ -234,19 +237,13 @@ def cmd_train(args) -> int:
     config = replace(config, frame_rate=records[0].fps)
     split = dat.split_dataset(records, held_out_subject=args.held_out,
                               test_fraction=args.test_fraction, seed=args.seed)
-    train_frames = [r.frames for r in split.train]
-    hm.training_windows(train_frames, config)
-    test_frames = [r.frames for r in split.test]
-    if test_frames:
-        try:
-            hm.training_windows(test_frames, config)
-        except hm.ModelError as exc:
-            raise UsageError(f"test split of {len(test_frames)} records: {exc}") from None
-    held_frames = [r.frames for r in split.held_out]
-    try:
-        held_index = hm.training_windows(held_frames, config)
-    except hm.ModelError as exc:
-        raise UsageError(f"--held-out {args.held_out}: {exc}") from None
+    checked = []
+    for what, part in (("train", split.train), ("test", split.test),
+                       (f"--held-out {args.held_out}", split.held_out)):
+        frames = [r.frames for r in part]
+        checked.append((frames, hm.training_windows(frames, config,
+                                                    f"{what} split of {len(frames)} records")))
+    (train_frames, _), (test_frames, _), (held_frames, held_index) = checked
     _write_manifest(out, args)
     lines = []
 

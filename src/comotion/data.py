@@ -197,8 +197,9 @@ def split_dataset(
 ) -> DatasetSplit:
     """Subject-disjoint held-out split plus a per-subject train/test split.
 
-    Raises ``DataError`` when ``test_fraction`` lies outside (0, 1) or no
-    record has the held-out subject."""
+    Raises ``DataError`` when ``test_fraction`` lies outside (0, 1), no
+    record has the held-out subject, or no other subject has the two records
+    that put one into the test split."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test fraction must lie in (0, 1), got {test_fraction}")
     present = sorted({r.subject for r in records})
@@ -217,6 +218,9 @@ def split_dataset(
         n_test = max(1, int(round(test_fraction * len(own)))) if len(own) > 1 else 0
         test += [own[i] for i in order[:n_test]]
         train += [own[i] for i in order[n_test:]]
+    if not test:
+        raise DataError(f"empty test split: no subject but the held-out {held_out_subject!r} "
+                        f"has two records")
     return DatasetSplit(train=train, test=test, held_out=held)
 
 
@@ -261,11 +265,7 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 def _partial_sums(start: float, steps: np.ndarray) -> np.ndarray:
     """``start``, then ``start + steps[0]``, then that plus ``steps[1]`` and so
     on, ``len(steps)`` values in all: a recurrence, summed in order."""
-    out = [start]
-    for step in steps.tolist()[:-1]:
-        start += step
-        out.append(start)
-    return np.array(out)
+    return np.cumsum(np.concatenate(([start], steps[:-1])))
 
 
 # the gait swings about the y axis; its fixed rotations are the left elbow

@@ -812,7 +812,6 @@ class Tape:
         # node indices, not Refs: a Ref points back at its tape, and a cycle
         # would keep every tape alive until a full garbage collection
         self._const_cache: dict[float, int] = {}
-        self._backward_plans: dict = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -1046,28 +1045,24 @@ class Tape:
 
     def backward_plan(self, out_idx: int, wanted: dict[str, int]):
         """The needed mask and the reverse visiting order for one output and
-        leaf set, computed once per tape.
+        leaf set.
 
         A node needs a gradient iff it transitively depends on a wanted leaf;
         only needed non-leaf nodes are visited.
         """
-        key = (out_idx, tuple(wanted))
-        plan = self._backward_plans.get(key)
-        if plan is None:
-            ops, args = self.ops, self.args
-            needed = bytearray(out_idx + 1)
-            for idx in wanted.values():
-                if idx <= out_idx:
-                    needed[idx] = 1
-            for i in range(out_idx + 1):
-                if ops[i] > OP_CONST and not needed[i]:
-                    for j in args[i]:
-                        if needed[j]:
-                            needed[i] = 1
-                            break
-            order = [i for i in range(out_idx, -1, -1) if needed[i] and ops[i] > OP_CONST]
-            plan = self._backward_plans[key] = (needed, order)
-        return plan
+        ops, args = self.ops, self.args
+        needed = bytearray(out_idx + 1)
+        for idx in wanted.values():
+            if idx <= out_idx:
+                needed[idx] = 1
+        for i in range(out_idx + 1):
+            if ops[i] > OP_CONST and not needed[i]:
+                for j in args[i]:
+                    if needed[j]:
+                        needed[i] = 1
+                        break
+        order = [i for i in range(out_idx, -1, -1) if needed[i] and ops[i] > OP_CONST]
+        return needed, order
 
 
 def record(fn, leaves: dict[str, np.ndarray]):

@@ -335,15 +335,17 @@ class _Adam:
             arrays[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def training_windows(records: list[np.ndarray], config: ModelConfig) -> list[tuple]:
+def training_windows(records: list[np.ndarray], config: ModelConfig,
+                     name: str = "training records") -> list[tuple]:
     """(record, first frame) of every window of ``config``'s ``input +
-    output`` frames, in order; a ``ModelError`` when there is none."""
+    output`` frames, in order; a ``ModelError`` that begins with ``name``
+    when there is none."""
     if not records:
-        raise ModelError("empty training set")
+        raise ModelError(f"{name}: the set is empty")
     span = config.input_frames + config.output_frames
     index = [(ri, s) for ri, rec in enumerate(records) for s in range(len(rec) - span + 1)]
     if not index:
-        raise ModelError(f"no record is long enough for {span}-frame windows")
+        raise ModelError(f"{name}: no record is long enough for {span}-frame windows")
     return index
 
 
@@ -380,9 +382,9 @@ def train(
 
     A batch is stacked once, as (span, 129, B) columns whose first k frames
     its tape reads in place.  Each epoch ends by scoring the test windows
-    (NaN for none; the best weights then follow the train loss).  Test
-    records without a window raise a ``ModelError``, as do ``epochs`` or
-    ``batch_size`` other than positive integers.
+    (NaN for none; the best weights then follow the train loss).  Training
+    or test records without a window raise a ``ModelError`` that names the
+    set, as do ``epochs`` or ``batch_size`` other than positive integers.
 
     ``learning_rate_decay`` multiplies the step size once per epoch; the L1
     rotation term keeps Adam oscillating at the step-size scale, so exact
@@ -392,7 +394,7 @@ def train(
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ModelError(f"{name} must be a positive integer, got {value!r}")
     index = training_windows(records, config)
-    test_index = training_windows(test_records, config) if test_records else []
+    test_index = training_windows(test_records, config, "test records") if test_records else []
     span = config.input_frames + config.output_frames
 
     params = init_params(config, seed)

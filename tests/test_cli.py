@@ -18,8 +18,10 @@ from comotion.cli import main
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
+    """Two 16-frame records per subject, so every subject but the held-out
+    one puts a record into the test split."""
     path = tmp_path_factory.mktemp("data") / "tiny.traj"
-    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=6, duration_frames=16,
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=12, duration_frames=16,
                                             reach_frames=4), seed=0)
     cd.save_trajectories(recs, path)
     return str(path)
@@ -103,15 +105,14 @@ def test_train_scores_the_held_out_subject(tiny_dataset, tmp_path):
     windows = [(ri, s) for ri, f in enumerate(held) for s in range(len(f) - 7)]
     best = hm.load_params(tmp_path / "run" / "model.weights")
     loss, base_pos_error = hm._evaluate(best, best.config, held, windows)
-    assert doc == {"subject": "synth5", "windows": 9, "loss": loss,
+    assert doc == {"subject": "synth5", "windows": 18, "loss": loss,
                    "base_pos_error": base_pos_error}
 
 
-def test_train_test_split_without_a_window_exits_2_before_any_output(tmp_path, capsys):
-    """Two records per subject, so every subject but the held-out one puts
-    one record into the test split; those are cut below one window."""
-    records = cd.synth_generate(cd.SynthConfig(num_trajectories=12, duration_frames=16,
-                                               reach_frames=4), seed=0)
+def test_train_test_split_without_a_window_exits_2_before_any_output(tiny_dataset, tmp_path,
+                                                                     capsys):
+    """The test split's records are cut below one window."""
+    records = cd.load_trajectories(tiny_dataset)
     test = {id(r) for r in cd.split_dataset(records, "synth5", seed=3).test}
     assert len(test) == 5
     short = [replace(r, frames=r.frames[:6]) if id(r) in test else r for r in records]
@@ -121,6 +122,19 @@ def test_train_test_split_without_a_window_exits_2_before_any_output(tmp_path, c
     err = capsys.readouterr().err
     assert "test split of 5 records" in err and "8-frame windows" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_one_record_per_subject_exits_2_before_any_output(tmp_path, capsys):
+    """No subject but the held-out one has the two records that put one into
+    the test split, which would leave every epoch's test loss NaN."""
+    records = cd.synth_generate(cd.SynthConfig(num_trajectories=6, duration_frames=16,
+                                               reach_frames=4), seed=0)
+    path = tmp_path / "six.traj"
+    cd.save_trajectories(records, path)
+    assert main(train_args(str(path), str(tmp_path / "o"))) == 2
+    err = capsys.readouterr().err
+    assert "empty test split" in err and "'synth5'" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -176,7 +190,8 @@ def test_bad_trajectory_header_exits_2_naming_line_and_key(tiny_dataset, tmp_pat
 def test_train_logs_epoch_wall_time(tiny_dataset, tmp_path):
     assert main(train_args(tiny_dataset, str(tmp_path / "run"))) == 0
     epoch = json.loads((tmp_path / "run" / "epochs.jsonl").read_text().splitlines()[0])
-    assert epoch["seconds"] > 0.0 and np.isfinite(epoch["train_loss"])
+    assert epoch["seconds"] > 0.0
+    assert np.isfinite(epoch["train_loss"]) and np.isfinite(epoch["test_loss"])
 
 
 def _rewrite_weight_header(src, dst, edit):

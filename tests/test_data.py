@@ -260,6 +260,15 @@ def test_split_rejects_a_test_fraction_outside_0_1():
             cd.split_dataset(recs, held_out_subject="synth2", test_fraction=fraction)
 
 
+def test_split_rejects_subjects_of_one_record_each():
+    """One record per subject puts none into the test split: refused, not
+    returned empty."""
+    recs = cd.synth_generate(cd.SynthConfig(num_trajectories=6, duration_frames=20,
+                                            reach_frames=5), seed=4)
+    with pytest.raises(cd.DataError, match="empty test split.*'synth2'"):
+        cd.split_dataset(recs, held_out_subject="synth2")
+
+
 def test_split_rejects_a_held_out_subject_no_record_has():
     recs = cd.synth_generate(cd.SynthConfig(num_trajectories=12, duration_frames=20,
                                             reach_frames=5), seed=4)

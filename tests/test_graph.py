@@ -231,17 +231,15 @@ def test_recorded_tape_is_freed_by_reference_counting():
         gc.enable()
 
 
-def test_backward_plan_is_computed_once_per_output_and_leaf_set():
+def test_backward_wrt_one_leaf_repeats_and_matches_the_formula():
     def f(t, r):
         return t.sum(t.square(t.sub(t.square(r["x"]), r["y"])))
 
     x, y = np.array([0.3, -0.2]), np.array([1.5, 2.0])
     tape, _ = record(f, {"x": x, "y": y})
     gx = backward(tape, np.asarray(1.0), wrt=["x"])
-    plan = tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]})
     both = backward(tape, np.asarray(1.0))
     assert backward(tape, np.asarray(1.0), wrt=["x"])["x"].tolist() == gx["x"].tolist()
-    assert tape.backward_plan(tape.output_index, {"x": tape.leaves["x"]}) is plan
     assert np.allclose(gx["x"], 4.0 * x * (x * x - y), atol=1e-15)
     assert np.allclose(both["y"], -2.0 * (x * x - y), atol=1e-15)
 

@@ -367,6 +367,17 @@ def test_train_rejects_test_records_without_a_window():
         hm.train([rec], tiny_config(), seed=0, epochs=1, test_records=[rec[:7]])
 
 
+def test_train_names_the_set_that_lacks_windows():
+    rec = random_observed(np.random.default_rng(20), k=16)
+    errors = []
+    for records, test_records in (([rec[:7]], [rec]), ([rec], [rec[:7]])):
+        with pytest.raises(hm.ModelError) as caught:
+            hm.train(records, tiny_config(), seed=0, epochs=1, test_records=test_records)
+        errors.append(str(caught.value))
+    assert errors == ["training records: no record is long enough for 8-frame windows",
+                      "test records: no record is long enough for 8-frame windows"]
+
+
 @pytest.mark.parametrize("test_records", [None, []], ids=["none", "empty"])
 def test_train_without_test_records_scores_nan(test_records):
     rec = random_observed(np.random.default_rng(21), k=16)
