@@ -69,18 +69,32 @@ decoder step j::
     r_j = S[l:] + g_x[:sd-l],  V_j = V <- g_x[sd-l:],  S <- [S[:l]; r_j]
     du_j = [0; r_j] - V_j + V_{j-1}   (V_{H-1} drops out: u_H = u_{H-1})
 
-The cell adjoint's forward-only factors (1 - [z; r], 1 - n^2, n - h and hd)
-are computed for all steps before the loop; every product keeps the
-association order written above.  Encoder steps run only the cell adjoints,
-and only when a weight wants a gradient.  The weight gradients then sum over
-time in one GEMM per gate block after the loop, on (dim, T B) copies of the
-cache and the g_pre stored per step::
+Encoder steps run only the cell adjoints, and only when a weight wants a
+gradient.  The loop runs over chunks of C consecutive steps, the last chunk
+first.  At a chunk's start, the forward-only factors of its cell adjoints
+(1 - [z; r], 1 - n^2, n - h and hd) are computed for all its steps at once,
+into time-major buffers that every chunk reuses; every product keeps the
+association order written above.  The weight gradients sum over time chunk
+by chunk.  At a chunk's end, one GEMM per gate block on contiguous
+(dim, C B) copies of the chunk's cache and of the g_pre its steps stored
+gives the chunk's share, which is added to the sum over the later chunks
+(the last chunk's share starts it)::
 
-    dW = G_pre Xd^T,  dU = [G_zr Hd^T; G_n (R * Hd)^T],  db = G_pre 1
-    dW_o = GV O^T,  db_o = GV 1
+    dW += G_pre Xd^T,  dU += [G_zr Hd^T; G_n (R * Hd)^T],  db += G_pre 1
+    dW_o += GV O^T,  db_o += GV 1
 
-where Xd and Hd are the masked inputs and hidden states, R the reset gates,
-O the top-layer outputs of the decoder steps and GV their gv_j.
+where Xd and Hd are the chunk's masked inputs and hidden states, R its
+reset gates, O the top-layer outputs of its decoder steps and GV their
+gv_j.  C = max(1, 256 // B) steps on B columns (``CHUNK_COLUMNS``; B = 1
+for vectors), and the earliest chunk takes what is left.  At 256 columns a
+chunk's GEMMs take about 1.1 times what one GEMM over a whole default
+unroll (39 steps of 32 columns) takes, against 1.3 to 1.7 times at 128 or
+64 (one BLAS thread); and the adjoint's buffers stay a chunk long, not T
+steps (a default batch peaks at 17.5 MiB traced, against 25.0 MiB with
+whole-unroll buffers).
+Chunking changes the weight gradients' rounding only.  Without weight
+gradients (planning) the steps the loop runs are one chunk, so planning's
+adjoint makes the same numpy calls per step as an unchunked loop.
 
 ``rollout`` integrates the unicycle-plus-joints dynamics over H steps from a
 constant initial state by sequential cumulative sums
@@ -141,6 +155,8 @@ range of an (N, D) trajectory), so per-timestep constraint terms are a few
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -306,6 +322,13 @@ def _product(batch):
     dispatches faster than np.matmul's, and np.matmul for column batches,
     whose gemm call runs faster than np.dot's.  Both round alike."""
     return np.matmul if batch else np.dot
+
+
+# Columns (steps times batch width) of one chunk of the gru_scan adjoint when
+# it sums weight gradients: wide enough that a chunk's weight GEMMs run
+# nearly as fast as one over the whole unroll, narrow enough that the chunk
+# buffers stay small beside the forward cache (see the module docstring).
+CHUNK_COLUMNS = 256
 
 
 def _workspace(shape, count, keep=False):
@@ -479,10 +502,11 @@ def _flat(a):
     return a.reshape(a.shape[0], -1)
 
 
-def _dim_major(a, mask=None):
-    """A time-major (T, dim[, B]) buffer, times a (dim[, B]) mask when given,
-    as a contiguous (dim, T[, B]) copy: the layout of the weight GEMMs."""
-    out = np.empty((a.shape[1], a.shape[0], *a.shape[2:]))
+def _dim_major(flat, a, mask=None):
+    """A time-major (c, dim[, B]) chunk, times a (dim[, B]) mask when given,
+    as a contiguous (dim, c[, B]) array at the head of the 1-D buffer
+    ``flat``: the layout of the weight GEMMs."""
+    out = flat[: a.size].reshape(a.shape[1], len(a), *a.shape[2:])
     if mask is None:
         np.copyto(out, np.moveaxis(a, 0, 1))
     else:
@@ -507,35 +531,31 @@ def _b_scan(g, vals, a, p, cache, needed):
     product = _product(batch)
     want_w = any(needed[i] for i in a[:nw])
     want_u = len(a) > nw and needed[a[nw]]
-    # The forward-only factors of the cell adjoints, for all steps at once.
-    # Step t's g_pre slot starts out holding the factors its rows multiply by
-    # last, [1 - z; 1 - r; 1 - n^2].  The slots and the masked hidden states
-    # hd are time-major, or (dim, T, B) when the weight GEMMs read them.
-    layers, g_pres, hds, n_hs = [], [], [], []
+    # Encoder steps only matter for the weight gradients.  The reverse loop
+    # runs in chunks of steps, the last first; without weight gradients the
+    # steps it runs are one chunk.
+    stop = 0 if want_w else enc
+    chunk = min(max(1, CHUNK_COLUMNS // math.prod(batch)), steps) if want_w else steps - stop
+    layers, chunks = [], []
     for li, (mask_x, mask_h) in enumerate(masks):
         W, U = vals[a[3 * li]], vals[a[3 * li + 1]]
         d = U.shape[1]
-        zr, n, h = gates[li][:, : 2 * d], gates[li][:, 2 * d :], hs[li][:-1]
-        if want_w:
-            g_pre, hd = np.empty((3 * d, steps, *batch)), _dim_major(h, mask_h)
-            slots, hd_steps = np.moveaxis(g_pre, 1, 0), np.moveaxis(hd, 1, 0)
-            g_pres.append(g_pre)
-            hds.append(hd)
-        else:
-            slots = np.empty((steps, 3 * d, *batch))
-            hd_steps = h if mask_h is None else h * mask_h
-        np.subtract(1.0, zr, out=slots[:, : 2 * d])
-        one_n2 = np.multiply(n, n, out=slots[:, 2 * d :])
-        np.subtract(1.0, one_n2, out=one_n2)
-        n_hs.append(n - h)
         w_zr = np.empty((2 * d, *batch))
-        layers.append((W.T, U[: 2 * d].T, U[2 * d :].T, mask_x, mask_h, d, zr, slots, hd_steps,
-                       w_zr, w_zr[:d], w_zr[d:], np.empty((d, *batch)), np.empty((d, *batch)),
+        layers.append((W.T, U[: 2 * d].T, U[2 * d :].T, mask_x, mask_h, d, w_zr, w_zr[:d],
+                       w_zr[d:], np.empty((d, *batch)), np.empty((d, *batch)),
                        np.empty((W.shape[1], *batch)) if li else None))
-    # the velocity gradients stay (sd, H, B) for the output-layer GEMM; the
-    # input gradients of every step are kept only for the modifier gradient
-    g_vel = np.empty((sd, horizon, *batch)) if want_w else None
-    g_vels = np.moveaxis(g_vel, 1, 0) if want_w else _workspace((sd, *batch), horizon)
+        # a chunk's g_pre slots, its n - h and its masked hidden states
+        chunks.append((np.empty((chunk, 3 * d, *batch)), np.empty((chunk, d, *batch)),
+                       None if mask_h is None else np.empty((chunk, d, *batch))))
+    if want_w:
+        # the (dim, chunk B) operands of the weight GEMMs, which every layer reuses
+        cols = chunk * math.prod(batch)
+        g_buf = np.empty(max(sd, *(3 * h.shape[0] for h in hiddens)) * cols)
+        x_buf = np.empty(max(xs.shape[1], *(h.shape[0] for h in hiddens)) * cols)
+        h_buf = np.empty(max(h.shape[0] for h in hiddens) * cols)
+    # the velocity gradients of a chunk's steps are kept for the output-layer
+    # GEMM; the input gradients of every step only for the modifier gradient
+    g_vels = _workspace((sd, *batch), chunk, want_w)
     g_xs = _workspace((sd + rot, *batch), horizon, want_u)
     gu = np.zeros((horizon, sd, *batch)) if want_u else None
     gh = [np.zeros(h.shape) for h in hiddens]  # gradient of each layer's hidden state
@@ -545,62 +565,89 @@ def _b_scan(g, vals, a, p, cache, needed):
     g_x_rot, g_x_vel = list(g_xs[:, :rot]), list(g_xs[:, rot:])
     gu_rot = list(gu[:, lead:]) if want_u else None
     g_v = None  # V, of the velocity
-    # encoder steps only matter for the weight gradients
-    for t in range(steps - 1, -1 if want_w else enc - 1, -1):
-        j = t - enc
-        if j >= 0:
-            gv = g_vels[j]
-            if g_v is None:
-                np.copyto(g_s, g[j])
-                np.copyto(gv, g_s)
-            else:
-                g_s += g[j]
-                np.add(g_s, g_v, out=gv)
-            g_top += product(out_WT, gv, out=top)
-        for li in range(nl - 1, -1, -1):
-            (WT, U_zrT, U_nT, mask_x, mask_h, d, zr, slots, hd, w_zr, w_z, w_r, w_rh, w_hd,
-             w_in) = layers[li]
-            gt = gh[li]
-            zr_t, g_pre = zr[t], slots[t]
-            g_zr, g_n = g_pre[: 2 * d], g_pre[2 * d :]
-            g_n *= np.multiply(gt, zr_t[:d], out=w_rh)  # (g z) (1 - n^2)
-            g_rh = product(U_nT, g_n, out=w_rh)
-            np.multiply(gt, n_hs[li][t], out=w_z)
-            np.multiply(g_rh, hd[t], out=w_r)
-            w_zr *= zr_t
-            gt *= g_zr[:d]  # g (1 - z), before g_zr is overwritten
-            g_zr *= w_zr  # ([.] [z; r]) (1 - [z; r])
-            g_hd = product(U_zrT, g_zr, out=w_hd)
-            g_hd += np.multiply(g_rh, zr_t[d:], out=w_rh)
-            if mask_h is not None:
-                g_hd *= mask_h
-            gt += g_hd
-            if li or j >= 0:
-                g_in = product(WT, g_pre, out=w_in if li else g_xs[j])
-                if mask_x is not None:
-                    g_in *= mask_x
-                if li:
-                    gh[li - 1] += g_in
-        if j >= 0:
-            g_s_rot += g_x_rot[j]
-            if want_u:
-                np.copyto(gu_rot[j], g_s_rot)
-            g_v = g_x_vel[j]
-    del n_hs  # before the weight GEMMs allocate
     grads = [None] * nw
-    if want_w:
-        grads = []
-        for li, ((mask_x, _), g_pre, hd) in enumerate(zip(masks, g_pres, hds)):
-            d = hd.shape[0]
-            g_pre = _flat(g_pre)
-            xd = _flat(_dim_major(xs if li == 0 else hs[li - 1][1:], mask_x))
-            gU = np.empty((3 * d, d))
-            gU[: 2 * d] = g_pre[: 2 * d] @ _flat(hd).T
-            rh = np.multiply(hd, np.moveaxis(gates[li][:, d : 2 * d], 0, 1), out=hd)
-            gU[2 * d :] = g_pre[2 * d :] @ _flat(rh).T
-            grads += [g_pre @ xd.T, gU, g_pre.sum(axis=1)]
-        g_vel = _flat(g_vel)
-        grads += [g_vel @ _flat(_dim_major(hs[-1][enc + 1 :])).T, g_vel.sum(axis=1)]
+
+    def add(i, part):  # a chunk's share of weight gradient i, after the later chunks'
+        if grads[i] is None:
+            grads[i] = part
+        else:
+            grads[i] += part
+
+    for hi in range(steps, stop, -chunk):
+        lo = max(hi - chunk, stop)
+        # The forward-only factors of the chunk's cell adjoints.  Step t's
+        # g_pre slot starts out holding the factors its rows multiply by
+        # last, [1 - z; 1 - r; 1 - n^2].
+        views = []
+        for li, ((_, mask_h), (slots, n_h, hd)) in enumerate(zip(masks, chunks)):
+            d, c = hs[li].shape[1], hi - lo
+            zr, n, h = gates[li][lo:hi, : 2 * d], gates[li][lo:hi, 2 * d :], hs[li][lo:hi]
+            slots = slots[:c]
+            np.subtract(1.0, zr, out=slots[:, : 2 * d])
+            one_n2 = np.multiply(n, n, out=slots[:, 2 * d :])
+            np.subtract(1.0, one_n2, out=one_n2)
+            views.append((zr, slots, np.subtract(n, h, out=n_h[:c]),
+                          h if mask_h is None else np.multiply(h, mask_h, out=hd[:c])))
+        for t in range(hi - 1, lo - 1, -1):
+            j, k = t - enc, t - lo
+            if j >= 0:
+                gv = g_vels[k]
+                if g_v is None:
+                    np.copyto(g_s, g[j])
+                    np.copyto(gv, g_s)
+                else:
+                    g_s += g[j]
+                    np.add(g_s, g_v, out=gv)
+                g_top += product(out_WT, gv, out=top)
+            for li in range(nl - 1, -1, -1):
+                (WT, U_zrT, U_nT, mask_x, mask_h, d, w_zr, w_z, w_r, w_rh, w_hd,
+                 w_in) = layers[li]
+                zr, slots, n_h, hd = views[li]
+                gt = gh[li]
+                zr_t, g_pre = zr[k], slots[k]
+                g_zr, g_n = g_pre[: 2 * d], g_pre[2 * d :]
+                g_n *= np.multiply(gt, zr_t[:d], out=w_rh)  # (g z) (1 - n^2)
+                g_rh = product(U_nT, g_n, out=w_rh)
+                np.multiply(gt, n_h[k], out=w_z)
+                np.multiply(g_rh, hd[k], out=w_r)
+                w_zr *= zr_t
+                gt *= g_zr[:d]  # g (1 - z), before g_zr is overwritten
+                g_zr *= w_zr  # ([.] [z; r]) (1 - [z; r])
+                g_hd = product(U_zrT, g_zr, out=w_hd)
+                g_hd += np.multiply(g_rh, zr_t[d:], out=w_rh)
+                if mask_h is not None:
+                    g_hd *= mask_h
+                gt += g_hd
+                if li or j >= 0:
+                    g_in = product(WT, g_pre, out=w_in if li else g_xs[j])
+                    if mask_x is not None:
+                        g_in *= mask_x
+                    if li:
+                        gh[li - 1] += g_in
+            if j >= 0:
+                g_s_rot += g_x_rot[j]
+                if want_u:
+                    np.copyto(gu_rot[j], g_s_rot)
+                g_v = g_x_vel[j]
+        if want_w:
+            for li, ((mask_x, _), (zr, slots, _, hd)) in enumerate(zip(masks, views)):
+                d = hd.shape[1]
+                g_pre = _flat(_dim_major(g_buf, slots))
+                xd = _dim_major(x_buf, xs[lo:hi] if li == 0 else hs[li - 1][lo + 1 : hi + 1],
+                                mask_x)
+                add(3 * li, g_pre @ _flat(xd).T)
+                add(3 * li + 2, g_pre.sum(axis=1))
+                hd = _dim_major(h_buf, hd)
+                gU = np.empty((3 * d, d))
+                gU[: 2 * d] = g_pre[: 2 * d] @ _flat(hd).T
+                rh = np.multiply(hd, np.moveaxis(zr[:, d:], 0, 1), out=hd)
+                gU[2 * d :] = g_pre[2 * d :] @ _flat(rh).T
+                add(3 * li + 1, gU)
+            dec = max(lo, enc)  # the chunk's decoder steps
+            if dec < hi:
+                gv = _flat(_dim_major(g_buf, g_vels[dec - lo : hi - lo]))
+                add(nw - 2, gv @ _flat(_dim_major(x_buf, hs[-1][dec + 1 : hi + 1])).T)
+                add(nw - 1, gv.sum(axis=1))
     if len(a) > nw:
         if want_u:
             # u_j shifts the rotation input and enters the velocity inputs of

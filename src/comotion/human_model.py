@@ -21,7 +21,9 @@ Planning and training record it on a :class:`~comotion.graph.Tape` as one
 adjoint is backpropagation through time: planning differentiates the decoder
 states with respect to the modifiers, training a batch's loss with respect
 to the weights.  A training call holds one batch's (span, 129, B) columns and
-tape at a time, and stacks the test windows only while it scores them.
+tape at a time.  It scores the test windows in two passes, so it never holds
+their whole (span, 129, N) stack: first their observed frames, encoded and
+decoded, then their true frames.
 
 ``ModelParams`` holds only those stacked weights.  The weight file keeps one
 array per gate (``gru0.Wz``, ``gru0.Uz``, ``gru0.bz``, ``gru0.Wr`` ...); its
@@ -310,9 +312,12 @@ def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
     loss = _batch_loss(diff)
     if not np.isfinite(loss):
         return loss, None
+    # the loss gradient of the states, written over the errors
     scale = 1.0 / (diff.shape[0] * diff.shape[2])
-    seed = np.concatenate([(2.0 * scale) * diff[:, :3], scale * np.sign(diff[:, 3:])], axis=1)
-    return loss, backward(tape, seed, wrt=list(tape.leaves))
+    diff[:, :3] *= 2.0 * scale
+    np.sign(diff[:, 3:], out=diff[:, 3:])
+    diff[:, 3:] *= scale
+    return loss, backward(tape, diff, wrt=list(tape.leaves))
 
 
 class _Adam:
@@ -351,12 +356,27 @@ def training_windows(records: list[np.ndarray], config: ModelConfig,
 
 def _evaluate(params, config, records, index):
     """Loss and mean final-frame base error of the windows ``index`` names in
-    ``records`` (NaN for none), stacked as (k+T, 129, N) columns only here."""
+    ``records`` (NaN for none).
+
+    The windows' k observed frames are stacked as (k, 129, N) columns,
+    encoded, and the T steps decoded from them; only then are the T true
+    frames stacked, and the error overwrites the decoded states.  So scoring
+    holds two (T, 129, N) arrays at most, and no (k + T, 129, N) stack.
+    Every step multiplies all N columns at once, so the score equals one
+    whole-set ``gru_unroll`` over the stacked windows bit for bit; a GEMM
+    over a subset of the columns can round its last columns differently.
+    """
     if not index:
         return float("nan"), float("nan")
-    cols = _stack_windows(records, index, config.input_frames + config.output_frames)
-    states = gru_unroll(_weights(params), *_window_start(config, cols))[0]
-    diff = states - cols[config.input_frames :]
+    k, T = config.input_frames, config.output_frames
+    weights = _weights(params)
+    observed = _stack_windows(records, index, k)
+    hiddens = gru_unroll(weights, _zero_hiddens(config, observed.shape[2:]), None, None, 0,
+                         observed)[2]
+    start = observed[-1].copy(), observed[-1] - observed[-2]
+    del observed  # before the decoder makes its states
+    diff = gru_unroll(weights, hiddens, *start, T)[0]
+    diff -= _stack_windows(records, [(ri, s + k) for ri, s in index], T)
     return _batch_loss(diff), float(np.mean(np.linalg.norm(diff[-1, :3], axis=0)))
 
 

@@ -77,11 +77,17 @@ def rot6d_to_matrix(r) -> np.ndarray:
 
 def matrix_to_rot6d(R) -> np.ndarray:
     """First two columns (..., 6) of rotation matrices (..., 3, 3).  Raises
-    unless every matrix is orthonormal within 1e-6 with a positive determinant."""
+    unless every matrix is orthonormal within 1e-6 with a positive determinant,
+    the column triple product c0 . (c1 x c2)."""
     R = _rotations(R, (3, 3), "rotation matrices")
-    if (not np.allclose(np.swapaxes(R, -1, -2) @ R, np.eye(3), atol=1e-6)
-            or np.any(np.linalg.det(R) < 0)):
+    if not np.allclose(np.swapaxes(R, -1, -2) @ R, np.eye(3), atol=1e-6):
         raise KinematicsError("matrix is not a rotation (orthonormality > 1e-6 off)")
+    c0, c1, c2 = R[..., 0], R[..., 1], R[..., 2]
+    det = (c0[..., 0] * (c1[..., 1] * c2[..., 2] - c1[..., 2] * c2[..., 1])
+           + c0[..., 1] * (c1[..., 2] * c2[..., 0] - c1[..., 0] * c2[..., 2])
+           + c0[..., 2] * (c1[..., 0] * c2[..., 1] - c1[..., 1] * c2[..., 0]))
+    if np.any(det < 0):
+        raise KinematicsError("matrix is not a rotation (a reflection)")
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 

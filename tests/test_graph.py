@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from comotion.graph import (
+    CHUNK_COLUMNS,
     GRULayer,
     GraphError,
     Tape,
@@ -347,11 +348,16 @@ def test_gru_scan_weight_gradients_match_finite_differences():
 
 
 def _bptt_oracle(weights, hiddens, state, velocity, H, seed, frames=None, modifiers=None,
-                 masks=None):
+                 masks=None, chunk_columns=CHUNK_COLUMNS):
     """``gru_scan``'s forward and adjoint written step by step from the module
     docstring's formulas, each product in its documented association order.
     The encoder inputs are built up front, as one concatenation of the later
     frames' entries past l and the frame differences.
+
+    The weight gradients sum over chunks of C = max(1, chunk_columns // B)
+    steps (B = 1 for vectors), the last chunk first: one product per chunk
+    on its (dim, C B) columns, added to the sum of the later chunks.  With
+    ``chunk_columns`` None the whole unroll is one chunk, one product.
 
     Returns the weight gradients (W, U, b per layer, then W_o, b_o) and the
     modifier gradient.  An absent mask is 1.0, and x * 1.0 is x bit for bit.
@@ -430,16 +436,25 @@ def _bptt_oracle(weights, hiddens, state, velocity, H, seed, frames=None, modifi
         stacked = np.stack(arrays, axis=1)
         return stacked.reshape(stacked.shape[0], -1)
 
+    T = E + H
+    width = hiddens[0].shape[1] if hiddens[0].ndim == 2 else 1
+    C = T if chunk_columns is None else max(1, chunk_columns // width)
     grads = []
-    for li, (W, U, _) in enumerate(layers):
-        d = U.shape[1]
-        G = over_time(g_pres[li])
-        Xd, Hd = over_time([c[li][0] for c in steps]), over_time([c[li][1] for c in steps])
-        RHd = over_time([c[li][3][d:] * c[li][1] for c in steps])
-        grads += [G @ Xd.T, np.concatenate([G[: 2 * d] @ Hd.T, G[2 * d :] @ RHd.T]),
-                  G.sum(axis=1)]
-    GVm = over_time(GV)
-    grads += [GVm @ over_time(outs).T, GVm.sum(axis=1)]
+    for hi in range(T, 0, -C):
+        lo = max(hi - C, 0)
+        chunk, part = steps[lo:hi], []
+        for li, (W, U, _) in enumerate(layers):
+            d = U.shape[1]
+            G = over_time(g_pres[li][lo:hi])
+            Xd, Hd = over_time([c[li][0] for c in chunk]), over_time([c[li][1] for c in chunk])
+            RHd = over_time([c[li][3][d:] * c[li][1] for c in chunk])
+            part += [G @ Xd.T, np.concatenate([G[: 2 * d] @ Hd.T, G[2 * d :] @ RHd.T]),
+                     G.sum(axis=1)]
+        dec = slice(max(lo - E, 0), hi - E)  # the chunk's decoder steps
+        if dec.start < dec.stop:
+            GVm = over_time(GV[dec])
+            part += [GVm @ over_time(outs[dec]).T, GVm.sum(axis=1)]
+        grads = part if not grads else [g + p for g, p in zip(grads, part)] + grads[len(part):]
     du = np.zeros_like(seed)
     for j in range(H):
         du[j, lead:] = R[j]
@@ -489,6 +504,55 @@ def test_gru_scan_weight_gradients_are_the_bptt_oracle_bit_for_bit():
                                frames=frames, masks=masks)
     for name, want in zip(point, expected):
         assert grads[name].tobytes() == want.tobytes(), name
+
+
+def _chunked_scan(rng, B, d, sd, lead, E=30, H=30):
+    """A masked training-shaped scan on B columns whose T = E + H steps span
+    three chunks of CHUNK_COLUMNS // B steps, the earliest a short one."""
+    chunk = CHUNK_COLUMNS // B
+    assert 2 * chunk < E + H < 3 * chunk
+    point = _scan_point(rng, d=d, sd=sd, lead=lead)
+    hiddens = [np.zeros((d, B)) for _ in range(2)]
+    frames = 0.3 * rng.normal(size=(E + 1, sd, B))
+    state, velocity = rng.normal(size=(sd, B)), 0.1 * rng.normal(size=(sd, B))
+    masks = [(rng.binomial(1, 0.7, size=(n, B)) / 0.7, rng.binomial(1, 0.7, size=(d, B)) / 0.7)
+             for n in (2 * sd - lead, d)]
+    return point, (hiddens, state, velocity, H), dict(frames=frames, masks=masks)
+
+
+@pytest.mark.parametrize("B", [9, 10])
+def test_gru_scan_weight_gradients_sum_chunk_by_chunk(B):
+    """60 steps of B = 9 (10) columns: chunks of 28 (25) steps from the last,
+    the earliest 4 (10) steps.  The weight gradients are the oracle's chunk
+    sums bit for bit, and the one-GEMM sums within 1e-12 relative."""
+    rng = np.random.default_rng(32)
+    point, (hiddens, state, velocity, H), kw = _chunked_scan(rng, B, d=20, sd=9, lead=3)
+    seed = rng.normal(size=(H, 9, B))
+    tape = Tape()
+    refs = [tape.leaf(name, w) for name, w in point.items()]
+    tape.set_output(tape.gru_scan(refs, hiddens, state, velocity, H, **kw))
+    grads = backward(tape, seed)
+    weights = list(point.values())
+    chunked, _ = _bptt_oracle(weights, hiddens, state, velocity, H, seed, **kw)
+    whole, _ = _bptt_oracle(weights, hiddens, state, velocity, H, seed, chunk_columns=None, **kw)
+    for name, want, one_gemm in zip(point, chunked, whole):
+        assert grads[name].tobytes() == want.tobytes(), name
+        assert np.max(np.abs(grads[name] - one_gemm)) <= 1e-12 * np.max(np.abs(one_gemm)), name
+
+
+def test_gru_scan_chunked_weight_gradients_match_finite_differences():
+    """All eight weight leaves of a masked 60-step scan over three chunks of
+    25 steps (10 columns), the earliest 10 steps.  The probe is scaled by 0.1
+    so that the central differences' rounding over 60 steps stays below the
+    tolerance (1.2e-8 here; 1.2e-7 with a unit probe, before chunking too)."""
+    rng = np.random.default_rng(33)
+    point, (hiddens, state, velocity, H), kw = _chunked_scan(rng, 10, d=3, sd=5, lead=2)
+    probe = 0.1 * rng.normal(size=(H, 5, 10))
+
+    def f(t, r):
+        return t.gru_scan([r[name] for name in point], hiddens, state, velocity, H, **kw)
+
+    assert gradient_check(f, point, step=1e-6, seed=probe) < 1e-7
 
 
 def test_gru_scan_replay_matches_gru_unroll_bit_exact():

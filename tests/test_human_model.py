@@ -355,6 +355,58 @@ def test_a_training_tape_holds_a_view_of_its_batch(monkeypatch):
     assert frames.shape == (3, STATE_DIM, 4) and np.shares_memory(frames, cols)
 
 
+def _traced_peak(fn):
+    """Bytes at the tracemalloc peak of one ``fn()`` call, after a warm-up call."""
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_is_the_whole_set_unroll_in_less_memory():
+    """205 windows of the default model: the score equals one whole-set
+    gru_unroll over the stacked windows bit for bit, and scoring peaks below
+    the stacked (k + T, 129, N) columns and states that a whole-set score
+    holds: 9.2 MiB traced against a 12.1 MiB bound (17.1 MiB when those
+    two and their difference were all held)."""
+    config = hm.ModelConfig()
+    params = random_params(config)
+    rng = np.random.default_rng(18)
+    records = [random_observed(rng, k=80) for _ in range(5)]
+    index = hm.training_windows(records, config)
+    assert len(index) == 205
+    k = config.input_frames
+    cols = hm._stack_windows(records, index, k + config.output_frames)
+    states = gru_unroll(hm._weights(params), *hm._window_start(config, cols))[0]
+    diff = states - cols[k:]
+    whole = hm._batch_loss(diff), float(np.mean(np.linalg.norm(diff[-1, :3], axis=0)))
+    assert hm._evaluate(params, config, records, index) == whole
+    bound = cols.nbytes + states.nbytes
+    del cols, states, diff
+    assert _traced_peak(lambda: hm._evaluate(params, config, records, index)) < bound
+
+
+def test_a_training_batch_sums_its_weight_gradients_in_chunk_buffers():
+    """One default 32-window batch with dropout masks peaks at 17.5 MiB
+    traced, 10.1 MiB of it the forward cache; whole-unroll adjoint buffers
+    took it to 25.0 MiB.  The 20 MiB bound leaves 2.5 MiB."""
+    config = hm.ModelConfig()
+    params = random_params(config)
+    rng = np.random.default_rng(19)
+    record = random_observed(rng, k=config.input_frames + config.output_frames + 31)
+    cols = hm._stack_windows([record], hm.training_windows([record], config), 40)
+    assert cols.shape[2] == 32
+    d = config.hidden_size
+    masks = [(rng.binomial(1, 0.8, size=(n, 32)) / 0.8, rng.binomial(1, 0.8, size=(d, 32)) / 0.8)
+             for n in (hm.INPUT_DIM, d)]
+    assert _traced_peak(lambda: hm._batch_gradients(params, cols, masks)) < 20 * 2**20
+
+
 def test_train_empty_dataset_rejected():
     with pytest.raises(hm.ModelError, match="empty"):
         hm.train([], tiny_config(), seed=0)

@@ -75,6 +75,21 @@ def test_matrix_to_rot6d_rejects_non_orthonormal():
         matrix_to_rot6d(np.eye(3) * 1.5)
 
 
+def test_matrix_to_rot6d_rejects_a_reflection_and_a_skew_past_1e_6():
+    """An orthonormal reflection (a rotation with one column negated) fails
+    the column triple product's sign; a rotation with one entry skewed by
+    1e-5 fails the orthonormality check.  Each raises inside a batch whose
+    other matrix is the rotation itself, which passes alone."""
+    R = axis_angle_matrix([0.3, -0.5, 0.8], 1.1)
+    assert np.array_equal(matrix_to_rot6d(R), np.concatenate([R[:, 0], R[:, 1]]))
+    mirrored = R * [1.0, -1.0, 1.0]
+    skewed = R.copy()
+    skewed[0, 1] += 1e-5
+    for bad, why in ((mirrored, "reflection"), (skewed, "orthonormality")):
+        with pytest.raises(KinematicsError, match=why):
+            matrix_to_rot6d(np.stack([R, bad]))
+
+
 def test_quaternion_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(200):
