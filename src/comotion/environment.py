@@ -1,10 +1,12 @@
 """Planar obstacle scenes and their sampled signed distance fields.
 
 A scene is a set of axis-aligned rectangles and discs inside a workspace
-rectangle.  ``build_sdf`` samples exact per-primitive distances onto a
-regular grid (positive in free space, negative inside obstacles); a query
-is one tape node (``sdf_query_graph``) that interpolates bilinearly, with an
-analytic gradient.  Points outside the grid hull clamp to it.
+rectangle.  Each primitive's exact distance (positive in free space,
+negative inside) is written once, over x and y coordinates that broadcast.
+``build_sdf`` evaluates a regular grid on its axes, equal to ``scene_sdf``
+at every node bit for bit; its transient is one (nx, ny) array per obstacle
+(two for a rectangle).  A query is one tape node (``sdf_query_graph``):
+bilinear interpolation with an analytic gradient, clamped to the grid hull.
 """
 
 from __future__ import annotations
@@ -70,27 +72,33 @@ class Scene:
                 raise SceneError(f"obstacle {ob} sticks out of the workspace bounds")
 
 
-def _rect_sdf(points: np.ndarray, rect: Rect) -> np.ndarray:
-    q = np.abs(points - np.asarray(rect.center)) - np.asarray(rect.half_extents)
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-    inside = np.minimum(np.max(q, axis=-1), 0.0)
-    return outside + inside
+def _distance(ob, x, y) -> np.ndarray:
+    """Signed distance to one obstacle at coordinates ``x`` and ``y`` that
+    broadcast against each other, as a new array (a rectangle makes two)."""
+    cx, cy = ob.center
+    if isinstance(ob, Disc):
+        d = np.square(x - cx) + np.square(y - cy)
+        return np.subtract(np.sqrt(d, out=d), ob.radius, out=d)
+    qx, qy = np.abs(x - cx) - ob.half_extents[0], np.abs(y - cy) - ob.half_extents[1]
+    d = np.square(np.maximum(qx, 0.0)) + np.square(np.maximum(qy, 0.0))
+    inside = np.maximum(qx, qy)
+    return np.add(np.sqrt(d, out=d), np.minimum(inside, 0.0, out=inside), out=d)
 
 
-def _disc_sdf(points: np.ndarray, disc: Disc) -> np.ndarray:
-    return np.linalg.norm(points - np.asarray(disc.center), axis=-1) - disc.radius
+def _nearest(obstacles, x, y) -> np.ndarray:
+    """The running minimum of ``_distance`` over the obstacles (inf for none)."""
+    if not obstacles:
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf)
+    values = _distance(obstacles[0], x, y)
+    for ob in obstacles[1:]:
+        np.minimum(values, _distance(ob, x, y), out=values)
+    return values
 
 
 def scene_sdf(scene: Scene, points) -> np.ndarray:
-    """Exact signed distance to the nearest obstacle, vectorized over points."""
+    """Exact signed distance to the nearest obstacle at (N, 2) points, (N,)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if not scene.obstacles:
-        return np.full(points.shape[0], np.inf)
-    dists = [
-        _disc_sdf(points, ob) if isinstance(ob, Disc) else _rect_sdf(points, ob)
-        for ob in scene.obstacles
-    ]
-    return np.min(np.stack(dists), axis=0)
+    return _nearest(scene.obstacles, points[:, 0], points[:, 1])
 
 
 @dataclass(frozen=True)
@@ -101,9 +109,12 @@ class SdfGrid:
 
 
 def build_sdf(scene: Scene, resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
-    """Sample the exact scene distance onto a regular grid over the bounds."""
-    if resolution <= 0:
-        raise SceneError("resolution must be positive")
+    """Sample the exact scene distance onto a regular grid over the bounds,
+    evaluated on its axes (xs[:, None] against ys[None, :]): node (i, j) is
+    ``scene_sdf`` at (xs[i], ys[j]) bit for bit, and the transient beside the
+    grid is one (nx, ny) array per obstacle (two for a rectangle)."""
+    if not is_number(resolution) or resolution <= 0:
+        raise SceneError(f"resolution must be a positive finite number, got {resolution!r}")
     cx, cy = scene.bounds.center
     hx, hy = scene.bounds.half_extents
     nx = int(np.floor(2 * hx / resolution)) + 1
@@ -113,9 +124,7 @@ def build_sdf(scene: Scene, resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
     origin = (cx - hx, cy - hy)
     xs = origin[0] + resolution * np.arange(nx)
     ys = origin[1] + resolution * np.arange(ny)
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    values = scene_sdf(scene, pts).reshape(nx, ny)
-    return SdfGrid(origin=origin, resolution=resolution, values=values)
+    return SdfGrid(origin, resolution, _nearest(scene.obstacles, xs[:, None], ys[None, :]))
 
 
 def sdf_query_graph(tape: Tape, grid: SdfGrid, points: Ref) -> Ref:
@@ -167,13 +176,19 @@ def save_sdf(grid: SdfGrid, path) -> None:
 
 
 def load_sdf(path) -> SdfGrid:
+    """Inverse of ``save_sdf``; a malformed file is a ``SceneError`` naming ``path``."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "comotion-sdf":
-            raise SceneError(f"{path}: not an SDF grid file")
-        rows = [np.array([float(v) for v in line.split()]) for line in fh if line.strip()]
-    values = np.stack(rows)
-    if list(values.shape) != header["dims"]:
-        raise SceneError(f"{path}: dims {header['dims']} do not match payload {values.shape}")
-    return SdfGrid(origin=tuple(header["origin"]), resolution=float(header["resolution"]),
-                   values=values)
+        try:  # a header that is not JSON, a word that is not a number, rows of two lengths
+            header = json.loads(fh.readline())
+            values = np.array([[float(v) for v in line.split()] for line in fh if line.strip()])
+        except ValueError as exc:
+            raise SceneError(f"{path}: not an SDF grid file ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != "comotion-sdf":
+        raise SceneError(f"{path}: not an SDF grid file")
+    origin, resolution, dims = (header.get(key) for key in ("origin", "resolution", "dims"))
+    if not (isinstance(origin, list) and is_numbers(tuple(origin), 2)
+            and is_number(resolution) and resolution > 0):
+        raise SceneError(f"{path}: header lacks an origin of 2 numbers or a positive resolution")
+    if values.ndim != 2 or list(values.shape) != dims:
+        raise SceneError(f"{path}: dims {dims} do not match a payload of shape {values.shape}")
+    return SdfGrid(origin=tuple(origin), resolution=float(resolution), values=values)

@@ -1,12 +1,15 @@
 """Scene and signed-distance-field tests, including the brute-force oracle."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from comotion import environment as env
+from comotion import scenarios
 from comotion.graph import backward, gradient_check, record
+from helpers import traced_peak
 
 
 def single_disc_scene(radius=1.0):
@@ -102,6 +105,85 @@ def test_grid_matches_brute_force_boundary_sampling():
                 if any(contains(ob, p) for ob in scene.obstacles):
                     brute = -brute
                 assert abs(grid.values[i, j] - brute) < res
+
+
+def norm_oracle(scene, points):
+    """The point-cloud formula: ``np.linalg.norm`` over each (N, 2) offset,
+    stacked over the obstacles and reduced with ``np.min``."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not scene.obstacles:
+        return np.full(points.shape[0], np.inf)
+    dists = []
+    for ob in scene.obstacles:
+        if isinstance(ob, env.Disc):
+            dists.append(np.linalg.norm(points - np.asarray(ob.center), axis=-1) - ob.radius)
+        else:
+            q = np.abs(points - np.asarray(ob.center)) - np.asarray(ob.half_extents)
+            dists.append(np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+                         + np.minimum(np.max(q, axis=-1), 0.0))
+    return np.min(np.stack(dists), axis=0)
+
+
+def kind_scenes():
+    """Rectangle-only, disc-only, mixed and obstacle-free scenes."""
+    bounds = env.Rect((0.5, -0.25), (3.0, 2.5))
+    rects = (env.Rect((-1.0, 0.5), (0.4, 0.7)), env.Rect((1.5, -1.0), (0.3, 0.2)))
+    discs = (env.Disc((0.0, -1.2), 0.5), env.Disc((2.4, 1.1), 0.35))
+    return [env.Scene(obs, bounds) for obs in (rects, discs, rects[:1] + discs + rects[1:], ())]
+
+
+def generator_scenes():
+    """The crossing and handover scenes of generator seeds 0-11, 72 in all."""
+    return [inst.problem.scene for seed in range(12)
+            for make in (scenarios.make_crossing_problems, scenarios.make_handover_problems)
+            for inst in make(3, seed)]
+
+
+def test_grid_is_scene_sdf_at_every_node_bit_for_bit():
+    scenes = kind_scenes() + generator_scenes()
+    assert len(scenes) == 76
+    for scene in scenes:
+        grid = env.build_sdf(scene)
+        xs, ys = node_positions(grid)
+        nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        expected = env.scene_sdf(scene, nodes).reshape(grid.values.shape)
+        assert grid.values.tobytes() == expected.tobytes()
+
+
+def test_scene_sdf_is_the_norm_formula_bit_for_bit():
+    """Random points, obstacle centres and rectangle corners (where the
+    outside and inside terms meet) give the point-cloud formula's bits."""
+    rng = np.random.default_rng(4)
+    scenes = kind_scenes() + generator_scenes()[::6] + [random_scene(rng) for _ in range(4)]
+    for scene in scenes:
+        (cx, cy), (hx, hy) = scene.bounds.center, scene.bounds.half_extents
+        points = [rng.uniform((cx - hx, cy - hy), (cx + hx, cy + hy), size=(500, 2))]
+        for ob in scene.obstacles:
+            points.append(np.asarray(ob.center)[None])
+            if isinstance(ob, env.Rect):
+                signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+                points.append(np.asarray(ob.center) + signs * np.asarray(ob.half_extents))
+        points = np.vstack(points)
+        assert env.scene_sdf(scene, points).tobytes() == norm_oracle(scene, points).tobytes()
+        for p in points[:5]:
+            assert env.scene_sdf(scene, p).tobytes() == norm_oracle(scene, p).tobytes()
+
+
+def test_build_sdf_holds_no_point_cloud():
+    """16 x 16 m bounds at 0.05 m: a (321, 321) grid of 0.82 MB.  Beside the
+    grid, a disc's distance is one more (nx, ny) array and a rectangle's
+    two, so three discs peak below twice the grid and a mixed scene below
+    three times it: 1.71 and 2.50 MiB traced.  Built from an (nx * ny, 2)
+    point cloud they took 7.87 and 10.2-11.0 MiB."""
+    bounds = env.Rect((0.0, 0.0), (8.0, 8.0))
+    discs = tuple(env.Disc((x, 1.0), 0.4) for x in (-3.0, 0.0, 3.0))
+    rects = (env.Rect((-2.0, -3.0), (0.5, 1.0)), env.Rect((2.5, -4.0), (1.0, 0.3)))
+    grid_bytes = 321 * 321 * 8
+    small = 2**18  # the axes, the per-axis terms and numpy's broadcasting buffers
+    for obstacles, arrays in ((discs, 2), (discs + rects, 3), (rects + discs, 3)):
+        scene = env.Scene(obstacles, bounds)
+        assert env.build_sdf(scene).values.nbytes == grid_bytes
+        assert traced_peak(lambda: env.build_sdf(scene)) < arrays * grid_bytes + small
 
 
 def test_query_at_node_returns_stored_value():
@@ -201,6 +283,9 @@ def test_scene_validation():
             make()
     with pytest.raises(env.SceneError, match="too small"):
         env.build_sdf(env.Scene((), env.Rect((0, 0), (0.01, 0.01))), resolution=0.05)
+    for resolution in (float("nan"), float("inf"), "0.1", None, True, 0.0, -0.05):
+        with pytest.raises(env.SceneError, match="resolution must be a positive finite number"):
+            env.build_sdf(single_disc_scene(), resolution=resolution)
 
 
 def test_scene_file_round_trip(tmp_path):
@@ -220,3 +305,28 @@ def test_sdf_file_round_trip(tmp_path):
     assert loaded.origin == grid.origin
     assert loaded.resolution == grid.resolution
     assert np.array_equal(loaded.values, grid.values)
+
+
+GOOD_HEADER = json.dumps({"format": "comotion-sdf", "version": 1, "origin": [0.0, 0.0],
+                          "resolution": 0.5, "dims": [2, 3]})
+
+
+@pytest.mark.parametrize("text", [
+    "not json\n1 2 3\n4 5 6\n",
+    "[1, 2]\n1 2 3\n4 5 6\n",
+    '{"format": "comotion-sdf", "resolution": 0.5, "dims": [2, 3]}\n1 2 3\n4 5 6\n',
+    '{"format": "comotion-sdf", "origin": [0, 0], "dims": [2, 3]}\n1 2 3\n4 5 6\n',
+    '{"format": "comotion-sdf", "origin": [0, 0], "resolution": 0.5}\n1 2 3\n4 5 6\n',
+    GOOD_HEADER + "\n",
+    GOOD_HEADER + "\n1 2 3\n4 5\n",
+    GOOD_HEADER + "\n1 2 x\n4 5 6\n",
+    GOOD_HEADER + "\n1 2 3\n",
+], ids=["header not json", "header not an object", "no origin", "no resolution", "no dims",
+        "no payload rows", "rows of two lengths", "a word in a row", "dims off the payload"])
+def test_load_sdf_names_the_path_of_a_malformed_file(tmp_path, text):
+    path = tmp_path / "field.sdf"
+    path.write_text(text)
+    with pytest.raises(env.SceneError, match=re.escape(str(path))):
+        env.load_sdf(path)
+    path.write_text(GOOD_HEADER + "\n1 2 3\n4 5 6\n")
+    assert env.load_sdf(path).values.shape == (2, 3)

@@ -10,7 +10,7 @@ import pytest
 from comotion import human_model as hm
 from comotion.graph import OP_SCAN, Tape, backward, gradient_check, gru_unroll
 from comotion.kinematics import STATE_DIM, rot6d_to_matrix
-from helpers import identity_state
+from helpers import identity_state, traced_peak
 
 
 def tiny_config(**kw):
@@ -355,19 +355,6 @@ def test_a_training_tape_holds_a_view_of_its_batch(monkeypatch):
     assert frames.shape == (3, STATE_DIM, 4) and np.shares_memory(frames, cols)
 
 
-def _traced_peak(fn):
-    """Bytes at the tracemalloc peak of one ``fn()`` call, after a warm-up call."""
-    import tracemalloc
-
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_evaluate_is_the_whole_set_unroll_in_less_memory():
     """205 windows of the default model: the score equals one whole-set
     gru_unroll over the stacked windows bit for bit, and scoring peaks below
@@ -388,7 +375,7 @@ def test_evaluate_is_the_whole_set_unroll_in_less_memory():
     assert hm._evaluate(params, config, records, index) == whole
     bound = cols.nbytes + states.nbytes
     del cols, states, diff
-    assert _traced_peak(lambda: hm._evaluate(params, config, records, index)) < bound
+    assert traced_peak(lambda: hm._evaluate(params, config, records, index)) < bound
 
 
 def test_a_training_batch_sums_its_weight_gradients_in_chunk_buffers():
@@ -404,7 +391,7 @@ def test_a_training_batch_sums_its_weight_gradients_in_chunk_buffers():
     d = config.hidden_size
     masks = [(rng.binomial(1, 0.8, size=(n, 32)) / 0.8, rng.binomial(1, 0.8, size=(d, 32)) / 0.8)
              for n in (hm.INPUT_DIM, d)]
-    assert _traced_peak(lambda: hm._batch_gradients(params, cols, masks)) < 20 * 2**20
+    assert traced_peak(lambda: hm._batch_gradients(params, cols, masks)) < 20 * 2**20
 
 
 def test_train_empty_dataset_rejected():
