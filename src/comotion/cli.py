@@ -489,8 +489,8 @@ def _polyline(points: np.ndarray) -> str:
 
 
 def cmd_export(args) -> int:
-    """Plot data of a plan: its scene's grid is the one its collision rows
-    read, at ``environment.DEFAULT_RESOLUTION``."""
+    """Plot data of a plan: ``scene.sdf`` samples the exact scene distance
+    its collision rows read at ``environment.DEFAULT_RESOLUTION``."""
     plan_dir = _require(args.plan_dir, "plan output directory")
     out = _out_dir(args)
     problem_path = os.path.join(plan_dir, "problem.json")

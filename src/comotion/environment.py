@@ -1,12 +1,13 @@
-"""Planar obstacle scenes and their sampled signed distance fields.
+"""Planar obstacle scenes and their signed distance.
 
 A scene is a set of axis-aligned rectangles and discs inside a workspace
 rectangle.  Each primitive's exact distance (positive in free space,
-negative inside) is written once, over x and y coordinates that broadcast.
-``build_sdf`` evaluates a regular grid on its axes, equal to ``scene_sdf``
-at every node bit for bit; its transient is one (nx, ny) array per obstacle
-(two for a rectangle).  A query is one tape node (``sdf_query_graph``):
-bilinear interpolation with an analytic gradient, clamped to the grid hull.
+negative inside) is written once, over x and y coordinates that broadcast,
+and its gradient beside it.  ``_nearest`` is the scene's one distance
+kernel: ``scene_sdf`` and the tape's ``scene_distance`` node run it, and
+``build_sdf`` runs it on a regular grid's axes for plot files, equal to
+``scene_sdf`` at every node bit for bit; its transient is one (nx, ny)
+array per obstacle (two for a rectangle).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import Ref, Tape
 from .schema import from_doc, is_number, is_numbers
 
 DEFAULT_RESOLUTION = 0.05  # meters per cell
@@ -85,20 +85,43 @@ def _distance(ob, x, y) -> np.ndarray:
     return np.add(np.sqrt(d, out=d), np.minimum(inside, 0.0, out=inside), out=d)
 
 
-def _nearest(obstacles, x, y) -> np.ndarray:
-    """The running minimum of ``_distance`` over the obstacles (inf for none)."""
+def _gradient(ob, points) -> np.ndarray:
+    """The (N, 2) gradient of ``_distance`` to one obstacle at (N, 2) points
+    (``graph``'s ``scene_distance`` states it); a disc's is a zero-size
+    rectangle's, (p - c) / |p - c| and 0 at its centre."""
+    offset = points - ob.center
+    sign = np.sign(offset)
+    q = np.abs(offset) - (ob.half_extents if isinstance(ob, Rect) else 0.0)
+    m = np.maximum(q, 0.0)
+    norm = np.hypot(m[:, :1], m[:, 1:])
+    grad = np.divide(sign * m, norm, out=np.zeros_like(offset), where=norm > 0)
+    inside = np.flatnonzero(norm == 0)  # inside or on the edge
+    axis = np.argmax(q[inside], axis=1)  # the first axis on a tie
+    grad[inside, axis] = sign[inside, axis]
+    return grad
+
+
+def _nearest(obstacles, x, y, keep=False):
+    """The running minimum of ``_distance`` over the obstacles (inf for
+    none), and, when ``keep``, the index of the one that attains it (the
+    first on a tie), else None."""
     if not obstacles:
-        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf)
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf), None
     values = _distance(obstacles[0], x, y)
-    for ob in obstacles[1:]:
-        np.minimum(values, _distance(ob, x, y), out=values)
-    return values
+    index = np.zeros(values.shape, dtype=np.intp) if keep else None
+    for k, ob in enumerate(obstacles[1:], 1):
+        d = _distance(ob, x, y)
+        if keep:
+            index[d < values] = k
+        np.minimum(values, d, out=values)
+        del d  # before the next obstacle's array: one transient at a time
+    return values, index
 
 
 def scene_sdf(scene: Scene, points) -> np.ndarray:
     """Exact signed distance to the nearest obstacle at (N, 2) points, (N,)."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return _nearest(scene.obstacles, points[:, 0], points[:, 1])
+    return _nearest(scene.obstacles, points[:, 0], points[:, 1])[0]
 
 
 @dataclass(frozen=True)
@@ -124,12 +147,7 @@ def build_sdf(scene: Scene, resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
     origin = (cx - hx, cy - hy)
     xs = origin[0] + resolution * np.arange(nx)
     ys = origin[1] + resolution * np.arange(ny)
-    return SdfGrid(origin, resolution, _nearest(scene.obstacles, xs[:, None], ys[None, :]))
-
-
-def sdf_query_graph(tape: Tape, grid: SdfGrid, points: Ref) -> Ref:
-    """Differentiable SDF lookup of (N, 2) positions in one node, (N,)."""
-    return tape.grid_interp(points, grid.values, np.asarray(grid.origin), grid.resolution)
+    return SdfGrid(origin, resolution, _nearest(scene.obstacles, xs[:, None], ys[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

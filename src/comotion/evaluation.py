@@ -41,6 +41,7 @@ from .kinematics import (
 from .objectives import (CONSTRAINT_KINDS, ConstraintSpec, ProblemSpec, compile_problem,
                          handover_loss)
 from .robot_model import robot_fk  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .schema import is_number
 from .solver import IterationRecord, SolveResult, SolverConfig, solve_compiled
 
 METHODS = (
@@ -89,10 +90,12 @@ class SampleConfig:
     ranking: str | None = None
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise EvaluationError(f"num_samples must be at least 1, got {self.num_samples}")
-        if self.noise_variance is not None and self.noise_variance <= 0:
-            raise EvaluationError("noise variance must be positive")
+        n = self.num_samples
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise EvaluationError(f"num_samples must be an integer of at least 1, got {n!r}")
+        v = self.noise_variance
+        if v is not None and not (is_number(v) and v > 0):
+            raise EvaluationError(f"noise variance must be a positive finite number, got {v!r}")
         if self.ranking not in (None, "distance_to_goal", "handover_loss"):
             raise EvaluationError(f"unknown ranking {self.ranking!r}")
 

@@ -11,7 +11,7 @@ propagates a seed gradient to every leaf.
 All values are 64-bit float arrays.  Scalars are 0-d arrays.
 
 The primitives are subtract, square, sum, logsumexp, concat and take, and
-the fused gru_scan, rollout, link_point, grid_interp, handover and
+the fused gru_scan, rollout, link_point, scene_distance, handover and
 squared_differences.  Fused primitives keep planning tapes short; each has a
 hand-written adjoint.  Leaves are recorded in their natural shapes, so no
 primitive only reshapes.  Every primitive has one calling convention: its
@@ -148,10 +148,17 @@ control-rate cost runs too, off the tape).  With g the output gradient::
     d = x[1:] - x[:-1],  value = (d * d).sum() * scale
     v = 2 (g scale) d,  dx = [-v; 0] + [0; v]
 
-``grid_interp`` looks up (N, 2) points, keeping the bilinear weights for
-its adjoint, and ``take`` is one basic index of an array (a row, or a column
-range of an (N, D) trajectory), so per-timestep constraint terms are a few
-(H,) vector nodes.
+``scene_distance`` is a scene's exact signed distance at (N, 2) points p
+(:func:`environment._nearest`, which ``scene_sdf`` runs too).  Its forward
+keeps each point's nearest obstacle, the first on a tie, and its adjoint is
+g times that obstacle's gradient (:func:`environment._gradient`): for a
+disc (p - c) / |p - c|, 0 at its centre c; for a rectangle, with q =
+|p - c| - h and s = sign(p - c), s m / |m| outside (m = max(q, 0)), and s
+along the axis of max(q), the first on a tie, inside or on the edge.  The
+nearest-obstacle switch and a rectangle's diagonals inside are kinks.
+``take`` is one basic index of an array (a row, or a column range of an
+(N, D) trajectory), so per-timestep constraint terms are a few (H,) vector
+nodes.
 """
 
 from __future__ import annotations
@@ -161,6 +168,7 @@ import math
 import numpy as np
 
 from .chains import NORM_EPS, Chain, chain_fk, chain_fk_adjoint
+from .environment import _gradient, _nearest
 
 __all__ = [
     "GraphError",
@@ -277,39 +285,6 @@ def _f_lse(vals, a, p):
 def _b_lse(g, vals, a, p, value, needed):
     w = np.exp((vals[a[0]] - float(value)) / p)
     return (float(g) * w,)
-
-
-def _f_interp2(vals, a, p):
-    """Bilinear interpolation of a dense grid at (N, 2) points (clamped).
-
-    Returns the (N,) values and, as the backward pass's cache, the bilinear
-    weights: the corner values, the cell fractions and their complements,
-    and which coordinates were not clamped (their gradient is zero).
-    """
-    values, origin, res = p
-    nx, ny = values.shape
-    s = (vals[a[0]] - origin) / res
-    sc = np.minimum(np.maximum(s, 0.0), (nx - 1.0, ny - 1.0))
-    cell = np.minimum(sc.astype(np.intp), (nx - 2, ny - 2))
-    ix, iy = cell[:, 0], cell[:, 1]
-    f = sc - cell
-    fx, fy = f[:, 0], f[:, 1]
-    gx, gy = 1 - fx, 1 - fy
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    out = v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy
-    return out, (v00, v10, v01, v11, fx, fy, gx, gy, s == sc)
-
-
-def _b_interp2(g, vals, a, p, cache, needed):
-    v00, v10, v01, v11, fx, fy, gx, gy, free = cache
-    res = p[2]
-    grad = np.empty(free.shape)
-    grad[:, 0] = ((v10 - v00) * gy + (v11 - v01) * fy) / res
-    grad[:, 1] = ((v01 - v00) * gx + (v11 - v10) * fx) / res
-    return (g[:, None] * np.where(free, grad, 0.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +746,20 @@ def _b_link_point(g, vals, a, p, cache, needed):
     return (chain_fk_adjoint(p, cache, g.reshape(-1, 3)).reshape(vals[a[0]].shape),)
 
 
+def _f_scene_distance(vals, a, p):
+    x = vals[a[0]]
+    return _nearest(p, x[:, 0], x[:, 1], keep=True)
+
+
+def _b_scene_distance(g, vals, a, p, index, needed):
+    points = vals[a[0]]
+    grad = np.zeros(points.shape)
+    for k, ob in enumerate(p):
+        at = index == k
+        grad[at] = g[at, None] * _gradient(ob, points[at])
+    return (grad,)
+
+
 OP_LEAF = 0
 OP_CONST = 1
 
@@ -792,7 +781,7 @@ OP_CONCAT = _register("concat", _f_concat, _b_concat)
 OP_SUM = _register("sum", _f_sum, _b_sum)
 OP_SQUARE = _register("square", _f_square, _b_square)
 OP_LSE = _register("logsumexp", _f_lse, _b_lse)
-OP_INTERP2 = _register("grid_interp", _f_interp2, _b_interp2)
+OP_SCENE_DISTANCE = _register("scene_distance", _f_scene_distance, _b_scene_distance)
 OP_TAKE = _register("take", _f_take, _b_take)
 OP_SCAN = _register("gru_scan", _f_scan, _b_scan)
 OP_ROLLOUT = _register("rollout", _f_rollout, _b_rollout)
@@ -800,7 +789,7 @@ OP_LINK_POINT = _register("link_point", _f_link_point, _b_link_point)
 OP_HANDOVER = _register("handover", _f_handover, _b_handover)
 OP_SQDIFF = _register("squared_differences", _f_sqdiff, _b_sqdiff)
 # no primitive records these; the benchmark's per-type node counts still name them
-OP_MATMUL, OP_SIGMOID, OP_TANH, OP_SLICE, OP_ADD, OP_MUL = -1, -2, -3, -4, -5, -6
+OP_MATMUL, OP_SIGMOID, OP_TANH, OP_SLICE, OP_ADD, OP_MUL, OP_INTERP2 = -1, -2, -3, -4, -5, -6, -7
 
 
 class Ref:
@@ -822,7 +811,7 @@ class Evaluation:
     """Result of one forward replay: per-node values, read-only afterwards.
 
     ``caches`` holds, per node, what its forward kept for the backward pass
-    (the GRU gates, the chain rotations, the bilinear weights), or None.
+    (the GRU gates, the chain rotations, the nearest obstacles), or None.
     """
 
     __slots__ = ("tape", "values", "caches")
@@ -929,21 +918,12 @@ class Tape:
             raise GraphError("logsumexp temperature must be positive")
         return self._apply(OP_LSE, (x,), float(temperature))
 
-    def grid_interp(self, points: Ref, values: np.ndarray, origin, resolution: float) -> Ref:
-        """Bilinear lookup of a dense 2-D grid at (N, 2) planar points, (N,).
-
-        The grid itself is a constant; only the query points are
-        differentiated.  Queries outside the node hull are clamped (zero
-        gradient in the clamped axis).
-        """
+    def scene_distance(self, points: Ref, scene) -> Ref:
+        """The signed distance (N,) of (N, 2) planar points to the nearest of
+        an ``environment.Scene``'s obstacles: ``scene_sdf``, bit for bit."""
         if len(points.shape) != 2 or points.shape[1] != 2:
-            raise GraphError(f"grid_interp expects (N, 2) points, got {points.shape}")
-        param = (
-            np.ascontiguousarray(values, dtype=np.float64),
-            _as_array(origin),
-            float(resolution),
-        )
-        return self._apply(OP_INTERP2, (points,), param)
+            raise GraphError(f"scene_distance expects (N, 2) points, got {points.shape}")
+        return self._apply(OP_SCENE_DISTANCE, (points,), scene.obstacles)
 
     def take(self, x: Ref, index) -> Ref:
         """``x[index]`` for a basic index: per leading axis an int (negative

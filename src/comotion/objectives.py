@@ -27,9 +27,11 @@ Conventions:
   * Equality constraints are residuals driven to 0: squared distances, and
     for a handover the palms' squared distance plus a facing term, one
     ``handover`` node whose kernel :func:`handover_loss` runs too.
-  * Obstacle clearance uses ``-SDF(base)``; inter-agent clearance uses
-    ``d^2 - |planar base offset|^2`` (the ground-plane distance, since the
-    human base sits at pelvis height while the robot base is on the floor).
+  * Obstacle clearance uses ``-SDF(base)``, one ``scene_distance`` node:
+    the exact distance its success clause reads (``environment.scene_sdf``).
+    Inter-agent clearance uses ``d^2 - |planar base offset|^2`` (the
+    ground-plane distance, since the human base sits at pelvis height while
+    the robot base is on the floor).
     Each is one row: the soft maximum over the H timesteps,
     ``tau * log(sum_t exp(v_t / tau))`` at ``tau = SOFT_MAX_TEMPERATURE`` in
     the row's own unit: metres for the collision row, m^2 for clearance.
@@ -52,14 +54,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import FRAME_RATE
-from .environment import (
-    Scene,
-    build_sdf,
-    scene_from_doc,
-    scene_sdf,
-    scene_to_doc,
-    sdf_query_graph,
-)
+from .environment import Scene, scene_from_doc, scene_sdf, scene_to_doc
+from .environment import build_sdf  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graph import (Evaluation, Ref, Tape, backward, handover_residual, squared_differences,
                     squared_differences_adjoint)
 from .human_model import MODIFIER_DIM, ModelParams, unroll_graph
@@ -71,7 +67,6 @@ from .robot_model import kinematic_chain as robot_chain
 from .schema import from_doc, is_number, is_numbers
 
 SOFT_MAX_TEMPERATURE = 0.01  # soft maximum over timesteps: m for collision, m^2 for clearance
-JOINT_GOAL_TEMPERATURE = 0.05  # m^2, agent/timestep selection
 # each agent's palm: its hand link and the palm's offset in that link's frame
 PALMS = {
     "human": ("rWrist", (0.0, -0.10, 0.0)),  # the right arm points -y
@@ -210,10 +205,10 @@ class GraphContext:
     rows read the trajectory directly.
     """
 
-    def __init__(self, tape, steps, human_traj, robot_traj, sdf):
+    def __init__(self, tape, steps, human_traj, robot_traj, scene):
         self.tape = tape
         self.steps = steps
-        self.sdf = sdf
+        self.scene = scene
         self._traj = {"human": human_traj, "robot": robot_traj}
 
     def trajectory(self, agent: str) -> Ref:
@@ -260,10 +255,10 @@ def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
 def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """Soft maximum over timesteps of -SDF(base), at
     ``SOFT_MAX_TEMPERATURE``; feasible <= 0."""
-    if ctx.sdf is None:
+    if ctx.scene is None:
         raise ProblemError("collision constraint needs a scene")
     tape = ctx.tape
-    d = sdf_query_graph(tape, ctx.sdf, ctx.base_positions(spec.agent))
+    d = tape.scene_distance(ctx.base_positions(spec.agent), ctx.scene)
     # 0 - d as a sub node: the tape's node counts and bit-exact values rely on it
     return tape.logsumexp(tape.sub(tape.const(0.0), d), SOFT_MAX_TEMPERATURE)
 
@@ -280,18 +275,22 @@ def joint_clearance_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) ->
 
 def joint_goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """Smooth minimum over agents and timesteps of squared palm-goal
-    distance, at ``JOINT_GOAL_TEMPERATURE``.
+    distance, at tau = tol / ln(2H), tol the ``joint_goal`` tolerance.
 
     Lets the optimizer pick which agent reaches the point and when; the hard
-    minimum is available separately for evaluation.
+    minimum is available separately for evaluation.  The smooth minimum of n
+    entries lies at most tau ln(n) below their hard minimum (Nesterov 2005,
+    Math. Prog. 103), so over the 2H entries a row at 0 puts a palm within
+    the success clause's tolerance: tau = 0.00228 m^2 at H = 40.
     """
+    tau = CONSTRAINT_KINDS["joint_goal"].tolerance / math.log(2 * ctx.steps)
     tape = ctx.tape
     target = tape.const(np.asarray(spec.target, dtype=np.float64))
     dists = []
     for agent in ("human", "robot"):
         hands = ctx.palm_point(agent)
         dists.append(tape.sum(tape.square(tape.sub(hands, target)), axis=1))
-    return tape.smooth_min(tape.concat(dists), JOINT_GOAL_TEMPERATURE)
+    return tape.smooth_min(tape.concat(dists), tau)
 
 
 def handover_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
@@ -510,8 +509,6 @@ class CompiledProblem:
 def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> CompiledProblem:
     """Record the whole planning problem on a fresh tape at zero controls."""
     steps = problem.steps
-    sdf = None if problem.scene is None else build_sdf(problem.scene)
-
     tape = Tape()
     weights = problem.weights
     inv_dt2 = 1.0 / (weights.frame_time ** 2)
@@ -543,7 +540,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
     if not decisions:
         raise ProblemError("nothing to optimize: no free agent")
 
-    ctx = GraphContext(tape, steps, human_traj, robot_traj, sdf)
+    ctx = GraphContext(tape, steps, human_traj, robot_traj, problem.scene)
     if weights.human_base_penalty > 0 and human_traj is not None:
         anchor = (problem.observed_human[-1] if problem.observed_human is not None
                   else problem.fixed_human[0])

@@ -936,7 +936,7 @@ def test_export_sdf_header_round_trip(tmp_path):
     out = str(tmp_path / "export")
     assert main(["export", "--plan-dir", plan_out, "--out", out]) == 0
     grid = load_sdf(os.path.join(out, "scene.sdf"))
-    # the grid the collision rows read
+    # the exact distance the collision rows read, sampled on the default grid
     expected = build_sdf(problem.scene)
     assert grid.resolution == expected.resolution
     assert np.array_equal(grid.origin, expected.origin)

@@ -1,4 +1,4 @@
-"""Scene and signed-distance-field tests, including the brute-force oracle."""
+"""Scene, signed distance and distance-grid tests, including the brute-force oracle."""
 
 import json
 import re
@@ -8,7 +8,7 @@ import pytest
 
 from comotion import environment as env
 from comotion import scenarios
-from comotion.graph import backward, gradient_check, record
+from comotion.graph import GraphError, Tape, backward, gradient_check, record
 from helpers import traced_peak
 
 
@@ -17,16 +17,6 @@ def single_disc_scene(radius=1.0):
         obstacles=(env.Disc((0.0, 0.0), radius),),
         bounds=env.Rect((0.0, 0.0), (3.0, 3.0)),
     )
-
-
-def sdf_query(grid, points):
-    """Distances at (N, 2) points or one (2,) point, and their gradients, from
-    the one tape node planning records."""
-    points = np.asarray(points, dtype=np.float64)
-    tape, values = record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]),
-                          {"p": points.reshape(-1, 2)})
-    grads = backward(tape, np.ones_like(values))["p"]
-    return values.reshape(points.shape[:-1]), grads.reshape(points.shape)
 
 
 def node_positions(grid):
@@ -186,86 +176,85 @@ def test_build_sdf_holds_no_point_cloud():
         assert traced_peak(lambda: env.build_sdf(scene)) < arrays * grid_bytes + small
 
 
-def test_query_at_node_returns_stored_value():
-    grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = node_positions(grid)
-    v, _ = sdf_query(grid, (xs[10], ys[20]))
-    assert v == pytest.approx(grid.values[10, 20], abs=1e-14)
+def scene_distance(scene, points):
+    """The ``scene_distance`` node's values at (N, 2) points, and the
+    gradient of their sum."""
+    tape, values = record(lambda t, r: t.scene_distance(r["p"], scene), {"p": points})
+    return values, backward(tape, np.ones(len(points)))["p"]
 
 
-def test_query_midway_is_mean_of_neighbors():
-    grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = node_positions(grid)
-    v, _ = sdf_query(grid, (0.5 * (xs[10] + xs[11]), ys[20]))
-    assert v == pytest.approx(0.5 * (grid.values[10, 20] + grid.values[11, 20]), abs=1e-14)
+def test_scene_distance_node_is_scene_sdf_bit_for_bit():
+    """On the 72 generator scenes, at random points over and around the
+    bounds, at obstacle centres and at rectangle corners, the node's values
+    at recording and at a replay are ``scene_sdf``'s bits."""
+    rng = np.random.default_rng(5)
+    scenes = generator_scenes()
+    assert len(scenes) == 72
+    for scene in scenes:
+        (cx, cy), (hx, hy) = scene.bounds.center, scene.bounds.half_extents
+        points = [rng.uniform((cx - hx - 1, cy - hy - 1), (cx + hx + 1, cy + hy + 1), (200, 2))]
+        for ob in scene.obstacles:
+            points.append(np.asarray(ob.center)[None])
+            if isinstance(ob, env.Rect):
+                signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+                points.append(np.asarray(ob.center) + signs * np.asarray(ob.half_extents))
+        points = np.vstack(points)
+        tape, values = record(lambda t, r: t.scene_distance(r["p"], scene), {"p": points})
+        assert values.tobytes() == env.scene_sdf(scene, points).tobytes()
+        moved = points + 0.01
+        replay = tape.forward({"p": moved}).output
+        assert replay.tobytes() == env.scene_sdf(scene, moved).tobytes()
 
 
-def test_query_gradient_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    scene = random_scene(rng)
-    grid = env.build_sdf(scene, resolution=0.05)
-    xs, ys = node_positions(grid)
+def test_scene_distance_gradient_matches_finite_differences():
+    """Outside a rectangle (beside its faces and off its corners), inside it
+    (near its corners, off the diagonals) and around a disc, away from the
+    kinks."""
+    rect = env.Rect((0.5, -0.2), (0.4, 0.25))
+    disc = env.Disc((-1.0, 0.6), 0.3)
+    scene = env.Scene((rect, disc), env.Rect((0.0, 0.0), (3.0, 3.0)))
+    corners = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)]) * rect.half_extents + rect.center
+    outward = np.sign(corners - rect.center)
+    angles = np.linspace(0.1, 2 * np.pi, 8, endpoint=False)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    points = np.vstack([
+        rect.center + np.array([(0.6, 0.05), (-0.1, 0.4), (-0.55, -0.1), (0.2, -0.5)]),
+        corners + outward * (0.03, 0.02),  # off the corners, outside
+        corners - outward * (0.02, 0.05),  # near the corners, inside
+        rect.center + np.array([(0.1, 0.02), (-0.05, -0.2)]),
+        disc.center + np.vstack([0.5 * disc.radius * ring, 1.6 * disc.radius * ring]),
+    ])
+    weights = np.random.default_rng(6).normal(size=len(points))
 
     def f(t, r):
-        return t.sum(env.sdf_query_graph(t, grid, r["p"]))
+        return t.scene_distance(r["p"], scene)
 
-    checked = 0
-    while checked < 200:
-        # strictly inside a cell, away from node lines where the patch kinks
-        i = rng.integers(0, len(xs) - 1)
-        j = rng.integers(0, len(ys) - 1)
-        frac = rng.uniform(0.2, 0.8, size=2)
-        p = np.array([[xs[i] + frac[0] * 0.05, ys[j] + frac[1] * 0.05]])
-        assert gradient_check(f, {"p": p}, step=1e-6 * 0.05) < 1e-6
-        checked += 1
+    assert gradient_check(f, {"p": points}, step=1e-7, seed=weights) < 1e-7
 
 
-def test_numpy_query_equals_graph_query():
-    """The tape node against bilinear interpolation written out in numpy."""
-    rng = np.random.default_rng(2)
-    scene = random_scene(rng)
-    grid = env.build_sdf(scene, resolution=0.07)
-    points = rng.uniform(-3, 3, size=(50, 2))
-    nx, ny = grid.values.shape
-    s = np.clip((points - grid.origin) / grid.resolution, 0.0, [nx - 1, ny - 1])
-    i, j = np.minimum(s.astype(int), [nx - 2, ny - 2]).T
-    fx, fy = (s - np.stack([i, j], axis=1)).T
-    v = grid.values
-    expected = (v[i, j] * (1 - fx) * (1 - fy) + v[i + 1, j] * fx * (1 - fy)
-                + v[i, j + 1] * (1 - fx) * fy + v[i + 1, j + 1] * fx * fy)
-    values, _ = sdf_query(grid, points)
-    assert np.allclose(values, expected, rtol=0, atol=1e-12)
-    for p, value in zip(points, values):
-        assert float(sdf_query(grid, p)[0]) == value
-
-
-def test_interpolation_continuous_across_cell_boundaries():
-    grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    xs, ys = node_positions(grid)
-    eps = 1e-9
-    for i in range(5, 20, 3):
-        x_edge = xs[i]
-        for y in np.linspace(-2, 2, 7):
-            lo, _ = sdf_query(grid, (x_edge - eps, y))
-            hi, _ = sdf_query(grid, (x_edge + eps, y))
-            assert abs(hi - lo) < 1e-6
-
-
-def test_outward_ray_monotone_from_isolated_disc():
-    grid = env.build_sdf(single_disc_scene(radius=0.6), resolution=0.05)
-    for ang in np.linspace(0, 2 * np.pi, 12, endpoint=False):
-        d = np.array([np.cos(ang), np.sin(ang)])
-        rs = np.linspace(0.0, 2.6, 80)
-        vals, _ = sdf_query(grid, rs[:, None] * d)
-        assert np.all(np.diff(vals) > -1e-9)
-
-
-def test_query_outside_clamps():
-    grid = env.build_sdf(single_disc_scene(), resolution=0.05)
-    v_edge, _ = sdf_query(grid, (3.0, 0.0))
-    v_out, g_out = sdf_query(grid, (5.0, 0.0))
-    assert v_out == pytest.approx(v_edge, abs=1e-12)
-    assert g_out[0] == 0.0
+def test_scene_distance_gradient_at_centres_and_ties():
+    """A disc's centre and a rectangle's centre give a finite gradient with
+    no floating-point warning; a tie goes to the first obstacle, and at a
+    corner to the first axis."""
+    rect = env.Rect((1.0, 0.0), (0.5, 0.25))
+    disc = env.Disc((-1.0, 0.0), 0.5)
+    scene = env.Scene((rect, disc), env.Rect((0.0, 0.0), (3.0, 3.0)))
+    centres = np.array([rect.center, disc.center])
+    with np.errstate(all="raise"):
+        for ob, centre in zip(scene.obstacles, centres):
+            assert np.array_equal(env._gradient(ob, centre[None]), [(0.0, 0.0)])
+    values, grad = scene_distance(scene, centres)
+    assert np.array_equal(values, [-0.25, -0.5]) and np.array_equal(grad, 0 * centres)
+    # the origin is 0.5 m from both; a corner is on the rectangle's edge
+    points = np.array([(0.0, 0.0), (1.5, 0.25), (1.5, -0.25), (0.5, 0.25)])
+    values, grad = scene_distance(scene, points)
+    assert np.array_equal(values, [0.5, 0.0, 0.0, 0.0])
+    assert np.array_equal(grad, [(-1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)])
+    flipped = env.Scene((disc, rect), scene.bounds)
+    assert np.array_equal(scene_distance(flipped, points[:1])[1], [(1.0, 0.0)])
+    tape = Tape()
+    with pytest.raises(GraphError, match="expects \\(N, 2\\) points"):
+        tape.scene_distance(tape.leaf("p", np.zeros((3, 3))), scene)
 
 
 def test_scene_validation():

@@ -56,6 +56,21 @@ def test_predict_initial_is_zero_modifier_unroll(model, observed):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("noise_variance", float("nan"), "noise variance"),
+    ("noise_variance", float("inf"), "noise variance"),
+    ("noise_variance", 0.0, "noise variance"),
+    ("noise_variance", "0.05", "noise variance"),
+    ("num_samples", True, "num_samples"),
+    ("num_samples", 2.5, "num_samples"),
+    ("num_samples", 0, "num_samples"),
+])
+def test_sample_config_refuses_what_is_not_a_count_or_a_positive_variance(field, value, message):
+    with pytest.raises(ev.EvaluationError, match=message):
+        ev.SampleConfig(**{field: value})
+    assert ev.SampleConfig(num_samples=np.int64(3), noise_variance=np.float64(0.05))
+
+
 def test_sample_zero_noise_limit_equals_initial(model, observed):
     cfg = ev.SampleConfig(num_samples=3, noise_variance=1e-30)
     samples = ev.sample_predictions(model, observed, 5, cfg, seed=0)

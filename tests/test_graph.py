@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from comotion.environment import Disc, Rect, Scene
 from comotion.graph import (
     CHUNK_COLUMNS,
     GRULayer,
@@ -170,30 +171,6 @@ def test_broadcast_bias_gradient():
         return t.sum(t.square(t.sub(r["M"], r["b"])))
 
     assert gradient_check(f, {"M": M, "b": b}) < 1e-7
-
-
-def test_grid_interp_matches_bilinear_and_gradient():
-    rng = np.random.default_rng(8)
-    values = rng.normal(size=(6, 5))
-    origin = np.array([-1.0, -0.5])
-    res = 0.25
-
-    def f(t, r):
-        return t.sum(t.grid_interp(r["p"], values, origin, res))
-
-    # an exact node hit returns the stored value, the midpoint between two
-    # nodes their mean
-    p_node = origin + res * np.array([2.0, 3.0])
-    p_mid = origin + res * np.array([2.5, 3.0])
-    _, out = record(lambda t, r: t.grid_interp(r["p"], values, origin, res),
-                    {"p": np.stack([p_node, p_mid])})
-    assert out[0] == pytest.approx(values[2, 3], abs=1e-15)
-    assert out[1] == pytest.approx(0.5 * (values[2, 3] + values[3, 3]), abs=1e-14)
-
-    # interior gradient vs finite differences
-    for _ in range(50):
-        p = origin + res * (0.5 + rng.uniform(0.05, 0.9, size=(1, 2)) + rng.integers(0, 3, size=2))
-        assert gradient_check(f, {"p": p}, step=1e-6 * res) < 1e-6
 
 
 def test_duplicate_leaf_rejected():
@@ -656,34 +633,27 @@ def test_rollout_gradient_matches_finite_differences_horizon_40():
     assert gradient_check(f, {"u": controls}, step=1e-6, seed=weights) < 1e-7
 
 
-def test_batched_grid_interp_matches_points_and_finite_differences():
-    """(N, 2) queries, some clamped outside the grid, in one node: each row
-    equals a one-point node, value and gradient."""
+def test_batched_scene_distance_matches_points_and_finite_differences():
+    """(N, 2) queries, some outside the workspace bounds, in one node: each
+    row equals a one-point node, value and gradient."""
     rng = np.random.default_rng(22)
-    values = rng.normal(size=(7, 6))
-    origin = np.array([-1.0, -0.5])
-    res = 0.25
-    inside = origin + res * rng.uniform(0.1, 4.9, size=(6, 2))
-    clamped = np.array([[-3.0, 0.1], [0.2, 5.0], [4.0, -2.0]])  # x, y, both clamped
-    points = np.vstack([inside, clamped])
+    scene = Scene((Rect((0.5, 0.0), (0.3, 0.6)), Disc((-0.8, 0.4), 0.35)),
+                  Rect((0.0, 0.0), (1.5, 1.5)))
+    points = np.vstack([rng.uniform(-1.4, 1.4, size=(6, 2)),
+                        [[-3.0, 0.1], [0.2, 5.0], [4.0, -2.0]]])
     weights = rng.normal(size=len(points))
 
     def f(t, r):
-        return t.grid_interp(r["p"], values, origin, res)
+        return t.scene_distance(r["p"], scene)
 
-    tape, _ = record(f, {"p": points})
-    batched = tape.output_value
+    tape, batched = record(f, {"p": points})
     assert batched.shape == (len(points),)
     grads = backward(tape, np.ones(len(points)))["p"]
     for p, v, g in zip(points, batched, grads):
-        single, out = record(lambda t, r: t.grid_interp(r["p"], values, origin, res),
-                             {"p": p[None]})
+        single, out = record(f, {"p": p[None]})
         assert out.shape == (1,) and v == out[0]
         assert np.array_equal(g, backward(single, np.ones(1))["p"][0])
-    assert np.array_equal(grads[6], [0.0, grads[6, 1]])
-    assert np.array_equal(grads[7], [grads[7, 0], 0.0])
-    assert np.array_equal(grads[8], [0.0, 0.0])
-    assert gradient_check(f, {"p": points}, step=1e-6 * res, seed=weights) < 1e-6
+    assert gradient_check(f, {"p": points}, step=1e-7, seed=weights) < 1e-7
 
 
 def test_columns_gradient_matches_finite_differences():

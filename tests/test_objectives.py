@@ -14,7 +14,7 @@ from comotion import environment as env
 from comotion import human_model as hm
 from comotion import objectives as obj
 from comotion import scenarios
-from comotion.graph import _OP_NAMES, backward, record
+from comotion.graph import _OP_NAMES, Tape, backward
 from comotion.kinematics import forward_kinematics
 from comotion.robot_model import (ROBOT_CONTROL_BOUNDS, ROBOT_CONTROL_DIM, ROBOT_STATE_DIM,
                                   robot_fk, robot_unroll)
@@ -26,11 +26,13 @@ def soft_max(values, tau):
     return tau * np.logaddexp.reduce(np.asarray(values) / tau)
 
 
-def grid_distances(grid, points):
-    """SDF grid values at (N, 2) points, each looked up on its own."""
-    return [float(record(lambda t, r: env.sdf_query_graph(t, grid, r["p"]),
-                         {"p": p[None]})[1][0])
-            for p in points]
+def collision_values(scene, compiled, ev):
+    """-SDF at the robot's step bases: ``scene_sdf``, which the row's
+    ``scene_distance`` node equals bit for bit."""
+    values = -env.scene_sdf(scene, compiled.trajectories(ev)[1][:, :2])
+    (node,) = [i for i, op in enumerate(compiled.tape.ops) if _OP_NAMES[op] == "scene_distance"]
+    assert (-ev.values[node]).tobytes() == values.tobytes()
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +177,6 @@ def test_collision_sign_and_hard_max(observed):
     """The collision row is the soft maximum over the steps of -SDF: feasible
     (<= 0) clear of every obstacle, and at most tau ln H above the hard max."""
     scene = small_scene()
-    grid = env.build_sdf(scene)
     spec = obj.ConstraintSpec(kind="collision", agent="robot")
     problem = base_problem(observed, steps=6, constraints=[spec], scene=scene, human=False)
     compiled = obj.compile_problem(problem)
@@ -183,7 +184,7 @@ def test_collision_sign_and_hard_max(observed):
     # standing far from all obstacles: feasible, value <= 0
     _, g, _, ev = compiled.evaluate(np.zeros(compiled.n))
     assert g.shape == (1,) and g[0] <= 0.0
-    values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
+    values = collision_values(scene, compiled, ev)
     tau = obj.SOFT_MAX_TEMPERATURE
     assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
     assert values.max() <= g[0] <= values.max() + tau * np.log(6) + 1e-12
@@ -193,7 +194,6 @@ def test_collision_soft_max_upper_bounds_hard_max(observed):
     """At random robot plans the row lies between the hard maximum of -SDF
     and that plus tau ln H."""
     scene = small_scene()
-    grid = env.build_sdf(scene)
     rng = np.random.default_rng(3)
     tau = obj.SOFT_MAX_TEMPERATURE
     spec = obj.ConstraintSpec(kind="collision", agent="robot")
@@ -201,7 +201,7 @@ def test_collision_soft_max_upper_bounds_hard_max(observed):
     compiled = obj.compile_problem(problem)
     for trial in range(5):
         _, g, _, ev = compiled.evaluate(0.1 * rng.normal(size=6 * 6))
-        values = -np.array(grid_distances(grid, compiled.trajectories(ev)[1][:, :2]))
+        values = collision_values(scene, compiled, ev)
         assert g[0] == pytest.approx(soft_max(values, tau), rel=1e-12)
         hard = values.max()
         assert hard <= g[0] <= hard + tau * np.log(6) + 1e-12
@@ -268,7 +268,7 @@ def test_joint_goal_approximates_hard_min(model, observed):
     spec = obj.ConstraintSpec(kind="joint_goal", target=target)
     problem = base_problem(observed, steps=4, constraints=[spec])
     compiled = obj.compile_problem(problem, model=model)
-    tau = obj.JOINT_GOAL_TEMPERATURE
+    tau = 0.1 ** 2 / np.log(2 * 4)  # the success tolerance over ln(2H)
     for _ in range(3):
         theta = rng_theta(compiled, rng, scale=0.05)
         _, _, h, ev = compiled.evaluate(theta)
@@ -282,12 +282,31 @@ def test_joint_goal_small_when_hand_on_target(model, observed):
     pred = hm.predict(model, observed, horizon=4)
     pos, R = forward_kinematics(pred[2], "rWrist")
     target = tuple(pos + R @ np.asarray(obj.PALMS["human"][1]))
-    tau = obj.JOINT_GOAL_TEMPERATURE
+    tau = 0.1 ** 2 / np.log(2 * 4)
     spec = obj.ConstraintSpec(kind="joint_goal", target=target)
     problem = base_problem(observed, steps=4, constraints=[spec])
     compiled = obj.compile_problem(problem, model=model)
     _, _, h, _ = compiled.evaluate(np.zeros(compiled.n))
     assert abs(h[0]) <= tau * np.log(2 * 4) + 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 4, 40])
+def test_joint_goal_row_holds_only_within_the_success_radius(steps):
+    """Every one of the 2H palms 0.1 m + 1 mm from the target (the success
+    clause fails) makes the row positive: a row at 0 implies the clause."""
+    target = np.array([0.8, -1.0, 0.8])
+    directions = np.random.default_rng(steps).normal(size=(2, steps, 3))
+    palms = target + 0.101 * directions / np.linalg.norm(directions, axis=2, keepdims=True)
+
+    class Palms(obj.GraphContext):
+        def palm_point(self, agent, t=None):
+            return self.tape.const(palms[("human", "robot").index(agent)])
+
+    tape = Tape()
+    row = obj.joint_goal_constraint_graph(Palms(tape, steps, None, None, None),
+                                          obj.ConstraintSpec(kind="joint_goal",
+                                                             target=tuple(target)))
+    assert 0.0 < float(row.value) < 0.1 ** 2
 
 
 # -- handover ----------------------------------------------------------------
@@ -395,7 +414,7 @@ def test_constraints_invariant_under_rigid_translation(model, observed):
         values.append((f, g.copy(), h.copy()))
     (f0, g0, h0), (f1, g1, h1) = values
     assert f1 == pytest.approx(f0, rel=1e-9)
-    # the SDF grid shifts rigidly with the scene, so values match to grid accuracy
+    # the scene distance shifts rigidly with the scene, so values match to rounding
     assert np.allclose(g1, g0, atol=1e-9)
     assert np.allclose(h1, h0, atol=1e-9)
 
@@ -483,7 +502,7 @@ def test_constraints_invariant_under_planar_rigid_motion(psi, tx, ty):
 def test_collision_invariant_under_planar_rigid_motion(quarter_turns, tx, ty):
     """Turning both agents and the scene by a multiple of 90 degrees, so that
     every rectangle stays axis-aligned, and shifting them by any vector
-    changes neither agent's collision row beyond the SDF grid's rounding."""
+    changes neither agent's collision row beyond rounding."""
     turn = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), quarter_turns)
     shift = np.array([tx, ty])
 
@@ -493,8 +512,6 @@ def test_collision_invariant_under_planar_rigid_motion(quarter_turns, tx, ty):
     def moved_rect(rect):  # an odd number of quarter turns swaps the half extents
         return env.Rect(move(rect.center), tuple(float(v) for v in np.abs(turn) @ rect.half_extents))
 
-    # bounds whose widths are whole numbers of grid cells, so that the turned
-    # grid's nodes are the turned nodes
     scene = env.Scene(obstacles=(env.Rect((-1.2, -0.8), (0.3, 0.2)), env.Disc((1.2, -0.2), 0.3)),
                       bounds=env.Rect((0.5, -0.5), (4.0, 3.0)))
     human = _FROZEN_HUMAN
@@ -516,8 +533,8 @@ def test_collision_invariant_under_planar_rigid_motion(quarter_turns, tx, ty):
                                   robot_initial=r, scene=sc)
         _, g, _, _ = obj.compile_problem(problem).evaluate(theta)
         values.append(g)
-    # node and query coordinates below 10 m round at ulp(10) = 1.8e-15 m; the
-    # SDF is 1-Lipschitz, and the lookup and the soft maximum add a few
+    # coordinates below 10 m round at ulp(10) = 1.8e-15 m; the SDF is
+    # 1-Lipschitz, and the distance and the soft maximum add a few
     # roundings of values below 10: 1e-12 is over 100 times that (200 draws
     # moved the rows by at most 8.9e-16)
     assert np.allclose(values[1], values[0], rtol=0, atol=1e-12)
