@@ -2,8 +2,9 @@
 
 Subcommands: synth, train, predict, plan, evaluate, export.  Every run
 writes a manifest (command line, configs, seed, version, timestamps) into its
-output directory before its main work, and all file writes go through a
-temp-file-plus-rename so partial outputs never clobber good ones.
+output directory before its main work.  All file writes, the library savers'
+as well, go through ``schema.atomic_open``'s temp-file-plus-rename, so
+partial outputs never clobber good ones.
 
 ``plan`` and ``evaluate`` solve through the same ``evaluation.evaluate_problem``
 call: ``plan``'s ``result.json`` is the row ``evaluate`` writes to
@@ -65,7 +66,7 @@ from . import objectives as obj
 from .environment import SceneError, build_sdf, save_sdf
 from .kinematics import KinematicsError
 from .robot_model import RobotError, load_robot_trajectory, save_robot_trajectory
-from .schema import is_number
+from .schema import atomic_open, is_number
 from .solver import SolverConfig
 
 
@@ -77,33 +78,13 @@ class NumericFailure(Exception):
     pass
 
 
-@contextlib.contextmanager
-def _atomic(path):
-    """Yields a temporary path beside ``path`` and renames it onto ``path``
-    when the block completes, so a failed write never clobbers a good file.
-    When the block raises, the temporary file is removed."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        yield tmp
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-    os.replace(tmp, path)
-
-
 def _atomic_write(path, text: str) -> None:
-    with _atomic(path) as tmp, open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
 
 
 def _write_json(path, doc) -> None:
     _atomic_write(path, json.dumps(doc, indent=1) + "\n")
-
-
-def _save_weights(params, path) -> None:
-    with _atomic(path) as tmp:
-        hm.save_params(params, tmp)
 
 
 def _write_manifest(outdir, args, extra=None) -> None:
@@ -199,8 +180,7 @@ def cmd_synth(args) -> int:
     cfg = dat.SynthConfig(num_trajectories=args.count, duration_frames=args.frames)
     records = dat.synth_generate(cfg, seed=args.seed)
     path = os.path.join(out, "synthetic.traj")
-    with _atomic(path) as tmp:
-        dat.save_trajectories(records, tmp)
+    dat.save_trajectories(records, path)
     print(f"wrote {len(records)} trajectories to {path}")
     return 0
 
@@ -262,8 +242,8 @@ def cmd_train(args) -> int:
         test_records=test_frames,
         progress=progress,
     )
-    _save_weights(result.best, os.path.join(out, "model.weights"))
-    _save_weights(result.params, os.path.join(out, "model-final.weights"))
+    hm.save_params(result.best, os.path.join(out, "model.weights"))
+    hm.save_params(result.params, os.path.join(out, "model-final.weights"))
     _atomic_write(os.path.join(out, "epochs.jsonl"), "\n".join(lines) + "\n")
     # the best weights on the held-out subject's windows, scored as the test split
     loss, base_err = hm._evaluate(result.best, config, held_frames, held_index)
@@ -299,8 +279,7 @@ def cmd_predict(args) -> int:
     out_rec = dat.TrajectoryRecord(subject=rec.subject, fps=rec.fps, frames=pred,
                                    annotations={"predicted_from": args.start})
     path = os.path.join(out, "prediction.traj")
-    with _atomic(path) as tmp:
-        dat.save_trajectories([out_rec], tmp)
+    dat.save_trajectories([out_rec], path)
     print(f"wrote {path}")
     return 0
 
@@ -326,8 +305,7 @@ def cmd_plan(args) -> int:
                    model.config.frame_rate)
     out = _out_dir(args)
     _write_manifest(out, args)
-    with _atomic(os.path.join(out, "problem.json")) as tmp:
-        obj.save_problem(problem, tmp)
+    obj.save_problem(problem, os.path.join(out, "problem.json"))
 
     record = ev.evaluate_problem(problem, args.method, model,
                                  problem_id=os.path.basename(problem_path),
@@ -343,11 +321,10 @@ def cmd_plan(args) -> int:
                       "\n".join(r.to_line() for r in result.log) + "\n")
     if result.human_traj is not None:
         fps = 1.0 / problem.weights.frame_time
-        with _atomic(os.path.join(out, "human_traj.traj")) as tmp:
-            dat.save_trajectories([dat.TrajectoryRecord("plan", fps, result.human_traj)], tmp)
+        dat.save_trajectories([dat.TrajectoryRecord("plan", fps, result.human_traj)],
+                              os.path.join(out, "human_traj.traj"))
     if result.robot_traj is not None:
-        with _atomic(os.path.join(out, "robot_traj.txt")) as tmp:
-            save_robot_trajectory(result.robot_traj, tmp)
+        save_robot_trajectory(result.robot_traj, os.path.join(out, "robot_traj.txt"))
     _write_json(os.path.join(out, "result.json"), doc)
     print(f"{doc['problem']}: method={args.method} success={record.success} "
           f"status={result.solver_status} objective={result.objective:.4g}")
@@ -535,8 +512,7 @@ def cmd_export(args) -> int:
 
     _write_manifest(out, args)
     if grid is not None:
-        with _atomic(os.path.join(out, "scene.sdf")) as tmp:
-            save_sdf(grid, tmp)
+        save_sdf(grid, os.path.join(out, "scene.sdf"))
     for name, text in texts.items():
         _atomic_write(os.path.join(out, name), text)
     print(f"exported plot data to {out}")

@@ -1,12 +1,12 @@
 """Trajectory ingestion, preprocessing, dataset splits and synthetic motion.
 
-Canonical trajectory files are line-delimited text: a JSON header line opens
+Canonical trajectory files are ``schema`` row files: a header line opens
 each record (subject, frame rate, joint order, annotations), followed by one
-line per frame holding 87 numbers: base position (3) then 21 quaternions
-(w x y z) in the canonical joint order.  Rotations are stored as quaternions
-on disk and converted to the 6-D representation at load time.  Both
-directions make one batched ``kinematics`` conversion per record (``(n, 21,
-k)`` arrays); the 6-D to quaternion direction runs the exact-norm
+row per frame holding 87 finite numbers: base position (3) then 21 nonzero
+quaternions (w x y z) in the canonical joint order.  Rotations are stored
+as quaternions on disk and converted to the 6-D representation at load time.
+Both directions make one batched ``kinematics`` conversion per record
+(``(n, 21, k)`` arrays); the 6-D to quaternion direction runs the exact-norm
 Gram-Schmidt map.
 
 ``synth_generate`` builds each record in one batched pass over its frames:
@@ -21,7 +21,6 @@ stays at one record's frames.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ from .kinematics import (
     rot6d_from_quat,
     yaw_matrix,
 )
-from .schema import is_number
+from .schema import atomic_open, is_number, read_blocks, write_block
 
 FRAME_NUMBERS = 3 + 4 * NUM_JOINTS  # 87 per line on disk
 FRAME_RATE = 20.0  # fps of synthetic data, and the default of a model and of a problem
@@ -70,78 +69,38 @@ class TrajectoryRecord:
 
 
 def load_trajectories(path) -> list[TrajectoryRecord]:
-    """Parse a canonical trajectory file; malformed lines name their number."""
-    records: list[TrajectoryRecord] = []
-    header = None
-    rows: list[np.ndarray] = []
-
-    def flush(line_no):
-        nonlocal header, rows
-        if header is None:
-            return
-        if len(rows) < 2:
-            raise DataError(f"line {line_no}: record {header.get('subject')!r} has fewer than 2 frames")
-        raw = np.stack(rows)
-        rot6d = rot6d_from_quat(raw[:, 3:].reshape(len(rows), NUM_JOINTS, 4))
-        frames = np.concatenate([raw[:, :3], rot6d.reshape(len(rows), -1)], axis=1)
-        records.append(
-            TrajectoryRecord(
-                subject=str(header["subject"]),
-                fps=header["fps"],
-                frames=frames,
-                annotations=header.get("annotations", {}),
-            )
-        )
-        header, rows = None, []
-
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("{"):
-                flush(line_no)
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"line {line_no}: bad record header: {exc}") from None
-                if doc.get("format") != "comotion-trajectory":
-                    raise DataError(f"line {line_no}: not a trajectory header")
-                if doc.get("joints") != HUMAN_JOINT_NAMES:
-                    raise DataError(f"line {line_no}: joint order differs from the canonical schema")
-                for key in ("subject", "fps"):
-                    if key not in doc:
-                        raise DataError(f"line {line_no}: record header lacks {key!r}")
-                try:
-                    doc["fps"] = float(doc["fps"])
-                except (TypeError, ValueError):
-                    raise DataError(f"line {line_no}: record header 'fps' is not a number: "
-                                    f"{doc['fps']!r}") from None
-                header = doc
-                continue
-            if header is None:
-                raise DataError(f"line {line_no}: frame data before any record header")
-            parts = line.split()
-            if len(parts) != FRAME_NUMBERS:
-                raise DataError(
-                    f"line {line_no}: expected {FRAME_NUMBERS} numbers, got {len(parts)}"
-                )
-            try:
-                row = np.array([float(p) for p in parts])
-            except ValueError:
-                raise DataError(f"line {line_no}: non-numeric frame entry") from None
-            if not np.all(np.isfinite(row)):
-                raise DataError(f"line {line_no}: non-finite frame entry")
-            qn = np.linalg.norm(row[3:].reshape(NUM_JOINTS, 4), axis=1)
-            if np.any(qn < 1e-6):
-                raise DataError(f"line {line_no}: zero-norm quaternion")
-            rows.append(row)
-        flush("end of file")
+    """Parse a canonical trajectory file; an error names ``path`` and the line
+    of the malformed row, or of the header of the malformed record."""
+    records = []
+    for line, header, raw in read_blocks(path, "comotion-trajectory", DataError):
+        where = f"{path}: line {line}"
+        if header.get("joints") != HUMAN_JOINT_NAMES:
+            raise DataError(f"{where}: joint order differs from the canonical schema")
+        for key in ("subject", "fps"):
+            if key not in header:
+                raise DataError(f"{where}: record header lacks {key!r}")
+        if not is_number(header["fps"]):
+            raise DataError(f"{where}: record header 'fps' is not a number: {header['fps']!r}")
+        n = len(raw)
+        if raw.shape[1] != FRAME_NUMBERS:
+            raise DataError(f"{where}: {raw.shape[1]} numbers per frame, expected {FRAME_NUMBERS}")
+        quats = raw[:, 3:].reshape(n, NUM_JOINTS, 4)
+        for bad, what in ((~np.isfinite(raw).all(axis=1), "an infinite entry"),
+                          ((np.linalg.norm(quats, axis=2) < 1e-6).any(axis=1),
+                           "a zero-norm quaternion")):
+            if bad.any():
+                raise DataError(f"{where}: frame {np.argmax(bad)} of the record has {what}")
+        frames = np.concatenate([raw[:, :3], rot6d_from_quat(quats).reshape(n, -1)], axis=1)
+        try:
+            records.append(TrajectoryRecord(str(header["subject"]), float(header["fps"]), frames,
+                                            header.get("annotations", {})))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return records
 
 
 def save_trajectories(records: list[TrajectoryRecord], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             header = {
                 "format": "comotion-trajectory",
@@ -151,11 +110,10 @@ def save_trajectories(records: list[TrajectoryRecord], path) -> None:
                 "joints": HUMAN_JOINT_NAMES,
                 "annotations": rec.annotations,
             }
-            fh.write(json.dumps(header) + "\n")
             n = len(rec.frames)
             quats = quat_from_rot6d(rec.frames[:, 3:].reshape(n, NUM_JOINTS, 6))
-            for row in np.concatenate([rec.frames[:, :3], quats.reshape(n, -1)], axis=1):
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            write_block(fh, header,
+                        np.concatenate([rec.frames[:, :3], quats.reshape(n, -1)], axis=1))
 
 
 # ---------------------------------------------------------------------------

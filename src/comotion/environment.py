@@ -8,16 +8,17 @@ kernel: ``scene_sdf`` and the tape's ``scene_distance`` node run it, and
 ``build_sdf`` runs it on a regular grid's axes for plot files, equal to
 ``scene_sdf`` at every node bit for bit; its transient is one (nx, ny)
 array per obstacle (two for a rectangle).
+An SDF grid file is a ``schema`` row file of one block, whose entries may
+be infinite: an obstacle-free scene's grid is +inf at every node.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .schema import from_doc, is_number, is_numbers
+from .schema import atomic_open, from_doc, is_number, is_numbers, read_blocks, write_block
 
 DEFAULT_RESOLUTION = 0.05  # meters per cell
 
@@ -179,7 +180,7 @@ def scene_from_doc(doc: dict) -> Scene:
 
 
 def save_sdf(grid: SdfGrid, path) -> None:
-    """Dense grid export: one JSON header line, then one row of values per line."""
+    """Dense grid export: one row block, a row of values per x index."""
     header = {
         "format": "comotion-sdf",
         "version": 1,
@@ -187,26 +188,21 @@ def save_sdf(grid: SdfGrid, path) -> None:
         "resolution": grid.resolution,
         "dims": list(grid.values.shape),
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for row in grid.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    with atomic_open(path) as fh:
+        write_block(fh, header, grid.values)
 
 
 def load_sdf(path) -> SdfGrid:
     """Inverse of ``save_sdf``; a malformed file is a ``SceneError`` naming ``path``."""
-    with open(path) as fh:
-        try:  # a header that is not JSON, a word that is not a number, rows of two lengths
-            header = json.loads(fh.readline())
-            values = np.array([[float(v) for v in line.split()] for line in fh if line.strip()])
-        except ValueError as exc:
-            raise SceneError(f"{path}: not an SDF grid file ({exc})") from None
-    if not isinstance(header, dict) or header.get("format") != "comotion-sdf":
-        raise SceneError(f"{path}: not an SDF grid file")
+    blocks = read_blocks(path, "comotion-sdf", SceneError)
+    if len(blocks) != 1:
+        raise SceneError(f"{path}: holds {len(blocks)} SDF grids, expected 1")
+    ((line, header, values),) = blocks
+    where = f"{path}: line {line}"
     origin, resolution, dims = (header.get(key) for key in ("origin", "resolution", "dims"))
     if not (isinstance(origin, list) and is_numbers(tuple(origin), 2)
             and is_number(resolution) and resolution > 0):
-        raise SceneError(f"{path}: header lacks an origin of 2 numbers or a positive resolution")
-    if values.ndim != 2 or list(values.shape) != dims:
-        raise SceneError(f"{path}: dims {dims} do not match a payload of shape {values.shape}")
+        raise SceneError(f"{where}: header lacks an origin of 2 numbers or a positive resolution")
+    if list(values.shape) != dims:
+        raise SceneError(f"{where}: dims {dims} do not match a payload of shape {values.shape}")
     return SdfGrid(origin=tuple(origin), resolution=float(resolution), values=values)

@@ -43,7 +43,7 @@ import numpy as np
 from .data import FRAME_RATE, rotate_frames
 from .graph import GraphError, Ref, Tape, backward, gru_unroll
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
-from .schema import from_doc, is_number
+from .schema import atomic_open, from_doc, is_number
 
 INPUT_DIM = ROT_BLOCK_DIM + STATE_DIM  # rotation block + velocity block
 MODIFIER_DIM = STATE_DIM  # 3 base-velocity handles + 126 rotation entries
@@ -484,7 +484,7 @@ def save_params(params: ModelParams, path) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in blocks],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

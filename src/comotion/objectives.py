@@ -64,7 +64,7 @@ from .kinematics import kinematic_chain as human_chain
 from .robot_model import (HAND_LINK, ROBOT_CONTROL_BOUNDS, ROBOT_CONTROL_DIM, ROBOT_STATE_DIM,
                           robot_fk, robot_unroll_graph)
 from .robot_model import kinematic_chain as robot_chain
-from .schema import from_doc, is_number, is_numbers
+from .schema import atomic_open, from_doc, is_number, is_numbers
 
 SOFT_MAX_TEMPERATURE = 0.01  # soft maximum over timesteps: m for collision, m^2 for clearance
 # each agent's palm: its hand link and the palm's offset in that link's frame
@@ -142,9 +142,10 @@ class ProblemSpec:
     ``plans_robot``.  The human is ``kinematics``' one skeleton and the robot
     ``robot_model``'s one arm.
 
-    Construction checks that ``steps`` is an integer of at least 1, and every
-    array that is present: its shape and that each entry is finite.  This is
-    the one check of a problem's step count and arrays."""
+    Construction checks that ``steps`` is an integer of at least 1, every
+    array that is present (its shape and that each entry is finite), and
+    that a collision constraint has a scene with an obstacle.  This is the
+    one check of a problem's step count, arrays and scene."""
 
     steps: int
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
@@ -178,6 +179,9 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is not None and value.shape != shape:
                 raise ProblemError(f"{name} must have shape {shape}, got {value.shape}")
+        if (any(c.kind == "collision" for c in self.constraints)
+                and (self.scene is None or not self.scene.obstacles)):
+            raise ProblemError("a collision constraint needs a scene with an obstacle")
 
     @property
     def plans_human(self) -> bool:
@@ -255,8 +259,6 @@ def goal_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
 def collision_constraint_graph(ctx: GraphContext, spec: ConstraintSpec) -> Ref:
     """Soft maximum over timesteps of -SDF(base), at
     ``SOFT_MAX_TEMPERATURE``; feasible <= 0."""
-    if ctx.scene is None:
-        raise ProblemError("collision constraint needs a scene")
     tape = ctx.tape
     d = tape.scene_distance(ctx.base_positions(spec.agent), ctx.scene)
     # 0 - d as a sub node: the tape's node counts and bit-exact values rely on it
@@ -351,8 +353,6 @@ def goal_distance(spec: ConstraintSpec, trajs: dict, scene) -> float:
 
 def scene_penetration(spec: ConstraintSpec, trajs: dict, scene) -> float:
     """The maximum of -SDF over the dense base path, in m."""
-    if scene is None:
-        raise ProblemError("collision constraint needs a scene")
     return -float(np.min(scene_sdf(scene, _dense_bases(trajs[spec.agent]))))
 
 
@@ -582,7 +582,7 @@ def compile_problem(problem: ProblemSpec, model: ModelParams | None = None) -> C
 
 
 def _array_to_doc(a: np.ndarray | None):
-    return None if a is None else [[float(v) for v in row] for row in np.atleast_2d(a)]
+    return None if a is None else a.tolist()
 
 
 def problem_to_doc(problem: ProblemSpec) -> dict:
@@ -594,8 +594,7 @@ def problem_to_doc(problem: ProblemSpec) -> dict:
         "weights": asdict(problem.weights),
         "constraints": [asdict(c) for c in problem.constraints],
         "observed_human": _array_to_doc(problem.observed_human),
-        "robot_initial": None if problem.robot_initial is None
-        else [float(v) for v in problem.robot_initial],
+        "robot_initial": _array_to_doc(problem.robot_initial),
         "fixed_human": _array_to_doc(problem.fixed_human),
         "fixed_robot": _array_to_doc(problem.fixed_robot),
         "scene": None if problem.scene is None else scene_to_doc(problem.scene),
@@ -603,7 +602,7 @@ def problem_to_doc(problem: ProblemSpec) -> dict:
 
 
 def save_problem(problem: ProblemSpec, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(problem_to_doc(problem), fh)
 
 

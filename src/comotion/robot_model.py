@@ -9,16 +9,17 @@ The platform is a stand-in: a 4-joint right arm on a wheeled base, stated
 once as the ``ARM`` table, from which the state and control dimensions and
 the control bounds follow.  Planning and scoring use that one robot; another
 geometry means editing that table.
+A robot trajectory file is a ``schema`` row file of one block, a row per
+state; every entry must be finite.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
 from .chains import Chain, chain_fk
 from .graph import Ref, Tape, unicycle_rollout
+from .schema import atomic_open, read_blocks, write_block
 
 
 class RobotError(ValueError):
@@ -63,31 +64,24 @@ def kinematic_chain(link: str, tip=(0.0, 0.0, 0.0)) -> Chain:
 
 
 def save_robot_trajectory(states: np.ndarray, path) -> None:
-    """Robot states: one JSON header line, then one row of values per line."""
+    """Robot states as one row block, its header holding their dims."""
     header = {"format": "comotion-robot-trajectory", "version": 1, "dims": list(states.shape)}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for row in states:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    with atomic_open(path) as fh:
+        write_block(fh, header, states)
 
 
 def load_robot_trajectory(path) -> np.ndarray:
-    """Inverse of ``save_robot_trajectory``; a foreign header, a non-numeric
-    entry or rows that do not match the header's dims are a ``RobotError``."""
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != "comotion-robot-trajectory":
-            raise RobotError(f"{path}: not a robot trajectory file")
-        try:
-            rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-        except ValueError as exc:
-            raise RobotError(f"{path}: {exc}") from None
-    if len({len(r) for r in rows}) != 1 or [len(rows), len(rows[0])] != header.get("dims"):
-        raise RobotError(f"{path}: rows do not match dims {header.get('dims')}")
-    return np.array(rows)
+    """Inverse of ``save_robot_trajectory``; a malformed file is a
+    ``RobotError`` naming ``path``."""
+    blocks = read_blocks(path, "comotion-robot-trajectory", RobotError)
+    if len(blocks) != 1:
+        raise RobotError(f"{path}: holds {len(blocks)} robot trajectories, expected 1")
+    ((line, header, states),) = blocks
+    if not np.isfinite(states).all():
+        raise RobotError(f"{path}: line {line}: the trajectory has an infinite entry")
+    if list(states.shape) != header.get("dims"):
+        raise RobotError(f"{path}: line {line}: rows do not match dims {header.get('dims')}")
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ LBFGS_HISTORY = 20
 @dataclass(frozen=True)
 class SolverConfig:
     """The iteration budget: at most ``max_rounds`` barrier/multiplier rounds,
-    each of at most ``max_inner`` quasi-Newton iterations."""
+    each of at most ``max_inner`` quasi-Newton iterations; each an integer
+    (``int`` or ``np.integer``, not a bool) of at least 1."""
 
     max_rounds: int = 8
     max_inner: int = 50
@@ -52,8 +53,8 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("max_rounds", "max_inner"):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass

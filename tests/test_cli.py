@@ -844,14 +844,13 @@ def test_solver_budget_below_1_exits_2_naming_the_flag(tmp_path, capsys, command
 
 
 def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
-    from comotion.cli import _atomic
+    from comotion.schema import atomic_open
 
     path = tmp_path / "model.weights"
     path.write_bytes(b"old weights")
     with pytest.raises(RuntimeError, match="disk full"):
-        with _atomic(path) as tmp:
-            with open(tmp, "wb") as fh:
-                fh.write(b"half of the new")
+        with atomic_open(path, "wb") as fh:
+            fh.write(b"half of the new")
             raise RuntimeError("disk full")
     assert path.read_bytes() == b"old weights"
     assert os.listdir(tmp_path) == ["model.weights"]
@@ -917,6 +916,26 @@ def test_export_empty_human_trajectory_exits_2_writing_nothing(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "human_traj.traj" in err and "Traceback" not in err
     assert not (tmp_path / "export").exists()
+
+
+@pytest.mark.parametrize("scene", [
+    None, {"bounds": {"center": [0.0, 0.0], "half_extents": [1.0, 1.0]}, "obstacles": []},
+], ids=["no scene", "no obstacle"])
+def test_collision_constraint_without_an_obstacle_exits_2_writing_nothing(tmp_path, capsys,
+                                                                          scene):
+    path = toy_robot_problem(tmp_path)
+    doc = json.loads((tmp_path / "toy.json").read_text())
+    doc["constraints"].append({"kind": "collision", "agent": "robot"})
+    doc["scene"] = scene
+    (tmp_path / "toy.json").write_text(json.dumps(doc))
+    message = "a collision constraint needs a scene with an obstacle"
+    with pytest.raises(obj.ProblemError, match=message):
+        obj.load_problem(path)
+    rc = main(["plan", "--problem", path, "--method", "ours", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_sdf_header_round_trip(tmp_path):

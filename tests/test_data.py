@@ -1,6 +1,7 @@
 """Trajectory IO, preprocessing, dataset split and synthetic generation tests."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_truncated_frame_reports_line_number(tmp_path):
     lines = path.read_text().splitlines()
     lines[3] = " ".join(lines[3].split()[:-2])  # drop two numbers from frame 3
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(cd.DataError, match="line 4"):
+    with pytest.raises(cd.DataError, match=re.escape(f"{path}: line 4:")):
         cd.load_trajectories(path)
 
 
@@ -105,7 +106,7 @@ def test_non_numeric_frame_rejected(tmp_path):
     parts[5] = "banana"
     lines[2] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(cd.DataError, match="line 3"):
+    with pytest.raises(cd.DataError, match=re.escape(f"{path}: line 3:")):
         cd.load_trajectories(path)
 
 

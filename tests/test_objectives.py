@@ -800,7 +800,9 @@ def test_problem_file_round_trip_is_a_byte_fixed_point(human, robot, constraints
         observed_human=rng.normal(size=(observed, 129))
         if human in ("planned", "frozen with start") else None,
         robot_initial=rng.normal(size=7) if robot in ("planned", "frozen with start") else None,
-        scene=small_scene() if with_scene else None,
+        # a collision constraint needs a scene
+        scene=small_scene() if with_scene or any(c.kind == "collision" for c in constraints)
+        else None,
         fixed_human=rng.normal(size=(steps, 129)) if human.startswith("frozen") else None,
         fixed_robot=rng.normal(size=(steps, 7)) if robot.startswith("frozen") else None,
     )

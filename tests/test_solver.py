@@ -36,6 +36,16 @@ def toy_problem(build, n, bound=None):
     )
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_rounds", 2.5), ("max_inner", True), ("max_rounds", float("nan")), ("max_inner", "3"),
+    ("max_rounds", None), ("max_inner", 0), ("max_rounds", np.int64(0)), ("max_inner", -1),
+])
+def test_solver_config_refuses_a_budget_that_is_not_a_count(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+        sv.SolverConfig(**{name: value})
+    assert getattr(sv.SolverConfig(**{name: np.int64(3)}), name) == 3
+
+
 def test_unconstrained_quadratic_stays_at_origin():
     compiled = toy_problem(lambda t, x: (t.sum_squares(x), [], []), n=6)
     result = sv.solve_compiled(compiled)
