@@ -229,7 +229,8 @@ def cmd_train(args) -> int:
 
     def progress(m):
         lines.append(json.dumps(asdict(m)))
-        print(f"epoch {m.epoch}: train {m.train_loss:.4f} test {m.test_loss:.4f}", flush=True)
+        print(f"epoch {m.epoch}: train {m.train_loss:.4f} test {m.test_loss:.4f} "
+              f"({m.seconds:.2f} s)", flush=True)
 
     result = hm.train(
         train_frames,

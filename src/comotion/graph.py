@@ -53,11 +53,19 @@ u_H = u_{H-1}.  Encoder step t and decoder step j read::
 
 The output is the (H, sd[, B]) states s_1..s_H.  Recording and replay keep
 a time-major cache over all T = E + H steps, which each step writes in
-place: its layer-0 input xs[t] (no input array is built up front), each
-layer's hidden states hs[l][t] (T + 1 of them) and gates
-gates[l][t] = [z; r; n].  The backward pass reuses them instead of
-recomputing.  An unroll that keeps no cache (prediction, encoding, the test
-loss, the sampled forecast) runs every step in one-step workspaces.
+place: each layer's hidden states hs[l][t] (T + 1 of them) and gates
+gates[l][t] = [z; r; n], and each decoder step's velocity slot v_{j+1}.
+The layer-0 input x_t is not cached: every step writes it into one one-step
+workspace, and no input array is built up front.  The backward pass reuses
+the cache instead of recomputing.  When a weight wants a gradient it
+rebuilds each chunk's layer-0 inputs from the frames, the states s_j, the
+modifiers and the velocity slots, by the same elementwise operations as the
+forward, so bit for bit; a value the backward pass can rebuild exactly and
+cheaply need not be cached (Gruslys et al. 2016).  Planning's adjoint never
+reads them.  An unroll that keeps no cache (prediction, encoding, the test
+loss, the sampled forecast) runs every step in one-step workspaces.  A
+``Workspace`` holds the cache, the chunk buffers below and the weight
+gradients across scans: training's batches of an epoch share one.
 The adjoint is backpropagation through time (Werbos 1990).  With G_j the
 output gradient of s_{j+1}, the reverse loop carries S (the gradient of
 s_{j+1}), V (of v_{j+1}) and one hidden-state gradient per layer, and at
@@ -78,7 +86,7 @@ association order written above.  The weight gradients sum over time chunk
 by chunk.  At a chunk's end, one GEMM per gate block on contiguous
 (dim, C B) copies of the chunk's cache and of the g_pre its steps stored
 gives the chunk's share, which is added to the sum over the later chunks
-(the last chunk's share starts it)::
+(the last chunk's share starts it; the layer-0 Xd is rebuilt, not copied)::
 
     dW += G_pre Xd^T,  dU += [G_zr Hd^T; G_n (R * Hd)^T],  db += G_pre 1
     dW_o += GV O^T,  db_o += GV 1
@@ -90,8 +98,9 @@ for vectors), and the earliest chunk takes what is left.  At 256 columns a
 chunk's GEMMs take about 1.1 times what one GEMM over a whole default
 unroll (39 steps of 32 columns) takes, against 1.3 to 1.7 times at 128 or
 64 (one BLAS thread); and the adjoint's buffers stay a chunk long, not T
-steps (a default batch peaks at 17.5 MiB traced, against 25.0 MiB with
-whole-unroll buffers).
+steps.  A default batch peaks at 15.6 MiB traced; caching the layer-0
+inputs took it to 17.5 MiB, and whole-unroll adjoint buffers on top of that
+to 25.0 MiB.
 Chunking changes the weight gradients' rounding only.  Without weight
 gradients (planning) the steps the loop runs are one chunk, so planning's
 adjoint makes the same numpy calls per step as an unchunked loop.
@@ -175,6 +184,7 @@ __all__ = [
     "Ref",
     "Tape",
     "Evaluation",
+    "Workspace",
     "record",
     "backward",
     "gradient_check",
@@ -306,12 +316,63 @@ def _product(batch):
 CHUNK_COLUMNS = 256
 
 
-def _workspace(shape, count, keep=False):
-    """``count`` (shape) slots, each its own when ``keep``; else all one
-    workspace, a (count, *shape) view with a zero leading stride, for a pass
-    that keeps no cache."""
+class Workspace:
+    """Memory that successive ``gru_scan`` passes share: one flat buffer per key.
+
+    :meth:`take` hands out a C-contiguous array at the head of a key's
+    buffer, which a larger request replaces.  A narrower batch thus works in
+    a contiguous prefix of the memory a wider one used, reshaped to its
+    width, never in a strided column slice of it: a non-contiguous operand
+    moves BLAS's rounding.  What one pass takes is valid until the next pass
+    takes the same keys.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._packed = True
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+            self._packed = False
+        return buf[:size].reshape(shape)
+
+    def pack(self) -> None:
+        """Move the buffers into one block, at 64-byte-aligned offsets, unless
+        they are one already; arrays taken before keep the old memory.
+
+        Freed as one block, the memory stays with the process for the next
+        workspace.  Freed as many arrays, glibc returns the heap top they
+        leave to the system and the next workspace faults it back in: about
+        6.8k minor page faults per perfbench ``train`` epoch, against none
+        once packed.
+        """
+        if self._packed:
+            return
+        sizes = {key: -(-buf.size // 8) * 8 for key, buf in self._buffers.items()}
+        self._buffers = {}  # freed before the block is allocated
+        block = np.empty(sum(sizes.values()))
+        start = 0
+        for key, size in sizes.items():
+            self._buffers[key] = block[start : start + size]
+            start += size
+        self._packed = True
+
+
+def _buffer(workspace, key, shape):
+    """A (shape) array to write into: fresh, or the head of ``workspace``'s
+    ``key`` buffer.  Every buffer a scan pass keeps comes from here."""
+    return np.empty(shape) if workspace is None else workspace.take(key, shape)
+
+
+def _workspace(shape, count, keep=False, workspace=None, key=None):
+    """``count`` (shape) slots, each its own when ``keep`` (see
+    :func:`_buffer`); else all one workspace, a (count, *shape) view with a
+    zero leading stride, for a pass that keeps no cache."""
     if keep:
-        return np.empty((count, *shape))
+        return _buffer(workspace, key, (count, *shape))
     ws = np.empty(shape)
     return np.lib.stride_tricks.as_strided(ws, (count, *shape), (0, *ws.strides))
 
@@ -383,8 +444,44 @@ def gru_cell(x, layer: GRULayer, t):
     return np.add(keep, np.multiply(z, n, out=rh), out=layer.h[t + 1])
 
 
+class _ScanInputs:
+    """The layer-0 input x_t of every step of one unroll (see the module
+    docstring).  The forward writes each step's into its one-step workspace;
+    the adjoint rebuilds a chunk's for its weight GEMMs, by the same
+    elementwise operations on the same operands, so bit for bit.  A decoder
+    step reads the state and the velocity that the step before it wrote
+    into the unroll's ``states`` and velocity slots ``vels``, which nothing
+    writes afterwards."""
+
+    def __init__(self, lead, frames, state, velocity, states, vels, modifiers):
+        self.lead, self.frames = lead, frames
+        self.enc = 0 if frames is None else len(frames) - 1
+        if len(states):  # s_j[l:] and v_j of every decoder step j
+            self.s_rot = [state[lead:], *states[:-1, lead:]]
+            self.v = [velocity, *vels[:-1]]
+        self.mod_rot = self.shift = None
+        if modifiers is not None:
+            # u_{j+1} - u_j of every step at once; the last row is its own next row
+            self.shift = list(np.diff(modifiers, axis=0, append=modifiers[-1:]))
+            self.mod_rot = list(modifiers[:, lead:])
+
+    def write(self, t, x_rot, x_vel):
+        """x_t into its rotation and velocity parts."""
+        j = t - self.enc
+        if j < 0:
+            f = self.frames
+            np.copyto(x_rot, f[t + 1][self.lead :])
+            np.subtract(f[t + 1], f[t], out=x_vel)
+        elif self.mod_rot is None:
+            np.copyto(x_rot, self.s_rot[j])
+            np.copyto(x_vel, self.v[j])
+        else:
+            np.add(self.s_rot[j], self.mod_rot[j], out=x_rot)
+            np.add(self.v[j], self.shift[j], out=x_vel)
+
+
 def gru_unroll(weights, hiddens, state, velocity, horizon, frames=None, modifiers=None,
-               masks=None, keep=False):
+               masks=None, keep=False, workspace=None):
     """Unroll a GRU stack with a residual output layer (see the module docstring).
 
     ``weights`` is ``(W, U, b)`` per layer, stacked as :class:`GRULayer` takes
@@ -399,10 +496,13 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, frames=None, modifier
 
     Returns the (horizon, sd[, B]) decoder states, the last velocity, the
     final hidden states and, when ``keep``, the time-major cache that the
-    ``gru_scan`` backward pass reads: the layer-0 inputs ``xs[t]``, each
-    layer's hidden states ``hs[l][t]`` (T + 1 of them) and gates
-    ``gates[l][t]``.  Without ``keep`` every step writes into the same
-    one-step workspaces, its input included, so memory does not grow with the
+    ``gru_scan`` backward pass reads: the layer-0 inputs' operands (a
+    :class:`_ScanInputs` over the frames, modifiers, states and the velocity
+    slots v_1..v_H), each layer's hidden states ``hs[l][t]`` (T + 1 of them)
+    and gates ``gates[l][t]``.  The states and the kept buffers come from
+    ``workspace`` when one is given (see :func:`_buffer`).  Every step
+    writes its input into one one-step workspace, and without ``keep`` its
+    hidden states, gates and velocity too, so memory does not grow with the
     step count.
     """
     *cells, out_W, out_b = weights
@@ -417,58 +517,49 @@ def gru_unroll(weights, hiddens, state, velocity, horizon, frames=None, modifier
     rot = sd - lead  # input entries the shifted state fills; the velocity fills the rest
     enc = 0 if frames is None else len(frames) - 1
     steps = enc + horizon
-    states = np.empty((horizon, sd, *batch))
-    # step t writes xs[t], reads it and hs[l][t], writes gates[l][t] and hs[l][t + 1];
+    # step t writes its input x, reads it and hs[l][t], writes gates[l][t] and
+    # hs[l][t + 1], and decoder step j its velocity slot vels[j] and states[j];
     # without keep every step's slot is one workspace: hidden states update in place
-    xs = _workspace((in_dim, *batch), steps, keep)
-    hs = [_workspace(h.shape, steps + 1, keep) for h in hiddens]
-    gates = [_workspace((3 * h.shape[0], *batch), steps, keep) for h in hiddens]
+    states = _buffer(workspace, "states", (horizon, sd, *batch))
+    vels = _workspace((sd, *batch), horizon, keep, workspace, "vels")
+    hs = [_workspace(h.shape, steps + 1, keep, workspace, f"hs{li}")
+          for li, h in enumerate(hiddens)]
+    gates = [_workspace((3 * h.shape[0], *batch), steps, keep, workspace, f"gates{li}")
+             for li, h in enumerate(hiddens)]
     for buf, h in zip(hs, hiddens):
         buf[0] = h
     layers = [GRULayer(*cells[3 * li : 3 * li + 3], hs[li], gates[li], *masks[li])
               for li in range(len(hiddens))]
-    x_rot, x_vel = list(xs[:, :rot]), list(xs[:, rot:])
+    x = np.empty((in_dim, *batch))
+    x_rot, x_vel = x[:rot], x[rot:]
+    inputs = _ScanInputs(lead, frames, state, velocity, states, vels, modifiers)
     out_lead, out_rot = list(states[:, :lead]), list(states[:, lead:])
-    if modifiers is not None:
-        # u_{j+1} - u_j of every step at once; the last row is its own next row
-        shift = list(np.diff(modifiers, axis=0, append=modifiers[-1:]))
-        mod_rot = list(modifiers[:, lead:])
-    vel = np.empty((sd, *batch))
     product = _product(batch)
-    vel_lead, vel_rot = vel[:lead], vel[lead:]
-    v = velocity  # v_j, and s_j in two parts
+    v = velocity  # v_j, and the lead entries of s_j
     if horizon:
-        s_lead, s_rot = state[:lead], state[lead:]
+        s_lead = state[:lead]
     for t in range(steps):
-        j = t - enc
-        if j < 0:
-            np.copyto(x_rot[t], frames[t + 1][lead:])
-            np.subtract(frames[t + 1], frames[t], out=x_vel[t])
-        elif modifiers is None:
-            np.copyto(x_rot[t], s_rot)
-            np.copyto(x_vel[t], v)
-        else:
-            np.add(s_rot, mod_rot[j], out=x_rot[t])
-            np.add(v, shift[j], out=x_vel[t])
-        x = xs[t]
+        inputs.write(t, x_rot, x_vel)
+        o = x
         for layer in layers:
-            x = gru_cell(x, layer, t)
+            o = gru_cell(o, layer, t)
+        j = t - enc
         if j >= 0:
-            v = product(out_W, x, out=vel)
+            v = product(out_W, o, out=vels[j])
             v += out_b
             # the residual integrates onto the shifted input state; the lead
             # entries have no modifier slot and integrate their velocity only
-            s_lead = np.add(s_lead, vel_lead, out=out_lead[j])
-            s_rot = np.add(x_rot[t], vel_rot, out=out_rot[j])
-    return states, v, [h[steps] for h in hs], (xs, hs, gates) if keep else None
+            s_lead = np.add(s_lead, v[:lead], out=out_lead[j])
+            np.add(x_rot, v[lead:], out=out_rot[j])
+    return states, v, [h[steps] for h in hs], (inputs, hs, gates) if keep else None
 
 
 def _f_scan(vals, a, p):
-    hiddens, state, velocity, horizon, frames, masks = p
+    hiddens, state, velocity, horizon, frames, masks, workspace = p
     nw = 3 * len(hiddens) + 2
     modifiers = vals[a[nw]] if len(a) > nw else None
     states, _, _, cache = gru_unroll([vals[i] for i in a[:nw]], hiddens, state, velocity,
-                                     horizon, frames, modifiers, masks, keep=True)
+                                     horizon, frames, modifiers, masks, True, workspace)
     return states, cache
 
 
@@ -490,17 +581,18 @@ def _dim_major(flat, a, mask=None):
 
 
 def _b_scan(g, vals, a, p, cache, needed):
-    hiddens, _, _, horizon, _, masks = p
+    hiddens, _, _, horizon, _, masks, workspace = p
     nl = len(hiddens)
     nw = 3 * nl + 2
     out_WT = vals[a[nw - 2]].T
     if masks is None:
         masks = [(None, None)] * nl
-    xs, hs, gates = cache
-    steps = len(xs)
+    inputs, hs, gates = cache
+    steps = len(gates[0])
     enc = steps - horizon
     sd = out_WT.shape[1]
-    rot = xs.shape[1] - sd
+    in_dim = vals[a[0]].shape[1]
+    rot = in_dim - sd
     lead = sd - rot
     batch = g.shape[2:]
     product = _product(batch)
@@ -520,18 +612,23 @@ def _b_scan(g, vals, a, p, cache, needed):
                        w_zr[d:], np.empty((d, *batch)), np.empty((d, *batch)),
                        np.empty((W.shape[1], *batch)) if li else None))
         # a chunk's g_pre slots, its n - h and its masked hidden states
-        chunks.append((np.empty((chunk, 3 * d, *batch)), np.empty((chunk, d, *batch)),
-                       None if mask_h is None else np.empty((chunk, d, *batch))))
+        chunks.append((_buffer(workspace, f"g_pre{li}", (chunk, 3 * d, *batch)),
+                       _buffer(workspace, f"n_h{li}", (chunk, d, *batch)),
+                       None if mask_h is None else
+                       _buffer(workspace, f"hd{li}", (chunk, d, *batch))))
     if want_w:
-        # the (dim, chunk B) operands of the weight GEMMs, which every layer reuses
+        # the (dim, chunk B) operands of the weight GEMMs, which every layer
+        # reuses, and the scratch that a chunk's share of a weight gradient
+        # goes to before it is added to the later chunks'
         cols = chunk * math.prod(batch)
-        g_buf = np.empty(max(sd, *(3 * h.shape[0] for h in hiddens)) * cols)
-        x_buf = np.empty(max(xs.shape[1], *(h.shape[0] for h in hiddens)) * cols)
-        h_buf = np.empty(max(h.shape[0] for h in hiddens) * cols)
+        g_buf = _buffer(workspace, "g_cols", (max(sd, *(3 * h.shape[0] for h in hiddens)) * cols,))
+        x_buf = _buffer(workspace, "x_cols", (max(in_dim, *(h.shape[0] for h in hiddens)) * cols,))
+        h_buf = _buffer(workspace, "h_cols", (max(h.shape[0] for h in hiddens) * cols,))
+        part = _buffer(workspace, "part", (max(vals[i].size for i in a[:nw]),))
     # the velocity gradients of a chunk's steps are kept for the output-layer
     # GEMM; the input gradients of every step only for the modifier gradient
-    g_vels = _workspace((sd, *batch), chunk, want_w)
-    g_xs = _workspace((sd + rot, *batch), horizon, want_u)
+    g_vels = _workspace((sd, *batch), chunk, want_w, workspace, "g_vels")
+    g_xs = _workspace((sd + rot, *batch), horizon, want_u, workspace, "g_xs")
     gu = np.zeros((horizon, sd, *batch)) if want_u else None
     gh = [np.zeros(h.shape) for h in hiddens]  # gradient of each layer's hidden state
     top = np.empty_like(gh[-1])
@@ -540,13 +637,18 @@ def _b_scan(g, vals, a, p, cache, needed):
     g_x_rot, g_x_vel = list(g_xs[:, :rot]), list(g_xs[:, rot:])
     gu_rot = list(gu[:, lead:]) if want_u else None
     g_v = None  # V, of the velocity
-    grads = [None] * nw
+    grads = ([_buffer(workspace, f"grad{i}", vals[a[i]].shape) for i in range(nw)]
+             if want_w else [None] * nw)
 
-    def add(i, part):  # a chunk's share of weight gradient i, after the later chunks'
-        if grads[i] is None:
-            grads[i] = part
-        else:
-            grads[i] += part
+    # The last chunk, which runs first, writes its shares of the weight
+    # gradients into them; every later chunk writes its share into the
+    # scratch ``part`` and adds it to the sum over the chunks after it.
+    def share(i):
+        return grads[i] if hi == steps else part[: grads[i].size].reshape(grads[i].shape)
+
+    def add(i, chunk_share):
+        if hi < steps:
+            grads[i] += chunk_share
 
     for hi in range(steps, stop, -chunk):
         lo = max(hi - chunk, stop)
@@ -608,21 +710,29 @@ def _b_scan(g, vals, a, p, cache, needed):
             for li, ((mask_x, _), (zr, slots, _, hd)) in enumerate(zip(masks, views)):
                 d = hd.shape[1]
                 g_pre = _flat(_dim_major(g_buf, slots))
-                xd = _dim_major(x_buf, xs[lo:hi] if li == 0 else hs[li - 1][lo + 1 : hi + 1],
-                                mask_x)
-                add(3 * li, g_pre @ _flat(xd).T)
-                add(3 * li + 2, g_pre.sum(axis=1))
+                if li:
+                    xd = _dim_major(x_buf, hs[li - 1][lo + 1 : hi + 1], mask_x)
+                else:  # the layer-0 inputs, rebuilt in _dim_major's layout
+                    xd = x_buf[: in_dim * (hi - lo) * math.prod(batch)].reshape(
+                        in_dim, hi - lo, *batch)
+                    for k in range(hi - lo):
+                        inputs.write(lo + k, xd[:rot, k], xd[rot:, k])
+                    if mask_x is not None:
+                        xd *= mask_x[:, None]
+                add(3 * li, np.matmul(g_pre, _flat(xd).T, out=share(3 * li)))
+                add(3 * li + 2, np.sum(g_pre, axis=1, out=share(3 * li + 2)))
                 hd = _dim_major(h_buf, hd)
-                gU = np.empty((3 * d, d))
-                gU[: 2 * d] = g_pre[: 2 * d] @ _flat(hd).T
+                gU = share(3 * li + 1)
+                np.matmul(g_pre[: 2 * d], _flat(hd).T, out=gU[: 2 * d])
                 rh = np.multiply(hd, np.moveaxis(zr[:, d:], 0, 1), out=hd)
-                gU[2 * d :] = g_pre[2 * d :] @ _flat(rh).T
+                np.matmul(g_pre[2 * d :], _flat(rh).T, out=gU[2 * d :])
                 add(3 * li + 1, gU)
             dec = max(lo, enc)  # the chunk's decoder steps
             if dec < hi:
                 gv = _flat(_dim_major(g_buf, g_vels[dec - lo : hi - lo]))
-                add(nw - 2, gv @ _flat(_dim_major(x_buf, hs[-1][dec + 1 : hi + 1])).T)
-                add(nw - 1, gv.sum(axis=1))
+                out = _flat(_dim_major(x_buf, hs[-1][dec + 1 : hi + 1]))
+                add(nw - 2, np.matmul(gv, out.T, out=share(nw - 2)))
+                add(nw - 1, np.sum(gv, axis=1, out=share(nw - 1)))
     if len(a) > nw:
         if want_u:
             # u_j shifts the rotation input and enters the velocity inputs of
@@ -941,7 +1051,8 @@ class Tape:
         return self._apply(OP_TAKE, (x,), index)
 
     def gru_scan(self, weights: list[Ref], hiddens, state, velocity, horizon: int,
-                 frames=None, modifiers: Ref | None = None, masks=None) -> Ref:
+                 frames=None, modifiers: Ref | None = None, masks=None,
+                 workspace: Workspace | None = None) -> Ref:
         """A whole GRU-stack unroll (:func:`gru_unroll`) as one node.
 
         ``weights`` are refs to ``(W, U, b)`` per layer then ``(W_o, b_o)``;
@@ -949,7 +1060,15 @@ class Tape:
         ``velocity``, the encoder ``frames`` (E + 1, sd[, B]; kept as views
         when C-contiguous) and the dropout ``masks`` are constants.
         ``modifiers`` is an optional (horizon, sd[, B]) ref.  The output is
-        the (horizon, sd[, B]) states.
+        the (horizon, sd[, B]) states, which the adjoint reads and nothing
+        may write.
+
+        With a ``workspace`` the states, the cache, the adjoint's chunk
+        buffers and its weight gradients live in the workspace's memory, so
+        they hold until the next scan in it: a tape recorded and
+        differentiated once, as a training batch's is.  Without one, which
+        planning's replays need (the solver holds several evaluations at
+        once), every pass allocates them afresh.
         """
         hiddens = [_as_array(h) for h in hiddens]
         state, velocity = _as_array(state), _as_array(velocity)
@@ -982,7 +1101,8 @@ class Tape:
                 f"{None if modifiers is None else modifiers.shape}"
             )
         refs = (*weights, modifiers) if modifiers is not None else tuple(weights)
-        return self._apply(OP_SCAN, refs, (hiddens, state, velocity, horizon, frames, masks))
+        return self._apply(OP_SCAN, refs,
+                           (hiddens, state, velocity, horizon, frames, masks, workspace))
 
     def rollout(self, controls: Ref, initial) -> Ref:
         """Unicycle-plus-joints states (H, n) for (H, n - 1) controls."""

@@ -21,8 +21,11 @@ Planning and training record it on a :class:`~comotion.graph.Tape` as one
 adjoint is backpropagation through time: planning differentiates the decoder
 states with respect to the modifiers, training a batch's loss with respect
 to the weights.  A training call holds one batch's (span, 129, B) columns and
-tape at a time.  It scores the test windows in two passes, so it never holds
-their whole (span, 129, N) stack: first their observed frames, encoded and
+tape at a time, and an epoch's batches run in one
+:class:`~comotion.graph.Workspace`, so a batch's scan cache, adjoint buffers
+and weight gradients reuse the previous batch's memory, and Adam updates in
+place.  It scores the test windows in two passes, so it never holds their
+whole (span, 129, N) stack: first their observed frames, encoded and
 decoded, then their true frames.
 
 ``ModelParams`` holds only those stacked weights.  The weight file keeps one
@@ -41,7 +44,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import FRAME_RATE, rotate_frames
-from .graph import GraphError, Ref, Tape, backward, gru_unroll
+from .graph import GraphError, Ref, Tape, Workspace, backward, gru_unroll
 from .kinematics import ROT_BLOCK_DIM, STATE_DIM
 from .schema import atomic_open, from_doc, is_number
 
@@ -296,17 +299,20 @@ def _batch_loss(diff: np.ndarray) -> float:
     return (base + rot) / (diff.shape[0] * diff.shape[2])
 
 
-def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
+def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None,
+                     workspace: Workspace | None = None):
     """Loss of one (span, 129, B) batch of windows and the gradients of the
     ``ModelParams.arrays`` weights (None when the loss is not finite).
 
     The tape holds the weight leaves and one ``gru_scan`` node; the loss
-    gradient of its states seeds the backward pass.
+    gradient of its states seeds the backward pass.  In a ``workspace`` the
+    scan keeps its buffers and the gradients there, valid until the next
+    batch in it; the values are those of fresh buffers bit for bit.
     """
     config = params.config
     tape = Tape()
     weights = [tape.leaf(name, params.arrays[name]) for name in _weight_shapes(config)]
-    out = tape.gru_scan(weights, *_window_start(config, cols), masks=masks)
+    out = tape.gru_scan(weights, *_window_start(config, cols), masks=masks, workspace=workspace)
     tape.set_output(out)
     diff = out.value - cols[config.input_frames :]
     loss = _batch_loss(diff)
@@ -321,7 +327,15 @@ def _batch_gradients(params: ModelParams, cols: np.ndarray, masks=None):
 
 
 class _Adam:
-    """Standard Adam on a dict of arrays (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Standard Adam on a dict of arrays (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    ``update`` works in place: on ``m``, ``v`` and the weights, and on the
+    gradients, which it overwrites, with one scratch array.  Each entry is
+    the textbook expression's, operation for operation::
+
+        m = b1 m + (1 - b1) g,  v = b2 v + ((1 - b2) g) g
+        w -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+    """
 
     def __init__(self, arrays, learning_rate):
         self.lr = learning_rate
@@ -334,10 +348,19 @@ class _Adam:
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** self.step
         c2 = 1.0 - b2 ** self.step
+        flat = np.empty(max(g.size for g in grads.values()))
         for name, g in grads.items():
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            arrays[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m, v, tmp = self.m[name], self.v[name], flat[: g.size].reshape(g.shape)
+            v *= b2
+            v += np.multiply(np.multiply(1 - b2, g, out=tmp), g, out=tmp)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=g)
+            step = np.divide(m, c1, out=g)
+            step *= self.lr
+            denom = np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
+            denom += eps
+            step /= denom
+            arrays[name] -= step
 
 
 def training_windows(records: list[np.ndarray], config: ModelConfig,
@@ -401,10 +424,15 @@ def train(
     across timesteps.  Deterministic for a fixed seed.
 
     A batch is stacked once, as (span, 129, B) columns whose first k frames
-    its tape reads in place.  Each epoch ends by scoring the test windows
-    (NaN for none; the best weights then follow the train loss).  Training
-    or test records without a window raise a ``ModelError`` that names the
-    set, as do ``epochs`` or ``batch_size`` other than positive integers.
+    its tape reads in place.  An epoch's batches work in one workspace,
+    which its first batch sizes, packed into one block after that batch;
+    the tail batch takes a prefix of it.  The workspace lives for that
+    epoch's batches only and is released before the test windows are
+    scored, so the scoring's stacks do not add to it.  Each
+    epoch ends by scoring the test windows (NaN for none; the best weights
+    then follow the train loss).  Training or test records without a window
+    raise a ``ModelError`` that names the set, as do ``epochs`` or
+    ``batch_size`` other than positive integers.
 
     ``learning_rate_decay`` multiplies the step size once per epoch; the L1
     rotation term keeps Adam oscillating at the step-size scale, so exact
@@ -431,6 +459,7 @@ def train(
         order = rng.permutation(len(index))
         epoch_loss = 0.0
         batches = range(0, len(order), batch_size)
+        workspace = Workspace()
         for lo in batches:
             chosen = [index[i] for i in order[lo : lo + batch_size]]
             yaws = rng.uniform(0.0, 2.0 * np.pi, size=len(chosen)) if augment else None
@@ -445,13 +474,16 @@ def train(
                     mh = rng.binomial(1, keep_rec, size=(config.hidden_size, bsz)) / keep_rec
                     masks.append((mx, mh))
             try:
-                loss, grads = _batch_gradients(params, cols, masks)
+                loss, grads = _batch_gradients(params, cols, masks, workspace)
             except GraphError as exc:
                 raise TrainingDiverged(epoch) from exc
             if grads is None:
                 raise TrainingDiverged(epoch)
             adam.update(params.arrays, grads)
             epoch_loss += loss
+            del cols, masks, grads  # before the next batch, so pack() frees the first's arrays
+            workspace.pack()
+        del workspace
 
         adam.lr *= learning_rate_decay
         test_loss, base_err = _evaluate(params, config, test_records, test_index)
@@ -523,6 +555,8 @@ def load_params(path) -> ModelParams:
             if len(raw) != count * 8:
                 raise ModelError(f"{path}: truncated weight payload")
             blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise ModelError(f"{path}: bytes after the last weight array")
     arrays = {name: np.empty(shape) for name, shape in _weight_shapes(config).items()}
     for n, name, rows in _gate_blocks(config):
         target = arrays[name][rows]

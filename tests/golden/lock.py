@@ -33,6 +33,13 @@ with ``src`` on ``PYTHONPATH``.  The digests cover every bit of every
 output, so two trees that print the same digests plan, generate and train
 alike bit for bit: ``all`` over the runs, ``generators`` over the generators,
 ``training`` over the training run.
+
+The ``training`` digest depends on the number of BLAS threads, which
+splits the weight GEMMs differently.  On 2 CPUs with numpy 2.4's OpenBLAS
+0.3.31, the default thread count gives ``c89e24d0…183f94`` and
+``OPENBLAS_NUM_THREADS=1`` gives ``d980842b…1c95``, while ``all`` and
+``generators`` are the same under both.  So two trees are compared at one
+thread setting.
 """
 
 from __future__ import annotations

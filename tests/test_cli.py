@@ -187,11 +187,16 @@ def test_bad_trajectory_header_exits_2_naming_line_and_key(tiny_dataset, tmp_pat
     assert "line 1" in err and named in err and "Traceback" not in err
 
 
-def test_train_logs_epoch_wall_time(tiny_dataset, tmp_path):
+def test_train_logs_epoch_wall_time(tiny_dataset, tmp_path, capsys):
+    """epochs.jsonl keeps each epoch's wall time, and the epoch's printed
+    line shows it next to the two losses."""
     assert main(train_args(tiny_dataset, str(tmp_path / "run"))) == 0
     epoch = json.loads((tmp_path / "run" / "epochs.jsonl").read_text().splitlines()[0])
     assert epoch["seconds"] > 0.0
     assert np.isfinite(epoch["train_loss"]) and np.isfinite(epoch["test_loss"])
+    line = (f"epoch 0: train {epoch['train_loss']:.4f} test {epoch['test_loss']:.4f} "
+            f"({epoch['seconds']:.2f} s)")
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def _rewrite_weight_header(src, dst, edit):

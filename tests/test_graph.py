@@ -517,6 +517,28 @@ def test_gru_scan_weight_gradients_sum_chunk_by_chunk(B):
         assert np.max(np.abs(grads[name] - one_gemm)) <= 1e-12 * np.max(np.abs(one_gemm)), name
 
 
+def test_gru_scan_weight_and_modifier_gradients_are_the_bptt_oracle_bit_for_bit():
+    """All eight weight leaves and the modifiers of a masked 60-step scan on
+    10 columns with encoder frames, over three chunks of 25 steps, one of
+    them across the encoder's end.  The adjoint rebuilds the layer-0 inputs
+    of each chunk, the decoder's from u_j and u_{j+1} - u_j; the oracle
+    keeps the forward's."""
+    rng = np.random.default_rng(38)
+    point, (hiddens, state, velocity, H), kw = _chunked_scan(rng, 10, d=20, sd=9, lead=3)
+    mods, seed = 0.2 * rng.normal(size=(H, 9, 10)), rng.normal(size=(H, 9, 10))
+    tape = Tape()
+    refs = [tape.leaf(name, w) for name, w in point.items()]
+    u = tape.leaf("u", mods)
+    tape.set_output(tape.gru_scan(refs, hiddens, state, velocity, H, modifiers=u, **kw))
+    grads = backward(tape, seed)
+    expected, du = _bptt_oracle(list(point.values()), hiddens, state, velocity, H, seed,
+                                modifiers=mods, **kw)
+    assert len(expected) == 8
+    for name, want in zip(point, expected):
+        assert grads[name].tobytes() == want.tobytes(), name
+    assert grads["u"].tobytes() == du.tobytes()
+
+
 def test_gru_scan_chunked_weight_gradients_match_finite_differences():
     """All eight weight leaves of a masked 60-step scan over three chunks of
     25 steps (10 columns), the earliest 10 steps.  The probe is scaled by 0.1

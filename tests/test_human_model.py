@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from comotion import human_model as hm
-from comotion.graph import OP_SCAN, Tape, backward, gradient_check, gru_unroll
+from comotion.graph import OP_SCAN, Tape, Workspace, backward, gradient_check, gru_unroll
 from comotion.kinematics import STATE_DIM, rot6d_to_matrix
 from helpers import identity_state, traced_peak
 
@@ -378,20 +378,121 @@ def test_evaluate_is_the_whole_set_unroll_in_less_memory():
     assert traced_peak(lambda: hm._evaluate(params, config, records, index)) < bound
 
 
-def test_a_training_batch_sums_its_weight_gradients_in_chunk_buffers():
-    """One default 32-window batch with dropout masks peaks at 17.5 MiB
-    traced, 10.1 MiB of it the forward cache; whole-unroll adjoint buffers
-    took it to 25.0 MiB.  The 20 MiB bound leaves 2.5 MiB."""
+def _default_batch(rng, width):
+    """A default-model batch of ``width`` windows of one record, with
+    dropout masks."""
     config = hm.ModelConfig()
-    params = random_params(config)
-    rng = np.random.default_rng(19)
-    record = random_observed(rng, k=config.input_frames + config.output_frames + 31)
+    record = random_observed(rng, k=config.input_frames + config.output_frames + width - 1)
     cols = hm._stack_windows([record], hm.training_windows([record], config), 40)
-    assert cols.shape[2] == 32
+    assert cols.shape[2] == width
     d = config.hidden_size
-    masks = [(rng.binomial(1, 0.8, size=(n, 32)) / 0.8, rng.binomial(1, 0.8, size=(d, 32)) / 0.8)
-             for n in (hm.INPUT_DIM, d)]
-    assert traced_peak(lambda: hm._batch_gradients(params, cols, masks)) < 20 * 2**20
+    masks = [(rng.binomial(1, 0.8, size=(n, width)) / 0.8,
+              rng.binomial(1, 0.8, size=(d, width)) / 0.8) for n in (hm.INPUT_DIM, d)]
+    return cols, masks
+
+
+def test_a_training_batch_sums_its_weight_gradients_in_chunk_buffers():
+    """One default 32-window batch with dropout masks peaks at 15.6 MiB
+    traced, 8.3 MiB of it the forward cache (hidden states, gates and
+    velocity slots; the layer-0 inputs are rebuilt, not cached); caching
+    those inputs took it to 17.5 MiB, and whole-unroll adjoint buffers on
+    top to 25.0 MiB.  The 18.1 MiB bound leaves 2.5 MiB."""
+    params = random_params(hm.ModelConfig())
+    cols, masks = _default_batch(np.random.default_rng(19), 32)
+    assert traced_peak(lambda: hm._batch_gradients(params, cols, masks)) < 18.1 * 2**20
+
+
+def test_a_batch_in_the_training_workspace_equals_one_on_fresh_buffers(monkeypatch):
+    """Two 32-wide batches and then a 10-wide tail in one workspace, packed
+    after each as ``train`` does: each loss and weight gradient equals the
+    same batch's on fresh buffers bit for bit.  The tail's scan cache and
+    gradients are contiguous and in the packed memory the second batch's
+    were; a fresh batch's are not."""
+    params = random_params(hm.ModelConfig())
+    rng = np.random.default_rng(34)
+    tapes = []
+
+    def spy(tape, seed, **kw):
+        tapes.append(tape)
+        return backward(tape, seed, **kw)
+
+    monkeypatch.setattr(hm, "backward", spy)
+    workspace = Workspace()
+    kept = []
+    for width in (32, 32, 10):
+        cols, masks = _default_batch(rng, width)
+        loss, grads = hm._batch_gradients(params, cols, masks, workspace)
+        fresh_loss, fresh = hm._batch_gradients(params, cols, masks)
+        assert loss == fresh_loss
+        for name, g in fresh.items():
+            assert grads[name].tobytes() == g.tobytes(), (width, name)
+        kept.append(grads)
+        workspace.pack()
+
+    def cache(tape):  # the scan's hidden states and gates per layer
+        _, hs, gates = tape.caches[tape.ops.index(OP_SCAN)]
+        return [*hs, *gates]
+
+    _, _, second, second_fresh, tail, _ = map(cache, tapes)
+    for a, b, c in zip(second, second_fresh, tail):
+        assert np.shares_memory(a, c) and c.flags.c_contiguous
+        assert not np.shares_memory(a, b)
+    for name in params.arrays:
+        assert np.shares_memory(kept[1][name], kept[2][name])
+
+
+def test_adam_updates_in_place_as_the_textbook_expression():
+    """Three steps on random arrays: the weights, m and v equal the
+    textbook expression's bit for bit, and stay the arrays they were."""
+    rng = np.random.default_rng(35)
+    shapes = {"W": (6, 5), "b": (6,)}
+    arrays = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    want = {k: a.copy() for k, a in arrays.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    adam = hm._Adam(arrays, 1e-3)
+    held = [arrays["W"], adam.m["W"], adam.v["W"]]
+    for step in range(1, 4):
+        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+            want[k] -= 1e-3 * (m[k] / (1.0 - 0.9 ** step)) / (
+                np.sqrt(v[k] / (1.0 - 0.999 ** step)) + 1e-8)
+        adam.update(arrays, grads)
+        for k in shapes:
+            assert arrays[k].tobytes() == want[k].tobytes(), (step, k)
+            assert adam.m[k].tobytes() == m[k].tobytes() and adam.v[k].tobytes() == v[k].tobytes()
+    assert all(a is b for a, b in zip([arrays["W"], adam.m["W"], adam.v["W"]], held))
+
+
+def test_training_holds_one_batch_beside_the_weights_and_adam_moments():
+    """Three default 32-window batches: ``train``'s traced peak exceeds that
+    of its first batch made by hand (the windows indexed and shuffled, then
+    stacked, masked and differentiated on fresh buffers) by less than the
+    weights plus Adam's m and v, and 64 KiB for what ``train`` holds besides
+    arrays (about 22 KB).  It holds no second batch's buffers or gradients:
+    the previous ones are the workspace's memory.  Holding the previous
+    batch's gradients as well took it 1.46 MB over."""
+    config = hm.ModelConfig()
+    record = random_observed(np.random.default_rng(36),
+                             k=config.input_frames + config.output_frames + 95)
+    params = random_params(config)
+    held = 3 * sum(a.nbytes for a in params.arrays.values())
+
+    def one_batch():
+        index = hm.training_windows([record], config)
+        assert len(index) == 96
+        rng = np.random.default_rng([0, 0])
+        chosen = [index[i] for i in rng.permutation(len(index))[:32]]
+        cols = hm._stack_windows([record], chosen, 40, rng.uniform(0.0, 2.0 * np.pi, size=32))
+        d = config.hidden_size
+        masks = [(rng.binomial(1, 0.8, size=(n, 32)) / 0.8,
+                  rng.binomial(1, 0.8, size=(d, 32)) / 0.8) for n in (hm.INPUT_DIM, d)]
+        hm._batch_gradients(params, cols, masks)
+
+    peak = traced_peak(lambda: hm.train([record], config, seed=0, epochs=1))
+    assert peak - traced_peak(one_batch) < held + 2**16
 
 
 def test_train_empty_dataset_rejected():
@@ -449,6 +550,15 @@ def test_weight_file_rejects_garbage(tmp_path):
     path = tmp_path / "junk.weights"
     path.write_bytes(b"not a weight file")
     with pytest.raises(hm.ModelError, match="not a weight file"):
+        hm.load_params(path)
+
+
+def test_weight_file_refuses_bytes_after_its_last_array(tmp_path):
+    path = tmp_path / "model.weights"
+    hm.save_params(random_params(tiny_config()), path)
+    hm.load_params(path)
+    path.write_bytes(path.read_bytes() + b"trailing garbage")
+    with pytest.raises(hm.ModelError, match=f"{path}: bytes after the last weight array"):
         hm.load_params(path)
 
 
